@@ -5,7 +5,9 @@ frame of the normal bundle x-perp, and a validity radius rho estimated
 from curvature, strand separation, and the ambient injectivity radius.
 chart_apply exponentiates a normal section; chart_invert projects a
 nearby curve back to its unique normal section and the
-reparameterization that aligns it with the chart fibers.
+reparameterization that aligns it with the chart fibers.  The code is
+written once for every ambient: frames, focal distances, distances and
+the exponential come from the AmbientSpace methods.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import fourier
-from .ambient import AmbientSpace, FlatTorus
 from .curve import (
     Embedding,
     Reparam,
@@ -107,35 +108,27 @@ def _rotate_about(v: np.ndarray, axis: np.ndarray, angle: np.ndarray) -> np.ndar
 
 def _build_frame(x: Embedding) -> np.ndarray:
     T = _unit_tangents(x)
-    d = x.space.coord_dim
-    if x.space.kind == "sphere2":
-        nu = np.cross(x.pts, T)
-        nu = nu / np.linalg.norm(nu, axis=1, keepdims=True)
-        return nu[None, :, :]
-    if d == 2:
-        # outward for counterclockwise curves
-        nu = np.stack([T[:, 1], -T[:, 0]], axis=1)
-        return nu[None, :, :]
-    if d == 3:
-        # rotation-minimizing frame around the loop, holonomy distributed
-        P = x.P
-        seed = np.eye(3)[np.argmin(np.abs(T[0]))]
-        nu0 = seed - np.dot(seed, T[0]) * T[0]
-        nu0 = nu0 / np.linalg.norm(nu0)
-        nus = np.empty((P, 3))
-        nus[0] = nu0
-        for i in range(P - 1):
-            nus[i + 1] = _transport(T[i], T[i + 1], nus[i])
-        closing = _transport(T[-1], T[0], nus[-1])
-        b0 = np.cross(T[0], nu0)
-        hol = np.arctan2(np.dot(closing, b0), np.dot(closing, nu0))
-        angles = -hol * np.arange(P) / P
-        nus = _rotate_about(nus, T, angles)
-        nus = nus - np.sum(nus * T, axis=1, keepdims=True) * T
-        nus = nus / np.linalg.norm(nus, axis=1, keepdims=True)
-        second = np.cross(T, nus)
-        return np.stack([nus, second], axis=0)
-    raise DegenerateFrameError(f"no frame construction for coordinate dimension {d}")
+    frame = x.space.normal_frame(x.pts, T)
+    if frame is not None:
+        return frame
+    # 3-d: rotation-minimizing frame around the loop, holonomy distributed
+    P = x.P
+    seed = np.eye(3)[np.argmin(np.abs(T[0]))]
+    nu0 = seed - np.dot(seed, T[0]) * T[0]
+    nu0 = nu0 / np.linalg.norm(nu0)
+    nus = np.empty((P, 3))
+    nus[0] = nu0
+    for i in range(P - 1):
+        nus[i + 1] = _transport(T[i], T[i + 1], nus[i])
+    closing = _transport(T[-1], T[0], nus[-1])
+    b0 = np.cross(T[0], nu0)
+    hol = np.arctan2(np.dot(closing, b0), np.dot(closing, nu0))
+    angles = -hol * np.arange(P) / P
+    nus = _rotate_about(nus, T, angles)
+    nus = nus - np.sum(nus * T, axis=1, keepdims=True) * T
+    nus = nus / np.linalg.norm(nus, axis=1, keepdims=True)
+    second = np.cross(T, nus)
+    return np.stack([nus, second], axis=0)
 
 
 def _transport(t_prev: np.ndarray, t_cur: np.ndarray, nu_prev: np.ndarray) -> np.ndarray:
@@ -158,12 +151,7 @@ def reach_estimate(x: Embedding) -> float:
     sep = separation(x)
     if sep <= 0.0:
         return 0.0
-    kmax = float(np.max(np.abs(curvature(x))))
-    if x.space.kind == "sphere2":
-        # normal geodesics focus at distance arccot(kappa_g) on the unit sphere
-        focal = np.arctan2(1.0, kmax)
-    else:
-        focal = np.inf if kmax < 1e-14 else 1.0 / kmax
+    focal = x.space.focal_distance(float(np.max(np.abs(curvature(x)))))
     return float(min(0.9 * focal, 0.45 * sep, 0.9 * x.space.injectivity_radius()))
 
 
@@ -193,14 +181,10 @@ def frame_at(c: Chart, t) -> np.ndarray:
     x = c.center
     dvec = interp_curve(x, t, order=1)
     T = dvec / np.linalg.norm(dvec, axis=1, keepdims=True)
-    if x.space.kind == "sphere2":
-        p = interp_curve(x, t)
-        nu = np.cross(p, T)
-        nu = nu / np.linalg.norm(nu, axis=1, keepdims=True)
-        return nu[None, :, :]
-    if x.space.coord_dim == 2:
-        nu = np.stack([T[:, 1], -T[:, 0]], axis=1)
-        return nu[None, :, :]
+    frame = x.space.normal_frame(interp_curve(x, t), T)
+    if frame is not None:
+        return frame
+    # transported 3-d frame: interpolate it and re-orthonormalize
     nu = fourier.interp(c.frame.vectors[0], t)
     nu = nu - np.sum(nu * T, axis=1, keepdims=True) * T
     nu = nu / np.linalg.norm(nu, axis=1, keepdims=True)
@@ -220,9 +204,7 @@ def full_chart_apply(c: Chart, W: SectionField) -> Embedding:
     if W.sup_norm >= c.rho:
         raise OutsideDomainError("section exceeds the chart radius")
     x = c.center
-    if isinstance(x.space, FlatTorus):
-        return Embedding(x.space, x.pts + W.vecs, x.winding)
-    return Embedding(x.space, x.space.exp(x.pts, W.vecs), None)
+    return Embedding(x.space, x.space.exp_lift(x.pts, W.vecs), x.winding)
 
 
 def chart_apply(c: Chart, u: NormalSection) -> Embedding:
@@ -257,18 +239,12 @@ def chart_invert(c: Chart, y: Embedding) -> tuple[NormalSection, Reparam]:
     dvec = derivative(x).vecs
     h = 2.0 * np.pi / P
 
-    per = y.periodic_part()
-    yc = fourier.coeffs(per)
-    drift = y.winding / (2.0 * np.pi) if isinstance(space, FlatTorus) else None
+    yc = fourier.coeffs(y.periodic_part())
+    drift = y.drift
 
     def Y(s) -> np.ndarray:
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        vals = fourier.interp_coeffs(yc, y.P, s)
-        if drift is not None:
-            vals = vals + s[:, None] * drift
-        elif space.kind == "sphere2":
-            vals = vals / np.linalg.norm(vals, axis=1, keepdims=True)
-        return vals
+        return space.retract(fourier.interp_coeffs(yc, y.P, s) + s[:, None] * drift)
 
     def g(i: int, s: float) -> float:
         pt = Y(s)[0]
@@ -309,7 +285,7 @@ def chart_invert(c: Chart, y: Embedding) -> tuple[NormalSection, Reparam]:
             s[i] = _continue_root(lambda t: g(i, t), guess, h)
         except ProjectionFailedError:
             # distinguish a genuine tube violation from a projection failure
-            if np.min(space.dist(x.pts[:, None, :], ypts[None, :, :]), axis=0).max() > c.rho:
+            if np.min(space.pairwise_dist(x.pts, ypts), axis=0).max() > c.rho:
                 raise OutsideTubeError(
                     "curve leaves the tube of radius rho around the chart center")
             raise

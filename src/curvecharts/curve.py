@@ -1,9 +1,11 @@
 """Discrete closed curves S^1 -> N and reparameterizations.
 
-Curves are P uniform samples of a band-limited map.  Flat-torus curves
-store a continuous coordinate lift together with their winding vector so
-spectral differentiation and interpolation are unambiguous; sphere
-curves are interpolated in R^3 and renormalized.
+Curves are P uniform samples of a band-limited map.  A curve with a
+winding vector (on the flat torus) stores a continuous coordinate lift:
+a periodic part plus the drift theta * winding / (2 pi), so spectral
+differentiation and interpolation act on periodic data.  Interpolated
+values are mapped onto N by the space's `retract`; everything else that
+depends on the ambient is a method of the space.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import fourier
-from .ambient import AmbientSpace, FlatTorus
+from .ambient import AmbientSpace
 from .errors import NonMonotoneError
 
 MIN_SPEED = 1e-8
@@ -40,10 +42,10 @@ class GridCircle:
 class Embedding:
     """Sampled closed curve x: S^1 -> N.
 
-    pts has shape (P, coord_dim).  For the flat torus, pts holds a
-    continuous coordinate lift (values need not lie in [0,1)) and
-    winding gives the integer homotopy class; use `samples` for reduced
-    fundamental-domain coordinates.
+    pts has shape (P, coord_dim).  Where the space has windings (the
+    flat torus), pts holds a continuous coordinate lift (values need not
+    lie in [0,1)) and winding gives the integer homotopy class; use
+    `samples` for reduced fundamental-domain coordinates.
     """
 
     space: AmbientSpace
@@ -56,12 +58,7 @@ class Embedding:
             raise ValueError("pts must have shape (P, coord_dim)")
         GridCircle(pts.shape[0])
         object.__setattr__(self, "pts", pts)
-        if isinstance(self.space, FlatTorus):
-            if self.winding is None:
-                raise ValueError("flat-torus curves need a winding vector")
-            object.__setattr__(self, "winding", np.asarray(self.winding, dtype=int))
-        else:
-            object.__setattr__(self, "winding", None)
+        object.__setattr__(self, "winding", self.space.check_winding(self.winding))
 
     @property
     def P(self) -> int:
@@ -74,16 +71,20 @@ class Embedding:
     @property
     def samples(self) -> np.ndarray:
         """Point samples in canonical coordinates (torus: reduced mod 1)."""
-        if isinstance(self.space, FlatTorus):
-            return np.mod(self.pts, 1.0)
-        return self.pts
+        return self.space.reduce(self.pts)
+
+    @property
+    def drift(self) -> np.ndarray:
+        """Slope of the lift's non-periodic part: winding / (2 pi), zero without a winding."""
+        if self.winding is None:
+            return np.zeros(self.space.coord_dim)
+        return self.winding / (2.0 * np.pi)
 
     def periodic_part(self) -> np.ndarray:
         """Samples of the curve minus its winding drift; a periodic function."""
-        if isinstance(self.space, FlatTorus):
-            theta = self.grid.nodes
-            return self.pts - theta[:, None] * (self.winding / (2.0 * np.pi))
-        return self.pts
+        if self.winding is None:
+            return self.pts
+        return self.pts - self.grid.nodes[:, None] * self.drift
 
 
 @dataclass(frozen=True)
@@ -169,38 +170,27 @@ def reparam_compose(outer: Reparam, inner: Reparam) -> Reparam:
 def interp_curve(x: Embedding, t, order: int = 0) -> np.ndarray:
     """Evaluate the band-limited curve (order=0) or its theta-derivative (order=1) at t.
 
-    Sphere curves are interpolated in R^3 and renormalized; their
-    derivative is projected to the tangent planes of the interpolated
-    points.  Torus results are lift coordinates.
+    Values are retracted onto N.  Where coordinates are extrinsic (the
+    sphere in R^3), the derivative is projected to the tangent spaces at
+    the interpolated points.  Torus results are lift coordinates.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     per = x.periodic_part()
     vals = fourier.interp(per, t, order=order)
-    if isinstance(x.space, FlatTorus):
-        drift = x.winding / (2.0 * np.pi)
-        if order == 0:
-            return vals + t[:, None] * drift
-        if order == 1:
-            return vals + drift
+    if order == 0:
+        return x.space.retract(vals + t[:, None] * x.drift)
+    if order == 1:
+        vals = vals + x.drift
+    if x.space.coord_dim == x.space.dim:
+        # intrinsic coordinates: every vector is tangent
         return vals
-    if x.space.kind == "sphere2":
-        if order == 0:
-            return vals / np.linalg.norm(vals, axis=1, keepdims=True)
-        pts = fourier.interp(per, t)
-        pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-        return x.space.project_tangent(pts, vals)
-    return vals
+    return x.space.project_tangent(interp_curve(x, t), vals)
 
 
 def derivative(x: Embedding) -> SectionField:
     """Spectral derivative x'(theta) as a section of x^*(TN)."""
-    per = x.periodic_part()
-    d = fourier.diff(per)
-    if isinstance(x.space, FlatTorus):
-        d = d + x.winding / (2.0 * np.pi)
-    elif x.space.kind == "sphere2":
-        d = x.space.project_tangent(x.pts, d)
-    return SectionField(x, d)
+    d = fourier.diff(x.periodic_part()) + x.drift
+    return SectionField(x, x.space.project_tangent(x.pts, d))
 
 
 def speeds(x: Embedding) -> np.ndarray:
@@ -225,34 +215,7 @@ def curvature(x: Embedding) -> np.ndarray:
     curvature with respect to the normal p x T.
     """
     per = x.periodic_part()
-    d1 = fourier.diff(per, 1)
-    d2 = fourier.diff(per, 2)
-    if isinstance(x.space, FlatTorus):
-        d1 = d1 + x.winding / (2.0 * np.pi)
-    if x.space.kind == "sphere2":
-        sp = np.linalg.norm(x.space.project_tangent(x.pts, d1), axis=1)
-        T = x.space.project_tangent(x.pts, d1) / sp[:, None]
-        # dT/ds projected off both the sphere normal and the tangent
-        dT = fourier.diff(T) / sp[:, None]
-        nu = np.cross(x.pts, T)
-        return np.sum(dT * nu, axis=1)
-    v = np.linalg.norm(d1, axis=1)
-    if x.pts.shape[1] == 2:
-        cross = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        return cross / v**3
-    cross = np.cross(d1, d2)
-    return np.linalg.norm(cross, axis=1) / v**3
-
-
-def _pair_chords(x: Embedding) -> np.ndarray:
-    """(P, P) matrix of ambient distances between node samples (torus: strand-aware)."""
-    if isinstance(x.space, FlatTorus):
-        raise NotImplementedError  # handled inside separation
-    if x.space.kind == "sphere2":
-        dots = np.clip(x.pts @ x.pts.T, -1.0, 1.0)
-        return np.arccos(dots)
-    diff = x.pts[:, None, :] - x.pts[None, :, :]
-    return np.linalg.norm(diff, axis=2)
+    return x.space.curvature(x.pts, fourier.diff(per, 1) + x.drift, fourier.diff(per, 2))
 
 
 def separation(x: Embedding, min_gap: int = 4) -> float:
@@ -262,9 +225,9 @@ def separation(x: Embedding, min_gap: int = 4) -> float:
     chord is comparable to their along-curve arclength (chord >=
     (2/pi) * arc, the round-arc bound) are treated as same-strand and
     excluded.  Torus curves additionally compare against lattice
-    translates: offsets off the winding line are always admissible.
-    Returns +inf when no admissible pair exists; near zero for
-    self-intersecting curves.
+    translates: offsets off the winding line are always admissible
+    (`AmbientSpace.strand_chords`).  Returns +inf when no admissible
+    pair exists; near zero for self-intersecting curves.
     """
     P = x.P
     w = quadrature_weights(x)
@@ -274,43 +237,10 @@ def separation(x: Embedding, min_gap: int = 4) -> float:
     gap = np.minimum(gap, P - gap)
     admissible_gap = gap > min_gap
     best = np.inf
-
-    if isinstance(x.space, FlatTorus):
-        lift = x.pts
-        wind = x.winding.astype(float)
-        diff0 = lift[:, None, :] - lift[None, :, :]
-        arc0 = np.abs(s[:, None] - s[None, :])
-        base = np.rint(diff0)
-        n = lift.shape[1]
-        shifts = np.stack(np.meshgrid(*([np.array([-1.0, 0.0, 1.0])] * n), indexing="ij"), axis=-1).reshape(-1, n)
-        for sh in shifts:
-            k = base + sh  # candidate lattice offset per pair
-            chord = np.linalg.norm(diff0 - k, axis=2)
-            # same-strand offsets are integer multiples of the winding vector
-            if np.any(wind != 0.0):
-                ax = int(np.argmax(np.abs(wind)))
-                m = k[:, :, ax] / wind[ax]
-                on_line = np.all(np.abs(k - m[:, :, None] * wind) < 1e-9, axis=2)
-                m_int = np.abs(m - np.rint(m)) < 1e-9
-                same_strand = on_line & m_int
-                m_round = np.rint(m)
-            else:
-                same_strand = np.all(np.abs(k) < 1e-9, axis=2)
-                m_round = np.zeros((P, P))
-            arc = np.abs(s[:, None] - s[None, :] - m_round * L)
-            arc = np.where(m_round == 0.0, np.minimum(arc0, L - arc0), arc)
-            genuine = ~same_strand | (chord < (2.0 / np.pi) * arc)
-            mask = admissible_gap & genuine
-            if np.any(mask):
-                best = min(best, float(np.min(chord[mask])))
-        return best
-
-    chord = _pair_chords(x)
-    arc = np.abs(s[:, None] - s[None, :])
-    arc = np.minimum(arc, L - arc)
-    mask = admissible_gap & (chord < (2.0 / np.pi) * arc)
-    if np.any(mask):
-        best = float(np.min(chord[mask]))
+    for chord, arc in x.space.strand_chords(x.pts, x.winding, s, L):
+        mask = admissible_gap & (chord < (2.0 / np.pi) * arc)
+        if np.any(mask):
+            best = min(best, float(np.min(chord[mask])))
     return best
 
 
@@ -330,10 +260,9 @@ def resample(x: Embedding, phi: Reparam) -> Embedding:
     if phi.P != x.P:
         raise ValueError("reparameterization grid must match the curve grid")
     new_pts = interp_curve(x, phi.lift)
-    if isinstance(x.space, FlatTorus):
+    if x.winding is not None:
         # keep the lift anchored near the fundamental domain
-        shift = np.floor(new_pts[0])
-        return Embedding(x.space, new_pts - shift, x.winding)
+        new_pts = new_pts - np.floor(new_pts[0])
     return Embedding(x.space, new_pts, x.winding)
 
 
@@ -341,25 +270,14 @@ def _directed_hausdorff(space: AmbientSpace, probes: np.ndarray, target: Embeddi
                         dense: int) -> float:
     """sup over probe points of the distance to the interpolated target curve."""
     t_dense = np.linspace(0.0, 2.0 * np.pi, dense, endpoint=False)
-    target_pts = interp_curve(target, t_dense)
-    if isinstance(space, FlatTorus):
-        d = space.dist(probes[:, None, :], target_pts[None, :, :])
-    elif space.kind == "sphere2":
-        d = np.arccos(np.clip(probes @ target_pts.T, -1.0, 1.0))
-    else:
-        d = np.linalg.norm(probes[:, None, :] - target_pts[None, :, :], axis=2)
+    d = space.pairwise_dist(probes, interp_curve(target, t_dense))
     idx = np.argmin(d, axis=1)
     h = 2.0 * np.pi / dense
     lo = t_dense[idx] - h
     hi = t_dense[idx] + h
 
     def dist_at(t):
-        pts = interp_curve(target, t)
-        if isinstance(space, FlatTorus):
-            return space.dist(probes, pts)
-        if space.kind == "sphere2":
-            return np.arccos(np.clip(np.sum(probes * pts, axis=1), -1.0, 1.0))
-        return np.linalg.norm(probes - pts, axis=1)
+        return space.dist(probes, interp_curve(target, t))
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo.copy(), hi.copy()
@@ -389,11 +307,8 @@ def image_distance(x: Embedding, y: Embedding, dense: int | None = None) -> floa
     if dense is None:
         dense = 8 * max(x.P, y.P)
     tx = np.linspace(0.0, 2.0 * np.pi, dense, endpoint=False)
-    px = interp_curve(x, tx)
-    py = interp_curve(y, tx)
-    if isinstance(x.space, FlatTorus):
-        px = np.mod(px, 1.0)
-        py = np.mod(py, 1.0)
+    px = x.space.reduce(interp_curve(x, tx))
+    py = x.space.reduce(interp_curve(y, tx))
     d_xy = _directed_hausdorff(x.space, px, y, dense)
     d_yx = _directed_hausdorff(x.space, py, x, dense)
     return max(d_xy, d_yx)

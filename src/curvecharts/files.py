@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from .ambient import AmbientSpace, FlatTorus
+from .ambient import AmbientSpace
 from .charts import Chart
 from .curve import Embedding
 
@@ -41,17 +41,15 @@ def curve_from_dict(data: dict) -> Embedding:
     P = int(data["grid"])
     if pts.shape != (P, space.coord_dim):
         raise ValueError("points array does not match grid size and ambient dimension")
-    if isinstance(space, FlatTorus):
-        winding = np.asarray(data.get("winding", []), dtype=int)
-        if winding.shape != (space.dim,):
-            raise ValueError("torus curve files need a winding vector")
-        lift = _unwrap(space, pts, winding)
-        return Embedding(space, lift, winding)
-    return Embedding(space, pts)
+    pts = space.check_point(pts)
+    winding = space.check_winding(data.get("winding"))
+    if winding is not None:
+        pts = _unwrap(space, pts, winding)
+    return Embedding(space, pts, winding)
 
 
-def _unwrap(space: FlatTorus, pts: np.ndarray, winding: np.ndarray) -> np.ndarray:
-    """Continuous lift of reduced torus samples; steps must stay below 1/2."""
+def _unwrap(space: AmbientSpace, pts: np.ndarray, winding: np.ndarray) -> np.ndarray:
+    """Continuous lift of reduced samples of a winding curve; steps must stay below 1/2."""
     steps = space.log(pts[:-1], pts[1:])
     closing = space.log(pts[-1], pts[0])
     total = np.rint(np.sum(steps, axis=0) + closing).astype(int)

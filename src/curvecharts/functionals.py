@@ -2,10 +2,11 @@
 
 Supported terms: curve length, signed enclosed area (planar only), and
 bending energy (integral of squared curvature).  Gradients are exact
-derivatives of the discrete functionals via the chain rule wherever the
-chart exponential is affine (euclidean/torus) or closed-form (sphere
-length); sphere bending falls back to finite differences.  Hessians are
-Richardson-extrapolated central differences of the gradient.
+derivatives of the discrete functionals: the ambient space supplies the
+sample-point gradient of each term, which is pulled back through the
+differential of its exponential map.  A term whose space has no closed
+form (bending on the sphere) falls back to finite differences.  Hessians
+are Richardson-extrapolated central differences of the gradient.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier
-from .ambient import FlatTorus
-from .charts import Chart, NormalSection, SectionField, chart_apply, full_chart_apply, make_chart
+from .charts import Chart, NormalSection, SectionField, full_chart_apply, make_chart
 from .curve import Embedding, curvature, derivative, quadrature_weights
 from .errors import UnsupportedAmbientError
 
@@ -107,91 +107,29 @@ def evaluate(F: Functional, x: Embedding) -> float:
 # analytic gradients with respect to the sample points
 
 
-def _grad_pts_length_flat(y: Embedding) -> np.ndarray:
-    d = derivative(y).vecs
-    T = d / np.linalg.norm(d, axis=1, keepdims=True)
-    return -(2.0 * np.pi / y.P) * fourier.diff(T)
-
-
-def _grad_pts_area(y: Embedding) -> np.ndarray:
-    d = derivative(y).vecs
-    return (2.0 * np.pi / y.P) * np.stack([d[:, 1], -d[:, 0]], axis=1)
-
-
-def _grad_pts_bend_flat(y: Embedding) -> np.ndarray:
-    per = y.periodic_part()
-    a = fourier.diff(per, 1)
-    if isinstance(y.space, FlatTorus):
-        a = a + y.winding / (2.0 * np.pi)
-    b = fourier.diff(per, 2)
-    v = np.linalg.norm(a, axis=1, keepdims=True)
-    scale = 2.0 * np.pi / y.P
-    if y.pts.shape[1] == 2:
-        c = (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])[:, None]
-        dEda = scale * (2.0 * c / v**5 * np.stack([b[:, 1], -b[:, 0]], axis=1)
-                        - 5.0 * c**2 / v**7 * a)
-        dEdb = scale * 2.0 * c / v**5 * np.stack([-a[:, 1], a[:, 0]], axis=1)
-    else:
-        wv = np.cross(a, b)
-        w2 = np.sum(wv * wv, axis=1, keepdims=True)
-        dEda = scale * (2.0 * np.cross(b, wv) / v**5 - 5.0 * w2 / v**7 * a)
-        dEdb = scale * 2.0 * np.cross(wv, a) / v**5
-    return -fourier.diff(dEda, 1) + fourier.diff(dEdb, 2)
-
-
-def _grad_pts_length_sphere(y: Embedding) -> np.ndarray:
-    """Ambient R^3 gradient of the discrete sphere length; meaningful against tangent vectors."""
-    a = fourier.diff(y.pts, 1)
-    b = a - np.sum(y.pts * a, axis=1, keepdims=True) * y.pts
-    T = b / np.linalg.norm(b, axis=1, keepdims=True)
-    ya = np.sum(y.pts * a, axis=1, keepdims=True)
-    return (2.0 * np.pi / y.P) * (-fourier.diff(T, 1) - ya * T)
-
-
 def _grad_pts(F: Functional, y: Embedding):
     """Sum of analytic sample-point gradients, or None if a term needs finite differences."""
     _check_area_support(F, y)
+    per = y.periodic_part()
+    a = fourier.diff(per) + y.drift
     out = np.zeros_like(y.pts)
     for kind, coef in F.terms:
         if coef == 0.0:
             continue
-        if y.space.kind == "sphere2":
-            if kind == "length":
-                out = out + coef * _grad_pts_length_sphere(y)
-            else:
-                return None
-        elif kind == "length":
-            out = out + coef * _grad_pts_length_flat(y)
+        if kind == "length":
+            g = y.space.length_gradient(y.pts, a)
         elif kind == "area":
-            out = out + coef * _grad_pts_area(y)
+            g = (2.0 * np.pi / y.P) * np.stack([a[:, 1], -a[:, 0]], axis=1)
         else:
-            out = out + coef * _grad_pts_bend_flat(y)
+            g = y.space.bending_gradient(y.pts, a, fourier.diff(per, 2))
+        if g is None:
+            return None
+        out = out + coef * g
     return out
 
 
 # ---------------------------------------------------------------------------
 # chart derivatives
-
-
-def _sinc_pair(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """f(q) = sin(sqrt q)/sqrt q and its derivative f'(q), stable near q = 0."""
-    q = np.asarray(q, dtype=float)
-    small = q < 1e-2
-    qs = np.where(small, 1.0, q)
-    r = np.sqrt(qs)
-    f_big = np.sin(r) / r
-    fp_big = (r * np.cos(r) - np.sin(r)) / (2.0 * qs * r)
-    f_small = 1.0 - q / 6.0 + q**2 / 120.0 - q**3 / 5040.0
-    fp_small = -1.0 / 6.0 + q / 60.0 - q**2 / 1680.0
-    return np.where(small, f_small, f_big), np.where(small, fp_small, fp_big)
-
-
-def _sphere_chart_tangent(c: Chart, u: NormalSection) -> np.ndarray:
-    """dy_i/du_i for the rank-one sphere chart: y = cos(u) x + sin(u) nu."""
-    x = c.center.pts
-    nu = c.frame.vectors[0]
-    ui = u.coeff[:, 0][:, None]
-    return -np.sin(ui) * x + np.cos(ui) * nu
 
 
 def _fd_gradient_coeff(fun, coeff: np.ndarray, step: float) -> np.ndarray:
@@ -212,6 +150,31 @@ def _fd_gradient_coeff(fun, coeff: np.ndarray, step: float) -> np.ndarray:
     return out
 
 
+def _section(c: Chart, coeff: np.ndarray, basis: np.ndarray) -> SectionField:
+    """Full section sum_a coeff^a basis^a along the chart center."""
+    return SectionField(c.center, np.einsum("ia,aid->id", coeff, basis))
+
+
+def _pullback_gradient(F: Functional, c: Chart, coeff: np.ndarray,
+                       basis: np.ndarray) -> np.ndarray:
+    """L2(ds) gradient of coeff -> evaluate(F, exp_x(sum_a coeff^a basis^a)).
+
+    The sample-point gradient is pulled back through d exp; without a
+    closed-form sample-point gradient, finite differences in coeff.
+    """
+    x = c.center
+    w = quadrature_weights(x)
+    W = _section(c, coeff, basis)
+    gp = _grad_pts(F, full_chart_apply(c, W))
+    if gp is None:
+        G = _fd_gradient_coeff(
+            lambda cf: evaluate(F, full_chart_apply(c, _section(c, cf, basis))), coeff, _GRAD_STEP
+        )
+    else:
+        G = np.einsum("aid,id->ia", x.space.dexp(x.pts, W.vecs, basis), gp)
+    return G / w[:, None]
+
+
 def gradient_in_chart(F: Functional, c: Chart, u: NormalSection) -> NormalSection:
     """L2(ds) gradient of u -> evaluate(F, chart_apply(c, u)).
 
@@ -219,21 +182,7 @@ def gradient_in_chart(F: Functional, c: Chart, u: NormalSection) -> NormalSectio
     d f(u)[delta] = sum_i <g_i, delta_i> w_i with w the chart-center
     arclength weights.
     """
-    w = quadrature_weights(c.center)
-    y = chart_apply(c, u)
-    gp = _grad_pts(F, y)
-    if gp is not None:
-        if c.center.space.kind == "sphere2":
-            dy = _sphere_chart_tangent(c, u)
-            G = np.sum(gp * dy, axis=1)[:, None]
-        else:
-            G = np.einsum("aid,id->ia", c.frame.vectors, gp)
-        return NormalSection(G / w[:, None])
-    # sphere bending: finite differences in the chart coordinates
-    G = _fd_gradient_coeff(
-        lambda cf: evaluate(F, chart_apply(c, NormalSection(cf))), u.coeff, _GRAD_STEP
-    )
-    return NormalSection(G / w[:, None])
+    return NormalSection(_pullback_gradient(F, c, u.coeff, c.frame.vectors))
 
 
 def first_variation(F: Functional, x: Embedding, V: SectionField) -> float:
@@ -270,16 +219,27 @@ class HessianPair:
     asymmetry: float
 
 
-def _fd_hessian(ell2_grad, n: int, step: float) -> tuple[np.ndarray, float]:
+def _fd_hessian(c: Chart, dim: int, grad) -> HessianPair:
+    """Symmetrized central-difference Jacobian of an L2(ds) gradient at coeff = 0.
+
+    grad maps (P, dim) coefficients to their L2(ds) gradient; the pair
+    is taken against the mass matrix of the chart-center weights.
+    """
+    w = quadrature_weights(c.center)
+    n = c.P * dim
+
+    def ell2_grad(flat: np.ndarray) -> np.ndarray:
+        return (grad(flat.reshape(c.P, dim)) * w[:, None]).ravel()
+
     cols = np.empty((n, n))
     for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
-        d1 = (ell2_grad(step * e) - ell2_grad(-step * e)) / (2.0 * step)
-        d2 = (ell2_grad(0.5 * step * e) - ell2_grad(-0.5 * step * e)) / step
+        d1 = (ell2_grad(_HESS_STEP * e) - ell2_grad(-_HESS_STEP * e)) / (2.0 * _HESS_STEP)
+        d2 = (ell2_grad(0.5 * _HESS_STEP * e) - ell2_grad(-0.5 * _HESS_STEP * e)) / _HESS_STEP
         cols[:, j] = (4.0 * d2 - d1) / 3.0
     asym = float(np.max(np.abs(cols - cols.T)))
-    return 0.5 * (cols + cols.T), asym
+    return HessianPair(0.5 * (cols + cols.T), np.repeat(w, dim), asym)
 
 
 def hessian_in_chart(F: Functional, c: Chart) -> HessianPair:
@@ -289,87 +249,31 @@ def hessian_in_chart(F: Functional, c: Chart) -> HessianPair:
     (node, frame index)); the generalized pair (Q, diag(mass)) defines
     the L2(ds) second-variation operator.
     """
-    P, rank = c.P, c.rank
-    w = quadrature_weights(c.center)
-    mass = np.repeat(w, rank)
-
-    def ell2_grad(flat: np.ndarray) -> np.ndarray:
-        u = NormalSection(flat.reshape(P, rank))
-        g = gradient_in_chart(F, c, u)
-        return (g.coeff * w[:, None]).ravel()
-
-    Q, asym = _fd_hessian(ell2_grad, P * rank, _HESS_STEP)
-    return HessianPair(Q, mass, asym)
+    return _fd_hessian(c, c.rank, lambda cf: gradient_in_chart(F, c, NormalSection(cf)).coeff)
 
 
-def _full_basis_dim(c: Chart) -> int:
-    return 2 if c.center.space.kind == "sphere2" else c.center.space.coord_dim
-
-
-def _full_apply(c: Chart, coeff: np.ndarray) -> Embedding:
-    """Curve for full-section coefficients: ambient axes, or (tangent, normal) on the sphere."""
-    x = c.center
-    if x.space.kind == "sphere2":
-        d = derivative(x).vecs
-        T = d / np.linalg.norm(d, axis=1, keepdims=True)
-        W = coeff[:, 0:1] * T + coeff[:, 1:2] * c.frame.vectors[0]
-    else:
-        W = coeff
-    return full_chart_apply(c, SectionField(x, W))
-
-
-def _full_gradient(F: Functional, c: Chart, coeff: np.ndarray) -> np.ndarray:
-    x = c.center
-    w = quadrature_weights(x)
-    if x.space.kind == "sphere2":
-        y = _full_apply(c, coeff)
-        gp = _grad_pts(F, y)
-        if gp is None:
-            return _fd_gradient_coeff(
-                lambda cf: evaluate(F, _full_apply(c, cf)), coeff, _GRAD_STEP
-            ) / w[:, None]
-        d = derivative(x).vecs
-        T = d / np.linalg.norm(d, axis=1, keepdims=True)
-        W = coeff[:, 0:1] * T + coeff[:, 1:2] * c.frame.vectors[0]
-        q = np.sum(coeff**2, axis=1, keepdims=True)
-        f, fp = _sinc_pair(q)
-        base = x.pts
-        dya = -coeff[:, 0:1] * f * base + 2.0 * coeff[:, 0:1] * fp * W + f * T
-        dyb = -coeff[:, 1:2] * f * base + 2.0 * coeff[:, 1:2] * fp * W + f * c.frame.vectors[0]
-        G = np.stack([np.sum(gp * dya, axis=1), np.sum(gp * dyb, axis=1)], axis=1)
-        return G / w[:, None]
-    y = _full_apply(c, coeff)
-    gp = _grad_pts(F, y)
-    if gp is None:
-        gp = _fd_gradient_coeff(lambda cf: evaluate(F, _full_apply(c, cf)), coeff, _GRAD_STEP)
-    return gp / w[:, None]
+def _full_basis(c: Chart) -> np.ndarray:
+    """Per-node basis of x^*(TN) along the chart center: shape (dim, P, coord_dim)."""
+    d = derivative(c.center).vecs
+    T = d / np.linalg.norm(d, axis=1, keepdims=True)
+    return c.center.space.section_basis(T, c.frame.vectors)
 
 
 def hessian_full(F: Functional, c: Chart) -> HessianPair:
     """Second variation over all sections of x^*(TN), at the zero section."""
-    P = c.P
-    dim = _full_basis_dim(c)
-    w = quadrature_weights(c.center)
-    mass = np.repeat(w, dim)
-
-    def ell2_grad(flat: np.ndarray) -> np.ndarray:
-        G = _full_gradient(F, c, flat.reshape(P, dim))
-        return (G * w[:, None]).ravel()
-
-    Q, asym = _fd_hessian(ell2_grad, P * dim, _HESS_STEP)
-    return HessianPair(Q, mass, asym)
+    basis = _full_basis(c)
+    return _fd_hessian(c, basis.shape[0], lambda cf: _pullback_gradient(F, c, cf, basis))
 
 
 def restriction_matrix(c: Chart) -> np.ndarray:
-    """R embedding frame coefficients into the full-section coefficients."""
+    """R embedding frame coefficients into the full-section coefficients.
+
+    Block i holds the inner products <basis_b, frame_a> at node i.
+    """
     P, rank = c.P, c.rank
-    dim = _full_basis_dim(c)
-    R = np.zeros((P * dim, P * rank))
-    if c.center.space.kind == "sphere2":
-        for i in range(P):
-            R[i * dim + 1, i * rank] = 1.0
-        return R
-    for i in range(P):
-        for a in range(rank):
-            R[i * dim:(i + 1) * dim, i * rank + a] = c.frame.vectors[a, i]
-    return R
+    basis = _full_basis(c)
+    dim = basis.shape[0]
+    R = np.zeros((P, dim, P, rank))
+    nodes = np.arange(P)
+    R[nodes, :, nodes, :] = np.einsum("bid,aid->iba", basis, c.frame.vectors)
+    return R.reshape(P * dim, P * rank)

@@ -115,13 +115,8 @@ def smooth_center(x: Embedding, trunc_freq: int) -> Embedding:
     """Near-arclength, Fourier-truncated copy of x, suitable as a chart center."""
     z = resample(x, arclength_lift(x))
     per = fourier.truncate(z.periodic_part(), trunc_freq)
-    if z.winding is not None:
-        theta = z.grid.nodes
-        pts = per + theta[:, None] * (z.winding / (2.0 * np.pi))
-        return Embedding(z.space, pts, z.winding)
-    if z.space.kind == "sphere2":
-        per = per / np.linalg.norm(per, axis=1, keepdims=True)
-    return Embedding(z.space, per)
+    pts = z.space.retract(per + z.grid.nodes[:, None] * z.drift)
+    return Embedding(z.space, pts, z.winding)
 
 
 def recenter(c: Chart, u: NormalSection, trunc_freq: int | None = None) -> Chart:

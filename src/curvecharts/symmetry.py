@@ -1,7 +1,8 @@
 """Isometry-group action on curves and orbit analysis in charts.
 
 Isometries of the three backends act by left composition; Killing
-fields are the infinitesimal generators of the identity component.
+fields are the infinitesimal generators of the identity component,
+supplied by each ambient space as affine fields p -> A p + b.
 Orbit directions in a chart are the normal projections of Killing
 fields along the center; their rank determines the stabilizer
 dimension (infinitesimally - discrete stabilizer components are not
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import AmbientSpace, FlatTorus
+from .ambient import AmbientSpace
 from .charts import Chart, chart_invert, project_normal
 from .curve import Embedding, SectionField, quadrature_weights
 
@@ -26,7 +27,8 @@ class Isometry:
     """Element of the identity component of Iso(N, g).
 
     euclidean: rotation in SO(n) plus translation; flat torus:
-    translation only; sphere2: rotation in SO(3).
+    translation only; sphere2: rotation in SO(3).  The space's
+    `translations` and `rotations` flags say which parts it admits.
     """
 
     space: AmbientSpace
@@ -44,16 +46,17 @@ class Isometry:
                 raise ValueError("rotation must be orthogonal")
             if abs(np.linalg.det(rot) - 1.0) > _ORTHO_TOL:
                 raise ValueError("rotation must have determinant +1")
-            if isinstance(self.space, FlatTorus) and np.max(np.abs(rot - np.eye(d))) > _ORTHO_TOL:
-                raise ValueError("torus isometries in the identity component are translations")
+            if not self.space.rotations and np.max(np.abs(rot - np.eye(d))) > _ORTHO_TOL:
+                raise ValueError(
+                    f"{self.space.kind} isometries in the identity component are translations")
             object.__setattr__(self, "rotation", rot)
         tr = self.translation
         if tr is not None:
             tr = np.asarray(tr, dtype=float)
             if tr.shape != (d,):
                 raise ValueError("translation vector has the wrong shape")
-            if self.space.kind == "sphere2" and np.max(np.abs(tr)) > 0.0:
-                raise ValueError("sphere2 isometries are rotations only")
+            if not self.space.translations and np.max(np.abs(tr)) > 0.0:
+                raise ValueError(f"{self.space.kind} isometries are rotations only")
             object.__setattr__(self, "translation", tr)
 
     @staticmethod
@@ -95,25 +98,14 @@ def apply_isometry(psi: Isometry, x: Embedding) -> Embedding:
 
 @dataclass(frozen=True)
 class KillingField:
-    """Infinitesimal generator evaluated pointwise as a tangent field."""
+    """Infinitesimal generator: the affine tangent field p -> A p + b."""
 
     space: AmbientSpace
-    kind: str                       # "translation" | "rotation2" | "rotation3" | "sphere_rotation"
-    vector: np.ndarray              # translation direction / rotation axis
-    center: np.ndarray | None = None
+    A: np.ndarray
+    b: np.ndarray
 
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        if self.kind == "translation":
-            return np.broadcast_to(self.vector, pts.shape).copy()
-        if self.kind == "rotation2":
-            rel = pts - self.center
-            return np.stack([-rel[..., 1], rel[..., 0]], axis=-1)
-        if self.kind == "rotation3":
-            return np.cross(np.broadcast_to(self.vector, pts.shape), pts - self.center)
-        if self.kind == "sphere_rotation":
-            return np.cross(np.broadcast_to(self.vector, pts.shape), pts)
-        raise ValueError(f"unknown Killing field kind {self.kind!r}")
+        return np.asarray(pts, dtype=float) @ self.A.T + self.b
 
 
 @dataclass(frozen=True)
@@ -129,29 +121,9 @@ class KillingBasis:
 
 def standard_killing_basis(space: AmbientSpace, rotation_center=None) -> KillingBasis:
     """Translations plus rotations about rotation_center (default: the origin)."""
-    d = space.coord_dim
-    if space.kind == "sphere2":
-        axes = np.eye(3)
-        return KillingBasis(tuple(
-            KillingField(space, "sphere_rotation", axes[i]) for i in range(3)
-        ))
-    center = np.zeros(d) if rotation_center is None else np.asarray(rotation_center, float)
-    if isinstance(space, FlatTorus):
-        axes = np.eye(d)
-        return KillingBasis(tuple(
-            KillingField(space, "translation", axes[i]) for i in range(d)
-        ))
-    axes = np.eye(d)
-    fields = [KillingField(space, "translation", axes[i]) for i in range(d)]
-    if d == 2:
-        fields.append(KillingField(space, "rotation2", np.zeros(2), center=center))
-    elif d == 3:
-        fields.extend(
-            KillingField(space, "rotation3", axes[i], center=center) for i in range(3)
-        )
-    else:
-        raise ValueError("Killing basis implemented for dimensions 2 and 3")
-    return KillingBasis(tuple(fields))
+    return KillingBasis(tuple(
+        KillingField(space, A, b) for A, b in space.killing_fields(rotation_center)
+    ))
 
 
 def orbit_differential(c: Chart, basis: KillingBasis) -> np.ndarray:

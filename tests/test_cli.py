@@ -190,3 +190,26 @@ def test_outputs_deterministic(tmp_path):
         assert r.stdout == ""
         outs.append(p.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_non_unit_sphere_points_exit_2(tmp_path):
+    # a sphere2 file whose points have norm 2 is an input error, not a
+    # non-embedding
+    d = cc.files.curve_to_dict(shapes.great_circle(32))
+    d["points"] = (2.0 * np.asarray(d["points"])).tolist()
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(d))
+    r = run_cli("validate", "--curve", str(p))
+    assert r.returncode == 2
+
+
+@pytest.mark.parametrize("command", ["validate", "orbit"])
+def test_four_dimensional_ambient_exit_2(tmp_path, command):
+    th = cc.GridCircle(32).nodes
+    pts = np.stack([np.cos(th), np.sin(th), 0 * th, 0 * th], axis=1)
+    data = {"version": 1, "ambient": {"kind": "euclidean", "dim": 4}, "grid": 32,
+            "points": pts.tolist()}
+    p = tmp_path / "r4.json"
+    p.write_text(json.dumps(data))
+    r = run_cli(command, "--curve", str(p))
+    assert r.returncode == 2
