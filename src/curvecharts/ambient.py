@@ -335,24 +335,33 @@ class Sphere2(AmbientSpace):
         vw = np.einsum("...d,...d->...", v, w)[..., None]
         return vw * (k * v - f * p) + f * w
 
-    def log(self, p, q):
+    @staticmethod
+    def _polar(p, q):
+        """Angle between unit vectors p and q, q's component w orthogonal to p, and |w|.
+
+        arctan2(|w|, p.q) keeps full relative accuracy at small angles,
+        where arccos(p.q) loses half the digits.
+        """
         p = np.asarray(p, float)
         q = np.asarray(q, float)
-        cosang = np.clip(np.sum(p * q, axis=-1), -1.0, 1.0)
-        ang = np.arccos(cosang)
-        if np.any(ang > np.pi - self._antipodal_tol):
-            raise CutLocusError("log undefined near antipodal points on sphere2")
+        cosang = np.sum(p * q, axis=-1)
         w = q - cosang[..., None] * p
         nw = np.linalg.norm(w, axis=-1)
+        return np.arctan2(nw, cosang), w, nw
+
+    def log(self, p, q):
+        ang, w, nw = self._polar(p, q)
+        if np.any(ang > np.pi - self._antipodal_tol):
+            raise CutLocusError("log undefined near antipodal points on sphere2")
         scale = np.where(nw > 0.0, ang / np.where(nw == 0.0, 1.0, nw), 0.0)
         return scale[..., None] * w
 
     def dist(self, p, q):
-        cosang = np.clip(np.sum(np.asarray(p) * np.asarray(q), axis=-1), -1.0, 1.0)
-        return np.arccos(cosang)
+        return self._polar(p, q)[0]
 
     def pairwise_dist(self, p, q):
-        # one matrix product instead of an (n, m, 3) temporary
+        # one matrix product instead of an (n, m, 3) temporary; arccos loses
+        # half the digits near zero, which is fine for picking candidates
         return np.arccos(np.clip(p @ q.T, -1.0, 1.0))
 
     def injectivity_radius(self, p=None) -> float:

@@ -17,7 +17,7 @@ from scipy.optimize import brentq
 
 from . import fourier
 from .ambient import AmbientSpace
-from .errors import NonMonotoneError
+from .errors import CutLocusError, NonMonotoneError
 
 MIN_SPEED = 1e-8
 MIN_SEPARATION = 1e-8
@@ -266,51 +266,126 @@ def resample(x: Embedding, phi: Reparam) -> Embedding:
     return Embedding(x.space, new_pts, x.winding)
 
 
+# probe rows per block of the dense candidate search
+_BLOCK_ROWS = 256
+# closest-point refinement: a probe stops once its bracket or its step is
+# below these widths, or after _MAX_STEPS secant steps
+_BRACKET_TOL = 1e-12
+_STEP_TOL = 1e-14
+_MAX_STEPS = 60
+
+
+def _dist_and_log(space: AmbientSpace, p: np.ndarray, q: np.ndarray):
+    """dist(p, q) and log_p q; the log is zero on rows where q is in the cut locus of p."""
+    try:
+        v = space.log(p, q)
+    except CutLocusError:
+        v = np.zeros_like(q)
+        for i in range(len(p)):
+            try:
+                v[i] = space.log(p[i], q[i])
+            except CutLocusError:
+                pass
+        return space.dist(p, q), v
+    return space.norm(p, v), v
+
+
 def _directed_hausdorff(space: AmbientSpace, probes: np.ndarray, target: Embedding,
-                        dense: int) -> float:
-    """sup over probe points of the distance to the interpolated target curve."""
-    t_dense = np.linspace(0.0, 2.0 * np.pi, dense, endpoint=False)
-    d = space.pairwise_dist(probes, interp_curve(target, t_dense))
-    idx = np.argmin(d, axis=1)
-    h = 2.0 * np.pi / dense
-    lo = t_dense[idx] - h
-    hi = t_dense[idx] + h
+                        t: np.ndarray, samples: np.ndarray) -> float:
+    """sup over probe points of the distance to the interpolated target curve Y.
 
-    def dist_at(t):
-        return space.dist(probes, interp_curve(target, t))
+    samples holds Y on the uniform grid t.  The candidate for each probe p
+    is its nearest sample Y(t_j), searched in blocks of _BLOCK_ROWS probes
+    so that no len(probes) x len(t) temporary is built.  The closest point
+    Y(s) of the continuous curve then solves the closest-point condition
 
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo.copy(), hi.copy()
-    c1 = b - invphi * (b - a)
-    c2 = a + invphi * (b - a)
-    f1 = dist_at(c1)
-    f2 = dist_at(c2)
-    for _ in range(40):
-        take1 = f1 < f2
-        b = np.where(take1, c2, b)
-        a = np.where(take1, a, c1)
-        c1 = b - invphi * (b - a)
-        c2 = a + invphi * (b - a)
-        f1 = dist_at(c1)
-        f2 = dist_at(c2)
-    return float(np.max(np.minimum(f1, f2)))
+        g(s) = <log_{Y(s)} p, Y'(s)> = -(1/2) d/ds dist(p, Y(s))^2 = 0,
+
+    which changes sign from + to - across a minimum.  The solve starts from
+    the bracket [t_j - h, t_j + h] of grid spacing h, split at t_j, and
+    runs regula falsi with the Illinois modification and a bisection
+    fallback, all probes at once.  Y and Y' at the iterates come from one
+    trigonometric evaluation of the target's Fourier coefficients.  A probe
+    stops when its bracket is narrower than _BRACKET_TOL, its step is
+    shorter than _STEP_TOL, or g vanishes; its distance is the smallest
+    one evaluated, bracket ends included.  Where p is antipodal to Y(s)
+    (S^2), g is taken as zero and the probe stops.
+    """
+    n, d = probes.shape
+    h = 2.0 * np.pi / len(t)
+    near = np.concatenate([
+        np.argmin(space.pairwise_dist(probes[i:i + _BLOCK_ROWS], samples), axis=1)
+        for i in range(0, n, _BLOCK_ROWS)])
+
+    c = fourier.coeffs(target.periodic_part())
+    # value and derivative coefficients side by side: one exponential matrix
+    c = np.concatenate([c, c * (1j * np.arange(c.shape[0]))[:, None]], axis=1)
+
+    def dist_and_slope(p, s):
+        vals = fourier.interp_coeffs(c, target.P, s)
+        y = space.retract(vals[:, :d] + s[:, None] * target.drift)
+        # the unretracted derivative serves: log_y p is tangent at y, and on
+        # S^2 it differs from Y' by the positive factor |vals| only
+        dy = vals[:, d:] + target.drift
+        dist, v = _dist_and_log(space, y, p)
+        return dist, np.sum(v * dy, axis=1)
+
+    ends = np.concatenate([t[near] - h, t[near], t[near] + h])
+    f, g = dist_and_slope(np.tile(probes, (3, 1)), ends)
+    best = np.min(f.reshape(3, n), axis=0)
+    ga, gm, gb = g.reshape(3, n)
+    left = (gm < 0.0) & (ga > 0.0)
+    right = (gm > 0.0) & (gb < 0.0)
+    lo = np.where(right, t[near], t[near] - h)
+    hi = np.where(left, t[near], t[near] + h)
+    glo = np.where(right, gm, ga)
+    ghi = np.where(left, gm, gb)
+    last = t[near].copy()
+    side = np.zeros(n)
+    active = np.flatnonzero(left | right)
+    for _ in range(_MAX_STEPS):
+        a, b = lo[active], hi[active]
+        s = b - ghi[active] * (b - a) / (ghi[active] - glo[active])
+        going = (b - a >= _BRACKET_TOL) & (np.abs(s - last[active]) >= _STEP_TOL)
+        active, a, b, s = active[going], a[going], b[going], s[going]
+        if active.size == 0:
+            break
+        s = np.where((s > a) & (s < b), s, 0.5 * (a + b))
+        fs, gs = dist_and_slope(probes[active], s)
+        best[active] = np.minimum(best[active], fs)
+        up = gs > 0.0    # the minimum lies above s: s becomes the lower end
+        down = gs < 0.0
+        # Illinois: halve the slope kept at an end that survives twice running
+        glo[active] = np.where(up, gs, np.where(down & (side[active] < 0.0), 0.5, 1.0) * glo[active])
+        ghi[active] = np.where(down, gs, np.where(up & (side[active] > 0.0), 0.5, 1.0) * ghi[active])
+        lo[active] = np.where(up, s, a)
+        hi[active] = np.where(down, s, b)
+        side[active] = np.where(up, 1.0, -1.0)
+        last[active] = s
+        active = active[gs != 0.0]
+    return float(np.max(best))
 
 
 def image_distance(x: Embedding, y: Embedding, dense: int | None = None) -> float:
     """Symmetric Hausdorff distance between the interpolated images of x and y.
 
     A pseudo-metric on embeddings: zero (up to interpolation error) iff
-    the two curves parameterize the same submanifold.
+    the two curves parameterize the same submanifold.  Each direction
+    probes one curve at `dense` uniform parameters (default 8 max(P))
+    and takes the sup over probes of the distance to the other curve's
+    continuous interpolant: a blocked nearest-sample search on the same
+    grid, refined by a closest-point solve (`_directed_hausdorff`).
     """
     if x.space != y.space:
         raise ValueError("image_distance requires a common ambient space")
     if dense is None:
         dense = 8 * max(x.P, y.P)
-    tx = np.linspace(0.0, 2.0 * np.pi, dense, endpoint=False)
-    px = x.space.reduce(interp_curve(x, tx))
-    py = x.space.reduce(interp_curve(y, tx))
-    d_xy = _directed_hausdorff(x.space, px, y, dense)
-    d_yx = _directed_hausdorff(x.space, py, x, dense)
+    t = np.linspace(0.0, 2.0 * np.pi, dense, endpoint=False)
+    xs = interp_curve(x, t)
+    ys = interp_curve(y, t)
+    space = x.space
+    d_xy = _directed_hausdorff(space, space.reduce(xs), y, t, ys)
+    d_yx = _directed_hausdorff(space, space.reduce(ys), x, t, xs)
     return max(d_xy, d_yx)
 
 

@@ -157,3 +157,16 @@ def test_torus_tie_resolves_positive():
     t = FlatTorus(2)
     l = t.log(np.array([0.0, 0.0]), np.array([0.5, 0.0]))
     np.testing.assert_allclose(l, [0.5, 0.0])
+
+
+@pytest.mark.parametrize("r", [1e-10, 1e-5])
+def test_sphere_dist_exact_at_small_angles(r):
+    # arccos(p.q) reads 0 at r = 1e-10 and carries 4e-8 relative error at
+    # 1e-5; p and v are chosen so that q = exp_p(v) carries no rounding of
+    # relative size eps / r
+    s = Sphere2()
+    p = np.array([0.0, 0.0, 1.0])
+    v = r * np.array([0.6, 0.8, 0.0])
+    q = s.exp(p, v)
+    assert abs(s.dist(p, q) - r) <= 1e-12 * r
+    assert abs(np.linalg.norm(s.log(p, q)) - r) <= 1e-12 * r

@@ -6,6 +6,7 @@ from curvecharts import shapes
 from curvecharts.charts import frame_at
 from curvecharts.curve import interp_curve
 from curvecharts.errors import NotEmbeddingError, OutsideDomainError, OutsideTubeError
+from curvecharts.solver import smooth_center
 import curvecharts.fourier as fourier
 
 
@@ -223,3 +224,17 @@ def test_tangent_lemma_fd(rng):
     order = np.log(errs[0] / errs[2]) / np.log(4.0)
     assert order >= 1.0
     assert errs[2] <= 1e-4 * np.max(np.abs(V))
+
+
+def test_chart_invert_rotated_tilted_great_circle():
+    # a rotation of S^2 under which the arccos distance left ~1e-8 of noise
+    # in the fiber function, so the bracketed root lost its sign change
+    R = np.array([[0.2824943649951872, 0.7918082494903431, 0.5415132775703705],
+                  [-0.9042490408360858, 0.4082369440875881, -0.12520491056283],
+                  [-0.3202040066785313, -0.45429318013928677, 0.8313164864153415]])
+    th = fourier.nodes(96)
+    pts = np.stack([np.cos(th), np.sin(th), 0.05 * np.sin(3 * th)], axis=1)
+    x0 = cc.Embedding(cc.Sphere2(), (pts / np.linalg.norm(pts, axis=1, keepdims=True)) @ R.T)
+    c = cc.make_chart(smooth_center(x0, 24))
+    u, _ = cc.chart_invert(c, x0)
+    assert cc.image_distance(cc.chart_apply(c, u), x0) <= 1e-10

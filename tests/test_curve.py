@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import curvecharts as cc
-from curvecharts import shapes
+from curvecharts import fourier, shapes
+from curvecharts.curve import interp_curve
 from curvecharts.errors import NonMonotoneError
 
 
@@ -159,3 +162,74 @@ def test_separation_torus_strands():
     # (2,1)-geodesic: adjacent strand distance is 1/sqrt(5)
     x = shapes.torus_geodesic(256, (2, 1))
     assert cc.separation(x) == pytest.approx(1.0 / np.sqrt(5.0), rel=1e-3)
+
+
+# image_distance against analytic and brute-force oracles on every backend
+
+
+def latitude_circle(P, polar):
+    th = cc.GridCircle(P).nodes
+    pts = np.stack([np.sin(polar) * np.cos(th), np.sin(polar) * np.sin(th),
+                    np.full(P, np.cos(polar))], axis=1)
+    return cc.Embedding(cc.Sphere2(), pts)
+
+
+def test_image_distance_sphere_latitudes():
+    # every point of one circle of latitude is |theta1 - theta2| from the other
+    d = cc.image_distance(latitude_circle(64, 1.0), latitude_circle(96, 1.3))
+    assert abs(d - 0.3) <= 1e-10
+
+
+def test_image_distance_sphere_resample():
+    x = shapes.great_circle(128)
+    assert cc.image_distance(x, cc.resample(x, cc.make_diffeo(3, 0.25, 128))) <= 1e-12
+
+
+def test_image_distance_torus_across_seam():
+    x = shapes.torus_geodesic(128, (1, 1), offset=(0.97, 0.99), wiggle=0.05, seed=1)
+    assert np.ptp(x.samples, axis=0).min() > 0.9  # the lift crosses both seams
+    assert cc.image_distance(x, cc.resample(x, cc.make_diffeo(4, 0.25, 128))) <= 1e-10
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.floats(0.0, 0.3))
+def test_image_distance_same_image_property(seed, diffeo_seed, amplitude):
+    x = shapes.random_band_limited(64, seed=seed)
+    y = cc.resample(x, cc.make_diffeo(diffeo_seed, amplitude, 64))
+    assert cc.image_distance(x, y) <= 1e-10
+
+
+def brute_force_directed(x, y, P_fine):
+    probes = interp_curve(x, np.linspace(0.0, 2 * np.pi, 8 * x.P, endpoint=False))
+    fine = interp_curve(y, np.linspace(0.0, 2 * np.pi, P_fine, endpoint=False))
+    return float(np.max(np.min(x.space.pairwise_dist(probes, fine), axis=1)))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+def test_image_distance_brute_force_property(seed_x, seed_y):
+    assume(seed_x != seed_y)
+    P = 32
+    x = shapes.random_band_limited(P, seed=seed_x)
+    y = shapes.random_band_limited(P, seed=seed_y)
+    d = cc.image_distance(x, y)
+    brute = max(brute_force_directed(x, y, 64 * P), brute_force_directed(y, x, 64 * P))
+    # a grid point lies within half a spacing h of each closest point.  At
+    # speed <= v and acceleration <= a, dist^2 rises by at most
+    # (v^2 + dist * a) h^2 there, so dist by at most that over 2 (d - v h).
+    t = np.linspace(0.0, 2 * np.pi, 8 * P, endpoint=False)
+    v, a = (max(np.max(np.linalg.norm(fourier.interp(c.pts, t, order=k), axis=1))
+                for c in (x, y)) for k in (1, 2))
+    h = np.pi / (64 * P)
+    assert d <= brute + 1e-12
+    assert brute - d <= (v**2 + (d + v * h) * a) * h**2 / (2.0 * (d - v * h))
+
+
+def test_image_distance_sphere_near_antipodal():
+    # every point of one tiny polar circle is within 1e-8 of antipodal to
+    # the other circle, where log raises CutLocusError.  The distance is
+    # still defined; near pi the candidate search cannot tell points apart,
+    # so only the bracket [true value, pi] is asserted.
+    alpha = 1e-9
+    d = cc.image_distance(latitude_circle(32, alpha), latitude_circle(32, np.pi - alpha))
+    assert np.pi - 2 * alpha - 1e-15 <= d <= np.pi
