@@ -142,8 +142,8 @@ class AmbientSpace:
         T = a / np.linalg.norm(a, axis=1, keepdims=True)
         return -(2.0 * np.pi / pts.shape[0]) * fourier.diff(T)
 
-    def bending_gradient(self, pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-        """Gradient of the discrete bending energy, or None without a closed form."""
+    def bending_gradient(self, pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Gradient of the discrete bending energy with respect to the sample points."""
         v = np.linalg.norm(a, axis=1, keepdims=True)
         scale = 2.0 * np.pi / pts.shape[0]
         if a.shape[1] == 2:
@@ -397,7 +397,27 @@ class Sphere2(AmbientSpace):
         return (2.0 * np.pi / pts.shape[0]) * (-fourier.diff(T, 1) - ya * T)
 
     def bending_gradient(self, pts, a, b):
-        return None
+        """Ambient R^3 gradient of the discrete bending energy; meaningful against tangent vectors.
+
+        With d = a - (p.a) p, T = d/|d|, nu = p x T and geodesic curvature
+        k = (D T).nu / |d|, the energy is (2 pi/P) sum k^2 |d|.  The adjoint
+        runs back through the spectral derivative D, which is antisymmetric
+        under the plain sum inner product, and through the projection.
+        """
+        s = 2.0 * np.pi / pts.shape[0]
+        ya = np.sum(pts * a, axis=1, keepdims=True)
+        d = a - ya * pts
+        n = np.linalg.norm(d, axis=1, keepdims=True)
+        T = d / n
+        U = fourier.diff(T)
+        nu = np.cross(pts, T)
+        k = np.sum(U * nu, axis=1, keepdims=True) / n
+        # adjoints, back from k through (U, nu), T and d to (a, p)
+        cb = 2.0 * s * k
+        Tb = np.cross(cb * U, pts) - fourier.diff(cb * nu)
+        db = (Tb - np.sum(Tb * T, axis=1, keepdims=True) * T) / n - s * k**2 * T
+        pd = np.sum(db * pts, axis=1, keepdims=True)
+        return cb * np.cross(T, U) - pd * a - ya * db - fourier.diff(db - pd * pts)
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,9 @@
 Supported terms: curve length, signed enclosed area (planar only), and
 bending energy (integral of squared curvature).  Gradients are exact
 derivatives of the discrete functionals: the ambient space supplies the
-sample-point gradient of each term, which is pulled back through the
-differential of its exponential map.  A term whose space has no closed
-form (bending on the sphere) falls back to finite differences.  Hessians
-are Richardson-extrapolated central differences of the gradient.
+sample-point gradient of each term in closed form on every backend,
+which is pulled back through the differential of its exponential map.
+Hessians are Richardson-extrapolated central differences of the gradient.
 """
 
 from __future__ import annotations
@@ -107,8 +106,8 @@ def evaluate(F: Functional, x: Embedding) -> float:
 # analytic gradients with respect to the sample points
 
 
-def _grad_pts(F: Functional, y: Embedding):
-    """Sum of analytic sample-point gradients, or None if a term needs finite differences."""
+def _grad_pts(F: Functional, y: Embedding) -> np.ndarray:
+    """Sum of the analytic sample-point gradients of the terms."""
     _check_area_support(F, y)
     per = y.periodic_part()
     a = fourier.diff(per) + y.drift
@@ -122,32 +121,12 @@ def _grad_pts(F: Functional, y: Embedding):
             g = (2.0 * np.pi / y.P) * np.stack([a[:, 1], -a[:, 0]], axis=1)
         else:
             g = y.space.bending_gradient(y.pts, a, fourier.diff(per, 2))
-        if g is None:
-            return None
         out = out + coef * g
     return out
 
 
 # ---------------------------------------------------------------------------
 # chart derivatives
-
-
-def _fd_gradient_coeff(fun, coeff: np.ndarray, step: float) -> np.ndarray:
-    """Richardson central differences of a scalar function of a coefficient array."""
-    out = np.zeros_like(coeff)
-    it = np.nditer(coeff, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        vals = {}
-        for h in (step, 0.5 * step):
-            for sgn in (1.0, -1.0):
-                pert = coeff.copy()
-                pert[idx] += sgn * h
-                vals[(h, sgn)] = fun(pert)
-        d1 = (vals[(step, 1.0)] - vals[(step, -1.0)]) / (2.0 * step)
-        d2 = (vals[(0.5 * step, 1.0)] - vals[(0.5 * step, -1.0)]) / step
-        out[idx] = (4.0 * d2 - d1) / 3.0
-    return out
 
 
 def _section(c: Chart, coeff: np.ndarray, basis: np.ndarray) -> SectionField:
@@ -159,20 +138,14 @@ def _pullback_gradient(F: Functional, c: Chart, coeff: np.ndarray,
                        basis: np.ndarray) -> np.ndarray:
     """L2(ds) gradient of coeff -> evaluate(F, exp_x(sum_a coeff^a basis^a)).
 
-    The sample-point gradient is pulled back through d exp; without a
-    closed-form sample-point gradient, finite differences in coeff.
+    The closed-form sample-point gradient of the image curve is pulled
+    back through d exp at each node.
     """
     x = c.center
-    w = quadrature_weights(x)
     W = _section(c, coeff, basis)
     gp = _grad_pts(F, full_chart_apply(c, W))
-    if gp is None:
-        G = _fd_gradient_coeff(
-            lambda cf: evaluate(F, full_chart_apply(c, _section(c, cf, basis))), coeff, _GRAD_STEP
-        )
-    else:
-        G = np.einsum("aid,id->ia", x.space.dexp(x.pts, W.vecs, basis), gp)
-    return G / w[:, None]
+    G = np.einsum("aid,id->ia", x.space.dexp(x.pts, W.vecs, basis), gp)
+    return G / quadrature_weights(x)[:, None]
 
 
 def gradient_in_chart(F: Functional, c: Chart, u: NormalSection) -> NormalSection:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import curvecharts as cc
-from curvecharts import AmbientPoint, Euclidean, FlatTorus, KillingField, Sphere2, TangentVec
+from curvecharts import AmbientPoint, Euclidean, FlatTorus, KillingField, Sphere2, TangentVec, fourier
 
 SPACES = [Euclidean(2), Euclidean(3), FlatTorus(2), Sphere2()]
 
@@ -100,6 +100,19 @@ def test_flat_spaces_need_dim_2_or_3(cls, dim):
         cls(dim)
     with pytest.raises(ValueError):
         cc.AmbientSpace.from_spec({"kind": cls.kind, "dim": dim})
+
+
+@pytest.mark.parametrize(
+    "space", [Euclidean(2), Euclidean(3), FlatTorus(2), FlatTorus(3), Sphere2()], ids=repr)
+def test_bending_gradient_is_closed_form(space):
+    # every backend supplies an array; there is no finite-difference fallback
+    th = fourier.nodes(32)
+    pts = np.stack([np.cos(th), np.sin(th), 0.2 * np.sin(2 * th)], axis=1)[:, :space.coord_dim]
+    pts = space.retract(0.3 * pts + 0.5)
+    g = space.bending_gradient(pts, fourier.diff(pts), fourier.diff(pts, 2))
+    assert isinstance(g, np.ndarray) and g.shape == pts.shape
+    assert np.all(np.isfinite(g)) and np.max(np.abs(g)) > 0.0
+    assert not hasattr(cc.functionals, "_fd_gradient_coeff")
 
 
 BRANCH = re.compile(r"isinstance\([^)]*(Euclidean|FlatTorus|Sphere2)|space\.kind *[!=]=")

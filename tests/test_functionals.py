@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import curvecharts as cc
-from curvecharts import shapes
+from curvecharts import Sphere2, fourier, shapes
 from curvecharts.errors import UnsupportedAmbientError
+from curvecharts.functionals import _full_basis, _pullback_gradient
 
 
 def test_parse_functional_grammar():
@@ -163,3 +166,112 @@ def test_orbit_columns_in_hessian_kernel(circle64):
         if n < 1e-12:
             continue
         assert np.linalg.norm(Q @ v) <= 1e-6 * qnorm * n
+
+
+def tilted_great_circle(P, tilt=0.2):
+    # not critical for bend: a great circle tilted by tilt * sin(2 theta)
+    th = fourier.nodes(P)
+    pts = np.stack([np.cos(th), np.sin(th), tilt * np.sin(2 * th)], axis=1)
+    return cc.Embedding(Sphere2(), Sphere2().retract(pts))
+
+
+def test_gradient_consistency_with_first_variation_sphere(rng):
+    x = tilted_great_circle(96)
+    c = cc.make_chart(x)
+    w = cc.quadrature_weights(x)
+    th = x.grid.nodes
+    F = cc.parse_functional("bend")
+    g = cc.gradient_in_chart(F, c, cc.NormalSection.zero(96, 1))
+    assert np.max(np.abs(g.coeff)) > 0.1
+    for _ in range(10):
+        coeff = np.zeros(96)
+        for k in range(5):
+            coeff += rng.uniform(-1, 1) * np.cos(k * th + rng.uniform(0, 2 * np.pi))
+        V = cc.SectionField(x, coeff[:, None] * c.frame.vectors[0])
+        fv = cc.first_variation(F, x, V)
+        pair = np.sum(g.coeff[:, 0] * coeff * w)
+        assert fv == pytest.approx(pair, rel=1e-6, abs=1e-8)
+
+
+def fd_gradient_coeff(fun, coeff, step):
+    """Richardson central differences of a scalar function of a coefficient array."""
+    out = np.zeros_like(coeff)
+    for idx in np.ndindex(coeff.shape):
+        e = np.zeros_like(coeff)
+        e[idx] = 1.0
+        d1 = (fun(coeff + step * e) - fun(coeff - step * e)) / (2.0 * step)
+        d2 = (fun(coeff + 0.5 * step * e) - fun(coeff - 0.5 * step * e)) / step
+        out[idx] = (4.0 * d2 - d1) / 3.0
+    return out
+
+
+def test_full_gradient_sphere_bend_matches_central_differences(rng):
+    # oracle: the L2(ds) gradient over all sections of x^*(TS^2), at the zero
+    # section and at a nonzero one, against differences of evaluate
+    x = tilted_great_circle(24)
+    c = cc.make_chart(x)
+    F = cc.parse_functional("length+0.5*bend")
+    basis = _full_basis(c)
+    w = cc.quadrature_weights(x)
+
+    def f(cf):
+        W = cc.SectionField(x, np.einsum("ia,aid->id", cf, basis))
+        return cc.evaluate(F, cc.full_chart_apply(c, W))
+
+    for coeff in (np.zeros((24, 2)), 0.02 * rng.standard_normal((24, 2))):
+        g = _pullback_gradient(F, c, coeff, basis)
+        fd = fd_gradient_coeff(f, coeff, 1e-4) / w[:, None]
+        np.testing.assert_allclose(g, fd, rtol=0, atol=1e-7 * np.max(np.abs(fd)))
+
+
+@pytest.mark.parametrize("P", [16, 24, 64])
+def test_bend_spectrum_great_circle(P):
+    # oracle: the second variation of the elastic energy at a great circle
+    # has eigenvalues 2 (k^2 - 1)^2 on the Fourier modes k of the normal section
+    c = cc.make_chart(shapes.great_circle(P))
+    vals = cc.spectrum(cc.parse_functional("bend"), c, 5)
+    ks = np.array([0, 1, 1, 2, 2])
+    np.testing.assert_allclose(vals, np.sort(2.0 * (ks**2 - 1.0) ** 2), atol=1e-6)
+
+
+def test_restriction_identity_bend_great_circle():
+    F = cc.parse_functional("bend")
+    c = cc.make_chart(shapes.great_circle(24))
+    Q = cc.hessian_in_chart(F, c).Q
+    Qf = cc.hessian_full(F, c).Q
+    R = cc.restriction_matrix(c)
+    assert np.max(np.abs(R.T @ Qf @ R - Q)) <= 1e-6 * np.max(np.abs(Q))
+
+
+def random_sphere_curve(P, seed, amplitude=0.15, kmax=4):
+    """Great circle plus random band-limited noise, retracted onto S^2."""
+    th = fourier.nodes(P)
+    rng = np.random.default_rng(seed)
+    pts = np.stack([np.cos(th), np.sin(th), np.zeros(P)], axis=1)
+    for k in range(kmax + 1):
+        a, b = rng.uniform(-1.0, 1.0, size=(2, 3))
+        pts += amplitude * (np.outer(np.cos(k * th), a) + np.outer(np.sin(k * th), b)) / max(k, 1)
+    return cc.Embedding(Sphere2(), Sphere2().retract(pts))
+
+
+def random_rotation(seed):
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    q = q * np.sign(np.diag(r))
+    return q if np.linalg.det(q) > 0 else -q
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.floats(0.0, 0.05))
+def test_sphere_bend_gradient_rotation_equivariance_property(seed, rot_seed, scale):
+    # rotations are isometries of S^2 that carry the frame p x T along, so
+    # the chart coefficients of the gradient do not change
+    P = 32
+    x = random_sphere_curve(P, seed)
+    Rot = random_rotation(rot_seed)
+    y = cc.Embedding(Sphere2(), x.pts @ Rot.T)
+    u = cc.NormalSection(scale * fourier.truncate(
+        np.random.default_rng(seed).standard_normal((P, 1)), 4))
+    F = cc.parse_functional("bend")
+    gx = cc.gradient_in_chart(F, cc.make_chart(x), u).coeff
+    gy = cc.gradient_in_chart(F, cc.make_chart(y), u).coeff
+    assert np.max(np.abs(gy - gx)) <= 1e-9 * np.max(np.abs(gx))
