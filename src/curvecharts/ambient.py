@@ -361,8 +361,16 @@ class Sphere2(AmbientSpace):
 
     def pairwise_dist(self, p, q):
         # one matrix product instead of an (n, m, 3) temporary; arccos loses
-        # half the digits near zero, which is fine for picking candidates
-        return np.arccos(np.clip(p @ q.T, -1.0, 1.0))
+        # half the digits near zero, which is fine for picking candidates.
+        # Near pi it cannot tell candidates apart at all (p.q rounds to -1
+        # within ~1e-8 of antipodal), so those few entries are recomputed
+        # from the explicit sum: |p + q| = 2 cos(theta / 2).
+        dot = p @ q.T
+        out = np.arccos(np.clip(dot, -1.0, 1.0))
+        i, j = np.nonzero(dot < -1.0 + 1e-6)
+        if i.size:
+            out[i, j] = np.pi - 2.0 * np.arcsin(np.linalg.norm(p[i] + q[j], axis=1) / 2.0)
+        return out
 
     def injectivity_radius(self, p=None) -> float:
         return np.pi

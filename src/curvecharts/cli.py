@@ -6,7 +6,8 @@ stdout carries data only when no --output path is given.
 
 Exit codes: 0 success, 1 generic failure, 2 input parse failure,
 3 non-embedding input, 4 curve outside the chart tube, 5 iteration
-budget exhausted.
+budget exhausted.  A minimize run whose chart re-centering breaks down
+exits 1 and, given --output, still writes the trace up to the failure.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .ambient import AmbientSpace
 from .charts import chart_apply, chart_invert, make_chart, reach_estimate
 from .curve import Embedding, image_distance, is_embedding, separation, speeds
 from .errors import (
+    ChartBreakdownError,
     CurveChartsError,
     LineSearchFailedError,
     NotEmbeddingError,
@@ -169,12 +171,22 @@ def cmd_roundtrip(args) -> int:
     return EXIT_OK if dist <= args.tol else EXIT_FAIL
 
 
+def _write_trace(output: str, trace):
+    with open(output + ".trace.csv", "w") as fh:
+        fh.write(trace.to_csv())
+
+
 def cmd_minimize(args) -> int:
     x0 = _get_curve(args)
     F = parse_functional(args.functional)
     opts = SolveOptions(max_iter=args.max_iter, grad_tol=args.tol, newton=args.newton,
                         newton_threshold=args.newton_threshold)
-    c, u, trace = minimize(F, x0, opts)
+    try:
+        c, u, trace = minimize(F, x0, opts)
+    except ChartBreakdownError as exc:
+        if args.output is not None and exc.trace is not None:
+            _write_trace(args.output, exc.trace)
+        raise
     final = chart_apply(c, u)
     last = trace.records[-1]
     report = {
@@ -189,8 +201,7 @@ def cmd_minimize(args) -> int:
         _emit(_json_report(report), None)
     else:
         save_curve(final, args.output)
-        with open(args.output + ".trace.csv", "w") as fh:
-            fh.write(trace.to_csv())
+        _write_trace(args.output, trace)
         print(_json_report(report), end="", file=sys.stderr)
     if not trace.converged:
         print("iteration budget exhausted before reaching the gradient tolerance",

@@ -42,7 +42,16 @@ class LineSearchFailedError(CurveChartsError):
 
 
 class ChartBreakdownError(CurveChartsError):
-    """Re-centered curve is not a valid chart center."""
+    """Re-centering failed: the new center is not an embedding, or the
+    current curve cannot be inverted in the new chart.
+
+    When the solver raises it, `trace` holds the iterations up to the
+    failure.
+    """
+
+    def __init__(self, message: str, trace=None):
+        super().__init__(message)
+        self.trace = trace
 
 
 class SingularSystemError(CurveChartsError):

@@ -37,6 +37,23 @@ def truncate(values: np.ndarray, kmax: int) -> np.ndarray:
     return np.fft.irfft(c, n=P, axis=0)
 
 
+def sobolev_inverse(values: np.ndarray, length: float, s: int) -> np.ndarray:
+    """Apply (1 - d^2/ds^2)^(-s) to samples on a constant-speed grid.
+
+    The grid is taken as arclength-uniform over a closed curve of the
+    given length, so Fourier mode k is multiplied by
+    (1 + (2*pi*k/length)^2)^(-s).  s = 0 returns the samples unchanged.
+    """
+    v = np.asarray(values, dtype=float)
+    if s == 0:
+        return v
+    P = v.shape[0]
+    k = np.arange(P // 2 + 1, dtype=float)
+    mult = (1.0 + (2.0 * np.pi * k / length) ** 2) ** (-s)
+    shape = (-1,) + (1,) * (v.ndim - 1)
+    return np.fft.irfft(np.fft.rfft(v, axis=0) * mult.reshape(shape), n=P, axis=0)
+
+
 def coeffs(values: np.ndarray) -> np.ndarray:
     """rfft coefficients, for repeated interpolation via interp_coeffs."""
     return np.fft.rfft(np.asarray(values, dtype=float), axis=0)

@@ -1,9 +1,19 @@
 """Critical-point search in quotient charts.
 
-Gradient descent with Armijo backtracking on the L2(ds) gradient,
-automatic chart re-centering once the section grows past a fraction of
-the validity radius, optional Newton refinement with kernel-regularized
-Levenberg shift, and spectrum reporting of the second variation.
+Gradient descent in the Sobolev H^s metric of the chart center: the
+descent direction is K_s g, where g is the L2(ds) gradient and
+K_s = (1 - d^2/ds^2)^(-s) is diagonal in the center's arclength Fourier
+modes.  s = 1 for length/area functionals, which removes the k^2
+stiffness of their Hessians, so the iteration count does not grow with
+the grid size P.  s = 0 (plain L2(ds) descent) when the functional has
+a bending term, where H^1 is slower than L2(ds) and H^2 ends below the
+energy's continuous lower bound, and when Newton refinement is on,
+where H^1 leaves a saddle along its unstable dilation mode.  Steps come
+from Armijo backtracking with Barzilai-Borwein trial lengths.  The chart
+is re-centered once the section grows past a fraction of the validity
+radius; optional Newton refinement with kernel-regularized Levenberg
+shift polishes the result, and the spectrum of the second variation is
+reported separately.
 """
 
 from __future__ import annotations
@@ -20,8 +30,11 @@ from .curve import Embedding, arclength_lift, is_embedding, quadrature_weights, 
 from .errors import (
     ChartBreakdownError,
     LineSearchFailedError,
+    NonMonotoneError,
     NotEmbeddingError,
     OutsideDomainError,
+    OutsideTubeError,
+    ProjectionFailedError,
     SingularSystemError,
 )
 from .functionals import Functional, evaluate, grad_norm, gradient_in_chart, hessian_in_chart
@@ -61,6 +74,11 @@ def _drop_nyquist(coeff: np.ndarray) -> np.ndarray:
 def _filtered_gradient(F: Functional, c: Chart, u: NormalSection) -> NormalSection:
     g = gradient_in_chart(F, c, u)
     return NormalSection(_drop_nyquist(g.coeff))
+
+
+def _inner(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """L2(ds) inner product of two (P, rank) coefficient arrays, weights w."""
+    return float(np.sum(a * b * w[:, None]))
 
 
 @dataclass(frozen=True)
@@ -129,10 +147,19 @@ def recenter(c: Chart, u: NormalSection, trunc_freq: int | None = None) -> Chart
     return make_chart(center)
 
 
-def _recenter_pair(c: Chart, u: NormalSection, trunc_freq: int | None):
+def _recenter_pair(c: Chart, u: NormalSection, trunc_freq: int | None, trace: SolveTrace):
+    """Chart at the smoothed current curve and the section representing it there.
+
+    Any failure to build or invert into the new chart is raised as
+    ChartBreakdownError carrying the trace so far.
+    """
     y = chart_apply(c, u)
-    c_new = recenter(c, u, trunc_freq)
-    u_new, _ = chart_invert(c_new, y)
+    try:
+        c_new = recenter(c, u, trunc_freq)
+        u_new, _ = chart_invert(c_new, y)
+    except (ChartBreakdownError, OutsideTubeError, ProjectionFailedError,
+            NonMonotoneError) as exc:
+        raise ChartBreakdownError(f"re-centering failed: {exc}", trace) from exc
     return c_new, NormalSection(_drop_nyquist(u_new.coeff))
 
 
@@ -190,7 +217,9 @@ def minimize(F: Functional, x0: Embedding, opts: SolveOptions | None = None
 
     Returns the final chart, the final section, and the iteration trace;
     trace.converged reports whether the tolerance was met within
-    max_iter.
+    max_iter.  The tolerance applies to the L2(ds) gradient norm whatever
+    the descent metric.  A failed re-centering raises ChartBreakdownError
+    with the trace so far attached as its `trace`.
     """
     if opts is None:
         opts = SolveOptions()
@@ -201,6 +230,8 @@ def minimize(F: Functional, x0: Embedding, opts: SolveOptions | None = None
     u, _ = chart_invert(c, x0)
     u = NormalSection(_drop_nyquist(u.coeff))
     w = quadrature_weights(c.center)
+    # order of the descent metric H^s; the module docstring says why
+    s = 0 if opts.newton or F.coefficient("bend") != 0.0 else 1
     trace = SolveTrace()
     last_step = 0.0
     did_recenter = False
@@ -224,7 +255,7 @@ def minimize(F: Functional, x0: Embedding, opts: SolveOptions | None = None
             # approaches the critical shape
             failed = False
             for round_ in range(5):
-                c, u = _recenter_pair(c, u, kmax)
+                c, u = _recenter_pair(c, u, kmax, trace)
                 w = quadrature_weights(c.center)
                 prev_u = prev_g = None
                 try:
@@ -247,26 +278,31 @@ def minimize(F: Functional, x0: Embedding, opts: SolveOptions | None = None
             trace.converged = gn <= opts.grad_tol
             return c, u, trace
 
-        # Armijo backtracking along the negative L2 gradient; the trial
-        # step comes from the Barzilai-Borwein secant estimate, which
-        # copes with the k^2 stiffness of length-type Hessians
+        # Armijo backtracking along d = K_s g, the gradient in the H^s
+        # metric of the center's arclength (L the center's length); the
+        # predicted decrease is <g, d>_w.  The trial step is the
+        # Barzilai-Borwein secant estimate in the same metric,
+        # <du, dg>_w / <dg, K_s dg>_w, which copes with the k^2 stiffness
+        # of length-type Hessians that s = 0 leaves in place
+        L = float(np.sum(w))
+        d = fourier.sobolev_inverse(g.coeff, L, s)
+        slope = _inner(w, g.coeff, d)
         step = opts.step0
         if prev_u is not None:
-            du = (u.coeff - prev_u).ravel()
-            dg = (g.coeff - prev_g).ravel()
-            ww = np.repeat(w, u.coeff.shape[1])
-            denom = float(np.sum(dg * dg * ww))
+            du = u.coeff - prev_u
+            dg = g.coeff - prev_g
+            denom = _inner(w, dg, fourier.sobolev_inverse(dg, L, s))
             if denom > 0.0:
-                step = float(np.clip(abs(np.sum(du * dg * ww)) / denom, 1e-8, 10.0))
+                step = float(np.clip(abs(_inner(w, du, dg)) / denom, 1e-8, 10.0))
         accepted = None
         # roundoff allowance: near the minimum the predicted decrease
         # drops below the precision of f itself
         slack = 1e-14 * max(1.0, abs(f))
         while step >= 1e-12:
-            cand = NormalSection(u.coeff - step * g.coeff)
+            cand = NormalSection(u.coeff - step * d)
             if cand.sup_norm < c.rho:
                 f_cand = evaluate(F, chart_apply(c, cand))
-                if f_cand <= f - opts.armijo_c * step * gn**2 + slack:
+                if f_cand <= f - opts.armijo_c * step * slope + slack:
                     accepted = cand
                     break
             step *= 0.5
@@ -276,7 +312,7 @@ def minimize(F: Functional, x0: Embedding, opts: SolveOptions | None = None
         u = accepted
         last_step = step
         if u.sup_norm > opts.recenter_fraction * c.rho:
-            c, u = _recenter_pair(c, u, kmax)
+            c, u = _recenter_pair(c, u, kmax, trace)
             w = quadrature_weights(c.center)
             prev_u = prev_g = None
             did_recenter = True

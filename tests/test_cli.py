@@ -135,6 +135,21 @@ def test_minimize_budget_exhausted_exit_5():
     assert rep["converged"] is False
 
 
+def test_minimize_chart_breakdown_exit_1_keeps_trace(tmp_path):
+    # length - area is unbounded below; the failed re-centering is a chart
+    # breakdown (exit 1), not a target outside the tube (exit 4)
+    out = tmp_path / "grow.json"
+    r = run_cli("minimize", "--make", "perturbed-circle:amplitude=0.1,seed=0",
+                "--grid", "64", "--functional", "length-1.0*area", "--max-iter", "3000",
+                "--output", str(out))
+    assert r.returncode == 1
+    assert "re-centering failed" in r.stderr
+    trace = (tmp_path / "grow.json.trace.csv").read_text().strip().split("\n")
+    assert trace[0] == "iter,f,grad_norm,step,recenter"
+    assert len(trace) > 2
+    assert not out.exists()
+
+
 def test_minimize_stdout_embeds_curve_and_trace():
     r = run_cli("minimize", "--make", "torus-geodesic:wx=1,wy=0,wiggle=0.02,seed=4",
                 "--grid", "64", "--functional", "length", "--max-iter", "2000")

@@ -125,6 +125,21 @@ def test_spectral_derivative_matches_analytic():
     np.testing.assert_allclose(cc.derivative(x).vecs, want, atol=1e-10)
 
 
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_sobolev_inverse_scales_single_modes(s):
+    P, L = 64, 2.5
+    th = fourier.nodes(P)
+    for k in (0, 1, 5, 31):
+        mode = np.stack([np.cos(k * th + 0.3), np.sin(k * th)], axis=1)
+        want = (1.0 + (2 * np.pi * k / L) ** 2) ** (-s) * mode
+        np.testing.assert_allclose(fourier.sobolev_inverse(mode, L, s), want, atol=1e-14)
+
+
+def test_sobolev_inverse_order_zero_is_identity(rng):
+    v = rng.standard_normal((48, 2))
+    assert np.array_equal(fourier.sobolev_inverse(v, 3.0, 0), v)
+
+
 def test_resample_associativity():
     x = shapes.circle(128)
     p1 = cc.Reparam(cc.GridCircle(128).nodes + np.pi / 2)
@@ -228,8 +243,16 @@ def test_image_distance_brute_force_property(seed_x, seed_y):
 def test_image_distance_sphere_near_antipodal():
     # every point of one tiny polar circle is within 1e-8 of antipodal to
     # the other circle, where log raises CutLocusError.  The distance is
-    # still defined; near pi the candidate search cannot tell points apart,
-    # so only the bracket [true value, pi] is asserted.
+    # still defined; this asserts the bracket [true value, pi], and
+    # test_image_distance_sphere_near_antipodal_exact the value itself.
     alpha = 1e-9
     d = cc.image_distance(latitude_circle(32, alpha), latitude_circle(32, np.pi - alpha))
     assert np.pi - 2 * alpha - 1e-15 <= d <= np.pi
+
+
+@pytest.mark.parametrize("alpha", [1e-9, 1e-7])
+def test_image_distance_sphere_near_antipodal_exact(alpha):
+    # pairwise_dist ranks near-antipodal candidates through |p + q|, where
+    # arccos(p . q) reads pi for all of them
+    d = cc.image_distance(latitude_circle(32, alpha), latitude_circle(32, np.pi - alpha))
+    assert abs(d - (np.pi - 2 * alpha)) <= 1e-12

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import curvecharts as cc
-from curvecharts import shapes
-from curvecharts.solver import TRACE_SLACK
+from curvecharts import fourier, shapes
+from curvecharts.errors import (
+    ChartBreakdownError,
+    NonMonotoneError,
+    OutsideTubeError,
+    ProjectionFailedError,
+)
+from curvecharts.solver import TRACE_SLACK, smooth_center
 
 
 def test_recenter_zero_section_keeps_center(circle64):
@@ -79,6 +87,47 @@ def test_minimize_chart_independent(rng):
     assert t1.converged and t2.converged
     d = cc.image_distance(cc.chart_apply(c1, u1), cc.chart_apply(c2, u2))
     assert d <= 1e-5
+
+
+@pytest.mark.parametrize("P", [64, 128, 256])
+@pytest.mark.parametrize("winding", [(1, 0), (1, 1)])
+def test_minimize_length_iterations_independent_of_P(winding, P):
+    # the H^1 descent metric removes the k^2 stiffness of the length
+    # Hessian: plain L2(ds) descent needs 420-7681 iterations here
+    x = shapes.torus_geodesic(P, winding, wiggle=0.05, seed=1)
+    c, u, trace = cc.minimize(cc.parse_functional("length"), x)
+    assert trace.converged
+    assert len(trace.records) - 1 <= 30
+    assert abs(cc.length(cc.chart_apply(c, u)) - np.hypot(*winding)) <= 1e-10
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.sampled_from([32, 64, 128]), st.integers(0, 2**32 - 1), st.integers(1, 8))
+def test_h1_direction_is_descent_property(P, seed, kmax):
+    # 0 < <g, K_1 g>_w <= <g, g>_w on an arclength-resampled center, so
+    # d = K_1 g is a descent direction no longer than g
+    center = smooth_center(shapes.random_band_limited(P, seed=seed), P // 4)
+    w = cc.quadrature_weights(center)
+    rng = np.random.default_rng(seed)
+    th = fourier.nodes(P)
+    g = sum(rng.standard_normal() * np.cos(k * th + rng.uniform(0.0, 2 * np.pi))
+            for k in range(kmax + 1))
+    gkg = float(np.sum(w * g * fourier.sobolev_inverse(g, float(np.sum(w)), 1)))
+    assert 0.0 < gkg <= float(np.sum(w * g * g))
+
+
+def test_minimize_recenter_failure_is_chart_breakdown():
+    # length - area is unbounded below: the flow grows the curve until the
+    # curve cannot be inverted into a re-centered chart
+    x = shapes.perturbed_circle(64, amplitude=0.1, seed=0)
+    with pytest.raises(ChartBreakdownError) as info:
+        cc.minimize(cc.parse_functional("length-1.0*area"), x, cc.SolveOptions(max_iter=3000))
+    assert isinstance(info.value.__cause__,
+                      (OutsideTubeError, ProjectionFailedError, NonMonotoneError))
+    trace = info.value.trace
+    assert not trace.converged
+    assert len(trace.records) > 1
+    assert trace.records[-1].f < trace.records[0].f
 
 
 def test_minimize_result_critical_in_fresh_chart():
