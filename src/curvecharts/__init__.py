@@ -7,20 +7,13 @@ solver, and isometry-orbit analysis.
 """
 
 from .ambient import (
-    AmbientPoint,
     AmbientSpace,
     Euclidean,
     FlatTorus,
     Sphere2,
-    TangentVec,
-    exp_map,
-    injectivity_radius,
-    log_map,
-    metric_inner,
 )
 from .charts import (
     Chart,
-    NormalFrame,
     NormalSection,
     chart_apply,
     chart_invert,
@@ -90,8 +83,6 @@ from .solver import (
 )
 from .symmetry import (
     Isometry,
-    KillingBasis,
-    KillingField,
     action_continuity_probe,
     apply_isometry,
     orbit_differential,

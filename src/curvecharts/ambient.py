@@ -13,15 +13,12 @@ differs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import fourier
 from .errors import CutLocusError
 
 _SPHERE_NORM_TOL = 1e-12
-_SPHERE_TANGENT_TOL = 1e-10
 
 
 def _skew_basis(d: int) -> list[np.ndarray]:
@@ -45,6 +42,10 @@ class AmbientSpace:
     # which generators the identity component of Iso(N, g) contains
     translations = True
     rotations = True
+    # the same at every point of each backend
+    injectivity_radius = np.inf
+    # whether the functional term `area` (the signed enclosed area) is defined
+    has_signed_area = False
 
     def __init__(self, dim: int):
         # frames, curvature and Killing fields exist for dimensions 2 and 3
@@ -81,9 +82,6 @@ class AmbientSpace:
         """(len(p), len(q)) matrix of distances between two point sets."""
         return self.dist(p[:, None, :], q[None, :, :])
 
-    def injectivity_radius(self, p=None) -> float:
-        return np.inf
-
     def project_tangent(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Project an ambient-coordinate vector onto T_p N."""
         return np.asarray(v, dtype=float)
@@ -91,9 +89,6 @@ class AmbientSpace:
     def check_point(self, p: np.ndarray) -> np.ndarray:
         """Canonical coordinates of points of N; ValueError for points off N."""
         return self.reduce(p)
-
-    def check_tangent(self, p: np.ndarray, v: np.ndarray):
-        """ValueError unless v is tangent to N at p."""
 
     def reduce(self, p: np.ndarray) -> np.ndarray:
         """Coordinates of p in the fundamental domain."""
@@ -215,6 +210,10 @@ class Euclidean(AmbientSpace):
 
     kind = "euclidean"
 
+    @property
+    def has_signed_area(self) -> bool:
+        return self.dim == 2
+
 
 class FlatTorus(AmbientSpace):
     """R^n / Z^n with the flat metric of the unit lattice.
@@ -227,6 +226,7 @@ class FlatTorus(AmbientSpace):
 
     kind = "flat_torus"
     rotations = False
+    injectivity_radius = 0.5
 
     def reduce(self, p):
         return np.mod(np.asarray(p, float), 1.0)
@@ -250,9 +250,6 @@ class FlatTorus(AmbientSpace):
         d = np.asarray(q, float) - np.asarray(p, float)
         # shortest representative in (-1/2, 1/2]; ties go positive
         return 0.5 - np.mod(0.5 - d, 1.0)
-
-    def injectivity_radius(self, p=None) -> float:
-        return 0.5
 
     def strand_chords(self, pts, winding, s, L):
         """Chords to the nearest lattice translates of each node.
@@ -290,6 +287,7 @@ class Sphere2(AmbientSpace):
 
     kind = "sphere2"
     translations = False
+    injectivity_radius = np.pi
 
     _antipodal_tol = 1e-8
 
@@ -307,10 +305,6 @@ class Sphere2(AmbientSpace):
         if np.any(np.abs(np.linalg.norm(p, axis=-1) - 1.0) > _SPHERE_NORM_TOL):
             raise ValueError("sphere2 points must be unit vectors")
         return p
-
-    def check_tangent(self, p, v):
-        if np.any(np.abs(np.sum(np.asarray(p) * np.asarray(v), axis=-1)) > _SPHERE_TANGENT_TOL):
-            raise ValueError("sphere2 tangent vectors must be orthogonal to the base point")
 
     def retract(self, vals):
         return vals / np.linalg.norm(vals, axis=-1, keepdims=True)
@@ -372,9 +366,6 @@ class Sphere2(AmbientSpace):
             out[i, j] = np.pi - 2.0 * np.arcsin(np.linalg.norm(p[i] + q[j], axis=1) / 2.0)
         return out
 
-    def injectivity_radius(self, p=None) -> float:
-        return np.pi
-
     def normal_frame(self, p, T):
         nu = np.cross(p, T)
         nu = nu / np.linalg.norm(nu, axis=1, keepdims=True)
@@ -426,58 +417,3 @@ class Sphere2(AmbientSpace):
         db = (Tb - np.sum(Tb * T, axis=1, keepdims=True) * T) / n - s * k**2 * T
         pd = np.sum(db * pts, axis=1, keepdims=True)
         return cb * np.cross(T, U) - pd * a - ya * db - fourier.diff(db - pd * pts)
-
-
-@dataclass(frozen=True)
-class AmbientPoint:
-    """A single point of N, with backend invariants checked on creation."""
-
-    space: AmbientSpace
-    coords: np.ndarray
-
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float)
-        if coords.shape != (self.space.coord_dim,):
-            raise ValueError("coordinate length does not match ambient space")
-        object.__setattr__(self, "coords", self.space.check_point(coords))
-
-
-@dataclass(frozen=True)
-class TangentVec:
-    """A tangent vector of N at a base point."""
-
-    base: AmbientPoint
-    comp: np.ndarray
-
-    def __post_init__(self):
-        comp = np.asarray(self.comp, dtype=float)
-        if comp.shape != self.base.coords.shape:
-            raise ValueError("component length does not match base point")
-        self.space.check_tangent(self.base.coords, comp)
-        object.__setattr__(self, "comp", comp)
-
-    @property
-    def space(self) -> AmbientSpace:
-        return self.base.space
-
-
-def metric_inner(space: AmbientSpace, v: TangentVec, w: TangentVec) -> float:
-    """g(v, w) for tangent vectors at a common base point."""
-    if not np.array_equal(v.base.coords, w.base.coords):
-        raise ValueError("metric_inner requires a common base point")
-    return float(space.inner(v.base.coords, v.comp, w.comp))
-
-
-def exp_map(space: AmbientSpace, v: TangentVec) -> AmbientPoint:
-    """Riemannian exponential exp_{base}(v)."""
-    return AmbientPoint(space, space.exp(v.base.coords, v.comp))
-
-
-def log_map(space: AmbientSpace, p: AmbientPoint, q: AmbientPoint) -> TangentVec:
-    """Riemannian logarithm: the vector v with exp_p(v) = q, shortest representative."""
-    return TangentVec(p, space.log(p.coords, q.coords))
-
-
-def injectivity_radius(space: AmbientSpace, p: AmbientPoint | None = None) -> float:
-    """Injectivity radius at p (constant for every backend)."""
-    return space.injectivity_radius(None if p is None else p.coords)

@@ -24,7 +24,6 @@ from .curve import (
     SectionField,
     curvature,
     derivative,
-    interp_curve,
     is_embedding,
     reparam_inverse,
     separation,
@@ -40,20 +39,6 @@ from .errors import (
 )
 
 _FRAME_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class NormalFrame:
-    """Per-node orthonormal vectors spanning the normal space x'(theta_i)-perp.
-
-    vectors has shape (rank, P, coord_dim) with rank = dim(N) - 1.
-    """
-
-    vectors: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return self.vectors.shape[0]
 
 
 @dataclass(frozen=True)
@@ -82,7 +67,7 @@ class Chart:
     """Quotient chart centered at a smooth embedding."""
 
     center: Embedding
-    frame: NormalFrame
+    frame: np.ndarray  # orthonormal normal vectors at the nodes: (rank, P, coord_dim)
     rho: float
 
     @property
@@ -91,7 +76,7 @@ class Chart:
 
     @property
     def rank(self) -> int:
-        return self.frame.rank
+        return self.frame.shape[0]
 
 
 def _unit_tangents(x: Embedding) -> np.ndarray:
@@ -152,7 +137,7 @@ def reach_estimate(x: Embedding) -> float:
     if sep <= 0.0:
         return 0.0
     focal = x.space.focal_distance(float(np.max(np.abs(curvature(x)))))
-    return float(min(0.9 * focal, 0.45 * sep, 0.9 * x.space.injectivity_radius()))
+    return float(min(0.9 * focal, 0.45 * sep, 0.9 * x.space.injectivity_radius))
 
 
 def make_chart(x: Embedding) -> Chart:
@@ -172,28 +157,12 @@ def make_chart(x: Embedding) -> Chart:
     rho = reach_estimate(x)
     if rho <= 0.0:
         raise NotEmbeddingError("vanishing reach estimate")
-    return Chart(x, NormalFrame(vectors), rho)
-
-
-def frame_at(c: Chart, t) -> np.ndarray:
-    """Interpolated frame at arbitrary parameters: shape (rank, len(t), d)."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    x = c.center
-    dvec = interp_curve(x, t, order=1)
-    T = dvec / np.linalg.norm(dvec, axis=1, keepdims=True)
-    frame = x.space.normal_frame(interp_curve(x, t), T)
-    if frame is not None:
-        return frame
-    # transported 3-d frame: interpolate it and re-orthonormalize
-    nu = fourier.interp(c.frame.vectors[0], t)
-    nu = nu - np.sum(nu * T, axis=1, keepdims=True) * T
-    nu = nu / np.linalg.norm(nu, axis=1, keepdims=True)
-    return np.stack([nu, np.cross(T, nu)], axis=0)
+    return Chart(x, vectors, rho)
 
 
 def section_to_field(c: Chart, u: NormalSection) -> SectionField:
     """Ambient-coordinate vectors W = sum_a u^a nu^a along the center."""
-    W = np.einsum("ia,aid->id", u.coeff, c.frame.vectors)
+    W = np.einsum("ia,aid->id", u.coeff, c.frame)
     return SectionField(c.center, W)
 
 
@@ -220,7 +189,7 @@ def project_normal(c: Chart, V: SectionField) -> NormalSection:
     """Orthogonal projection of a full section onto the normal bundle, in frame coefficients."""
     if not np.array_equal(V.base.pts, c.center.pts):
         raise ValueError("section is not based on the chart center")
-    coeff = np.einsum("aid,id->ia", c.frame.vectors, V.vecs)
+    coeff = np.einsum("aid,id->ia", c.frame, V.vecs)
     return NormalSection(coeff)
 
 
@@ -265,20 +234,13 @@ def chart_invert(c: Chart, y: Embedding) -> tuple[NormalSection, Reparam]:
     idx = np.where(mask)[0]
     logs = space.log(np.broadcast_to(x.pts[0], (idx.size, space.coord_dim)), ypts[idx])
     gvals[idx] = logs @ dvec[0]
-    best = None
-    for k in range(4 * P):
-        k2 = (k + 1) % (4 * P)
-        if mask[k] and mask[k2] and gvals[k] * gvals[k2] <= 0.0:
-            score = min(dists[k], dists[k2])
-            if best is None or score < best[0]:
-                lo = dense[k]
-                hi = dense[k2] if k2 != 0 else 2.0 * np.pi
-                best = (score, lo, hi)
-    if best is None:
+    k = _nearest_crossing(gvals, dists)
+    if k is None:
         raise OutsideTubeError("no fiber crossing found within the tube at node 0")
+    hi = dense[k + 1] if k + 1 < 4 * P else 2.0 * np.pi
 
     s = np.empty(P)
-    s[0] = _solve(lambda t: g(0, t), best[1], best[2])
+    s[0] = _solve(lambda t: g(0, t), dense[k], hi)
     for i in range(1, P):
         guess = s[i - 1] + h
         try:
@@ -297,12 +259,25 @@ def chart_invert(c: Chart, y: Embedding) -> tuple[NormalSection, Reparam]:
     norms = space.norm(x.pts, logs)
     if np.max(norms) >= c.rho:
         raise OutsideTubeError("projected section exceeds the chart radius")
-    coeff = np.einsum("aid,id->ia", c.frame.vectors, logs)
+    coeff = np.einsum("aid,id->ia", c.frame, logs)
     try:
         sigma = Reparam(s)
     except NonMonotoneError:
         raise NonMonotoneError("fiber assignment is not an orientation-preserving diffeomorphism")
     return NormalSection(coeff), sigma
+
+
+def _nearest_crossing(gvals: np.ndarray, dists: np.ndarray) -> int | None:
+    """Start k of the cyclic sample interval [k, k+1] nearest the center on
+    which gvals changes sign; NaN marks samples outside the tube.
+
+    Nearest means the smallest min(dists[k], dists[k+1]), the first k on
+    ties; None when no interval has a sign change.
+    """
+    crossing = gvals * np.roll(gvals, -1) <= 0.0  # False next to a NaN
+    if not np.any(crossing):
+        return None
+    return int(np.argmin(np.where(crossing, np.minimum(dists, np.roll(dists, -1)), np.inf)))
 
 
 def _solve(f, lo: float, hi: float) -> float:

@@ -6,8 +6,9 @@ stdout carries data only when no --output path is given.
 
 Exit codes: 0 success, 1 generic failure, 2 input parse failure,
 3 non-embedding input, 4 curve outside the chart tube, 5 iteration
-budget exhausted.  A minimize run whose chart re-centering breaks down
-exits 1 and, given --output, still writes the trace up to the failure.
+budget exhausted.  A minimize run that fails while iterating (a chart
+re-centering breakdown exits 1, a failed line search 5) still writes,
+given --output, the trace up to the failure.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .ambient import AmbientSpace
 from .charts import chart_apply, chart_invert, make_chart, reach_estimate
 from .curve import Embedding, image_distance, is_embedding, separation, speeds
 from .errors import (
-    ChartBreakdownError,
     CurveChartsError,
     LineSearchFailedError,
     NotEmbeddingError,
@@ -183,7 +183,7 @@ def cmd_minimize(args) -> int:
                         newton_threshold=args.newton_threshold)
     try:
         c, u, trace = minimize(F, x0, opts)
-    except ChartBreakdownError as exc:
+    except CurveChartsError as exc:
         if args.output is not None and exc.trace is not None:
             _write_trace(args.output, exc.trace)
         raise
@@ -232,7 +232,7 @@ def cmd_orbit(args) -> int:
     basis = standard_killing_basis(x.space)
     rank, stab = orbit_rank(c, basis)
     report = {
-        "dim_G": basis.dim,
+        "dim_G": len(basis),
         "rank": rank,
         "stabilizer_dim": stab,
         "singular_values": [float(s) for s in orbit_singular_values(c, basis)],

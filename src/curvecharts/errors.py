@@ -2,7 +2,13 @@
 
 
 class CurveChartsError(Exception):
-    """Base class for all errors raised by curvecharts."""
+    """Base class for all errors raised by curvecharts.
+
+    When the error leaves `minimize` from inside its iteration loop,
+    `trace` holds the iterations up to the failure; otherwise it is None.
+    """
+
+    trace = None
 
 
 class CutLocusError(CurveChartsError):
@@ -43,15 +49,7 @@ class LineSearchFailedError(CurveChartsError):
 
 class ChartBreakdownError(CurveChartsError):
     """Re-centering failed: the new center is not an embedding, or the
-    current curve cannot be inverted in the new chart.
-
-    When the solver raises it, `trace` holds the iterations up to the
-    failure.
-    """
-
-    def __init__(self, message: str, trace=None):
-        super().__init__(message)
-        self.trace = trace
+    current curve cannot be inverted in the new chart."""
 
 
 class SingularSystemError(CurveChartsError):

@@ -78,6 +78,6 @@ def load_curve(path: str) -> Embedding:
 def chart_to_dict(c: Chart) -> dict:
     """Debug dump: curve file payload plus the frame and validity radius."""
     out = curve_to_dict(c.center)
-    out["frame"] = c.frame.vectors.tolist()
+    out["frame"] = c.frame.tolist()
     out["rho"] = c.rho
     return out

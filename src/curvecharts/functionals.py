@@ -73,9 +73,7 @@ def parse_functional(text: str) -> Functional:
 
 
 def _check_area_support(F: Functional, x: Embedding):
-    if F.coefficient("area") != 0.0 and not (
-        x.space.kind == "euclidean" and x.space.dim == 2
-    ):
+    if F.coefficient("area") != 0.0 and not x.space.has_signed_area:
         raise UnsupportedAmbientError("signed area is defined only in the euclidean plane")
 
 
@@ -155,7 +153,7 @@ def gradient_in_chart(F: Functional, c: Chart, u: NormalSection) -> NormalSectio
     d f(u)[delta] = sum_i <g_i, delta_i> w_i with w the chart-center
     arclength weights.
     """
-    return NormalSection(_pullback_gradient(F, c, u.coeff, c.frame.vectors))
+    return NormalSection(_pullback_gradient(F, c, u.coeff, c.frame))
 
 
 def first_variation(F: Functional, x: Embedding, V: SectionField) -> float:
@@ -229,7 +227,7 @@ def _full_basis(c: Chart) -> np.ndarray:
     """Per-node basis of x^*(TN) along the chart center: shape (dim, P, coord_dim)."""
     d = derivative(c.center).vecs
     T = d / np.linalg.norm(d, axis=1, keepdims=True)
-    return c.center.space.section_basis(T, c.frame.vectors)
+    return c.center.space.section_basis(T, c.frame)
 
 
 def hessian_full(F: Functional, c: Chart) -> HessianPair:
@@ -248,5 +246,5 @@ def restriction_matrix(c: Chart) -> np.ndarray:
     dim = basis.shape[0]
     R = np.zeros((P, dim, P, rank))
     nodes = np.arange(P)
-    R[nodes, :, nodes, :] = np.einsum("bid,aid->iba", basis, c.frame.vectors)
+    R[nodes, :, nodes, :] = np.einsum("bid,aid->iba", basis, c.frame)
     return R.reshape(P * dim, P * rank)

@@ -29,6 +29,7 @@ from .charts import Chart, NormalSection, chart_apply, chart_invert, make_chart
 from .curve import Embedding, arclength_lift, is_embedding, quadrature_weights, resample
 from .errors import (
     ChartBreakdownError,
+    CurveChartsError,
     LineSearchFailedError,
     NonMonotoneError,
     NotEmbeddingError,
@@ -147,11 +148,11 @@ def recenter(c: Chart, u: NormalSection, trunc_freq: int | None = None) -> Chart
     return make_chart(center)
 
 
-def _recenter_pair(c: Chart, u: NormalSection, trunc_freq: int | None, trace: SolveTrace):
+def _recenter_pair(c: Chart, u: NormalSection, trunc_freq: int | None):
     """Chart at the smoothed current curve and the section representing it there.
 
     Any failure to build or invert into the new chart is raised as
-    ChartBreakdownError carrying the trace so far.
+    ChartBreakdownError.
     """
     y = chart_apply(c, u)
     try:
@@ -159,7 +160,7 @@ def _recenter_pair(c: Chart, u: NormalSection, trunc_freq: int | None, trace: So
         u_new, _ = chart_invert(c_new, y)
     except (ChartBreakdownError, OutsideTubeError, ProjectionFailedError,
             NonMonotoneError) as exc:
-        raise ChartBreakdownError(f"re-centering failed: {exc}", trace) from exc
+        raise ChartBreakdownError(f"re-centering failed: {exc}") from exc
     return c_new, NormalSection(_drop_nyquist(u_new.coeff))
 
 
@@ -218,8 +219,9 @@ def minimize(F: Functional, x0: Embedding, opts: SolveOptions | None = None
     Returns the final chart, the final section, and the iteration trace;
     trace.converged reports whether the tolerance was met within
     max_iter.  The tolerance applies to the L2(ds) gradient norm whatever
-    the descent metric.  A failed re-centering raises ChartBreakdownError
-    with the trace so far attached as its `trace`.
+    the descent metric.  A library error raised while iterating (a failed
+    re-centering raises ChartBreakdownError) carries the trace so far as
+    its `trace`.
     """
     if opts is None:
         opts = SolveOptions()
@@ -229,10 +231,20 @@ def minimize(F: Functional, x0: Embedding, opts: SolveOptions | None = None
     c = make_chart(smooth_center(x0, kmax))
     u, _ = chart_invert(c, x0)
     u = NormalSection(_drop_nyquist(u.coeff))
+    trace = SolveTrace()
+    try:
+        return _descend(F, c, u, opts, kmax, trace)
+    except CurveChartsError as exc:
+        exc.trace = trace
+        raise
+
+
+def _descend(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions, kmax: int,
+             trace: SolveTrace) -> tuple[Chart, NormalSection, SolveTrace]:
+    """The iteration loop of `minimize`, recording into trace."""
     w = quadrature_weights(c.center)
     # order of the descent metric H^s; the module docstring says why
     s = 0 if opts.newton or F.coefficient("bend") != 0.0 else 1
-    trace = SolveTrace()
     last_step = 0.0
     did_recenter = False
     prev_u = prev_g = None
@@ -255,7 +267,7 @@ def minimize(F: Functional, x0: Embedding, opts: SolveOptions | None = None
             # approaches the critical shape
             failed = False
             for round_ in range(5):
-                c, u = _recenter_pair(c, u, kmax, trace)
+                c, u = _recenter_pair(c, u, kmax)
                 w = quadrature_weights(c.center)
                 prev_u = prev_g = None
                 try:
@@ -312,7 +324,7 @@ def minimize(F: Functional, x0: Embedding, opts: SolveOptions | None = None
         u = accepted
         last_step = step
         if u.sup_norm > opts.recenter_fraction * c.rho:
-            c, u = _recenter_pair(c, u, kmax, trace)
+            c, u = _recenter_pair(c, u, kmax)
             w = quadrature_weights(c.center)
             prev_u = prev_g = None
             did_recenter = True

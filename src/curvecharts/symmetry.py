@@ -59,10 +59,6 @@ class Isometry:
                 raise ValueError(f"{self.space.kind} isometries are rotations only")
             object.__setattr__(self, "translation", tr)
 
-    @staticmethod
-    def identity(space: AmbientSpace) -> "Isometry":
-        return Isometry(space)
-
     def apply_points(self, pts: np.ndarray) -> np.ndarray:
         out = np.asarray(pts, dtype=float)
         if self.rotation is not None:
@@ -96,60 +92,39 @@ def apply_isometry(psi: Isometry, x: Embedding) -> Embedding:
     return Embedding(x.space, psi.apply_points(x.pts), x.winding)
 
 
-@dataclass(frozen=True)
-class KillingField:
-    """Infinitesimal generator: the affine tangent field p -> A p + b."""
+def standard_killing_basis(space: AmbientSpace, rotation_center=None
+                           ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Basis of the Killing fields of space as (A, b) pairs, p -> A p + b.
 
-    space: AmbientSpace
-    A: np.ndarray
-    b: np.ndarray
-
-    def evaluate(self, pts: np.ndarray) -> np.ndarray:
-        return np.asarray(pts, dtype=float) @ self.A.T + self.b
+    Translations, then rotations about rotation_center (default: the origin).
+    """
+    return space.killing_fields(rotation_center)
 
 
-@dataclass(frozen=True)
-class KillingBasis:
-    """Basis of the Lie algebra of the identity component of Iso(N, g)."""
-
-    fields: tuple[KillingField, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.fields)
-
-
-def standard_killing_basis(space: AmbientSpace, rotation_center=None) -> KillingBasis:
-    """Translations plus rotations about rotation_center (default: the origin)."""
-    return KillingBasis(tuple(
-        KillingField(space, A, b) for A, b in space.killing_fields(rotation_center)
-    ))
-
-
-def orbit_differential(c: Chart, basis: KillingBasis) -> np.ndarray:
-    """Matrix of orbit directions in the chart: one sqrt(w)-scaled column per generator."""
+def orbit_differential(c: Chart, basis: list) -> np.ndarray:
+    """Matrix of orbit directions in the chart: one sqrt(w)-scaled column per (A, b) generator."""
     w = quadrature_weights(c.center)
     sqw = np.sqrt(w)
     cols = []
-    for K in basis.fields:
-        vecs = K.evaluate(c.center.pts)
+    for A, b in basis:
+        vecs = c.center.pts @ A.T + b
         coeff = project_normal(c, SectionField(c.center, vecs)).coeff
         cols.append((coeff * sqw[:, None]).ravel())
     return np.stack(cols, axis=1)
 
 
-def orbit_rank(c: Chart, basis: KillingBasis, rel_tol: float = 1e-8
+def orbit_rank(c: Chart, basis: list, rel_tol: float = 1e-8
                ) -> tuple[int, int]:
     """(rank of the orbit map differential, stabilizer Lie-algebra dimension)."""
     D = orbit_differential(c, basis)
     sv = np.linalg.svd(D, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
-        return 0, basis.dim
+        return 0, len(basis)
     rank = int(np.sum(sv > rel_tol * sv[0]))
-    return rank, basis.dim - rank
+    return rank, len(basis) - rank
 
 
-def orbit_singular_values(c: Chart, basis: KillingBasis) -> np.ndarray:
+def orbit_singular_values(c: Chart, basis: list) -> np.ndarray:
     return np.linalg.svd(orbit_differential(c, basis), compute_uv=False)
 
 

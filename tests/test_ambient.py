@@ -1,106 +1,65 @@
 import numpy as np
 import pytest
 
-from curvecharts import (
-    AmbientPoint,
-    CutLocusError,
-    Euclidean,
-    FlatTorus,
-    Sphere2,
-    TangentVec,
-    exp_map,
-    injectivity_radius,
-    log_map,
-    metric_inner,
-)
+from curvecharts import CutLocusError, Euclidean, FlatTorus, Sphere2
 
 
 def test_inner_euclidean_unit_vector():
-    e2 = Euclidean(2)
-    p = AmbientPoint(e2, np.zeros(2))
-    v = TangentVec(p, np.array([1.0, 0.0]))
-    assert metric_inner(e2, v, v) == 1.0
+    assert Euclidean(2).inner(np.zeros(2), np.array([1.0, 0.0]), np.array([1.0, 0.0])) == 1.0
 
 
 def test_inner_sphere_orthogonal():
     s = Sphere2()
-    p = AmbientPoint(s, np.array([1.0, 0.0, 0.0]))
-    v = TangentVec(p, np.array([0.0, 1.0, 0.0]))
-    w = TangentVec(p, np.array([0.0, 0.0, 1.0]))
-    assert metric_inner(s, v, w) == 0.0
+    p = np.array([1.0, 0.0, 0.0])
+    assert s.inner(p, np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])) == 0.0
 
 
 def test_inner_torus_dot_product():
-    t = FlatTorus(2)
-    p = AmbientPoint(t, np.array([0.0, 0.0]))
-    v = TangentVec(p, np.array([3.0, 4.0]))
-    assert metric_inner(t, v, v) == 25.0
-
-
-def test_inner_base_mismatch():
-    e2 = Euclidean(2)
-    v = TangentVec(AmbientPoint(e2, np.zeros(2)), np.ones(2))
-    w = TangentVec(AmbientPoint(e2, np.ones(2)), np.ones(2))
-    with pytest.raises(ValueError):
-        metric_inner(e2, v, w)
+    v = np.array([3.0, 4.0])
+    assert FlatTorus(2).inner(np.zeros(2), v, v) == 25.0
 
 
 def test_exp_euclidean_affine():
-    e2 = Euclidean(2)
-    v = TangentVec(AmbientPoint(e2, np.zeros(2)), np.array([1.0, 2.0]))
-    np.testing.assert_allclose(exp_map(e2, v).coords, [1.0, 2.0])
+    np.testing.assert_allclose(Euclidean(2).exp(np.zeros(2), np.array([1.0, 2.0])), [1.0, 2.0])
 
 
 def test_exp_sphere_quarter_turn():
     # oracle: closed-form great-circle formula cos|v| p + sin|v| v/|v|
     s = Sphere2()
-    p = AmbientPoint(s, np.array([1.0, 0.0, 0.0]))
-    v = TangentVec(p, np.array([0.0, np.pi / 2, 0.0]))
-    np.testing.assert_allclose(exp_map(s, v).coords, [0.0, 1.0, 0.0], atol=1e-15)
+    q = s.exp(np.array([1.0, 0.0, 0.0]), np.array([0.0, np.pi / 2, 0.0]))
+    np.testing.assert_allclose(q, [0.0, 1.0, 0.0], atol=1e-15)
 
 
 def test_exp_torus_reduces_mod_lattice():
-    t = FlatTorus(2)
-    v = TangentVec(AmbientPoint(t, np.array([0.9, 0.0])), np.array([0.2, 0.0]))
-    np.testing.assert_allclose(exp_map(t, v).coords, [0.1, 0.0], atol=1e-15)
+    q = FlatTorus(2).exp(np.array([0.9, 0.0]), np.array([0.2, 0.0]))
+    np.testing.assert_allclose(q, [0.1, 0.0], atol=1e-15)
 
 
 def test_log_euclidean_difference():
-    e2 = Euclidean(2)
-    l = log_map(e2, AmbientPoint(e2, np.array([1.0, 1.0])),
-                AmbientPoint(e2, np.array([2.0, 3.0])))
-    np.testing.assert_allclose(l.comp, [1.0, 2.0])
+    l = Euclidean(2).log(np.array([1.0, 1.0]), np.array([2.0, 3.0]))
+    np.testing.assert_allclose(l, [1.0, 2.0])
 
 
 def test_log_torus_shortest_representative():
     # oracle: minimum over lattice translates of the coordinate difference
-    t = FlatTorus(2)
-    l = log_map(t, AmbientPoint(t, np.array([0.1, 0.0])),
-                AmbientPoint(t, np.array([0.9, 0.0])))
-    np.testing.assert_allclose(l.comp, [-0.2, 0.0], atol=1e-15)
+    l = FlatTorus(2).log(np.array([0.1, 0.0]), np.array([0.9, 0.0]))
+    np.testing.assert_allclose(l, [-0.2, 0.0], atol=1e-15)
 
 
 def test_log_sphere_inverts_exp():
-    s = Sphere2()
-    p = AmbientPoint(s, np.array([1.0, 0.0, 0.0]))
-    q = AmbientPoint(s, np.array([0.0, 1.0, 0.0]))
-    np.testing.assert_allclose(log_map(s, p, q).comp, [0.0, np.pi / 2, 0.0],
-                               atol=1e-15)
+    l = Sphere2().log(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
+    np.testing.assert_allclose(l, [0.0, np.pi / 2, 0.0], atol=1e-15)
 
 
 def test_log_sphere_antipodal_cut_locus():
-    s = Sphere2()
-    p = AmbientPoint(s, np.array([1.0, 0.0, 0.0]))
-    q = AmbientPoint(s, np.array([-1.0, 0.0, 0.0]))
     with pytest.raises(CutLocusError):
-        log_map(s, p, q)
+        Sphere2().log(np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]))
 
 
 def test_injectivity_radii():
-    assert injectivity_radius(Euclidean(3), AmbientPoint(Euclidean(3), np.zeros(3))) == np.inf
-    assert injectivity_radius(FlatTorus(2), AmbientPoint(FlatTorus(2), np.zeros(2))) == 0.5
-    p = AmbientPoint(Sphere2(), np.array([0.0, 0.0, 1.0]))
-    assert injectivity_radius(Sphere2(), p) == np.pi
+    assert Euclidean(3).injectivity_radius == np.inf
+    assert FlatTorus(2).injectivity_radius == 0.5
+    assert Sphere2().injectivity_radius == np.pi
 
 
 def test_exp_log_round_trip_random(rng):

@@ -6,8 +6,6 @@ structural guard keeps backend-specific branches out of the other
 modules.
 """
 
-import ast
-import inspect
 import re
 from pathlib import Path
 
@@ -15,7 +13,7 @@ import numpy as np
 import pytest
 
 import curvecharts as cc
-from curvecharts import AmbientPoint, Euclidean, FlatTorus, KillingField, Sphere2, TangentVec, fourier
+from curvecharts import Euclidean, FlatTorus, Sphere2, fourier
 
 SPACES = [Euclidean(2), Euclidean(3), FlatTorus(2), Sphere2()]
 
@@ -58,10 +56,9 @@ def test_pairwise_dist_equals_dist(space):
 def test_killing_fields_are_skew_and_tangent(space):
     rng = np.random.default_rng(3)
     p = random_points(space, rng, 11)
-    fields = cc.standard_killing_basis(space, rotation_center=np.full(space.coord_dim, 0.2)).fields
-    for K in fields:
-        assert np.max(np.abs(K.A + K.A.T)) == 0.0
-        vals = K.evaluate(p)
+    for A, b in cc.standard_killing_basis(space, rotation_center=np.full(space.coord_dim, 0.2)):
+        assert np.max(np.abs(A + A.T)) == 0.0
+        vals = p @ A.T + b
         np.testing.assert_allclose(space.project_tangent(p, vals), vals, atol=1e-14)
 
 
@@ -73,24 +70,27 @@ def test_retract_is_idempotent(space):
 
 
 def test_killing_basis_dimensions():
-    dims = {repr(s): cc.standard_killing_basis(s).dim for s in SPACES}
+    dims = {repr(s): len(cc.standard_killing_basis(s)) for s in SPACES}
     assert list(dims.values()) == [3, 6, 2, 3]
 
 
-def test_sphere_point_and_tangent_checks():
+def test_signed_area_only_in_the_plane():
+    spaces = [Euclidean(2), Euclidean(3), FlatTorus(2), FlatTorus(3), Sphere2()]
+    assert [s.has_signed_area for s in spaces] == [True, False, False, False, False]
+
+
+def test_sphere_point_check():
     s = Sphere2()
     with pytest.raises(ValueError):
-        AmbientPoint(s, np.array([2.0, 0.0, 0.0]))
-    p = AmbientPoint(s, np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        TangentVec(p, np.array([0.1, 1.0, 0.0]))
+        s.check_point(np.array([2.0, 0.0, 0.0]))
+    p = np.array([1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(s.check_point(p), p)
     with pytest.raises(ValueError):
         s.check_point(np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]))
 
 
 def test_torus_point_check_reduces():
-    p = AmbientPoint(FlatTorus(2), np.array([1.25, -0.5]))
-    np.testing.assert_allclose(p.coords, [0.25, 0.5])
+    np.testing.assert_allclose(FlatTorus(2).check_point(np.array([1.25, -0.5])), [0.25, 0.5])
 
 
 @pytest.mark.parametrize("cls", [Euclidean, FlatTorus])
@@ -115,30 +115,18 @@ def test_bending_gradient_is_closed_form(space):
     assert not hasattr(cc.functionals, "_fd_gradient_coeff")
 
 
-BRANCH = re.compile(r"isinstance\([^)]*(Euclidean|FlatTorus|Sphere2)|space\.kind *[!=]=")
-
-
-def _area_support_lines(tree) -> set[int]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name == "_check_area_support":
-            return set(range(node.lineno, node.end_lineno + 1))
-    return set()
+BRANCH = re.compile(r"isinstance\([^)]*(Euclidean|FlatTorus|Sphere2)|\.kind *[!=]=")
 
 
 def test_no_backend_branches_outside_ambient():
-    # behaviour that differs by backend lives on the AmbientSpace subclasses;
-    # the one allowed site is the signed-area support check
+    # behaviour that differs by backend lives on the AmbientSpace subclasses
     src = Path(cc.__file__).parent
     hits = []
     for path in sorted(src.glob("*.py")):
         if path.name == "ambient.py":
             continue
         text = path.read_text()
-        allowed = _area_support_lines(ast.parse(text)) if path.name == "functionals.py" else set()
         for m in BRANCH.finditer(text):
             line = text.count("\n", 0, m.start()) + 1
-            if line not in allowed:
-                hits.append(f"{path.name}:{line}")
+            hits.append(f"{path.name}:{line}")
     assert hits == []
-    for obj in (AmbientPoint, TangentVec, KillingField):
-        assert ".kind" not in inspect.getsource(obj)

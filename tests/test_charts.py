@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import curvecharts as cc
 from curvecharts import shapes
-from curvecharts.charts import frame_at
+from curvecharts.charts import _nearest_crossing
 from curvecharts.curve import interp_curve
 from curvecharts.errors import NotEmbeddingError, OutsideDomainError, OutsideTubeError
 from curvecharts.solver import smooth_center
 import curvecharts.fourier as fourier
+from test_functionals import random_sphere_curve
 
 
 def random_section(c, rng, sup):
@@ -27,7 +30,7 @@ def test_make_chart_circle_outward_frame(circle64):
     c = cc.make_chart(circle64)
     th = circle64.grid.nodes
     outward = np.stack([np.cos(th), np.sin(th)], axis=1)
-    np.testing.assert_allclose(c.frame.vectors[0], outward, atol=1e-12)
+    np.testing.assert_allclose(c.frame[0], outward, atol=1e-12)
     assert c.rho == pytest.approx(0.9, abs=1e-9)
 
 
@@ -178,7 +181,7 @@ def test_transition_formula_pointwise(rng):
 def test_project_normal_kernel_and_linearity(circle64):
     c = cc.make_chart(circle64)
     tang = cc.derivative(circle64).vecs
-    nu = c.frame.vectors[0]
+    nu = c.frame[0]
     zero = cc.project_normal(c, cc.SectionField(circle64, 3.0 * tang))
     np.testing.assert_allclose(zero.coeff, 0.0, atol=1e-12)
     pure = cc.project_normal(c, cc.SectionField(circle64, nu.copy()))
@@ -191,17 +194,11 @@ def test_frame_orthonormal_3d():
     th = cc.GridCircle(96).nodes
     pts = np.stack([np.cos(th), np.sin(th), 0.3 * np.sin(2 * th)], axis=1)
     c = cc.make_chart(cc.Embedding(cc.Euclidean(3), pts))
-    fr = c.frame.vectors
+    fr = c.frame
     gram = np.einsum("aid,bid->abi", fr, fr)
     assert np.max(np.abs(gram - np.eye(2)[:, :, None])) <= 1e-10
     tang = cc.derivative(c.center).vecs
     assert np.max(np.abs(np.einsum("aid,id->ai", fr, tang))) <= 1e-8
-
-
-def test_frame_at_interpolates_nodes(circle64):
-    c = cc.make_chart(circle64)
-    fr = frame_at(c, circle64.grid.nodes)
-    np.testing.assert_allclose(fr, c.frame.vectors, atol=1e-10)
 
 
 def test_tangent_lemma_fd(rng):
@@ -238,3 +235,50 @@ def test_chart_invert_rotated_tilted_great_circle():
     c = cc.make_chart(smooth_center(x0, 24))
     u, _ = cc.chart_invert(c, x0)
     assert cc.image_distance(cc.chart_apply(c, u), x0) <= 1e-10
+
+
+def _nearest_crossing_scan(gvals, dists):
+    # reference: the sequential scan, where a strict < keeps the first k on ties
+    n = gvals.size
+    best = None
+    for k in range(n):
+        k2 = (k + 1) % n
+        if not np.isnan(gvals[k]) and not np.isnan(gvals[k2]) and gvals[k] * gvals[k2] <= 0.0:
+            score = min(dists[k], dists[k2])
+            if best is None or score < best[0]:
+                best = (score, k)
+    return None if best is None else best[1]
+
+
+def test_nearest_crossing_matches_sequential_scan():
+    # few distinct values force ties, exact zeros and wrap-around crossings
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n = int(rng.integers(2, 40))
+        gvals = rng.choice([-1.0, 0.0, 1.0, 2.0, np.nan], n)
+        dists = rng.integers(0, 4, n).astype(float)
+        assert _nearest_crossing(gvals, dists) == _nearest_crossing_scan(gvals, dists)
+    assert _nearest_crossing(np.array([1.0, 2.0, np.nan]), np.zeros(3)) is None
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(["plane", "torus", "sphere"]), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 0.4))
+def test_chart_round_trip_property(backend, seed, frac):
+    # chart_invert(c, chart_apply(c, u)) returns u and the identity lift for
+    # band-limited centers and sections of sup norm up to 0.4 rho
+    P = 64
+    if backend == "plane":
+        x = shapes.random_band_limited(P, seed=seed)
+    elif backend == "torus":
+        x = shapes.torus_geodesic(P, (1, 1), wiggle=0.05, seed=seed)
+    else:
+        x = random_sphere_curve(P, seed)
+    c = cc.make_chart(x)
+    rng = np.random.default_rng(seed)
+    th = fourier.nodes(P)
+    u = sum(rng.uniform(-1, 1) * np.cos(k * th + rng.uniform(0, 2 * np.pi)) for k in range(5))
+    u = cc.NormalSection(frac * c.rho * u[:, None] / np.max(np.abs(u)))
+    u2, sigma = cc.chart_invert(c, cc.chart_apply(c, u))
+    assert np.max(np.abs(u2.coeff - u.coeff)) <= 1e-10
+    assert np.max(np.abs(sigma.lift - th)) <= 1e-10

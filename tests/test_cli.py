@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import curvecharts as cc
-from curvecharts import shapes
+from curvecharts import shapes, solver
 from curvecharts.cli import main as cli_main
 
 
@@ -147,6 +148,21 @@ def test_minimize_chart_breakdown_exit_1_keeps_trace(tmp_path):
     trace = (tmp_path / "grow.json.trace.csv").read_text().strip().split("\n")
     assert trace[0] == "iter,f,grad_norm,step,recenter"
     assert len(trace) > 2
+    assert not out.exists()
+
+
+def test_minimize_line_search_failure_exit_5_keeps_trace(tmp_path, monkeypatch):
+    # an f that grows with every evaluation admits no Armijo step
+    counter = itertools.count()
+    monkeypatch.setattr(solver, "evaluate", lambda F, x: float(next(counter)))
+    out = tmp_path / "stuck.json"
+    r = run_cli("minimize", "--make", "perturbed-circle:amplitude=0.1,seed=0",
+                "--grid", "64", "--output", str(out))
+    assert r.returncode == 5
+    assert "no Armijo step" in r.stderr
+    trace = (tmp_path / "stuck.json.trace.csv").read_text().strip().split("\n")
+    assert trace[0] == "iter,f,grad_norm,step,recenter"
+    assert len(trace) == 2 and trace[1].startswith("0,0.0,")
     assert not out.exists()
 
 

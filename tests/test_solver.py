@@ -1,12 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvecharts as cc
-from curvecharts import fourier, shapes
+from curvecharts import fourier, shapes, solver
 from curvecharts.errors import (
     ChartBreakdownError,
+    LineSearchFailedError,
     NonMonotoneError,
     OutsideTubeError,
     ProjectionFailedError,
@@ -128,6 +131,17 @@ def test_minimize_recenter_failure_is_chart_breakdown():
     assert not trace.converged
     assert len(trace.records) > 1
     assert trace.records[-1].f < trace.records[0].f
+
+
+def test_minimize_line_search_failure_carries_trace(monkeypatch):
+    # an f that grows with every evaluation admits no Armijo step
+    counter = itertools.count()
+    monkeypatch.setattr(solver, "evaluate", lambda F, x: float(next(counter)))
+    with pytest.raises(LineSearchFailedError) as info:
+        cc.minimize(cc.parse_functional("length"), shapes.perturbed_circle(64, 0.1, seed=0))
+    trace = info.value.trace
+    assert not trace.converged
+    assert [(r.iter, r.f) for r in trace.records] == [(0, 0.0)]
 
 
 def test_minimize_result_critical_in_fresh_chart():

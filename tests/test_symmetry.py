@@ -95,7 +95,7 @@ def test_orbit_rank_circle(circle64):
     basis = cc.standard_killing_basis(circle64.space)
     rank, stab = cc.orbit_rank(c, basis)
     assert (rank, stab) == (2, 1)
-    assert rank + stab == basis.dim
+    assert rank + stab == len(basis)
 
 
 def test_orbit_rank_ellipse():
