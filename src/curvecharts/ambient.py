@@ -29,6 +29,22 @@ def _skew_basis(d: int) -> list[np.ndarray]:
     return [np.cross(e, eye).T for e in eye]
 
 
+def _rotate_about(v: np.ndarray, axis: np.ndarray, angle: np.ndarray) -> np.ndarray:
+    """Rodrigues rotation of v about unit axis by angle (vectorized)."""
+    c = np.cos(angle)[..., None]
+    s = np.sin(angle)[..., None]
+    return v * c + np.cross(axis, v) * s + axis * np.sum(axis * v, axis=-1, keepdims=True) * (1.0 - c)
+
+
+def _transport(t_prev: np.ndarray, t_cur: np.ndarray, nu_prev: np.ndarray) -> np.ndarray:
+    axis = np.cross(t_prev, t_cur)
+    na = np.linalg.norm(axis)
+    if na < 1e-14:
+        return nu_prev
+    angle = np.arctan2(na, np.dot(t_prev, t_cur))
+    return _rotate_about(nu_prev, axis / na, np.array(angle))
+
+
 class AmbientSpace:
     """Base class for the ambient manifold (N, g).
 
@@ -102,16 +118,33 @@ class AmbientSpace:
         """Winding vector of a closed curve; None where N is simply connected."""
         return None
 
-    def normal_frame(self, p: np.ndarray, T: np.ndarray) -> np.ndarray | None:
-        """Pointwise orthonormal normal frame (rank, n, coord_dim) along unit tangents T at p.
+    def normal_frame(self, p: np.ndarray, T: np.ndarray) -> np.ndarray:
+        """Orthonormal normal frame (rank, n, coord_dim) of a closed curve at p with unit tangents T.
 
-        None when the frame is not pointwise: in three dimensions it is
-        transported along the curve.
+        In the plane the rotated tangent; in three dimensions a
+        rotation-minimizing frame transported around the loop, its
+        holonomy distributed evenly over the nodes.
         """
-        if self.coord_dim != 2:
-            return None
-        # outward for counterclockwise curves
-        return np.stack([T[:, 1], -T[:, 0]], axis=1)[None, :, :]
+        if self.coord_dim == 2:
+            # outward for counterclockwise curves
+            return np.stack([T[:, 1], -T[:, 0]], axis=1)[None, :, :]
+        P = T.shape[0]
+        seed = np.eye(3)[np.argmin(np.abs(T[0]))]
+        nu0 = seed - np.dot(seed, T[0]) * T[0]
+        nu0 = nu0 / np.linalg.norm(nu0)
+        nus = np.empty((P, 3))
+        nus[0] = nu0
+        for i in range(P - 1):
+            nus[i + 1] = _transport(T[i], T[i + 1], nus[i])
+        closing = _transport(T[-1], T[0], nus[-1])
+        b0 = np.cross(T[0], nu0)
+        hol = np.arctan2(np.dot(closing, b0), np.dot(closing, nu0))
+        angles = -hol * np.arange(P) / P
+        nus = _rotate_about(nus, T, angles)
+        nus = nus - np.sum(nus * T, axis=1, keepdims=True) * T
+        nus = nus / np.linalg.norm(nus, axis=1, keepdims=True)
+        second = np.cross(T, nus)
+        return np.stack([nus, second], axis=0)
 
     def section_basis(self, T: np.ndarray, frame: np.ndarray) -> np.ndarray:
         """Per-node basis (dim, n, coord_dim) of T_x N along a curve: the coordinate axes."""

@@ -19,12 +19,13 @@ from scipy.optimize import brentq
 
 from . import fourier
 from .curve import (
+    MIN_SEPARATION,
     Embedding,
     Reparam,
     SectionField,
     curvature,
     derivative,
-    is_embedding,
+    is_immersion,
     reparam_inverse,
     separation,
 )
@@ -79,62 +80,15 @@ class Chart:
         return self.frame.shape[0]
 
 
-def _unit_tangents(x: Embedding) -> np.ndarray:
-    d = derivative(x).vecs
-    return d / np.linalg.norm(d, axis=1, keepdims=True)
-
-
-def _rotate_about(v: np.ndarray, axis: np.ndarray, angle: np.ndarray) -> np.ndarray:
-    """Rodrigues rotation of v about unit axis by angle (vectorized)."""
-    c = np.cos(angle)[..., None]
-    s = np.sin(angle)[..., None]
-    return v * c + np.cross(axis, v) * s + axis * np.sum(axis * v, axis=-1, keepdims=True) * (1.0 - c)
-
-
-def _build_frame(x: Embedding) -> np.ndarray:
-    T = _unit_tangents(x)
-    frame = x.space.normal_frame(x.pts, T)
-    if frame is not None:
-        return frame
-    # 3-d: rotation-minimizing frame around the loop, holonomy distributed
-    P = x.P
-    seed = np.eye(3)[np.argmin(np.abs(T[0]))]
-    nu0 = seed - np.dot(seed, T[0]) * T[0]
-    nu0 = nu0 / np.linalg.norm(nu0)
-    nus = np.empty((P, 3))
-    nus[0] = nu0
-    for i in range(P - 1):
-        nus[i + 1] = _transport(T[i], T[i + 1], nus[i])
-    closing = _transport(T[-1], T[0], nus[-1])
-    b0 = np.cross(T[0], nu0)
-    hol = np.arctan2(np.dot(closing, b0), np.dot(closing, nu0))
-    angles = -hol * np.arange(P) / P
-    nus = _rotate_about(nus, T, angles)
-    nus = nus - np.sum(nus * T, axis=1, keepdims=True) * T
-    nus = nus / np.linalg.norm(nus, axis=1, keepdims=True)
-    second = np.cross(T, nus)
-    return np.stack([nus, second], axis=0)
-
-
-def _transport(t_prev: np.ndarray, t_cur: np.ndarray, nu_prev: np.ndarray) -> np.ndarray:
-    axis = np.cross(t_prev, t_cur)
-    na = np.linalg.norm(axis)
-    if na < 1e-14:
-        return nu_prev
-    angle = np.arctan2(na, np.dot(t_prev, t_cur))
-    return _rotate_about(nu_prev, axis / na, np.array(angle))
-
-
 def reach_estimate(x: Embedding) -> float:
     """Validity radius for the normal-exponential tube around x.
 
     Combines a focal-distance term from the maximum curvature, a
     strand-separation term, and the ambient injectivity radius, each
-    with a conservative safety factor.  Returns 0 for self-intersecting
-    curves.
+    with a conservative safety factor.  Returns exactly 0 for curves
+    that are not embeddings (see `is_embedding`).
     """
-    sep = separation(x)
-    if sep <= 0.0:
+    if not is_immersion(x) or (sep := separation(x)) <= MIN_SEPARATION:
         return 0.0
     focal = x.space.focal_distance(float(np.max(np.abs(curvature(x)))))
     return float(min(0.9 * focal, 0.45 * sep, 0.9 * x.space.injectivity_radius))
@@ -142,10 +96,12 @@ def reach_estimate(x: Embedding) -> float:
 
 def make_chart(x: Embedding) -> Chart:
     """Build the quotient chart centered at the (band-limited) embedding x."""
-    if not is_embedding(x):
+    rho = reach_estimate(x)
+    if rho == 0.0:
         raise NotEmbeddingError("chart centers must be embeddings")
-    vectors = _build_frame(x)
-    T = _unit_tangents(x)
+    d = derivative(x).vecs
+    T = d / np.linalg.norm(d, axis=1, keepdims=True)
+    vectors = x.space.normal_frame(x.pts, T)
     for a in range(vectors.shape[0]):
         if np.max(np.abs(np.linalg.norm(vectors[a], axis=1) - 1.0)) > _FRAME_TOL:
             raise DegenerateFrameError("frame vectors not unit length")
@@ -154,9 +110,6 @@ def make_chart(x: Embedding) -> Chart:
         for b in range(a + 1, vectors.shape[0]):
             if np.max(np.abs(np.sum(vectors[a] * vectors[b], axis=1))) > _FRAME_TOL:
                 raise DegenerateFrameError("frame vectors not orthogonal")
-    rho = reach_estimate(x)
-    if rho <= 0.0:
-        raise NotEmbeddingError("vanishing reach estimate")
     return Chart(x, vectors, rho)
 
 

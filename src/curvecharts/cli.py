@@ -4,11 +4,11 @@ Subcommands: validate, roundtrip, minimize, spectrum, orbit.  Structured
 reports are JSON, traces and spectra are CSV.  Diagnostics go to stderr;
 stdout carries data only when no --output path is given.
 
-Exit codes: 0 success, 1 generic failure, 2 input parse failure,
-3 non-embedding input, 4 curve outside the chart tube, 5 iteration
-budget exhausted.  A minimize run that fails while iterating (a chart
-re-centering breakdown exits 1, a failed line search 5) still writes,
-given --output, the trace up to the failure.
+Exit codes: 0 success, 1 generic failure, 2 bad input (curve, flag value
+or functional string), 3 non-embedding input, 4 curve outside the chart
+tube, 5 iteration budget exhausted.  A minimize run that fails while
+iterating (a chart re-centering breakdown exits 1, a failed line search
+5) still writes, given --output, the trace up to the failure.
 """
 
 from __future__ import annotations
@@ -89,6 +89,14 @@ def _parse_make(text: str, grid: int | None, seed: int | None) -> Embedding:
         raise _InputError(f"generator {name!r}: {exc}") from exc
 
 
+def _parsed(make, *args, **kwargs):
+    """make(*args, **kwargs), with its ValueError reported as bad input."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
+
+
 def _load_file(path: str) -> Embedding:
     try:
         return load_curve(path)
@@ -132,13 +140,14 @@ def cmd_validate(args) -> int:
     x = _get_curve(args)
     sp = float(np.min(speeds(x)))
     sep = float(separation(x))
-    ok = is_embedding(x)
+    rho = reach_estimate(x)
+    ok = rho > 0.0
     report = {
         "embedding": ok,
         "min_speed": sp,
         # null separation: no admissible distinct-strand pair (convex curves)
         "separation": sep if np.isfinite(sep) else None,
-        "reach": float(reach_estimate(x)) if ok else 0.0,
+        "reach": rho,
     }
     _emit(_json_report(report), args.output)
     if not ok:
@@ -178,9 +187,9 @@ def _write_trace(output: str, trace):
 
 def cmd_minimize(args) -> int:
     x0 = _get_curve(args)
-    F = parse_functional(args.functional)
-    opts = SolveOptions(max_iter=args.max_iter, grad_tol=args.tol, newton=args.newton,
-                        newton_threshold=args.newton_threshold)
+    F = _parsed(parse_functional, args.functional)
+    opts = _parsed(SolveOptions, max_iter=args.max_iter, grad_tol=args.tol,
+                   newton=args.newton, newton_threshold=args.newton_threshold)
     try:
         c, u, trace = minimize(F, x0, opts)
     except CurveChartsError as exc:
@@ -215,7 +224,7 @@ def cmd_spectrum(args) -> int:
     if not is_embedding(x):
         print("curve is not an embedding", file=sys.stderr)
         return EXIT_NOT_EMBEDDING
-    F = parse_functional(args.functional)
+    F = _parsed(parse_functional, args.functional)
     vals = spectrum(F, make_chart(x), args.count)
     lines = ["index,eigenvalue"]
     lines += [f"{i},{float(v)!r}" for i, v in enumerate(vals)]

@@ -43,6 +43,13 @@ from .functionals import Functional, evaluate, grad_norm, gradient_in_chart, hes
 # slack for the monotone-trace invariant: re-centering re-represents the
 # curve with a truncated center, which may move f by roundoff
 TRACE_SLACK = 1e-12
+# chart centers keep the Fourier modes |k| <= P // CENTER_BAND_DIVISOR
+CENTER_BAND_DIVISOR = 4
+# the chart is re-centered once the section's sup norm passes this fraction of rho
+RECENTER_FRACTION = 0.5
+# Armijo sufficient-decrease constant and the first trial step
+ARMIJO_C = 1e-4
+STEP0 = 1.0
 
 
 def _nyquist_complement(P: int, rank: int) -> np.ndarray:
@@ -86,18 +93,11 @@ def _inner(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
 class SolveOptions:
     max_iter: int = 500
     grad_tol: float = 1e-8
-    recenter_fraction: float = 0.5
-    armijo_c: float = 1e-4
-    step0: float = 1.0
     newton: bool = False
     newton_threshold: float = 1e-3  # gradient norm below which Newton takes over
-    trunc_freq: int | None = None  # defaults to P // 4
 
     def __post_init__(self):
-        if not (0.0 < self.recenter_fraction < 1.0):
-            raise ValueError("recenter_fraction must lie in (0, 1)")
-        if min(self.max_iter, self.grad_tol, self.armijo_c, self.step0,
-               self.newton_threshold) <= 0:
+        if min(self.max_iter, self.grad_tol, self.newton_threshold) <= 0:
             raise ValueError("solver options must be positive")
 
 
@@ -138,30 +138,34 @@ def smooth_center(x: Embedding, trunc_freq: int) -> Embedding:
     return Embedding(z.space, pts, z.winding)
 
 
-def recenter(c: Chart, u: NormalSection, trunc_freq: int | None = None) -> Chart:
+def recenter(c: Chart, u: NormalSection) -> Chart:
     """New chart centered at the smoothed curve currently represented by u."""
     y = chart_apply(c, u)
-    kmax = trunc_freq if trunc_freq is not None else c.P // 4
-    center = smooth_center(y, kmax)
-    if not is_embedding(center):
-        raise ChartBreakdownError("re-centered curve is not an embedding")
-    return make_chart(center)
+    return make_chart(smooth_center(y, y.P // CENTER_BAND_DIVISOR))
 
 
-def _recenter_pair(c: Chart, u: NormalSection, trunc_freq: int | None):
-    """Chart at the smoothed current curve and the section representing it there.
+def _chart_at(y: Embedding) -> tuple[Chart, NormalSection]:
+    """Chart at the smoothed copy of y, and y's section there minus its Nyquist mode."""
+    c = make_chart(smooth_center(y, y.P // CENTER_BAND_DIVISOR))
+    u, _ = chart_invert(c, y)
+    return c, NormalSection(_drop_nyquist(u.coeff))
 
-    Any failure to build or invert into the new chart is raised as
-    ChartBreakdownError.
-    """
+
+def _recenter_pair(c: Chart, u: NormalSection) -> tuple[Chart, NormalSection]:
+    """`_chart_at` the curve u represents; failures raise ChartBreakdownError."""
     y = chart_apply(c, u)
     try:
-        c_new = recenter(c, u, trunc_freq)
-        u_new, _ = chart_invert(c_new, y)
-    except (ChartBreakdownError, OutsideTubeError, ProjectionFailedError,
+        return _chart_at(y)
+    except (NotEmbeddingError, OutsideTubeError, ProjectionFailedError,
             NonMonotoneError) as exc:
         raise ChartBreakdownError(f"re-centering failed: {exc}") from exc
-    return c_new, NormalSection(_drop_nyquist(u_new.coeff))
+
+
+def _reduced_hessian(F: Functional, c: Chart):
+    """Mass weights, Nyquist complement E and E^T Q E, E^T M E of the origin's Hessian."""
+    hp = hessian_in_chart(F, c)
+    E = _nyquist_complement(c.P, c.rank)
+    return hp.mass, E, E.T @ hp.Q @ E, E.T @ (hp.mass[:, None] * E)
 
 
 def newton_refine(F: Functional, c: Chart, u: NormalSection,
@@ -174,13 +178,9 @@ def newton_refine(F: Functional, c: Chart, u: NormalSection,
     all others inverted exactly.  Indefinite Hessians are handled, so
     saddle critical points can be refined as well as minima.
     """
-    if opts is None:
-        opts = SolveOptions()
+    opts = opts or SolveOptions()
     P, rank = c.P, c.rank
-    hp = hessian_in_chart(F, c)
-    E = _nyquist_complement(P, rank)
-    Qr = E.T @ hp.Q @ E
-    Mr = E.T @ (hp.mass[:, None] * E)
+    mass, E, Qr, Mr = _reduced_hessian(F, c)
     try:
         lam, V = scipy.linalg.eigh(Qr, Mr)
     except scipy.linalg.LinAlgError as exc:
@@ -194,7 +194,7 @@ def newton_refine(F: Functional, c: Chart, u: NormalSection,
         g = _filtered_gradient(F, c, current)
         if grad_norm(c, g) <= opts.grad_tol:
             return current
-        comp = V.T @ (E.T @ (hp.mass * g.coeff.ravel()))
+        comp = V.T @ (E.T @ (mass * g.coeff.ravel()))
         a = np.zeros_like(comp)
         a[live] = -comp[live] / lam[live]
         delta = E @ (V @ a)
@@ -223,23 +223,19 @@ def minimize(F: Functional, x0: Embedding, opts: SolveOptions | None = None
     re-centering raises ChartBreakdownError) carries the trace so far as
     its `trace`.
     """
-    if opts is None:
-        opts = SolveOptions()
+    opts = opts or SolveOptions()
     if not is_embedding(x0):
         raise NotEmbeddingError("starting curve is not an embedding")
-    kmax = opts.trunc_freq if opts.trunc_freq is not None else x0.P // 4
-    c = make_chart(smooth_center(x0, kmax))
-    u, _ = chart_invert(c, x0)
-    u = NormalSection(_drop_nyquist(u.coeff))
+    c, u = _chart_at(x0)
     trace = SolveTrace()
     try:
-        return _descend(F, c, u, opts, kmax, trace)
+        return _descend(F, c, u, opts, trace)
     except CurveChartsError as exc:
         exc.trace = trace
         raise
 
 
-def _descend(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions, kmax: int,
+def _descend(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions,
              trace: SolveTrace) -> tuple[Chart, NormalSection, SolveTrace]:
     """The iteration loop of `minimize`, recording into trace."""
     w = quadrature_weights(c.center)
@@ -267,7 +263,7 @@ def _descend(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions, kmax
             # approaches the critical shape
             failed = False
             for round_ in range(5):
-                c, u = _recenter_pair(c, u, kmax)
+                c, u = _recenter_pair(c, u)
                 w = quadrature_weights(c.center)
                 prev_u = prev_g = None
                 try:
@@ -299,7 +295,7 @@ def _descend(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions, kmax
         L = float(np.sum(w))
         d = fourier.sobolev_inverse(g.coeff, L, s)
         slope = _inner(w, g.coeff, d)
-        step = opts.step0
+        step = STEP0
         if prev_u is not None:
             du = u.coeff - prev_u
             dg = g.coeff - prev_g
@@ -314,7 +310,7 @@ def _descend(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions, kmax
             cand = NormalSection(u.coeff - step * d)
             if cand.sup_norm < c.rho:
                 f_cand = evaluate(F, chart_apply(c, cand))
-                if f_cand <= f - opts.armijo_c * step * slope + slack:
+                if f_cand <= f - ARMIJO_C * step * slope + slack:
                     accepted = cand
                     break
             step *= 0.5
@@ -323,8 +319,8 @@ def _descend(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions, kmax
         prev_u, prev_g = u.coeff, g.coeff
         u = accepted
         last_step = step
-        if u.sup_norm > opts.recenter_fraction * c.rho:
-            c, u = _recenter_pair(c, u, kmax)
+        if u.sup_norm > RECENTER_FRACTION * c.rho:
+            c, u = _recenter_pair(c, u)
             w = quadrature_weights(c.center)
             prev_u = prev_g = None
             did_recenter = True
@@ -336,10 +332,7 @@ def spectrum(F: Functional, c: Chart, k: int) -> np.ndarray:
     """k smallest generalized eigenvalues of the chart second variation."""
     if k <= 0:
         return np.empty(0)
-    hp = hessian_in_chart(F, c)
-    E = _nyquist_complement(c.P, c.rank)
-    Qr = E.T @ hp.Q @ E
-    Mr = E.T @ (hp.mass[:, None] * E)
+    _, _, Qr, Mr = _reduced_hessian(F, c)
     k = min(k, Qr.shape[0])
     vals = scipy.linalg.eigh(Qr, Mr, subset_by_index=[0, k - 1], eigvals_only=True)
     return np.asarray(vals)

@@ -130,3 +130,24 @@ def test_no_backend_branches_outside_ambient():
             line = text.count("\n", 0, m.start()) + 1
             hits.append(f"{path.name}:{line}")
     assert hits == []
+
+
+@pytest.mark.parametrize(
+    "space", [Euclidean(2), Euclidean(3), FlatTorus(2), FlatTorus(3), Sphere2()], ids=repr)
+def test_normal_frame_is_orthonormal_and_normal(space):
+    # every backend returns the frame itself; in 3-d it is transported along the loop
+    th = fourier.nodes(48)
+    pts = np.stack([np.cos(th), np.sin(th), 0.3 * np.sin(2 * th)], axis=1)[:, :space.coord_dim]
+    pts = space.retract(0.3 * pts + 0.5)
+    d = space.project_tangent(pts, fourier.diff(pts))
+    T = d / np.linalg.norm(d, axis=1, keepdims=True)
+    frame = space.normal_frame(pts, T)
+    rank = space.dim - 1
+    assert isinstance(frame, np.ndarray) and frame.shape == (rank, 48, space.coord_dim)
+    assert np.all(np.isfinite(frame))
+    np.testing.assert_allclose(np.einsum("aid,id->ai", frame, T), 0.0, atol=1e-12)
+    np.testing.assert_allclose(space.project_tangent(pts, frame), frame, atol=1e-12)
+    gram = np.einsum("aid,bid->iab", frame, frame)
+    np.testing.assert_allclose(gram, np.broadcast_to(np.eye(rank), gram.shape), atol=1e-12)
+    for name in ("_build_frame", "_transport", "_rotate_about"):
+        assert not hasattr(cc.charts, name)

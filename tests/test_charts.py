@@ -4,10 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvecharts as cc
-from curvecharts import shapes
+from curvecharts import charts, curve, shapes, solver
 from curvecharts.charts import _nearest_crossing
 from curvecharts.curve import interp_curve
-from curvecharts.errors import NotEmbeddingError, OutsideDomainError, OutsideTubeError
+from curvecharts.errors import (
+    ChartBreakdownError,
+    NotEmbeddingError,
+    OutsideDomainError,
+    OutsideTubeError,
+)
 from curvecharts.solver import smooth_center
 import curvecharts.fourier as fourier
 from test_functionals import random_sphere_curve
@@ -282,3 +287,52 @@ def test_chart_round_trip_property(backend, seed, frac):
     u2, sigma = cc.chart_invert(c, cc.chart_apply(c, u))
     assert np.max(np.abs(u2.coeff - u.coeff)) <= 1e-10
     assert np.max(np.abs(sigma.lift - th)) <= 1e-10
+
+
+def _cusp():
+    # cardioid-style curve with a zero-speed point, as in test_curve
+    th = cc.GridCircle(64).nodes
+    pts = np.stack([(1 + np.cos(th)) * np.cos(th), (1 + np.cos(th)) * np.sin(th)], axis=1)
+    return cc.Embedding(cc.Euclidean(2), pts)
+
+
+def _astroid():
+    th = cc.GridCircle(64).nodes
+    return cc.Embedding(cc.Euclidean(2), np.stack([np.cos(th) ** 3, np.sin(th) ** 3], axis=1))
+
+
+@pytest.mark.parametrize("make, embedded", [
+    (lambda: shapes.circle(64), True),
+    (lambda: shapes.great_circle(96), True),
+    (lambda: shapes.torus_geodesic(64, (1, 0)), True),
+    (lambda: shapes.lemniscate(128), False),
+    (_cusp, False),
+    (_astroid, False),
+], ids=["circle64", "great_circle96", "torus_geo64", "lemniscate128", "cusp", "astroid"])
+def test_reach_estimate_is_exactly_zero_on_non_embeddings(make, embedded):
+    x = make()
+    assert cc.is_embedding(x) is embedded
+    assert (cc.reach_estimate(x) == 0.0) is not embedded
+
+
+def test_chart_and_recentering_compute_separation_once(monkeypatch, circle64):
+    calls = []
+
+    def counted(x, *args, **kwargs):
+        calls.append(x)
+        return cc.separation(x, *args, **kwargs)
+
+    monkeypatch.setattr(curve, "separation", counted)
+    monkeypatch.setattr(charts, "separation", counted)
+    c = cc.make_chart(circle64)
+    assert len(calls) == 1
+    solver._recenter_pair(c, cc.NormalSection(np.full((64, 1), 0.1)))
+    assert len(calls) == 2
+
+
+def test_recentering_onto_non_embedding_is_chart_breakdown(monkeypatch, circle64):
+    monkeypatch.setattr(solver, "smooth_center", lambda y, k: shapes.lemniscate(128))
+    c = cc.make_chart(circle64)
+    with pytest.raises(ChartBreakdownError) as info:
+        solver._recenter_pair(c, cc.NormalSection.zero(64, 1))
+    assert isinstance(info.value.__cause__, NotEmbeddingError)

@@ -244,3 +244,18 @@ def test_four_dimensional_ambient_exit_2(tmp_path, command):
     p.write_text(json.dumps(data))
     r = run_cli(command, "--curve", str(p))
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["minimize", "--functional", "foo"],
+    ["spectrum", "--functional", "foo"],
+    ["minimize", "--max-iter", "0"],
+    ["minimize", "--tol", "-1"],
+    ["minimize", "--newton-threshold", "0"],
+], ids=["minimize-functional", "spectrum-functional", "max-iter-0", "tol-negative",
+        "newton-threshold-0"])
+def test_bad_flag_values_exit_2_with_one_line(argv):
+    r = run_cli(*argv, "--make", "circle", "--grid", "32")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1

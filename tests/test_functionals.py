@@ -275,3 +275,37 @@ def test_sphere_bend_gradient_rotation_equivariance_property(seed, rot_seed, sca
     gx = cc.gradient_in_chart(F, cc.make_chart(x), u).coeff
     gy = cc.gradient_in_chart(F, cc.make_chart(y), u).coeff
     assert np.max(np.abs(gy - gx)) <= 1e-9 * np.max(np.abs(gx))
+
+
+def _move(backend, x, rng):
+    """x moved by a random isometry: plane rigid motion, torus translation, S^2 rotation."""
+    if backend == "plane":
+        a = rng.uniform(0.0, 2.0 * np.pi)
+        R = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+        return cc.Embedding(x.space, x.pts @ R.T + rng.uniform(-2.0, 2.0, 2))
+    if backend == "torus":
+        return cc.Embedding(x.space, x.pts + rng.uniform(0.0, 1.0, 2), x.winding)
+    return cc.Embedding(x.space, x.pts @ random_rotation(int(rng.integers(2**32))).T)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(["plane", "torus", "sphere"]), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 0.3))
+def test_length_gradient_isometry_equivariance_property(backend, seed, frac):
+    # isometries carry the chart frame along, so the chart coefficients of
+    # the length gradient do not change
+    P = 64
+    if backend == "plane":
+        x = shapes.random_band_limited(P, seed=seed)
+    elif backend == "torus":
+        x = shapes.torus_geodesic(P, (1, 1), wiggle=0.05, seed=seed)
+    else:
+        x = random_sphere_curve(P, seed)
+    rng = np.random.default_rng(seed)
+    c = cc.make_chart(x)
+    v = fourier.truncate(rng.standard_normal((P, 1)), 4)
+    u = cc.NormalSection(frac * c.rho * v / np.max(np.abs(v)))
+    F = cc.parse_functional("length")
+    gx = cc.gradient_in_chart(F, c, u).coeff
+    gy = cc.gradient_in_chart(F, cc.make_chart(_move(backend, x, rng)), u).coeff
+    assert np.max(np.abs(gy - gx)) <= 1e-10 * np.max(np.abs(gx))

@@ -1,0 +1,240 @@
+"""Record a checkout's outputs on the benchmark inputs, and compare two records.
+
+    python tools/compare_outputs.py dump OUT [--seeds 1 2]
+    python tools/compare_outputs.py compare A B
+
+`dump` runs in the checkout given by the working directory: it imports
+that checkout's `src/curvecharts` and `perfbench/workloads.py` (read
+only) and runs every operation of the four benchmark workloads for each
+seed.  It records, as JSON in OUT:
+
+- each operation's status and oracle info (timings left out);
+- for each `minimize` the workloads call: the trace CSV, the final
+  center, frame, rho and section (or the error and its trace);
+- for each `make_chart`, `chart_invert`, `transition`, `spectrum` and
+  `orbit_rank` the workloads call: their results (or the error);
+- `make_chart` frames and rho of 3-d curves on Euclidean(3) and
+  FlatTorus(3), moved by the seed;
+- the exit code, stdout, stderr and written files of each `cli`
+  operation, plus a few `validate` runs on non-embeddings.
+
+`compare` prints equal/total per record kind and exits 1 if any record
+differs or exists in one file only.  Records are compared as JSON text,
+so floats must agree to the last bit.  Use it to check that a
+refactoring leaves outputs unchanged: dump the parent commit's checkout
+and the changed one, then compare.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+
+import numpy as np
+
+ROOT = os.getcwd()
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+import curvecharts as cc  # noqa: E402
+import workloads  # noqa: E402
+
+# extra cli runs: validate reports of non-embeddings and of a torus curve
+EXTRA_CLI = [["validate", "--make", "lemniscate"],
+             ["validate", "--make", "lemniscate", "--grid", "64"],
+             ["validate", "--make", "torus-geodesic:wx=1,wy=1"],
+             ["orbit", "--make", "lemniscate"]]
+
+
+def _plain(obj):
+    """JSON-ready copy: arrays to nested lists, numpy scalars to Python ones."""
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _plain(obj.tolist())
+    if isinstance(obj, np.generic):
+        return obj.item()
+    return obj
+
+
+def _error(exc: Exception) -> dict:
+    trace = getattr(exc, "trace", None)
+    return {"error": type(exc).__name__, "message": str(exc),
+            "trace": trace.to_csv() if trace is not None else None}
+
+
+def _chart(c) -> dict:
+    return {"center": c.center.pts, "frame": c.frame, "rho": c.rho}
+
+
+# what to record of each library call the workloads make
+RESULTS = {
+    "make_chart": _chart,
+    "chart_invert": lambda r: {"section": r[0].coeff, "lift": r[1].lift},
+    "transition": lambda r: {"section": r[0].coeff, "lift": r[1].lift},
+    "spectrum": lambda r: {"values": r},
+    "orbit_rank": lambda r: {"rank": r},
+    "minimize": lambda r: {"trace": r[2].to_csv(), "converged": r[2].converged,
+                           "section": r[1].coeff, **_chart(r[0])},
+}
+
+
+class Recorder:
+    def __init__(self):
+        self.records: dict[str, dict] = {}
+        self.prefix = ""
+        self._seen: Counter = Counter()
+
+    def add(self, kind: str, value):
+        n = self._seen[(self.prefix, kind)]
+        self._seen[(self.prefix, kind)] += 1
+        self.records[f"{self.prefix}/{kind}#{n}"] = {"kind": kind, "value": _plain(value)}
+
+    @contextlib.contextmanager
+    def watching(self):
+        """Record the results of the library calls the workloads make through `cc`."""
+        saved = {name: getattr(cc, name) for name in RESULTS}
+
+        def wrap(name, fn):
+            def recorded(*args, **kwargs):
+                try:
+                    result = fn(*args, **kwargs)
+                except cc.CurveChartsError as exc:
+                    self.add(name, _error(exc))
+                    raise
+                self.add(name, RESULTS[name](result))
+                return result
+            return recorded
+
+        for name, fn in saved.items():
+            setattr(cc, name, wrap(name, fn))
+        try:
+            yield
+        finally:
+            for name, fn in saved.items():
+                setattr(cc, name, fn)
+
+
+def _status(rec: Recorder, op):
+    try:
+        status, info = op.run(False)
+    except Exception as exc:  # the worker counts these as failed operations
+        rec.add("status", _error(exc))
+        return
+    rec.add("status", {"status": status, "expect": op.expect,
+                       "info": {k: v for k, v in info.items() if k not in ("wall_s", "child")}})
+
+
+def _files(workdir: str) -> dict[str, bytes]:
+    out = {}
+    for name in sorted(os.listdir(workdir)):
+        path = os.path.join(workdir, name)
+        if os.path.isfile(path):
+            with open(path, "rb") as fh:
+                out[name] = fh.read()
+    return out
+
+
+def _cli(rec: Recorder, argv: list[str], workdir: str):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    before = _files(workdir)
+    proc = subprocess.run([sys.executable, "-m", "curvecharts.cli"] + argv, capture_output=True,
+                          text=True, timeout=300, env=env, cwd=workdir)
+    after = _files(workdir)
+    written = {k: v.decode() for k, v in after.items() if before.get(k) != v}
+    rec.add("cli", {"argv": [a.replace(workdir, "<workdir>") for a in argv],
+                    "exit": proc.returncode,
+                    "stdout": proc.stdout.replace(workdir, "<workdir>"),
+                    "stderr": proc.stderr.replace(workdir, "<workdir>"),
+                    "files": {k: v.replace(workdir, "<workdir>") for k, v in written.items()}})
+    return proc
+
+
+def _frames_3d(rec: Recorder, seed: int):
+    rng = np.random.default_rng(seed)
+    for P in (64, 128):
+        th = cc.fourier.nodes(P)
+        trefoil = np.stack([np.sin(th) + 2 * np.sin(2 * th), np.cos(th) - 2 * np.cos(2 * th),
+                            -np.sin(3 * th)], axis=1)
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        rec.prefix = f"frames3d/seed{seed}/euclidean-trefoil-P{P}"
+        rec.add("make_chart", _chart(cc.make_chart(
+            cc.Embedding(cc.Euclidean(3), trefoil @ q.T + rng.uniform(-1, 1, 3)))))
+        wiggle = 0.05 * np.stack([np.sin(2 * th), np.cos(3 * th), np.sin(th + 1.0)], axis=1)
+        w = np.array([1, 1, 0])
+        pts = th[:, None] / (2 * np.pi) * w + wiggle + rng.uniform(0, 1, 3)
+        rec.prefix = f"frames3d/seed{seed}/torus-P{P}"
+        rec.add("make_chart", _chart(cc.make_chart(cc.Embedding(cc.FlatTorus(3), pts, w))))
+
+
+def dump(out: str, seeds: list[int]):
+    rec = Recorder()
+    with tempfile.TemporaryDirectory() as workdir:
+        for seed in seeds:
+            for name, build in workloads.BUILDERS.items():
+                wdir = os.path.join(workdir, f"{name}-{seed}")
+                wl = build(seed, wdir)
+                for i, op in enumerate(wl.ops):
+                    rec.prefix = f"{name}/seed{seed}/{i}-{op.name}"
+                    if name != "cli":
+                        with rec.watching():
+                            _status(rec, op)
+                        continue
+                    argv, check, _ = op.run.args
+                    proc = _cli(rec, argv, wdir)
+                    ok = proc.returncode == 0 and check(proc)
+                    rec.add("status", {"status": "ok" if ok else "failed", "expect": op.expect})
+            _frames_3d(rec, seed)
+        for i, argv in enumerate(EXTRA_CLI):
+            rec.prefix = f"cli-extra/{i}"
+            _cli(rec, argv, workdir)
+    with open(out, "w") as fh:
+        json.dump(rec.records, fh)
+    print(f"{len(rec.records)} records written to {out}")
+
+
+def compare(a: str, b: str) -> int:
+    with open(a) as fh:
+        ra = json.load(fh)
+    with open(b) as fh:
+        rb = json.load(fh)
+    equal, total = Counter(), Counter()
+    for key in sorted(set(ra) | set(rb)):
+        kind = (ra.get(key) or rb.get(key))["kind"]
+        total[kind] += 1
+        if key in ra and key in rb and json.dumps(ra[key]) == json.dumps(rb[key]):
+            equal[kind] += 1
+        else:
+            print(f"differs: {key}" + ("" if key in ra and key in rb else " (in one file only)"))
+    for kind in sorted(total):
+        print(f"{kind}: {equal[kind]}/{total[kind]} equal")
+    print(f"all: {sum(equal.values())}/{sum(total.values())} equal")
+    return 0 if equal == total else 1
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("dump", help="record the outputs of the checkout in the working directory")
+    p.add_argument("out")
+    p.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    p = sub.add_parser("compare", help="compare two records; exit 1 on any difference")
+    p.add_argument("a")
+    p.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.command == "dump":
+        dump(args.out, args.seeds)
+        return 0
+    return compare(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
