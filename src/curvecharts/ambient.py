@@ -72,7 +72,7 @@ class AmbientSpace:
 
     def inner(self, p: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Metric g_p(v, w); induced dot product for every backend."""
-        return np.sum(np.asarray(v) * np.asarray(w), axis=-1)
+        return np.einsum("...d,...d->...", v, w)
 
     def norm(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.sqrt(self.inner(p, v, v))

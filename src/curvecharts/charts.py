@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+# unused: perfbench/tracer.py wraps this name until ROADMAP item 1 drops scipy.optimize
+from scipy.optimize import brentq  # noqa: F401
 
 from . import fourier
 from .curve import (
@@ -23,6 +24,7 @@ from .curve import (
     Embedding,
     Reparam,
     SectionField,
+    _illinois,
     curvature,
     derivative,
     is_immersion,
@@ -40,6 +42,8 @@ from .errors import (
 )
 
 _FRAME_TOL = 1e-10
+# nodes per block of chart_invert's dense fiber search
+_BLOCK_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -88,7 +92,12 @@ def reach_estimate(x: Embedding) -> float:
     with a conservative safety factor.  Returns exactly 0 for curves
     that are not embeddings (see `is_embedding`).
     """
-    if not is_immersion(x) or (sep := separation(x)) <= MIN_SEPARATION:
+    return _reach(x, separation(x))
+
+
+def _reach(x: Embedding, sep: float) -> float:
+    """reach_estimate of x, given its separation."""
+    if not is_immersion(x) or sep <= MIN_SEPARATION:
         return 0.0
     focal = x.space.focal_distance(float(np.max(np.abs(curvature(x)))))
     return float(min(0.9 * focal, 0.45 * sep, 0.9 * x.space.injectivity_radius))
@@ -150,8 +159,11 @@ def chart_invert(c: Chart, y: Embedding) -> tuple[NormalSection, Reparam]:
     """Normal section and fiber reparameterization of a curve inside the tube.
 
     For each node i the returned lift value s_i solves
-    <log(x(theta_i), Y(s_i)), x'(theta_i)> = 0 with Y the interpolated
-    curve, and u_i holds the frame coefficients of that logarithm.
+    g_i(s) = <log(x(theta_i), Y(s)), x'(theta_i)> = 0 with Y the
+    interpolated curve, and u_i holds the frame coefficients of that
+    logarithm.  Each root is bracketed by the sign change of g_i on 4P
+    samples of Y that lies nearest x(theta_i) within the tube, and all
+    nodes are refined together by `curve._illinois`.
     """
     if y.space != c.center.space:
         raise ValueError("curve and chart live in different ambient spaces")
@@ -159,58 +171,47 @@ def chart_invert(c: Chart, y: Embedding) -> tuple[NormalSection, Reparam]:
     space = x.space
     P = x.P
     dvec = derivative(x).vecs
-    h = 2.0 * np.pi / P
-
     yc = fourier.coeffs(y.periodic_part())
-    drift = y.drift
 
-    def Y(s) -> np.ndarray:
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        return space.retract(fourier.interp_coeffs(yc, y.P, s) + s[:, None] * drift)
+    def Y(s: np.ndarray) -> np.ndarray:
+        return space.retract(fourier.interp_coeffs(yc, y.P, s) + s[:, None] * y.drift)
 
-    def g(i: int, s: float) -> float:
-        pt = Y(s)[0]
+    def fiber(i: np.ndarray, pts: np.ndarray) -> np.ndarray:
         try:
-            l = space.log(x.pts[i], pt)
+            l = space.log(x.pts[i], pts)
         except CutLocusError as exc:
             raise ProjectionFailedError("fiber search strayed past the cut locus") from exc
-        return float(np.dot(l, dvec[i]))
+        return space.inner(x.pts[i], l, dvec[i])
 
-    # node 0: coarse global search over 4P samples inside the tube
-    dense = np.linspace(0.0, 2.0 * np.pi, 4 * P, endpoint=False)
-    ypts = Y(dense)
-    dists = space.dist(np.broadcast_to(x.pts[0], ypts.shape), ypts)
-    mask = dists < c.rho
-    if not np.any(mask):
-        raise OutsideTubeError("no interpolated point of y lies within rho of the chart center")
-    gvals = np.full(4 * P, np.nan)
-    idx = np.where(mask)[0]
-    logs = space.log(np.broadcast_to(x.pts[0], (idx.size, space.coord_dim)), ypts[idx])
-    gvals[idx] = logs @ dvec[0]
-    k = _nearest_crossing(gvals, dists)
-    if k is None:
-        raise OutsideTubeError("no fiber crossing found within the tube at node 0")
-    hi = dense[k + 1] if k + 1 < 4 * P else 2.0 * np.pi
+    dense = np.linspace(0.0, 2.0 * np.pi, 4 * P + 1)
+    ypts = Y(dense[:-1])
+    k, glo, ghi = np.empty(P, dtype=int), np.empty(P), np.empty(P)
+    to_nodes = np.full(4 * P, np.inf)  # distance of each sample to the nearest node
+    for i0 in range(0, P, _BLOCK_NODES):
+        rows = np.arange(i0, min(i0 + _BLOCK_NODES, P))
+        dists = space.pairwise_dist(x.pts[rows], ypts)
+        to_nodes = np.minimum(to_nodes, np.min(dists, axis=0))
+        gvals = np.full(dists.shape, np.nan)
+        r, j = np.nonzero(dists < c.rho)
+        gvals[r, j] = fiber(rows[r], ypts[j])
+        k[rows] = _nearest_crossing(gvals, dists)
+        row = np.arange(rows.size)
+        glo[rows], ghi[rows] = gvals[row, k[rows]], gvals[row, (k[rows] + 1) % (4 * P)]
+    if np.any(k < 0):
+        # distinguish a genuine tube violation from a projection failure
+        if np.max(to_nodes) > c.rho:
+            raise OutsideTubeError("curve leaves the tube of radius rho around the chart center")
+        raise ProjectionFailedError("fiber projection found no nearby crossing")
 
-    s = np.empty(P)
-    s[0] = _solve(lambda t: g(0, t), dense[k], hi)
-    for i in range(1, P):
-        guess = s[i - 1] + h
-        try:
-            s[i] = _continue_root(lambda t: g(i, t), guess, h)
-        except ProjectionFailedError:
-            # distinguish a genuine tube violation from a projection failure
-            if np.min(space.pairwise_dist(x.pts, ypts), axis=0).max() > c.rho:
-                raise OutsideTubeError(
-                    "curve leaves the tube of radius rho around the chart center")
-            raise
-
-    # a lift is defined modulo 2 pi; pin the branch starting near node 0
+    lo, hi = dense[k], dense[k + 1]
+    # a bracket end with g = 0 is the root itself, and _illinois keeps it
+    s = _illinois(lambda i, t: fiber(i, Y(t)), lo, hi, glo, ghi,
+                  np.where(np.abs(glo) < np.abs(ghi), lo, hi))
+    # a lift is defined modulo 2 pi: unwrap it from node 0, then pin the branch near node 0
+    s = np.unwrap(s)
     s -= 2.0 * np.pi * np.round(s[0] / (2.0 * np.pi))
-    pts = Y(s)
-    logs = space.log(x.pts, pts)
-    norms = space.norm(x.pts, logs)
-    if np.max(norms) >= c.rho:
+    logs = space.log(x.pts, Y(s))
+    if np.max(space.norm(x.pts, logs)) >= c.rho:
         raise OutsideTubeError("projected section exceeds the chart radius")
     coeff = np.einsum("aid,id->ia", c.frame, logs)
     try:
@@ -220,53 +221,16 @@ def chart_invert(c: Chart, y: Embedding) -> tuple[NormalSection, Reparam]:
     return NormalSection(coeff), sigma
 
 
-def _nearest_crossing(gvals: np.ndarray, dists: np.ndarray) -> int | None:
-    """Start k of the cyclic sample interval [k, k+1] nearest the center on
-    which gvals changes sign; NaN marks samples outside the tube.
+def _nearest_crossing(gvals: np.ndarray, dists: np.ndarray) -> np.ndarray:
+    """Per row (last axis), start k of the cyclic sample interval [k, k+1]
+    nearest the center on which gvals changes sign; NaN marks samples outside the tube.
 
     Nearest means the smallest min(dists[k], dists[k+1]), the first k on
-    ties; None when no interval has a sign change.
+    ties; -1 where no interval has a sign change.
     """
-    crossing = gvals * np.roll(gvals, -1) <= 0.0  # False next to a NaN
-    if not np.any(crossing):
-        return None
-    return int(np.argmin(np.where(crossing, np.minimum(dists, np.roll(dists, -1)), np.inf)))
-
-
-def _solve(f, lo: float, hi: float) -> float:
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        # an endpoint sitting on the root can flip sign by roundoff
-        if min(abs(flo), abs(fhi)) < 1e-12:
-            return lo if abs(flo) < abs(fhi) else hi
-        raise ProjectionFailedError("fiber bracket lost its sign change")
-    return brentq(f, lo, hi, xtol=1e-14, rtol=4 * np.finfo(float).eps, maxiter=100)
-
-
-def _continue_root(f, guess: float, h: float) -> float:
-    """Root near the continuation guess: expanding bracket, then local scan."""
-    delta = 0.75 * h
-    for _ in range(4):
-        lo, hi = guess - delta, guess + delta
-        flo, fhi = f(lo), f(hi)
-        if flo == 0.0:
-            return lo
-        if fhi == 0.0:
-            return hi
-        if flo * fhi < 0.0:
-            return _solve(f, lo, hi)
-        delta *= 1.6
-    scan = np.linspace(guess - 2.5 * h, guess + 2.5 * h, 64)
-    vals = np.array([f(t) for t in scan])
-    sign_change = np.where(vals[:-1] * vals[1:] <= 0.0)[0]
-    if sign_change.size == 0:
-        raise ProjectionFailedError("fiber projection found no nearby crossing")
-    k = sign_change[np.argmin(np.abs(scan[sign_change] - guess))]
-    return _solve(f, scan[k], scan[k + 1])
+    crossing = gvals * np.roll(gvals, -1, axis=-1) <= 0.0  # False next to a NaN
+    score = np.where(crossing, np.minimum(dists, np.roll(dists, -1, axis=-1)), np.inf)
+    return np.where(np.any(crossing, axis=-1), np.argmin(score, axis=-1), -1)
 
 
 def transition(c1: Chart, c2: Chart, u: NormalSection) -> tuple[NormalSection, Reparam]:

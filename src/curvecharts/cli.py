@@ -21,8 +21,8 @@ import numpy as np
 
 from . import shapes
 from .ambient import AmbientSpace
-from .charts import chart_apply, chart_invert, make_chart, reach_estimate
-from .curve import Embedding, image_distance, is_embedding, separation, speeds
+from .charts import _reach, chart_apply, chart_invert, make_chart
+from .curve import Embedding, image_distance, separation, speeds
 from .errors import (
     CurveChartsError,
     LineSearchFailedError,
@@ -140,7 +140,7 @@ def cmd_validate(args) -> int:
     x = _get_curve(args)
     sp = float(np.min(speeds(x)))
     sep = float(separation(x))
-    rho = reach_estimate(x)
+    rho = _reach(x, sep)
     ok = rho > 0.0
     report = {
         "embedding": ok,
@@ -156,15 +156,20 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _chart(x: Embedding, what: str):
+    """make_chart(x); a non-embedding is reported as `what` (exit 3)."""
+    try:
+        return make_chart(x)
+    except NotEmbeddingError as exc:
+        raise NotEmbeddingError(f"{what} is not an embedding") from exc
+
+
 def cmd_roundtrip(args) -> int:
     if args.center is None:
         raise _InputError("roundtrip needs --center")
     center = _get_curve(args, "center")
     target = _get_curve(args)
-    if not is_embedding(center):
-        print("chart center is not an embedding", file=sys.stderr)
-        return EXIT_NOT_EMBEDDING
-    c = make_chart(center)
+    c = _chart(center, "chart center")
     u, h = chart_invert(c, target)
     rebuilt = chart_apply(c, u)
     dist = image_distance(target, rebuilt)
@@ -220,12 +225,9 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    x = _get_curve(args)
-    if not is_embedding(x):
-        print("curve is not an embedding", file=sys.stderr)
-        return EXIT_NOT_EMBEDDING
+    c = _chart(_get_curve(args), "curve")
     F = _parsed(parse_functional, args.functional)
-    vals = spectrum(F, make_chart(x), args.count)
+    vals = spectrum(F, c, args.count)
     lines = ["index,eigenvalue"]
     lines += [f"{i},{float(v)!r}" for i, v in enumerate(vals)]
     _emit("\n".join(lines) + "\n", args.output)
@@ -234,10 +236,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_orbit(args) -> int:
     x = _get_curve(args)
-    if not is_embedding(x):
-        print("curve is not an embedding", file=sys.stderr)
-        return EXIT_NOT_EMBEDDING
-    c = make_chart(x)
+    c = _chart(x, "curve")
     basis = standard_killing_basis(x.space)
     rank, stab = orbit_rank(c, basis)
     report = {

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
+# unused: perfbench/tracer.py wraps this name until ROADMAP item 1 drops scipy.optimize
+from scipy.optimize import brentq  # noqa: F401
 
 from . import fourier
 from .ambient import AmbientSpace
@@ -21,6 +22,10 @@ from .errors import CutLocusError, NonMonotoneError
 
 MIN_SPEED = 1e-8
 MIN_SEPARATION = 1e-8
+# `separation` skips node pairs fewer than this many indices apart
+MIN_GAP = 4
+# `image_distance` probes each curve at this many points per node of the finer one
+PROBES_PER_NODE = 8
 
 
 @dataclass(frozen=True)
@@ -142,24 +147,8 @@ class Reparam:
 
 def reparam_inverse(phi: Reparam) -> Reparam:
     """Inverse circle diffeomorphism, sampled on the same grid."""
-    P = phi.P
-    theta = fourier.nodes(P)
-    # generous bracket: the trig interpolant can overshoot node values
-    bound = 4.0 * float(np.max(np.abs(phi.lift - theta))) + 1e-6
-    out = np.empty(P)
-    for j, target in enumerate(theta):
-        f = lambda t: float(phi(t)[0]) - target
-        b = bound
-        for _ in range(4):
-            try:
-                out[j] = brentq(f, target - b, target + b, xtol=1e-14,
-                                rtol=4 * np.finfo(float).eps)
-                break
-            except ValueError:
-                b *= 4.0
-        else:
-            raise NonMonotoneError("could not bracket the inverse reparameterization")
-    return Reparam(out)
+    theta = fourier.nodes(phi.P)
+    return Reparam(_invert_monotone(1.0, fourier.coeffs(phi.lift - theta), theta))
 
 
 def reparam_compose(outer: Reparam, inner: Reparam) -> Reparam:
@@ -167,24 +156,10 @@ def reparam_compose(outer: Reparam, inner: Reparam) -> Reparam:
     return Reparam(outer(inner.lift))
 
 
-def interp_curve(x: Embedding, t, order: int = 0) -> np.ndarray:
-    """Evaluate the band-limited curve (order=0) or its theta-derivative (order=1) at t.
-
-    Values are retracted onto N.  Where coordinates are extrinsic (the
-    sphere in R^3), the derivative is projected to the tangent spaces at
-    the interpolated points.  Torus results are lift coordinates.
-    """
+def interp_curve(x: Embedding, t) -> np.ndarray:
+    """The band-limited curve at t, retracted onto N; torus results are lift coordinates."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    per = x.periodic_part()
-    vals = fourier.interp(per, t, order=order)
-    if order == 0:
-        return x.space.retract(vals + t[:, None] * x.drift)
-    if order == 1:
-        vals = vals + x.drift
-    if x.space.coord_dim == x.space.dim:
-        # intrinsic coordinates: every vector is tangent
-        return vals
-    return x.space.project_tangent(interp_curve(x, t), vals)
+    return x.space.retract(fourier.interp(x.periodic_part(), t) + t[:, None] * x.drift)
 
 
 def derivative(x: Embedding) -> SectionField:
@@ -218,10 +193,10 @@ def curvature(x: Embedding) -> np.ndarray:
     return x.space.curvature(x.pts, fourier.diff(per, 1) + x.drift, fourier.diff(per, 2))
 
 
-def separation(x: Embedding, min_gap: int = 4) -> float:
+def separation(x: Embedding) -> float:
     """Smallest distance between genuinely distinct strands of the curve.
 
-    Node pairs closer than min_gap indices are skipped, and pairs whose
+    Node pairs at most MIN_GAP indices apart are skipped, and pairs whose
     chord is comparable to their along-curve arclength (chord >=
     (2/pi) * arc, the round-arc bound) are treated as same-strand and
     excluded.  Torus curves additionally compare against lattice
@@ -235,7 +210,7 @@ def separation(x: Embedding, min_gap: int = 4) -> float:
     L = float(np.sum(w))
     gap = np.abs(np.arange(P)[:, None] - np.arange(P)[None, :])
     gap = np.minimum(gap, P - gap)
-    admissible_gap = gap > min_gap
+    admissible_gap = gap > MIN_GAP
     best = np.inf
     for chord, arc in x.space.strand_chords(x.pts, x.winding, s, L):
         mask = admissible_gap & (chord < (2.0 / np.pi) * arc)
@@ -268,11 +243,70 @@ def resample(x: Embedding, phi: Reparam) -> Embedding:
 
 # probe rows per block of the dense candidate search
 _BLOCK_ROWS = 256
-# closest-point refinement: a probe stops once its bracket or its step is
-# below these widths, or after _MAX_STEPS secant steps
+# root refinement: a root stops once its bracket or its step is below these
+# widths, or after _MAX_STEPS secant steps
 _BRACKET_TOL = 1e-12
 _STEP_TOL = 1e-14
 _MAX_STEPS = 60
+
+
+def _illinois(fun, lo, hi, glo, ghi, start) -> np.ndarray:
+    """Roots of many scalar functions at once, one bracket [lo, hi] each.
+
+    fun(idx, t) evaluates the functions numbered idx at the points t; glo
+    and ghi hold their values at the bracket ends, and start the current
+    iterate of each root, one end of its bracket.  Only brackets across
+    which the value changes sign are refined, by regula falsi with the
+    Illinois modification (Dowell & Jarratt, BIT 1971) and a bisection
+    fallback; the others keep their start.  A root stops when its bracket is
+    narrower than _BRACKET_TOL, its next step would be shorter than
+    _STEP_TOL, or its value vanishes.  Returns the secant point at which
+    each root stopped, else its last iterate.
+    """
+    sign = np.sign(glo)  # orient every bracket so that the value falls from + to -
+    glo, ghi = sign * glo, sign * ghi
+    lo, hi, last = lo.copy(), hi.copy(), start.copy()
+    side = np.zeros(lo.size)
+    active = np.flatnonzero((glo > 0.0) & (ghi < 0.0))
+    for _ in range(_MAX_STEPS):
+        a, b = lo[active], hi[active]
+        s = b - ghi[active] * (b - a) / (ghi[active] - glo[active])
+        going = (b - a >= _BRACKET_TOL) & (np.abs(s - last[active]) >= _STEP_TOL)
+        # a root that stops returns its final secant point, inside its bracket
+        last[active[~going]] = np.clip(s[~going], a[~going], b[~going])
+        active, a, b, s = active[going], a[going], b[going], s[going]
+        if active.size == 0:
+            break
+        s = np.where((s > a) & (s < b), s, 0.5 * (a + b))
+        gs = sign[active] * fun(active, s)
+        up = gs > 0.0    # the root lies above s: s becomes the lower end
+        down = gs < 0.0
+        # Illinois: halve the value kept at an end that survives twice running
+        glo[active] = np.where(up, gs, np.where(down & (side[active] < 0.0), 0.5, 1.0) * glo[active])
+        ghi[active] = np.where(down, gs, np.where(up & (side[active] > 0.0), 0.5, 1.0) * ghi[active])
+        lo[active] = np.where(up, s, a)
+        hi[active] = np.where(down, s, b)
+        side[active] = np.where(up, 1.0, -1.0)
+        last[active] = s
+        active = active[gs != 0.0]
+    return last
+
+
+def _invert_monotone(slope: float, c: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Solve slope * t + q(t) = targets, q the interpolant with rfft coefficients c.
+
+    The roots are bracketed in closed form: |q| <= sum_k w_k |c_k| / P, with
+    the interpolation weights w_k of `fourier.interp_coeffs`.
+    """
+    P = 2 * (c.shape[0] - 1)
+    bound = (2.0 * np.sum(np.abs(c)) - np.abs(c[0]) - np.abs(c[-1])) / P
+    lo, hi = (targets - bound) / slope, (targets + bound) / slope
+
+    def fun(idx, t):
+        return slope * t + fourier.interp_coeffs(c, P, t) - targets[idx]
+
+    flo, fhi = fun(slice(None), lo), fun(slice(None), hi)
+    return _illinois(fun, lo, hi, flo, fhi, np.where(np.abs(flo) < np.abs(fhi), lo, hi))
 
 
 def _dist_and_log(space: AmbientSpace, p: np.ndarray, q: np.ndarray):
@@ -303,13 +337,11 @@ def _directed_hausdorff(space: AmbientSpace, probes: np.ndarray, target: Embeddi
 
     which changes sign from + to - across a minimum.  The solve starts from
     the bracket [t_j - h, t_j + h] of grid spacing h, split at t_j, and
-    runs regula falsi with the Illinois modification and a bisection
-    fallback, all probes at once.  Y and Y' at the iterates come from one
-    trigonometric evaluation of the target's Fourier coefficients.  A probe
-    stops when its bracket is narrower than _BRACKET_TOL, its step is
-    shorter than _STEP_TOL, or g vanishes; its distance is the smallest
-    one evaluated, bracket ends included.  Where p is antipodal to Y(s)
-    (S^2), g is taken as zero and the probe stops.
+    runs `_illinois` on every probe with such a crossing.  Y and Y' at the
+    iterates come from one trigonometric evaluation of the target's
+    Fourier coefficients.  A probe's distance is the smallest one
+    evaluated, bracket ends included.  Where p is antipodal to Y(s) (S^2),
+    g is taken as zero and the probe stops.
     """
     n, d = probes.shape
     h = 2.0 * np.pi / len(t)
@@ -336,51 +368,33 @@ def _directed_hausdorff(space: AmbientSpace, probes: np.ndarray, target: Embeddi
     ga, gm, gb = g.reshape(3, n)
     left = (gm < 0.0) & (ga > 0.0)
     right = (gm > 0.0) & (gb < 0.0)
-    lo = np.where(right, t[near], t[near] - h)
-    hi = np.where(left, t[near], t[near] + h)
-    glo = np.where(right, gm, ga)
-    ghi = np.where(left, gm, gb)
-    last = t[near].copy()
-    side = np.zeros(n)
-    active = np.flatnonzero(left | right)
-    for _ in range(_MAX_STEPS):
-        a, b = lo[active], hi[active]
-        s = b - ghi[active] * (b - a) / (ghi[active] - glo[active])
-        going = (b - a >= _BRACKET_TOL) & (np.abs(s - last[active]) >= _STEP_TOL)
-        active, a, b, s = active[going], a[going], b[going], s[going]
-        if active.size == 0:
-            break
-        s = np.where((s > a) & (s < b), s, 0.5 * (a + b))
-        fs, gs = dist_and_slope(probes[active], s)
-        best[active] = np.minimum(best[active], fs)
-        up = gs > 0.0    # the minimum lies above s: s becomes the lower end
-        down = gs < 0.0
-        # Illinois: halve the slope kept at an end that survives twice running
-        glo[active] = np.where(up, gs, np.where(down & (side[active] < 0.0), 0.5, 1.0) * glo[active])
-        ghi[active] = np.where(down, gs, np.where(up & (side[active] > 0.0), 0.5, 1.0) * ghi[active])
-        lo[active] = np.where(up, s, a)
-        hi[active] = np.where(down, s, b)
-        side[active] = np.where(up, 1.0, -1.0)
-        last[active] = s
-        active = active[gs != 0.0]
+    crossing = np.flatnonzero(left | right)
+
+    def slope(idx, s):
+        i = crossing[idx]
+        fs, gs = dist_and_slope(probes[i], s)
+        best[i] = np.minimum(best[i], fs)
+        return gs
+
+    glo, ghi = np.where(right, gm, ga)[crossing], np.where(left, gm, gb)[crossing]
+    left, right, tm = left[crossing], right[crossing], t[near[crossing]]
+    _illinois(slope, np.where(right, tm, tm - h), np.where(left, tm, tm + h), glo, ghi, tm)
     return float(np.max(best))
 
 
-def image_distance(x: Embedding, y: Embedding, dense: int | None = None) -> float:
+def image_distance(x: Embedding, y: Embedding) -> float:
     """Symmetric Hausdorff distance between the interpolated images of x and y.
 
     A pseudo-metric on embeddings: zero (up to interpolation error) iff
     the two curves parameterize the same submanifold.  Each direction
-    probes one curve at `dense` uniform parameters (default 8 max(P))
-    and takes the sup over probes of the distance to the other curve's
+    probes one curve at PROBES_PER_NODE * max(P) uniform parameters and
+    takes the sup over probes of the distance to the other curve's
     continuous interpolant: a blocked nearest-sample search on the same
     grid, refined by a closest-point solve (`_directed_hausdorff`).
     """
     if x.space != y.space:
         raise ValueError("image_distance requires a common ambient space")
-    if dense is None:
-        dense = 8 * max(x.P, y.P)
-    t = np.linspace(0.0, 2.0 * np.pi, dense, endpoint=False)
+    t = np.linspace(0.0, 2.0 * np.pi, PROBES_PER_NODE * max(x.P, y.P), endpoint=False)
     xs = interp_curve(x, t)
     ys = interp_curve(y, t)
     space = x.space
@@ -415,25 +429,9 @@ def make_diffeo(seed: int, amplitude: float, P: int = 256) -> Reparam:
 
 def arclength_lift(x: Embedding) -> Reparam:
     """Reparam phi with x∘phi at (near-)constant speed."""
-    sp = speeds(x)
     P = x.P
-    mean, c = fourier.antiderivative_coeffs(sp)
+    mean, c = fourier.antiderivative_coeffs(speeds(x))
     # cumulative arclength S(t) = mean*t + q(t) - q(0), strictly increasing
     q0 = fourier.interp_coeffs(c, P, np.array([0.0]))[0]
-
-    def S(t):
-        return mean * t + fourier.interp_coeffs(c, P, np.array([t]))[0] - q0
-
-    L = mean * 2.0 * np.pi
-    targets = L * np.arange(P) / P
-    bound = 2.0 * np.pi * float(np.max(sp)) / mean  # crude Lipschitz bracket padding
-    out = np.empty(P)
-    for i, tau in enumerate(targets):
-        guess = tau / mean
-        lo, hi = guess - 0.6 * bound / P - 0.5, guess + 0.6 * bound / P + 0.5
-        while S(lo) > tau:
-            lo -= 0.5
-        while S(hi) < tau:
-            hi += 0.5
-        out[i] = brentq(lambda t: S(t) - tau, lo, hi, xtol=1e-14, rtol=4 * np.finfo(float).eps)
-    return Reparam(out)
+    targets = mean * 2.0 * np.pi * np.arange(P) / P
+    return Reparam(_invert_monotone(mean, c, targets + q0))

@@ -20,6 +20,8 @@ from .charts import Chart, chart_invert, project_normal
 from .curve import Embedding, SectionField, quadrature_weights
 
 _ORTHO_TOL = 1e-10
+# orbit_rank counts the singular values above this fraction of the largest
+RANK_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -113,14 +115,13 @@ def orbit_differential(c: Chart, basis: list) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def orbit_rank(c: Chart, basis: list, rel_tol: float = 1e-8
-               ) -> tuple[int, int]:
+def orbit_rank(c: Chart, basis: list) -> tuple[int, int]:
     """(rank of the orbit map differential, stabilizer Lie-algebra dimension)."""
     D = orbit_differential(c, basis)
     sv = np.linalg.svd(D, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0, len(basis)
-    rank = int(np.sum(sv > rel_tol * sv[0]))
+    rank = int(np.sum(sv > RANK_REL_TOL * sv[0]))
     return rank, len(basis) - rank
 
 

@@ -252,7 +252,7 @@ def _nearest_crossing_scan(gvals, dists):
             score = min(dists[k], dists[k2])
             if best is None or score < best[0]:
                 best = (score, k)
-    return None if best is None else best[1]
+    return -1 if best is None else best[1]
 
 
 def test_nearest_crossing_matches_sequential_scan():
@@ -263,7 +263,15 @@ def test_nearest_crossing_matches_sequential_scan():
         gvals = rng.choice([-1.0, 0.0, 1.0, 2.0, np.nan], n)
         dists = rng.integers(0, 4, n).astype(float)
         assert _nearest_crossing(gvals, dists) == _nearest_crossing_scan(gvals, dists)
-    assert _nearest_crossing(np.array([1.0, 2.0, np.nan]), np.zeros(3)) is None
+    assert _nearest_crossing(np.array([1.0, 2.0, np.nan]), np.zeros(3)) == -1
+    # 2-d: one search per row, rows without a crossing included
+    for _ in range(20):
+        m, n = int(rng.integers(1, 8)), int(rng.integers(2, 40))
+        gvals = rng.choice([-1.0, 0.0, 1.0, 2.0, np.nan], (m, n))
+        gvals[0] = np.nan
+        dists = rng.integers(0, 4, (m, n)).astype(float)
+        want = [_nearest_crossing_scan(g, d) for g, d in zip(gvals, dists)]
+        assert _nearest_crossing(gvals, dists).tolist() == want
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -336,3 +344,30 @@ def test_recentering_onto_non_embedding_is_chart_breakdown(monkeypatch, circle64
     with pytest.raises(ChartBreakdownError) as info:
         solver._recenter_pair(c, cc.NormalSection.zero(64, 1))
     assert isinstance(info.value.__cause__, NotEmbeddingError)
+
+
+def test_no_library_path_reaches_brentq(monkeypatch, rng, circle64, great_circle96, torus_geo64):
+    # every fiber, inverse-reparameterization and closest-point root comes
+    # from the one batched solver, curve._illinois
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scalar brentq called")
+
+    monkeypatch.setattr(charts, "brentq", forbidden)
+    monkeypatch.setattr(curve, "brentq", forbidden)
+    for x in (circle64, great_circle96, torus_geo64):
+        c = cc.make_chart(x)
+        u = random_section(c, rng, 0.3 * c.rho)
+        u2, _ = cc.chart_invert(c, cc.chart_apply(c, u))
+        assert np.max(np.abs(u2.coeff - u.coeff)) <= 1e-10
+    c1 = cc.make_chart(shapes.circle(96))
+    c2 = cc.make_chart(shapes.ellipse(96, a=1.04, b=0.97))
+    u = random_section(c1, rng, 0.05)
+    u3, _ = cc.transition(c2, c1, cc.transition(c1, c2, u)[0])
+    assert np.max(np.abs(u3.coeff - u.coeff)) <= 1e-6
+    center = smooth_center(shapes.perturbed_circle(64, 0.1, seed=1), 16)
+    assert cc.is_embedding(center)
+    phi = cc.make_diffeo(1, 0.3, 64)
+    comp = cc.reparam_compose(phi, cc.reparam_inverse(phi))
+    np.testing.assert_allclose(comp.lift, fourier.nodes(64), atol=1e-10)
+    d = cc.image_distance(circle64, shapes.circle(64, radius=1.1))
+    assert d == pytest.approx(0.1, abs=1e-10)

@@ -259,3 +259,31 @@ def test_bad_flag_values_exit_2_with_one_line(argv):
     assert r.returncode == 2
     assert r.stdout == ""
     assert len(r.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("validate", "--make", "circle", "--grid", "64"), 0),
+    (("roundtrip", "--center", "{dir}/center.json", "--curve", "{dir}/target.json"), 0),
+    (("spectrum", "--make", "circle", "--grid", "64", "--count", "2"), 0),
+    (("orbit", "--make", "circle", "--grid", "64"), 0),
+    (("validate", "--make", "lemniscate"), 3),
+    (("roundtrip", "--center", "{dir}/lemniscate.json", "--curve", "{dir}/target.json"), 3),
+    (("spectrum", "--make", "lemniscate"), 3),
+    (("orbit", "--make", "lemniscate"), 3),
+], ids=["validate", "roundtrip", "spectrum", "orbit", "validate-lemniscate",
+        "roundtrip-lemniscate", "spectrum-lemniscate", "orbit-lemniscate"])
+def test_each_command_computes_separation_once(monkeypatch, tmp_path, argv, code):
+    from curvecharts import charts, cli, curve
+    cc.save_curve(shapes.circle(64), str(tmp_path / "center.json"))
+    cc.save_curve(shapes.circle(64, radius=1.1), str(tmp_path / "target.json"))
+    cc.save_curve(shapes.lemniscate(128), str(tmp_path / "lemniscate.json"))
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return cc.separation(x)
+
+    for mod in (curve, charts, cli):
+        monkeypatch.setattr(mod, "separation", counted)
+    assert run_cli(*[a.format(dir=tmp_path) for a in argv]).returncode == code
+    assert len(calls) == 1

@@ -109,10 +109,32 @@ def test_reparam_rejects_non_monotone():
 
 
 def test_reparam_inverse_round_trip():
-    phi = cc.make_diffeo(5, 0.3, 128)
-    inv = cc.reparam_inverse(phi)
-    comp = cc.reparam_compose(phi, inv)
-    np.testing.assert_allclose(comp.lift, cc.GridCircle(128).nodes, atol=1e-10)
+    for amplitude in (0.1, 0.3, 0.4, 0.45):
+        for seed in (5, 6, 7):
+            phi = cc.make_diffeo(seed, amplitude, 128)
+            inv = cc.reparam_inverse(phi)
+            comp = cc.reparam_compose(phi, inv)
+            np.testing.assert_allclose(comp.lift, cc.GridCircle(128).nodes, atol=1e-10)
+
+
+def _tilted_great_circle():
+    # a great circle in a tilted plane, parameterized at non-constant speed
+    R, _ = np.linalg.qr(np.array([[0.3, -0.9, 0.3], [0.9, 0.2, -0.4], [0.3, 0.4, 0.87]]))
+    x = shapes.great_circle(96)
+    return cc.resample(cc.Embedding(x.space, x.pts @ R.T), cc.make_diffeo(2, 0.3, 96))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: shapes.perturbed_circle(128, 0.1, seed=3),
+    lambda: shapes.ellipse(128),
+    lambda: shapes.torus_geodesic(64, (1, 0), wiggle=0.05, seed=1),
+    _tilted_great_circle,
+], ids=["perturbed_circle", "ellipse", "torus_geodesic", "tilted_great_circle"])
+def test_arclength_lift_gives_constant_speed(make):
+    x = make()
+    assert np.ptp(cc.speeds(x)) > 0.05 * np.mean(cc.speeds(x))
+    sp = cc.speeds(cc.resample(x, cc.arclength_lift(x)))
+    assert np.ptp(sp) <= 1e-8 * np.mean(sp)
 
 
 def test_spectral_derivative_matches_analytic():

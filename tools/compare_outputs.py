@@ -20,7 +20,10 @@ seed.  It records, as JSON in OUT:
 
 `compare` prints equal/total per record kind and exits 1 if any record
 differs or exists in one file only.  Records are compared as JSON text,
-so floats must agree to the last bit.  Use it to check that a
+so floats must agree to the last bit.  For each kind with unequal
+records it also prints the largest absolute difference between numeric
+leaves at the same place in both records (numbers inside strings, such
+as trace CSV text, are not leaves).  Use it to check that a
 refactoring leaves outputs unchanged: dump the parent commit's checkout
 and the changed one, then compare.
 """
@@ -201,12 +204,23 @@ def dump(out: str, seeds: list[int]):
     print(f"{len(rec.records)} records written to {out}")
 
 
+def _max_diff(a, b) -> float:
+    """Largest |a - b| over the numeric leaves at the same place in two JSON values."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return max((_max_diff(a[k], b[k]) for k in a.keys() & b.keys()), default=0.0)
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return max((_max_diff(x, y) for x, y in zip(a, b)), default=0.0)
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)):
+        return 0.0 if a == b else abs(a - b)
+    return 0.0
+
+
 def compare(a: str, b: str) -> int:
     with open(a) as fh:
         ra = json.load(fh)
     with open(b) as fh:
         rb = json.load(fh)
-    equal, total = Counter(), Counter()
+    equal, total, diff = Counter(), Counter(), {}
     for key in sorted(set(ra) | set(rb)):
         kind = (ra.get(key) or rb.get(key))["kind"]
         total[kind] += 1
@@ -214,8 +228,11 @@ def compare(a: str, b: str) -> int:
             equal[kind] += 1
         else:
             print(f"differs: {key}" + ("" if key in ra and key in rb else " (in one file only)"))
+            if key in ra and key in rb:
+                diff[kind] = max(diff.get(kind, 0.0), _max_diff(ra[key], rb[key]))
     for kind in sorted(total):
-        print(f"{kind}: {equal[kind]}/{total[kind]} equal")
+        print(f"{kind}: {equal[kind]}/{total[kind]} equal"
+              + (f", largest numeric difference {diff[kind]:.3g}" if kind in diff else ""))
     print(f"all: {sum(equal.values())}/{sum(total.values())} equal")
     return 0 if equal == total else 1
 
