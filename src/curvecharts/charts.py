@@ -1,8 +1,9 @@
 """Quotient-space charts over the normal bundle of a closed curve.
 
 A chart is a smooth (band-limited) center embedding x, an orthonormal
-frame of the normal bundle x-perp, and a validity radius rho estimated
-from curvature, strand separation, and the ambient injectivity radius.
+frame of the normal bundle x-perp, a validity radius rho estimated
+from curvature, strand separation, and the ambient injectivity radius,
+and x's unit tangent and arclength weights (the L2(ds) metric).
 chart_apply exponentiates a normal section; chart_invert projects a
 nearby curve back to its unique normal section and the
 reparameterization that aligns it with the chart fibers.  The code is
@@ -74,6 +75,8 @@ class Chart:
     center: Embedding
     frame: np.ndarray  # orthonormal normal vectors at the nodes: (rank, P, coord_dim)
     rho: float
+    tangent: np.ndarray  # unit tangent vectors at the nodes: (P, coord_dim)
+    weights: np.ndarray  # arclength quadrature weights, quadrature_weights(center): (P,)
 
     @property
     def P(self) -> int:
@@ -109,7 +112,8 @@ def make_chart(x: Embedding) -> Chart:
     if rho == 0.0:
         raise NotEmbeddingError("chart centers must be embeddings")
     d = derivative(x).vecs
-    T = d / np.linalg.norm(d, axis=1, keepdims=True)
+    speed = np.linalg.norm(d, axis=1)
+    T = d / speed[:, None]
     vectors = x.space.normal_frame(x.pts, T)
     for a in range(vectors.shape[0]):
         if np.max(np.abs(np.linalg.norm(vectors[a], axis=1) - 1.0)) > _FRAME_TOL:
@@ -119,7 +123,7 @@ def make_chart(x: Embedding) -> Chart:
         for b in range(a + 1, vectors.shape[0]):
             if np.max(np.abs(np.sum(vectors[a] * vectors[b], axis=1))) > _FRAME_TOL:
                 raise DegenerateFrameError("frame vectors not orthogonal")
-    return Chart(x, vectors, rho)
+    return Chart(x, vectors, rho, T, speed * (2.0 * np.pi / x.P))
 
 
 def section_to_field(c: Chart, u: NormalSection) -> SectionField:
@@ -159,18 +163,17 @@ def chart_invert(c: Chart, y: Embedding) -> tuple[NormalSection, Reparam]:
     """Normal section and fiber reparameterization of a curve inside the tube.
 
     For each node i the returned lift value s_i solves
-    g_i(s) = <log(x(theta_i), Y(s)), x'(theta_i)> = 0 with Y the
-    interpolated curve, and u_i holds the frame coefficients of that
-    logarithm.  Each root is bracketed by the sign change of g_i on 4P
-    samples of Y that lies nearest x(theta_i) within the tube, and all
-    nodes are refined together by `curve._illinois`.
+    g_i(s) = <log(x(theta_i), Y(s)), T_i> = 0 with T the chart's unit
+    tangent and Y the interpolated curve, and u_i holds the frame
+    coefficients of that logarithm.  Each root is bracketed by the sign
+    change of g_i on 4P samples of Y that lies nearest x(theta_i) within
+    the tube, and all nodes are refined together by `curve._illinois`.
     """
     if y.space != c.center.space:
         raise ValueError("curve and chart live in different ambient spaces")
     x = c.center
     space = x.space
     P = x.P
-    dvec = derivative(x).vecs
     yc = fourier.coeffs(y.periodic_part())
 
     def Y(s: np.ndarray) -> np.ndarray:
@@ -181,7 +184,7 @@ def chart_invert(c: Chart, y: Embedding) -> tuple[NormalSection, Reparam]:
             l = space.log(x.pts[i], pts)
         except CutLocusError as exc:
             raise ProjectionFailedError("fiber search strayed past the cut locus") from exc
-        return space.inner(x.pts[i], l, dvec[i])
+        return space.inner(x.pts[i], l, c.tangent[i])
 
     dense = np.linspace(0.0, 2.0 * np.pi, 4 * P + 1)
     ypts = Y(dense[:-1])

@@ -165,6 +165,8 @@ def _chart(x: Embedding, what: str):
 
 
 def cmd_roundtrip(args) -> int:
+    if not args.tol > 0:  # NaN fails too
+        raise _InputError("--tol must be positive")
     if args.center is None:
         raise _InputError("roundtrip needs --center")
     center = _get_curve(args, "center")

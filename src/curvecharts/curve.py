@@ -236,8 +236,8 @@ def resample(x: Embedding, phi: Reparam) -> Embedding:
         raise ValueError("reparameterization grid must match the curve grid")
     new_pts = interp_curve(x, phi.lift)
     if x.winding is not None:
-        # keep the lift anchored near the fundamental domain
-        new_pts = new_pts - np.floor(new_pts[0])
+        # keep the lift on x's own branch: node 0 within half a lattice vector of x's
+        new_pts = new_pts - np.round(new_pts[0] - x.pts[0])
     return Embedding(x.space, new_pts, x.winding)
 
 

@@ -143,7 +143,7 @@ def _pullback_gradient(F: Functional, c: Chart, coeff: np.ndarray,
     W = _section(c, coeff, basis)
     gp = _grad_pts(F, full_chart_apply(c, W))
     G = np.einsum("aid,id->ia", x.space.dexp(x.pts, W.vecs, basis), gp)
-    return G / quadrature_weights(x)[:, None]
+    return G / c.weights[:, None]
 
 
 def gradient_in_chart(F: Functional, c: Chart, u: NormalSection) -> NormalSection:
@@ -172,8 +172,7 @@ def first_variation(F: Functional, x: Embedding, V: SectionField) -> float:
 
 def grad_norm(c: Chart, g: NormalSection) -> float:
     """L2(ds) norm of a chart gradient."""
-    w = quadrature_weights(c.center)
-    return float(np.sqrt(np.sum(g.coeff**2 * w[:, None])))
+    return float(np.sqrt(np.sum(g.coeff**2 * c.weights[:, None])))
 
 
 def is_critical(F: Functional, c: Chart, u: NormalSection, tol: float) -> bool:
@@ -183,10 +182,9 @@ def is_critical(F: Functional, c: Chart, u: NormalSection, tol: float) -> bool:
 
 @dataclass(frozen=True)
 class HessianPair:
-    """Coefficient Hessian Q with its diagonal mass matrix (as a vector)."""
+    """Coefficient Hessian Q and the largest asymmetry of the Jacobian it symmetrizes."""
 
     Q: np.ndarray
-    mass: np.ndarray
     asymmetry: float
 
 
@@ -194,13 +192,12 @@ def _fd_hessian(c: Chart, dim: int, grad) -> HessianPair:
     """Symmetrized central-difference Jacobian of an L2(ds) gradient at coeff = 0.
 
     grad maps (P, dim) coefficients to their L2(ds) gradient; the pair
-    is taken against the mass matrix of the chart-center weights.
+    is taken against the mass matrix of the chart weights.
     """
-    w = quadrature_weights(c.center)
     n = c.P * dim
 
     def ell2_grad(flat: np.ndarray) -> np.ndarray:
-        return (grad(flat.reshape(c.P, dim)) * w[:, None]).ravel()
+        return (grad(flat.reshape(c.P, dim)) * c.weights[:, None]).ravel()
 
     cols = np.empty((n, n))
     for j in range(n):
@@ -210,24 +207,22 @@ def _fd_hessian(c: Chart, dim: int, grad) -> HessianPair:
         d2 = (ell2_grad(0.5 * _HESS_STEP * e) - ell2_grad(-0.5 * _HESS_STEP * e)) / _HESS_STEP
         cols[:, j] = (4.0 * d2 - d1) / 3.0
     asym = float(np.max(np.abs(cols - cols.T)))
-    return HessianPair(0.5 * (cols + cols.T), np.repeat(w, dim), asym)
+    return HessianPair(0.5 * (cols + cols.T), asym)
 
 
 def hessian_in_chart(F: Functional, c: Chart) -> HessianPair:
     """Second variation of the chart representative at u = 0.
 
     Q is the Hessian in frame coefficients (flattened row-major over
-    (node, frame index)); the generalized pair (Q, diag(mass)) defines
-    the L2(ds) second-variation operator.
+    (node, frame index)); with M the chart weights repeated rank times,
+    the pair (Q, diag(M)) defines the L2(ds) second-variation operator.
     """
     return _fd_hessian(c, c.rank, lambda cf: gradient_in_chart(F, c, NormalSection(cf)).coeff)
 
 
 def _full_basis(c: Chart) -> np.ndarray:
     """Per-node basis of x^*(TN) along the chart center: shape (dim, P, coord_dim)."""
-    d = derivative(c.center).vecs
-    T = d / np.linalg.norm(d, axis=1, keepdims=True)
-    return c.center.space.section_basis(T, c.frame)
+    return c.center.space.section_basis(c.tangent, c.frame)
 
 
 def hessian_full(F: Functional, c: Chart) -> HessianPair:

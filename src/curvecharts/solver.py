@@ -26,7 +26,7 @@ import scipy.linalg
 
 from . import fourier
 from .charts import Chart, NormalSection, chart_apply, chart_invert, make_chart
-from .curve import Embedding, arclength_lift, is_embedding, quadrature_weights, resample
+from .curve import Embedding, arclength_lift, is_embedding, resample
 from .errors import (
     ChartBreakdownError,
     CurveChartsError,
@@ -84,9 +84,9 @@ def _filtered_gradient(F: Functional, c: Chart, u: NormalSection) -> NormalSecti
     return NormalSection(_drop_nyquist(g.coeff))
 
 
-def _inner(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """L2(ds) inner product of two (P, rank) coefficient arrays, weights w."""
-    return float(np.sum(a * b * w[:, None]))
+def _inner(c: Chart, a: np.ndarray, b: np.ndarray) -> float:
+    """L2(ds) inner product of two (P, rank) coefficient arrays in chart c."""
+    return float(np.sum(a * b * c.weights[:, None]))
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ class SolveOptions:
     newton_threshold: float = 1e-3  # gradient norm below which Newton takes over
 
     def __post_init__(self):
-        if min(self.max_iter, self.grad_tol, self.newton_threshold) <= 0:
+        if not all(v > 0 for v in (self.max_iter, self.grad_tol, self.newton_threshold)):
             raise ValueError("solver options must be positive")
 
 
@@ -162,10 +162,10 @@ def _recenter_pair(c: Chart, u: NormalSection) -> tuple[Chart, NormalSection]:
 
 
 def _reduced_hessian(F: Functional, c: Chart):
-    """Mass weights, Nyquist complement E and E^T Q E, E^T M E of the origin's Hessian."""
-    hp = hessian_in_chart(F, c)
+    """Nyquist complement E and E^T Q E, E^T M E of the origin's Hessian."""
+    Q = hessian_in_chart(F, c).Q
     E = _nyquist_complement(c.P, c.rank)
-    return hp.mass, E, E.T @ hp.Q @ E, E.T @ (hp.mass[:, None] * E)
+    return E, E.T @ Q @ E, E.T @ (np.repeat(c.weights, c.rank)[:, None] * E)
 
 
 def newton_refine(F: Functional, c: Chart, u: NormalSection,
@@ -180,7 +180,7 @@ def newton_refine(F: Functional, c: Chart, u: NormalSection,
     """
     opts = opts or SolveOptions()
     P, rank = c.P, c.rank
-    mass, E, Qr, Mr = _reduced_hessian(F, c)
+    E, Qr, Mr = _reduced_hessian(F, c)
     try:
         lam, V = scipy.linalg.eigh(Qr, Mr)
     except scipy.linalg.LinAlgError as exc:
@@ -194,7 +194,7 @@ def newton_refine(F: Functional, c: Chart, u: NormalSection,
         g = _filtered_gradient(F, c, current)
         if grad_norm(c, g) <= opts.grad_tol:
             return current
-        comp = V.T @ (E.T @ (mass * g.coeff.ravel()))
+        comp = V.T @ (E.T @ (g.coeff * c.weights[:, None]).ravel())
         a = np.zeros_like(comp)
         a[live] = -comp[live] / lam[live]
         delta = E @ (V @ a)
@@ -237,8 +237,7 @@ def minimize(F: Functional, x0: Embedding, opts: SolveOptions | None = None
 
 def _descend(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions,
              trace: SolveTrace) -> tuple[Chart, NormalSection, SolveTrace]:
-    """The iteration loop of `minimize`, recording into trace."""
-    w = quadrature_weights(c.center)
+    """The iteration loop of `minimize`, recording into trace; one evaluation of f per iterate."""
     # order of the descent metric H^s; the module docstring says why
     s = 0 if opts.newton or F.coefficient("bend") != 0.0 else 1
     last_step = 0.0
@@ -247,7 +246,9 @@ def _descend(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions,
     newton_gate = max(opts.newton_threshold, 10.0 * opts.grad_tol)
 
     for it in range(opts.max_iter + 1):
-        f = evaluate(F, chart_apply(c, u))
+        # an accepted Armijo step carries its f forward; a new chart needs f afresh
+        if it == 0 or did_recenter:
+            f = evaluate(F, chart_apply(c, u))
         g = _filtered_gradient(F, c, u)
         gn = grad_norm(c, g)
         trace.append(TraceRecord(it, f, gn, last_step, did_recenter))
@@ -264,7 +265,6 @@ def _descend(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions,
             failed = False
             for round_ in range(5):
                 c, u = _recenter_pair(c, u)
-                w = quadrature_weights(c.center)
                 prev_u = prev_g = None
                 try:
                     u = newton_refine(F, c, u, opts)
@@ -292,16 +292,16 @@ def _descend(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions,
         # Barzilai-Borwein secant estimate in the same metric,
         # <du, dg>_w / <dg, K_s dg>_w, which copes with the k^2 stiffness
         # of length-type Hessians that s = 0 leaves in place
-        L = float(np.sum(w))
+        L = float(np.sum(c.weights))
         d = fourier.sobolev_inverse(g.coeff, L, s)
-        slope = _inner(w, g.coeff, d)
+        slope = _inner(c, g.coeff, d)
         step = STEP0
         if prev_u is not None:
             du = u.coeff - prev_u
             dg = g.coeff - prev_g
-            denom = _inner(w, dg, fourier.sobolev_inverse(dg, L, s))
+            denom = _inner(c, dg, fourier.sobolev_inverse(dg, L, s))
             if denom > 0.0:
-                step = float(np.clip(abs(_inner(w, du, dg)) / denom, 1e-8, 10.0))
+                step = float(np.clip(abs(_inner(c, du, dg)) / denom, 1e-8, 10.0))
         accepted = None
         # roundoff allowance: near the minimum the predicted decrease
         # drops below the precision of f itself
@@ -317,11 +317,10 @@ def _descend(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions,
         if accepted is None:
             raise LineSearchFailedError("no Armijo step above the minimum step length")
         prev_u, prev_g = u.coeff, g.coeff
-        u = accepted
+        u, f = accepted, f_cand
         last_step = step
         if u.sup_norm > RECENTER_FRACTION * c.rho:
             c, u = _recenter_pair(c, u)
-            w = quadrature_weights(c.center)
             prev_u = prev_g = None
             did_recenter = True
 
@@ -332,7 +331,7 @@ def spectrum(F: Functional, c: Chart, k: int) -> np.ndarray:
     """k smallest generalized eigenvalues of the chart second variation."""
     if k <= 0:
         return np.empty(0)
-    _, _, Qr, Mr = _reduced_hessian(F, c)
+    _, Qr, Mr = _reduced_hessian(F, c)
     k = min(k, Qr.shape[0])
     vals = scipy.linalg.eigh(Qr, Mr, subset_by_index=[0, k - 1], eigvals_only=True)
     return np.asarray(vals)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .ambient import AmbientSpace
 from .charts import Chart, chart_invert, project_normal
-from .curve import Embedding, SectionField, quadrature_weights
+from .curve import Embedding, SectionField
 
 _ORTHO_TOL = 1e-10
 # orbit_rank counts the singular values above this fraction of the largest
@@ -105,13 +105,11 @@ def standard_killing_basis(space: AmbientSpace, rotation_center=None
 
 def orbit_differential(c: Chart, basis: list) -> np.ndarray:
     """Matrix of orbit directions in the chart: one sqrt(w)-scaled column per (A, b) generator."""
-    w = quadrature_weights(c.center)
-    sqw = np.sqrt(w)
     cols = []
     for A, b in basis:
         vecs = c.center.pts @ A.T + b
         coeff = project_normal(c, SectionField(c.center, vecs)).coeff
-        cols.append((coeff * sqw[:, None]).ravel())
+        cols.append((coeff * np.sqrt(c.weights)[:, None]).ravel())
     return np.stack(cols, axis=1)
 
 

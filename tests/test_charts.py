@@ -371,3 +371,83 @@ def test_no_library_path_reaches_brentq(monkeypatch, rng, circle64, great_circle
     np.testing.assert_allclose(comp.lift, fourier.nodes(64), atol=1e-10)
     d = cc.image_distance(circle64, shapes.circle(64, radius=1.1))
     assert d == pytest.approx(0.1, abs=1e-10)
+
+
+def _trefoil(P):
+    th = fourier.nodes(P)
+    return cc.Embedding(cc.Euclidean(3), np.stack(
+        [np.sin(th) + 2 * np.sin(2 * th), np.cos(th) - 2 * np.cos(2 * th), -np.sin(3 * th)],
+        axis=1))
+
+
+def _torus3(P):
+    th = fourier.nodes(P)
+    w = np.array([1, 1, 0])
+    wiggle = 0.05 * np.stack([np.sin(2 * th), np.cos(3 * th), np.sin(th + 1.0)], axis=1)
+    return cc.Embedding(cc.FlatTorus(3), th[:, None] / (2 * np.pi) * w + wiggle + 0.3, w)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: shapes.ellipse(128),
+    lambda: shapes.torus_geodesic(64, (1, 1), wiggle=0.05, seed=3),
+    lambda: _torus3(64),
+    lambda: _trefoil(96),
+    lambda: random_sphere_curve(96, 4),
+], ids=["plane", "torus2", "torus3", "euclidean3", "sphere"])
+def test_chart_carries_center_tangent_and_weights(make):
+    x = make()
+    c = cc.make_chart(x)
+    assert np.array_equal(c.weights, cc.quadrature_weights(x))
+    d = cc.derivative(x).vecs
+    assert c.tangent.shape == d.shape
+    assert np.max(np.abs(np.linalg.norm(c.tangent, axis=1) - 1.0)) <= 1e-14
+    speed = np.linalg.norm(d, axis=1)
+    assert np.max(np.abs(c.tangent * speed[:, None] - d)) <= 1e-14 * np.max(speed)
+
+
+def test_chart_consumers_read_center_geometry_from_chart(monkeypatch, rng):
+    # outside make_chart, nothing recomputes a chart center's derivative
+    # or arclength weights: they are read from the chart
+    from curvecharts import functionals, symmetry
+    x = shapes.perturbed_circle(64, amplitude=0.05, seed=2)
+    F = cc.parse_functional("length-1.0*area")
+    centers, inside, misses = [], [False], []
+
+    def made(x):
+        inside[0] = True
+        try:
+            c = cc.make_chart(x)
+        finally:
+            inside[0] = False
+        centers.append(c.center)
+        return c
+
+    def watched(fn):
+        def call(y, *args, **kwargs):
+            if not inside[0] and any(y is z for z in centers):
+                misses.append(fn.__name__)
+            return fn(y, *args, **kwargs)
+        return call
+
+    names = ("derivative", "quadrature_weights", "speeds")
+    originals = {name: getattr(curve, name) for name in names}
+    for mod in (curve, charts, functionals, symmetry, solver):
+        for name in names:
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, watched(originals[name]))
+    monkeypatch.setattr(solver, "make_chart", made)
+    c = made(x)
+    u = random_section(c, rng, 0.2 * c.rho)
+    cc.grad_norm(c, cc.gradient_in_chart(F, c, u))
+    cc.hessian_full(F, c)
+    cc.restriction_matrix(c)
+    cc.chart_invert(c, cc.chart_apply(c, u))
+    cc.orbit_rank(c, cc.standard_killing_basis(x.space))
+    cc.spectrum(F, c, 2)
+    cc.newton_refine(F, c, cc.NormalSection.zero(64, 1))
+    cc.minimize(cc.parse_functional("length"), cc.Embedding(x.space, x.pts.copy()),
+                cc.SolveOptions(max_iter=5))
+    cc.minimize(cc.parse_functional("length-1.0*area"), shapes.perturbed_circle(32, 0.02, 1),
+                cc.SolveOptions(newton=True, max_iter=50))
+    assert len(centers) > 3
+    assert misses == []

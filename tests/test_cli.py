@@ -252,9 +252,14 @@ def test_four_dimensional_ambient_exit_2(tmp_path, command):
     ["minimize", "--max-iter", "0"],
     ["minimize", "--tol", "-1"],
     ["minimize", "--newton-threshold", "0"],
+    ["minimize", "--tol", "nan"],
+    ["minimize", "--newton-threshold", "nan"],
+    ["roundtrip", "--tol", "nan", "--center", "{dir}/center.json"],
 ], ids=["minimize-functional", "spectrum-functional", "max-iter-0", "tol-negative",
-        "newton-threshold-0"])
-def test_bad_flag_values_exit_2_with_one_line(argv):
+        "newton-threshold-0", "tol-nan", "newton-threshold-nan", "roundtrip-tol-nan"])
+def test_bad_flag_values_exit_2_with_one_line(tmp_path, argv):
+    cc.save_curve(shapes.circle(32), str(tmp_path / "center.json"))
+    argv = [a.format(dir=tmp_path) for a in argv]
     r = run_cli(*argv, "--make", "circle", "--grid", "32")
     assert r.returncode == 2
     assert r.stdout == ""

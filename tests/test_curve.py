@@ -278,3 +278,13 @@ def test_image_distance_sphere_near_antipodal_exact(alpha):
     # arccos(p . q) reads pi for all of them
     d = cc.image_distance(latitude_circle(32, alpha), latitude_circle(32, np.pi - alpha))
     assert abs(d - (np.pi - 2 * alpha)) <= 1e-12
+
+
+@pytest.mark.parametrize("offset", [-1e-17, 1e-17, 0.5 - 1e-17, 0.5 + 1e-17])
+@pytest.mark.parametrize("shift", [0.0, 2 * np.pi, -2 * np.pi])
+def test_resample_keeps_torus_lift_on_its_branch(offset, shift):
+    # a lift whose first coordinate sits on an integer within roundoff
+    # must not jump by a lattice vector; nor may a whole turn of the lift
+    x = shapes.torus_geodesic(64, (1, 0), offset=(offset, 0.3))
+    y = cc.resample(x, cc.Reparam(cc.Reparam.identity(64).lift + shift))
+    np.testing.assert_allclose(y.pts, x.pts, rtol=0, atol=1e-15)

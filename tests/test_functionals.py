@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -309,3 +311,23 @@ def test_length_gradient_isometry_equivariance_property(backend, seed, frac):
     gx = cc.gradient_in_chart(F, c, u).coeff
     gy = cc.gradient_in_chart(F, cc.make_chart(_move(backend, x, rng)), u).coeff
     assert np.max(np.abs(gy - gx)) <= 1e-10 * np.max(np.abs(gx))
+
+
+def test_chart_weights_set_the_l2_metric():
+    # every L2(ds) quantity reads the chart's weights: doubling them halves
+    # the gradient and the spectrum and scales norms by sqrt(2)
+    x = shapes.ellipse(32)
+    F = cc.parse_functional("length")
+    c = cc.make_chart(x)
+    c2 = dataclasses.replace(c, weights=2.0 * c.weights)
+    u = cc.NormalSection(0.1 * c.rho * np.cos(2 * x.grid.nodes)[:, None])
+    g = cc.gradient_in_chart(F, c, u)
+    np.testing.assert_allclose(cc.gradient_in_chart(F, c2, u).coeff, 0.5 * g.coeff,
+                               rtol=1e-15, atol=0)
+    assert cc.grad_norm(c2, g) == pytest.approx(np.sqrt(2.0) * cc.grad_norm(c, g), rel=1e-15)
+    vals = cc.spectrum(F, c, 4)
+    np.testing.assert_allclose(cc.spectrum(F, c2, 4), 0.5 * vals,
+                               rtol=1e-12, atol=1e-12 * np.max(np.abs(vals)))
+    basis = cc.standard_killing_basis(x.space)
+    np.testing.assert_allclose(cc.orbit_differential(c2, basis),
+                               np.sqrt(2.0) * cc.orbit_differential(c, basis), rtol=1e-15, atol=0)

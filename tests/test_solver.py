@@ -220,3 +220,20 @@ def test_trace_csv_shape():
     first = lines[1].split(",")
     assert first[0] == "0"
     assert float(first[1]) == pytest.approx(trace.records[0].f)
+
+
+def test_descent_evaluates_f_once_per_iterate(monkeypatch):
+    # an accepted Armijo step carries its trial value forward, so the
+    # descent spends one evaluation per iterate, not two
+    calls = []
+
+    def counted(F, y):
+        calls.append(y)
+        return cc.evaluate(F, y)
+
+    monkeypatch.setattr(solver, "evaluate", counted)
+    x = shapes.torus_geodesic(64, (1, 0), wiggle=0.05, seed=1)
+    _, _, trace = cc.minimize(cc.parse_functional("length"), x, cc.SolveOptions(max_iter=2000))
+    assert trace.converged
+    assert not any(r.recenter for r in trace.records)
+    assert len(calls) < 2 * (len(trace.records) - 1)

@@ -22,8 +22,10 @@ seed.  It records, as JSON in OUT:
 differs or exists in one file only.  Records are compared as JSON text,
 so floats must agree to the last bit.  For each kind with unequal
 records it also prints the largest absolute difference between numeric
-leaves at the same place in both records (numbers inside strings, such
-as trace CSV text, are not leaves).  Use it to check that a
+leaves at the same place in both records; a text leaf, such as a trace
+CSV, a spectrum's stdout or a JSON report written as text, counts with
+the numbers inside it when both texts agree apart from those numbers.
+Use it to check that a
 refactoring leaves outputs unchanged: dump the parent commit's checkout
 and the changed one, then compare.
 """
@@ -34,6 +36,7 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -204,14 +207,21 @@ def dump(out: str, seeds: list[int]):
     print(f"{len(rec.records)} records written to {out}")
 
 
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
 def _max_diff(a, b) -> float:
-    """Largest |a - b| over the numeric leaves at the same place in two JSON values."""
+    """Largest |a - b| over the numeric leaves at the same place in two JSON values,
+    counting the numbers at the same place in two texts with the same non-numeric parts."""
     if isinstance(a, dict) and isinstance(b, dict):
         return max((_max_diff(a[k], b[k]) for k in a.keys() & b.keys()), default=0.0)
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         return max((_max_diff(x, y) for x, y in zip(a, b)), default=0.0)
     if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)):
         return 0.0 if a == b else abs(a - b)
+    if isinstance(a, str) and isinstance(b, str) and _NUMBER.sub("", a) == _NUMBER.sub("", b):
+        return _max_diff([float(v) for v in _NUMBER.findall(a)],
+                         [float(v) for v in _NUMBER.findall(b)])
     return 0.0
 
 
