@@ -21,14 +21,11 @@ from .charts import (
     make_chart,
     project_normal,
     reach_estimate,
-    section_to_field,
     transition,
 )
 from .curve import (
     Embedding,
-    GridCircle,
     Reparam,
-    SectionField,
     arclength_lift,
     curvature,
     derivative,

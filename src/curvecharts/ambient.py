@@ -267,10 +267,14 @@ class FlatTorus(AmbientSpace):
     def check_winding(self, winding):
         if winding is None:
             raise ValueError("flat-torus curves need a winding vector")
-        winding = np.asarray(winding, dtype=int)
+        winding = np.asarray(winding, dtype=float)
         if winding.shape != (self.dim,):
             raise ValueError("flat-torus winding vectors need one entry per dimension")
-        return winding
+        with np.errstate(invalid="ignore"):  # NaN, inf and out-of-range entries cast to garbage
+            ints = winding.astype(int)
+        if not np.array_equal(ints, winding):
+            raise ValueError("flat-torus winding entries must be integers")
+        return ints
 
     def exp(self, p, v):
         return self.reduce(np.asarray(p, float) + np.asarray(v, float))

@@ -24,7 +24,6 @@ from .curve import (
     MIN_SEPARATION,
     Embedding,
     Reparam,
-    SectionField,
     _illinois,
     curvature,
     derivative,
@@ -111,7 +110,7 @@ def make_chart(x: Embedding) -> Chart:
     rho = reach_estimate(x)
     if rho == 0.0:
         raise NotEmbeddingError("chart centers must be embeddings")
-    d = derivative(x).vecs
+    d = derivative(x)
     speed = np.linalg.norm(d, axis=1)
     T = d / speed[:, None]
     vectors = x.space.normal_frame(x.pts, T)
@@ -126,37 +125,34 @@ def make_chart(x: Embedding) -> Chart:
     return Chart(x, vectors, rho, T, speed * (2.0 * np.pi / x.P))
 
 
-def section_to_field(c: Chart, u: NormalSection) -> SectionField:
-    """Ambient-coordinate vectors W = sum_a u^a nu^a along the center."""
-    W = np.einsum("ia,aid->id", u.coeff, c.frame)
-    return SectionField(c.center, W)
+def _full_section(c: Chart, V) -> np.ndarray:
+    """V as a float array of one ambient vector per center node, shape (P, coord_dim)."""
+    V = np.asarray(V, dtype=float)
+    if V.shape != c.center.pts.shape:
+        raise ValueError("a full section needs one ambient vector per chart-center node")
+    return V
 
 
-def full_chart_apply(c: Chart, W: SectionField) -> Embedding:
-    """Pointwise exponential of a full section of x^*(TN)."""
-    if W.base.pts is not c.center.pts and not np.array_equal(W.base.pts, c.center.pts):
-        raise ValueError("section is not based on the chart center")
-    if W.sup_norm >= c.rho:
+def full_chart_apply(c: Chart, W) -> Embedding:
+    """Pointwise exponential of a full section W of x^*(TN), shape (P, coord_dim)."""
+    W = _full_section(c, W)
+    if np.max(np.linalg.norm(W, axis=1)) >= c.rho:
         raise OutsideDomainError("section exceeds the chart radius")
     x = c.center
-    return Embedding(x.space, x.space.exp_lift(x.pts, W.vecs), x.winding)
+    return Embedding(x.space, x.space.exp_lift(x.pts, W), x.winding)
 
 
 def chart_apply(c: Chart, u: NormalSection) -> Embedding:
     """Curve represented by the normal section u in this chart."""
     if u.coeff.shape != (c.P, c.rank):
         raise ValueError("section shape does not match the chart")
-    if u.sup_norm >= c.rho:
-        raise OutsideDomainError("section exceeds the chart radius")
-    return full_chart_apply(c, section_to_field(c, u))
+    # W = sum_a u^a nu^a has the pointwise norm of u: the frame is orthonormal
+    return full_chart_apply(c, np.einsum("ia,aid->id", u.coeff, c.frame))
 
 
-def project_normal(c: Chart, V: SectionField) -> NormalSection:
-    """Orthogonal projection of a full section onto the normal bundle, in frame coefficients."""
-    if not np.array_equal(V.base.pts, c.center.pts):
-        raise ValueError("section is not based on the chart center")
-    coeff = np.einsum("aid,id->ia", c.frame, V.vecs)
-    return NormalSection(coeff)
+def project_normal(c: Chart, V) -> NormalSection:
+    """Orthogonal projection of a full section V, shape (P, coord_dim), onto the normal bundle."""
+    return NormalSection(np.einsum("aid,id->ia", c.frame, _full_section(c, V)))
 
 
 def chart_invert(c: Chart, y: Embedding) -> tuple[NormalSection, Reparam]:

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import shapes
+from . import fourier, shapes
 from .ambient import AmbientSpace
 from .charts import _reach, chart_apply, chart_invert, make_chart
 from .curve import Embedding, image_distance, separation, speeds
@@ -55,7 +55,7 @@ class _InputError(Exception):
     """Bad user input; maps to exit code 2."""
 
 
-def _parse_make(text: str, grid: int | None, seed: int | None) -> Embedding:
+def _parse_make(text: str, grid: int | None) -> Embedding:
     name, _, rest = text.partition(":")
     if name not in _GENERATORS:
         raise _InputError(f"unknown generator {name!r}; choose from {sorted(_GENERATORS)}")
@@ -70,22 +70,24 @@ def _parse_make(text: str, grid: int | None, seed: int | None) -> Embedding:
                 num = float(val)
             except ValueError as exc:
                 raise _InputError(f"generator parameter {item!r} is not numeric") from exc
+            if key in ("p", "seed", "kmax", "wx", "wy"):
+                if not num.is_integer():  # False for NaN and inf too
+                    raise _InputError(f"generator parameter {item!r} is not an integer")
+                num = int(num)
+            elif not np.isfinite(num):
+                raise _InputError(f"generator parameter {item!r} is not finite")
             if key in ("wx", "wy"):
                 winding = winding or [0, 0]
-                winding[0 if key == "wx" else 1] = int(num)
-            elif key in ("p", "seed", "kmax"):
-                kwargs["P" if key == "p" else key] = int(num)
+                winding[0 if key == "wx" else 1] = num
             else:
-                kwargs[key] = num
+                kwargs["P" if key == "p" else key] = num
     if winding:
         kwargs["winding"] = tuple(winding)
     if grid is not None:
         kwargs["P"] = grid
-    if seed is not None and name in ("torus-geodesic", "perturbed-circle"):
-        kwargs["seed"] = seed
     try:
         return _GENERATORS[name](**kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise _InputError(f"generator {name!r}: {exc}") from exc
 
 
@@ -109,7 +111,7 @@ def _get_curve(args, flag: str = "curve") -> Embedding:
     if path is not None:
         x = _load_file(path)
     elif flag == "curve" and getattr(args, "make", None):
-        x = _parse_make(args.make, args.grid, getattr(args, "seed", None))
+        x = _parse_make(args.make, args.grid)
     else:
         raise _InputError(f"no input curve: pass --{flag}" +
                           (" or --make" if flag == "curve" else ""))
@@ -175,7 +177,7 @@ def cmd_roundtrip(args) -> int:
     u, h = chart_invert(c, target)
     rebuilt = chart_apply(c, u)
     dist = image_distance(target, rebuilt)
-    slopes = h.slope(c.center.grid.nodes)
+    slopes = h.slope(fourier.nodes(c.P))
     report = {
         "section_sup_norm": float(u.sup_norm),
         "rho": float(c.rho),
@@ -227,6 +229,8 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    if args.count < 0:
+        raise _InputError("--count must be non-negative")
     c = _chart(_get_curve(args), "curve")
     F = _parsed(parse_functional, args.functional)
     vals = spectrum(F, c, args.count)
@@ -262,7 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--make", help="built-in generator NAME[:k=v,...]")
         p.add_argument("--ambient", help="required ambient spec as JSON, for validation")
         p.add_argument("--grid", type=int, help="grid size for --make generators")
-        p.add_argument("--seed", type=int, help="seed for --make generators")
         p.add_argument("--output", help="write data here instead of stdout")
         if center:
             p.add_argument("--center", help="chart-center curve file (JSON)")

@@ -10,7 +10,7 @@ depends on the ambient is a method of the space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 # unused: perfbench/tracer.py wraps this name until ROADMAP item 1 drops scipy.optimize
@@ -28,19 +28,10 @@ MIN_GAP = 4
 PROBES_PER_NODE = 8
 
 
-@dataclass(frozen=True)
-class GridCircle:
-    """Uniform periodic grid on S^1 with nodes theta_i = 2*pi*i/P."""
-
-    P: int
-
-    def __post_init__(self):
-        if self.P < 16 or self.P % 2 != 0:
-            raise ValueError("grid size must be an even integer >= 16")
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return fourier.nodes(self.P)
+def _check_grid(P: int):
+    """Grids are uniform on S^1 (nodes `fourier.nodes(P)`) with an even P >= 16."""
+    if P < 16 or P % 2 != 0:
+        raise ValueError("grid size must be an even integer >= 16")
 
 
 @dataclass(frozen=True)
@@ -61,17 +52,13 @@ class Embedding:
         pts = np.asarray(self.pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.space.coord_dim:
             raise ValueError("pts must have shape (P, coord_dim)")
-        GridCircle(pts.shape[0])
+        _check_grid(pts.shape[0])
         object.__setattr__(self, "pts", pts)
         object.__setattr__(self, "winding", self.space.check_winding(self.winding))
 
     @property
     def P(self) -> int:
         return self.pts.shape[0]
-
-    @property
-    def grid(self) -> GridCircle:
-        return GridCircle(self.P)
 
     @property
     def samples(self) -> np.ndarray:
@@ -89,25 +76,7 @@ class Embedding:
         """Samples of the curve minus its winding drift; a periodic function."""
         if self.winding is None:
             return self.pts
-        return self.pts - self.grid.nodes[:, None] * self.drift
-
-
-@dataclass(frozen=True)
-class SectionField:
-    """A section of the pull-back bundle x^*(TN): one tangent vector per node."""
-
-    base: Embedding
-    vecs: np.ndarray
-
-    def __post_init__(self):
-        vecs = np.asarray(self.vecs, dtype=float)
-        if vecs.shape != self.base.pts.shape:
-            raise ValueError("vecs must match the base curve samples in shape")
-        object.__setattr__(self, "vecs", vecs)
-
-    @property
-    def sup_norm(self) -> float:
-        return float(np.max(np.linalg.norm(self.vecs, axis=1)))
+        return self.pts - fourier.nodes(self.P)[:, None] * self.drift
 
 
 @dataclass(frozen=True)
@@ -118,7 +87,7 @@ class Reparam:
 
     def __post_init__(self):
         lift = np.asarray(self.lift, dtype=float)
-        GridCircle(lift.shape[0])
+        _check_grid(lift.shape[0])
         steps = np.diff(lift, append=lift[0] + 2.0 * np.pi)
         if np.any(steps <= 0.0):
             raise NonMonotoneError("reparameterization lift must be strictly increasing")
@@ -162,14 +131,14 @@ def interp_curve(x: Embedding, t) -> np.ndarray:
     return x.space.retract(fourier.interp(x.periodic_part(), t) + t[:, None] * x.drift)
 
 
-def derivative(x: Embedding) -> SectionField:
-    """Spectral derivative x'(theta) as a section of x^*(TN)."""
+def derivative(x: Embedding) -> np.ndarray:
+    """Spectral derivative x'(theta): tangent vectors at the nodes, shape (P, coord_dim)."""
     d = fourier.diff(x.periodic_part()) + x.drift
-    return SectionField(x, x.space.project_tangent(x.pts, d))
+    return x.space.project_tangent(x.pts, d)
 
 
 def speeds(x: Embedding) -> np.ndarray:
-    return np.linalg.norm(derivative(x).vecs, axis=1)
+    return np.linalg.norm(derivative(x), axis=1)
 
 
 def quadrature_weights(x: Embedding) -> np.ndarray:

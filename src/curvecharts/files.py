@@ -15,7 +15,6 @@ import json
 import numpy as np
 
 from .ambient import AmbientSpace
-from .charts import Chart
 from .curve import Embedding
 
 FORMAT_VERSION = 1
@@ -41,6 +40,8 @@ def curve_from_dict(data: dict) -> Embedding:
     P = int(data["grid"])
     if pts.shape != (P, space.coord_dim):
         raise ValueError("points array does not match grid size and ambient dimension")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
     pts = space.check_point(pts)
     winding = space.check_winding(data.get("winding"))
     if winding is not None:
@@ -73,11 +74,3 @@ def save_curve(x: Embedding, path: str):
 def load_curve(path: str) -> Embedding:
     with open(path) as fh:
         return curve_from_dict(json.load(fh))
-
-
-def chart_to_dict(c: Chart) -> dict:
-    """Debug dump: curve file payload plus the frame and validity radius."""
-    out = curve_to_dict(c.center)
-    out["frame"] = c.frame.tolist()
-    out["rho"] = c.rho
-    return out

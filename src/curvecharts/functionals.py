@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier
-from .charts import Chart, NormalSection, SectionField, full_chart_apply, make_chart
+from .charts import Chart, NormalSection, _full_section, full_chart_apply, make_chart
 from .curve import Embedding, curvature, derivative, quadrature_weights
 from .errors import UnsupportedAmbientError
 
@@ -90,7 +90,7 @@ def evaluate(F: Functional, x: Embedding) -> float:
         if kind == "length":
             total += coef * float(np.sum(w))
         elif kind == "area":
-            d = derivative(x).vecs
+            d = derivative(x)
             total += coef * 0.5 * (2.0 * np.pi / x.P) * float(
                 np.sum(x.pts[:, 0] * d[:, 1] - x.pts[:, 1] * d[:, 0])
             )
@@ -127,11 +127,6 @@ def _grad_pts(F: Functional, y: Embedding) -> np.ndarray:
 # chart derivatives
 
 
-def _section(c: Chart, coeff: np.ndarray, basis: np.ndarray) -> SectionField:
-    """Full section sum_a coeff^a basis^a along the chart center."""
-    return SectionField(c.center, np.einsum("ia,aid->id", coeff, basis))
-
-
 def _pullback_gradient(F: Functional, c: Chart, coeff: np.ndarray,
                        basis: np.ndarray) -> np.ndarray:
     """L2(ds) gradient of coeff -> evaluate(F, exp_x(sum_a coeff^a basis^a)).
@@ -140,9 +135,9 @@ def _pullback_gradient(F: Functional, c: Chart, coeff: np.ndarray,
     back through d exp at each node.
     """
     x = c.center
-    W = _section(c, coeff, basis)
+    W = np.einsum("ia,aid->id", coeff, basis)
     gp = _grad_pts(F, full_chart_apply(c, W))
-    G = np.einsum("aid,id->ia", x.space.dexp(x.pts, W.vecs, basis), gp)
+    G = np.einsum("aid,id->ia", x.space.dexp(x.pts, W, basis), gp)
     return G / c.weights[:, None]
 
 
@@ -156,14 +151,18 @@ def gradient_in_chart(F: Functional, c: Chart, u: NormalSection) -> NormalSectio
     return NormalSection(_pullback_gradient(F, c, u.coeff, c.frame))
 
 
-def first_variation(F: Functional, x: Embedding, V: SectionField) -> float:
-    """Directional derivative dF_x[V] along the vector-bundle chart at x."""
+def first_variation(F: Functional, x: Embedding, V) -> float:
+    """Directional derivative dF_x[V] along the vector-bundle chart at x.
+
+    V is a full section of x^*(TN), shape (P, coord_dim).
+    """
     c = make_chart(x)
-    scale = max(1.0, V.sup_norm)
+    V = _full_section(c, V)
+    scale = max(1.0, float(np.max(np.linalg.norm(V, axis=1))))
     h = _GRAD_STEP / scale
 
     def f(r: float) -> float:
-        return evaluate(F, full_chart_apply(c, SectionField(x, r * V.vecs)))
+        return evaluate(F, full_chart_apply(c, r * V))
 
     d1 = (f(h) - f(-h)) / (2.0 * h)
     d2 = (f(0.5 * h) - f(-0.5 * h)) / h

@@ -134,7 +134,7 @@ def smooth_center(x: Embedding, trunc_freq: int) -> Embedding:
     """Near-arclength, Fourier-truncated copy of x, suitable as a chart center."""
     z = resample(x, arclength_lift(x))
     per = fourier.truncate(z.periodic_part(), trunc_freq)
-    pts = z.space.retract(per + z.grid.nodes[:, None] * z.drift)
+    pts = z.space.retract(per + fourier.nodes(z.P)[:, None] * z.drift)
     return Embedding(z.space, pts, z.winding)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .ambient import AmbientSpace
 from .charts import Chart, chart_invert, project_normal
-from .curve import Embedding, SectionField
+from .curve import Embedding
 
 _ORTHO_TOL = 1e-10
 # orbit_rank counts the singular values above this fraction of the largest
@@ -107,8 +107,7 @@ def orbit_differential(c: Chart, basis: list) -> np.ndarray:
     """Matrix of orbit directions in the chart: one sqrt(w)-scaled column per (A, b) generator."""
     cols = []
     for A, b in basis:
-        vecs = c.center.pts @ A.T + b
-        coeff = project_normal(c, SectionField(c.center, vecs)).coeff
+        coeff = project_normal(c, c.center.pts @ A.T + b).coeff
         cols.append((coeff * np.sqrt(c.weights)[:, None]).ravel())
     return np.stack(cols, axis=1)
 

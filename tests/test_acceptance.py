@@ -20,7 +20,7 @@ def report(num, name, ok):
 
 
 def random_section(c, rng, sup):
-    th = c.center.grid.nodes
+    th = cc.fourier.nodes(c.center.P)
     coeff = np.zeros((c.P, c.rank))
     for a in range(c.rank):
         for k in range(5):
@@ -84,7 +84,7 @@ def test_04_tangent_lemma():
     rng = np.random.default_rng(4)
     x = shapes.perturbed_circle(96, amplitude=0.05, seed=1)
     c = cc.make_chart(x)
-    th = x.grid.nodes
+    th = cc.fourier.nodes(x.P)
     worst_order, worst_err = np.inf, 0.0
     for _ in range(10):
         V = np.zeros((96, 2))
@@ -92,7 +92,7 @@ def test_04_tangent_lemma():
             for d in range(2):
                 aa, bb = rng.uniform(-1, 1, 2)
                 V[:, d] += 0.01 * (aa * np.cos(k * th) + bb * np.sin(k * th))
-        pn = cc.project_normal(c, cc.SectionField(x, V))
+        pn = cc.project_normal(c, V)
         errs = []
         for r in (1e-2, 2.5e-3):
             up, _ = cc.chart_invert(c, cc.Embedding(x.space, x.pts + r * V))

@@ -19,7 +19,7 @@ from test_functionals import random_sphere_curve
 
 
 def random_section(c, rng, sup):
-    th = c.center.grid.nodes
+    th = cc.fourier.nodes(c.center.P)
     coeff = np.zeros((c.P, c.rank))
     for a in range(c.rank):
         for k in range(5):
@@ -33,7 +33,7 @@ def random_section(c, rng, sup):
 
 def test_make_chart_circle_outward_frame(circle64):
     c = cc.make_chart(circle64)
-    th = circle64.grid.nodes
+    th = cc.fourier.nodes(circle64.P)
     outward = np.stack([np.cos(th), np.sin(th)], axis=1)
     np.testing.assert_allclose(c.frame[0], outward, atol=1e-12)
     assert c.rho == pytest.approx(0.9, abs=1e-9)
@@ -63,14 +63,14 @@ def test_reach_estimate_great_circle(great_circle96):
 
 def test_full_chart_apply_zero_section(circle64):
     c = cc.make_chart(circle64)
-    W = cc.SectionField(circle64, np.zeros((64, 2)))
+    W = np.zeros((64, 2))
     np.testing.assert_allclose(cc.full_chart_apply(c, W).pts, circle64.pts, atol=1e-15)
 
 
 def test_full_chart_apply_radial(circle64):
     c = cc.make_chart(circle64)
-    th = circle64.grid.nodes
-    W = cc.SectionField(circle64, 0.1 * np.stack([np.cos(th), np.sin(th)], axis=1))
+    th = cc.fourier.nodes(circle64.P)
+    W = 0.1 * np.stack([np.cos(th), np.sin(th)], axis=1)
     want = shapes.circle(64, radius=1.1)
     np.testing.assert_allclose(cc.full_chart_apply(c, W).pts, want.pts, atol=1e-12)
 
@@ -80,11 +80,27 @@ def test_full_chart_apply_tangential_reparameterizes(circle64):
     # displaced circle has radius sqrt(1 + eps^2), distance eps^2/2
     eps = 0.05
     c = cc.make_chart(circle64)
-    W = cc.SectionField(circle64, eps * cc.derivative(circle64).vecs)
+    W = eps * cc.derivative(circle64)
     y = cc.full_chart_apply(c, W)
     assert cc.image_distance(circle64, y) == pytest.approx(
         np.sqrt(1 + eps**2) - 1, abs=1e-9)
 
+
+
+@pytest.mark.parametrize("make", [shapes.circle, shapes.great_circle], ids=["plane", "sphere"])
+@pytest.mark.parametrize("shape", ["P-by-1", "P+2-rows", "one-dim"])
+@pytest.mark.parametrize("call", ["full_chart_apply", "project_normal", "first_variation"])
+def test_full_section_shape_must_match_the_center(make, shape, call):
+    # a (P, 1) array would broadcast against the center without the check
+    x = make(64)
+    P, d = x.pts.shape
+    V = np.full({"P-by-1": (P, 1), "P+2-rows": (P + 2, d), "one-dim": (P,)}[shape], 0.01)
+    c = cc.make_chart(x)
+    with pytest.raises(ValueError, match="one ambient vector per chart-center node"):
+        if call == "first_variation":
+            cc.first_variation(cc.parse_functional("length"), x, V)
+        else:
+            getattr(cc, call)(c, V)
 
 def test_chart_apply_concentric(circle64):
     c = cc.make_chart(circle64)
@@ -110,14 +126,14 @@ def test_chart_round_trip_random_sections(rng):
             u = random_section(c, rng, 0.4 * c.rho)
             u2, sigma = cc.chart_invert(c, cc.chart_apply(c, u))
             assert np.max(np.abs(u2.coeff - u.coeff)) <= 1e-8
-            assert np.max(np.abs(sigma.lift - c.center.grid.nodes)) <= 1e-8
+            assert np.max(np.abs(sigma.lift - cc.fourier.nodes(c.center.P))) <= 1e-8
 
 
 def test_chart_invert_concentric_with_phase(circle64):
     # radius-1.1 circle sampled through a phase diffeo shares the
     # radial normal fibers, so u is constant 0.1 and sigma inverts the phase
     c = cc.make_chart(circle64)
-    th = circle64.grid.nodes
+    th = cc.fourier.nodes(circle64.P)
     phi = cc.Reparam(th + 0.3 * np.sin(th))
     y = cc.resample(shapes.circle(64, radius=1.1), phi)
     u, sigma = cc.chart_invert(c, y)
@@ -150,7 +166,7 @@ def test_transition_same_chart(circle64, rng):
     u = random_section(c, rng, 0.2)
     u2, h = cc.transition(c, c, u)
     assert np.max(np.abs(u2.coeff - u.coeff)) <= 1e-9
-    assert np.max(np.abs(h.lift - circle64.grid.nodes)) <= 1e-9
+    assert np.max(np.abs(h.lift - cc.fourier.nodes(circle64.P))) <= 1e-9
 
 
 def test_transition_concentric(circle64):
@@ -159,7 +175,7 @@ def test_transition_concentric(circle64):
     u = cc.NormalSection(np.full((64, 1), 0.1))
     u2, h = cc.transition(c1, c2, u)
     np.testing.assert_allclose(u2.coeff, 0.05, atol=1e-8)
-    np.testing.assert_allclose(h.lift, circle64.grid.nodes, atol=1e-8)
+    np.testing.assert_allclose(h.lift, cc.fourier.nodes(circle64.P), atol=1e-8)
 
 
 def test_transition_round_trip(rng):
@@ -185,24 +201,24 @@ def test_transition_formula_pointwise(rng):
 
 def test_project_normal_kernel_and_linearity(circle64):
     c = cc.make_chart(circle64)
-    tang = cc.derivative(circle64).vecs
+    tang = cc.derivative(circle64)
     nu = c.frame[0]
-    zero = cc.project_normal(c, cc.SectionField(circle64, 3.0 * tang))
+    zero = cc.project_normal(c, 3.0 * tang)
     np.testing.assert_allclose(zero.coeff, 0.0, atol=1e-12)
-    pure = cc.project_normal(c, cc.SectionField(circle64, nu.copy()))
+    pure = cc.project_normal(c, nu.copy())
     np.testing.assert_allclose(pure.coeff, 1.0, atol=1e-12)
-    mixed = cc.project_normal(c, cc.SectionField(circle64, tang + 2.0 * nu))
+    mixed = cc.project_normal(c, tang + 2.0 * nu)
     np.testing.assert_allclose(mixed.coeff, 2.0, atol=1e-12)
 
 
 def test_frame_orthonormal_3d():
-    th = cc.GridCircle(96).nodes
+    th = cc.fourier.nodes(96)
     pts = np.stack([np.cos(th), np.sin(th), 0.3 * np.sin(2 * th)], axis=1)
     c = cc.make_chart(cc.Embedding(cc.Euclidean(3), pts))
     fr = c.frame
     gram = np.einsum("aid,bid->abi", fr, fr)
     assert np.max(np.abs(gram - np.eye(2)[:, :, None])) <= 1e-10
-    tang = cc.derivative(c.center).vecs
+    tang = cc.derivative(c.center)
     assert np.max(np.abs(np.einsum("aid,id->ai", fr, tang))) <= 1e-8
 
 
@@ -211,13 +227,13 @@ def test_tangent_lemma_fd(rng):
     # normal projection of V, with second-order convergence
     x = shapes.perturbed_circle(128, amplitude=0.05, seed=2)
     c = cc.make_chart(x)
-    th = x.grid.nodes
+    th = cc.fourier.nodes(x.P)
     V = np.zeros((128, 2))
     for k in range(4):
         for d in range(2):
             a, b = rng.uniform(-1, 1, 2)
             V[:, d] += 0.01 * (a * np.cos(k * th) + b * np.sin(k * th))
-    pn = cc.project_normal(c, cc.SectionField(x, V))
+    pn = cc.project_normal(c, V)
     errs = []
     for r in (1e-2, 5e-3, 2.5e-3):
         up, _ = cc.chart_invert(c, cc.Embedding(x.space, x.pts + r * V))
@@ -299,13 +315,13 @@ def test_chart_round_trip_property(backend, seed, frac):
 
 def _cusp():
     # cardioid-style curve with a zero-speed point, as in test_curve
-    th = cc.GridCircle(64).nodes
+    th = cc.fourier.nodes(64)
     pts = np.stack([(1 + np.cos(th)) * np.cos(th), (1 + np.cos(th)) * np.sin(th)], axis=1)
     return cc.Embedding(cc.Euclidean(2), pts)
 
 
 def _astroid():
-    th = cc.GridCircle(64).nodes
+    th = cc.fourier.nodes(64)
     return cc.Embedding(cc.Euclidean(2), np.stack([np.cos(th) ** 3, np.sin(th) ** 3], axis=1))
 
 
@@ -398,7 +414,7 @@ def test_chart_carries_center_tangent_and_weights(make):
     x = make()
     c = cc.make_chart(x)
     assert np.array_equal(c.weights, cc.quadrature_weights(x))
-    d = cc.derivative(x).vecs
+    d = cc.derivative(x)
     assert c.tangent.shape == d.shape
     assert np.max(np.abs(np.linalg.norm(c.tangent, axis=1) - 1.0)) <= 1e-14
     speed = np.linalg.norm(d, axis=1)

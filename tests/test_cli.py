@@ -236,7 +236,7 @@ def test_non_unit_sphere_points_exit_2(tmp_path):
 
 @pytest.mark.parametrize("command", ["validate", "orbit"])
 def test_four_dimensional_ambient_exit_2(tmp_path, command):
-    th = cc.GridCircle(32).nodes
+    th = cc.fourier.nodes(32)
     pts = np.stack([np.cos(th), np.sin(th), 0 * th, 0 * th], axis=1)
     data = {"version": 1, "ambient": {"kind": "euclidean", "dim": 4}, "grid": 32,
             "points": pts.tolist()}
@@ -255,8 +255,10 @@ def test_four_dimensional_ambient_exit_2(tmp_path, command):
     ["minimize", "--tol", "nan"],
     ["minimize", "--newton-threshold", "nan"],
     ["roundtrip", "--tol", "nan", "--center", "{dir}/center.json"],
+    ["spectrum", "--count", "-1"],
 ], ids=["minimize-functional", "spectrum-functional", "max-iter-0", "tol-negative",
-        "newton-threshold-0", "tol-nan", "newton-threshold-nan", "roundtrip-tol-nan"])
+        "newton-threshold-0", "tol-nan", "newton-threshold-nan", "roundtrip-tol-nan",
+        "count-negative"])
 def test_bad_flag_values_exit_2_with_one_line(tmp_path, argv):
     cc.save_curve(shapes.circle(32), str(tmp_path / "center.json"))
     argv = [a.format(dir=tmp_path) for a in argv]
@@ -264,6 +266,44 @@ def test_bad_flag_values_exit_2_with_one_line(tmp_path, argv):
     assert r.returncode == 2
     assert r.stdout == ""
     assert len(r.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("make", [
+    "circle:p=nan", "circle:p=inf", "torus-geodesic:wx=inf", "torus-geodesic:wx=1.7",
+    "torus-geodesic:wx=1e20",
+    "perturbed-circle:seed=0.5", "circle:radius=inf", "perturbed-circle:amplitude=nan",
+])
+def test_bad_generator_parameters_exit_2_with_one_line(make):
+    # integer parameters are checked, not truncated; the others must be finite
+    r = run_cli("validate", "--make", make)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("winding", [[1.5, 0], [1.0, 0.4]])
+def test_non_integral_winding_file_exit_2(tmp_path, winding):
+    d = cc.files.curve_to_dict(shapes.torus_geodesic(32, (1, 0)))
+    d["winding"] = winding
+    p = tmp_path / "geo.json"
+    p.write_text(json.dumps(d))
+    r = run_cli("validate", "--curve", str(p))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "orbit", "spectrum"])
+@pytest.mark.parametrize("make, bad", [(shapes.great_circle, np.nan), (shapes.circle, np.inf)],
+                         ids=["sphere-nan", "plane-inf"])
+def test_non_finite_curve_file_points_exit_2(tmp_path, command, make, bad):
+    d = cc.files.curve_to_dict(make(32))
+    d["points"][5][0] = bad
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(d))  # writes NaN and Infinity, which json reads back
+    r = run_cli(command, "--curve", str(p))
+    assert r.returncode == 2
+    assert r.stdout == ""
 
 
 @pytest.mark.parametrize("argv, code", [

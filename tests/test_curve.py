@@ -43,7 +43,7 @@ def test_is_embedding_rejects_lemniscate():
 
 def test_is_embedding_rejects_cusp():
     # cardioid-style curve with a zero-speed point
-    th = cc.GridCircle(64).nodes
+    th = cc.fourier.nodes(64)
     pts = np.stack([(1 + np.cos(th)) * np.cos(th), (1 + np.cos(th)) * np.sin(th)], axis=1)
     x = cc.Embedding(cc.Euclidean(2), pts)
     assert not cc.is_immersion(x)
@@ -56,14 +56,14 @@ def test_resample_identity(circle64):
 
 
 def test_resample_quarter_shift_is_node_roll(circle64):
-    phi = cc.Reparam(cc.GridCircle(64).nodes + np.pi / 2)
+    phi = cc.Reparam(cc.fourier.nodes(64) + np.pi / 2)
     y = cc.resample(circle64, phi)
     np.testing.assert_allclose(y.pts, np.roll(circle64.pts, -16, axis=0), atol=1e-12)
 
 
 def test_resample_preserves_image():
     x = shapes.circle(256)
-    th = cc.GridCircle(256).nodes
+    th = cc.fourier.nodes(256)
     phi = cc.Reparam(th + 0.3 * np.sin(th))
     y = cc.resample(x, phi)
     assert cc.image_distance(x, y) <= 1e-10
@@ -86,7 +86,7 @@ def test_image_distance_orientation_reversed(circle64):
 
 def test_make_diffeo_amplitude_zero_is_identity():
     phi = cc.make_diffeo(0, 0.0, 128)
-    np.testing.assert_allclose(phi.lift, cc.GridCircle(128).nodes, atol=1e-15)
+    np.testing.assert_allclose(phi.lift, cc.fourier.nodes(128), atol=1e-15)
 
 
 def test_make_diffeo_deterministic():
@@ -103,7 +103,7 @@ def test_make_diffeo_slope_floor():
 
 
 def test_reparam_rejects_non_monotone():
-    th = cc.GridCircle(64).nodes
+    th = cc.fourier.nodes(64)
     with pytest.raises(NonMonotoneError):
         cc.Reparam(th + 0.2 * np.sin(8 * th))
 
@@ -114,7 +114,7 @@ def test_reparam_inverse_round_trip():
             phi = cc.make_diffeo(seed, amplitude, 128)
             inv = cc.reparam_inverse(phi)
             comp = cc.reparam_compose(phi, inv)
-            np.testing.assert_allclose(comp.lift, cc.GridCircle(128).nodes, atol=1e-10)
+            np.testing.assert_allclose(comp.lift, cc.fourier.nodes(128), atol=1e-10)
 
 
 def _tilted_great_circle():
@@ -138,13 +138,13 @@ def test_arclength_lift_gives_constant_speed(make):
 
 
 def test_spectral_derivative_matches_analytic():
-    th = cc.GridCircle(128).nodes
+    th = cc.fourier.nodes(128)
     pts = np.stack([np.cos(th) + 0.2 * np.cos(3 * th),
                     np.sin(th) + 0.1 * np.sin(2 * th)], axis=1)
     x = cc.Embedding(cc.Euclidean(2), pts)
     want = np.stack([-np.sin(th) - 0.6 * np.sin(3 * th),
                      np.cos(th) + 0.2 * np.cos(2 * th)], axis=1)
-    np.testing.assert_allclose(cc.derivative(x).vecs, want, atol=1e-10)
+    np.testing.assert_allclose(cc.derivative(x), want, atol=1e-10)
 
 
 @pytest.mark.parametrize("s", [0, 1, 2])
@@ -164,7 +164,7 @@ def test_sobolev_inverse_order_zero_is_identity(rng):
 
 def test_resample_associativity():
     x = shapes.circle(128)
-    p1 = cc.Reparam(cc.GridCircle(128).nodes + np.pi / 2)
+    p1 = cc.Reparam(cc.fourier.nodes(128) + np.pi / 2)
     p2 = cc.make_diffeo(2, 0.2, 128)
     a = cc.resample(cc.resample(x, p1), p2)
     b = cc.resample(x, cc.reparam_compose(p1, p2))
@@ -205,7 +205,7 @@ def test_separation_torus_strands():
 
 
 def latitude_circle(P, polar):
-    th = cc.GridCircle(P).nodes
+    th = cc.fourier.nodes(P)
     pts = np.stack([np.sin(polar) * np.cos(th), np.sin(polar) * np.sin(th),
                     np.full(P, np.cos(polar))], axis=1)
     return cc.Embedding(cc.Sphere2(), pts)
@@ -288,3 +288,19 @@ def test_resample_keeps_torus_lift_on_its_branch(offset, shift):
     x = shapes.torus_geodesic(64, (1, 0), offset=(offset, 0.3))
     y = cc.resample(x, cc.Reparam(cc.Reparam.identity(64).lift + shift))
     np.testing.assert_allclose(y.pts, x.pts, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("P", [14, 15, 17])
+def test_grid_size_must_be_even_and_at_least_16(P):
+    th = fourier.nodes(P)
+    with pytest.raises(ValueError, match="even integer >= 16"):
+        cc.Embedding(cc.Euclidean(2), np.stack([np.cos(th), np.sin(th)], axis=1))
+    with pytest.raises(ValueError, match="even integer >= 16"):
+        cc.Reparam(th)
+
+
+@pytest.mark.parametrize("winding", [(1.5, 0), (1.0, 0.4), (np.nan, 0), (np.inf, 0), (1e20, 0)])
+def test_torus_winding_must_be_integral(winding):
+    pts = shapes.torus_geodesic(64, (1, 0)).pts
+    with pytest.raises(ValueError, match="integers"):
+        cc.Embedding(cc.FlatTorus(2), pts, winding)

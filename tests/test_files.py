@@ -5,7 +5,7 @@ import pytest
 
 import curvecharts as cc
 from curvecharts import shapes
-from curvecharts.files import FORMAT_VERSION, chart_to_dict, curve_from_dict, curve_to_dict
+from curvecharts.files import FORMAT_VERSION, curve_from_dict, curve_to_dict
 
 
 def test_round_trip_euclidean(tmp_path, circle64):
@@ -74,11 +74,3 @@ def test_save_is_deterministic(tmp_path, circle64):
     cc.save_curve(circle64, str(a))
     cc.save_curve(circle64, str(b))
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_chart_to_dict_payload(circle64):
-    c = cc.make_chart(circle64)
-    d = chart_to_dict(c)
-    assert d["rho"] == pytest.approx(c.rho)
-    assert np.asarray(d["frame"]).shape == (1, 64, 2)
-    json.dumps(d)

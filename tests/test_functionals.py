@@ -52,22 +52,22 @@ def test_area_unsupported_off_plane(great_circle96):
 
 def test_first_variation_length_outward(circle64):
     # oracle: dL[u] = integral of kappa * u ds = 2 pi for u = 1, kappa = 1
-    th = circle64.grid.nodes
-    V = cc.SectionField(circle64, np.stack([np.cos(th), np.sin(th)], axis=1))
+    th = cc.fourier.nodes(circle64.P)
+    V = np.stack([np.cos(th), np.sin(th)], axis=1)
     fv = cc.first_variation(cc.parse_functional("length"), circle64, V)
     assert fv == pytest.approx(2 * np.pi, abs=1e-6)
 
 
 def test_first_variation_area_outward(circle64):
     # oracle: dA[u] = integral of u ds = 2 pi
-    th = circle64.grid.nodes
-    V = cc.SectionField(circle64, np.stack([np.cos(th), np.sin(th)], axis=1))
+    th = cc.fourier.nodes(circle64.P)
+    V = np.stack([np.cos(th), np.sin(th)], axis=1)
     fv = cc.first_variation(cc.parse_functional("area"), circle64, V)
     assert fv == pytest.approx(2 * np.pi, abs=1e-6)
 
 
 def test_first_variation_tangential_vanishes(circle64):
-    V = cc.SectionField(circle64, 0.7 * cc.derivative(circle64).vecs)
+    V = 0.7 * cc.derivative(circle64)
     for name in ("length", "area", "bend"):
         fv = cc.first_variation(cc.parse_functional(name), circle64, V)
         assert abs(fv) <= 1e-6
@@ -98,7 +98,7 @@ def test_gradient_consistency_with_first_variation(rng):
     x = shapes.perturbed_circle(96, amplitude=0.06, seed=1)
     c = cc.make_chart(x)
     w = cc.quadrature_weights(x)
-    th = x.grid.nodes
+    th = cc.fourier.nodes(x.P)
     for name in ("length", "bend", "length-0.5*area"):
         F = cc.parse_functional(name)
         g = cc.gradient_in_chart(F, c, cc.NormalSection.zero(96, 1))
@@ -106,7 +106,7 @@ def test_gradient_consistency_with_first_variation(rng):
             coeff = np.zeros(96)
             for k in range(5):
                 coeff += rng.uniform(-1, 1) * np.cos(k * th + rng.uniform(0, 2 * np.pi))
-            V = cc.SectionField(x, coeff[:, None] * c.frame[0])
+            V = coeff[:, None] * c.frame[0]
             fv = cc.first_variation(F, x, V)
             pair = np.sum(g.coeff[:, 0] * coeff * w)
             assert fv == pytest.approx(pair, rel=1e-6, abs=1e-8)
@@ -163,7 +163,7 @@ def test_orbit_columns_in_hessian_kernel(circle64):
     basis = cc.standard_killing_basis(circle64.space)
     qnorm = np.linalg.norm(Q, 2)
     for A, b in basis:
-        v = cc.project_normal(c, cc.SectionField(circle64, circle64.pts @ A.T + b)).coeff.ravel()
+        v = cc.project_normal(c, circle64.pts @ A.T + b).coeff.ravel()
         n = np.linalg.norm(v)
         if n < 1e-12:
             continue
@@ -181,7 +181,7 @@ def test_gradient_consistency_with_first_variation_sphere(rng):
     x = tilted_great_circle(96)
     c = cc.make_chart(x)
     w = cc.quadrature_weights(x)
-    th = x.grid.nodes
+    th = cc.fourier.nodes(x.P)
     F = cc.parse_functional("bend")
     g = cc.gradient_in_chart(F, c, cc.NormalSection.zero(96, 1))
     assert np.max(np.abs(g.coeff)) > 0.1
@@ -189,7 +189,7 @@ def test_gradient_consistency_with_first_variation_sphere(rng):
         coeff = np.zeros(96)
         for k in range(5):
             coeff += rng.uniform(-1, 1) * np.cos(k * th + rng.uniform(0, 2 * np.pi))
-        V = cc.SectionField(x, coeff[:, None] * c.frame[0])
+        V = coeff[:, None] * c.frame[0]
         fv = cc.first_variation(F, x, V)
         pair = np.sum(g.coeff[:, 0] * coeff * w)
         assert fv == pytest.approx(pair, rel=1e-6, abs=1e-8)
@@ -217,7 +217,7 @@ def test_full_gradient_sphere_bend_matches_central_differences(rng):
     w = cc.quadrature_weights(x)
 
     def f(cf):
-        W = cc.SectionField(x, np.einsum("ia,aid->id", cf, basis))
+        W = np.einsum("ia,aid->id", cf, basis)
         return cc.evaluate(F, cc.full_chart_apply(c, W))
 
     for coeff in (np.zeros((24, 2)), 0.02 * rng.standard_normal((24, 2))):
@@ -320,7 +320,7 @@ def test_chart_weights_set_the_l2_metric():
     F = cc.parse_functional("length")
     c = cc.make_chart(x)
     c2 = dataclasses.replace(c, weights=2.0 * c.weights)
-    u = cc.NormalSection(0.1 * c.rho * np.cos(2 * x.grid.nodes)[:, None])
+    u = cc.NormalSection(0.1 * c.rho * np.cos(2 * cc.fourier.nodes(x.P))[:, None])
     g = cc.gradient_in_chart(F, c, u)
     np.testing.assert_allclose(cc.gradient_in_chart(F, c2, u).coeff, 0.5 * g.coeff,
                                rtol=1e-15, atol=0)

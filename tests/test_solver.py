@@ -32,7 +32,7 @@ def test_recenter_concentric_moves_center(circle64):
 def test_recenter_contracts_section(rng):
     x = shapes.perturbed_circle(128, amplitude=0.05, seed=4)
     c = cc.make_chart(x)
-    th = x.grid.nodes
+    th = cc.fourier.nodes(x.P)
     u = cc.NormalSection((0.05 * np.cos(2 * th) + 0.03 * np.sin(3 * th))[:, None])
     c2 = cc.recenter(c, u)
     y = cc.chart_apply(c, u)
@@ -177,7 +177,7 @@ def test_newton_refine_handles_orbit_kernel(circle128):
     # must still converge from a perturbed start
     F = cc.parse_functional("length-1.0*area")
     c = cc.make_chart(circle128)
-    th = circle128.grid.nodes
+    th = cc.fourier.nodes(circle128.P)
     u0 = cc.NormalSection((1e-3 * np.cos(2 * th))[:, None])
     u1 = cc.newton_refine(F, c, u0)
     g1 = cc.grad_norm(c, cc.gradient_in_chart(F, c, u1))

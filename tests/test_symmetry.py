@@ -72,7 +72,7 @@ def test_orbit_differential_circle_columns(circle64):
     c = cc.make_chart(circle64)
     basis = cc.standard_killing_basis(circle64.space)
     D = cc.orbit_differential(c, basis)
-    th = circle64.grid.nodes
+    th = cc.fourier.nodes(circle64.P)
     sqw = np.sqrt(cc.quadrature_weights(circle64))
     np.testing.assert_allclose(D[:, 0], np.cos(th) * sqw, atol=1e-10)
     np.testing.assert_allclose(D[:, 1], np.sin(th) * sqw, atol=1e-10)
