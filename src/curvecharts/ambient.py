@@ -115,7 +115,9 @@ class AmbientSpace:
         return vals
 
     def check_winding(self, winding) -> np.ndarray | None:
-        """Winding vector of a closed curve; None where N is simply connected."""
+        """Winding vector of a closed curve: None where N is simply connected, which rejects one."""
+        if winding is not None:
+            raise ValueError("winding vectors apply to flat-torus curves only")
         return None
 
     def normal_frame(self, p: np.ndarray, T: np.ndarray) -> np.ndarray:

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-# unused: perfbench/tracer.py wraps this name until ROADMAP item 1 drops scipy.optimize
-from scipy.optimize import brentq  # noqa: F401
 
 from . import fourier
 from .curve import (
@@ -242,3 +240,15 @@ def transition(c1: Chart, c2: Chart, u: NormalSection) -> tuple[NormalSection, R
     y = chart_apply(c1, u)
     u2, sigma = chart_invert(c2, y)
     return u2, reparam_inverse(sigma)
+
+
+def __getattr__(name: str):
+    """Resolve `brentq` on first access, so importing the package skips scipy.optimize.
+
+    No library path calls `brentq`; the benchmark tracer wraps the name
+    by lookup.  ROADMAP item 1 (the benchmark refresh) deletes this hook.
+    """
+    if name == "brentq":
+        from scipy.optimize import brentq
+        return brentq
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

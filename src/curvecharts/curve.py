@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-# unused: perfbench/tracer.py wraps this name until ROADMAP item 1 drops scipy.optimize
-from scipy.optimize import brentq  # noqa: F401
 
 from . import fourier
 from .ambient import AmbientSpace
@@ -404,3 +402,15 @@ def arclength_lift(x: Embedding) -> Reparam:
     q0 = fourier.interp_coeffs(c, P, np.array([0.0]))[0]
     targets = mean * 2.0 * np.pi * np.arange(P) / P
     return Reparam(_invert_monotone(mean, c, targets + q0))
+
+
+def __getattr__(name: str):
+    """Resolve `brentq` on first access, so importing the package skips scipy.optimize.
+
+    No library path calls `brentq`; the benchmark tracer wraps the name
+    by lookup.  ROADMAP item 1 (the benchmark refresh) deletes this hook.
+    """
+    if name == "brentq":
+        from scipy.optimize import brentq
+        return brentq
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

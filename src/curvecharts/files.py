@@ -37,7 +37,11 @@ def curve_from_dict(data: dict) -> Embedding:
         raise ValueError(f"unsupported curve file version {data.get('version')!r}")
     space = AmbientSpace.from_spec(data["ambient"])
     pts = np.asarray(data["points"], dtype=float)
-    P = int(data["grid"])
+    grid = data["grid"]
+    if (isinstance(grid, bool) or not isinstance(grid, (int, float))
+            or (isinstance(grid, float) and not grid.is_integer())):
+        raise ValueError(f"grid must be an integer, got {grid!r}")
+    P = int(grid)
     if pts.shape != (P, space.coord_dim):
         raise ValueError("points array does not match grid size and ambient dimension")
     if not np.all(np.isfinite(pts)):

@@ -32,6 +32,27 @@ def test_entry_point_subprocess():
     assert json.loads(r.stdout)["embedding"] is True
 
 
+def test_import_skips_scipy_optimize():
+    # brentq stays resolvable on charts and curve, but only on first access
+    code = (
+        "import sys\n"
+        "import curvecharts.cli\n"
+        "assert not [m for m in sys.modules if m.startswith('scipy.optimize')]\n"
+        "from curvecharts import charts, curve\n"
+        "import scipy.optimize\n"
+        "assert charts.brentq is scipy.optimize.brentq\n"
+        "assert curve.brentq is scipy.optimize.brentq\n"
+        "try:\n"
+        "    charts.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('no AttributeError')\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+
+
 def test_validate_circle_report():
     r = run_cli("validate", "--make", "circle", "--grid", "64")
     assert r.returncode == 0
@@ -286,6 +307,33 @@ def test_non_integral_winding_file_exit_2(tmp_path, winding):
     d = cc.files.curve_to_dict(shapes.torus_geodesic(32, (1, 0)))
     d["winding"] = winding
     p = tmp_path / "geo.json"
+    p.write_text(json.dumps(d))
+    r = run_cli("validate", "--curve", str(p))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("make, winding", [(shapes.circle, [1, 0]), (shapes.great_circle, [3])],
+                         ids=["plane", "sphere"])
+def test_winding_on_simply_connected_file_exit_2(tmp_path, make, winding):
+    # only flat-torus curves carry a winding vector; elsewhere the entry is
+    # rejected, not dropped
+    d = cc.files.curve_to_dict(make(64))
+    d["winding"] = winding
+    p = tmp_path / "wound.json"
+    p.write_text(json.dumps(d))
+    r = run_cli("validate", "--curve", str(p))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("grid", [64.7, True, None, "64"])
+def test_non_integer_grid_file_exit_2(tmp_path, grid):
+    d = cc.files.curve_to_dict(shapes.circle(64))
+    d["grid"] = grid
+    p = tmp_path / "grid.json"
     p.write_text(json.dumps(d))
     r = run_cli("validate", "--curve", str(p))
     assert r.returncode == 2
