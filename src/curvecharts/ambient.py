@@ -21,12 +21,12 @@ from .errors import CutLocusError
 _SPHERE_NORM_TOL = 1e-12
 
 
-def _skew_basis(d: int) -> list[np.ndarray]:
-    """Basis of so(d), d in {2, 3}: the planar quarter turn, or v -> e_i x v."""
-    if d == 2:
-        return [np.array([[0.0, -1.0], [1.0, 0.0]])]
-    eye = np.eye(3)
-    return [np.cross(e, eye).T for e in eye]
+def _integer(value, what: str) -> int:
+    """A JSON integer (an integral float too, a boolean not) as int; ValueError otherwise."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not value.is_integer())):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _rotate_about(v: np.ndarray, axis: np.ndarray, angle: np.ndarray) -> np.ndarray:
@@ -198,31 +198,21 @@ class AmbientSpace:
         arc = np.abs(s[:, None] - s[None, :])
         yield self.pairwise_dist(pts, pts), np.minimum(arc, L - arc)
 
-    def killing_fields(self, center=None) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Basis of Killing fields as affine maps (A, b): p -> A p + b.
-
-        Translations along the axes, then rotations about center
-        (default: the origin), as far as the space admits them.  Without
-        translations, rotations are about the origin.
-        """
-        d = self.coord_dim
-        c = np.zeros(d) if center is None or not self.translations else np.asarray(center, float)
-        fields = [(np.zeros((d, d)), e) for e in np.eye(d)] if self.translations else []
-        if self.rotations:
-            fields += [(A, -A @ c) for A in _skew_basis(d)]
-        return fields
-
     def to_spec(self) -> dict:
         return {"kind": self.kind, "dim": self.dim}
 
     @staticmethod
     def from_spec(spec: dict) -> "AmbientSpace":
-        kind = spec["kind"]
+        if not isinstance(spec, dict):
+            raise ValueError(f"ambient spec must be an object, got {spec!r}")
+        kind, dim = spec["kind"], _integer(spec["dim"], "ambient dim")
         if kind == "euclidean":
-            return Euclidean(int(spec["dim"]))
+            return Euclidean(dim)
         if kind == "flat_torus":
-            return FlatTorus(int(spec["dim"]))
+            return FlatTorus(dim)
         if kind == "sphere2":
+            if dim != 2:
+                raise ValueError(f"sphere2 ambient has dim 2, got {dim}")
             return Sphere2()
         raise ValueError(f"unknown ambient kind {kind!r}")
 

@@ -4,11 +4,12 @@ Subcommands: validate, roundtrip, minimize, spectrum, orbit.  Structured
 reports are JSON, traces and spectra are CSV.  Diagnostics go to stderr;
 stdout carries data only when no --output path is given.
 
-Exit codes: 0 success, 1 generic failure, 2 bad input (curve, flag value
-or functional string), 3 non-embedding input, 4 curve outside the chart
-tube, 5 iteration budget exhausted.  A minimize run that fails while
-iterating (a chart re-centering breakdown exits 1, a failed line search
-5) still writes, given --output, the trace up to the failure.
+Exit codes: 0 success, 1 generic failure, 2 bad input (curve, flag value,
+functional string, or an --output that cannot be written), 3 non-embedding
+input, 4 curve outside the chart tube, 5 iteration budget exhausted.  A
+minimize run that fails while iterating (a chart re-centering breakdown
+exits 1, a failed line search 5) still writes, given --output, the trace
+up to the failure.
 """
 
 from __future__ import annotations
@@ -173,6 +174,9 @@ def cmd_roundtrip(args) -> int:
         raise _InputError("roundtrip needs --center")
     center = _get_curve(args, "center")
     target = _get_curve(args)
+    if target.space != center.space:
+        raise _InputError(f"curve ambient {target.space.to_spec()} does not match "
+                          f"chart center ambient {center.space.to_spec()}")
     c = _chart(center, "chart center")
     u, h = chart_invert(c, target)
     rebuilt = chart_apply(c, u)
@@ -311,7 +315,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _InputError as exc:
+    except (_InputError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_PARSE
     except NotEmbeddingError as exc:

@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from .ambient import AmbientSpace
+from .ambient import AmbientSpace, _integer
 from .curve import Embedding
 
 FORMAT_VERSION = 1
@@ -33,15 +33,13 @@ def curve_to_dict(x: Embedding) -> dict:
 
 
 def curve_from_dict(data: dict) -> Embedding:
+    if not isinstance(data, dict):
+        raise ValueError("a curve file holds a JSON object")
     if data.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported curve file version {data.get('version')!r}")
     space = AmbientSpace.from_spec(data["ambient"])
     pts = np.asarray(data["points"], dtype=float)
-    grid = data["grid"]
-    if (isinstance(grid, bool) or not isinstance(grid, (int, float))
-            or (isinstance(grid, float) and not grid.is_integer())):
-        raise ValueError(f"grid must be an integer, got {grid!r}")
-    P = int(grid)
+    P = _integer(data["grid"], "grid")
     if pts.shape != (P, space.coord_dim):
         raise ValueError("points array does not match grid size and ambient dimension")
     if not np.all(np.isfinite(pts)):

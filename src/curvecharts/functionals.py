@@ -42,24 +42,20 @@ class Functional:
     def coefficient(self, kind: str) -> float:
         return sum(c for k, c in self.terms if k == kind)
 
-    def __str__(self):
-        parts = []
-        for kind, coef in self.terms:
-            sign = "-" if coef < 0 else ("+" if parts else "")
-            parts.append(f"{sign}{abs(coef)}*{kind}")
-        return "".join(parts) or "0*length"
-
 
 _TERM_RE = re.compile(r"([+-]?)(?:(\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)\*)?(length|area|bend)")
 
 
 def parse_functional(text: str) -> Functional:
-    """Parse the whitespace-free CLI grammar, e.g. 'length-1.0*area'."""
+    """Parse the whitespace-free CLI grammar, e.g. 'length-1.0*area'.
+
+    Every term after the first starts with its sign.
+    """
     pos = 0
     terms = []
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
-        if m is None:
+        if m is None or (terms and not m.group(1)):
             raise ValueError(f"cannot parse functional string {text!r} at position {pos}")
         sign, coef, kind = m.groups()
         value = float(coef) if coef is not None else 1.0
@@ -151,6 +147,13 @@ def gradient_in_chart(F: Functional, c: Chart, u: NormalSection) -> NormalSectio
     return NormalSection(_pullback_gradient(F, c, u.coeff, c.frame))
 
 
+def _richardson(phi, h: float):
+    """Richardson-extrapolated central difference of phi at 0: (4 D(h/2) - D(h)) / 3."""
+    d1 = (phi(h) - phi(-h)) / (2.0 * h)
+    d2 = (phi(0.5 * h) - phi(-0.5 * h)) / h
+    return (4.0 * d2 - d1) / 3.0
+
+
 def first_variation(F: Functional, x: Embedding, V) -> float:
     """Directional derivative dF_x[V] along the vector-bundle chart at x.
 
@@ -159,14 +162,7 @@ def first_variation(F: Functional, x: Embedding, V) -> float:
     c = make_chart(x)
     V = _full_section(c, V)
     scale = max(1.0, float(np.max(np.linalg.norm(V, axis=1))))
-    h = _GRAD_STEP / scale
-
-    def f(r: float) -> float:
-        return evaluate(F, full_chart_apply(c, r * V))
-
-    d1 = (f(h) - f(-h)) / (2.0 * h)
-    d2 = (f(0.5 * h) - f(-0.5 * h)) / h
-    return (4.0 * d2 - d1) / 3.0
+    return _richardson(lambda r: evaluate(F, full_chart_apply(c, r * V)), _GRAD_STEP / scale)
 
 
 def grad_norm(c: Chart, g: NormalSection) -> float:
@@ -187,24 +183,20 @@ class HessianPair:
     asymmetry: float
 
 
-def _fd_hessian(c: Chart, dim: int, grad) -> HessianPair:
-    """Symmetrized central-difference Jacobian of an L2(ds) gradient at coeff = 0.
+def _fd_hessian(F: Functional, c: Chart, basis: np.ndarray) -> HessianPair:
+    """Symmetrized central-difference Jacobian of the gradient over basis, at coeff = 0.
 
-    grad maps (P, dim) coefficients to their L2(ds) gradient; the pair
-    is taken against the mass matrix of the chart weights.
+    basis has shape (dim, P, coord_dim); the pair is taken against the
+    mass matrix of the chart weights.
     """
-    n = c.P * dim
-
-    def ell2_grad(flat: np.ndarray) -> np.ndarray:
-        return (grad(flat.reshape(c.P, dim)) * c.weights[:, None]).ravel()
-
+    n = c.P * basis.shape[0]
     cols = np.empty((n, n))
     for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        d1 = (ell2_grad(_HESS_STEP * e) - ell2_grad(-_HESS_STEP * e)) / (2.0 * _HESS_STEP)
-        d2 = (ell2_grad(0.5 * _HESS_STEP * e) - ell2_grad(-0.5 * _HESS_STEP * e)) / _HESS_STEP
-        cols[:, j] = (4.0 * d2 - d1) / 3.0
+        e = np.zeros((c.P, basis.shape[0]))
+        e.flat[j] = 1.0
+        cols[:, j] = _richardson(
+            lambda r: (_pullback_gradient(F, c, r * e, basis) * c.weights[:, None]).ravel(),
+            _HESS_STEP)
     asym = float(np.max(np.abs(cols - cols.T)))
     return HessianPair(0.5 * (cols + cols.T), asym)
 
@@ -216,18 +208,12 @@ def hessian_in_chart(F: Functional, c: Chart) -> HessianPair:
     (node, frame index)); with M the chart weights repeated rank times,
     the pair (Q, diag(M)) defines the L2(ds) second-variation operator.
     """
-    return _fd_hessian(c, c.rank, lambda cf: gradient_in_chart(F, c, NormalSection(cf)).coeff)
-
-
-def _full_basis(c: Chart) -> np.ndarray:
-    """Per-node basis of x^*(TN) along the chart center: shape (dim, P, coord_dim)."""
-    return c.center.space.section_basis(c.tangent, c.frame)
+    return _fd_hessian(F, c, c.frame)
 
 
 def hessian_full(F: Functional, c: Chart) -> HessianPair:
     """Second variation over all sections of x^*(TN), at the zero section."""
-    basis = _full_basis(c)
-    return _fd_hessian(c, basis.shape[0], lambda cf: _pullback_gradient(F, c, cf, basis))
+    return _fd_hessian(F, c, c.center.space.section_basis(c.tangent, c.frame))
 
 
 def restriction_matrix(c: Chart) -> np.ndarray:
@@ -236,7 +222,7 @@ def restriction_matrix(c: Chart) -> np.ndarray:
     Block i holds the inner products <basis_b, frame_a> at node i.
     """
     P, rank = c.P, c.rank
-    basis = _full_basis(c)
+    basis = c.center.space.section_basis(c.tangent, c.frame)
     dim = basis.shape[0]
     R = np.zeros((P, dim, P, rank))
     nodes = np.arange(P)

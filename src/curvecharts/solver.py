@@ -115,9 +115,6 @@ class SolveTrace:
     records: list[TraceRecord] = field(default_factory=list)
     converged: bool = False
 
-    def append(self, rec: TraceRecord):
-        self.records.append(rec)
-
     @property
     def f_values(self) -> np.ndarray:
         return np.array([r.f for r in self.records])
@@ -138,12 +135,6 @@ def smooth_center(x: Embedding, trunc_freq: int) -> Embedding:
     return Embedding(z.space, pts, z.winding)
 
 
-def recenter(c: Chart, u: NormalSection) -> Chart:
-    """New chart centered at the smoothed curve currently represented by u."""
-    y = chart_apply(c, u)
-    return make_chart(smooth_center(y, y.P // CENTER_BAND_DIVISOR))
-
-
 def _chart_at(y: Embedding) -> tuple[Chart, NormalSection]:
     """Chart at the smoothed copy of y, and y's section there minus its Nyquist mode."""
     c = make_chart(smooth_center(y, y.P // CENTER_BAND_DIVISOR))
@@ -151,8 +142,11 @@ def _chart_at(y: Embedding) -> tuple[Chart, NormalSection]:
     return c, NormalSection(_drop_nyquist(u.coeff))
 
 
-def _recenter_pair(c: Chart, u: NormalSection) -> tuple[Chart, NormalSection]:
-    """`_chart_at` the curve u represents; failures raise ChartBreakdownError."""
+def recenter(c: Chart, u: NormalSection) -> tuple[Chart, NormalSection]:
+    """Chart at the smoothed curve u represents, and that curve's Nyquist-free section there.
+
+    A failure raises ChartBreakdownError.
+    """
     y = chart_apply(c, u)
     try:
         return _chart_at(y)
@@ -251,7 +245,7 @@ def _descend(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions,
             f = evaluate(F, chart_apply(c, u))
         g = _filtered_gradient(F, c, u)
         gn = grad_norm(c, g)
-        trace.append(TraceRecord(it, f, gn, last_step, did_recenter))
+        trace.records.append(TraceRecord(it, f, gn, last_step, did_recenter))
         did_recenter = False
         if gn <= opts.grad_tol:
             trace.converged = True
@@ -264,7 +258,7 @@ def _descend(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions,
             # approaches the critical shape
             failed = False
             for round_ in range(5):
-                c, u = _recenter_pair(c, u)
+                c, u = recenter(c, u)
                 prev_u = prev_g = None
                 try:
                     u = newton_refine(F, c, u, opts)
@@ -278,7 +272,7 @@ def _descend(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions,
                 g = _filtered_gradient(F, c, u)
                 gn = grad_norm(c, g)
                 f = evaluate(F, chart_apply(c, u))
-                trace.append(TraceRecord(it + 1 + round_, f, gn, 0.0, True))
+                trace.records.append(TraceRecord(it + 1 + round_, f, gn, 0.0, True))
                 if gn <= opts.grad_tol:
                     break
             if failed:
@@ -320,7 +314,7 @@ def _descend(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions,
         u, f = accepted, f_cand
         last_step = step
         if u.sup_norm > RECENTER_FRACTION * c.rho:
-            c, u = _recenter_pair(c, u)
+            c, u = recenter(c, u)
             prev_u = prev_g = None
             did_recenter = True
 

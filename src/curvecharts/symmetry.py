@@ -1,12 +1,12 @@
 """Isometry-group action on curves and orbit analysis in charts.
 
-Isometries of the three backends act by left composition; Killing
-fields are the infinitesimal generators of the identity component,
-supplied by each ambient space as affine fields p -> A p + b.
-Orbit directions in a chart are the normal projections of Killing
-fields along the center; their rank determines the stabilizer
-dimension (infinitesimally - discrete stabilizer components are not
-detected).
+Isometries of the three backends act by left composition as affine
+maps p -> R p + t; Killing fields are the infinitesimal generators of
+the identity component, affine fields p -> A p + b built from the
+generators each ambient space admits.  Orbit directions in a chart are
+the normal projections of Killing fields along the center; their rank
+determines the stabilizer dimension (infinitesimally - discrete
+stabilizer components are not detected).
 """
 
 from __future__ import annotations
@@ -34,57 +34,38 @@ class Isometry:
     """
 
     space: AmbientSpace
-    rotation: np.ndarray | None = None
-    translation: np.ndarray | None = None
+    rotation: np.ndarray | None = None  # stored as the identity when omitted
+    translation: np.ndarray | None = None  # stored as zero when omitted
 
     def __post_init__(self):
         d = self.space.coord_dim
-        rot = self.rotation
-        if rot is not None:
-            rot = np.asarray(rot, dtype=float)
-            if rot.shape != (d, d):
-                raise ValueError("rotation matrix has the wrong shape")
-            if np.max(np.abs(rot.T @ rot - np.eye(d))) > _ORTHO_TOL:
-                raise ValueError("rotation must be orthogonal")
-            if abs(np.linalg.det(rot) - 1.0) > _ORTHO_TOL:
-                raise ValueError("rotation must have determinant +1")
-            if not self.space.rotations and np.max(np.abs(rot - np.eye(d))) > _ORTHO_TOL:
-                raise ValueError(
-                    f"{self.space.kind} isometries in the identity component are translations")
-            object.__setattr__(self, "rotation", rot)
-        tr = self.translation
-        if tr is not None:
-            tr = np.asarray(tr, dtype=float)
-            if tr.shape != (d,):
-                raise ValueError("translation vector has the wrong shape")
-            if not self.space.translations and np.max(np.abs(tr)) > 0.0:
-                raise ValueError(f"{self.space.kind} isometries are rotations only")
-            object.__setattr__(self, "translation", tr)
+        rot = np.eye(d) if self.rotation is None else np.asarray(self.rotation, dtype=float)
+        if rot.shape != (d, d):
+            raise ValueError("rotation matrix has the wrong shape")
+        if np.max(np.abs(rot.T @ rot - np.eye(d))) > _ORTHO_TOL:
+            raise ValueError("rotation must be orthogonal")
+        if abs(np.linalg.det(rot) - 1.0) > _ORTHO_TOL:
+            raise ValueError("rotation must have determinant +1")
+        if not self.space.rotations and np.max(np.abs(rot - np.eye(d))) > _ORTHO_TOL:
+            raise ValueError(
+                f"{self.space.kind} isometries in the identity component are translations")
+        tr = np.zeros(d) if self.translation is None else np.asarray(self.translation, dtype=float)
+        if tr.shape != (d,):
+            raise ValueError("translation vector has the wrong shape")
+        if not self.space.translations and np.max(np.abs(tr)) > 0.0:
+            raise ValueError(f"{self.space.kind} isometries are rotations only")
+        object.__setattr__(self, "rotation", rot)
+        object.__setattr__(self, "translation", tr)
 
     def apply_points(self, pts: np.ndarray) -> np.ndarray:
-        out = np.asarray(pts, dtype=float)
-        if self.rotation is not None:
-            out = out @ self.rotation.T
-        if self.translation is not None:
-            out = out + self.translation
-        return out
+        return np.asarray(pts, dtype=float) @ self.rotation.T + self.translation
 
     def compose(self, other: "Isometry") -> "Isometry":
         """self after other."""
         if self.space != other.space:
             raise ValueError("isometries live in different ambient spaces")
-        d = self.space.coord_dim
-        Ra = self.rotation if self.rotation is not None else np.eye(d)
-        Rb = other.rotation if other.rotation is not None else np.eye(d)
-        ta = self.translation if self.translation is not None else np.zeros(d)
-        tb = other.translation if other.translation is not None else np.zeros(d)
-        rot = Ra @ Rb
-        tr = Ra @ tb + ta
-        return Isometry(
-            self.space,
-            rotation=None if np.allclose(rot, np.eye(d), atol=1e-15) else rot,
-            translation=None if not np.any(tr) else tr,
-        )
+        return Isometry(self.space, self.rotation @ other.rotation,
+                        self.rotation @ other.translation + self.translation)
 
 
 def apply_isometry(psi: Isometry, x: Embedding) -> Embedding:
@@ -94,13 +75,30 @@ def apply_isometry(psi: Isometry, x: Embedding) -> Embedding:
     return Embedding(x.space, psi.apply_points(x.pts), x.winding)
 
 
+def _skew_basis(d: int) -> list[np.ndarray]:
+    """Basis of so(d), d in {2, 3}: the planar quarter turn, or v -> e_i x v."""
+    if d == 2:
+        return [np.array([[0.0, -1.0], [1.0, 0.0]])]
+    eye = np.eye(3)
+    return [np.cross(e, eye).T for e in eye]
+
+
 def standard_killing_basis(space: AmbientSpace, rotation_center=None
                            ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Basis of the Killing fields of space as (A, b) pairs, p -> A p + b.
 
-    Translations, then rotations about rotation_center (default: the origin).
+    Translations along the axes, then rotations about rotation_center
+    (default: the origin), as far as the space's `translations` and
+    `rotations` flags admit them.  Without translations, rotations are
+    about the origin.
     """
-    return space.killing_fields(rotation_center)
+    d = space.coord_dim
+    c = (np.zeros(d) if rotation_center is None or not space.translations
+         else np.asarray(rotation_center, float))
+    fields = [(np.zeros((d, d)), e) for e in np.eye(d)] if space.translations else []
+    if space.rotations:
+        fields += [(A, -A @ c) for A in _skew_basis(d)]
+    return fields
 
 
 def orbit_differential(c: Chart, basis: list) -> np.ndarray:

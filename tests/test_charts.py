@@ -350,7 +350,7 @@ def test_chart_and_recentering_compute_separation_once(monkeypatch, circle64):
     monkeypatch.setattr(charts, "separation", counted)
     c = cc.make_chart(circle64)
     assert len(calls) == 1
-    solver._recenter_pair(c, cc.NormalSection(np.full((64, 1), 0.1)))
+    solver.recenter(c, cc.NormalSection(np.full((64, 1), 0.1)))
     assert len(calls) == 2
 
 
@@ -358,7 +358,7 @@ def test_recentering_onto_non_embedding_is_chart_breakdown(monkeypatch, circle64
     monkeypatch.setattr(solver, "smooth_center", lambda y, k: shapes.lemniscate(128))
     c = cc.make_chart(circle64)
     with pytest.raises(ChartBreakdownError) as info:
-        solver._recenter_pair(c, cc.NormalSection.zero(64, 1))
+        solver.recenter(c, cc.NormalSection.zero(64, 1))
     assert isinstance(info.value.__cause__, NotEmbeddingError)
 
 

@@ -270,6 +270,7 @@ def test_four_dimensional_ambient_exit_2(tmp_path, command):
 @pytest.mark.parametrize("argv", [
     ["minimize", "--functional", "foo"],
     ["spectrum", "--functional", "foo"],
+    ["spectrum", "--functional", "lengtharea"],
     ["minimize", "--max-iter", "0"],
     ["minimize", "--tol", "-1"],
     ["minimize", "--newton-threshold", "0"],
@@ -277,7 +278,7 @@ def test_four_dimensional_ambient_exit_2(tmp_path, command):
     ["minimize", "--newton-threshold", "nan"],
     ["roundtrip", "--tol", "nan", "--center", "{dir}/center.json"],
     ["spectrum", "--count", "-1"],
-], ids=["minimize-functional", "spectrum-functional", "max-iter-0", "tol-negative",
+], ids=["minimize-functional", "spectrum-functional", "spectrum-unsigned-term", "max-iter-0", "tol-negative",
         "newton-threshold-0", "tol-nan", "newton-threshold-nan", "roundtrip-tol-nan",
         "count-negative"])
 def test_bad_flag_values_exit_2_with_one_line(tmp_path, argv):
@@ -336,6 +337,65 @@ def test_non_integer_grid_file_exit_2(tmp_path, grid):
     p = tmp_path / "grid.json"
     p.write_text(json.dumps(d))
     r = run_cli("validate", "--curve", str(p))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1
+
+
+def _ambient(spec):
+    return lambda d: {**d, "ambient": spec}
+
+
+@pytest.mark.parametrize("make, edit", [
+    (shapes.circle, lambda d: [d]),
+    (shapes.circle, _ambient("euclidean")),
+    (shapes.circle, _ambient({"kind": "euclidean", "dim": None})),
+    (shapes.circle, _ambient({"kind": "euclidean", "dim": 2.5})),
+    (shapes.circle, _ambient({"kind": "euclidean", "dim": "2"})),
+    (shapes.circle, _ambient({"kind": "euclidean", "dim": True})),
+    (shapes.great_circle, _ambient({"kind": "sphere2", "dim": 7})),
+], ids=["list", "ambient-string", "dim-null", "dim-2.5", "dim-string", "dim-bool", "sphere2-dim-7"])
+def test_malformed_curve_file_exit_2(tmp_path, make, edit):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(edit(cc.files.curve_to_dict(make(32)))))
+    r = run_cli("validate", "--curve", str(p))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("make, spec", [
+    ("circle", "[1]"), ("circle", '"euclidean"'),
+    ("circle", '{"kind": "euclidean", "dim": 2.5}'), ("circle", '{"kind": "euclidean", "dim": "2"}'),
+    ("circle", '{"kind": "euclidean", "dim": null}'), ("great-circle", '{"kind": "sphere2", "dim": 7}'),
+])
+def test_malformed_ambient_spec_exit_2(make, spec):
+    r = run_cli("validate", "--make", make, "--grid", "32", "--ambient", spec)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1
+
+
+def test_roundtrip_across_ambients_exit_2(tmp_path):
+    cc.save_curve(shapes.circle(32), str(tmp_path / "plane.json"))
+    cc.save_curve(shapes.great_circle(32), str(tmp_path / "sphere.json"))
+    r = run_cli("roundtrip", "--center", str(tmp_path / "plane.json"),
+                "--curve", str(tmp_path / "sphere.json"))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--output", "{dir}/missing/x.json"],
+    ["minimize", "--output", "{dir}/missing/x.json"],
+    # the curve file is writable, its trace file is not
+    ["minimize", "--output", "{dir}/x.json"],
+], ids=["validate", "minimize", "minimize-trace"])
+def test_unwritable_output_exit_2_with_one_line(tmp_path, argv):
+    (tmp_path / "x.json.trace.csv").mkdir()
+    argv = [a.format(dir=tmp_path) for a in argv]
+    r = run_cli(*argv, "--make", "circle", "--grid", "32")
     assert r.returncode == 2
     assert r.stdout == ""
     assert len(r.stderr.splitlines()) == 1

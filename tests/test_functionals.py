@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import curvecharts as cc
 from curvecharts import Sphere2, fourier, shapes
 from curvecharts.errors import UnsupportedAmbientError
-from curvecharts.functionals import _full_basis, _pullback_gradient
+from curvecharts.functionals import _pullback_gradient
 
 
 def test_parse_functional_grammar():
@@ -22,6 +22,11 @@ def test_parse_functional_grammar():
         cc.parse_functional("volume")
     with pytest.raises(ValueError):
         cc.parse_functional("")
+    # every term after the first starts with its sign
+    with pytest.raises(ValueError):
+        cc.parse_functional("lengtharea")
+    with pytest.raises(ValueError):
+        cc.parse_functional("length2*area")
 
 
 def test_length_circle(circle64):
@@ -213,7 +218,7 @@ def test_full_gradient_sphere_bend_matches_central_differences(rng):
     x = tilted_great_circle(24)
     c = cc.make_chart(x)
     F = cc.parse_functional("length+0.5*bend")
-    basis = _full_basis(c)
+    basis = c.center.space.section_basis(c.tangent, c.frame)
     w = cc.quadrature_weights(x)
 
     def f(cf):

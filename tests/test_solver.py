@@ -19,13 +19,13 @@ from curvecharts.solver import TRACE_SLACK, smooth_center
 
 def test_recenter_zero_section_keeps_center(circle64):
     c = cc.make_chart(circle64)
-    c2 = cc.recenter(c, cc.NormalSection.zero(64, 1))
+    c2, _ = cc.recenter(c, cc.NormalSection.zero(64, 1))
     assert np.max(np.abs(c2.center.pts - circle64.pts)) <= 1e-10
 
 
 def test_recenter_concentric_moves_center(circle64):
     c = cc.make_chart(circle64)
-    c2 = cc.recenter(c, cc.NormalSection(np.full((64, 1), 0.3)))
+    c2, _ = cc.recenter(c, cc.NormalSection(np.full((64, 1), 0.3)))
     assert cc.image_distance(c2.center, shapes.circle(64, radius=1.3)) <= 1e-8
 
 
@@ -34,10 +34,24 @@ def test_recenter_contracts_section(rng):
     c = cc.make_chart(x)
     th = cc.fourier.nodes(x.P)
     u = cc.NormalSection((0.05 * np.cos(2 * th) + 0.03 * np.sin(3 * th))[:, None])
-    c2 = cc.recenter(c, u)
+    c2, _ = cc.recenter(c, u)
     y = cc.chart_apply(c, u)
     u2, _ = cc.chart_invert(c2, y)
     assert np.max(np.abs(u2.coeff)) <= 1e-6 * max(1.0, np.max(np.abs(u.coeff)))
+
+
+@pytest.mark.parametrize("make", [lambda: shapes.perturbed_circle(128, amplitude=0.05, seed=4),
+                                  lambda: shapes.great_circle(96)], ids=["plane", "sphere"])
+def test_recenter_section_has_no_nyquist_component(make):
+    x = make()
+    c = cc.make_chart(x)
+    th = cc.fourier.nodes(x.P)
+    alt = (-1.0) ** np.arange(x.P)
+    # the input section carries an alternating component on purpose
+    coeff = 0.02 * np.cos(2 * th)[:, None] + 1e-3 * alt[:, None] + np.zeros((x.P, c.rank))
+    c2, u2 = cc.recenter(c, cc.NormalSection(coeff))
+    assert u2.coeff.shape == (x.P, c2.rank)
+    assert np.max(np.abs(alt @ u2.coeff)) / x.P <= 1e-14
 
 
 def test_minimize_critical_start_returns_immediately(circle64):

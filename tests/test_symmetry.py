@@ -56,6 +56,32 @@ def test_group_action_composition(circle64):
     assert np.max(np.abs(lhs.pts - rhs.pts)) <= 1e-10
 
 
+@pytest.mark.parametrize("space, x", [(cc.Euclidean(2), shapes.circle(64)),
+                                      (cc.FlatTorus(2), shapes.torus_geodesic(64, (1, 0))),
+                                      (cc.Sphere2(), shapes.great_circle(64))],
+                         ids=["plane", "torus", "sphere"])
+def test_omitted_parts_are_identity_and_zero(space, x):
+    psi = Isometry(space)
+    d = space.coord_dim
+    np.testing.assert_array_equal(psi.rotation, np.eye(d))
+    np.testing.assert_array_equal(psi.translation, np.zeros(d))
+    assert psi.apply_points(x.pts).tobytes() == x.pts.tobytes()
+
+
+@pytest.mark.parametrize("a_parts, b_parts", [
+    ((rot2(0.4), [0.1, 0.2]), (rot2(-0.9), [-0.3, 0.05])),
+    ((None, [0.1, 0.2]), (rot2(-0.9), None)),
+    ((rot2(0.4), None), (None, None)),
+], ids=["both", "split", "rotation-only"])
+def test_compose_multiplies_the_affine_parts(a_parts, b_parts):
+    e2 = cc.Euclidean(2)
+    a = Isometry(e2, *a_parts)
+    b = Isometry(e2, *b_parts)
+    ab = a.compose(b)
+    assert ab.rotation.tobytes() == (a.rotation @ b.rotation).tobytes()
+    assert ab.translation.tobytes() == (a.rotation @ b.translation + a.translation).tobytes()
+
+
 def test_functional_invariance_under_isometry(rng):
     x = shapes.perturbed_circle(128, amplitude=0.1, seed=11)
     psi = Isometry(x.space, rotation=rot2(1.1), translation=np.array([0.5, -0.7]))
