@@ -78,11 +78,8 @@ class AmbientSpace:
         return np.sqrt(self.inner(p, v, v))
 
     def exp(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """exp_p(v) in the coordinates of a curve's stored lift (torus: not reduced)."""
         return np.asarray(p, float) + np.asarray(v, float)
-
-    def exp_lift(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """exp_p(v) in the coordinates of a curve's stored lift."""
-        return self.exp(p, v)
 
     def dexp(self, p: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Derivative of v -> exp_p(v) at v in direction w."""
@@ -243,10 +240,11 @@ class Euclidean(AmbientSpace):
 class FlatTorus(AmbientSpace):
     """R^n / Z^n with the flat metric of the unit lattice.
 
-    Coordinates reduce to the fundamental domain [0, 1)^n.  The logarithm
-    picks the shortest lattice representative; exact half-lattice ties
-    resolve deterministically to the positive representative.  Curves
-    carry a winding vector and store a continuous coordinate lift.
+    `reduce` maps coordinates to the fundamental domain [0, 1)^n.  The
+    logarithm picks the shortest lattice representative; exact
+    half-lattice ties resolve deterministically to the positive
+    representative.  Curves carry a winding vector and store a continuous
+    coordinate lift, which `exp` keeps: it returns p + v unreduced.
     """
 
     kind = "flat_torus"
@@ -267,13 +265,6 @@ class FlatTorus(AmbientSpace):
         if not np.array_equal(ints, winding):
             raise ValueError("flat-torus winding entries must be integers")
         return ints
-
-    def exp(self, p, v):
-        return self.reduce(np.asarray(p, float) + np.asarray(v, float))
-
-    def exp_lift(self, p, v):
-        # the lift moves with the section; reducing it would break continuity
-        return np.asarray(p, float) + np.asarray(v, float)
 
     def log(self, p, q):
         d = np.asarray(q, float) - np.asarray(p, float)

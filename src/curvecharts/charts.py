@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fourier
 from .curve import (
     MIN_SEPARATION,
     Embedding,
@@ -25,6 +24,7 @@ from .curve import (
     _illinois,
     curvature,
     derivative,
+    interp_curve,
     is_immersion,
     reparam_inverse,
     separation,
@@ -137,7 +137,7 @@ def full_chart_apply(c: Chart, W) -> Embedding:
     if np.max(np.linalg.norm(W, axis=1)) >= c.rho:
         raise OutsideDomainError("section exceeds the chart radius")
     x = c.center
-    return Embedding(x.space, x.space.exp_lift(x.pts, W), x.winding)
+    return Embedding(x.space, x.space.exp(x.pts, W), x.winding)
 
 
 def chart_apply(c: Chart, u: NormalSection) -> Embedding:
@@ -158,8 +158,8 @@ def chart_invert(c: Chart, y: Embedding) -> tuple[NormalSection, Reparam]:
 
     For each node i the returned lift value s_i solves
     g_i(s) = <log(x(theta_i), Y(s)), T_i> = 0 with T the chart's unit
-    tangent and Y the interpolated curve, and u_i holds the frame
-    coefficients of that logarithm.  Each root is bracketed by the sign
+    tangent and Y = interp_curve(y, .) the interpolated curve, and u_i
+    holds the frame coefficients of that logarithm.  Each root is bracketed by the sign
     change of g_i on 4P samples of Y that lies nearest x(theta_i) within
     the tube, and all nodes are refined together by `curve._illinois`.
     """
@@ -168,10 +168,6 @@ def chart_invert(c: Chart, y: Embedding) -> tuple[NormalSection, Reparam]:
     x = c.center
     space = x.space
     P = x.P
-    yc = fourier.coeffs(y.periodic_part())
-
-    def Y(s: np.ndarray) -> np.ndarray:
-        return space.retract(fourier.interp_coeffs(yc, y.P, s) + s[:, None] * y.drift)
 
     def fiber(i: np.ndarray, pts: np.ndarray) -> np.ndarray:
         try:
@@ -181,7 +177,7 @@ def chart_invert(c: Chart, y: Embedding) -> tuple[NormalSection, Reparam]:
         return space.inner(x.pts[i], l, c.tangent[i])
 
     dense = np.linspace(0.0, 2.0 * np.pi, 4 * P + 1)
-    ypts = Y(dense[:-1])
+    ypts = interp_curve(y, dense[:-1])
     k, glo, ghi = np.empty(P, dtype=int), np.empty(P), np.empty(P)
     to_nodes = np.full(4 * P, np.inf)  # distance of each sample to the nearest node
     for i0 in range(0, P, _BLOCK_NODES):
@@ -202,12 +198,12 @@ def chart_invert(c: Chart, y: Embedding) -> tuple[NormalSection, Reparam]:
 
     lo, hi = dense[k], dense[k + 1]
     # a bracket end with g = 0 is the root itself, and _illinois keeps it
-    s = _illinois(lambda i, t: fiber(i, Y(t)), lo, hi, glo, ghi,
+    s = _illinois(lambda i, t: fiber(i, interp_curve(y, t)), lo, hi, glo, ghi,
                   np.where(np.abs(glo) < np.abs(ghi), lo, hi))
     # a lift is defined modulo 2 pi: unwrap it from node 0, then pin the branch near node 0
     s = np.unwrap(s)
     s -= 2.0 * np.pi * np.round(s[0] / (2.0 * np.pi))
-    logs = space.log(x.pts, Y(s))
+    logs = space.log(x.pts, interp_curve(y, s))
     if np.max(space.norm(x.pts, logs)) >= c.rho:
         raise OutsideTubeError("projected section exceeds the chart radius")
     coeff = np.einsum("aid,id->ia", c.frame, logs)

@@ -4,8 +4,9 @@ Subcommands: validate, roundtrip, minimize, spectrum, orbit.  Structured
 reports are JSON, traces and spectra are CSV.  Diagnostics go to stderr;
 stdout carries data only when no --output path is given.
 
-Exit codes: 0 success, 1 generic failure, 2 bad input (curve, flag value,
-functional string, or an --output that cannot be written), 3 non-embedding
+Exit codes (`_EXIT_CODES`): 0 success, 1 generic failure, 2 bad input
+(curve, flag value, functional string, a functional term the curve's ambient
+does not define, or an --output that cannot be written), 3 non-embedding
 input, 4 curve outside the chart tube, 5 iteration budget exhausted.  A
 minimize run that fails while iterating (a chart re-centering breakdown
 exits 1, a failed line search 5) still writes, given --output, the trace
@@ -29,6 +30,7 @@ from .errors import (
     LineSearchFailedError,
     NotEmbeddingError,
     OutsideTubeError,
+    UnsupportedAmbientError,
 )
 from .files import curve_to_dict, load_curve, save_curve
 from .functionals import parse_functional
@@ -85,6 +87,8 @@ def _parse_make(text: str, grid: int | None) -> Embedding:
     if winding:
         kwargs["winding"] = tuple(winding)
     if grid is not None:
+        if "P" in kwargs:
+            raise _InputError("grid size given twice: pass p= in --make or --grid, not both")
         kwargs["P"] = grid
     try:
         return _GENERATORS[name](**kwargs)
@@ -100,23 +104,19 @@ def _parsed(make, *args, **kwargs):
         raise _InputError(str(exc)) from exc
 
 
-def _load_file(path: str) -> Embedding:
-    try:
-        return load_curve(path)
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
-        raise _InputError(f"cannot read curve file {path!r}: {exc}") from exc
-
-
 def _get_curve(args, flag: str = "curve") -> Embedding:
-    path = getattr(args, flag, None)
+    path = getattr(args, flag)
     if path is not None:
-        x = _load_file(path)
-    elif flag == "curve" and getattr(args, "make", None):
+        try:
+            x = load_curve(path)
+        except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
+            raise _InputError(f"cannot read curve file {path!r}: {exc}") from exc
+    elif flag == "curve" and args.make:
         x = _parse_make(args.make, args.grid)
     else:
         raise _InputError(f"no input curve: pass --{flag}" +
                           (" or --make" if flag == "curve" else ""))
-    if getattr(args, "ambient", None):
+    if args.ambient:
         try:
             want = AmbientSpace.from_spec(json.loads(args.ambient))
         except (json.JSONDecodeError, ValueError, KeyError) as exc:
@@ -170,8 +170,6 @@ def _chart(x: Embedding, what: str):
 def cmd_roundtrip(args) -> int:
     if not args.tol > 0:  # NaN fails too
         raise _InputError("--tol must be positive")
-    if args.center is None:
-        raise _InputError("roundtrip needs --center")
     center = _get_curve(args, "center")
     target = _get_curve(args)
     if target.space != center.space:
@@ -264,72 +262,63 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="curvecharts",
         description="Quotient-chart analysis of closed embedded curves.")
     sub = parser.add_subparsers(dest="command", required=True)
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--curve", help="input curve file (JSON)")
+    inputs.add_argument("--make", help="built-in generator NAME[:k=v,...]")
+    inputs.add_argument("--ambient", help="required ambient spec as JSON, for validation")
+    inputs.add_argument("--grid", type=int, help="grid size for --make generators")
+    inputs.add_argument("--output", help="write data here instead of stdout")
 
-    def common(p, functional=False, solver=False, count=False, center=False):
-        p.add_argument("--curve", help="input curve file (JSON)")
-        p.add_argument("--make", help="built-in generator NAME[:k=v,...]")
-        p.add_argument("--ambient", help="required ambient spec as JSON, for validation")
-        p.add_argument("--grid", type=int, help="grid size for --make generators")
-        p.add_argument("--output", help="write data here instead of stdout")
-        if center:
-            p.add_argument("--center", help="chart-center curve file (JSON)")
-        if functional:
-            p.add_argument("--functional", default="length",
-                           help="functional string, e.g. 'length-1.0*area'")
-        if solver:
-            p.add_argument("--tol", type=float, default=1e-8, help="gradient tolerance")
-            p.add_argument("--max-iter", type=int, default=500)
-            p.add_argument("--newton", action="store_true",
-                           help="finish with Newton refinement")
-            p.add_argument("--newton-threshold", type=float, default=1e-3,
-                           help="gradient norm at which Newton refinement starts")
-        if count:
-            p.add_argument("--count", type=int, default=5,
-                           help="number of lowest eigenvalues")
-
-    p = sub.add_parser("validate", help="embedding and reach report")
-    common(p)
+    p = sub.add_parser("validate", parents=[inputs], help="embedding and reach report")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("roundtrip", help="chart round-trip report")
-    common(p, center=True)
+    p = sub.add_parser("roundtrip", parents=[inputs], help="chart round-trip report")
+    p.add_argument("--center", help="chart-center curve file (JSON)")
     p.add_argument("--tol", type=float, default=1e-6,
                    help="acceptable image reconstruction distance")
     p.set_defaults(func=cmd_roundtrip)
 
-    p = sub.add_parser("minimize", help="descend a functional to a critical point")
-    common(p, functional=True, solver=True)
+    p = sub.add_parser("minimize", parents=[inputs],
+                       help="descend a functional to a critical point")
+    p.add_argument("--functional", default="length",
+                   help="functional string, e.g. 'length-1.0*area'")
+    p.add_argument("--tol", type=float, default=1e-8, help="gradient tolerance")
+    p.add_argument("--max-iter", type=int, default=500)
+    p.add_argument("--newton", action="store_true", help="finish with Newton refinement")
+    p.add_argument("--newton-threshold", type=float, default=1e-3,
+                   help="gradient norm at which Newton refinement starts")
     p.set_defaults(func=cmd_minimize)
 
-    p = sub.add_parser("spectrum", help="lowest second-variation eigenvalues")
-    common(p, functional=True, count=True)
+    p = sub.add_parser("spectrum", parents=[inputs], help="lowest second-variation eigenvalues")
+    p.add_argument("--functional", default="length",
+                   help="functional string, e.g. 'length-1.0*area'")
+    p.add_argument("--count", type=int, default=5, help="number of lowest eigenvalues")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("orbit", help="isometry-orbit rank report")
-    common(p)
+    p = sub.add_parser("orbit", parents=[inputs], help="isometry-orbit rank report")
     p.set_defaults(func=cmd_orbit)
     return parser
+
+
+# error class -> exit code; the first row the error is an instance of wins
+_EXIT_CODES = (
+    (_InputError, EXIT_PARSE),
+    (OSError, EXIT_PARSE),
+    (UnsupportedAmbientError, EXIT_PARSE),
+    (NotEmbeddingError, EXIT_NOT_EMBEDDING),
+    (OutsideTubeError, EXIT_OUTSIDE_TUBE),
+    (LineSearchFailedError, EXIT_MAX_ITER),
+    (CurveChartsError, EXIT_FAIL),
+)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (_InputError, OSError) as exc:
+    except tuple(cls for cls, _ in _EXIT_CODES) as exc:
         print(str(exc), file=sys.stderr)
-        return EXIT_PARSE
-    except NotEmbeddingError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_NOT_EMBEDDING
-    except OutsideTubeError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_OUTSIDE_TUBE
-    except LineSearchFailedError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_MAX_ITER
-    except CurveChartsError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_FAIL
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -101,15 +101,11 @@ class Reparam:
 
     def __call__(self, t) -> np.ndarray:
         """Evaluate the lift at arbitrary parameters via trigonometric interpolation."""
-        theta = fourier.nodes(self.P)
-        per = self.lift - theta
-        t = np.asarray(t, dtype=float)
-        return fourier.interp(per, np.atleast_1d(t)) + np.atleast_1d(t)
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        return fourier.interp(self.lift - fourier.nodes(self.P), t) + t
 
     def slope(self, t) -> np.ndarray:
-        theta = fourier.nodes(self.P)
-        per = self.lift - theta
-        return fourier.interp(per, np.atleast_1d(t), order=1) + 1.0
+        return fourier.interp(self.lift - fourier.nodes(self.P), np.atleast_1d(t), order=1) + 1.0
 
 
 def reparam_inverse(phi: Reparam) -> Reparam:

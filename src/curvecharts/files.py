@@ -35,8 +35,9 @@ def curve_to_dict(x: Embedding) -> dict:
 def curve_from_dict(data: dict) -> Embedding:
     if not isinstance(data, dict):
         raise ValueError("a curve file holds a JSON object")
-    if data.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported curve file version {data.get('version')!r}")
+    version = _integer(data.get("version"), "curve file version")
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported curve file version {version}")
     space = AmbientSpace.from_spec(data["ambient"])
     pts = np.asarray(data["points"], dtype=float)
     P = _integer(data["grid"], "grid")

@@ -74,9 +74,7 @@ def interp_coeffs(c: np.ndarray, P: int, t, order: int = 0) -> np.ndarray:
         w[-1] = 1.0
     mult = w * (1j * k) ** order if order else w.astype(complex)
     E = np.exp(1j * t[:, None] * k[None, :])
-    if c.ndim == 1:
-        return (E @ (mult * c)).real / P
-    return (E @ (mult[:, None] * c)).real / P
+    return (E @ (mult.reshape((-1,) + (1,) * (c.ndim - 1)) * c)).real / P
 
 
 def interp(values: np.ndarray, t, order: int = 0) -> np.ndarray:

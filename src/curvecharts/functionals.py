@@ -76,13 +76,11 @@ def _check_area_support(F: Functional, x: Embedding):
 def evaluate(F: Functional, x: Embedding) -> float:
     """Value of the functional on a discrete curve (spectral quadrature)."""
     _check_area_support(F, x)
+    w = quadrature_weights(x)
     total = 0.0
-    w = None
     for kind, coef in F.terms:
         if coef == 0.0:
             continue
-        if w is None:
-            w = quadrature_weights(x)
         if kind == "length":
             total += coef * float(np.sum(w))
         elif kind == "area":

@@ -112,8 +112,7 @@ def orbit_differential(c: Chart, basis: list) -> np.ndarray:
 
 def orbit_rank(c: Chart, basis: list) -> tuple[int, int]:
     """(rank of the orbit map differential, stabilizer Lie-algebra dimension)."""
-    D = orbit_differential(c, basis)
-    sv = np.linalg.svd(D, compute_uv=False)
+    sv = orbit_singular_values(c, basis)
     if sv.size == 0 or sv[0] == 0.0:
         return 0, len(basis)
     rank = int(np.sum(sv > RANK_REL_TOL * sv[0]))

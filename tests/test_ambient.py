@@ -31,8 +31,11 @@ def test_exp_sphere_quarter_turn():
 
 
 def test_exp_torus_reduces_mod_lattice():
-    q = FlatTorus(2).exp(np.array([0.9, 0.0]), np.array([0.2, 0.0]))
-    np.testing.assert_allclose(q, [0.1, 0.0], atol=1e-15)
+    # exp keeps the lift; reduce maps it to the fundamental domain
+    t = FlatTorus(2)
+    q = t.exp(np.array([0.9, 0.0]), np.array([0.2, 0.0]))
+    np.testing.assert_allclose(q, [1.1, 0.0], atol=1e-15)
+    np.testing.assert_allclose(t.reduce(q), [0.1, 0.0], atol=1e-15)
 
 
 def test_log_euclidean_difference():

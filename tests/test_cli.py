@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import itertools
@@ -11,6 +12,7 @@ import pytest
 
 import curvecharts as cc
 from curvecharts import shapes, solver
+from curvecharts import cli
 from curvecharts.cli import main as cli_main
 
 
@@ -426,7 +428,7 @@ def test_non_finite_curve_file_points_exit_2(tmp_path, command, make, bad):
 ], ids=["validate", "roundtrip", "spectrum", "orbit", "validate-lemniscate",
         "roundtrip-lemniscate", "spectrum-lemniscate", "orbit-lemniscate"])
 def test_each_command_computes_separation_once(monkeypatch, tmp_path, argv, code):
-    from curvecharts import charts, cli, curve
+    from curvecharts import charts, curve
     cc.save_curve(shapes.circle(64), str(tmp_path / "center.json"))
     cc.save_curve(shapes.circle(64, radius=1.1), str(tmp_path / "target.json"))
     cc.save_curve(shapes.lemniscate(128), str(tmp_path / "lemniscate.json"))
@@ -440,3 +442,64 @@ def test_each_command_computes_separation_once(monkeypatch, tmp_path, argv, code
         monkeypatch.setattr(mod, "separation", counted)
     assert run_cli(*[a.format(dir=tmp_path) for a in argv]).returncode == code
     assert len(calls) == 1
+
+
+def test_grid_given_twice_exit_2_with_one_line():
+    # p= in --make and --grid both set the grid size; neither silently wins
+    r = run_cli("validate", "--make", "circle:p=32", "--grid", "64")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1
+
+
+def test_area_off_the_plane_minimize_exit_2_keeps_trace(tmp_path):
+    out = tmp_path / "gc.json"
+    r = run_cli("minimize", "--make", "great-circle", "--functional", "area",
+                "--output", str(out))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1
+    trace = (tmp_path / "gc.json.trace.csv").read_text().strip().split("\n")
+    assert trace[0] == "iter,f,grad_norm,step,recenter"
+    assert not out.exists()
+
+
+def test_area_off_the_plane_spectrum_exit_2_with_one_line():
+    r = run_cli("spectrum", "--make", "torus-geodesic:wx=1", "--functional", "length+area")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1
+
+
+_FLAGS = {"--curve": None, "--make": None, "--ambient": None, "--grid": None,
+          "--output": None, "--help": argparse.SUPPRESS}
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("validate", _FLAGS),
+    ("roundtrip", {**_FLAGS, "--center": None, "--tol": 1e-6}),
+    ("minimize", {**_FLAGS, "--functional": "length", "--tol": 1e-8, "--max-iter": 500,
+                  "--newton": False, "--newton-threshold": 1e-3}),
+    ("spectrum", {**_FLAGS, "--functional": "length", "--count": 5}),
+    ("orbit", _FLAGS),
+])
+def test_subcommand_flags_and_defaults(command, flags):
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    got = {o: a.default for a in sub._actions for o in a.option_strings if o.startswith("--")}
+    assert got == flags
+
+
+@pytest.mark.parametrize("error, code", [
+    (cli._InputError, 2), (OSError, 2), (cc.NotEmbeddingError, 3), (cc.OutsideTubeError, 4),
+    (cc.LineSearchFailedError, 5), (cc.ChartBreakdownError, 1), (cc.DegenerateFrameError, 1),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_exit_code_table(monkeypatch, error, code):
+    def raising(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_validate", raising)
+    r = run_cli("validate", "--make", "circle", "--grid", "32")
+    assert r.returncode == code
+    assert r.stdout == ""
+    assert r.stderr == "boom\n"

@@ -48,10 +48,12 @@ def test_dict_payload_fields(circle64):
 
 
 def test_dict_rejects_bad_version(circle64):
-    d = curve_to_dict(circle64)
-    d["version"] = 999
-    with pytest.raises(ValueError):
-        curve_from_dict(d)
+    # True == 1 in Python: the version is read by the integer rule of `grid` and `dim`
+    for version in (999, True, "1", None):
+        d = curve_to_dict(circle64)
+        d["version"] = version
+        with pytest.raises(ValueError):
+            curve_from_dict(d)
 
 
 def test_dict_rejects_shape_mismatch(circle64):
