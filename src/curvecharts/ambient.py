@@ -19,6 +19,8 @@ from . import fourier
 from .errors import CutLocusError
 
 _SPHERE_NORM_TOL = 1e-12
+# probe rows per block of `AmbientSpace.nearest`
+_BLOCK_ROWS = 256
 
 
 def _integer(value, what: str) -> int:
@@ -62,6 +64,8 @@ class AmbientSpace:
     injectivity_radius = np.inf
     # whether the functional term `area` (the signed enclosed area) is defined
     has_signed_area = False
+    # period of the `reduce`d coordinates, over which `nearest` wraps its cells
+    cell_period = None
 
     def __init__(self, dim: int):
         # frames, curvature and Killing fields exist for dimensions 2 and 3
@@ -94,6 +98,73 @@ class AmbientSpace:
     def pairwise_dist(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """(len(p), len(q)) matrix of distances between two point sets."""
         return self.dist(p[:, None, :], q[None, :, :])
+
+    def nearest(self, probes: np.ndarray, samples: np.ndarray) -> np.ndarray:
+        """Index of each probe's nearest sample; the lowest index among equals, as `argmin`.
+
+        samples are consecutive points of a closed curve.  They are hashed
+        into a uniform cell list (Bentley & Friedman, 1979) over their
+        `reduce`d coordinates, periodic with `cell_period` where the space
+        has one, with cells twice the largest sample spacing wide.  Those
+        coordinates are never farther apart than the points themselves (on
+        S^2 the chord is at most the arc), so a probe whose nearest sample
+        among the 3^d cells around it lies within one cell width has found
+        its nearest sample overall.  Every other probe falls back to the
+        dense `pairwise_dist` scan.  Probes go in blocks of _BLOCK_ROWS, so
+        no temporary grows with len(probes) times len(samples).
+        """
+        n, d = probes.shape
+        out = np.zeros(n, dtype=np.intp)
+        certified = np.zeros(n, dtype=bool)
+        width = 2.0 * float(np.max(self.dist(samples, np.roll(samples, -1, axis=0))))
+        if width > 0.0:
+            q, p = self.reduce(samples), self.reduce(probes)
+            if self.cell_period is None:
+                lo = np.min(q, axis=0)
+                ncell = np.floor((np.max(q, axis=0) - lo) / width).astype(np.int64) + 1
+            else:
+                lo = np.zeros(d)
+                ncell = np.full(d, max(1, int(self.cell_period // width)), dtype=np.int64)
+                width = self.cell_period / ncell[0]
+            strides = np.cumprod(np.concatenate(([1], ncell[:-1])))
+
+            def cells(pts):
+                c = np.clip(np.floor((pts - lo) / width), -2, ncell + 1).astype(np.int64)
+                return c if self.cell_period is None else c % ncell
+
+            keys = cells(q) @ strides
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            around = np.stack(np.meshgrid(*[[-1, 0, 1]] * d, indexing="ij"), axis=-1).reshape(-1, d)
+            for i in range(0, n, _BLOCK_ROWS):
+                cell = cells(p[i:i + _BLOCK_ROWS])[:, None, :] + around
+                if self.cell_period is None:
+                    inside = np.all((cell >= 0) & (cell < ncell), axis=2)
+                else:
+                    cell, inside = cell % ncell, True
+                key = np.where(inside, cell @ strides, -1).ravel()
+                start = np.searchsorted(keys, key, side="left")
+                count = np.searchsorted(keys, key, side="right") - start
+                per_probe = count.reshape(-1, around.shape[0]).sum(axis=1)
+                has = np.flatnonzero(per_probe)
+                if has.size == 0:
+                    continue
+                # every candidate of the block, probe by probe: the sorted
+                # positions start .. start + count - 1 of each of its cells
+                first = np.cumsum(count) - count
+                cand = order[np.repeat(start - first, count) + np.arange(count.sum())]
+                owner = np.repeat(np.arange(per_probe.size), per_probe)
+                dist = self.dist(probes[i + owner], samples[cand])
+                seg = (np.cumsum(per_probe) - per_probe)[has]
+                best = np.minimum.reduceat(dist, seg)
+                at_best = dist == np.repeat(best, per_probe[has])
+                out[i + has] = np.minimum.reduceat(np.where(at_best, cand, len(samples)), seg)
+                certified[i + has] = best <= width
+        rest = np.flatnonzero(~certified)
+        for i in range(0, rest.size, _BLOCK_ROWS):
+            rows = rest[i:i + _BLOCK_ROWS]
+            out[rows] = np.argmin(self.pairwise_dist(probes[rows], samples), axis=1)
+        return out
 
     def project_tangent(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Project an ambient-coordinate vector onto T_p N."""
@@ -250,6 +321,7 @@ class FlatTorus(AmbientSpace):
     kind = "flat_torus"
     rotations = False
     injectivity_radius = 0.5
+    cell_period = 1.0
 
     def reduce(self, p):
         return np.mod(np.asarray(p, float), 1.0)

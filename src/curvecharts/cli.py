@@ -35,7 +35,7 @@ from .errors import (
 from .files import curve_to_dict, load_curve, save_curve
 from .functionals import parse_functional
 from .solver import SolveOptions, minimize, spectrum
-from .symmetry import orbit_rank, orbit_singular_values, standard_killing_basis
+from .symmetry import orbit_singular_values, singular_value_rank, standard_killing_basis
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -246,12 +246,13 @@ def cmd_orbit(args) -> int:
     x = _get_curve(args)
     c = _chart(x, "curve")
     basis = standard_killing_basis(x.space)
-    rank, stab = orbit_rank(c, basis)
+    sv = orbit_singular_values(c, basis)
+    rank, stab = singular_value_rank(sv, len(basis))
     report = {
         "dim_G": len(basis),
         "rank": rank,
         "stabilizer_dim": stab,
-        "singular_values": [float(s) for s in orbit_singular_values(c, basis)],
+        "singular_values": [float(s) for s in sv],
     }
     _emit(_json_report(report), args.output)
     return EXIT_OK

@@ -204,8 +204,6 @@ def resample(x: Embedding, phi: Reparam) -> Embedding:
     return Embedding(x.space, new_pts, x.winding)
 
 
-# probe rows per block of the dense candidate search
-_BLOCK_ROWS = 256
 # root refinement: a root stops once its bracket or its step is below these
 # widths, or after _MAX_STEPS secant steps
 _BRACKET_TOL = 1e-12
@@ -287,61 +285,82 @@ def _dist_and_log(space: AmbientSpace, p: np.ndarray, q: np.ndarray):
     return space.norm(p, v), v
 
 
-def _directed_hausdorff(space: AmbientSpace, probes: np.ndarray, target: Embedding,
-                        t: np.ndarray, samples: np.ndarray) -> float:
+def _taylor_order(ratio: float) -> int:
+    """Smallest N with ratio**(N+1) / (N+1)! below the unit roundoff 2**-53."""
+    N, term = 0, ratio
+    while term >= 2.0**-53:
+        N += 1
+        term *= ratio / (N + 1)
+    return N
+
+
+# `image_distance` sums Taylor series about its grid nodes at offsets |delta| <= h.
+# On the grid of PROBES_PER_NODE * P nodes, mode k <= P/2 has |k delta| <=
+# pi / PROBES_PER_NODE, so series of this order are exact to roundoff.
+_TAYLOR_ORDER = _taylor_order(np.pi / PROBES_PER_NODE)
+
+
+def _derivative_grids(x: Embedding, M: int) -> np.ndarray:
+    """The lift of x and its theta-derivatives of orders 0 .. _TAYLOR_ORDER + 1 at fourier.nodes(M)."""
+    g = fourier.upsample(fourier.coeffs(x.periodic_part()), x.P, M, _TAYLOR_ORDER + 2)
+    g[0] += fourier.nodes(M)[:, None] * x.drift
+    g[1] += x.drift
+    return g
+
+
+def _directed_hausdorff(space: AmbientSpace, probes: np.ndarray, grids: np.ndarray,
+                        samples: np.ndarray) -> float:
     """sup over probe points of the distance to the interpolated target curve Y.
 
-    samples holds Y on the uniform grid t.  The candidate for each probe p
-    is its nearest sample Y(t_j), searched in blocks of _BLOCK_ROWS probes
-    so that no len(probes) x len(t) temporary is built.  The closest point
-    Y(s) of the continuous curve then solves the closest-point condition
+    grids holds Y and its derivatives on a uniform grid of M nodes t_j
+    (`_derivative_grids`), and samples the points Y(t_j) on N.  The
+    candidate for each probe p is its nearest sample Y(t_j)
+    (`AmbientSpace.nearest`).  The closest point Y(s) of the continuous
+    curve then solves the closest-point condition
 
         g(s) = <log_{Y(s)} p, Y'(s)> = -(1/2) d/ds dist(p, Y(s))^2 = 0,
 
     which changes sign from + to - across a minimum.  The solve starts from
     the bracket [t_j - h, t_j + h] of grid spacing h, split at t_j, and
     runs `_illinois` on every probe with such a crossing.  Y and Y' at the
-    iterates come from one trigonometric evaluation of the target's
-    Fourier coefficients.  A probe's distance is the smallest one
+    iterates are Taylor sums about t_j over the derivative grids, exact to
+    roundoff for |s - t_j| <= h.  A probe's distance is the smallest one
     evaluated, bracket ends included.  Where p is antipodal to Y(s) (S^2),
     g is taken as zero and the probe stops.
     """
     n, d = probes.shape
-    h = 2.0 * np.pi / len(t)
-    near = np.concatenate([
-        np.argmin(space.pairwise_dist(probes[i:i + _BLOCK_ROWS], samples), axis=1)
-        for i in range(0, n, _BLOCK_ROWS)])
+    M = samples.shape[0]
+    h = 2.0 * np.pi / M
+    near = space.nearest(probes, samples)
+    # value and derivative series side by side: one Horner sum serves both
+    series = np.concatenate([grids[:-1], grids[1:]], axis=-1)
 
-    c = fourier.coeffs(target.periodic_part())
-    # value and derivative coefficients side by side: one exponential matrix
-    c = np.concatenate([c, c * (1j * np.arange(c.shape[0]))[:, None]], axis=1)
-
-    def dist_and_slope(p, s):
-        vals = fourier.interp_coeffs(c, target.P, s)
-        y = space.retract(vals[:, :d] + s[:, None] * target.drift)
+    def dist_and_slope(p, y, dy):
         # the unretracted derivative serves: log_y p is tangent at y, and on
-        # S^2 it differs from Y' by the positive factor |vals| only
-        dy = vals[:, d:] + target.drift
+        # S^2 it differs from Y' by a positive factor only
         dist, v = _dist_and_log(space, y, p)
         return dist, np.sum(v * dy, axis=1)
 
-    ends = np.concatenate([t[near] - h, t[near], t[near] + h])
-    f, g = dist_and_slope(np.tile(probes, (3, 1)), ends)
+    ends = np.concatenate([(near - 1) % M, near, (near + 1) % M])
+    f, g = dist_and_slope(np.tile(probes, (3, 1)), samples[ends], grids[1, ends])
     best = np.min(f.reshape(3, n), axis=0)
     ga, gm, gb = g.reshape(3, n)
     left = (gm < 0.0) & (ga > 0.0)
     right = (gm > 0.0) & (gb < 0.0)
     crossing = np.flatnonzero(left | right)
+    j = near[crossing]
+    t = fourier.nodes(M)[j]
 
     def slope(idx, s):
         i = crossing[idx]
-        fs, gs = dist_and_slope(probes[i], s)
+        vals = fourier.taylor(series, j[idx], s - t[idx])
+        fs, gs = dist_and_slope(probes[i], space.retract(vals[:, :d]), vals[:, d:])
         best[i] = np.minimum(best[i], fs)
         return gs
 
     glo, ghi = np.where(right, gm, ga)[crossing], np.where(left, gm, gb)[crossing]
-    left, right, tm = left[crossing], right[crossing], t[near[crossing]]
-    _illinois(slope, np.where(right, tm, tm - h), np.where(left, tm, tm + h), glo, ghi, tm)
+    left, right = left[crossing], right[crossing]
+    _illinois(slope, np.where(right, t, t - h), np.where(left, t, t + h), glo, ghi, t)
     return float(np.max(best))
 
 
@@ -350,19 +369,24 @@ def image_distance(x: Embedding, y: Embedding) -> float:
 
     A pseudo-metric on embeddings: zero (up to interpolation error) iff
     the two curves parameterize the same submanifold.  Each direction
-    probes one curve at PROBES_PER_NODE * max(P) uniform parameters and
-    takes the sup over probes of the distance to the other curve's
-    continuous interpolant: a blocked nearest-sample search on the same
-    grid, refined by a closest-point solve (`_directed_hausdorff`).
+    probes one curve at the M = PROBES_PER_NODE * max(P) nodes of a finer
+    grid and takes the sup over probes of the distance to the other
+    curve's continuous interpolant.  Both curves and their derivatives
+    come onto that grid by zero-padded FFTs (`fourier.upsample`); each
+    probe's nearest sample comes from a cell list, and a closest-point
+    solve on Taylor sums about it refines the distance
+    (`_directed_hausdorff`).  No step costs O(M^2) unless the images lie
+    farther apart than a few grid spacings, where the nearest-sample
+    search falls back to a dense scan.
     """
     if x.space != y.space:
         raise ValueError("image_distance requires a common ambient space")
-    t = np.linspace(0.0, 2.0 * np.pi, PROBES_PER_NODE * max(x.P, y.P), endpoint=False)
-    xs = interp_curve(x, t)
-    ys = interp_curve(y, t)
+    M = PROBES_PER_NODE * max(x.P, y.P)
+    gx, gy = _derivative_grids(x, M), _derivative_grids(y, M)
     space = x.space
-    d_xy = _directed_hausdorff(space, space.reduce(xs), y, t, ys)
-    d_yx = _directed_hausdorff(space, space.reduce(ys), x, t, xs)
+    xs, ys = space.retract(gx[0]), space.retract(gy[0])
+    d_xy = _directed_hausdorff(space, space.reduce(xs), gy, ys)
+    d_yx = _directed_hausdorff(space, space.reduce(ys), gx, xs)
     return max(d_xy, d_yx)
 
 

@@ -77,6 +77,42 @@ def interp_coeffs(c: np.ndarray, P: int, t, order: int = 0) -> np.ndarray:
     return (E @ (mult.reshape((-1,) + (1,) * (c.ndim - 1)) * c)).real / P
 
 
+def upsample(c: np.ndarray, P: int, M: int, orders: int) -> np.ndarray:
+    """The interpolant of `interp_coeffs` and its derivatives on a finer grid.
+
+    c are rfft coefficients of P real samples.  Returns the derivatives of
+    orders 0 .. orders-1 at the M > P nodes `nodes(M)`, shape
+    (orders, M) + c.shape[1:], from one zero-padded inverse FFT.  The
+    Nyquist mode keeps half the weight of the others, as in `interp_coeffs`.
+    """
+    if M <= P:
+        raise ValueError("upsample needs a finer grid")
+    K = P // 2 + 1
+    k = np.arange(K, dtype=float)
+    w = np.ones(K)
+    if P % 2 == 0:
+        w[-1] = 0.5  # irfft doubles every mode below M/2, the Nyquist mode of P included
+    shape = (-1,) + (1,) * (c.ndim - 1)
+    X = np.zeros((orders, M // 2 + 1) + c.shape[1:], dtype=complex)
+    for n in range(orders):
+        X[n, :K] = ((1j ** n) * k**n * w / P).reshape(shape) * c
+    return np.fft.irfft(X, n=M, axis=1, norm="forward")
+
+
+def taylor(grids: np.ndarray, j: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Taylor sum over n of grids[n, j] * delta**n / n!, by Horner's rule.
+
+    grids holds derivatives of orders 0 .. N at grid nodes (as from
+    `upsample`); j and delta hold each point's node index and its offset
+    from that node.
+    """
+    scale = np.asarray(delta, dtype=float).reshape((-1,) + (1,) * (grids.ndim - 2))
+    acc = grids[-1, j]
+    for n in range(grids.shape[0] - 1, 0, -1):
+        acc = grids[n - 1, j] + acc * (scale / n)
+    return acc
+
+
 def interp(values: np.ndarray, t, order: int = 0) -> np.ndarray:
     """One-shot trigonometric interpolation of periodic samples at points t."""
     v = np.asarray(values, dtype=float)

@@ -112,11 +112,18 @@ def orbit_differential(c: Chart, basis: list) -> np.ndarray:
 
 def orbit_rank(c: Chart, basis: list) -> tuple[int, int]:
     """(rank of the orbit map differential, stabilizer Lie-algebra dimension)."""
-    sv = orbit_singular_values(c, basis)
+    return singular_value_rank(orbit_singular_values(c, basis), len(basis))
+
+
+def singular_value_rank(sv: np.ndarray, dim_G: int) -> tuple[int, int]:
+    """(rank, stabilizer dimension) from the descending singular values of an orbit differential.
+
+    The rank counts the values above RANK_REL_TOL times the largest.
+    """
     if sv.size == 0 or sv[0] == 0.0:
-        return 0, len(basis)
+        return 0, dim_G
     rank = int(np.sum(sv > RANK_REL_TOL * sv[0]))
-    return rank, len(basis) - rank
+    return rank, dim_G - rank
 
 
 def orbit_singular_values(c: Chart, basis: list) -> np.ndarray:

@@ -389,6 +389,25 @@ def test_no_library_path_reaches_brentq(monkeypatch, rng, circle64, great_circle
     assert d == pytest.approx(0.1, abs=1e-10)
 
 
+@pytest.mark.parametrize("center", [
+    shapes.perturbed_circle(256, 0.06, seed=0),
+    shapes.torus_geodesic(256, (1, 1), offset=(0.3, 0.8), wiggle=0.05, seed=1),
+    shapes.great_circle(256),
+], ids=["plane", "torus", "sphere"])
+def test_same_image_distance_skips_the_dense_scan(monkeypatch, rng, center):
+    # on a chart round trip every probe's nearest sample comes from the cell list
+    c = cc.make_chart(center)
+    x = cc.chart_apply(c, random_section(c, rng, 0.3 * c.rho))
+    y = cc.resample(x, cc.make_diffeo(5, 0.25, 256))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense pairwise_dist scan")
+
+    for cls in (cc.AmbientSpace, cc.Euclidean, cc.FlatTorus, cc.Sphere2):
+        monkeypatch.setattr(cls, "pairwise_dist", forbidden)
+    assert cc.image_distance(x, y) <= 1e-10
+
+
 def _trefoil(P):
     th = fourier.nodes(P)
     return cc.Embedding(cc.Euclidean(3), np.stack(

@@ -228,6 +228,20 @@ def test_orbit_circle_report():
     assert len(sv) == 3 and sv[2] <= 1e-8 * sv[0]
 
 
+def test_orbit_builds_the_differential_once(monkeypatch):
+    # rank and singular values of the report come from one SVD
+    calls = []
+    build = cc.symmetry.orbit_differential
+
+    def counted(*args):
+        calls.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(cc.symmetry, "orbit_differential", counted)
+    assert run_cli("orbit", "--make", "circle", "--grid", "64").returncode == 0
+    assert len(calls) == 1
+
+
 def test_orbit_great_circle_report():
     r = run_cli("orbit", "--make", "great-circle", "--grid", "96")
     rep = json.loads(r.stdout)

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import curvecharts as cc
-from curvecharts import fourier, shapes
+from curvecharts import curve, fourier, shapes
 from curvecharts.curve import interp_curve
 from curvecharts.errors import NonMonotoneError
 
@@ -304,3 +304,121 @@ def test_torus_winding_must_be_integral(winding):
     pts = shapes.torus_geodesic(64, (1, 0)).pts
     with pytest.raises(ValueError, match="integers"):
         cc.Embedding(cc.FlatTorus(2), pts, winding)
+
+
+# the upsampled Taylor evaluation and the cell-list nearest-sample search of image_distance
+
+
+@pytest.mark.parametrize("P", [16, 64, 512])
+def test_taylor_sums_match_the_interpolant(P):
+    # full-spectrum coefficients, the Nyquist mode included, at offsets up to one
+    # spacing.  The reference is the interpolant moved by node j, whose Fourier
+    # phases 2 pi k j / M are reduced mod 2 pi in integers, so neither side
+    # rounds a phase as large as k t.
+    rng = np.random.default_rng(P)
+    c = np.fft.rfft(rng.standard_normal((P, 2)), axis=0)
+    assert np.all(np.abs(c[-1]) > 0.0)
+    M = curve.PROBES_PER_NODE * P
+    N = curve._TAYLOR_ORDER
+    grids = fourier.upsample(c, P, M, N + 2)
+    h = 2.0 * np.pi / M
+    k = np.arange(P // 2 + 1)
+    w = np.where((k == 0) | (k == P // 2), 1.0, 2.0)
+    for j in rng.integers(0, M, 8):
+        delta = rng.uniform(-h, h, 50)
+        moved = c * np.exp(2j * np.pi * ((k * j) % M) / M)[:, None]
+        for order in (0, 1):
+            got = fourier.taylor(grids[order:order + N + 1], np.full(50, j), delta)
+            want = fourier.interp_coeffs(moved, P, delta, order)
+            # the bound sum_k w_k k^order |c_k| / P of the order-th derivative
+            bound = np.sum((w * k**order)[:, None] * np.abs(c), axis=0) / P
+            assert np.all(np.abs(got - want) <= 1e-14 * bound)
+
+
+def test_upsample_matches_the_interpolant_at_the_nodes():
+    rng = np.random.default_rng(5)
+    c = np.fft.rfft(rng.standard_normal((32, 3)), axis=0)
+    grids = fourier.upsample(c, 32, 256, 3)
+    for order in range(3):
+        want = fourier.interp_coeffs(c, 32, fourier.nodes(256), order)
+        np.testing.assert_allclose(grids[order], want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+
+def _nearest_pair(kind, seed, amplitude):
+    """Points of a curve x on the 8P grid, reduced, and of a resampling of x on the same grid."""
+    P = 64
+    rng = np.random.default_rng(seed)
+    th = fourier.nodes(P)
+    if kind == "plane":
+        x = shapes.random_band_limited(P, seed=seed)
+    elif kind == "space":
+        pts = np.concatenate([shapes.random_band_limited(P, seed=seed).pts,
+                              0.3 * np.sin(2 * th + rng.uniform(0, 2 * np.pi))[:, None]], axis=1)
+        x = cc.Embedding(cc.Euclidean(3), pts)
+    elif kind == "torus":
+        x = shapes.torus_geodesic(P, (1, 1), offset=(0.97, 0.99), wiggle=0.05, seed=seed)
+        assert np.ptp(x.samples, axis=0).min() > 0.9  # the lift crosses both seams
+    else:
+        rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        pts = np.stack([np.cos(th), np.sin(th), 0.3 * np.sin(3 * th)], axis=1) @ rot.T
+        x = cc.Embedding(cc.Sphere2(), pts / np.linalg.norm(pts, axis=1, keepdims=True))
+    y = cc.resample(x, cc.make_diffeo(seed, amplitude, P))
+    t = fourier.nodes(curve.PROBES_PER_NODE * P)
+    return x.space, x.space.reduce(interp_curve(x, t)), interp_curve(y, t)
+
+
+def _dense_rows(mp):
+    """Count the probe rows that reach a dense pairwise_dist scan."""
+    rows = []
+    for cls in (cc.AmbientSpace, cc.Sphere2):
+        dense = cls.pairwise_dist
+
+        def counted(self, p, q, dense=dense):
+            rows.append(len(p))
+            return dense(self, p, q)
+
+        mp.setattr(cls, "pairwise_dist", counted)
+    return rows
+
+
+def _brute_nearest(space, probes, samples):
+    return np.argmin(space.pairwise_dist(probes, samples), axis=1)
+
+
+@pytest.mark.parametrize("kind", ["plane", "space", "torus", "sphere"])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.3))
+def test_nearest_matches_brute_force_on_same_image(kind, seed, amplitude):
+    space, probes, samples = _nearest_pair(kind, seed, amplitude)
+    with pytest.MonkeyPatch.context() as mp:
+        rows = _dense_rows(mp)
+        near = space.nearest(probes, samples)
+    assert sum(rows) == 0  # every probe certified by its cells
+    np.testing.assert_array_equal(near, _brute_nearest(space, probes, samples))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+def test_nearest_matches_brute_force_on_distant_curves(seed_x, seed_y):
+    assume(seed_x != seed_y)
+    t = fourier.nodes(curve.PROBES_PER_NODE * 32)
+    probes = interp_curve(shapes.random_band_limited(32, seed=seed_x), t)
+    samples = interp_curve(shapes.random_band_limited(32, seed=seed_y), t)
+    space = cc.Euclidean(2)
+    with pytest.MonkeyPatch.context() as mp:
+        rows = _dense_rows(mp)
+        near = space.nearest(probes, samples)
+    assert sum(rows) > 0  # probes far from every sample took the dense scan
+    np.testing.assert_array_equal(near, _brute_nearest(space, probes, samples))
+
+
+@pytest.mark.parametrize("alpha", [1e-9, 1e-7])
+def test_nearest_matches_brute_force_near_antipodal(alpha):
+    # the latitude circles of test_image_distance_sphere_near_antipodal_exact
+    t = fourier.nodes(curve.PROBES_PER_NODE * 32)
+    a = interp_curve(latitude_circle(32, alpha), t)
+    b = interp_curve(latitude_circle(32, np.pi - alpha), t)
+    space = cc.Sphere2()
+    for probes, samples in ((a, b), (b, a)):
+        np.testing.assert_array_equal(space.nearest(probes, samples),
+                                      _brute_nearest(space, probes, samples))
