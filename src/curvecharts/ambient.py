@@ -225,33 +225,34 @@ class AmbientSpace:
         """Distance at which normal geodesics of a curve with curvature kmax focus."""
         return np.inf if kmax < 1e-14 else 1.0 / kmax
 
-    # discrete-curve geometry: a, b are the theta-derivatives x', x'' at the nodes
+    # discrete-curve geometry: a, b are the theta-derivatives x', x'' at the
+    # nodes, arrays (P, ..., coord_dim) with any batch axes between
 
     def curvature(self, pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Curvature at the nodes: signed in the plane (positive counterclockwise), magnitude in 3-d."""
-        v = np.linalg.norm(a, axis=1)
-        if a.shape[1] == 2:
-            cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+        v = np.linalg.norm(a, axis=-1)
+        if a.shape[-1] == 2:
+            cross = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
             return cross / v**3
-        return np.linalg.norm(np.cross(a, b), axis=1) / v**3
+        return np.linalg.norm(np.cross(a, b), axis=-1) / v**3
 
     def length_gradient(self, pts: np.ndarray, a: np.ndarray) -> np.ndarray:
         """Gradient of the discrete length with respect to the sample points."""
-        T = a / np.linalg.norm(a, axis=1, keepdims=True)
+        T = a / np.linalg.norm(a, axis=-1, keepdims=True)
         return -(2.0 * np.pi / pts.shape[0]) * fourier.diff(T)
 
     def bending_gradient(self, pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Gradient of the discrete bending energy with respect to the sample points."""
-        v = np.linalg.norm(a, axis=1, keepdims=True)
+        v = np.linalg.norm(a, axis=-1, keepdims=True)
         scale = 2.0 * np.pi / pts.shape[0]
-        if a.shape[1] == 2:
-            c = (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])[:, None]
-            dEda = scale * (2.0 * c / v**5 * np.stack([b[:, 1], -b[:, 0]], axis=1)
+        if a.shape[-1] == 2:
+            c = (a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])[..., None]
+            dEda = scale * (2.0 * c / v**5 * np.stack([b[..., 1], -b[..., 0]], axis=-1)
                             - 5.0 * c**2 / v**7 * a)
-            dEdb = scale * 2.0 * c / v**5 * np.stack([-a[:, 1], a[:, 0]], axis=1)
+            dEdb = scale * 2.0 * c / v**5 * np.stack([-a[..., 1], a[..., 0]], axis=-1)
         else:
             wv = np.cross(a, b)
-            w2 = np.sum(wv * wv, axis=1, keepdims=True)
+            w2 = np.sum(wv * wv, axis=-1, keepdims=True)
             dEda = scale * (2.0 * np.cross(b, wv) / v**5 - 5.0 * w2 / v**7 * a)
             dEdb = scale * 2.0 * np.cross(wv, a) / v**5
         return -fourier.diff(dEda, 1) + fourier.diff(dEdb, 2)
@@ -473,18 +474,18 @@ class Sphere2(AmbientSpace):
     def curvature(self, pts, a, b):
         """Signed geodesic curvature with respect to the normal p x T."""
         d = self.project_tangent(pts, a)
-        sp = np.linalg.norm(d, axis=1)
-        T = d / sp[:, None]
+        sp = np.linalg.norm(d, axis=-1)
+        T = d / sp[..., None]
         # dT/ds projected off both the sphere normal and the tangent
-        dT = fourier.diff(T) / sp[:, None]
+        dT = fourier.diff(T) / sp[..., None]
         nu = np.cross(pts, T)
-        return np.sum(dT * nu, axis=1)
+        return np.sum(dT * nu, axis=-1)
 
     def length_gradient(self, pts, a):
         """Ambient R^3 gradient of the discrete length; meaningful against tangent vectors."""
-        ya = np.sum(pts * a, axis=1, keepdims=True)
+        ya = np.sum(pts * a, axis=-1, keepdims=True)
         T = a - ya * pts
-        T = T / np.linalg.norm(T, axis=1, keepdims=True)
+        T = T / np.linalg.norm(T, axis=-1, keepdims=True)
         return (2.0 * np.pi / pts.shape[0]) * (-fourier.diff(T, 1) - ya * T)
 
     def bending_gradient(self, pts, a, b):
@@ -496,16 +497,16 @@ class Sphere2(AmbientSpace):
         under the plain sum inner product, and through the projection.
         """
         s = 2.0 * np.pi / pts.shape[0]
-        ya = np.sum(pts * a, axis=1, keepdims=True)
+        ya = np.sum(pts * a, axis=-1, keepdims=True)
         d = a - ya * pts
-        n = np.linalg.norm(d, axis=1, keepdims=True)
+        n = np.linalg.norm(d, axis=-1, keepdims=True)
         T = d / n
         U = fourier.diff(T)
         nu = np.cross(pts, T)
-        k = np.sum(U * nu, axis=1, keepdims=True) / n
+        k = np.sum(U * nu, axis=-1, keepdims=True) / n
         # adjoints, back from k through (U, nu), T and d to (a, p)
         cb = 2.0 * s * k
         Tb = np.cross(cb * U, pts) - fourier.diff(cb * nu)
-        db = (Tb - np.sum(Tb * T, axis=1, keepdims=True) * T) / n - s * k**2 * T
-        pd = np.sum(db * pts, axis=1, keepdims=True)
+        db = (Tb - np.sum(Tb * T, axis=-1, keepdims=True) * T) / n - s * k**2 * T
+        pd = np.sum(db * pts, axis=-1, keepdims=True)
         return cb * np.cross(T, U) - pd * a - ya * db - fourier.diff(db - pd * pts)

@@ -131,11 +131,16 @@ def _full_section(c: Chart, V) -> np.ndarray:
     return V
 
 
+def _check_radius(c: Chart, W: np.ndarray):
+    """OutsideDomainError unless every vector of W, shape (P, ..., coord_dim), is shorter than rho."""
+    if np.max(np.linalg.norm(W, axis=-1)) >= c.rho:
+        raise OutsideDomainError("section exceeds the chart radius")
+
+
 def full_chart_apply(c: Chart, W) -> Embedding:
     """Pointwise exponential of a full section W of x^*(TN), shape (P, coord_dim)."""
     W = _full_section(c, W)
-    if np.max(np.linalg.norm(W, axis=1)) >= c.rho:
-        raise OutsideDomainError("section exceeds the chart radius")
+    _check_radius(c, W)
     x = c.center
     return Embedding(x.space, x.space.exp(x.pts, W), x.winding)
 

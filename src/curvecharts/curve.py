@@ -152,8 +152,8 @@ def curvature(x: Embedding) -> np.ndarray:
     Euclidean/torus dim 3: magnitude.  Sphere: signed geodesic
     curvature with respect to the normal p x T.
     """
-    per = x.periodic_part()
-    return x.space.curvature(x.pts, fourier.diff(per, 1) + x.drift, fourier.diff(per, 2))
+    d1, d2 = fourier.diff(x.periodic_part(), (1, 2))
+    return x.space.curvature(x.pts, d1 + x.drift, d2)
 
 
 def separation(x: Embedding) -> float:

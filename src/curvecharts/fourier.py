@@ -15,17 +15,24 @@ def nodes(P: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(P) / P
 
 
-def diff(values: np.ndarray, order: int = 1) -> np.ndarray:
-    """Spectral derivative of periodic samples (d/dtheta)^order."""
+def diff(values: np.ndarray, order: int | tuple[int, ...] = 1):
+    """Spectral derivative of periodic samples (d/dtheta)^order.
+
+    A tuple of orders returns the tuple of those derivatives, all taken
+    from one forward FFT.
+    """
     v = np.asarray(values, dtype=float)
     P = v.shape[0]
     c = np.fft.rfft(v, axis=0)
     k = np.arange(P // 2 + 1, dtype=float)
-    mult = (1j * k) ** order
-    if order % 2 == 1:
-        mult[-1] = 0.0  # cosine convention: odd derivatives of the Nyquist mode vanish at nodes
     shape = (-1,) + (1,) * (v.ndim - 1)
-    return np.fft.irfft(c * mult.reshape(shape), n=P, axis=0)
+    out = []
+    for n in order if isinstance(order, tuple) else (order,):
+        mult = (1j * k) ** n
+        if n % 2 == 1:
+            mult[-1] = 0.0  # cosine convention: odd derivatives of the Nyquist mode vanish at nodes
+        out.append(np.fft.irfft(c * mult.reshape(shape), n=P, axis=0))
+    return tuple(out) if isinstance(order, tuple) else out[0]
 
 
 def truncate(values: np.ndarray, kmax: int) -> np.ndarray:

@@ -6,6 +6,11 @@ derivatives of the discrete functionals: the ambient space supplies the
 sample-point gradient of each term in closed form on every backend,
 which is pulled back through the differential of its exponential map.
 Hessians are Richardson-extrapolated central differences of the gradient.
+
+The gradient code takes stacks of sections: arrays put the nodes first
+and the coordinates (or basis directions) last, with any batch axes
+between, shape (P, ..., d).  A Hessian fills a block of its columns per
+gradient call, one batched gradient per Richardson offset.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier
-from .charts import Chart, NormalSection, _full_section, full_chart_apply, make_chart
+from .ambient import AmbientSpace
+from .charts import Chart, NormalSection, _check_radius, _full_section, full_chart_apply, make_chart
 from .curve import Embedding, curvature, derivative, quadrature_weights
 from .errors import UnsupportedAmbientError
 
@@ -24,6 +30,8 @@ TERM_KINDS = ("length", "area", "bend")
 
 _GRAD_STEP = 1e-5
 _HESS_STEP = 1e-4
+# Hessian columns per batched gradient of `_fd_hessian`
+_BLOCK_COLUMNS = 64
 
 
 @dataclass(frozen=True)
@@ -68,14 +76,14 @@ def parse_functional(text: str) -> Functional:
     return Functional(tuple(terms))
 
 
-def _check_area_support(F: Functional, x: Embedding):
-    if F.coefficient("area") != 0.0 and not x.space.has_signed_area:
+def _check_area_support(F: Functional, space: AmbientSpace):
+    if F.coefficient("area") != 0.0 and not space.has_signed_area:
         raise UnsupportedAmbientError("signed area is defined only in the euclidean plane")
 
 
 def evaluate(F: Functional, x: Embedding) -> float:
     """Value of the functional on a discrete curve (spectral quadrature)."""
-    _check_area_support(F, x)
+    _check_area_support(F, x.space)
     w = quadrature_weights(x)
     total = 0.0
     for kind, coef in F.terms:
@@ -98,21 +106,32 @@ def evaluate(F: Functional, x: Embedding) -> float:
 # analytic gradients with respect to the sample points
 
 
-def _grad_pts(F: Functional, y: Embedding) -> np.ndarray:
-    """Sum of the analytic sample-point gradients of the terms."""
-    _check_area_support(F, y)
-    per = y.periodic_part()
-    a = fourier.diff(per) + y.drift
-    out = np.zeros_like(y.pts)
+def _grad_pts(F: Functional, space: AmbientSpace, pts: np.ndarray,
+              drift: np.ndarray) -> np.ndarray:
+    """Sum of the analytic sample-point gradients of the terms.
+
+    pts holds curves with nodes first and coordinates last, shape
+    (P, ..., coord_dim), any batch axes between; drift is their winding
+    drift, as `Embedding.drift`.
+    """
+    _check_area_support(F, space)
+    theta = fourier.nodes(pts.shape[0]).reshape((-1,) + (1,) * (pts.ndim - 1))
+    per = pts - theta * drift
+    if any(kind == "bend" and coef != 0.0 for kind, coef in F.terms):
+        a, b = fourier.diff(per, (1, 2))
+    else:
+        a, b = fourier.diff(per), None
+    a = a + drift
+    out = np.zeros_like(pts)
     for kind, coef in F.terms:
         if coef == 0.0:
             continue
         if kind == "length":
-            g = y.space.length_gradient(y.pts, a)
+            g = space.length_gradient(pts, a)
         elif kind == "area":
-            g = (2.0 * np.pi / y.P) * np.stack([a[:, 1], -a[:, 0]], axis=1)
+            g = (2.0 * np.pi / pts.shape[0]) * np.stack([a[..., 1], -a[..., 0]], axis=-1)
         else:
-            g = y.space.bending_gradient(y.pts, a, fourier.diff(per, 2))
+            g = space.bending_gradient(pts, a, b)
         out = out + coef * g
     return out
 
@@ -125,14 +144,20 @@ def _pullback_gradient(F: Functional, c: Chart, coeff: np.ndarray,
                        basis: np.ndarray) -> np.ndarray:
     """L2(ds) gradient of coeff -> evaluate(F, exp_x(sum_a coeff^a basis^a)).
 
-    The closed-form sample-point gradient of the image curve is pulled
-    back through d exp at each node.
+    coeff has shape (P, ..., dim) for a basis of shape (dim, P,
+    coord_dim): batch axes between nodes and directions give one gradient
+    per index, of coeff's shape.  The closed-form sample-point gradient
+    of each image curve is pulled back through d exp at each node.
     """
     x = c.center
-    W = np.einsum("ia,aid->id", coeff, basis)
-    gp = _grad_pts(F, full_chart_apply(c, W))
-    G = np.einsum("aid,id->ia", x.space.dexp(x.pts, W, basis), gp)
-    return G / c.weights[:, None]
+    batch = (1,) * (coeff.ndim - 2)
+    W = np.einsum("i...a,aid->i...d", coeff, basis)
+    _check_radius(c, W)
+    p = x.pts.reshape((c.P,) + batch + (-1,))
+    gp = _grad_pts(F, x.space, x.space.exp(p, W), x.drift)
+    D = x.space.dexp(p, W, basis.reshape(basis.shape[:2] + batch + basis.shape[2:]))
+    G = np.einsum("ai...d,i...d->i...a", D, gp)
+    return G / c.weights.reshape((c.P,) + batch + (1,))
 
 
 def gradient_in_chart(F: Functional, c: Chart, u: NormalSection) -> NormalSection:
@@ -185,15 +210,23 @@ def _fd_hessian(F: Functional, c: Chart, basis: np.ndarray) -> HessianPair:
     """Symmetrized central-difference Jacobian of the gradient over basis, at coeff = 0.
 
     basis has shape (dim, P, coord_dim); the pair is taken against the
-    mass matrix of the chart weights.
+    mass matrix of the chart weights.  Column j is the derivative along
+    the coefficient of direction j % dim at node j // dim.  The columns
+    are filled in blocks of _BLOCK_COLUMNS: a block is one (P, B, dim)
+    stack of unit coefficients, so each Richardson offset costs one
+    batched `_pullback_gradient` per block.
     """
-    n = c.P * basis.shape[0]
+    P, dim = c.P, basis.shape[0]
+    n = P * dim
+    w = c.weights[:, None, None]
     cols = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros((c.P, basis.shape[0]))
-        e.flat[j] = 1.0
+    for j0 in range(0, n, _BLOCK_COLUMNS):
+        j = np.arange(j0, min(j0 + _BLOCK_COLUMNS, n))
+        E = np.zeros((P, j.size, dim))
+        E[j // dim, np.arange(j.size), j % dim] = 1.0
+        # rows of a block are (node, direction) flattened row-major, as the columns
         cols[:, j] = _richardson(
-            lambda r: (_pullback_gradient(F, c, r * e, basis) * c.weights[:, None]).ravel(),
+            lambda r: (_pullback_gradient(F, c, r * E, basis) * w).transpose(0, 2, 1).reshape(n, -1),
             _HESS_STEP)
     asym = float(np.max(np.abs(cols - cols.T)))
     return HessianPair(0.5 * (cols + cols.T), asym)

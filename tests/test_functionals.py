@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import curvecharts as cc
 from curvecharts import Sphere2, fourier, shapes
-from curvecharts.errors import UnsupportedAmbientError
-from curvecharts.functionals import _pullback_gradient
+from curvecharts.errors import OutsideDomainError, UnsupportedAmbientError
+from curvecharts.functionals import _HESS_STEP, _grad_pts, _pullback_gradient
 
 
 def test_parse_functional_grammar():
@@ -248,6 +248,84 @@ def test_restriction_identity_bend_great_circle():
     Qf = cc.hessian_full(F, c).Q
     R = cc.restriction_matrix(c)
     assert np.max(np.abs(R.T @ Qf @ R - Q)) <= 1e-6 * np.max(np.abs(Q))
+
+
+# backend -> (chart center, functional) for the Hessian and batching checks
+SECOND_VARIATION_CASES = {
+    "plane": (lambda: shapes.perturbed_circle(32, amplitude=0.06, seed=0), "length-1.0*area"),
+    "torus": (lambda: shapes.torus_geodesic(32, (1, 1), wiggle=0.05, seed=1), "length"),
+    "sphere": (lambda: tilted_great_circle(24), "length+0.5*bend"),
+}
+
+
+def _second_variation_case(backend):
+    make, functional = SECOND_VARIATION_CASES[backend]
+    return cc.make_chart(make()), cc.parse_functional(functional)
+
+
+@pytest.mark.parametrize("backend", SECOND_VARIATION_CASES)
+@pytest.mark.parametrize("full", [False, True], ids=["chart", "full"])
+def test_hessian_matches_directional_derivative_of_gradient(backend, full, rng):
+    # oracle, blind to how the columns are assembled: Q v against the
+    # Richardson derivative of the weighted gradient along v at the same step h.
+    # A sup norm of at most 1 keeps the step along v no larger than a
+    # column's.  Each estimate errs by at most 3 delta / h per unit of
+    # direction, delta the gradient's roundoff: at most eps * max|x| * |Q|_inf
+    # for input roundoff eps * max|x|.  Q v sums |v|_1 columns, and
+    # symmetrizing averages two entries of that bound.
+    c, F = _second_variation_case(backend)
+    basis = c.center.space.section_basis(c.tangent, c.frame) if full else c.frame
+    pair = (cc.hessian_full if full else cc.hessian_in_chart)(F, c)
+    v = rng.uniform(-1.0, 1.0, (c.P, basis.shape[0]))
+    h = _HESS_STEP
+
+    def phi(r):
+        return (_pullback_gradient(F, c, r * v, basis) * c.weights[:, None]).ravel()
+
+    d1 = (phi(h) - phi(-h)) / (2.0 * h)
+    d2 = (phi(0.5 * h) - phi(-0.5 * h)) / h
+    directional = (4.0 * d2 - d1) / 3.0
+    delta = np.finfo(float).eps * np.max(np.abs(c.center.pts)) * np.max(
+        np.sum(np.abs(pair.Q), axis=1))
+    tol = 3.0 * delta / h * (np.sum(np.abs(v)) + 1.0)
+    assert np.max(np.abs(pair.Q @ v.ravel() - directional)) <= tol
+
+
+@pytest.mark.parametrize("backend", SECOND_VARIATION_CASES)
+def test_batched_gradient_equals_loop(backend, rng):
+    # a (P, B, dim) stack gives, column by column, the (P, dim) gradients
+    c, F = _second_variation_case(backend)
+    for basis in (c.frame, c.center.space.section_basis(c.tangent, c.frame)):
+        dim = basis.shape[0]
+        stack = np.stack([0.2 * c.rho / np.sqrt(dim) * fourier.truncate(
+            rng.uniform(-1.0, 1.0, (c.P, dim)), 4) for _ in range(5)], axis=1)
+        batched = _pullback_gradient(F, c, stack, basis)
+        assert batched.shape == stack.shape
+        for b in range(stack.shape[1]):
+            single = _pullback_gradient(F, c, stack[:, b], basis)
+            assert np.max(np.abs(batched[:, b] - single)) <= 1e-14 * np.max(np.abs(single))
+        # one column past the chart radius fails the whole stack
+        stack[3, 2, 0] = 1.01 * c.rho
+        with pytest.raises(OutsideDomainError):
+            _pullback_gradient(F, c, stack, basis)
+
+
+def test_one_forward_fft_for_both_derivatives(monkeypatch):
+    # the first and second derivatives of the samples share one rfft
+    x = shapes.perturbed_circle(32, amplitude=0.06, seed=0)
+    d1, d2 = fourier.diff(x.pts, (1, 2))
+    assert np.array_equal(d1, fourier.diff(x.pts)) and np.array_equal(d2, fourier.diff(x.pts, 2))
+    calls = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda *args, **kw: calls.append(1) or rfft(*args, **kw))
+    cc.curvature(x)
+    assert len(calls) == 1
+    calls.clear()
+    x.space.bending_gradient(x.pts, d1, d2)
+    in_bending_gradient = len(calls)
+    calls.clear()
+    _grad_pts(cc.parse_functional("bend"), x.space, x.pts, x.drift)
+    assert len(calls) == in_bending_gradient + 1
 
 
 def random_sphere_curve(P, seed, amplitude=0.15, kmax=4):

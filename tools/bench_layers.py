@@ -1,0 +1,196 @@
+"""Time library layers across grid sizes on the plane, the flat torus and S^2.
+
+    python tools/bench_layers.py OUT.json
+
+Imports `src/curvecharts` of the checkout that holds this script, and
+the analytic spectra of `perfbench/workloads.py` (read only).  Every
+time is the minimum wall time of 3 calls.
+
+`image_distance`: for P in {64, 128, 256, 512, 1024} it builds a curve x
+and the resampling y = x∘phi of x by a seeded diffeomorphism, the pair a
+`roundtrip` check compares.  It records the time of
+`image_distance(x, y)`, and from one further, instrumented call:
+
+- `illinois_steps`: the closest-point refinement's `_illinois` steps, and
+  `illinois_points`, the roots they evaluate summed over those steps;
+- `fallback_probes`: probe rows that reach a dense `pairwise_dist` scan
+  (0 when every nearest sample comes from the cell list).
+
+`second_variation`: for P in {64, 128, 256, 512} it builds a critical
+curve with a known Jacobi spectrum (the unit circle under
+length - area, a (1, 0) torus geodesic and a great circle under
+length) and records the times of `hessian_in_chart` and of
+`spectrum` (the Hessian, its reduction and eigh), with
+
+- `columns`: the Hessian's columns, P times the frame rank;
+- `gradient_calls`: the batched `_pullback_gradient` calls one
+  `hessian_in_chart` makes;
+- `eig_error`: the largest distance of the computed eigenvalues from
+  the analytic ones.
+
+The JSON also holds the machine, Python, numpy and scipy versions, and
+each backend's time ratio between the largest grid and a quarter of it.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import sys
+import time
+
+import numpy as np
+import scipy
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+import curvecharts as cc  # noqa: E402
+import workloads  # noqa: E402
+from curvecharts import curve, functionals, shapes  # noqa: E402
+
+GRIDS = (64, 128, 256, 512, 1024)
+HESSIAN_GRIDS = (64, 128, 256, 512)
+REPEATS = 3
+
+
+def _tilted_circle(P: int) -> cc.Embedding:
+    th = cc.fourier.nodes(P)
+    pts = np.stack([np.cos(th), np.sin(th), 0.1 * np.sin(3 * th)], axis=1)
+    return cc.Embedding(cc.Sphere2(), pts / np.linalg.norm(pts, axis=1, keepdims=True))
+
+
+BACKENDS = {
+    "plane": lambda P: shapes.perturbed_circle(P, amplitude=0.06, seed=0),
+    "torus": lambda P: shapes.torus_geodesic(P, (1, 1), offset=(0.3, 0.7), wiggle=0.05, seed=1),
+    "sphere": _tilted_circle,
+}
+
+# backend -> (critical curve, functional, its smallest eigenvalues)
+CRITICAL = {
+    "plane": (shapes.circle, workloads.CIRCLE, workloads.SPEC_CIRCLE),
+    "torus": (lambda P: shapes.torus_geodesic(P, (1, 0)), workloads.LENGTH, workloads.SPEC_TORUS),
+    "sphere": (shapes.great_circle, workloads.LENGTH, workloads.SPEC_LENGTH_GREAT_CIRCLE),
+}
+
+
+def _min_time(fn) -> float:
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+
+def _counted(x: cc.Embedding, y: cc.Embedding) -> dict:
+    """Run image_distance once with its root steps and dense scans counted."""
+    counts = {"illinois_steps": 0, "illinois_points": 0, "fallback_probes": 0}
+    illinois = curve._illinois
+    dense = {cls: cls.__dict__["pairwise_dist"] for cls in (cc.AmbientSpace, cc.Sphere2)}
+
+    def counted_illinois(fun, *args):
+        def step(idx, t):
+            counts["illinois_steps"] += 1
+            counts["illinois_points"] += len(t)
+            return fun(idx, t)
+        return illinois(step, *args)
+
+    def counted_dense(cls):
+        def scan(self, p, q):
+            counts["fallback_probes"] += len(p)
+            return dense[cls](self, p, q)
+        return scan
+
+    curve._illinois = counted_illinois
+    for cls in dense:
+        setattr(cls, "pairwise_dist", counted_dense(cls))
+    try:
+        counts["image_distance"] = cc.image_distance(x, y)
+    finally:
+        curve._illinois = illinois
+        for cls, fn in dense.items():
+            setattr(cls, "pairwise_dist", fn)
+    return counts
+
+
+def _gradient_calls(F: cc.Functional, c: cc.Chart) -> int:
+    """Batched gradients one hessian_in_chart makes."""
+    count = [0]
+    pullback = functionals._pullback_gradient
+
+    def counted(*args):
+        count[0] += 1
+        return pullback(*args)
+
+    functionals._pullback_gradient = counted
+    try:
+        cc.hessian_in_chart(F, c)
+    finally:
+        functionals._pullback_gradient = pullback
+    return count[0]
+
+
+def _image_distance_rows() -> list[dict]:
+    rows = []
+    for name, make in BACKENDS.items():
+        for P in GRIDS:
+            x = make(P)
+            y = cc.resample(x, cc.make_diffeo(3, 0.25, P))
+            t = _min_time(lambda: cc.image_distance(x, y))
+            rows.append({"backend": name, "P": P, "probes": 2 * curve.PROBES_PER_NODE * P,
+                         "time_s": t, **_counted(x, y)})
+            print(f"image_distance {name:6s} P={P:5d} {t:.4f} s", file=sys.stderr)
+    return rows
+
+
+def _second_variation_rows() -> list[dict]:
+    rows = []
+    for name, (make, F, expected) in CRITICAL.items():
+        for P in HESSIAN_GRIDS:
+            c = cc.make_chart(make(P))
+            vals = cc.spectrum(F, c, len(expected))
+            row = {"backend": name, "P": P, "columns": P * c.rank,
+                   "gradient_calls": _gradient_calls(F, c),
+                   "hessian_in_chart_s": _min_time(lambda: cc.hessian_in_chart(F, c)),
+                   "spectrum_s": _min_time(lambda: cc.spectrum(F, c, len(expected))),
+                   "eig_error": float(np.max(np.abs(vals - np.asarray(expected))))}
+            rows.append(row)
+            print(f"second variation {name:6s} P={P:4d} hessian {row['hessian_in_chart_s']:.4f} s"
+                  f" spectrum {row['spectrum_s']:.4f} s", file=sys.stderr)
+    return rows
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        print("usage: python tools/bench_layers.py OUT.json", file=sys.stderr)
+        return 2
+    rows = _image_distance_rows()
+    hess = _second_variation_rows()
+    time_at = {(r["backend"], r["P"]): r["time_s"] for r in rows}
+    spec_at = {(r["backend"], r["P"]): r["spectrum_s"] for r in hess}
+    record = {
+        "machine": {"platform": platform.platform(), "processor": platform.processor(),
+                    "cpus": os.cpu_count(),
+                    "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")},
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "repeats": REPEATS,
+        "timing": "minimum wall time of the repeats",
+        "image_distance": rows,
+        "ratio_P1024_over_P256": {name: time_at[name, 1024] / time_at[name, 256]
+                                  for name in BACKENDS},
+        "second_variation": hess,
+        "spectrum_ratio_P512_over_P128": {name: spec_at[name, 512] / spec_at[name, 128]
+                                          for name in CRITICAL},
+    }
+    with open(sys.argv[1], "w") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
