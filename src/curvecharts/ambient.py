@@ -38,6 +38,12 @@ def _rotate_about(v: np.ndarray, axis: np.ndarray, angle: np.ndarray) -> np.ndar
     return v * c + np.cross(axis, v) * s + axis * np.sum(axis * v, axis=-1, keepdims=True) * (1.0 - c)
 
 
+def _arc(ds: np.ndarray, L: float) -> np.ndarray:
+    """Along-curve distance of nodes whose arclengths differ by ds on a loop of length L."""
+    arc = np.abs(ds)
+    return np.minimum(arc, L - arc)
+
+
 def _transport(t_prev: np.ndarray, t_cur: np.ndarray, nu_prev: np.ndarray) -> np.ndarray:
     axis = np.cross(t_prev, t_cur)
     na = np.linalg.norm(axis)
@@ -257,15 +263,18 @@ class AmbientSpace:
             dEdb = scale * 2.0 * np.cross(wv, a) / v**5
         return -fourier.diff(dEda, 1) + fourier.diff(dEdb, 2)
 
-    def strand_chords(self, pts: np.ndarray, winding, s: np.ndarray, L: float):
-        """Yield (chord, arc) matrices over node pairs of a closed curve.
+    def strand_chords(self, pts: np.ndarray, winding, s: np.ndarray, L: float,
+                      i: np.ndarray, j: np.ndarray, admissible) -> float:
+        """Smallest chord between nodes i and j of a closed curve that `admissible` accepts.
 
-        s is the cumulative arclength at the nodes and L the length; arc
-        is the along-curve distance of the pair, infinite for pairs on
-        different strands.
+        s is the cumulative arclength at the nodes and L the length.
+        admissible(chord, arc) masks the chords to count, given the
+        along-curve distance arc of each pair (infinite for pairs on
+        different strands).  Returns inf when it accepts none.
         """
-        arc = np.abs(s[:, None] - s[None, :])
-        yield self.pairwise_dist(pts, pts), np.minimum(arc, L - arc)
+        chord = self.dist(np.take(pts, i, axis=0), np.take(pts, j, axis=0))
+        ok = admissible(chord, _arc(np.take(s, i) - np.take(s, j), L))
+        return float(np.min(chord, initial=np.inf, where=ok))
 
     def to_spec(self) -> dict:
         return {"kind": self.kind, "dim": self.dim}
@@ -344,35 +353,46 @@ class FlatTorus(AmbientSpace):
         # shortest representative in (-1/2, 1/2]; ties go positive
         return 0.5 - np.mod(0.5 - d, 1.0)
 
-    def strand_chords(self, pts, winding, s, L):
-        """Chords to the nearest lattice translates of each node.
+    def strand_chords(self, pts, winding, s, L, i, j, admissible):
+        """Smallest admissible chord from node i to a nearby lattice translate of node j.
 
-        A lattice offset that is an integer multiple m of the winding
-        vector joins a strand to itself, m turns further along the curve;
-        every other offset joins different strands.
+        The translates are k + sh, where k = rint(d) is the nearest one to
+        the difference d of the pair and sh runs over {-1, 0, 1}^n, nearest
+        first.  A shift is evaluated only on pairs whose lower bound
+        max_c |(d - k - sh)_c| lies below the smallest admissible chord
+        found so far; every skipped chord is at least that large, so the
+        minimum is that of all 3^n translates.  (d - k is exact, so the
+        bound is formed from the same rounded components as the chord,
+        and a rounded Euclidean norm is never below the largest of them.)
+        An offset that is an integer multiple m of the winding vector
+        joins a strand to itself, m turns further along the curve; every
+        other offset joins different strands.
         """
-        P, n = pts.shape
-        wind = winding.astype(float)
-        diff0 = pts[:, None, :] - pts[None, :, :]
-        arc0 = np.abs(s[:, None] - s[None, :])
-        base = np.rint(diff0)
-        shifts = np.stack(np.meshgrid(*([np.array([-1.0, 0.0, 1.0])] * n), indexing="ij"), axis=-1).reshape(-1, n)
+        q = np.ascontiguousarray(pts.T)  # one row per coordinate
+        d = np.take(q, i, axis=1) - np.take(q, j, axis=1)
+        k0 = np.rint(d)
+        # |(d - k0)_c - sh_c| for sh_c = -1, 0, 1; d - k0 is exact, as rint(d)
+        # is 0 or within a factor 2 of d
+        bound = np.abs((d - k0)[None] - np.array([-1.0, 0.0, 1.0])[:, None, None])
+        n = d.shape[0]
+        shifts = np.stack(np.meshgrid(*[[-1, 0, 1]] * n, indexing="ij"), axis=-1).reshape(-1, n)
+        shifts = shifts[np.argsort(np.sum(shifts**2, axis=1), kind="stable")]
+        ax = int(np.argmax(np.abs(winding)))
+        step = winding[ax] or 1  # without a winding, only k = 0 joins a strand to itself
+        ds = np.take(s, i) - np.take(s, j)
+        best = np.inf
         for sh in shifts:
-            k = base + sh  # candidate lattice offset per pair
-            chord = np.linalg.norm(diff0 - k, axis=2)
-            if np.any(wind != 0.0):
-                ax = int(np.argmax(np.abs(wind)))
-                m = k[:, :, ax] / wind[ax]
-                on_line = np.all(np.abs(k - m[:, :, None] * wind) < 1e-9, axis=2)
-                m_int = np.abs(m - np.rint(m)) < 1e-9
-                same_strand = on_line & m_int
-                m_round = np.rint(m)
-            else:
-                same_strand = np.all(np.abs(k) < 1e-9, axis=2)
-                m_round = np.zeros((P, P))
-            arc = np.abs(s[:, None] - s[None, :] - m_round * L)
-            arc = np.where(m_round == 0.0, np.minimum(arc0, L - arc0), arc)
-            yield chord, np.where(same_strand, arc, np.inf)
+            rows = np.flatnonzero(np.logical_and.reduce([bound[sh[c] + 1, c] < best for c in range(n)]))
+            k = np.take(k0, rows, axis=1) + sh[:, None]
+            chord = np.linalg.norm(np.take(d, rows, axis=1) - k, axis=0)
+            ki = k.astype(np.int64)
+            m, rem = np.divmod(ki[ax], step)
+            same = (rem == 0) & np.all(ki == m * winding[:, None], axis=0)
+            dr = np.take(ds, rows)
+            arc = np.where(m == 0, _arc(dr, L), np.abs(dr - m * L))
+            ok = admissible(chord, np.where(same, arc, np.inf))
+            best = min(best, float(np.min(chord, initial=np.inf, where=ok)))
+        return best
 
 
 class Sphere2(AmbientSpace):
@@ -458,6 +478,27 @@ class Sphere2(AmbientSpace):
         if i.size:
             out[i, j] = np.pi - 2.0 * np.arcsin(np.linalg.norm(p[i] + q[j], axis=1) / 2.0)
         return out
+
+    def strand_chords(self, pts, winding, s, L, i, j, admissible):
+        """Smallest admissible angle: candidates from `pairwise_dist`, the value from `dist`.
+
+        The arccos matrix is one matrix product, but it loses half the
+        digits near zero.  An error e in a dot product moves arccos by at
+        most arccos(1 - e), so every entry lies within that of the angle,
+        and the pair of the smallest admissible angle lies within twice
+        that of the smallest admissible entry.  `dist`, accurate to a few
+        ulps at small angles too, is recomputed on those pairs alone.
+        """
+        approx = np.take(self.pairwise_dist(pts, pts), i * len(pts) + j)
+        ok = admissible(approx, _arc(np.take(s, i) - np.take(s, j), L))
+        if not np.any(ok):
+            return np.inf
+        # e bounds |p.q - cos(angle)|: the roundoff of a 3-term dot product
+        # and the points' norm defect, with slack for the rounding of arccos
+        defect = float(np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)))
+        e = 4.0 * np.finfo(float).eps + 3.0 * defect
+        near = ok & (approx <= np.min(approx[ok]) + 2.0 * np.arccos(1.0 - e))
+        return float(np.min(self.dist(pts[i[near]], pts[j[near]])))
 
     def normal_frame(self, p, T):
         nu = np.cross(p, T)

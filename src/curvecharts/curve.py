@@ -156,30 +156,33 @@ def curvature(x: Embedding) -> np.ndarray:
     return x.space.curvature(x.pts, d1 + x.drift, d2)
 
 
+def _distinct_strands(chord: np.ndarray, arc: np.ndarray) -> np.ndarray:
+    """Pairs on distinct strands: chord below the round-arc bound (2/pi) * arc."""
+    return chord < (2.0 / np.pi) * arc
+
+
 def separation(x: Embedding) -> float:
     """Smallest distance between genuinely distinct strands of the curve.
 
-    Node pairs at most MIN_GAP indices apart are skipped, and pairs whose
-    chord is comparable to their along-curve arclength (chord >=
-    (2/pi) * arc, the round-arc bound) are treated as same-strand and
-    excluded.  Torus curves additionally compare against lattice
-    translates: offsets off the winding line are always admissible
-    (`AmbientSpace.strand_chords`).  Returns +inf when no admissible
-    pair exists; near zero for self-intersecting curves.
+    Each node pair i < j more than MIN_GAP indices apart both ways round
+    is searched once: the chord and the test are symmetric in the pair.
+    Pairs whose chord is comparable to their along-curve arclength
+    (chord >= (2/pi) * arc, the round-arc bound) are treated as
+    same-strand and excluded.  Torus curves also compare against lattice
+    translates, where offsets off the winding line are always admissible;
+    `AmbientSpace.strand_chords` skips every (pair, translate) whose
+    coordinate-wise lower bound already reaches the smallest admissible
+    chord found, so the result equals that of all 3^n nearby translates.
+    Returns +inf when no admissible pair exists; near zero for
+    self-intersecting curves.
     """
     P = x.P
     w = quadrature_weights(x)
     s = np.concatenate(([0.0], np.cumsum(w)))[:-1]
-    L = float(np.sum(w))
-    gap = np.abs(np.arange(P)[:, None] - np.arange(P)[None, :])
-    gap = np.minimum(gap, P - gap)
-    admissible_gap = gap > MIN_GAP
-    best = np.inf
-    for chord, arc in x.space.strand_chords(x.pts, x.winding, s, L):
-        mask = admissible_gap & (chord < (2.0 / np.pi) * arc)
-        if np.any(mask):
-            best = min(best, float(np.min(chord[mask])))
-    return best
+    i, j = np.triu_indices(P, MIN_GAP + 1)
+    keep = j - i < P - MIN_GAP
+    return x.space.strand_chords(x.pts, x.winding, s, float(np.sum(w)), i[keep], j[keep],
+                                 _distinct_strands)
 
 
 def is_immersion(x: Embedding) -> bool:

@@ -28,6 +28,21 @@ length) and records the times of `hessian_in_chart` and of
 - `eig_error`: the largest distance of the computed eigenvalues from
   the analytic ones.
 
+`chart_setup`: for P in {64, 128, 256, 512, 1024} it records the times
+of `separation` and `make_chart` on a perturbed circle, the (1, 1) and
+(1, 0) wiggly torus geodesics and a pinched loop on S^2 (separation
+0.1, where 0.45 times it binds the chart radius), with
+
+- `chords`: the (pair, translate) chords `separation` evaluates, as
+  counted by its admissibility test;
+- `dense_s`, `dense_chords`, `dense_separation`: the time, chord count
+  and result of the dense reference scan of `tests/test_curve.py`, every
+  ordered node pair against all 3^n nearby lattice translates on the
+  torus;
+- `same_value`: whether both return the same float.  On S^2 they need
+  not: the reference keeps the arccos matrix, which `separation` only
+  uses to pick the pairs it recomputes with `Sphere2.dist`.
+
 The JSON also holds the machine, Python, numpy and scipy versions, and
 each backend's time ratio between the largest grid and a quarter of it.
 """
@@ -44,11 +59,13 @@ import numpy as np
 import scipy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench"),
+                os.path.join(ROOT, "tests")]
 
 import curvecharts as cc  # noqa: E402
 import workloads  # noqa: E402
 from curvecharts import curve, functionals, shapes  # noqa: E402
+from test_curve import dense_separation  # noqa: E402
 
 GRIDS = (64, 128, 256, 512, 1024)
 HESSIAN_GRIDS = (64, 128, 256, 512)
@@ -65,6 +82,21 @@ BACKENDS = {
     "plane": lambda P: shapes.perturbed_circle(P, amplitude=0.06, seed=0),
     "torus": lambda P: shapes.torus_geodesic(P, (1, 1), offset=(0.3, 0.7), wiggle=0.05, seed=1),
     "sphere": _tilted_circle,
+}
+
+def _sphere_dumbbell(P: int) -> cc.Embedding:
+    """A loop in longitude/latitude pinched to latitudes +-0.05, its separation 0.1."""
+    th = cc.fourier.nodes(P)
+    lon, lat = 0.6 * np.cos(th), np.sin(th) * (0.05 + 0.4 * np.cos(th) ** 2)
+    return cc.Embedding(cc.Sphere2(), np.stack(
+        [np.sin(lon) * np.cos(lat), -np.sin(lat), np.cos(lon) * np.cos(lat)], axis=1))
+
+
+SETUP = {
+    "plane": BACKENDS["plane"],
+    "torus": BACKENDS["torus"],
+    "torus-w10": lambda P: shapes.torus_geodesic(P, (1, 0), offset=(0.3, 0.7), wiggle=0.05, seed=1),
+    "sphere": _sphere_dumbbell,
 }
 
 # backend -> (critical curve, functional, its smallest eigenvalues)
@@ -115,6 +147,23 @@ def _counted(x: cc.Embedding, y: cc.Embedding) -> dict:
     return counts
 
 
+def _chords(x: cc.Embedding) -> int:
+    """(pair, translate) chords one separation call passes to its admissibility test."""
+    count = [0]
+    admissible = curve._distinct_strands
+
+    def counted(chord, arc):
+        count[0] += chord.size
+        return admissible(chord, arc)
+
+    curve._distinct_strands = counted
+    try:
+        cc.separation(x)
+    finally:
+        curve._distinct_strands = admissible
+    return count[0]
+
+
 def _gradient_calls(F: cc.Functional, c: cc.Chart) -> int:
     """Batched gradients one hessian_in_chart makes."""
     count = [0]
@@ -145,6 +194,25 @@ def _image_distance_rows() -> list[dict]:
     return rows
 
 
+def _chart_setup_rows() -> list[dict]:
+    rows = []
+    for name, make in SETUP.items():
+        for P in GRIDS:
+            x = make(P)
+            sep, dense = cc.separation(x), dense_separation(x)
+            row = {"backend": name, "P": P, "separation": sep, "dense_separation": dense,
+                   "separation_s": _min_time(lambda: cc.separation(x)), "chords": _chords(x),
+                   "make_chart_s": _min_time(lambda: cc.make_chart(x)),
+                   "dense_s": _min_time(lambda: dense_separation(x)),
+                   "dense_chords": P * P * (3 ** x.pts.shape[1] if x.winding is not None else 1),
+                   "same_value": sep == dense}
+            rows.append(row)
+            print(f"chart setup {name:9s} P={P:5d} separation {row['separation_s']:.4f} s"
+                  f" (dense {row['dense_s']:.4f} s) make_chart {row['make_chart_s']:.4f} s",
+                  file=sys.stderr)
+    return rows
+
+
 def _second_variation_rows() -> list[dict]:
     rows = []
     for name, (make, F, expected) in CRITICAL.items():
@@ -168,6 +236,8 @@ def main() -> int:
         return 2
     rows = _image_distance_rows()
     hess = _second_variation_rows()
+    setup = _chart_setup_rows()
+    sep_at = {(r["backend"], r["P"]): r["separation_s"] for r in setup}
     time_at = {(r["backend"], r["P"]): r["time_s"] for r in rows}
     spec_at = {(r["backend"], r["P"]): r["spectrum_s"] for r in hess}
     record = {
@@ -185,6 +255,9 @@ def main() -> int:
         "second_variation": hess,
         "spectrum_ratio_P512_over_P128": {name: spec_at[name, 512] / spec_at[name, 128]
                                           for name in CRITICAL},
+        "chart_setup": setup,
+        "separation_ratio_P1024_over_P256": {name: sep_at[name, 1024] / sep_at[name, 256]
+                                             for name in SETUP},
     }
     with open(sys.argv[1], "w") as fh:
         json.dump(record, fh, indent=1)

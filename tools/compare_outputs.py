@@ -16,7 +16,8 @@ seed.  It records, as JSON in OUT:
 - `make_chart` frames and rho of 3-d curves on Euclidean(3) and
   FlatTorus(3), moved by the seed;
 - the exit code, stdout, stderr and written files of each `cli`
-  operation, plus a few `validate` runs on non-embeddings.
+  operation, plus a few `validate` runs on non-embeddings and on curves
+  whose separation is finite on each backend.
 
 `compare` prints equal/total per record kind and exits 1 if any record
 differs or exists in one file only.  Records are compared as JSON text,
@@ -50,11 +51,34 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 import curvecharts as cc  # noqa: E402
 import workloads  # noqa: E402
 
-# extra cli runs: validate reports of non-embeddings and of a torus curve
+# extra cli runs: validate reports of non-embeddings, and separations on
+# every backend: (1, 1) and (1, 2) torus geodesics, a curve on FlatTorus(3)
+# and a pinched curve on S^2 (the files of EXTRA_CURVES)
 EXTRA_CLI = [["validate", "--make", "lemniscate"],
              ["validate", "--make", "lemniscate", "--grid", "64"],
              ["validate", "--make", "torus-geodesic:wx=1,wy=1"],
-             ["orbit", "--make", "lemniscate"]]
+             ["orbit", "--make", "lemniscate"],
+             ["validate", "--make", "torus-geodesic:wx=1,wy=2"],
+             ["validate", "--curve", "torus3.json"],
+             ["validate", "--curve", "sphere-dumbbell.json"]]
+
+
+def _torus3(P: int = 96) -> cc.Embedding:
+    th = cc.fourier.nodes(P)
+    w = np.array([0, 1, 1])
+    wiggle = 0.05 * np.stack([np.sin(2 * th), np.cos(3 * th), np.sin(th + 1.0)], axis=1)
+    return cc.Embedding(cc.FlatTorus(3), th[:, None] / (2 * np.pi) * w + wiggle + 0.3, w)
+
+
+def _sphere_dumbbell(P: int = 128) -> cc.Embedding:
+    """A loop in longitude/latitude pinched to latitudes +-0.05, its separation 0.1."""
+    th = cc.fourier.nodes(P)
+    lon, lat = 0.6 * np.cos(th), np.sin(th) * (0.05 + 0.4 * np.cos(th) ** 2)
+    return cc.Embedding(cc.Sphere2(), np.stack(
+        [np.sin(lon) * np.cos(lat), -np.sin(lat), np.cos(lon) * np.cos(lat)], axis=1))
+
+
+EXTRA_CURVES = {"torus3.json": _torus3, "sphere-dumbbell.json": _sphere_dumbbell}
 
 
 def _plain(obj):
@@ -199,6 +223,8 @@ def dump(out: str, seeds: list[int]):
                     ok = proc.returncode == 0 and check(proc)
                     rec.add("status", {"status": "ok" if ok else "failed", "expect": op.expect})
             _frames_3d(rec, seed)
+        for name, make in EXTRA_CURVES.items():
+            cc.save_curve(make(), os.path.join(workdir, name))
         for i, argv in enumerate(EXTRA_CLI):
             rec.prefix = f"cli-extra/{i}"
             _cli(rec, argv, workdir)
