@@ -105,6 +105,20 @@ class AmbientSpace:
         """(len(p), len(q)) matrix of distances between two point sets."""
         return self.dist(p[:, None, :], q[None, :, :])
 
+    def fiber_scan(self, p: np.ndarray, T: np.ndarray, q: np.ndarray, radius: float):
+        """Distances and normal-fiber values of nodes p (unit tangents T) against samples q.
+
+        Returns (dist, g), both (len(p), len(q)): dist[i, j] = dist(p_i, q_j)
+        and g[i, j] = <log_{p_i} q_j, T_i>, which vanishes where q_j lies in
+        the normal fiber of p_i; g is NaN where dist >= radius.  Both come
+        from one `log` per pair.
+        """
+        v = self.log(p[:, None, :], q[None, :, :])
+        dist = self.norm(p[:, None, :], v)
+        g = self.inner(p[:, None, :], v, T[:, None, :])
+        g[~(dist < radius)] = np.nan
+        return dist, g
+
     def nearest(self, probes: np.ndarray, samples: np.ndarray) -> np.ndarray:
         """Index of each probe's nearest sample; the lowest index among equals, as `argmin`.
 
@@ -349,9 +363,11 @@ class FlatTorus(AmbientSpace):
         return ints
 
     def log(self, p, q):
-        d = np.asarray(q, float) - np.asarray(p, float)
-        # shortest representative in (-1/2, 1/2]; ties go positive
-        return 0.5 - np.mod(0.5 - d, 1.0)
+        e = 0.5 - (np.asarray(q, float) - np.asarray(p, float))
+        # shortest representative in (-1/2, 1/2]; ties go positive.  e - floor(e)
+        # is np.mod(e, 1.0) bit for bit (both round the same exact value once),
+        # at a fraction of its cost
+        return 0.5 - (e - np.floor(e))
 
     def strand_chords(self, pts, winding, s, L, i, j, admissible):
         """Smallest admissible chord from node i to a nearby lattice translate of node j.
@@ -478,6 +494,17 @@ class Sphere2(AmbientSpace):
         if i.size:
             out[i, j] = np.pi - 2.0 * np.arcsin(np.linalg.norm(p[i] + q[j], axis=1) / 2.0)
         return out
+
+    def fiber_scan(self, p, T, q, radius):
+        """`AmbientSpace.fiber_scan` with `pairwise_dist` for dist, and `log` on pairs within radius only.
+
+        `log` raises at the cut locus, which lies outside every chart's tube.
+        """
+        dist = self.pairwise_dist(p, q)
+        g = np.full(dist.shape, np.nan)
+        i, j = np.nonzero(dist < radius)
+        g[i, j] = self.inner(p[i], self.log(p[i], q[j]), T[i])
+        return dist, g
 
     def strand_chords(self, pts, winding, s, L, i, j, admissible):
         """Smallest admissible angle: candidates from `pairwise_dist`, the value from `dist`.

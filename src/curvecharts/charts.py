@@ -17,14 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fourier
 from .curve import (
     MIN_SEPARATION,
+    PROBES_PER_NODE,
     Embedding,
     Reparam,
+    _curve_at,
+    _grids,
     _illinois,
     curvature,
     derivative,
-    interp_curve,
     is_immersion,
     reparam_inverse,
     separation,
@@ -164,9 +167,13 @@ def chart_invert(c: Chart, y: Embedding) -> tuple[NormalSection, Reparam]:
     For each node i the returned lift value s_i solves
     g_i(s) = <log(x(theta_i), Y(s)), T_i> = 0 with T the chart's unit
     tangent and Y = interp_curve(y, .) the interpolated curve, and u_i
-    holds the frame coefficients of that logarithm.  Each root is bracketed by the sign
-    change of g_i on 4P samples of Y that lies nearest x(theta_i) within
-    the tube, and all nodes are refined together by `curve._illinois`.
+    holds the frame coefficients of that logarithm.  Y comes onto one
+    fine grid by a zero-padded FFT.  Every other node of it (every
+    2m-th, m = ceil(y.P / P)) is one of 4P samples of Y, and each root is
+    bracketed by the sign change of g_i on those samples that lies
+    nearest x(theta_i) within the tube (`AmbientSpace.fiber_scan`).  All
+    nodes are then refined together by `curve._illinois`, on Taylor sums
+    about the grid (`fourier.taylor_nearest`).
     """
     if y.space != c.center.space:
         raise ValueError("curve and chart live in different ambient spaces")
@@ -181,17 +188,17 @@ def chart_invert(c: Chart, y: Embedding) -> tuple[NormalSection, Reparam]:
             raise ProjectionFailedError("fiber search strayed past the cut locus") from exc
         return space.inner(x.pts[i], l, c.tangent[i])
 
+    # M = PROBES_PER_NODE * P * m nodes: at least PROBES_PER_NODE * y.P, and a multiple of 4P
+    M = PROBES_PER_NODE * P * -(-y.P // P)
+    grids = _grids(fourier.coeffs(y.periodic_part()), y.P, M=M)
     dense = np.linspace(0.0, 2.0 * np.pi, 4 * P + 1)
-    ypts = interp_curve(y, dense[:-1])
+    ypts = space.retract(grids[0, ::M // (4 * P)] + dense[:-1, None] * y.drift)
     k, glo, ghi = np.empty(P, dtype=int), np.empty(P), np.empty(P)
     to_nodes = np.full(4 * P, np.inf)  # distance of each sample to the nearest node
     for i0 in range(0, P, _BLOCK_NODES):
         rows = np.arange(i0, min(i0 + _BLOCK_NODES, P))
-        dists = space.pairwise_dist(x.pts[rows], ypts)
+        dists, gvals = space.fiber_scan(x.pts[rows], c.tangent[rows], ypts, c.rho)
         to_nodes = np.minimum(to_nodes, np.min(dists, axis=0))
-        gvals = np.full(dists.shape, np.nan)
-        r, j = np.nonzero(dists < c.rho)
-        gvals[r, j] = fiber(rows[r], ypts[j])
         k[rows] = _nearest_crossing(gvals, dists)
         row = np.arange(rows.size)
         glo[rows], ghi[rows] = gvals[row, k[rows]], gvals[row, (k[rows] + 1) % (4 * P)]
@@ -203,12 +210,12 @@ def chart_invert(c: Chart, y: Embedding) -> tuple[NormalSection, Reparam]:
 
     lo, hi = dense[k], dense[k + 1]
     # a bracket end with g = 0 is the root itself, and _illinois keeps it
-    s = _illinois(lambda i, t: fiber(i, interp_curve(y, t)), lo, hi, glo, ghi,
+    s = _illinois(lambda i, t: fiber(i, _curve_at(y, grids, t)), lo, hi, glo, ghi,
                   np.where(np.abs(glo) < np.abs(ghi), lo, hi))
     # a lift is defined modulo 2 pi: unwrap it from node 0, then pin the branch near node 0
     s = np.unwrap(s)
     s -= 2.0 * np.pi * np.round(s[0] / (2.0 * np.pi))
-    logs = space.log(x.pts, interp_curve(y, s))
+    logs = space.log(x.pts, _curve_at(y, grids, s))
     if np.max(space.norm(x.pts, logs)) >= c.rho:
         raise OutsideTubeError("projected section exceeds the chart radius")
     coeff = np.einsum("aid,id->ia", c.frame, logs)

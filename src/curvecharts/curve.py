@@ -32,6 +32,36 @@ def _check_grid(P: int):
         raise ValueError("grid size must be an even integer >= 16")
 
 
+def _taylor_order(ratio: float) -> int:
+    """Smallest N with ratio**(N+1) / (N+1)! below the unit roundoff 2**-53."""
+    N, term = 0, ratio
+    while term >= 2.0**-53:
+        N += 1
+        term *= ratio / (N + 1)
+    return N
+
+
+# Values between nodes are Taylor sums about the nodes of the grid of
+# PROBES_PER_NODE * P nodes, at offsets |delta| up to its spacing h.  Mode
+# k <= P/2 has |k delta| <= pi / PROBES_PER_NODE, so series of this order
+# are exact to roundoff.
+_TAYLOR_ORDER = _taylor_order(np.pi / PROBES_PER_NODE)
+
+
+def _grids(c: np.ndarray, P: int, order: int = 0, M: int | None = None) -> np.ndarray:
+    """Derivatives of orders order .. order + _TAYLOR_ORDER of an interpolant on a fine grid.
+
+    c are the rfft coefficients of P samples; the grid has the M nodes
+    `fourier.nodes(M)`, M = PROBES_PER_NODE * P unless given (a larger M
+    keeps the sums exact).  The result is what `fourier.taylor_nearest`
+    sums: every value of a curve, lift or reparameterization between
+    nodes is evaluated this way, one zero-padded FFT per interpolant and
+    O(_TAYLOR_ORDER) work per point.
+    """
+    M = PROBES_PER_NODE * P if M is None else M
+    return fourier.upsample(c, P, M, order + _TAYLOR_ORDER + 1)[order:]
+
+
 @dataclass(frozen=True)
 class Embedding:
     """Sampled closed curve x: S^1 -> N.
@@ -102,10 +132,16 @@ class Reparam:
     def __call__(self, t) -> np.ndarray:
         """Evaluate the lift at arbitrary parameters via trigonometric interpolation."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        return fourier.interp(self.lift - fourier.nodes(self.P), t) + t
+        return fourier.taylor_nearest(_grids(self._periodic, self.P), t) + t
 
     def slope(self, t) -> np.ndarray:
-        return fourier.interp(self.lift - fourier.nodes(self.P), np.atleast_1d(t), order=1) + 1.0
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        return fourier.taylor_nearest(_grids(self._periodic, self.P, 1), t) + 1.0
+
+    @property
+    def _periodic(self) -> np.ndarray:
+        """rfft coefficients of the lift minus the identity, a periodic function."""
+        return fourier.coeffs(self.lift - fourier.nodes(self.P))
 
 
 def reparam_inverse(phi: Reparam) -> Reparam:
@@ -122,7 +158,12 @@ def reparam_compose(outer: Reparam, inner: Reparam) -> Reparam:
 def interp_curve(x: Embedding, t) -> np.ndarray:
     """The band-limited curve at t, retracted onto N; torus results are lift coordinates."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    return x.space.retract(fourier.interp(x.periodic_part(), t) + t[:, None] * x.drift)
+    return _curve_at(x, _grids(fourier.coeffs(x.periodic_part()), x.P), t)
+
+
+def _curve_at(x: Embedding, grids: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """interp_curve(x, t), given the `_grids` of x's periodic part."""
+    return x.space.retract(fourier.taylor_nearest(grids, t) + t[:, None] * x.drift)
 
 
 def derivative(x: Embedding) -> np.ndarray:
@@ -260,14 +301,16 @@ def _invert_monotone(slope: float, c: np.ndarray, targets: np.ndarray) -> np.nda
     """Solve slope * t + q(t) = targets, q the interpolant with rfft coefficients c.
 
     The roots are bracketed in closed form: |q| <= sum_k w_k |c_k| / P, with
-    the interpolation weights w_k of `fourier.interp_coeffs`.
+    the weights w_k of the real interpolant, 1 for k = 0 and the Nyquist
+    mode and 2 for the others.  q between nodes comes from `_grids`.
     """
     P = 2 * (c.shape[0] - 1)
     bound = (2.0 * np.sum(np.abs(c)) - np.abs(c[0]) - np.abs(c[-1])) / P
     lo, hi = (targets - bound) / slope, (targets + bound) / slope
+    grids = _grids(c, P)
 
     def fun(idx, t):
-        return slope * t + fourier.interp_coeffs(c, P, t) - targets[idx]
+        return slope * t + fourier.taylor_nearest(grids, t) - targets[idx]
 
     flo, fhi = fun(slice(None), lo), fun(slice(None), hi)
     return _illinois(fun, lo, hi, flo, fhi, np.where(np.abs(flo) < np.abs(fhi), lo, hi))
@@ -286,21 +329,6 @@ def _dist_and_log(space: AmbientSpace, p: np.ndarray, q: np.ndarray):
                 pass
         return space.dist(p, q), v
     return space.norm(p, v), v
-
-
-def _taylor_order(ratio: float) -> int:
-    """Smallest N with ratio**(N+1) / (N+1)! below the unit roundoff 2**-53."""
-    N, term = 0, ratio
-    while term >= 2.0**-53:
-        N += 1
-        term *= ratio / (N + 1)
-    return N
-
-
-# `image_distance` sums Taylor series about its grid nodes at offsets |delta| <= h.
-# On the grid of PROBES_PER_NODE * P nodes, mode k <= P/2 has |k delta| <=
-# pi / PROBES_PER_NODE, so series of this order are exact to roundoff.
-_TAYLOR_ORDER = _taylor_order(np.pi / PROBES_PER_NODE)
 
 
 def _derivative_grids(x: Embedding, M: int) -> np.ndarray:
@@ -422,7 +450,7 @@ def arclength_lift(x: Embedding) -> Reparam:
     P = x.P
     mean, c = fourier.antiderivative_coeffs(speeds(x))
     # cumulative arclength S(t) = mean*t + q(t) - q(0), strictly increasing
-    q0 = fourier.interp_coeffs(c, P, np.array([0.0]))[0]
+    q0 = np.fft.irfft(c, n=P)[0]
     targets = mean * 2.0 * np.pi * np.arange(P) / P
     return Reparam(_invert_monotone(mean, c, targets + q0))
 

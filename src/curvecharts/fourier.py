@@ -3,6 +3,13 @@
 All routines act along axis 0 of real-valued sample arrays.  The Nyquist
 mode is handled with the cosine convention, so interpolation and
 differentiation agree at the grid nodes.
+
+The interpolant is never summed as a dense matrix of complex
+exponentials.  Off the grid it is evaluated in two steps (Boyd,
+*Chebyshev and Fourier Spectral Methods*, 2001, ch. 2 and 11): one
+zero-padded inverse FFT puts it and its derivatives on a finer grid
+(`upsample`), and a Taylor sum about a node of that grid (`taylor`,
+`taylor_nearest`) gives each value between nodes.
 """
 
 from __future__ import annotations
@@ -62,35 +69,18 @@ def sobolev_inverse(values: np.ndarray, length: float, s: int) -> np.ndarray:
 
 
 def coeffs(values: np.ndarray) -> np.ndarray:
-    """rfft coefficients, for repeated interpolation via interp_coeffs."""
+    """rfft coefficients, the input of `upsample`."""
     return np.fft.rfft(np.asarray(values, dtype=float), axis=0)
 
 
-def interp_coeffs(c: np.ndarray, P: int, t, order: int = 0) -> np.ndarray:
-    """Evaluate the trigonometric interpolant (or its derivative) at points t.
-
-    c are rfft coefficients of P real samples; t may be scalar or 1-d.
-    Returns shape (len(t),) for 1-d data or (len(t), m) for (P, m) data.
-    """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    K = P // 2 + 1
-    k = np.arange(K, dtype=float)
-    w = np.full(K, 2.0)
-    w[0] = 1.0
-    if P % 2 == 0:
-        w[-1] = 1.0
-    mult = w * (1j * k) ** order if order else w.astype(complex)
-    E = np.exp(1j * t[:, None] * k[None, :])
-    return (E @ (mult.reshape((-1,) + (1,) * (c.ndim - 1)) * c)).real / P
-
-
 def upsample(c: np.ndarray, P: int, M: int, orders: int) -> np.ndarray:
-    """The interpolant of `interp_coeffs` and its derivatives on a finer grid.
+    """The trigonometric interpolant and its derivatives on a finer grid.
 
     c are rfft coefficients of P real samples.  Returns the derivatives of
     orders 0 .. orders-1 at the M > P nodes `nodes(M)`, shape
     (orders, M) + c.shape[1:], from one zero-padded inverse FFT.  The
-    Nyquist mode keeps half the weight of the others, as in `interp_coeffs`.
+    Nyquist mode keeps half the weight of the others (the cosine
+    convention).
     """
     if M <= P:
         raise ValueError("upsample needs a finer grid")
@@ -120,10 +110,16 @@ def taylor(grids: np.ndarray, j: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return acc
 
 
-def interp(values: np.ndarray, t, order: int = 0) -> np.ndarray:
-    """One-shot trigonometric interpolation of periodic samples at points t."""
-    v = np.asarray(values, dtype=float)
-    return interp_coeffs(np.fft.rfft(v, axis=0), v.shape[0], t, order)
+def taylor_nearest(grids: np.ndarray, t) -> np.ndarray:
+    """`taylor` about the node of `nodes(M)` nearest each t, M = grids.shape[1].
+
+    t may be any real array; nodes repeat with period 2 pi.  The offsets
+    are at most half a grid spacing.
+    """
+    t = np.asarray(t, dtype=float)
+    M = grids.shape[1]
+    n = np.rint(t * (M / (2.0 * np.pi)))
+    return taylor(grids, n.astype(np.intp) % M, t - 2.0 * np.pi * n / M)
 
 
 def antiderivative_coeffs(values: np.ndarray) -> tuple[float, np.ndarray]:

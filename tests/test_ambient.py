@@ -49,6 +49,21 @@ def test_log_torus_shortest_representative():
     np.testing.assert_allclose(l, [-0.2, 0.0], atol=1e-15)
 
 
+def test_log_torus_equals_the_mod_formula():
+    # the reference 0.5 - np.mod(0.5 - d, 1.0), bit for bit, at random gaps
+    # of many scales, exact ties, integers and gaps within roundoff of them
+    rng = np.random.default_rng(3)
+    q = np.concatenate([rng.standard_normal(4000) * s for s in (1e-20, 1e-8, 0.5, 3.0, 1e3, 1e12)]
+                       + [np.arange(-40, 41) / 4, np.nextafter(np.arange(-40, 41) / 4, np.inf),
+                          np.nextafter(np.arange(-40, 41) / 4, -np.inf), [2.0**52 + 0.5, -(2.0**53)]])
+    p = rng.uniform(-2.0, 2.0, q.size)
+    p[::2] = 0.0
+    want = 0.5 - np.mod(0.5 - (q - p), 1.0)
+    got = FlatTorus(2).log(p[:, None], q[:, None])[:, 0]
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_log_sphere_inverts_exp():
     l = Sphere2().log(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
     np.testing.assert_allclose(l, [0.0, np.pi / 2, 0.0], atol=1e-15)

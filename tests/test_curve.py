@@ -1,13 +1,32 @@
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import curvecharts as cc
 from curvecharts import curve, fourier, shapes
 from curvecharts.curve import interp_curve
 from curvecharts.errors import NonMonotoneError
+
+
+def dense_interp(c, P, t, order=0):
+    """Reference trigonometric interpolant: the dense sum of complex exponentials.
+
+    c are rfft coefficients of P real samples; t may be scalar or 1-d.
+    Returns the order-th derivative at t, shape (len(t),) + c.shape[1:].
+    The Nyquist mode keeps weight 1, the other nonzero modes weight 2.
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    K = P // 2 + 1
+    k = np.arange(K, dtype=float)
+    w = np.full(K, 2.0)
+    w[0] = 1.0
+    if P % 2 == 0:
+        w[-1] = 1.0
+    mult = w * (1j * k) ** order if order else w.astype(complex)
+    E = np.exp(1j * t[:, None] * k[None, :])
+    return (E @ (mult.reshape((-1,) + (1,) * (c.ndim - 1)) * c)).real / P
 
 
 def test_derivative_unit_circle_speed(circle64):
@@ -318,6 +337,8 @@ def test_image_distance_torus_across_seam():
 
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.floats(0.0, 0.3))
+# the largest distance of 1000 random draws (9.3e-13)
+@example(seed=54, diffeo_seed=2968700, amplitude=0.25214013027214266)
 def test_image_distance_same_image_property(seed, diffeo_seed, amplitude):
     # at P=64 the interpolant of the resampled curve leaves x's image by up
     # to ~7e-9 for amplitudes above 0.15 (aliasing of x∘phi, which a dense
@@ -336,6 +357,8 @@ def brute_force_directed(x, y, P_fine):
 
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+# of 1000 random draws, the one nearest its bound (brute - d at 0.69 of it)
+@example(seed_x=4258, seed_y=471735)
 def test_image_distance_brute_force_property(seed_x, seed_y):
     assume(seed_x != seed_y)
     P = 32
@@ -347,7 +370,7 @@ def test_image_distance_brute_force_property(seed_x, seed_y):
     # speed <= v and acceleration <= a, dist^2 rises by at most
     # (v^2 + dist * a) h^2 there, so dist by at most that over 2 (d - v h).
     t = np.linspace(0.0, 2 * np.pi, 8 * P, endpoint=False)
-    v, a = (max(np.max(np.linalg.norm(fourier.interp(c.pts, t, order=k), axis=1))
+    v, a = (max(np.max(np.linalg.norm(dense_interp(fourier.coeffs(c.pts), c.P, t, k), axis=1))
                 for c in (x, y)) for k in (1, 2))
     h = np.pi / (64 * P)
     assert d <= brute + 1e-12
@@ -421,10 +444,77 @@ def test_taylor_sums_match_the_interpolant(P):
         moved = c * np.exp(2j * np.pi * ((k * j) % M) / M)[:, None]
         for order in (0, 1):
             got = fourier.taylor(grids[order:order + N + 1], np.full(50, j), delta)
-            want = fourier.interp_coeffs(moved, P, delta, order)
+            want = dense_interp(moved, P, delta, order)
             # the bound sum_k w_k k^order |c_k| / P of the order-th derivative
             bound = np.sum((w * k**order)[:, None] * np.abs(c), axis=0) / P
             assert np.all(np.abs(got - want) <= 1e-14 * bound)
+
+
+def _mode_bound(c, P, order):
+    """sum_k w_k k^order |c_k| / P: a bound on the order-th derivative of the interpolant."""
+    k = np.arange(P // 2 + 1)
+    w = np.where((k == 0) | (k == P // 2), 1.0, 2.0)
+    return np.sum((w * k**order).reshape((-1,) + (1,) * (c.ndim - 1)) * np.abs(c), axis=0) / P
+
+
+@pytest.mark.parametrize("P", [16, 64, 256])
+def test_off_grid_evaluation_matches_the_dense_sum(P):
+    # every value between nodes is a Taylor sum about the nearest node of the
+    # PROBES_PER_NODE * P grid.  Full-spectrum data, the Nyquist mode included,
+    # at the nodes of both grids, inside [0, 2 pi) and outside it.  Either
+    # side rounds the phase of t to eps |t|, which moves a value by up to
+    # eps |t| times the bound of the next derivative.
+    rng = np.random.default_rng(P)
+    c = fourier.coeffs(rng.standard_normal((P, 2)))
+    assert np.all(np.abs(c[-1]) > 0.0)
+    M = curve.PROBES_PER_NODE * P
+    t = np.concatenate([fourier.nodes(P), fourier.nodes(M)[::3], rng.uniform(0.0, 2 * np.pi, 100),
+                        rng.uniform(-4 * np.pi, 0.0, 100), rng.uniform(2 * np.pi, 6 * np.pi, 100),
+                        [-2 * np.pi, 2 * np.pi, 4 * np.pi, -1e-17, 2 * np.pi - 1e-15]])
+    for order in (0, 1):
+        got = fourier.taylor_nearest(curve._grids(c, P, order), t)
+        want = dense_interp(c, P, t, order)
+        tol = (1e-14 * _mode_bound(c, P, order)
+               + 4 * np.finfo(float).eps * np.abs(t)[:, None] * _mode_bound(c, P, order + 1))
+        assert np.all(np.abs(got - want) <= tol)
+    # at the nodes of the data the interpolant returns the data
+    nodes = fourier.taylor_nearest(curve._grids(c, P), fourier.nodes(P))
+    np.testing.assert_allclose(nodes, np.fft.irfft(c, n=P, axis=0), rtol=0,
+                               atol=1e-14 * np.max(_mode_bound(c, P, 0)))
+
+
+def test_reparam_evaluation_matches_the_dense_sum():
+    phi = cc.make_diffeo(2, 0.3, 64)
+    c = fourier.coeffs(phi.lift - fourier.nodes(64))
+    t = np.concatenate([fourier.nodes(64), np.random.default_rng(1).uniform(-7.0, 14.0, 200)])
+    for got, want, order in ((phi(t), dense_interp(c, 64, t) + t, 0),
+                             (phi.slope(t), dense_interp(c, 64, t, 1) + 1.0, 1)):
+        tol = 1e-14 * _mode_bound(c, 64, order) + 4 * np.finfo(float).eps * np.abs(t) * (
+            _mode_bound(c, 64, order + 1) + 1.0)
+        assert np.all(np.abs(got - want) <= tol)
+
+
+@pytest.mark.parametrize("winding", [(1, 0), (1, 1), (2, -1)])
+def test_torus_lift_evaluation_is_continuous_across_turns(winding):
+    # the lift is its periodic part plus the drift t * winding / (2 pi): one
+    # turn later the curve is one lattice vector further on, and no jump
+    # appears where t crosses a multiple of 2 pi
+    x = shapes.torus_geodesic(64, winding, offset=(0.97, 0.99), wiggle=0.05, seed=2)
+    c = fourier.coeffs(x.periodic_part())
+    rng = np.random.default_rng(3)
+    t = np.concatenate([rng.uniform(-4 * np.pi, 6 * np.pi, 200), fourier.nodes(64)])
+    y = interp_curve(x, t)
+    want = dense_interp(c, 64, t) + t[:, None] * x.drift
+    tol = 1e-14 * _mode_bound(c, 64, 0) + 4 * np.finfo(float).eps * np.abs(t)[:, None] * (
+        _mode_bound(c, 64, 1) + np.abs(x.drift))
+    assert np.all(np.abs(y - want) <= tol)
+    np.testing.assert_allclose(interp_curve(x, t + 2 * np.pi) - y, np.broadcast_to(winding, y.shape),
+                               rtol=0, atol=1e-13)
+    for k in (-1, 0, 1, 2):
+        eps = 1e-9
+        jump = interp_curve(x, [2 * np.pi * k + eps]) - interp_curve(x, [2 * np.pi * k - eps])
+        speed = np.max(np.abs(dense_interp(c, 64, [2 * np.pi * k], 1) + x.drift))
+        assert np.all(np.abs(jump) <= 2 * eps * speed * (1 + 1e-6) + 1e-14)
 
 
 def test_upsample_matches_the_interpolant_at_the_nodes():
@@ -432,7 +522,7 @@ def test_upsample_matches_the_interpolant_at_the_nodes():
     c = np.fft.rfft(rng.standard_normal((32, 3)), axis=0)
     grids = fourier.upsample(c, 32, 256, 3)
     for order in range(3):
-        want = fourier.interp_coeffs(c, 32, fourier.nodes(256), order)
+        want = dense_interp(c, 32, fourier.nodes(256), order)
         np.testing.assert_allclose(grids[order], want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
 

@@ -43,6 +43,21 @@ of `separation` and `make_chart` on a perturbed circle, the (1, 1) and
   not: the reference keeps the arccos matrix, which `separation` only
   uses to pick the pairs it recomputes with `Sphere2.dist`.
 
+`chart_invert`: for P in {64, 128, 256, 512, 1024} it builds the chart
+at each `image_distance` curve x, applies a seeded section of sup norm
+0.49 rho and resamples the result by a diffeomorphism of amplitude
+0.25, and records the time of `chart_invert` on that curve, with
+
+- `illinois_steps`: the fiber refinement's `_illinois` steps;
+- `in_tube_fraction`: the share of the P x 4P (node, sample) pairs of
+  the fiber scan that lie inside the tube, where the fiber value is
+  taken;
+- `dense_s`: the time of the reference scan of `tests/test_charts.py`
+  (`pairwise_dist`, then a second `log` of each in-tube pair), run over
+  the same samples in the same blocks of nodes;
+- `same_brackets`: whether both scans pick the same bracket at every
+  node.
+
 The JSON also holds the machine, Python, numpy and scipy versions, and
 each backend's time ratio between the largest grid and a quarter of it.
 """
@@ -65,6 +80,8 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench"),
 import curvecharts as cc  # noqa: E402
 import workloads  # noqa: E402
 from curvecharts import curve, functionals, shapes  # noqa: E402
+from curvecharts import charts  # noqa: E402
+from test_charts import dense_fiber_scan, random_section  # noqa: E402
 from test_curve import dense_separation  # noqa: E402
 
 GRIDS = (64, 128, 256, 512, 1024)
@@ -164,6 +181,50 @@ def _chords(x: cc.Embedding) -> int:
     return count[0]
 
 
+def _counted_invert(c: cc.Chart, y: cc.Embedding) -> dict:
+    """Run chart_invert once with its root steps, scan inputs and brackets recorded."""
+    counts = {"illinois_steps": 0, "pairs": 0, "in_tube": 0}
+    scans, brackets = [], []
+    illinois, nearest = charts._illinois, charts._nearest_crossing
+    cls = type(c.center.space)
+    scan = cls.fiber_scan
+
+    def counted_illinois(fun, *args):
+        def step(idx, t):
+            counts["illinois_steps"] += 1
+            return fun(idx, t)
+        return illinois(step, *args)
+
+    def recorded_scan(self, p, T, q, radius):
+        dist, g = scan(self, p, T, q, radius)
+        counts["pairs"] += g.size
+        counts["in_tube"] += int(np.count_nonzero(~np.isnan(g)))
+        scans.append((p, T, q, radius))
+        return dist, g
+
+    def recorded_nearest(gvals, dists):
+        k = nearest(gvals, dists)
+        brackets.append(k)
+        return k
+
+    charts._illinois, charts._nearest_crossing = counted_illinois, recorded_nearest
+    cls.fiber_scan = recorded_scan
+    try:
+        cc.chart_invert(c, y)
+    finally:
+        charts._illinois, charts._nearest_crossing = illinois, nearest
+        cls.fiber_scan = scan
+    space = c.center.space
+
+    def dense():
+        return np.concatenate([dense_fiber_scan(space, *args)[2] for args in scans])
+
+    return {"illinois_steps": counts["illinois_steps"],
+            "in_tube_fraction": counts["in_tube"] / counts["pairs"],
+            "dense_s": _min_time(dense),
+            "same_brackets": bool(np.array_equal(dense(), np.concatenate(brackets)))}
+
+
 def _gradient_calls(F: cc.Functional, c: cc.Chart) -> int:
     """Batched gradients one hessian_in_chart makes."""
     count = [0]
@@ -213,6 +274,21 @@ def _chart_setup_rows() -> list[dict]:
     return rows
 
 
+def _chart_invert_rows() -> list[dict]:
+    rows = []
+    for name, make in BACKENDS.items():
+        for P in GRIDS:
+            c = cc.make_chart(make(P))
+            u = random_section(c, np.random.default_rng(P), 0.49 * c.rho)
+            y = cc.resample(cc.chart_apply(c, u), cc.make_diffeo(3, 0.25, P))
+            row = {"backend": name, "P": P, "time_s": _min_time(lambda: cc.chart_invert(c, y)),
+                   **_counted_invert(c, y)}
+            rows.append(row)
+            print(f"chart_invert {name:6s} P={P:5d} {row['time_s']:.4f} s"
+                  f" (dense scan {row['dense_s']:.4f} s)", file=sys.stderr)
+    return rows
+
+
 def _second_variation_rows() -> list[dict]:
     rows = []
     for name, (make, F, expected) in CRITICAL.items():
@@ -237,9 +313,11 @@ def main() -> int:
     rows = _image_distance_rows()
     hess = _second_variation_rows()
     setup = _chart_setup_rows()
+    invert = _chart_invert_rows()
     sep_at = {(r["backend"], r["P"]): r["separation_s"] for r in setup}
     time_at = {(r["backend"], r["P"]): r["time_s"] for r in rows}
     spec_at = {(r["backend"], r["P"]): r["spectrum_s"] for r in hess}
+    inv_at = {(r["backend"], r["P"]): r["time_s"] for r in invert}
     record = {
         "machine": {"platform": platform.platform(), "processor": platform.processor(),
                     "cpus": os.cpu_count(),
@@ -258,6 +336,9 @@ def main() -> int:
         "chart_setup": setup,
         "separation_ratio_P1024_over_P256": {name: sep_at[name, 1024] / sep_at[name, 256]
                                              for name in SETUP},
+        "chart_invert": invert,
+        "chart_invert_ratio_P1024_over_P256": {name: inv_at[name, 1024] / inv_at[name, 256]
+                                               for name in BACKENDS},
     }
     with open(sys.argv[1], "w") as fh:
         json.dump(record, fh, indent=1)
