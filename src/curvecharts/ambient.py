@@ -124,14 +124,16 @@ class AmbientSpace:
 
         samples are consecutive points of a closed curve.  They are hashed
         into a uniform cell list (Bentley & Friedman, 1979) over their
-        `reduce`d coordinates, periodic with `cell_period` where the space
-        has one, with cells twice the largest sample spacing wide.  Those
-        coordinates are never farther apart than the points themselves (on
-        S^2 the chord is at most the arc), so a probe whose nearest sample
-        among the 3^d cells around it lies within one cell width has found
-        its nearest sample overall.  Every other probe falls back to the
-        dense `pairwise_dist` scan.  Probes go in blocks of _BLOCK_ROWS, so
-        no temporary grows with len(probes) times len(samples).
+        `reduce`d coordinates, with cells twice the largest sample spacing
+        wide, that wrap around every axis: with period `cell_period` where
+        the space has one, and elsewhere past a ring of empty cells around
+        the samples, so the wrap never makes distant cells neighbours.
+        Those coordinates are never farther apart than the points themselves
+        (on S^2 the chord is at most the arc), so a probe whose nearest
+        sample among the 3^d cells around it lies within one cell width has
+        found its nearest sample overall.  Every other probe falls back to
+        the dense `pairwise_dist` scan.  Probes go in blocks of _BLOCK_ROWS,
+        so no temporary grows with len(probes) times len(samples).
         """
         n, d = probes.shape
         out = np.zeros(n, dtype=np.intp)
@@ -140,29 +142,21 @@ class AmbientSpace:
         if width > 0.0:
             q, p = self.reduce(samples), self.reduce(probes)
             if self.cell_period is None:
+                # the cells the samples span, and an empty one above and (wrapped) below them
                 lo = np.min(q, axis=0)
-                ncell = np.floor((np.max(q, axis=0) - lo) / width).astype(np.int64) + 1
+                ncell = np.floor((np.max(q, axis=0) - lo) / width).astype(np.int64) + 3
             else:
                 lo = np.zeros(d)
                 ncell = np.full(d, max(1, int(self.cell_period // width)), dtype=np.int64)
                 width = self.cell_period / ncell[0]
             strides = np.cumprod(np.concatenate(([1], ncell[:-1])))
-
-            def cells(pts):
-                c = np.clip(np.floor((pts - lo) / width), -2, ncell + 1).astype(np.int64)
-                return c if self.cell_period is None else c % ncell
-
-            keys = cells(q) @ strides
+            keys = (np.floor((q - lo) / width).astype(np.int64) % ncell) @ strides
             order = np.argsort(keys, kind="stable")
             keys = keys[order]
             around = np.stack(np.meshgrid(*[[-1, 0, 1]] * d, indexing="ij"), axis=-1).reshape(-1, d)
             for i in range(0, n, _BLOCK_ROWS):
-                cell = cells(p[i:i + _BLOCK_ROWS])[:, None, :] + around
-                if self.cell_period is None:
-                    inside = np.all((cell >= 0) & (cell < ncell), axis=2)
-                else:
-                    cell, inside = cell % ncell, True
-                key = np.where(inside, cell @ strides, -1).ravel()
+                cell = np.floor((p[i:i + _BLOCK_ROWS] - lo) / width).astype(np.int64)[:, None, :]
+                key = (((cell + around) % ncell) @ strides).ravel()
                 start = np.searchsorted(keys, key, side="left")
                 count = np.searchsorted(keys, key, side="right") - start
                 per_probe = count.reshape(-1, around.shape[0]).sum(axis=1)
@@ -505,27 +499,6 @@ class Sphere2(AmbientSpace):
         i, j = np.nonzero(dist < radius)
         g[i, j] = self.inner(p[i], self.log(p[i], q[j]), T[i])
         return dist, g
-
-    def strand_chords(self, pts, winding, s, L, i, j, admissible):
-        """Smallest admissible angle: candidates from `pairwise_dist`, the value from `dist`.
-
-        The arccos matrix is one matrix product, but it loses half the
-        digits near zero.  An error e in a dot product moves arccos by at
-        most arccos(1 - e), so every entry lies within that of the angle,
-        and the pair of the smallest admissible angle lies within twice
-        that of the smallest admissible entry.  `dist`, accurate to a few
-        ulps at small angles too, is recomputed on those pairs alone.
-        """
-        approx = np.take(self.pairwise_dist(pts, pts), i * len(pts) + j)
-        ok = admissible(approx, _arc(np.take(s, i) - np.take(s, j), L))
-        if not np.any(ok):
-            return np.inf
-        # e bounds |p.q - cos(angle)|: the roundoff of a 3-term dot product
-        # and the points' norm defect, with slack for the rounding of arccos
-        defect = float(np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)))
-        e = 4.0 * np.finfo(float).eps + 3.0 * defect
-        near = ok & (approx <= np.min(approx[ok]) + 2.0 * np.arccos(1.0 - e))
-        return float(np.min(self.dist(pts[i[near]], pts[j[near]])))
 
     def normal_frame(self, p, T):
         nu = np.cross(p, T)

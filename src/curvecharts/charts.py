@@ -24,6 +24,8 @@ from .curve import (
     Embedding,
     Reparam,
     _curve_at,
+    _derivative_grids,
+    _directed_hausdorff,
     _grids,
     _illinois,
     curvature,
@@ -43,8 +45,10 @@ from .errors import (
 )
 
 _FRAME_TOL = 1e-10
-# nodes per block of chart_invert's dense fiber search
+# nodes per block of chart_invert's dense fiber search at 4P samples
 _BLOCK_NODES = 64
+# chart_invert samples a curve at 4 to this many points per center node
+_MAX_SAMPLES_PER_NODE = 64
 
 
 @dataclass(frozen=True)
@@ -168,12 +172,15 @@ def chart_invert(c: Chart, y: Embedding) -> tuple[NormalSection, Reparam]:
     g_i(s) = <log(x(theta_i), Y(s)), T_i> = 0 with T the chart's unit
     tangent and Y = interp_curve(y, .) the interpolated curve, and u_i
     holds the frame coefficients of that logarithm.  Y comes onto one
-    fine grid by a zero-padded FFT.  Every other node of it (every
-    2m-th, m = ceil(y.P / P)) is one of 4P samples of Y, and each root is
+    fine grid by a zero-padded FFT.  Every 2m-th node of it
+    (m = ceil(y.P / P)) is one of n samples of Y: n = 4P, doubled with the
+    grid until consecutive samples lie closer than rho / 2.  Each root is
     bracketed by the sign change of g_i on those samples that lies
     nearest x(theta_i) within the tube (`AmbientSpace.fiber_scan`).  All
     nodes are then refined together by `curve._illinois`, on Taylor sums
-    about the grid (`fourier.taylor_nearest`).
+    about the grid (`fourier.taylor_nearest`).  A node without a bracket
+    raises OutsideTubeError if some sample lies rho or farther from the
+    continuous center, and ProjectionFailedError otherwise.
     """
     if y.space != c.center.space:
         raise ValueError("curve and chart live in different ambient spaces")
@@ -188,23 +195,27 @@ def chart_invert(c: Chart, y: Embedding) -> tuple[NormalSection, Reparam]:
             raise ProjectionFailedError("fiber search strayed past the cut locus") from exc
         return space.inner(x.pts[i], l, c.tangent[i])
 
-    # M = PROBES_PER_NODE * P * m nodes: at least PROBES_PER_NODE * y.P, and a multiple of 4P
-    M = PROBES_PER_NODE * P * -(-y.P // P)
-    grids = _grids(fourier.coeffs(y.periodic_part()), y.P, M=M)
-    dense = np.linspace(0.0, 2.0 * np.pi, 4 * P + 1)
-    ypts = space.retract(grids[0, ::M // (4 * P)] + dense[:-1, None] * y.drift)
+    # n = 4P, 8P, ... samples of Y: every step-th node of a grid of at least PROBES_PER_NODE * y.P
+    step, n, gap = PROBES_PER_NODE * -(-y.P // P) // 4, 2 * P, np.inf
+    cy = fourier.coeffs(y.periodic_part())
+    while gap >= 0.5 * c.rho and n < _MAX_SAMPLES_PER_NODE * P:
+        n *= 2
+        grids = _grids(cy, y.P, M=step * n)
+        dense = np.linspace(0.0, 2.0 * np.pi, n + 1)
+        ypts = space.retract(grids[0, ::step] + dense[:-1, None] * y.drift)
+        gap = np.max(space.dist(ypts, np.roll(ypts, -1, axis=0)))
     k, glo, ghi = np.empty(P, dtype=int), np.empty(P), np.empty(P)
-    to_nodes = np.full(4 * P, np.inf)  # distance of each sample to the nearest node
-    for i0 in range(0, P, _BLOCK_NODES):
-        rows = np.arange(i0, min(i0 + _BLOCK_NODES, P))
+    block = _BLOCK_NODES * 4 * P // n  # a block scans as many pairs at every n
+    for i0 in range(0, P, block):
+        rows = np.arange(i0, min(i0 + block, P))
         dists, gvals = space.fiber_scan(x.pts[rows], c.tangent[rows], ypts, c.rho)
-        to_nodes = np.minimum(to_nodes, np.min(dists, axis=0))
         k[rows] = _nearest_crossing(gvals, dists)
         row = np.arange(rows.size)
-        glo[rows], ghi[rows] = gvals[row, k[rows]], gvals[row, (k[rows] + 1) % (4 * P)]
+        glo[rows], ghi[rows] = gvals[row, k[rows]], gvals[row, (k[rows] + 1) % n]
     if np.any(k < 0):
-        # distinguish a genuine tube violation from a projection failure
-        if np.max(to_nodes) > c.rho:
+        # a tube violation where some sample lies rho or farther from the continuous center
+        gx = _derivative_grids(x, PROBES_PER_NODE * P)
+        if _directed_hausdorff(space, space.reduce(ypts), gx, space.retract(gx[0])) >= c.rho:
             raise OutsideTubeError("curve leaves the tube of radius rho around the chart center")
         raise ProjectionFailedError("fiber projection found no nearby crossing")
 

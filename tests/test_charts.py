@@ -12,6 +12,7 @@ from curvecharts.errors import (
     NotEmbeddingError,
     OutsideDomainError,
     OutsideTubeError,
+    ProjectionFailedError,
 )
 from curvecharts.solver import smooth_center
 import curvecharts.fourier as fourier
@@ -165,6 +166,41 @@ def test_chart_invert_far_translate_outside_tube(circle64):
         cc.chart_invert(c, y)
 
 
+def test_chart_invert_caps_the_sample_count(monkeypatch, circle64):
+    # the circle scaled by 1000 would need about 256P samples to bring them
+    # closer than rho / 2; the doubling stops at the cap, and the curve lies
+    # far outside the tube
+    c = cc.make_chart(circle64)
+    y = cc.Embedding(circle64.space, 1000.0 * circle64.pts)
+    counts, scan = [], cc.AmbientSpace.fiber_scan
+
+    def recorded_scan(self, p, T, q, radius):
+        counts.append(len(q))
+        return scan(self, p, T, q, radius)
+
+    monkeypatch.setattr(cc.AmbientSpace, "fiber_scan", recorded_scan)
+    with pytest.raises(OutsideTubeError):
+        cc.chart_invert(c, y)
+    assert set(counts) == {charts._MAX_SAMPLES_PER_NODE * c.P}
+
+
+def test_chart_invert_without_a_bracket_inside_the_tube_is_a_projection_failure(monkeypatch):
+    # the curve lies 0.25 rho from the center, inside the tube, so a node left
+    # without a bracket is a failed projection and not a tube violation
+    c = cc.make_chart(shapes.random_band_limited(64, seed=40866))
+    y = cc.chart_apply(c, random_section(c, np.random.default_rng(1), 0.25 * c.rho))
+    nearest = charts._nearest_crossing
+
+    def no_bracket_at_node_0(gvals, dists):
+        k = nearest(gvals, dists)
+        k[0] = -1
+        return k
+
+    monkeypatch.setattr(charts, "_nearest_crossing", no_bracket_at_node_0)
+    with pytest.raises(ProjectionFailedError):
+        cc.chart_invert(c, y)
+
+
 def test_chart_invert_image_reconstruction(rng):
     x = shapes.perturbed_circle(128, amplitude=0.08, seed=9)
     c = cc.make_chart(x)
@@ -309,8 +345,12 @@ def test_nearest_crossing_matches_sequential_scan():
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.sampled_from(["plane", "torus", "sphere"]), st.integers(0, 2**32 - 1),
        st.floats(0.0, 0.4))
-# the largest error of 1000 random draws (1.8e-15)
+# the largest errors of two sets of 1000 random draws (1.8e-15 each)
 @example(backend="plane", seed=368, frac=0.10894912429291266)
+@example(backend="plane", seed=3389301236, frac=0.0)
+# charts whose rho lies below the spacing of 4P samples of their center
+@example(backend="plane", seed=306, frac=0.4)
+@example(backend="plane", seed=40866, frac=0.25)
 def test_chart_round_trip_property(backend, seed, frac):
     # chart_invert(c, chart_apply(c, u)) returns u and the identity lift for
     # band-limited centers and sections of sup norm up to 0.4 rho
@@ -348,6 +388,8 @@ def dense_fiber_scan(space, p, T, q, radius):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.sampled_from(["plane", "torus", "sphere"]), st.sampled_from([64, 128]),
        st.integers(0, 2**32 - 1), st.floats(0.0, 0.49), st.floats(0.0, 0.3))
+# a draw of 1000 whose chart needs 8P samples
+@example(backend="plane", P=64, seed=44, frac=0.28549448685762496, amplitude=0.17528838466333607)
 def test_fiber_scan_brackets_match_the_dense_scan(backend, P, seed, frac, amplitude):
     # chart_invert's one-log blocked scan picks the dense scan's bracket at
     # every node; on the flat backends its distances and fiber values are the
@@ -381,7 +423,9 @@ def test_fiber_scan_brackets_match_the_dense_scan(backend, P, seed, frac, amplit
         mp.setattr(charts, "_nearest_crossing", recorded_nearest)
         cc.chart_invert(c, y)
     ypts = scans[0][0]
-    assert ypts.shape == (4 * P, x.space.coord_dim)
+    n = len(ypts)  # 4P, doubled until consecutive samples lie closer than rho / 2
+    assert n in [4 * P * 2**j for j in range(5)] and ypts.shape[1] == x.space.coord_dim
+    assert np.max(x.space.dist(ypts, np.roll(ypts, -1, axis=0))) < 0.5 * c.rho
     assert all(q is ypts for q, _ in scans)
     dists, gvals, k = dense_fiber_scan(x.space, x.pts, c.tangent, ypts, c.rho)
     np.testing.assert_array_equal(np.concatenate(brackets), k)

@@ -221,7 +221,11 @@ def test_separation_torus_strands():
 
 
 def dense_separation(x):
-    """Reference separation: every ordered node pair, on the torus against all 3^n nearby translates."""
+    """Reference separation: every ordered node pair, on the torus against all 3^n nearby translates.
+
+    Elsewhere the chords come from `dist` on broadcast pairs, not from
+    `pairwise_dist`, whose arccos matrix loses half the digits on S^2.
+    """
     P = x.P
     w = cc.quadrature_weights(x)
     s = np.concatenate(([0.0], np.cumsum(w)))[:-1]
@@ -230,7 +234,7 @@ def dense_separation(x):
     gap = np.minimum(gap, P - gap)
     arc0 = np.abs(s[:, None] - s[None, :])
     if x.winding is None:
-        blocks = [(x.space.pairwise_dist(x.pts, x.pts), np.minimum(arc0, L - arc0))]
+        blocks = [(x.space.dist(x.pts[:, None], x.pts[None]), np.minimum(arc0, L - arc0))]
     else:
         n = x.pts.shape[1]
         wind = x.winding.astype(float)
@@ -280,6 +284,17 @@ def test_separation_equals_dense_scan_on_tori(n, winding, P, seed, amplitude, sn
     assert cc.separation(x) == dense_separation(x)
 
 
+def pinched_sphere_loop(delta):
+    """A dumbbell in longitude/latitude coordinates (lon, lat), pinched to
+    lat = +-delta/2 at nodes P/4 and 3P/4; latitude is 1-Lipschitz on S^2,
+    so no other pair of its strands lies closer than delta."""
+    th = fourier.nodes(64)
+    lon = 0.3 * np.cos(th)
+    lat = np.sin(th) * (delta / 2.0 + 0.3 * np.cos(th) ** 2)
+    pts = np.stack([np.sin(lon) * np.cos(lat), -np.sin(lat), np.cos(lon) * np.cos(lat)], axis=1)
+    return cc.Embedding(cc.Sphere2(), pts)
+
+
 @pytest.mark.parametrize("make", [
     lambda: shapes.circle(64),
     lambda: shapes.lemniscate(128),
@@ -288,6 +303,8 @@ def test_separation_equals_dense_scan_on_tori(n, winding, P, seed, amplitude, sn
     lambda: shapes.random_band_limited(128, seed=7, amplitude=0.6),
     lambda: shapes.torus_geodesic(256, (1, 0), offset=(0.3, 0.7), wiggle=0.05, seed=1),
     lambda: shapes.torus_geodesic(256, (1, 1), offset=(0.3, 0.7), wiggle=0.05, seed=1),
+    lambda: pinched_sphere_loop(1e-7),
+    lambda: pinched_sphere_loop(3e-8),
 ])
 def test_separation_equals_dense_scan(make):
     x = make()
@@ -296,14 +313,7 @@ def test_separation_equals_dense_scan(make):
 
 @pytest.mark.parametrize("delta", [1e-7, 3e-8])
 def test_separation_sphere_near_threshold(delta):
-    # a dumbbell in longitude/latitude coordinates (lon, lat), pinched to
-    # lat = +-delta/2 at nodes P/4 and 3P/4; latitude is 1-Lipschitz on S^2,
-    # so no other pair of its strands lies closer than delta
-    th = fourier.nodes(64)
-    lon = 0.3 * np.cos(th)
-    lat = np.sin(th) * (delta / 2.0 + 0.3 * np.cos(th) ** 2)
-    pts = np.stack([np.sin(lon) * np.cos(lat), -np.sin(lat), np.cos(lon) * np.cos(lat)], axis=1)
-    x = cc.Embedding(cc.Sphere2(), pts)
+    x = pinched_sphere_loop(delta)
     assert abs(cc.separation(x) - delta) <= 1e-9 * delta
     assert cc.is_embedding(x)
 
@@ -337,8 +347,9 @@ def test_image_distance_torus_across_seam():
 
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.floats(0.0, 0.3))
-# the largest distance of 1000 random draws (9.3e-13)
+# the largest distances of two sets of 1000 random draws (9.3e-13, 8.6e-13)
 @example(seed=54, diffeo_seed=2968700, amplitude=0.25214013027214266)
+@example(seed=136, diffeo_seed=136, amplitude=0.2727396692214281)
 def test_image_distance_same_image_property(seed, diffeo_seed, amplitude):
     # at P=64 the interpolant of the resampled curve leaves x's image by up
     # to ~7e-9 for amplitudes above 0.15 (aliasing of x∘phi, which a dense
@@ -357,8 +368,9 @@ def brute_force_directed(x, y, P_fine):
 
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
-# of 1000 random draws, the one nearest its bound (brute - d at 0.69 of it)
+# of two sets of 1000 random draws, the ones nearest the bound (brute - d at 0.69 and 0.76 of it)
 @example(seed_x=4258, seed_y=471735)
+@example(seed_x=1024, seed_y=634)
 def test_image_distance_brute_force_property(seed_x, seed_y):
     assume(seed_x != seed_y)
     P = 32

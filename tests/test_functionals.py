@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import curvecharts as cc
@@ -347,6 +347,8 @@ def random_rotation(seed):
 
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.floats(0.0, 0.05))
+# the largest error of 1000 random draws (1.2e-3 of the bound)
+@example(seed=6754, rot_seed=1505, scale=0.02421118089530738)
 def test_sphere_bend_gradient_rotation_equivariance_property(seed, rot_seed, scale):
     # rotations are isometries of S^2 that carry the frame p x T along, so
     # the chart coefficients of the gradient do not change
@@ -376,6 +378,8 @@ def _move(backend, x, rng):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.sampled_from(["plane", "torus", "sphere"]), st.integers(0, 2**32 - 1),
        st.floats(0.0, 0.3))
+# the largest error of 1000 random draws (1.3e-2 of the bound)
+@example(backend="torus", seed=2556, frac=0.003638893470134664)
 def test_length_gradient_isometry_equivariance_property(backend, seed, frac):
     # isometries carry the chart frame along, so the chart coefficients of
     # the length gradient do not change

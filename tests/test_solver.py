@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import curvecharts as cc
@@ -120,6 +120,8 @@ def test_minimize_length_iterations_independent_of_P(winding, P):
 
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(st.sampled_from([32, 64, 128]), st.integers(0, 2**32 - 1), st.integers(1, 8))
+# the draw of 1000 nearest the upper bound (<g, K_1 g>_w at 1 - 9.1e-7 of <g, g>_w)
+@example(P=128, seed=955, kmax=1)
 def test_h1_direction_is_descent_property(P, seed, kmax):
     # 0 < <g, K_1 g>_w <= <g, g>_w on an arclength-resampled center, so
     # d = K_1 g is a descent direction no longer than g

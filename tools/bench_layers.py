@@ -39,9 +39,7 @@ of `separation` and `make_chart` on a perturbed circle, the (1, 1) and
   and result of the dense reference scan of `tests/test_curve.py`, every
   ordered node pair against all 3^n nearby lattice translates on the
   torus;
-- `same_value`: whether both return the same float.  On S^2 they need
-  not: the reference keeps the arccos matrix, which `separation` only
-  uses to pick the pairs it recomputes with `Sphere2.dist`.
+- `same_value`: whether both return the same float.
 
 `chart_invert`: for P in {64, 128, 256, 512, 1024} it builds the chart
 at each `image_distance` curve x, applies a seeded section of sup norm
@@ -49,9 +47,8 @@ at each `image_distance` curve x, applies a seeded section of sup norm
 0.25, and records the time of `chart_invert` on that curve, with
 
 - `illinois_steps`: the fiber refinement's `_illinois` steps;
-- `in_tube_fraction`: the share of the P x 4P (node, sample) pairs of
-  the fiber scan that lie inside the tube, where the fiber value is
-  taken;
+- `in_tube_fraction`: the share of the (node, sample) pairs of the
+  fiber scan that lie inside the tube, where the fiber value is taken;
 - `dense_s`: the time of the reference scan of `tests/test_charts.py`
   (`pairwise_dist`, then a second `log` of each in-tube pair), run over
   the same samples in the same blocks of nodes;
