@@ -8,7 +8,11 @@ the coordinate dimension last.
 Everything the other layers need to know about the ambient lives here.
 The base class holds the flat behaviour (affine exp, coordinate axes as
 tangent basis, intrinsic coordinates); a backend overrides only what
-differs.
+differs.  The gradient-path methods (`exp`, `dexp`, `project_tangent`,
+`curvature`, `length_gradient`, `bending_gradient`) take complex arrays
+for complex-step derivatives, so they are complex-analytic: no
+`np.linalg.norm` (norms are sqrt(v.v)), no `abs`, no float casts and no
+ordered comparisons on values.
 """
 
 from __future__ import annotations
@@ -89,11 +93,11 @@ class AmbientSpace:
 
     def exp(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
         """exp_p(v) in the coordinates of a curve's stored lift (torus: not reduced)."""
-        return np.asarray(p, float) + np.asarray(v, float)
+        return p + v
 
     def dexp(self, p: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Derivative of v -> exp_p(v) at v in direction w."""
-        return np.asarray(w, float)
+        return w
 
     def log(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         return np.asarray(q, float) - np.asarray(p, float)
@@ -182,7 +186,7 @@ class AmbientSpace:
 
     def project_tangent(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Project an ambient-coordinate vector onto T_p N."""
-        return np.asarray(v, dtype=float)
+        return v
 
     def check_point(self, p: np.ndarray) -> np.ndarray:
         """Canonical coordinates of points of N; ValueError for points off N."""
@@ -244,20 +248,21 @@ class AmbientSpace:
 
     def curvature(self, pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Curvature at the nodes: signed in the plane (positive counterclockwise), magnitude in 3-d."""
-        v = np.linalg.norm(a, axis=-1)
+        v = np.sqrt(np.sum(a * a, axis=-1))
         if a.shape[-1] == 2:
             cross = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
             return cross / v**3
-        return np.linalg.norm(np.cross(a, b), axis=-1) / v**3
+        w = np.cross(a, b)
+        return np.sqrt(np.sum(w * w, axis=-1)) / v**3
 
     def length_gradient(self, pts: np.ndarray, a: np.ndarray) -> np.ndarray:
         """Gradient of the discrete length with respect to the sample points."""
-        T = a / np.linalg.norm(a, axis=-1, keepdims=True)
+        T = a / np.sqrt(np.sum(a * a, axis=-1, keepdims=True))
         return -(2.0 * np.pi / pts.shape[0]) * fourier.diff(T)
 
     def bending_gradient(self, pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Gradient of the discrete bending energy with respect to the sample points."""
-        v = np.linalg.norm(a, axis=-1, keepdims=True)
+        v = np.sqrt(np.sum(a * a, axis=-1, keepdims=True))
         scale = 2.0 * np.pi / pts.shape[0]
         if a.shape[-1] == 2:
             c = (a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])[..., None]
@@ -419,8 +424,6 @@ class Sphere2(AmbientSpace):
         self.coord_dim = 3
 
     def project_tangent(self, p, v):
-        p = np.asarray(p, float)
-        v = np.asarray(v, float)
         return v - np.sum(p * v, axis=-1, keepdims=True) * p
 
     def check_point(self, p):
@@ -433,11 +436,9 @@ class Sphere2(AmbientSpace):
         return vals / np.linalg.norm(vals, axis=-1, keepdims=True)
 
     def exp(self, p, v):
-        p = np.asarray(p, float)
-        v = np.asarray(v, float)
-        r = np.linalg.norm(v, axis=-1, keepdims=True)
+        r = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
         with np.errstate(invalid="ignore", divide="ignore"):
-            direction = np.where(r > 0.0, v / np.where(r == 0.0, 1.0, r), 0.0)
+            direction = np.where(r != 0.0, v / np.where(r == 0.0, 1.0, r), 0.0)
         return np.cos(r) * p + np.sin(r) * direction
 
     def dexp(self, p, v, w):
@@ -446,8 +447,8 @@ class Sphere2(AmbientSpace):
         # cancellation for small r, but it multiplies (v.w) v = O(r^2), so
         # the product keeps its absolute accuracy; at r = 0 any finite k will do.
         r = np.sqrt(np.einsum("...d,...d->...", v, v))[..., None]
-        rs = np.where(r > 0.0, r, 1.0)
-        f = np.where(r > 0.0, np.sin(rs) / rs, 1.0)
+        rs = np.where(r != 0.0, r, 1.0)
+        f = np.where(r != 0.0, np.sin(rs) / rs, 1.0)
         k = (np.cos(rs) - f) / (rs * rs)
         vw = np.einsum("...d,...d->...", v, w)[..., None]
         return vw * (k * v - f * p) + f * w
@@ -515,7 +516,7 @@ class Sphere2(AmbientSpace):
     def curvature(self, pts, a, b):
         """Signed geodesic curvature with respect to the normal p x T."""
         d = self.project_tangent(pts, a)
-        sp = np.linalg.norm(d, axis=-1)
+        sp = np.sqrt(np.sum(d * d, axis=-1))
         T = d / sp[..., None]
         # dT/ds projected off both the sphere normal and the tangent
         dT = fourier.diff(T) / sp[..., None]
@@ -526,7 +527,7 @@ class Sphere2(AmbientSpace):
         """Ambient R^3 gradient of the discrete length; meaningful against tangent vectors."""
         ya = np.sum(pts * a, axis=-1, keepdims=True)
         T = a - ya * pts
-        T = T / np.linalg.norm(T, axis=-1, keepdims=True)
+        T = T / np.sqrt(np.sum(T * T, axis=-1, keepdims=True))
         return (2.0 * np.pi / pts.shape[0]) * (-fourier.diff(T, 1) - ya * T)
 
     def bending_gradient(self, pts, a, b):
@@ -540,7 +541,7 @@ class Sphere2(AmbientSpace):
         s = 2.0 * np.pi / pts.shape[0]
         ya = np.sum(pts * a, axis=-1, keepdims=True)
         d = a - ya * pts
-        n = np.linalg.norm(d, axis=-1, keepdims=True)
+        n = np.sqrt(np.sum(d * d, axis=-1, keepdims=True))
         T = d / n
         U = fourier.diff(T)
         nu = np.cross(pts, T)

@@ -140,7 +140,7 @@ def _full_section(c: Chart, V) -> np.ndarray:
 
 def _check_radius(c: Chart, W: np.ndarray):
     """OutsideDomainError unless every vector of W, shape (P, ..., coord_dim), is shorter than rho."""
-    if np.max(np.linalg.norm(W, axis=-1)) >= c.rho:
+    if not np.max(np.linalg.norm(W, axis=-1)) < c.rho:
         raise OutsideDomainError("section exceeds the chart radius")
 
 

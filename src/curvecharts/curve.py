@@ -117,7 +117,7 @@ class Reparam:
         lift = np.asarray(self.lift, dtype=float)
         _check_grid(lift.shape[0])
         steps = np.diff(lift, append=lift[0] + 2.0 * np.pi)
-        if np.any(steps <= 0.0):
+        if not np.all(steps > 0.0):
             raise NonMonotoneError("reparameterization lift must be strictly increasing")
         object.__setattr__(self, "lift", lift)
 
@@ -427,7 +427,7 @@ def make_diffeo(seed: int, amplitude: float, P: int = 256) -> Reparam:
     Coefficients (4 harmonics) are drawn from the seed and rescaled so
     the lift slope stays above 0.2 everywhere.
     """
-    if amplitude >= 0.5:
+    if not amplitude < 0.5:
         raise ValueError("amplitude must be below 0.5")
     theta = fourier.nodes(P)
     if amplitude == 0.0:

@@ -1,8 +1,9 @@
 """Spectral helpers on the uniform periodic grid theta_i = 2*pi*i/P.
 
-All routines act along axis 0 of real-valued sample arrays.  The Nyquist
-mode is handled with the cosine convention, so interpolation and
-differentiation agree at the grid nodes.
+All routines act along axis 0 of real-valued sample arrays; `diff` takes
+complex ones too, for complex-step derivatives.  The Nyquist mode is
+handled with the cosine convention, so interpolation and differentiation
+agree at the grid nodes.
 
 The interpolant is never summed as a dense matrix of complex
 exponentials.  Off the grid it is evaluated in two steps (Boyd,
@@ -26,9 +27,11 @@ def diff(values: np.ndarray, order: int | tuple[int, ...] = 1):
     """Spectral derivative of periodic samples (d/dtheta)^order.
 
     A tuple of orders returns the tuple of those derivatives, all taken
-    from one forward FFT.
+    from one forward FFT.  Complex samples differentiate their real and
+    imaginary parts, stacked on a last axis, in one batched transform.
     """
-    v = np.asarray(values, dtype=float)
+    cplx = np.iscomplexobj(values)
+    v = np.stack([values.real, values.imag], axis=-1) if cplx else np.asarray(values, dtype=float)
     P = v.shape[0]
     c = np.fft.rfft(v, axis=0)
     k = np.arange(P // 2 + 1, dtype=float)
@@ -38,7 +41,8 @@ def diff(values: np.ndarray, order: int | tuple[int, ...] = 1):
         mult = (1j * k) ** n
         if n % 2 == 1:
             mult[-1] = 0.0  # cosine convention: odd derivatives of the Nyquist mode vanish at nodes
-        out.append(np.fft.irfft(c * mult.reshape(shape), n=P, axis=0))
+        d = np.fft.irfft(c * mult.reshape(shape), n=P, axis=0)
+        out.append(d[..., 0] + 1j * d[..., 1] if cplx else d)
     return tuple(out) if isinstance(order, tuple) else out[0]
 
 

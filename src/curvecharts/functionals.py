@@ -5,12 +5,15 @@ bending energy (integral of squared curvature).  Gradients are exact
 derivatives of the discrete functionals: the ambient space supplies the
 sample-point gradient of each term in closed form on every backend,
 which is pulled back through the differential of its exponential map.
-Hessians are Richardson-extrapolated central differences of the gradient.
+Both variations are complex steps, df[e] = Im f(x + i h e) / h (Squire &
+Trapp, SIAM Rev. 1998), exact to roundoff for any tiny h as nothing is
+subtracted: the first variation steps the value, independently of the
+closed-form gradient, and the Hessian steps the gradient.
 
 The gradient code takes stacks of sections: arrays put the nodes first
 and the coordinates (or basis directions) last, with any batch axes
 between, shape (P, ..., d).  A Hessian fills a block of its columns per
-gradient call, one batched gradient per Richardson offset.
+gradient call.
 """
 
 from __future__ import annotations
@@ -22,16 +25,16 @@ import numpy as np
 
 from . import fourier
 from .ambient import AmbientSpace
-from .charts import Chart, NormalSection, _check_radius, _full_section, full_chart_apply, make_chart
-from .curve import Embedding, curvature, derivative, quadrature_weights
+from .charts import Chart, NormalSection, _check_radius, _full_section, make_chart
+from .curve import Embedding
 from .errors import UnsupportedAmbientError
 
 TERM_KINDS = ("length", "area", "bend")
 
-_GRAD_STEP = 1e-5
-_HESS_STEP = 1e-4
-# Hessian columns per batched gradient of `_fd_hessian`
-_BLOCK_COLUMNS = 64
+# the imaginary step of both variations
+_STEP = 1e-30
+# Hessian columns per batched complex gradient of `_hessian`
+_BLOCK_COLUMNS = 32
 
 
 @dataclass(frozen=True)
@@ -83,22 +86,39 @@ def _check_area_support(F: Functional, space: AmbientSpace):
 
 def evaluate(F: Functional, x: Embedding) -> float:
     """Value of the functional on a discrete curve (spectral quadrature)."""
-    _check_area_support(F, x.space)
-    w = quadrature_weights(x)
+    return float(_value(F, x.space, x.pts, x.drift))
+
+
+def _derivatives(F: Functional, space: AmbientSpace, pts: np.ndarray, drift: np.ndarray):
+    """x' and, where F bends, x'' at the nodes, from one forward FFT.
+
+    pts has shape (P, ..., coord_dim), any batch axes between; drift is
+    the winding drift, as `Embedding.drift`.
+    """
+    _check_area_support(F, space)
+    theta = fourier.nodes(pts.shape[0]).reshape((-1,) + (1,) * (pts.ndim - 1))
+    per = pts - theta * drift
+    bends = any(kind == "bend" and coef != 0.0 for kind, coef in F.terms)
+    a, b = fourier.diff(per, (1, 2)) if bends else (fourier.diff(per), None)
+    return a + drift, b
+
+
+def _value(F: Functional, space: AmbientSpace, pts: np.ndarray, drift: np.ndarray):
+    """`evaluate` on one (P, coord_dim) curve, real or complex."""
+    a, b = _derivatives(F, space, pts, drift)
+    d = space.project_tangent(pts, a)
+    w = np.sqrt(np.sum(d * d, axis=-1)) * (2.0 * np.pi / pts.shape[0])
     total = 0.0
     for kind, coef in F.terms:
         if coef == 0.0:
             continue
         if kind == "length":
-            total += coef * float(np.sum(w))
+            total = total + coef * np.sum(w)
         elif kind == "area":
-            d = derivative(x)
-            total += coef * 0.5 * (2.0 * np.pi / x.P) * float(
-                np.sum(x.pts[:, 0] * d[:, 1] - x.pts[:, 1] * d[:, 0])
-            )
-        elif kind == "bend":
-            k = curvature(x)
-            total += coef * float(np.sum(k**2 * w))
+            total = total + coef * 0.5 * (2.0 * np.pi / pts.shape[0]) * np.sum(
+                pts[:, 0] * d[:, 1] - pts[:, 1] * d[:, 0])
+        else:
+            total = total + coef * np.sum(space.curvature(pts, a, b) ** 2 * w)
     return total
 
 
@@ -108,20 +128,8 @@ def evaluate(F: Functional, x: Embedding) -> float:
 
 def _grad_pts(F: Functional, space: AmbientSpace, pts: np.ndarray,
               drift: np.ndarray) -> np.ndarray:
-    """Sum of the analytic sample-point gradients of the terms.
-
-    pts holds curves with nodes first and coordinates last, shape
-    (P, ..., coord_dim), any batch axes between; drift is their winding
-    drift, as `Embedding.drift`.
-    """
-    _check_area_support(F, space)
-    theta = fourier.nodes(pts.shape[0]).reshape((-1,) + (1,) * (pts.ndim - 1))
-    per = pts - theta * drift
-    if any(kind == "bend" and coef != 0.0 for kind, coef in F.terms):
-        a, b = fourier.diff(per, (1, 2))
-    else:
-        a, b = fourier.diff(per), None
-    a = a + drift
+    """Sum of the analytic sample-point gradients of the terms, shapes as `_derivatives`."""
+    a, b = _derivatives(F, space, pts, drift)
     out = np.zeros_like(pts)
     for kind, coef in F.terms:
         if coef == 0.0:
@@ -170,22 +178,10 @@ def gradient_in_chart(F: Functional, c: Chart, u: NormalSection) -> NormalSectio
     return NormalSection(_pullback_gradient(F, c, u.coeff, c.frame))
 
 
-def _richardson(phi, h: float):
-    """Richardson-extrapolated central difference of phi at 0: (4 D(h/2) - D(h)) / 3."""
-    d1 = (phi(h) - phi(-h)) / (2.0 * h)
-    d2 = (phi(0.5 * h) - phi(-0.5 * h)) / h
-    return (4.0 * d2 - d1) / 3.0
-
-
 def first_variation(F: Functional, x: Embedding, V) -> float:
-    """Directional derivative dF_x[V] along the vector-bundle chart at x.
-
-    V is a full section of x^*(TN), shape (P, coord_dim).
-    """
-    c = make_chart(x)
-    V = _full_section(c, V)
-    scale = max(1.0, float(np.max(np.linalg.norm(V, axis=1))))
-    return _richardson(lambda r: evaluate(F, full_chart_apply(c, r * V)), _GRAD_STEP / scale)
+    """dF_x[V] = Im F(exp_x(i h V)) / h for a full section V of x^*(TN), shape (P, coord_dim)."""
+    V = _full_section(make_chart(x), V)
+    return float(_value(F, x.space, x.space.exp(x.pts, 1j * _STEP * V), x.drift).imag / _STEP)
 
 
 def grad_norm(c: Chart, g: NormalSection) -> float:
@@ -206,15 +202,14 @@ class HessianPair:
     asymmetry: float
 
 
-def _fd_hessian(F: Functional, c: Chart, basis: np.ndarray) -> HessianPair:
-    """Symmetrized central-difference Jacobian of the gradient over basis, at coeff = 0.
+def _hessian(F: Functional, c: Chart, basis: np.ndarray) -> HessianPair:
+    """Symmetrized Jacobian of the gradient over basis, at coeff = 0, by complex step.
 
     basis has shape (dim, P, coord_dim); the pair is taken against the
-    mass matrix of the chart weights.  Column j is the derivative along
-    the coefficient of direction j % dim at node j // dim.  The columns
-    are filled in blocks of _BLOCK_COLUMNS: a block is one (P, B, dim)
-    stack of unit coefficients, so each Richardson offset costs one
-    batched `_pullback_gradient` per block.
+    mass matrix of the chart weights.  Column j, the derivative along the
+    coefficient of direction j % dim at node j // dim, is Im G(i h e_j) / h
+    for G the gradient.  A block of _BLOCK_COLUMNS columns is one batched
+    complex `_pullback_gradient` of a (P, B, dim) stack of steps.
     """
     P, dim = c.P, basis.shape[0]
     n = P * dim
@@ -225,9 +220,8 @@ def _fd_hessian(F: Functional, c: Chart, basis: np.ndarray) -> HessianPair:
         E = np.zeros((P, j.size, dim))
         E[j // dim, np.arange(j.size), j % dim] = 1.0
         # rows of a block are (node, direction) flattened row-major, as the columns
-        cols[:, j] = _richardson(
-            lambda r: (_pullback_gradient(F, c, r * E, basis) * w).transpose(0, 2, 1).reshape(n, -1),
-            _HESS_STEP)
+        G = _pullback_gradient(F, c, 1j * _STEP * E, basis).imag * (w / _STEP)
+        cols[:, j] = G.transpose(0, 2, 1).reshape(n, -1)
     asym = float(np.max(np.abs(cols - cols.T)))
     return HessianPair(0.5 * (cols + cols.T), asym)
 
@@ -239,12 +233,12 @@ def hessian_in_chart(F: Functional, c: Chart) -> HessianPair:
     (node, frame index)); with M the chart weights repeated rank times,
     the pair (Q, diag(M)) defines the L2(ds) second-variation operator.
     """
-    return _fd_hessian(F, c, c.frame)
+    return _hessian(F, c, c.frame)
 
 
 def hessian_full(F: Functional, c: Chart) -> HessianPair:
     """Second variation over all sections of x^*(TN), at the zero section."""
-    return _fd_hessian(F, c, c.center.space.section_basis(c.tangent, c.frame))
+    return _hessian(F, c, c.center.space.section_basis(c.tangent, c.frame))
 
 
 def restriction_matrix(c: Chart) -> np.ndarray:

@@ -42,9 +42,9 @@ class Isometry:
         rot = np.eye(d) if self.rotation is None else np.asarray(self.rotation, dtype=float)
         if rot.shape != (d, d):
             raise ValueError("rotation matrix has the wrong shape")
-        if np.max(np.abs(rot.T @ rot - np.eye(d))) > _ORTHO_TOL:
+        if not np.max(np.abs(rot.T @ rot - np.eye(d))) <= _ORTHO_TOL:
             raise ValueError("rotation must be orthogonal")
-        if abs(np.linalg.det(rot) - 1.0) > _ORTHO_TOL:
+        if not abs(np.linalg.det(rot) - 1.0) <= _ORTHO_TOL:
             raise ValueError("rotation must have determinant +1")
         if not self.space.rotations and np.max(np.abs(rot - np.eye(d))) > _ORTHO_TOL:
             raise ValueError(
@@ -52,7 +52,7 @@ class Isometry:
         tr = np.zeros(d) if self.translation is None else np.asarray(self.translation, dtype=float)
         if tr.shape != (d,):
             raise ValueError("translation vector has the wrong shape")
-        if not self.space.translations and np.max(np.abs(tr)) > 0.0:
+        if not self.space.translations and np.any(tr != 0.0):
             raise ValueError(f"{self.space.kind} isometries are rotations only")
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", tr)

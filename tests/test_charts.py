@@ -119,6 +119,14 @@ def test_chart_apply_outside_domain(circle64):
         cc.chart_apply(c, cc.NormalSection(np.full((64, 1), 0.95)))
 
 
+def test_chart_apply_rejects_nan_section(circle64):
+    c = cc.make_chart(circle64)
+    u = np.zeros((64, 1))
+    u[5] = np.nan
+    with pytest.raises(OutsideDomainError):
+        cc.chart_apply(c, cc.NormalSection(u))
+
+
 def test_chart_round_trip_random_sections(rng):
     for center in (shapes.circle(64), shapes.ellipse(64, a=1.2, b=0.9),
                    shapes.torus_geodesic(64, (1, 0)), shapes.great_circle(64)):

@@ -127,6 +127,13 @@ def test_reparam_rejects_non_monotone():
         cc.Reparam(th + 0.2 * np.sin(8 * th))
 
 
+def test_reparam_and_make_diffeo_reject_nan():
+    with pytest.raises(NonMonotoneError):
+        cc.Reparam(np.full(16, np.nan))
+    with pytest.raises(ValueError):
+        cc.make_diffeo(0, np.nan)
+
+
 def test_reparam_inverse_round_trip():
     for amplitude in (0.1, 0.3, 0.4, 0.45):
         for seed in (5, 6, 7):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import curvecharts as cc
 from curvecharts import Sphere2, fourier, shapes
 from curvecharts.errors import OutsideDomainError, UnsupportedAmbientError
-from curvecharts.functionals import _HESS_STEP, _grad_pts, _pullback_gradient
+from curvecharts.functionals import _grad_pts, _pullback_gradient
 
 
 def test_parse_functional_grammar():
@@ -241,6 +241,26 @@ def test_bend_spectrum_great_circle(P):
     np.testing.assert_allclose(vals, np.sort(2.0 * (ks**2 - 1.0) ** 2), atol=1e-6)
 
 
+@pytest.mark.parametrize("case, P", [("bend", 128), ("bend", 256), ("bend", 512),
+                                     ("torus", 64), ("torus", 256), ("torus", 512)])
+def test_spectrum_at_the_roundoff_floor(case, P):
+    # oracle: bend at the unit circle has eigenvalues 2 k^4 - 5 k^2 + 2 on the
+    # Fourier modes k, [-1, -1, 2, 14, 14]; length at the (1, 0) torus geodesic
+    # has (2 pi k)^2, [0, 4 pi^2, 4 pi^2].  The Hessian takes no difference, so
+    # its error is the roundoff of the spectral derivatives: eps times the
+    # largest multiplier, (P/2)^4 for bend's fourth derivative and (pi P)^2 for
+    # the second arclength derivative on a loop of length 1, times 8.
+    eps = np.finfo(float).eps
+    if case == "bend":
+        c, F, want, floor = (cc.make_chart(shapes.circle(P)), cc.parse_functional("bend"),
+                             [-1.0, -1.0, 2.0, 14.0, 14.0], (P / 2) ** 4)
+    else:
+        c, F, want, floor = (cc.make_chart(shapes.torus_geodesic(P)), cc.parse_functional("length"),
+                             [0.0, 4 * np.pi**2, 4 * np.pi**2], (np.pi * P) ** 2)
+    vals = cc.spectrum(F, c, len(want))
+    assert np.max(np.abs(vals - np.array(want))) <= 8.0 * eps * floor
+
+
 def test_restriction_identity_bend_great_circle():
     F = cc.parse_functional("bend")
     c = cc.make_chart(shapes.great_circle(24))
@@ -267,9 +287,10 @@ def _second_variation_case(backend):
 @pytest.mark.parametrize("full", [False, True], ids=["chart", "full"])
 def test_hessian_matches_directional_derivative_of_gradient(backend, full, rng):
     # oracle, blind to how the columns are assembled: Q v against the
-    # Richardson derivative of the weighted gradient along v at the same step h.
-    # A sup norm of at most 1 keeps the step along v no larger than a
-    # column's.  Each estimate errs by at most 3 delta / h per unit of
+    # Richardson derivative of the weighted gradient along v, a real
+    # difference at step h = 1e-4, independent of the complex step.  A sup
+    # norm of at most 1 keeps the step along v no larger than h.  Each
+    # estimate errs by at most 3 delta / h per unit of
     # direction, delta the gradient's roundoff: at most eps * max|x| * |Q|_inf
     # for input roundoff eps * max|x|.  Q v sums |v|_1 columns, and
     # symmetrizing averages two entries of that bound.
@@ -277,7 +298,7 @@ def test_hessian_matches_directional_derivative_of_gradient(backend, full, rng):
     basis = c.center.space.section_basis(c.tangent, c.frame) if full else c.frame
     pair = (cc.hessian_full if full else cc.hessian_in_chart)(F, c)
     v = rng.uniform(-1.0, 1.0, (c.P, basis.shape[0]))
-    h = _HESS_STEP
+    h = 1e-4
 
     def phi(r):
         return (_pullback_gradient(F, c, r * v, basis) * c.weights[:, None]).ravel()
@@ -308,6 +329,18 @@ def test_batched_gradient_equals_loop(backend, rng):
         stack[3, 2, 0] = 1.01 * c.rho
         with pytest.raises(OutsideDomainError):
             _pullback_gradient(F, c, stack, basis)
+
+
+@pytest.mark.parametrize("order", [1, 2, (1, 2)], ids=["first", "second", "both"])
+@pytest.mark.parametrize("shape", [(32, 2), (32, 5, 3)], ids=["curve", "batched"])
+def test_complex_diff_is_real_and_imaginary_parts(order, shape, rng):
+    # the complex branch differentiates the two parts in one transform, bit for bit
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got, re, im = (fourier.diff(v, order) for v in (z, z.real, z.imag))
+    if not isinstance(order, tuple):
+        got, re, im = (got,), (re,), (im,)
+    for g, r, i in zip(got, re, im):
+        assert g.dtype == complex and np.array_equal(g, r + 1j * i)
 
 
 def test_one_forward_fft_for_both_derivatives(monkeypatch):

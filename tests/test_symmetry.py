@@ -48,6 +48,16 @@ def test_isometry_validation():
         Isometry(cc.Sphere2(), translation=np.ones(3))
 
 
+@pytest.mark.parametrize("space", [cc.Euclidean(2), cc.FlatTorus(2), cc.Sphere2()])
+def test_isometry_rejects_nan(space):
+    d = space.coord_dim
+    with pytest.raises(ValueError):
+        Isometry(space, rotation=np.full((d, d), np.nan))
+    if not space.translations:
+        with pytest.raises(ValueError):
+            Isometry(space, translation=np.r_[np.nan, np.zeros(d - 1)])
+
+
 def test_group_action_composition(circle64):
     a = Isometry(circle64.space, rotation=rot2(0.4), translation=np.array([0.1, 0.2]))
     b = Isometry(circle64.space, rotation=rot2(-0.9), translation=np.array([-0.3, 0.05]))

@@ -3,8 +3,12 @@
     python tools/bench_layers.py OUT.json
 
 Imports `src/curvecharts` of the checkout that holds this script, and
-the analytic spectra of `perfbench/workloads.py` (read only).  Every
-time is the minimum wall time of 3 calls.
+the analytic spectra of `perfbench/workloads.py` and the speed probe of
+`perfbench/speed.py` (read only).  Every time is the minimum of 3 calls,
+each call's wall time divided by the machine's slowdown
+(`speed.factor`) probed before and after it, as the perfbench worker
+does: times read at the reference speed, so files written while the
+machine runs in different speed states compare code, not machine.
 
 `image_distance`: for P in {64, 128, 256, 512, 1024} it builds a curve x
 and the resampling y = x∘phi of x by a seeded diffeomorphism, the pair a
@@ -75,6 +79,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench"),
                 os.path.join(ROOT, "tests")]
 
 import curvecharts as cc  # noqa: E402
+import speed  # noqa: E402
 import workloads  # noqa: E402
 from curvecharts import curve, functionals, shapes  # noqa: E402
 from curvecharts import charts  # noqa: E402
@@ -122,11 +127,16 @@ CRITICAL = {
 
 
 def _min_time(fn) -> float:
+    """Least probe-normalized time of REPEATS calls; one probe between calls serves both."""
     times = []
+    before = speed.probe()
     for _ in range(REPEATS):
         t0 = time.perf_counter()
         fn()
-        times.append(time.perf_counter() - t0)
+        wall = time.perf_counter() - t0
+        after = speed.probe()
+        times.append(wall / speed.factor(before, after))
+        before = after
     return min(times)
 
 
@@ -323,7 +333,9 @@ def main() -> int:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "repeats": REPEATS,
-        "timing": "minimum wall time of the repeats",
+        "timing": ("minimum over the repeats of wall time divided by perfbench speed.factor"
+                   " of the probes before and after the call (seconds at the reference speed)"),
+        "ref_probe_s": speed.REF_PROBE_S,
         "image_distance": rows,
         "ratio_P1024_over_P256": {name: time_at[name, 1024] / time_at[name, 256]
                                   for name in BACKENDS},
