@@ -109,19 +109,14 @@ class AmbientSpace:
         """(len(p), len(q)) matrix of distances between two point sets."""
         return self.dist(p[:, None, :], q[None, :, :])
 
-    def fiber_scan(self, p: np.ndarray, T: np.ndarray, q: np.ndarray, radius: float):
-        """Distances and normal-fiber values of nodes p (unit tangents T) against samples q.
+    def fiber_may_cross(self, p: np.ndarray, T: np.ndarray, m: np.ndarray, r) -> np.ndarray:
+        """Whether a point within r of m may lie on the fiber g = 0 of node p, unit tangent T.
 
-        Returns (dist, g), both (len(p), len(q)): dist[i, j] = dist(p_i, q_j)
-        and g[i, j] = <log_{p_i} q_j, T_i>, which vanishes where q_j lies in
-        the normal fiber of p_i; g is NaN where dist >= radius.  Both come
-        from one `log` per pair.
+        g(q) = <log_p q, T> is 1-Lipschitz in a flat space, so no point of
+        the ball has g = 0 where |g(m)| > r.  `chart_invert`'s bracket
+        search drops the (node, arc) pairs that fail this.
         """
-        v = self.log(p[:, None, :], q[None, :, :])
-        dist = self.norm(p[:, None, :], v)
-        g = self.inner(p[:, None, :], v, T[:, None, :])
-        g[~(dist < radius)] = np.nan
-        return dist, g
+        return np.abs(self.inner(p, self.log(p, m), T)) <= r
 
     def nearest(self, probes: np.ndarray, samples: np.ndarray) -> np.ndarray:
         """Index of each probe's nearest sample; the lowest index among equals, as `argmin`.
@@ -368,6 +363,15 @@ class FlatTorus(AmbientSpace):
         # at a fraction of its cost
         return 0.5 - (e - np.floor(e))
 
+    def fiber_may_cross(self, p, T, m, r):
+        """The flat test, and always true where the ball may reach past the wrap of `log`.
+
+        Within dist(p, m) + r < 1/2 every component of log_p m + log_m q
+        lies inside (-1/2, 1/2), so it is log_p q and g is the flat one.
+        """
+        v = self.log(p, m)
+        return (np.abs(self.inner(p, v, T)) <= r) | (self.norm(p, v) + r >= 0.5)
+
     def strand_chords(self, pts, winding, s, L, i, j, admissible):
         """Smallest admissible chord from node i to a nearby lattice translate of node j.
 
@@ -490,16 +494,9 @@ class Sphere2(AmbientSpace):
             out[i, j] = np.pi - 2.0 * np.arcsin(np.linalg.norm(p[i] + q[j], axis=1) / 2.0)
         return out
 
-    def fiber_scan(self, p, T, q, radius):
-        """`AmbientSpace.fiber_scan` with `pairwise_dist` for dist, and `log` on pairs within radius only.
-
-        `log` raises at the cut locus, which lies outside every chart's tube.
-        """
-        dist = self.pairwise_dist(p, q)
-        g = np.full(dist.shape, np.nan)
-        i, j = np.nonzero(dist < radius)
-        g[i, j] = self.inner(p[i], self.log(p[i], q[j]), T[i])
-        return dist, g
+    def fiber_may_cross(self, p, T, m, r):
+        """sign g(q) = sign <q, T>, and the chord |q - m| is at most the arc r."""
+        return np.abs(np.sum(m * T, axis=-1)) <= r
 
     def normal_frame(self, p, T):
         nu = np.cross(p, T)

@@ -45,8 +45,13 @@ from .errors import (
 )
 
 _FRAME_TOL = 1e-10
-# nodes per block of chart_invert's dense fiber search at 4P samples
-_BLOCK_NODES = 64
+# the tree of sample arcs of chart_invert's bracket search: 16 arcs at its
+# root level, and leaves of at most 8 samples
+_ROOT_ARCS = 16
+_LEAF_SAMPLES = 8
+# margin added to every arc radius, times 1 + the largest coordinate
+# magnitude: far above the few-ulp error of a computed distance or fiber value
+_ROUNDOFF = 1e-9
 # chart_invert samples a curve at 4 to this many points per center node
 _MAX_SAMPLES_PER_NODE = 64
 
@@ -176,9 +181,11 @@ def chart_invert(c: Chart, y: Embedding) -> tuple[NormalSection, Reparam]:
     (m = ceil(y.P / P)) is one of n samples of Y: n = 4P, doubled with the
     grid until consecutive samples lie closer than rho / 2.  Each root is
     bracketed by the sign change of g_i on those samples that lies
-    nearest x(theta_i) within the tube (`AmbientSpace.fiber_scan`).  All
-    nodes are then refined together by `curve._illinois`, on Taylor sums
-    about the grid (`fourier.taylor_nearest`).  A node without a bracket
+    nearest x(theta_i) within the tube.  A descent of a tree of sample
+    arcs finds it, as the scan of all n samples would, from a few dozen
+    of them per node (`_fiber_brackets`).  All nodes are then refined
+    together by `curve._illinois`, on Taylor sums about the grid
+    (`fourier.taylor_nearest`).  A node without a bracket
     raises OutsideTubeError if some sample lies rho or farther from the
     continuous center, and ProjectionFailedError otherwise.
     """
@@ -204,14 +211,7 @@ def chart_invert(c: Chart, y: Embedding) -> tuple[NormalSection, Reparam]:
         dense = np.linspace(0.0, 2.0 * np.pi, n + 1)
         ypts = space.retract(grids[0, ::step] + dense[:-1, None] * y.drift)
         gap = np.max(space.dist(ypts, np.roll(ypts, -1, axis=0)))
-    k, glo, ghi = np.empty(P, dtype=int), np.empty(P), np.empty(P)
-    block = _BLOCK_NODES * 4 * P // n  # a block scans as many pairs at every n
-    for i0 in range(0, P, block):
-        rows = np.arange(i0, min(i0 + block, P))
-        dists, gvals = space.fiber_scan(x.pts[rows], c.tangent[rows], ypts, c.rho)
-        k[rows] = _nearest_crossing(gvals, dists)
-        row = np.arange(rows.size)
-        glo[rows], ghi[rows] = gvals[row, k[rows]], gvals[row, (k[rows] + 1) % n]
+    k, glo, ghi = _fiber_brackets(space, x.pts, c.tangent, ypts, c.rho)
     if np.any(k < 0):
         # a tube violation where some sample lies rho or farther from the continuous center
         gx = _derivative_grids(x, PROBES_PER_NODE * P)
@@ -235,6 +235,76 @@ def chart_invert(c: Chart, y: Embedding) -> tuple[NormalSection, Reparam]:
     except NonMonotoneError:
         raise NonMonotoneError("fiber assignment is not an orientation-preserving diffeomorphism")
     return NormalSection(coeff), sigma
+
+
+def _arcs(space, q: np.ndarray, N: int, margin: float):
+    """The N arcs [a n // N, (a + 1) n // N) of the n cyclic samples q.
+
+    Returns each arc's start, size, middle sample m and radius: the
+    largest distance from m to the arc's samples and to the sample just
+    past its end, plus margin.  So every interval [k, k + 1] that starts
+    in the arc lies in the ball of that radius around m.
+    """
+    n = len(q)
+    bounds = np.arange(N + 1) * n // N
+    start, size = bounds[:-1], np.diff(bounds)
+    mid = start + size // 2
+    # sizes differ by at most one, so a row of size.max() + 1 samples wastes at most one
+    cols = np.arange(size.max() + 1)
+    d = space.dist(q[mid][:, None], q[(start[:, None] + cols) % n])
+    return start, size, mid, np.max(np.where(cols <= size[:, None], d, 0.0), axis=1) + margin
+
+
+def _fiber_brackets(space, p: np.ndarray, T: np.ndarray, q: np.ndarray, rho: float):
+    """Bracket of each node's fiber crossing among the cyclic samples q: (k, g_k, g_k+1).
+
+    The same bracket as `_nearest_crossing` over the table of every
+    (node, sample) pair, with g = <log_p q, T> and NaN where
+    dist(p, q) >= rho; k = -1 where it has none.  Arcs of consecutive
+    samples form a binary tree: level l splits the n samples into
+    16 * 2**l arcs (`_arcs`), down to leaves of at most 8 samples
+    (Gottschalk, Lin & Manocha, OBBTree, 1996).  The descent goes
+    breadth-first for all nodes at once and keeps a (node, arc) pair only
+    if the arc's ball reaches inside the tube, dist(p, m) - R < rho, and
+    may meet the node's fiber (`AmbientSpace.fiber_may_cross`); every
+    pair it drops holds no sign change of g.  A surviving leaf takes
+    `dist` of its samples and `log` only of those within rho, and its
+    rows reduce by `_nearest_crossing`; the rows of each node then reduce
+    by (score, k), which is the dense rule's order.
+    """
+    n, P = len(q), len(p)
+    margin = _ROUNDOFF * (1.0 + max(np.max(np.abs(p)), np.max(np.abs(q))))
+    N = _ROOT_ARCS
+    node, arc = np.repeat(np.arange(P), N), np.tile(np.arange(N), P)
+    while True:
+        start, size, mid, R = _arcs(space, q, N, margin)
+        keep = space.dist(p[node], q[mid[arc]]) - R[arc] < rho
+        node, arc = node[keep], arc[keep]
+        keep = space.fiber_may_cross(p[node], T[node], q[mid[arc]], R[arc])
+        node, arc = node[keep], arc[keep]
+        if size.max() <= _LEAF_SAMPLES:
+            break
+        node, arc, N = np.repeat(node, 2), (2 * arc[:, None] + np.arange(2)).ravel(), 2 * N
+    # one row per leaf pair: its samples, the one past its end, then a NaN that ends the cycle
+    cols = _LEAF_SAMPLES + 2
+    j = (start[arc][:, None] + np.arange(cols)) % n
+    r, s = np.nonzero(np.arange(cols) <= size[arc][:, None])
+    dists, gvals = np.full((node.size, cols), np.inf), np.full((node.size, cols), np.nan)
+    dists[r, s] = space.dist(p[node[r]], q[j[r, s]])
+    near = dists[r, s] < rho
+    r, s = r[near], s[near]
+    gvals[r, s] = space.inner(p[node[r]], space.log(p[node[r]], q[j[r, s]]), T[node[r]])
+    kl = _nearest_crossing(gvals, dists)
+    row = np.flatnonzero(kl >= 0)
+    kl, owner = kl[row], node[row]
+    k, score = j[row, kl], np.minimum(dists[row, kl], dists[row, kl + 1])
+    # per node, the lowest score and the lowest k among equal scores
+    order = np.lexsort((k, score, owner))
+    best = order[np.flatnonzero(np.diff(owner[order], prepend=-1))]
+    out, glo, ghi = np.full(P, -1), np.full(P, np.nan), np.full(P, np.nan)
+    i, row, kl = owner[best], row[best], kl[best]
+    out[i], glo[i], ghi[i] = k[best], gvals[row, kl], gvals[row, kl + 1]
+    return out, glo, ghi
 
 
 def _nearest_crossing(gvals: np.ndarray, dists: np.ndarray) -> np.ndarray:

@@ -52,6 +52,8 @@ class Isometry:
         tr = np.zeros(d) if self.translation is None else np.asarray(self.translation, dtype=float)
         if tr.shape != (d,):
             raise ValueError("translation vector has the wrong shape")
+        if not np.all(np.isfinite(tr)):
+            raise ValueError("translation vector must be finite")
         if not self.space.translations and np.any(tr != 0.0):
             raise ValueError(f"{self.space.kind} isometries are rotations only")
         object.__setattr__(self, "rotation", rot)

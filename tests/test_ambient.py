@@ -147,3 +147,26 @@ def test_sphere_dist_exact_at_small_angles(r):
     q = s.exp(p, v)
     assert abs(s.dist(p, q) - r) <= 1e-12 * r
     assert abs(np.linalg.norm(s.log(p, q)) - r) <= 1e-12 * r
+
+
+def test_torus_fiber_may_cross_past_the_wrap_of_log():
+    # g(q) = <log_p q, T> is +0.45 at m and -0.48 at (0.52, 0) within 0.1 of
+    # it, as log wraps at 1/2: the flat test alone, |g(m)| = 0.45 > 0.1, would
+    # drop the ball
+    t, e = FlatTorus(2), Euclidean(2)
+    p, T, m = np.zeros(2), np.array([1.0, 0.0]), np.array([0.45, 0.0])
+    assert t.log(p, np.array([0.52, 0.0]))[0] == pytest.approx(-0.48)
+    assert not e.fiber_may_cross(p, T, m, 0.1)
+    assert t.fiber_may_cross(p, T, m, 0.1)
+    # clear of the wrap the torus test is the flat one
+    assert not t.fiber_may_cross(p, T, np.array([0.3, 0.0]), 0.1)
+    assert t.fiber_may_cross(p, T, np.array([0.05, 0.3]), 0.1)
+
+
+def test_sphere_fiber_may_cross_reads_the_sign_of_q_dot_t():
+    # on S^2, sign <log_p q, T> = sign <q, T>, and <q, T> is 1-Lipschitz in the chord
+    s = Sphere2()
+    p, T = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+    m = s.exp(p, np.array([0.3, 0.0, 0.0]))
+    assert s.fiber_may_cross(p, T, m, 0.31)
+    assert not s.fiber_may_cross(p, T, m, 0.29)

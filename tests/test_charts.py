@@ -180,13 +180,13 @@ def test_chart_invert_caps_the_sample_count(monkeypatch, circle64):
     # far outside the tube
     c = cc.make_chart(circle64)
     y = cc.Embedding(circle64.space, 1000.0 * circle64.pts)
-    counts, scan = [], cc.AmbientSpace.fiber_scan
+    counts, search = [], charts._fiber_brackets
 
-    def recorded_scan(self, p, T, q, radius):
+    def recorded_search(space, p, T, q, rho):
         counts.append(len(q))
-        return scan(self, p, T, q, radius)
+        return search(space, p, T, q, rho)
 
-    monkeypatch.setattr(cc.AmbientSpace, "fiber_scan", recorded_scan)
+    monkeypatch.setattr(charts, "_fiber_brackets", recorded_search)
     with pytest.raises(OutsideTubeError):
         cc.chart_invert(c, y)
     assert set(counts) == {charts._MAX_SAMPLES_PER_NODE * c.P}
@@ -197,14 +197,14 @@ def test_chart_invert_without_a_bracket_inside_the_tube_is_a_projection_failure(
     # without a bracket is a failed projection and not a tube violation
     c = cc.make_chart(shapes.random_band_limited(64, seed=40866))
     y = cc.chart_apply(c, random_section(c, np.random.default_rng(1), 0.25 * c.rho))
-    nearest = charts._nearest_crossing
+    search = charts._fiber_brackets
 
-    def no_bracket_at_node_0(gvals, dists):
-        k = nearest(gvals, dists)
+    def no_bracket_at_node_0(space, p, T, q, rho):
+        k, glo, ghi = search(space, p, T, q, rho)
         k[0] = -1
-        return k
+        return k, glo, ghi
 
-    monkeypatch.setattr(charts, "_nearest_crossing", no_bracket_at_node_0)
+    monkeypatch.setattr(charts, "_fiber_brackets", no_bracket_at_node_0)
     with pytest.raises(ProjectionFailedError):
         cc.chart_invert(c, y)
 
@@ -394,53 +394,83 @@ def dense_fiber_scan(space, p, T, q, radius):
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(st.sampled_from(["plane", "torus", "sphere"]), st.sampled_from([64, 128]),
-       st.integers(0, 2**32 - 1), st.floats(0.0, 0.49), st.floats(0.0, 0.3))
+@given(st.sampled_from(["plane", "torus", "torus-w10", "sphere"]),
+       st.sampled_from([64, 96, 128, 512]), st.integers(0, 2**32 - 1), st.floats(0.0, 0.49),
+       st.floats(0.0, 0.3))
 # a draw of 1000 whose chart needs 8P samples
 @example(backend="plane", P=64, seed=44, frac=0.28549448685762496, amplitude=0.17528838466333607)
+# a (1, 0) torus geodesic: its tube reaches 0.449 of the 0.5 at which log wraps, so
+# (node, arc) pairs that fail the flat test pass `FlatTorus.fiber_may_cross` by its wrap guard
+@example(backend="torus-w10", P=96, seed=7, frac=0.49, amplitude=0.3)
 def test_fiber_scan_brackets_match_the_dense_scan(backend, P, seed, frac, amplitude):
-    # chart_invert's one-log blocked scan picks the dense scan's bracket at
-    # every node; on the flat backends its distances and fiber values are the
-    # reference's to the bit
+    # chart_invert's tree search picks the dense scan's bracket at every node;
+    # on the flat backends the fiber values at its ends are the reference's to the bit
     if backend == "plane":
         x = shapes.random_band_limited(P, seed=seed)
     elif backend == "torus":
         x = shapes.torus_geodesic(P, (1, 1), wiggle=0.05, seed=seed)
+    elif backend == "torus-w10":
+        x = shapes.torus_geodesic(P, (1, 0), wiggle=0.005, seed=seed)
     else:
         x = random_sphere_curve(P, seed)
     c = cc.make_chart(x)
     rng = np.random.default_rng(seed)
     y = cc.resample(cc.chart_apply(c, random_section(c, rng, frac * c.rho)),
                     cc.make_diffeo(seed, amplitude, P))
-    scans, brackets = [], []
-    space_cls = type(x.space)
-    scan, nearest = space_cls.fiber_scan, charts._nearest_crossing
+    searches = []
+    search = charts._fiber_brackets
 
-    def recorded_scan(self, p, T, q, radius):
-        out = scan(self, p, T, q, radius)
-        scans.append((q, out))
+    def recorded_search(space, p, T, q, rho):
+        out = search(space, p, T, q, rho)
+        searches.append((q, out))
         return out
 
-    def recorded_nearest(gvals, dists):
-        k = nearest(gvals, dists)
-        brackets.append(k)
-        return k
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(space_cls, "fiber_scan", recorded_scan)
-        mp.setattr(charts, "_nearest_crossing", recorded_nearest)
+        mp.setattr(charts, "_fiber_brackets", recorded_search)
         cc.chart_invert(c, y)
-    ypts = scans[0][0]
+    [(ypts, (got, glo, ghi))] = searches
     n = len(ypts)  # 4P, doubled until consecutive samples lie closer than rho / 2
     assert n in [4 * P * 2**j for j in range(5)] and ypts.shape[1] == x.space.coord_dim
     assert np.max(x.space.dist(ypts, np.roll(ypts, -1, axis=0))) < 0.5 * c.rho
-    assert all(q is ypts for q, _ in scans)
     dists, gvals, k = dense_fiber_scan(x.space, x.pts, c.tangent, ypts, c.rho)
-    np.testing.assert_array_equal(np.concatenate(brackets), k)
+    np.testing.assert_array_equal(got, k)
     assert np.all(k >= 0)
     if backend != "sphere":
-        np.testing.assert_array_equal(np.concatenate([d for _, (d, _) in scans]), dists)
-        np.testing.assert_array_equal(np.concatenate([g for _, (_, g) in scans]), gvals)
+        np.testing.assert_array_equal(glo, gvals[np.arange(P), k])
+        np.testing.assert_array_equal(ghi, gvals[np.arange(P), (k + 1) % n])
+
+
+@pytest.mark.parametrize("P", [128, 1024])
+def test_fiber_brackets_are_output_sensitive(P):
+    # the tree search evaluates fewer than 64 distances per node, (node, arc)
+    # tests and leaf samples together, where the dense scan takes n = 4P;
+    # the arc radii, computed once per level for all nodes, are not counted
+    c = cc.make_chart(shapes.circle(P))
+    y = cc.chart_apply(c, random_section(c, np.random.default_rng(P), 0.49 * c.rho))
+    args, pairs = [], []
+    search, arcs, dist = charts._fiber_brackets, charts._arcs, cc.Euclidean.dist
+
+    def counted_dist(self, p, q):
+        pairs.append(np.broadcast_shapes(np.shape(p)[:-1], np.shape(q)[:-1]))
+        return dist(self, p, q)
+
+    def uncounted_arcs(*a):
+        before = len(pairs)
+        out = arcs(*a)
+        del pairs[before:]
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(charts, "_fiber_brackets", lambda *a: args.append(a) or search(*a))
+        cc.chart_invert(c, y)
+    [(space, p, T, q, rho)] = args
+    assert len(q) == 4 * P
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cc.Euclidean, "dist", counted_dist)
+        mp.setattr(charts, "_arcs", uncounted_arcs)
+        k, _, _ = search(space, p, T, q, rho)
+    assert np.all(k >= 0)
+    assert sum(int(np.prod(s)) for s in pairs) < 64 * P
 
 
 def _cusp():

@@ -58,6 +58,15 @@ def test_isometry_rejects_nan(space):
             Isometry(space, translation=np.r_[np.nan, np.zeros(d - 1)])
 
 
+@pytest.mark.parametrize("space", [cc.Euclidean(2), cc.Euclidean(3), cc.FlatTorus(2)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_isometry_rejects_non_finite_translation(space, bad):
+    # a NaN translation would put NaN into every node of apply_isometry's curve
+    d = space.coord_dim
+    with pytest.raises(ValueError):
+        Isometry(space, translation=np.r_[bad, np.zeros(d - 1)])
+
+
 def test_group_action_composition(circle64):
     a = Isometry(circle64.space, rotation=rot2(0.4), translation=np.array([0.1, 0.2]))
     b = Isometry(circle64.space, rotation=rot2(-0.9), translation=np.array([-0.3, 0.05]))

@@ -51,11 +51,15 @@ at each `image_distance` curve x, applies a seeded section of sup norm
 0.25, and records the time of `chart_invert` on that curve, with
 
 - `illinois_steps`: the fiber refinement's `_illinois` steps;
-- `in_tube_fraction`: the share of the (node, sample) pairs of the
-  fiber scan that lie inside the tube, where the fiber value is taken;
+- `pairs_per_node`: the distances the bracket search
+  (`charts._fiber_brackets`) evaluates per node, its (node, arc) tests
+  and leaf samples together; the arc radii, taken once per tree level
+  for all nodes, are not counted;
+- `search_s`: the time of the bracket search alone;
 - `dense_s`: the time of the reference scan of `tests/test_charts.py`
-  (`pairwise_dist`, then a second `log` of each in-tube pair), run over
-  the same samples in the same blocks of nodes;
+  (`pairwise_dist`, then a second `log` of each in-tube pair) over the
+  same samples, in blocks of DENSE_BLOCK nodes at n = 4P samples (fewer
+  at larger n), so its temporaries stay small;
 - `same_brackets`: whether both scans pick the same bracket at every
   node.
 
@@ -89,6 +93,8 @@ from test_curve import dense_separation  # noqa: E402
 GRIDS = (64, 128, 256, 512, 1024)
 HESSIAN_GRIDS = (64, 128, 256, 512)
 REPEATS = 3
+# nodes per block of the dense reference fiber scan at 4P samples
+DENSE_BLOCK = 64
 
 
 def _tilted_circle(P: int) -> cc.Embedding:
@@ -189,47 +195,56 @@ def _chords(x: cc.Embedding) -> int:
 
 
 def _counted_invert(c: cc.Chart, y: cc.Embedding) -> dict:
-    """Run chart_invert once with its root steps, scan inputs and brackets recorded."""
-    counts = {"illinois_steps": 0, "pairs": 0, "in_tube": 0}
-    scans, brackets = [], []
-    illinois, nearest = charts._illinois, charts._nearest_crossing
-    cls = type(c.center.space)
-    scan = cls.fiber_scan
+    """Run chart_invert once counting root steps, then count and check its bracket search."""
+    counts = {"illinois_steps": 0, "pairs": 0}
+    args = []
+    illinois, search, arcs = charts._illinois, charts._fiber_brackets, charts._arcs
 
-    def counted_illinois(fun, *args):
+    def counted_illinois(fun, *rest):
         def step(idx, t):
             counts["illinois_steps"] += 1
             return fun(idx, t)
-        return illinois(step, *args)
+        return illinois(step, *rest)
 
-    def recorded_scan(self, p, T, q, radius):
-        dist, g = scan(self, p, T, q, radius)
-        counts["pairs"] += g.size
-        counts["in_tube"] += int(np.count_nonzero(~np.isnan(g)))
-        scans.append((p, T, q, radius))
-        return dist, g
+    def recorded_search(*a):
+        args.append(a)
+        return search(*a)
 
-    def recorded_nearest(gvals, dists):
-        k = nearest(gvals, dists)
-        brackets.append(k)
-        return k
-
-    charts._illinois, charts._nearest_crossing = counted_illinois, recorded_nearest
-    cls.fiber_scan = recorded_scan
+    charts._illinois, charts._fiber_brackets = counted_illinois, recorded_search
     try:
         cc.chart_invert(c, y)
     finally:
-        charts._illinois, charts._nearest_crossing = illinois, nearest
-        cls.fiber_scan = scan
-    space = c.center.space
+        charts._illinois, charts._fiber_brackets = illinois, search
+    [(space, p, T, q, rho)] = args
+    dist = space.dist
+
+    def counted_dist(a, b):
+        counts["pairs"] += int(np.prod(np.broadcast_shapes(np.shape(a)[:-1], np.shape(b)[:-1])))
+        return dist(a, b)
+
+    def uncounted_arcs(*a):
+        before = counts["pairs"]
+        out = arcs(*a)
+        counts["pairs"] = before
+        return out
+
+    space.dist, charts._arcs = counted_dist, uncounted_arcs
+    try:
+        k = search(space, p, T, q, rho)[0]
+    finally:
+        del space.dist
+        charts._arcs = arcs
+    block = max(1, DENSE_BLOCK * 4 * len(p) // len(q))
 
     def dense():
-        return np.concatenate([dense_fiber_scan(space, *args)[2] for args in scans])
+        return np.concatenate([dense_fiber_scan(space, p[i:i + block], T[i:i + block], q, rho)[2]
+                               for i in range(0, len(p), block)])
 
     return {"illinois_steps": counts["illinois_steps"],
-            "in_tube_fraction": counts["in_tube"] / counts["pairs"],
+            "pairs_per_node": counts["pairs"] / len(p),
+            "search_s": _min_time(lambda: search(space, p, T, q, rho)),
             "dense_s": _min_time(dense),
-            "same_brackets": bool(np.array_equal(dense(), np.concatenate(brackets)))}
+            "same_brackets": bool(np.array_equal(dense(), k))}
 
 
 def _gradient_calls(F: cc.Functional, c: cc.Chart) -> int:
@@ -292,7 +307,8 @@ def _chart_invert_rows() -> list[dict]:
                    **_counted_invert(c, y)}
             rows.append(row)
             print(f"chart_invert {name:6s} P={P:5d} {row['time_s']:.4f} s"
-                  f" (dense scan {row['dense_s']:.4f} s)", file=sys.stderr)
+                  f" (search {row['search_s']:.4f} s, dense scan {row['dense_s']:.4f} s)",
+                  file=sys.stderr)
     return rows
 
 
