@@ -23,13 +23,11 @@ from . import fourier
 from .errors import CutLocusError
 
 _SPHERE_NORM_TOL = 1e-12
-# probe rows per block of `AmbientSpace.nearest`
-_BLOCK_ROWS = 256
 
 
 def _integer(value, what: str) -> int:
-    """A JSON integer (an integral float too, a boolean not) as int; ValueError otherwise."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
+    """An integer (an integral float too, a boolean not) as int; ValueError otherwise."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer, float))
             or (isinstance(value, float) and not value.is_integer())):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
@@ -74,8 +72,6 @@ class AmbientSpace:
     injectivity_radius = np.inf
     # whether the functional term `area` (the signed enclosed area) is defined
     has_signed_area = False
-    # period of the `reduce`d coordinates, over which `nearest` wraps its cells
-    cell_period = None
 
     def __init__(self, dim: int):
         # frames, curvature and Killing fields exist for dimensions 2 and 3
@@ -105,10 +101,6 @@ class AmbientSpace:
     def dist(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         return self.norm(p, self.log(p, q))
 
-    def pairwise_dist(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """(len(p), len(q)) matrix of distances between two point sets."""
-        return self.dist(p[:, None, :], q[None, :, :])
-
     def fiber_may_cross(self, p: np.ndarray, T: np.ndarray, m: np.ndarray, r) -> np.ndarray:
         """Whether a point within r of m may lie on the fiber g = 0 of node p, unit tangent T.
 
@@ -117,67 +109,6 @@ class AmbientSpace:
         search drops the (node, arc) pairs that fail this.
         """
         return np.abs(self.inner(p, self.log(p, m), T)) <= r
-
-    def nearest(self, probes: np.ndarray, samples: np.ndarray) -> np.ndarray:
-        """Index of each probe's nearest sample; the lowest index among equals, as `argmin`.
-
-        samples are consecutive points of a closed curve.  They are hashed
-        into a uniform cell list (Bentley & Friedman, 1979) over their
-        `reduce`d coordinates, with cells twice the largest sample spacing
-        wide, that wrap around every axis: with period `cell_period` where
-        the space has one, and elsewhere past a ring of empty cells around
-        the samples, so the wrap never makes distant cells neighbours.
-        Those coordinates are never farther apart than the points themselves
-        (on S^2 the chord is at most the arc), so a probe whose nearest
-        sample among the 3^d cells around it lies within one cell width has
-        found its nearest sample overall.  Every other probe falls back to
-        the dense `pairwise_dist` scan.  Probes go in blocks of _BLOCK_ROWS,
-        so no temporary grows with len(probes) times len(samples).
-        """
-        n, d = probes.shape
-        out = np.zeros(n, dtype=np.intp)
-        certified = np.zeros(n, dtype=bool)
-        width = 2.0 * float(np.max(self.dist(samples, np.roll(samples, -1, axis=0))))
-        if width > 0.0:
-            q, p = self.reduce(samples), self.reduce(probes)
-            if self.cell_period is None:
-                # the cells the samples span, and an empty one above and (wrapped) below them
-                lo = np.min(q, axis=0)
-                ncell = np.floor((np.max(q, axis=0) - lo) / width).astype(np.int64) + 3
-            else:
-                lo = np.zeros(d)
-                ncell = np.full(d, max(1, int(self.cell_period // width)), dtype=np.int64)
-                width = self.cell_period / ncell[0]
-            strides = np.cumprod(np.concatenate(([1], ncell[:-1])))
-            keys = (np.floor((q - lo) / width).astype(np.int64) % ncell) @ strides
-            order = np.argsort(keys, kind="stable")
-            keys = keys[order]
-            around = np.stack(np.meshgrid(*[[-1, 0, 1]] * d, indexing="ij"), axis=-1).reshape(-1, d)
-            for i in range(0, n, _BLOCK_ROWS):
-                cell = np.floor((p[i:i + _BLOCK_ROWS] - lo) / width).astype(np.int64)[:, None, :]
-                key = (((cell + around) % ncell) @ strides).ravel()
-                start = np.searchsorted(keys, key, side="left")
-                count = np.searchsorted(keys, key, side="right") - start
-                per_probe = count.reshape(-1, around.shape[0]).sum(axis=1)
-                has = np.flatnonzero(per_probe)
-                if has.size == 0:
-                    continue
-                # every candidate of the block, probe by probe: the sorted
-                # positions start .. start + count - 1 of each of its cells
-                first = np.cumsum(count) - count
-                cand = order[np.repeat(start - first, count) + np.arange(count.sum())]
-                owner = np.repeat(np.arange(per_probe.size), per_probe)
-                dist = self.dist(probes[i + owner], samples[cand])
-                seg = (np.cumsum(per_probe) - per_probe)[has]
-                best = np.minimum.reduceat(dist, seg)
-                at_best = dist == np.repeat(best, per_probe[has])
-                out[i + has] = np.minimum.reduceat(np.where(at_best, cand, len(samples)), seg)
-                certified[i + has] = best <= width
-        rest = np.flatnonzero(~certified)
-        for i in range(0, rest.size, _BLOCK_ROWS):
-            rows = rest[i:i + _BLOCK_ROWS]
-            out[rows] = np.argmin(self.pairwise_dist(probes[rows], samples), axis=1)
-        return out
 
     def project_tangent(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Project an ambient-coordinate vector onto T_p N."""
@@ -339,7 +270,6 @@ class FlatTorus(AmbientSpace):
     kind = "flat_torus"
     rotations = False
     injectivity_radius = 0.5
-    cell_period = 1.0
 
     def reduce(self, p):
         return np.mod(np.asarray(p, float), 1.0)
@@ -480,19 +410,6 @@ class Sphere2(AmbientSpace):
 
     def dist(self, p, q):
         return self._polar(p, q)[0]
-
-    def pairwise_dist(self, p, q):
-        # one matrix product instead of an (n, m, 3) temporary; arccos loses
-        # half the digits near zero, which is fine for picking candidates.
-        # Near pi it cannot tell candidates apart at all (p.q rounds to -1
-        # within ~1e-8 of antipodal), so those few entries are recomputed
-        # from the explicit sum: |p + q| = 2 cos(theta / 2).
-        dot = p @ q.T
-        out = np.arccos(np.clip(dot, -1.0, 1.0))
-        i, j = np.nonzero(dot < -1.0 + 1e-6)
-        if i.size:
-            out[i, j] = np.pi - 2.0 * np.arcsin(np.linalg.norm(p[i] + q[j], axis=1) / 2.0)
-        return out
 
     def fiber_may_cross(self, p, T, m, r):
         """sign g(q) = sign <q, T>, and the chord |q - m| is at most the arc r."""

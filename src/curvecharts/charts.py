@@ -21,8 +21,10 @@ from . import fourier
 from .curve import (
     MIN_SEPARATION,
     PROBES_PER_NODE,
+    _LEAF_SAMPLES,
     Embedding,
     Reparam,
+    _arc_tree,
     _curve_at,
     _derivative_grids,
     _directed_hausdorff,
@@ -45,13 +47,6 @@ from .errors import (
 )
 
 _FRAME_TOL = 1e-10
-# the tree of sample arcs of chart_invert's bracket search: 16 arcs at its
-# root level, and leaves of at most 8 samples
-_ROOT_ARCS = 16
-_LEAF_SAMPLES = 8
-# margin added to every arc radius, times 1 + the largest coordinate
-# magnitude: far above the few-ulp error of a computed distance or fiber value
-_ROUNDOFF = 1e-9
 # chart_invert samples a curve at 4 to this many points per center node
 _MAX_SAMPLES_PER_NODE = 64
 
@@ -181,9 +176,10 @@ def chart_invert(c: Chart, y: Embedding) -> tuple[NormalSection, Reparam]:
     (m = ceil(y.P / P)) is one of n samples of Y: n = 4P, doubled with the
     grid until consecutive samples lie closer than rho / 2.  Each root is
     bracketed by the sign change of g_i on those samples that lies
-    nearest x(theta_i) within the tube.  A descent of a tree of sample
-    arcs finds it, as the scan of all n samples would, from a few dozen
-    of them per node (`_fiber_brackets`).  All nodes are then refined
+    nearest x(theta_i) within the tube.  A descent of the tree of sample
+    arcs that also serves `image_distance` (`curve._arc_tree`) finds it,
+    as the scan of all n samples would, from a few dozen of them per node
+    (`_fiber_brackets`).  All nodes are then refined
     together by `curve._illinois`, on Taylor sums about the grid
     (`fourier.taylor_nearest`).  A node without a bracket
     raises OutsideTubeError if some sample lies rho or farther from the
@@ -237,58 +233,32 @@ def chart_invert(c: Chart, y: Embedding) -> tuple[NormalSection, Reparam]:
     return NormalSection(coeff), sigma
 
 
-def _arcs(space, q: np.ndarray, N: int, margin: float):
-    """The N arcs [a n // N, (a + 1) n // N) of the n cyclic samples q.
-
-    Returns each arc's start, size, middle sample m and radius: the
-    largest distance from m to the arc's samples and to the sample just
-    past its end, plus margin.  So every interval [k, k + 1] that starts
-    in the arc lies in the ball of that radius around m.
-    """
-    n = len(q)
-    bounds = np.arange(N + 1) * n // N
-    start, size = bounds[:-1], np.diff(bounds)
-    mid = start + size // 2
-    # sizes differ by at most one, so a row of size.max() + 1 samples wastes at most one
-    cols = np.arange(size.max() + 1)
-    d = space.dist(q[mid][:, None], q[(start[:, None] + cols) % n])
-    return start, size, mid, np.max(np.where(cols <= size[:, None], d, 0.0), axis=1) + margin
-
-
 def _fiber_brackets(space, p: np.ndarray, T: np.ndarray, q: np.ndarray, rho: float):
     """Bracket of each node's fiber crossing among the cyclic samples q: (k, g_k, g_k+1).
 
     The same bracket as `_nearest_crossing` over the table of every
     (node, sample) pair, with g = <log_p q, T> and NaN where
-    dist(p, q) >= rho; k = -1 where it has none.  Arcs of consecutive
-    samples form a binary tree: level l splits the n samples into
-    16 * 2**l arcs (`_arcs`), down to leaves of at most 8 samples
-    (Gottschalk, Lin & Manocha, OBBTree, 1996).  The descent goes
-    breadth-first for all nodes at once and keeps a (node, arc) pair only
-    if the arc's ball reaches inside the tube, dist(p, m) - R < rho, and
-    may meet the node's fiber (`AmbientSpace.fiber_may_cross`); every
-    pair it drops holds no sign change of g.  A surviving leaf takes
-    `dist` of its samples and `log` only of those within rho, and its
-    rows reduce by `_nearest_crossing`; the rows of each node then reduce
-    by (score, k), which is the dense rule's order.
+    dist(p, q) >= rho; k = -1 where it has none.  The descent of the tree
+    of sample arcs (`curve._arc_tree`) keeps a (node, arc) pair only if
+    the arc's ball reaches inside the tube, dist(p, m) - R < rho, and may
+    meet the node's fiber (`AmbientSpace.fiber_may_cross`); every pair it
+    drops holds no sign change of g.  A surviving leaf takes `dist` of its
+    samples and of the one past its end, and `log` only of those within
+    rho, and its rows reduce by `_nearest_crossing`; the rows of each
+    node then reduce by (score, k), which is the dense rule's order.
     """
     n, P = len(q), len(p)
-    margin = _ROUNDOFF * (1.0 + max(np.max(np.abs(p)), np.max(np.abs(q))))
-    N = _ROOT_ARCS
-    node, arc = np.repeat(np.arange(P), N), np.tile(np.arange(N), P)
-    while True:
-        start, size, mid, R = _arcs(space, q, N, margin)
-        keep = space.dist(p[node], q[mid[arc]]) - R[arc] < rho
-        node, arc = node[keep], arc[keep]
-        keep = space.fiber_may_cross(p[node], T[node], q[mid[arc]], R[arc])
-        node, arc = node[keep], arc[keep]
-        if size.max() <= _LEAF_SAMPLES:
-            break
-        node, arc, N = np.repeat(node, 2), (2 * arc[:, None] + np.arange(2)).ravel(), 2 * N
+
+    def keep(i, m, d, R):
+        ok = d - R < rho
+        ok[ok] = space.fiber_may_cross(p[i[ok]], T[i[ok]], q[m[ok]], R[ok])
+        return ok
+
+    node, start, size = _arc_tree(space, p, q, keep)
     # one row per leaf pair: its samples, the one past its end, then a NaN that ends the cycle
     cols = _LEAF_SAMPLES + 2
-    j = (start[arc][:, None] + np.arange(cols)) % n
-    r, s = np.nonzero(np.arange(cols) <= size[arc][:, None])
+    j = (start[:, None] + np.arange(cols)) % n
+    r, s = np.nonzero(np.arange(cols) <= size[:, None])
     dists, gvals = np.full((node.size, cols), np.inf), np.full((node.size, cols), np.nan)
     dists[r, s] = space.dist(p[node[r]], q[j[r, s]])
     near = dists[r, s] < rho

@@ -80,6 +80,8 @@ class Embedding:
         pts = np.asarray(self.pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.space.coord_dim:
             raise ValueError("pts must have shape (P, coord_dim)")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("curve samples must be finite")
         _check_grid(pts.shape[0])
         object.__setattr__(self, "pts", pts)
         object.__setattr__(self, "winding", self.space.check_winding(self.winding))
@@ -339,14 +341,89 @@ def _derivative_grids(x: Embedding, M: int) -> np.ndarray:
     return g
 
 
+# the tree of sample arcs of `_arc_tree`: _ROOT_ARCS arcs at its root, each
+# split into _SPLIT per level, down to leaves of at most _LEAF_SAMPLES samples
+_ROOT_ARCS = 8
+_SPLIT = 4
+_LEAF_SAMPLES = 4
+# margin added to every arc radius, times 1 + the largest coordinate magnitude
+# + the length of the sample chain: far above the few-ulp error of a computed
+# distance and the rounding of the chain's running sum
+_ROUNDOFF = 1e-9
+
+
+def _arc_tree(space: AmbientSpace, p: np.ndarray, q: np.ndarray, keep):
+    """The (point, leaf arc) pairs left by a descent of a tree of arcs of the cyclic samples q.
+
+    Level l splits the n samples into N = _ROOT_ARCS * _SPLIT**l arcs
+    [a n // N, (a + 1) n // N), down to leaves of at most _LEAF_SAMPLES
+    samples (a bounding-volume hierarchy: Gottschalk, Lin & Manocha,
+    OBBTree, 1996; Omohundro, ICSI TR-89-063, 1989).  Each arc is the
+    ball around its middle sample m of radius R: the length of the chain
+    of consecutive samples from m to either end of the arc and to the
+    sample just past it, plus a roundoff margin.  A chain is never
+    shorter than `dist`, so the ball holds every interval [k, k + 1] that
+    starts in the arc.  The descent goes breadth-first for all points at
+    once: keep(i, m, d, R) gets the surviving pairs of a level as the
+    point indices i, the middle samples m, d = dist(p[i], q[m]) and the
+    radii R, and returns the mask of pairs whose children to visit.
+    Returns the point index, start and size of every surviving leaf pair,
+    sorted by point.
+    """
+    n = len(q)
+    chain = np.concatenate(([0.0], np.cumsum(space.dist(q, np.roll(q, -1, axis=0)))))
+    margin = _ROUNDOFF * (1.0 + max(np.max(np.abs(p)), np.max(np.abs(q))) + chain[-1])
+    N = _ROOT_ARCS
+    node, arc = np.repeat(np.arange(len(p)), N), np.tile(np.arange(N), len(p))
+    while True:
+        bounds = np.arange(N + 1) * n // N
+        start, end = bounds[:-1], bounds[1:]
+        mid = (start + end) // 2
+        R = np.maximum(chain[mid] - chain[start], chain[end] - chain[mid]) + margin
+        m = mid[arc]
+        ok = keep(node, m, space.dist(p[node], q[m]), R[arc])
+        node, arc = node[ok], arc[ok]
+        if np.max(end - start) <= _LEAF_SAMPLES:
+            return node, start[arc], (end - start)[arc]
+        node, N = np.repeat(node, _SPLIT), _SPLIT * N
+        arc = (_SPLIT * arc[:, None] + np.arange(_SPLIT)).ravel()
+
+
+def _nearest_samples(space: AmbientSpace, probes: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """Index of each probe's nearest sample; the lowest index among equals, as `argmin`.
+
+    samples are consecutive points of a closed curve.  The descent of
+    `_arc_tree` keeps a (probe, arc) pair while dist(p, m) - R is at most
+    the distance of the nearest arc middle to p found so far: every sample
+    of a dropped arc lies farther than a sample already seen.  The
+    samples of the surviving leaves then reduce per probe.
+    """
+    best = np.full(len(probes), np.inf)
+
+    def keep(i, m, d, R):
+        np.minimum.at(best, i, d)
+        return d - R <= best[i]
+
+    node, start, size = _arc_tree(space, probes, samples, keep)
+    # every sample of every surviving leaf, probe by probe
+    owner = np.repeat(node, size)
+    cand = np.arange(owner.size) + np.repeat(start - (np.cumsum(size) - size), size)
+    dist = space.dist(probes[owner], samples[cand])
+    seg = np.flatnonzero(np.diff(owner, prepend=-1))
+    count = np.diff(seg, append=owner.size)
+    at_best = dist == np.repeat(np.minimum.reduceat(dist, seg), count)
+    return np.minimum.reduceat(np.where(at_best, cand, len(samples)), seg)
+
+
 def _directed_hausdorff(space: AmbientSpace, probes: np.ndarray, grids: np.ndarray,
                         samples: np.ndarray) -> float:
     """sup over probe points of the distance to the interpolated target curve Y.
 
     grids holds Y and its derivatives on a uniform grid of M nodes t_j
     (`_derivative_grids`), and samples the points Y(t_j) on N.  The
-    candidate for each probe p is its nearest sample Y(t_j)
-    (`AmbientSpace.nearest`).  The closest point Y(s) of the continuous
+    candidate for each probe p is its nearest sample Y(t_j), found by a
+    descent of the arc tree (`_nearest_samples`), a few dozen to a few
+    hundred distances per probe.  The closest point Y(s) of the continuous
     curve then solves the closest-point condition
 
         g(s) = <log_{Y(s)} p, Y'(s)> = -(1/2) d/ds dist(p, Y(s))^2 = 0,
@@ -362,7 +439,7 @@ def _directed_hausdorff(space: AmbientSpace, probes: np.ndarray, grids: np.ndarr
     n, d = probes.shape
     M = samples.shape[0]
     h = 2.0 * np.pi / M
-    near = space.nearest(probes, samples)
+    near = _nearest_samples(space, probes, samples)
     # value and derivative series side by side: one Horner sum serves both
     series = np.concatenate([grids[:-1], grids[1:]], axis=-1)
 
@@ -404,11 +481,12 @@ def image_distance(x: Embedding, y: Embedding) -> float:
     grid and takes the sup over probes of the distance to the other
     curve's continuous interpolant.  Both curves and their derivatives
     come onto that grid by zero-padded FFTs (`fourier.upsample`); each
-    probe's nearest sample comes from a cell list, and a closest-point
-    solve on Taylor sums about it refines the distance
-    (`_directed_hausdorff`).  No step costs O(M^2) unless the images lie
-    farther apart than a few grid spacings, where the nearest-sample
-    search falls back to a dense scan.
+    probe's nearest sample comes from a descent of a tree of sample arcs
+    (`_nearest_samples`), and a closest-point solve on Taylor sums about
+    it refines the distance (`_directed_hausdorff`).  No step costs
+    O(M^2), whether the images coincide or lie apart: a probe visits only
+    the arcs whose balls reach as near it as the nearest sample found so
+    far.
     """
     if x.space != y.space:
         raise ValueError("image_distance requires a common ambient space")

@@ -25,6 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from . import fourier
+from .ambient import _integer
 from .charts import Chart, NormalSection, chart_apply, chart_invert, make_chart
 from .curve import Embedding, arclength_lift, is_embedding, resample
 from .errors import (
@@ -97,6 +98,7 @@ class SolveOptions:
     newton_threshold: float = 1e-3  # gradient norm below which Newton takes over
 
     def __post_init__(self):
+        object.__setattr__(self, "max_iter", _integer(self.max_iter, "max_iter"))
         if not all(v > 0 for v in (self.max_iter, self.grad_tol, self.newton_threshold)):
             raise ValueError("solver options must be positive")
 
@@ -323,6 +325,7 @@ def _descend(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions,
 
 def spectrum(F: Functional, c: Chart, k: int) -> np.ndarray:
     """k smallest generalized eigenvalues of the chart second variation."""
+    k = _integer(k, "k")
     if k <= 0:
         return np.empty(0)
     _, Qr, Mr = _reduced_hessian(F, c)

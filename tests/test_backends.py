@@ -1,9 +1,8 @@
 """Backend contract: every ambient space answers the same geometric questions.
 
 Each AmbientSpace subclass is checked against independent oracles
-(central differences, the scalar distance, the Killing equation), and a
-structural guard keeps backend-specific branches out of the other
-modules.
+(central differences, the Killing equation), and a structural guard
+keeps backend-specific branches out of the other modules.
 """
 
 import re
@@ -38,18 +37,6 @@ def test_dexp_matches_central_difference(space):
     h = 1e-5
     fd = (space.exp(p, v + h * w) - space.exp(p, v - h * w)) / (2.0 * h)
     np.testing.assert_allclose(space.dexp(p, v, w), fd, atol=1e-9)
-
-
-@pytest.mark.parametrize("space", SPACES, ids=repr)
-def test_pairwise_dist_equals_dist(space):
-    rng = np.random.default_rng(2)
-    p = random_points(space, rng, 7)
-    q = random_points(space, rng, 9)
-    D = space.pairwise_dist(p, q)
-    assert D.shape == (7, 9)
-    for i in range(7):
-        for j in range(9):
-            assert D[i, j] == pytest.approx(float(space.dist(p[i], q[j])), abs=1e-12)
 
 
 @pytest.mark.parametrize("space", SPACES, ids=repr)

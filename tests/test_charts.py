@@ -16,6 +16,7 @@ from curvecharts.errors import (
 )
 from curvecharts.solver import smooth_center
 import curvecharts.fourier as fourier
+from test_curve import count_distances
 from test_functionals import random_sphere_curve
 
 
@@ -382,11 +383,11 @@ def test_chart_round_trip_property(backend, seed, frac):
 def dense_fiber_scan(space, p, T, q, radius):
     """Reference fiber scan of nodes p (unit tangents T) against samples q, two logs per in-tube pair.
 
-    The distances come from `pairwise_dist`, the fiber values g from a
-    second `log` of each pair within radius, and the brackets from
+    The distances come from `dist` on broadcast pairs, the fiber values g
+    from a second `log` of each pair within radius, and the brackets from
     `_nearest_crossing`: returns (dists, g, k).
     """
-    dists = space.pairwise_dist(p, q)
+    dists = space.dist(p[:, None], q[None])
     gvals = np.full(dists.shape, np.nan)
     r, j = np.nonzero(dists < radius)
     gvals[r, j] = space.inner(p[r], space.log(p[r], q[j]), T[r])
@@ -442,35 +443,22 @@ def test_fiber_scan_brackets_match_the_dense_scan(backend, P, seed, frac, amplit
 
 @pytest.mark.parametrize("P", [128, 1024])
 def test_fiber_brackets_are_output_sensitive(P):
-    # the tree search evaluates fewer than 64 distances per node, (node, arc)
-    # tests and leaf samples together, where the dense scan takes n = 4P;
-    # the arc radii, computed once per level for all nodes, are not counted
+    # the tree search evaluates fewer than 64 distances per node, the chain
+    # of the arc radii, (node, arc) tests and leaf samples together, where
+    # the dense scan takes n = 4P
     c = cc.make_chart(shapes.circle(P))
     y = cc.chart_apply(c, random_section(c, np.random.default_rng(P), 0.49 * c.rho))
-    args, pairs = [], []
-    search, arcs, dist = charts._fiber_brackets, charts._arcs, cc.Euclidean.dist
-
-    def counted_dist(self, p, q):
-        pairs.append(np.broadcast_shapes(np.shape(p)[:-1], np.shape(q)[:-1]))
-        return dist(self, p, q)
-
-    def uncounted_arcs(*a):
-        before = len(pairs)
-        out = arcs(*a)
-        del pairs[before:]
-        return out
-
+    args, search = [], charts._fiber_brackets
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(charts, "_fiber_brackets", lambda *a: args.append(a) or search(*a))
         cc.chart_invert(c, y)
     [(space, p, T, q, rho)] = args
     assert len(q) == 4 * P
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cc.Euclidean, "dist", counted_dist)
-        mp.setattr(charts, "_arcs", uncounted_arcs)
+        count = count_distances(mp, space)
         k, _, _ = search(space, p, T, q, rho)
     assert np.all(k >= 0)
-    assert sum(int(np.prod(s)) for s in pairs) < 64 * P
+    assert count[0] < 64 * P
 
 
 def _cusp():
@@ -555,17 +543,14 @@ def test_no_library_path_reaches_brentq(monkeypatch, rng, circle64, great_circle
     shapes.great_circle(256),
 ], ids=["plane", "torus", "sphere"])
 def test_same_image_distance_skips_the_dense_scan(monkeypatch, rng, center):
-    # on a chart round trip every probe's nearest sample comes from the cell list
+    # on a chart round trip each probe's nearest sample takes fewer than 64
+    # distances, where the dense scan takes all M = 8P samples
     c = cc.make_chart(center)
     x = cc.chart_apply(c, random_section(c, rng, 0.3 * c.rho))
     y = cc.resample(x, cc.make_diffeo(5, 0.25, 256))
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("dense pairwise_dist scan")
-
-    for cls in (cc.AmbientSpace, cc.Euclidean, cc.FlatTorus, cc.Sphere2):
-        monkeypatch.setattr(cls, "pairwise_dist", forbidden)
+    count = count_distances(monkeypatch, x.space)
     assert cc.image_distance(x, y) <= 1e-10
+    assert count[0] < 64 * 2 * curve.PROBES_PER_NODE * 256
 
 
 def _trefoil(P):

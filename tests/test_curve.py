@@ -8,6 +8,7 @@ import curvecharts as cc
 from curvecharts import curve, fourier, shapes
 from curvecharts.curve import interp_curve
 from curvecharts.errors import NonMonotoneError
+from test_functionals import random_sphere_curve
 
 
 def dense_interp(c, P, t, order=0):
@@ -230,8 +231,7 @@ def test_separation_torus_strands():
 def dense_separation(x):
     """Reference separation: every ordered node pair, on the torus against all 3^n nearby translates.
 
-    Elsewhere the chords come from `dist` on broadcast pairs, not from
-    `pairwise_dist`, whose arccos matrix loses half the digits on S^2.
+    Elsewhere the chords come from `dist` on broadcast pairs.
     """
     P = x.P
     w = cc.quadrature_weights(x)
@@ -370,7 +370,7 @@ def test_image_distance_same_image_property(seed, diffeo_seed, amplitude):
 def brute_force_directed(x, y, P_fine):
     probes = interp_curve(x, np.linspace(0.0, 2 * np.pi, 8 * x.P, endpoint=False))
     fine = interp_curve(y, np.linspace(0.0, 2 * np.pi, P_fine, endpoint=False))
-    return float(np.max(np.min(x.space.pairwise_dist(probes, fine), axis=1)))
+    return float(np.max(np.min(x.space.dist(probes[:, None], fine[None]), axis=1)))
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -408,8 +408,8 @@ def test_image_distance_sphere_near_antipodal():
 
 @pytest.mark.parametrize("alpha", [1e-9, 1e-7])
 def test_image_distance_sphere_near_antipodal_exact(alpha):
-    # pairwise_dist ranks near-antipodal candidates through |p + q|, where
-    # arccos(p . q) reads pi for all of them
+    # `dist` ranks near-antipodal candidates by arctan2(|w|, p . q), where
+    # arccos(p . q) would read pi for all of them
     d = cc.image_distance(latitude_circle(32, alpha), latitude_circle(32, np.pi - alpha))
     assert abs(d - (np.pi - 2 * alpha)) <= 1e-12
 
@@ -433,6 +433,17 @@ def test_grid_size_must_be_even_and_at_least_16(P):
         cc.Reparam(th)
 
 
+@pytest.mark.parametrize("make", [shapes.circle, lambda P: shapes.torus_geodesic(P, (1, 1)),
+                                  shapes.great_circle], ids=["plane", "torus", "sphere"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_embedding_rejects_non_finite_samples(make, bad):
+    x = make(64)
+    pts = x.pts.copy()
+    pts[5, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        cc.Embedding(x.space, pts, x.winding)
+
+
 @pytest.mark.parametrize("winding", [(1.5, 0), (1.0, 0.4), (np.nan, 0), (np.inf, 0), (1e20, 0)])
 def test_torus_winding_must_be_integral(winding):
     pts = shapes.torus_geodesic(64, (1, 0)).pts
@@ -440,7 +451,7 @@ def test_torus_winding_must_be_integral(winding):
         cc.Embedding(cc.FlatTorus(2), pts, winding)
 
 
-# the upsampled Taylor evaluation and the cell-list nearest-sample search of image_distance
+# the upsampled Taylor evaluation and the arc-tree nearest-sample search of image_distance
 
 
 @pytest.mark.parametrize("P", [16, 64, 512])
@@ -568,22 +579,8 @@ def _nearest_pair(kind, seed, amplitude):
     return x.space, x.space.reduce(interp_curve(x, t)), interp_curve(y, t)
 
 
-def _dense_rows(mp):
-    """Count the probe rows that reach a dense pairwise_dist scan."""
-    rows = []
-    for cls in (cc.AmbientSpace, cc.Sphere2):
-        dense = cls.pairwise_dist
-
-        def counted(self, p, q, dense=dense):
-            rows.append(len(p))
-            return dense(self, p, q)
-
-        mp.setattr(cls, "pairwise_dist", counted)
-    return rows
-
-
 def _brute_nearest(space, probes, samples):
-    return np.argmin(space.pairwise_dist(probes, samples), axis=1)
+    return np.argmin(space.dist(probes[:, None], samples[None]), axis=1)
 
 
 @pytest.mark.parametrize("kind", ["plane", "space", "torus", "sphere"])
@@ -591,26 +588,52 @@ def _brute_nearest(space, probes, samples):
 @given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.3))
 def test_nearest_matches_brute_force_on_same_image(kind, seed, amplitude):
     space, probes, samples = _nearest_pair(kind, seed, amplitude)
-    with pytest.MonkeyPatch.context() as mp:
-        rows = _dense_rows(mp)
-        near = space.nearest(probes, samples)
-    assert sum(rows) == 0  # every probe certified by its cells
-    np.testing.assert_array_equal(near, _brute_nearest(space, probes, samples))
+    np.testing.assert_array_equal(curve._nearest_samples(space, probes, samples),
+                                  _brute_nearest(space, probes, samples))
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
-@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
-def test_nearest_matches_brute_force_on_distant_curves(seed_x, seed_y):
+def _distinct_pair(kind, seed_x, seed_y):
+    """Reduced points of one curve and lift points of another on the 8P grid, P = 32.
+
+    torus: two (1, 1) geodesics, the first across both seams; antipodal:
+    a latitude circle within 0.1 of the north pole and one within 0.1 of
+    the south pole, down to 1e-9 rad from either.
+    """
+    P = 32
+    rx, ry = np.random.default_rng(seed_x), np.random.default_rng(seed_y)
+    th = fourier.nodes(P)
+    if kind == "plane":
+        x, y = (shapes.random_band_limited(P, seed=s) for s in (seed_x, seed_y))
+    elif kind == "space":
+        x, y = (cc.Embedding(cc.Euclidean(3), np.concatenate(
+            [shapes.random_band_limited(P, seed=s).pts,
+             0.3 * np.sin(2 * th + r.uniform(0, 2 * np.pi))[:, None]], axis=1))
+            for s, r in ((seed_x, rx), (seed_y, ry)))
+    elif kind == "torus":
+        x = shapes.torus_geodesic(P, (1, 1), offset=(0.97, 0.99), wiggle=0.05, seed=seed_x)
+        y = shapes.torus_geodesic(P, (1, 1), offset=ry.uniform(0, 1, 2), wiggle=0.05, seed=seed_y)
+    elif kind == "sphere":
+        x, y = (random_sphere_curve(P, s) for s in (seed_x, seed_y))
+    else:
+        x = latitude_circle(P, 10.0 ** rx.uniform(-9, -1))
+        y = latitude_circle(P, np.pi - 10.0 ** ry.uniform(-9, -1))
+    t = fourier.nodes(curve.PROBES_PER_NODE * P)
+    return x.space, x.space.reduce(interp_curve(x, t)), interp_curve(y, t)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(["plane", "space", "torus", "sphere", "antipodal"]),
+       st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+@example(kind="torus", seed_x=1, seed_y=2)
+@example(kind="sphere", seed_x=1, seed_y=2)
+@example(kind="antipodal", seed_x=1, seed_y=2)
+def test_nearest_matches_brute_force_on_distant_curves(kind, seed_x, seed_y):
+    # the nearest samples of one curve to the probes of another on every
+    # backend, where each probe lies away from the other image
     assume(seed_x != seed_y)
-    t = fourier.nodes(curve.PROBES_PER_NODE * 32)
-    probes = interp_curve(shapes.random_band_limited(32, seed=seed_x), t)
-    samples = interp_curve(shapes.random_band_limited(32, seed=seed_y), t)
-    space = cc.Euclidean(2)
-    with pytest.MonkeyPatch.context() as mp:
-        rows = _dense_rows(mp)
-        near = space.nearest(probes, samples)
-    assert sum(rows) > 0  # probes far from every sample took the dense scan
-    np.testing.assert_array_equal(near, _brute_nearest(space, probes, samples))
+    space, probes, samples = _distinct_pair(kind, seed_x, seed_y)
+    np.testing.assert_array_equal(curve._nearest_samples(space, probes, samples),
+                                  _brute_nearest(space, probes, samples))
 
 
 @pytest.mark.parametrize("alpha", [1e-9, 1e-7])
@@ -621,5 +644,41 @@ def test_nearest_matches_brute_force_near_antipodal(alpha):
     b = interp_curve(latitude_circle(32, np.pi - alpha), t)
     space = cc.Sphere2()
     for probes, samples in ((a, b), (b, a)):
-        np.testing.assert_array_equal(space.nearest(probes, samples),
+        np.testing.assert_array_equal(curve._nearest_samples(space, probes, samples),
                                       _brute_nearest(space, probes, samples))
+
+
+def count_distances(monkeypatch, space):
+    """Hook space.dist to sum the point pairs it is called on; returns the running count."""
+    count = [0]
+    dist = space.dist
+
+    def counted(p, q):
+        count[0] += int(np.prod(np.broadcast_shapes(np.shape(p)[:-1], np.shape(q)[:-1])))
+        return dist(p, q)
+
+    monkeypatch.setattr(space, "dist", counted, raising=False)
+    return count
+
+
+@pytest.mark.parametrize("P", [128, 1024])
+def test_nearest_samples_are_output_sensitive(monkeypatch, P):
+    # each probe's nearest sample on a distinct image from fewer than 256
+    # distances, the chain of the arc radii included, where the dense scan
+    # takes M = 8P: a circle against its 1.05 scaling, two shifted (1, 1)
+    # torus geodesics, and a great circle against its 0.1 rad rotation
+    c, s = np.cos(0.1), np.sin(0.1)
+    turned = shapes.great_circle(P).pts @ np.array([[1, 0, 0], [0, c, -s], [0, s, c]]).T
+    pairs = [(shapes.circle(P), shapes.circle(P, radius=1.05)),
+             (shapes.torus_geodesic(P, (1, 1)),
+              shapes.torus_geodesic(P, (1, 1), offset=(0.1, 0.0))),
+             (shapes.great_circle(P), cc.Embedding(cc.Sphere2(), turned))]
+    t = fourier.nodes(curve.PROBES_PER_NODE * P)
+    for x, y in pairs:
+        space = x.space
+        probes, samples = space.reduce(interp_curve(x, t)), interp_curve(y, t)
+        count = count_distances(monkeypatch, space)
+        near = curve._nearest_samples(space, probes, samples)
+        assert count[0] < 256 * len(probes)
+        if P == 128:
+            np.testing.assert_array_equal(near, _brute_nearest(space, probes, samples))

@@ -226,6 +226,24 @@ def test_spectrum_count(circle64):
     assert np.all(np.diff(vals) >= -1e-12)
 
 
+@pytest.mark.parametrize("k", [2.5, True, np.nan])
+def test_spectrum_rejects_a_non_integral_count(circle64, k):
+    with pytest.raises(ValueError, match="k must be an integer"):
+        cc.spectrum(cc.parse_functional("length"), cc.make_chart(circle64), k)
+
+
+@pytest.mark.parametrize("max_iter", [2.5, True, np.nan, "5"])
+def test_solve_options_reject_a_non_integral_max_iter(max_iter):
+    with pytest.raises(ValueError, match="max_iter must be an integer"):
+        cc.SolveOptions(max_iter=max_iter)
+
+
+def test_solve_options_take_an_integral_max_iter_as_int():
+    for value in (3, 3.0, np.int64(3)):
+        opts = cc.SolveOptions(max_iter=value)
+        assert opts.max_iter == 3 and type(opts.max_iter) is int
+
+
 def test_trace_csv_shape():
     x = shapes.torus_geodesic(64, (1, 0), wiggle=0.03, seed=8)
     _, _, trace = cc.minimize(cc.parse_functional("length"), x,

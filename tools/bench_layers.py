@@ -17,8 +17,14 @@ and the resampling y = x∘phi of x by a seeded diffeomorphism, the pair a
 
 - `illinois_steps`: the closest-point refinement's `_illinois` steps, and
   `illinois_points`, the roots they evaluate summed over those steps;
-- `fallback_probes`: probe rows that reach a dense `pairwise_dist` scan
-  (0 when every nearest sample comes from the cell list).
+- `dists_per_probe`: the distances the nearest-sample search
+  (`curve._nearest_samples`) evaluates per probe, the chain of the arc
+  radii included; null where the checkout has no such function.
+
+`image_distance_distinct`: the same records for P in {64, ..., 1024}
+on pairs of distinct images: a circle against its 1.05 scaling and
+against its translate by (10, 10), two (1, 1) torus geodesics shifted
+by (0.1, 0), and a great circle against its rotation by 0.1 rad.
 
 `second_variation`: for P in {64, 128, 256, 512} it builds a critical
 curve with a known Jacobi spectrum (the unit circle under
@@ -52,14 +58,13 @@ at each `image_distance` curve x, applies a seeded section of sup norm
 
 - `illinois_steps`: the fiber refinement's `_illinois` steps;
 - `pairs_per_node`: the distances the bracket search
-  (`charts._fiber_brackets`) evaluates per node, its (node, arc) tests
-  and leaf samples together; the arc radii, taken once per tree level
-  for all nodes, are not counted;
+  (`charts._fiber_brackets`) evaluates per node, the arc radii, its
+  (node, arc) tests and leaf samples together;
 - `search_s`: the time of the bracket search alone;
 - `dense_s`: the time of the reference scan of `tests/test_charts.py`
-  (`pairwise_dist`, then a second `log` of each in-tube pair) over the
-  same samples, in blocks of DENSE_BLOCK nodes at n = 4P samples (fewer
-  at larger n), so its temporaries stay small;
+  (`dist` on broadcast pairs, then a second `log` of each in-tube
+  pair) over the same samples, in blocks of DENSE_BLOCK nodes at
+  n = 4P samples (fewer at larger n), so its temporaries stay small;
 - `same_brackets`: whether both scans pick the same bracket at every
   node.
 
@@ -76,6 +81,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 import scipy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -88,7 +94,7 @@ import workloads  # noqa: E402
 from curvecharts import curve, functionals, shapes  # noqa: E402
 from curvecharts import charts  # noqa: E402
 from test_charts import dense_fiber_scan, random_section  # noqa: E402
-from test_curve import dense_separation  # noqa: E402
+from test_curve import count_distances, dense_separation  # noqa: E402
 
 GRIDS = (64, 128, 256, 512, 1024)
 HESSIAN_GRIDS = (64, 128, 256, 512)
@@ -147,10 +153,9 @@ def _min_time(fn) -> float:
 
 
 def _counted(x: cc.Embedding, y: cc.Embedding) -> dict:
-    """Run image_distance once with its root steps and dense scans counted."""
-    counts = {"illinois_steps": 0, "illinois_points": 0, "fallback_probes": 0}
-    illinois = curve._illinois
-    dense = {cls: cls.__dict__["pairwise_dist"] for cls in (cc.AmbientSpace, cc.Sphere2)}
+    """Run image_distance once with its root steps and nearest-sample distances counted."""
+    counts = {"illinois_steps": 0, "illinois_points": 0, "pairs": 0, "probes": 0}
+    illinois, nearest = curve._illinois, getattr(curve, "_nearest_samples", None)
 
     def counted_illinois(fun, *args):
         def step(idx, t):
@@ -159,22 +164,23 @@ def _counted(x: cc.Embedding, y: cc.Embedding) -> dict:
             return fun(idx, t)
         return illinois(step, *args)
 
-    def counted_dense(cls):
-        def scan(self, p, q):
-            counts["fallback_probes"] += len(p)
-            return dense[cls](self, p, q)
-        return scan
+    def counted_nearest(space, probes, samples):
+        counts["probes"] += len(probes)
+        with pytest.MonkeyPatch.context() as mp:
+            pairs = count_distances(mp, space)
+            out = nearest(space, probes, samples)
+        counts["pairs"] += pairs[0]
+        return out
 
-    curve._illinois = counted_illinois
-    for cls in dense:
-        setattr(cls, "pairwise_dist", counted_dense(cls))
-    try:
-        counts["image_distance"] = cc.image_distance(x, y)
-    finally:
-        curve._illinois = illinois
-        for cls, fn in dense.items():
-            setattr(cls, "pairwise_dist", fn)
-    return counts
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curve, "_illinois", counted_illinois)
+        if nearest is not None:
+            mp.setattr(curve, "_nearest_samples", counted_nearest)
+        value = cc.image_distance(x, y)
+    return {"illinois_steps": counts["illinois_steps"],
+            "illinois_points": counts["illinois_points"],
+            "dists_per_probe": counts["pairs"] / counts["probes"] if nearest else None,
+            "image_distance": value}
 
 
 def _chords(x: cc.Embedding) -> int:
@@ -196,9 +202,9 @@ def _chords(x: cc.Embedding) -> int:
 
 def _counted_invert(c: cc.Chart, y: cc.Embedding) -> dict:
     """Run chart_invert once counting root steps, then count and check its bracket search."""
-    counts = {"illinois_steps": 0, "pairs": 0}
+    counts = {"illinois_steps": 0}
     args = []
-    illinois, search, arcs = charts._illinois, charts._fiber_brackets, charts._arcs
+    illinois, search = charts._illinois, charts._fiber_brackets
 
     def counted_illinois(fun, *rest):
         def step(idx, t):
@@ -216,24 +222,9 @@ def _counted_invert(c: cc.Chart, y: cc.Embedding) -> dict:
     finally:
         charts._illinois, charts._fiber_brackets = illinois, search
     [(space, p, T, q, rho)] = args
-    dist = space.dist
-
-    def counted_dist(a, b):
-        counts["pairs"] += int(np.prod(np.broadcast_shapes(np.shape(a)[:-1], np.shape(b)[:-1])))
-        return dist(a, b)
-
-    def uncounted_arcs(*a):
-        before = counts["pairs"]
-        out = arcs(*a)
-        counts["pairs"] = before
-        return out
-
-    space.dist, charts._arcs = counted_dist, uncounted_arcs
-    try:
+    with pytest.MonkeyPatch.context() as mp:
+        pairs = count_distances(mp, space)
         k = search(space, p, T, q, rho)[0]
-    finally:
-        del space.dist
-        charts._arcs = arcs
     block = max(1, DENSE_BLOCK * 4 * len(p) // len(q))
 
     def dense():
@@ -241,7 +232,7 @@ def _counted_invert(c: cc.Chart, y: cc.Embedding) -> dict:
                                for i in range(0, len(p), block)])
 
     return {"illinois_steps": counts["illinois_steps"],
-            "pairs_per_node": counts["pairs"] / len(p),
+            "pairs_per_node": pairs[0] / len(p),
             "search_s": _min_time(lambda: search(space, p, T, q, rho)),
             "dense_s": _min_time(dense),
             "same_brackets": bool(np.array_equal(dense(), k))}
@@ -274,6 +265,35 @@ def _image_distance_rows() -> list[dict]:
             rows.append({"backend": name, "P": P, "probes": 2 * curve.PROBES_PER_NODE * P,
                          "time_s": t, **_counted(x, y)})
             print(f"image_distance {name:6s} P={P:5d} {t:.4f} s", file=sys.stderr)
+    return rows
+
+
+def _turned_great_circle(P: int) -> cc.Embedding:
+    c, s = np.cos(0.1), np.sin(0.1)
+    pts = shapes.great_circle(P).pts @ np.array([[1, 0, 0], [0, c, -s], [0, s, c]]).T
+    return cc.Embedding(cc.Sphere2(), pts)
+
+
+# distinct images: pair -> P -> (x, y)
+DISTINCT = {
+    "scaled-circle": lambda P: (shapes.circle(P), shapes.circle(P, radius=1.05)),
+    "translated-circle": lambda P: (shapes.circle(P), cc.Embedding(cc.Euclidean(2),
+                                                                   shapes.circle(P).pts + 10.0)),
+    "shifted-torus": lambda P: (shapes.torus_geodesic(P, (1, 1)),
+                                shapes.torus_geodesic(P, (1, 1), offset=(0.1, 0.0))),
+    "rotated-great-circle": lambda P: (shapes.great_circle(P), _turned_great_circle(P)),
+}
+
+
+def _distinct_rows() -> list[dict]:
+    rows = []
+    for name, make in DISTINCT.items():
+        for P in GRIDS:
+            x, y = make(P)
+            t = _min_time(lambda: cc.image_distance(x, y))
+            rows.append({"pair": name, "P": P, "probes": 2 * curve.PROBES_PER_NODE * P,
+                         "time_s": t, **_counted(x, y)})
+            print(f"image_distance {name:20s} P={P:5d} {t:.4f} s", file=sys.stderr)
     return rows
 
 
@@ -334,6 +354,7 @@ def main() -> int:
         print("usage: python tools/bench_layers.py OUT.json", file=sys.stderr)
         return 2
     rows = _image_distance_rows()
+    distinct = _distinct_rows()
     hess = _second_variation_rows()
     setup = _chart_setup_rows()
     invert = _chart_invert_rows()
@@ -355,6 +376,7 @@ def main() -> int:
         "image_distance": rows,
         "ratio_P1024_over_P256": {name: time_at[name, 1024] / time_at[name, 256]
                                   for name in BACKENDS},
+        "image_distance_distinct": distinct,
         "second_variation": hess,
         "spectrum_ratio_P512_over_P128": {name: spec_at[name, 512] / spec_at[name, 128]
                                           for name in CRITICAL},

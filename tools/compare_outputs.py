@@ -15,6 +15,11 @@ seed.  It records, as JSON in OUT:
   `orbit_rank` the workloads call: their results (or the error);
 - `make_chart` frames and rho of 3-d curves on Euclidean(3) and
   FlatTorus(3), moved by the seed;
+- `image_distance` between distinct images at P = 64 and 256, their
+  offsets drawn from the seed: a circle against a scaling and against a
+  translate of it, two shifted (1, 1) torus geodesics, a great circle
+  against a rotation of it, and latitude circles on S^2 within 1e-2 to
+  1e-9 rad of the north and of the south pole;
 - the exit code, stdout, stderr and written files of each `cli`
   operation, plus a few `validate` runs on non-embeddings and on curves
   whose separation is finite on each backend.
@@ -49,6 +54,7 @@ ROOT = os.getcwd()
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import curvecharts as cc  # noqa: E402
+from curvecharts import shapes  # noqa: E402
 import workloads  # noqa: E402
 
 # extra cli runs: validate reports of non-embeddings, and separations on
@@ -205,6 +211,35 @@ def _frames_3d(rec: Recorder, seed: int):
         rec.add("make_chart", _chart(cc.make_chart(cc.Embedding(cc.FlatTorus(3), pts, w))))
 
 
+def _latitude_circle(P: int, polar: float) -> cc.Embedding:
+    th = cc.fourier.nodes(P)
+    return cc.Embedding(cc.Sphere2(), np.stack([np.sin(polar) * np.cos(th),
+                                                np.sin(polar) * np.sin(th),
+                                                np.full(P, np.cos(polar))], axis=1))
+
+
+def _image_distances(rec: Recorder, seed: int):
+    rng = np.random.default_rng(seed)
+    for P in (64, 256):
+        circle, great = shapes.circle(P), shapes.great_circle(P)
+        angle = rng.uniform(0.05, 0.2)
+        c, s = np.cos(angle), np.sin(angle)
+        pairs = {
+            "scaled-circle": (circle, shapes.circle(P, radius=rng.uniform(1.01, 1.1))),
+            "translated-circle": (circle, cc.Embedding(cc.Euclidean(2),
+                                                       circle.pts + rng.uniform(-10, 10, 2))),
+            "shifted-torus": (shapes.torus_geodesic(P, (1, 1)),
+                              shapes.torus_geodesic(P, (1, 1), offset=rng.uniform(0, 0.2, 2))),
+            "rotated-great-circle": (great, cc.Embedding(cc.Sphere2(), great.pts @ np.array(
+                [[1, 0, 0], [0, c, -s], [0, s, c]]).T)),
+            "antipodal-circles": (_latitude_circle(P, 10.0 ** rng.uniform(-9, -2)),
+                                  _latitude_circle(P, np.pi - 10.0 ** rng.uniform(-9, -2))),
+        }
+        for name, (x, y) in pairs.items():
+            rec.prefix = f"image-distance/seed{seed}/{name}-P{P}"
+            rec.add("image_distance", {"value": cc.image_distance(x, y)})
+
+
 def dump(out: str, seeds: list[int]):
     rec = Recorder()
     with tempfile.TemporaryDirectory() as workdir:
@@ -223,6 +258,7 @@ def dump(out: str, seeds: list[int]):
                     ok = proc.returncode == 0 and check(proc)
                     rec.add("status", {"status": "ok" if ok else "failed", "expect": op.expect})
             _frames_3d(rec, seed)
+            _image_distances(rec, seed)
         for name, make in EXTRA_CURVES.items():
             cc.save_curve(make(), os.path.join(workdir, name))
         for i, argv in enumerate(EXTRA_CLI):
