@@ -7,10 +7,12 @@ stdout carries data only when no --output path is given.
 Exit codes (`_EXIT_CODES`): 0 success, 1 generic failure, 2 bad input
 (curve, flag value, functional string, a functional term the curve's ambient
 does not define, or an --output that cannot be written), 3 non-embedding
-input, 4 curve outside the chart tube, 5 iteration budget exhausted.  A
-minimize run that fails while iterating (a chart re-centering breakdown
-exits 1, a failed line search 5) still writes, given --output, the trace
-up to the failure.
+input, 4 curve outside the chart tube, 5 gradient tolerance not reached
+(the iteration budget ran out, the Newton rounds ended above it, or the
+line search failed).  A minimize run that fails while iterating (a chart
+re-centering breakdown exits 1, a failed line search 5) still writes,
+given --output, the trace up to the failure.  --grid sizes --make
+generators only; given without --make it is bad input.
 """
 
 from __future__ import annotations
@@ -105,6 +107,8 @@ def _parsed(make, *args, **kwargs):
 
 
 def _get_curve(args, flag: str = "curve") -> Embedding:
+    if args.grid is not None and not args.make:
+        raise _InputError("--grid sizes --make generators only; a curve file sets its own grid")
     path = getattr(args, flag)
     if path is not None:
         try:
@@ -224,8 +228,7 @@ def cmd_minimize(args) -> int:
         _write_trace(args.output, trace)
         print(_json_report(report), end="", file=sys.stderr)
     if not trace.converged:
-        print("iteration budget exhausted before reaching the gradient tolerance",
-              file=sys.stderr)
+        print(f"gradient tolerance not reached at iteration {last.iter}", file=sys.stderr)
         return EXIT_MAX_ITER
     return EXIT_OK
 

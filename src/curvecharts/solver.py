@@ -11,9 +11,9 @@ energy's continuous lower bound, and when Newton refinement is on,
 where H^1 leaves a saddle along its unstable dilation mode.  Steps come
 from Armijo backtracking with Barzilai-Borwein trial lengths.  The chart
 is re-centered once the section grows past a fraction of the validity
-radius; optional Newton refinement with kernel-regularized Levenberg
-shift polishes the result, and the spectrum of the second variation is
-reported separately.
+radius; optional Newton refinement polishes the result, dropping the
+components on the isometry-orbit kernel, and the spectrum of the second
+variation is reported separately.
 """
 
 from __future__ import annotations
@@ -53,18 +53,20 @@ ARMIJO_C = 1e-4
 STEP0 = 1.0
 
 
-def _nyquist_complement(P: int, rank: int) -> np.ndarray:
-    """Orthonormal basis of section coefficients with zero Nyquist mode.
+def _nyquist_complement(weights: np.ndarray, rank: int) -> np.ndarray:
+    """Basis E of the Nyquist-free sections, E^T diag(M) E = I for M the weights per coefficient.
 
     The alternating grid mode has zero spectral derivative at the nodes,
     so the discrete second variation misreports it; eigenproblems and
-    Newton systems are posed on its complement.
+    Newton systems are posed on its complement.  Scaled by M^(1/2), one
+    Householder reflection per normal direction maps its alternating
+    vector to node 0; the other reflected axes span the complement.
     """
-    nyq = np.zeros((rank, P * rank))
-    alt = ((-1.0) ** np.arange(P)) / np.sqrt(P)
-    for a in range(rank):
-        nyq[a, a::rank] = alt
-    return scipy.linalg.null_space(nyq)
+    alt = (-1.0) ** np.arange(len(weights)) / np.sqrt(weights)
+    v = np.kron(alt[:, None], np.eye(rank))
+    v[:rank] += np.linalg.norm(alt) * np.eye(rank)
+    H = np.eye(v.shape[0]) - v @ (2.0 * v.T / np.sum(v * v, axis=0)[:, None])
+    return H[:, rank:] / np.sqrt(np.repeat(weights, rank))[:, None]
 
 
 def _drop_nyquist(coeff: np.ndarray) -> np.ndarray:
@@ -158,10 +160,9 @@ def recenter(c: Chart, u: NormalSection) -> tuple[Chart, NormalSection]:
 
 
 def _reduced_hessian(F: Functional, c: Chart):
-    """Nyquist complement E and E^T Q E, E^T M E of the origin's Hessian."""
-    Q = hessian_in_chart(F, c).Q
-    E = _nyquist_complement(c.P, c.rank)
-    return E, E.T @ Q @ E, E.T @ (np.repeat(c.weights, c.rank)[:, None] * E)
+    """L2(ds)-orthonormal Nyquist complement E and the origin's Hessian E^T Q E on it."""
+    E = _nyquist_complement(c.weights, c.rank)
+    return E, E.T @ hessian_in_chart(F, c).Q @ E
 
 
 def newton_refine(F: Functional, c: Chart, u: NormalSection,
@@ -169,16 +170,16 @@ def newton_refine(F: Functional, c: Chart, u: NormalSection,
     """Newton polish of a near-critical section.
 
     Solves the Newton system with the Hessian taken at the chart origin,
-    through its generalized eigendecomposition: components on the
+    through the symmetric eigendecomposition of E^T Q E: components on the
     isometry-orbit kernel (relative magnitude below 1e-8) are dropped,
     all others inverted exactly.  Indefinite Hessians are handled, so
     saddle critical points can be refined as well as minima.
     """
     opts = opts or SolveOptions()
     P, rank = c.P, c.rank
-    E, Qr, Mr = _reduced_hessian(F, c)
+    E, Qr = _reduced_hessian(F, c)
     try:
-        lam, V = scipy.linalg.eigh(Qr, Mr)
+        lam, V = scipy.linalg.eigh(Qr)
     except scipy.linalg.LinAlgError as exc:
         raise SingularSystemError("Hessian eigendecomposition failed") from exc
     scale = float(np.max(np.abs(lam)))
@@ -324,11 +325,11 @@ def _descend(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions,
 
 
 def spectrum(F: Functional, c: Chart, k: int) -> np.ndarray:
-    """k smallest generalized eigenvalues of the chart second variation."""
+    """k smallest eigenvalues of the chart second variation, the symmetric E^T Q E."""
     k = _integer(k, "k")
     if k <= 0:
         return np.empty(0)
-    _, Qr, Mr = _reduced_hessian(F, c)
+    _, Qr = _reduced_hessian(F, c)
     k = min(k, Qr.shape[0])
-    vals = scipy.linalg.eigh(Qr, Mr, subset_by_index=[0, k - 1], eigvals_only=True)
+    vals = scipy.linalg.eigh(Qr, subset_by_index=[0, k - 1], eigvals_only=True)
     return np.asarray(vals)

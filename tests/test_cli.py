@@ -157,6 +157,19 @@ def test_minimize_budget_exhausted_exit_5():
     assert r.returncode == 5
     rep = json.loads(r.stdout)
     assert rep["converged"] is False
+    assert r.stderr == "gradient tolerance not reached at iteration 1\n"
+
+
+def test_minimize_newton_rounds_unconverged_exit_5():
+    # five Newton rounds end above a tolerance at roundoff, long before the
+    # budget; the message names where the run stopped, not a spent budget
+    r = run_cli("minimize", "--make", "perturbed-circle:p=64,seed=6",
+                "--functional", "length-1.0*area", "--newton", "--newton-threshold", "0.05",
+                "--tol", "1e-15", "--max-iter", "3000")
+    assert r.returncode == 5
+    rep = json.loads(r.stdout)
+    assert rep["converged"] is False and rep["iterations"] < 100
+    assert r.stderr == f"gradient tolerance not reached at iteration {rep['iterations']}\n"
 
 
 def test_minimize_chart_breakdown_exit_1_keeps_trace(tmp_path):
@@ -461,6 +474,21 @@ def test_each_command_computes_separation_once(monkeypatch, tmp_path, argv, code
 def test_grid_given_twice_exit_2_with_one_line():
     # p= in --make and --grid both set the grid size; neither silently wins
     r = run_cli("validate", "--make", "circle:p=32", "--grid", "64")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--curve", "{ellipse}"],
+    ["validate", "--curve", "{ellipse}"],
+    ["roundtrip", "--center", "{ellipse}", "--curve", "{ellipse}"],
+], ids=["spectrum", "validate", "roundtrip"])
+def test_grid_without_make_exit_2_with_one_line(tmp_path, ellipse128, argv):
+    # a curve file sets its own grid; --grid sizes --make generators only
+    path = tmp_path / "ellipse128.json"
+    cc.save_curve(ellipse128, str(path))
+    r = run_cli(*[a.format(ellipse=path) for a in argv], "--grid", "32")
     assert r.returncode == 2
     assert r.stdout == ""
     assert len(r.stderr.splitlines()) == 1

@@ -1,7 +1,9 @@
 import itertools
+import types
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -224,6 +226,102 @@ def test_spectrum_count(circle64):
     vals = cc.spectrum(cc.parse_functional("length"), cc.make_chart(circle64), 4)
     assert vals.shape == (4,)
     assert np.all(np.diff(vals) >= -1e-12)
+
+
+def _nyquist_modes(P, rank):
+    """(rank, P * rank): row a is the alternating grid mode of normal direction a."""
+    alt = np.zeros((rank, P * rank))
+    for a in range(rank):
+        alt[a, a::rank] = (-1.0) ** np.arange(P)
+    return alt
+
+
+def _tilted_circle(P):
+    th = fourier.nodes(P)
+    pts = np.stack([np.cos(th), np.sin(th), 0.3 * np.sin(3 * th)], axis=1)
+    return cc.Embedding(cc.Sphere2(), pts / np.linalg.norm(pts, axis=1, keepdims=True))
+
+
+def _space_curve(P):
+    th = fourier.nodes(P)
+    return cc.Embedding(cc.Euclidean(3), np.stack(
+        [2.0 * np.cos(th), np.sin(th), 0.3 * np.sin(3 * th)], axis=1))
+
+
+@pytest.mark.parametrize("make", [shapes.ellipse, _tilted_circle, _space_curve],
+                         ids=["plane", "sphere", "euclidean3"])
+@pytest.mark.parametrize("P", [16, 96, 512])
+def test_nyquist_complement_is_weight_orthonormal(make, P):
+    # E spans the sections with no alternating mode in any normal
+    # direction, and is orthonormal in the chart's weights, to roundoff;
+    # the weights are not uniform on any of these curves
+    c = cc.make_chart(make(P))
+    rank, n = c.rank, P * c.rank
+    E = solver._nyquist_complement(c.weights, rank)
+    assert E.shape == (n, n - rank)
+    eps = np.finfo(float).eps
+    gram = E.T @ (np.repeat(c.weights, rank)[:, None] * E)
+    assert np.max(np.abs(gram - np.eye(n - rank))) <= 4 * eps * np.sqrt(n)
+    assert np.max(np.abs(_nyquist_modes(P, rank) @ E)) <= 4 * eps * np.sqrt(n) * np.max(np.abs(E))
+
+
+@pytest.fixture
+def generalized_reduction(monkeypatch):
+    """The solver on the reduction it replaced: a Euclidean-orthonormal
+    Nyquist complement from `scipy.linalg.null_space`, the reduced mass
+    matrix E^T M E and the generalized `eigh(Qr, Mr)`."""
+    mass = []
+
+    def reduced(F, c):
+        E = scipy.linalg.null_space(_nyquist_modes(c.P, c.rank))
+        mass.append(E.T @ (np.repeat(c.weights, c.rank)[:, None] * E))
+        return E, E.T @ cc.hessian_in_chart(F, c).Q @ E
+
+    def eigh(Qr, **kw):
+        return scipy.linalg.eigh(Qr, mass[-1], **kw)
+
+    monkeypatch.setattr(solver, "_reduced_hessian", reduced)
+    monkeypatch.setattr(solver, "scipy", types.SimpleNamespace(linalg=types.SimpleNamespace(
+        eigh=eigh, LinAlgError=scipy.linalg.LinAlgError)))
+
+
+@pytest.mark.parametrize("make, functional, k, s", [
+    (lambda: shapes.circle(128), "length-1.0*area", 6, 1),
+    (lambda: shapes.great_circle(96), "length", 5, 1),
+    (lambda: shapes.torus_geodesic(64, (1, 0)), "length", 3, 1),
+    (lambda: shapes.circle(128), "bend", 5, 2),
+    (lambda: shapes.great_circle(16), "bend", 5, 2),
+    (lambda: shapes.great_circle(24), "bend", 5, 2),
+], ids=["circle-length-area", "great-circle-length", "torus-length", "circle-bend",
+        "great-circle16-bend", "great-circle24-bend"])
+def test_spectrum_matches_the_generalized_reduction(request, make, functional, k, s):
+    # the standard problem on the weight-orthonormal basis has the
+    # eigenvalues of the generalized one, within the dense path's
+    # roundoff floor: eps times the largest spectral multiplier (P/2)^(2s)
+    # of an order-2s operator, times the eigenvalues' scale, times 8
+    x = make()
+    F, c = cc.parse_functional(functional), cc.make_chart(x)
+    vals = cc.spectrum(F, c, k)
+    request.getfixturevalue("generalized_reduction")
+    want = cc.spectrum(F, c, k)
+    floor = 8.0 * np.finfo(float).eps * (x.P / 2) ** (2 * s) * np.max(np.abs(want))
+    assert np.max(np.abs(vals - want)) <= floor
+
+
+def test_newton_refine_matches_the_generalized_reduction(request):
+    # a chart at a perturbed circle is not at a critical point, so Newton
+    # takes several steps off its origin; both reductions land on the same
+    # section and meet the tolerance
+    F = cc.parse_functional("length-1.0*area")
+    c = cc.make_chart(shapes.perturbed_circle(64, amplitude=0.03, seed=3))
+    u0 = cc.NormalSection.zero(64, 1)
+    u = cc.newton_refine(F, c, u0)
+    request.getfixturevalue("generalized_reduction")
+    want = cc.newton_refine(F, c, u0)
+    assert np.max(np.abs(want.coeff)) > 0.01
+    assert np.max(np.abs(u.coeff - want.coeff)) <= 1e-10 * np.max(np.abs(want.coeff))
+    for v in (u, want):
+        assert cc.grad_norm(c, cc.gradient_in_chart(F, c, v)) <= cc.SolveOptions().grad_tol
 
 
 @pytest.mark.parametrize("k", [2.5, True, np.nan])
