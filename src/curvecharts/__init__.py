@@ -68,6 +68,7 @@ from .functionals import (
     is_critical,
     parse_functional,
     restriction_matrix,
+    value_and_gradient,
 )
 from .solver import (
     SolveOptions,

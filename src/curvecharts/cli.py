@@ -290,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=500)
     p.add_argument("--newton", action="store_true", help="finish with Newton refinement")
     p.add_argument("--newton-threshold", type=float, default=1e-3,
-                   help="gradient norm at which Newton refinement starts")
+                   help="mean-free gradient norm at which Newton refinement starts")
     p.set_defaults(func=cmd_minimize)
 
     p = sub.add_parser("spectrum", parents=[inputs], help="lowest second-variation eigenvalues")

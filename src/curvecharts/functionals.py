@@ -86,7 +86,7 @@ def _check_area_support(F: Functional, space: AmbientSpace):
 
 def evaluate(F: Functional, x: Embedding) -> float:
     """Value of the functional on a discrete curve (spectral quadrature)."""
-    return float(_value(F, x.space, x.pts, x.drift))
+    return float(_value(F, x.space, x.pts, *_derivatives(F, x.space, x.pts, x.drift)))
 
 
 def _derivatives(F: Functional, space: AmbientSpace, pts: np.ndarray, drift: np.ndarray):
@@ -103,9 +103,8 @@ def _derivatives(F: Functional, space: AmbientSpace, pts: np.ndarray, drift: np.
     return a + drift, b
 
 
-def _value(F: Functional, space: AmbientSpace, pts: np.ndarray, drift: np.ndarray):
-    """`evaluate` on one (P, coord_dim) curve, real or complex."""
-    a, b = _derivatives(F, space, pts, drift)
+def _value(F: Functional, space: AmbientSpace, pts: np.ndarray, a: np.ndarray, b):
+    """`evaluate` on one (P, coord_dim) curve, real or complex, given `_derivatives` a, b."""
     d = space.project_tangent(pts, a)
     w = np.sqrt(np.sum(d * d, axis=-1)) * (2.0 * np.pi / pts.shape[0])
     total = 0.0
@@ -127,8 +126,12 @@ def _value(F: Functional, space: AmbientSpace, pts: np.ndarray, drift: np.ndarra
 
 
 def _grad_pts(F: Functional, space: AmbientSpace, pts: np.ndarray,
-              drift: np.ndarray) -> np.ndarray:
-    """Sum of the analytic sample-point gradients of the terms, shapes as `_derivatives`."""
+              drift: np.ndarray, value: bool = False):
+    """Sum of the analytic sample-point gradients of the terms, shapes as `_derivatives`.
+
+    With value, pts is one (P, coord_dim) curve and the pair (f,
+    gradient) is returned, f its value from the same derivatives.
+    """
     a, b = _derivatives(F, space, pts, drift)
     out = np.zeros_like(pts)
     for kind, coef in F.terms:
@@ -141,7 +144,7 @@ def _grad_pts(F: Functional, space: AmbientSpace, pts: np.ndarray,
         else:
             g = space.bending_gradient(pts, a, b)
         out = out + coef * g
-    return out
+    return (_value(F, space, pts, a, b), out) if value else out
 
 
 # ---------------------------------------------------------------------------
@@ -149,23 +152,27 @@ def _grad_pts(F: Functional, space: AmbientSpace, pts: np.ndarray,
 
 
 def _pullback_gradient(F: Functional, c: Chart, coeff: np.ndarray,
-                       basis: np.ndarray) -> np.ndarray:
+                       basis: np.ndarray, value: bool = False):
     """L2(ds) gradient of coeff -> evaluate(F, exp_x(sum_a coeff^a basis^a)).
 
     coeff has shape (P, ..., dim) for a basis of shape (dim, P,
     coord_dim): batch axes between nodes and directions give one gradient
     per index, of coeff's shape.  The closed-form sample-point gradient
-    of each image curve is pulled back through d exp at each node.
+    of each image curve is pulled back through d exp at each node.  With
+    value, coeff has shape (P, dim) and the pair (f, gradient) is
+    returned, f the value on the image curve.
     """
     x = c.center
     batch = (1,) * (coeff.ndim - 2)
     W = np.einsum("i...a,aid->i...d", coeff, basis)
     _check_radius(c, W)
     p = x.pts.reshape((c.P,) + batch + (-1,))
-    gp = _grad_pts(F, x.space, x.space.exp(p, W), x.drift)
+    out = _grad_pts(F, x.space, x.space.exp(p, W), x.drift, value)
+    f, gp = out if value else (None, out)
     D = x.space.dexp(p, W, basis.reshape(basis.shape[:2] + batch + basis.shape[2:]))
     G = np.einsum("ai...d,i...d->i...a", D, gp)
-    return G / c.weights.reshape((c.P,) + batch + (1,))
+    G = G / c.weights.reshape((c.P,) + batch + (1,))
+    return (f, G) if value else G
 
 
 def gradient_in_chart(F: Functional, c: Chart, u: NormalSection) -> NormalSection:
@@ -178,10 +185,21 @@ def gradient_in_chart(F: Functional, c: Chart, u: NormalSection) -> NormalSectio
     return NormalSection(_pullback_gradient(F, c, u.coeff, c.frame))
 
 
+def value_and_gradient(F: Functional, c: Chart, coeff: np.ndarray) -> tuple[float, NormalSection]:
+    """`evaluate(F, chart_apply(c, u))` and `gradient_in_chart(F, c, u)` for u of coefficients coeff.
+
+    One exponential map and one spectral differentiation of the image
+    curve serve both; each result equals its separate call bit for bit.
+    """
+    f, G = _pullback_gradient(F, c, np.asarray(coeff, dtype=float), c.frame, value=True)
+    return float(f), NormalSection(G)
+
+
 def first_variation(F: Functional, x: Embedding, V) -> float:
     """dF_x[V] = Im F(exp_x(i h V)) / h for a full section V of x^*(TN), shape (P, coord_dim)."""
     V = _full_section(make_chart(x), V)
-    return float(_value(F, x.space, x.space.exp(x.pts, 1j * _STEP * V), x.drift).imag / _STEP)
+    y = x.space.exp(x.pts, 1j * _STEP * V)
+    return float(_value(F, x.space, y, *_derivatives(F, x.space, y, x.drift)).imag / _STEP)
 
 
 def grad_norm(c: Chart, g: NormalSection) -> float:

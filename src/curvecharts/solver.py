@@ -7,13 +7,22 @@ modes.  s = 1 for length/area functionals, which removes the k^2
 stiffness of their Hessians, so the iteration count does not grow with
 the grid size P.  s = 0 (plain L2(ds) descent) when the functional has
 a bending term, where H^1 is slower than L2(ds) and H^2 ends below the
-energy's continuous lower bound, and when Newton refinement is on,
-where H^1 leaves a saddle along its unstable dilation mode.  Steps come
-from Armijo backtracking with Barzilai-Borwein trial lengths.  The chart
-is re-centered once the section grows past a fraction of the validity
-radius; optional Newton refinement polishes the result, dropping the
-components on the isometry-orbit kernel, and the spectrum of the second
-variation is reported separately.
+energy's continuous lower bound.  Steps come from Armijo backtracking
+with Barzilai-Borwein trial lengths; each trial costs one fused value
+and gradient, and the accepted trial's gradient serves the next
+iterate.  The chart is re-centered once the section grows past a
+fraction of the validity radius.
+
+Newton refinement finds saddles as well as minima.  With it on, the
+descent takes each frame component's weighted mean out of K_s g, as
+Sobolev active contours treat the mean mode apart (Sundaramoorthi,
+Yezzi & Mennucci, IJCV 2007): that mean is the unstable dilation of a
+critical circle and the latitude shift of a great circle, along which
+plain H^1 descent leaves the saddle.  Once the mean-free gradient is
+small, Newton rounds alternate `newton_refine`, which drops the
+components on the isometry-orbit kernel, with re-centering, until a
+round begins on a chart re-centered at an already-critical curve.  The
+spectrum of the second variation is reported separately.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ from .errors import (
     ProjectionFailedError,
     SingularSystemError,
 )
-from .functionals import Functional, evaluate, grad_norm, gradient_in_chart, hessian_in_chart
+from .functionals import Functional, grad_norm, hessian_in_chart, value_and_gradient
 
 # slack for the monotone-trace invariant: re-centering re-represents the
 # curve with a truncated center, which may move f by roundoff
@@ -51,6 +60,8 @@ RECENTER_FRACTION = 0.5
 # Armijo sufficient-decrease constant and the first trial step
 ARMIJO_C = 1e-4
 STEP0 = 1.0
+# Newton rounds in a row after which the solver stops short of the tolerance
+NEWTON_ROUNDS = 5
 
 
 def _nyquist_complement(weights: np.ndarray, rank: int) -> np.ndarray:
@@ -82,9 +93,16 @@ def _drop_nyquist(coeff: np.ndarray) -> np.ndarray:
     return coeff - alt[:, None] * comp
 
 
-def _filtered_gradient(F: Functional, c: Chart, u: NormalSection) -> NormalSection:
-    g = gradient_in_chart(F, c, u)
-    return NormalSection(_drop_nyquist(g.coeff))
+def _value_and_filtered_gradient(F: Functional, c: Chart,
+                                 u: NormalSection) -> tuple[float, NormalSection]:
+    """F's value at u and its chart gradient without the alternating Nyquist mode."""
+    f, g = value_and_gradient(F, c, u.coeff)
+    return f, NormalSection(_drop_nyquist(g.coeff))
+
+
+def _mean_free(c: Chart, a: np.ndarray) -> np.ndarray:
+    """(P, rank) coefficients a without each frame component's weighted mean."""
+    return a - np.sum(a * c.weights[:, None], axis=0) / np.sum(c.weights)
 
 
 def _inner(c: Chart, a: np.ndarray, b: np.ndarray) -> float:
@@ -97,7 +115,7 @@ class SolveOptions:
     max_iter: int = 500
     grad_tol: float = 1e-8
     newton: bool = False
-    newton_threshold: float = 1e-3  # gradient norm below which Newton takes over
+    newton_threshold: float = 1e-3  # mean-free gradient norm below which Newton takes over
 
     def __post_init__(self):
         object.__setattr__(self, "max_iter", _integer(self.max_iter, "max_iter"))
@@ -173,24 +191,27 @@ def newton_refine(F: Functional, c: Chart, u: NormalSection,
     through the symmetric eigendecomposition of E^T Q E: components on the
     isometry-orbit kernel (relative magnitude below 1e-8) are dropped,
     all others inverted exactly.  Indefinite Hessians are handled, so
-    saddle critical points can be refined as well as minima.
+    saddle critical points can be refined as well as minima.  A section
+    that already meets the tolerance is returned as it is, without a
+    Hessian.
     """
     opts = opts or SolveOptions()
     P, rank = c.P, c.rank
-    E, Qr = _reduced_hessian(F, c)
-    try:
-        lam, V = scipy.linalg.eigh(Qr)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularSystemError("Hessian eigendecomposition failed") from exc
-    scale = float(np.max(np.abs(lam)))
-    live = np.abs(lam) > 1e-8 * max(scale, 1e-300)
-    if not np.any(live):
-        raise SingularSystemError("Hessian vanishes beyond the kernel tolerance")
-    current = u
+    current, lam = u, None
     for _ in range(30):
-        g = _filtered_gradient(F, c, current)
+        _, g = _value_and_filtered_gradient(F, c, current)
         if grad_norm(c, g) <= opts.grad_tol:
             return current
+        if lam is None:
+            E, Qr = _reduced_hessian(F, c)
+            try:
+                lam, V = scipy.linalg.eigh(Qr)
+            except scipy.linalg.LinAlgError as exc:
+                raise SingularSystemError("Hessian eigendecomposition failed") from exc
+            scale = float(np.max(np.abs(lam)))
+            live = np.abs(lam) > 1e-8 * max(scale, 1e-300)
+            if not np.any(live):
+                raise SingularSystemError("Hessian vanishes beyond the kernel tolerance")
         comp = V.T @ (E.T @ (g.coeff * c.weights[:, None]).ravel())
         a = np.zeros_like(comp)
         a[live] = -comp[live] / lam[live]
@@ -234,69 +255,64 @@ def minimize(F: Functional, x0: Embedding, opts: SolveOptions | None = None
 
 def _descend(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions,
              trace: SolveTrace) -> tuple[Chart, NormalSection, SolveTrace]:
-    """The iteration loop of `minimize`, recording into trace; one evaluation of f per iterate."""
+    """The iteration loop of `minimize`, recording into trace; one value_and_gradient per trial."""
     # order of the descent metric H^s; the module docstring says why
-    s = 0 if opts.newton or F.coefficient("bend") != 0.0 else 1
+    s = 0 if F.coefficient("bend") != 0.0 else 1
+
+    def metric(c: Chart, v: np.ndarray) -> np.ndarray:
+        # K_s v in the arclength of c's center; mean-free in Newton mode
+        d = fourier.sobolev_inverse(v, float(np.sum(c.weights)), s)
+        return _mean_free(c, d) if opts.newton else d
+
     last_step = 0.0
     did_recenter = False
     prev_u = prev_g = None
     newton_gate = max(opts.newton_threshold, 10.0 * opts.grad_tol)
+    rounds = 0
+    f, g = _value_and_filtered_gradient(F, c, u)
 
     for it in range(opts.max_iter + 1):
-        # an accepted Armijo step carries its f forward; a new chart needs f afresh
-        if it == 0 or did_recenter:
-            f = evaluate(F, chart_apply(c, u))
-        g = _filtered_gradient(F, c, u)
         gn = grad_norm(c, g)
         trace.records.append(TraceRecord(it, f, gn, last_step, did_recenter))
-        did_recenter = False
         if gn <= opts.grad_tol:
             trace.converged = True
             return c, u, trace
-        if it == opts.max_iter:
+        if it == opts.max_iter or rounds == NEWTON_ROUNDS:
             break
-        if opts.newton and gn <= newton_gate:
-            # refresh the chart between refinement rounds so the orbit
-            # kernel of the frozen Hessian tightens as the center
-            # approaches the critical shape
-            failed = False
-            for round_ in range(5):
+        free = grad_norm(c, NormalSection(_mean_free(c, g.coeff))) if opts.newton else np.inf
+        if free <= newton_gate:
+            # a Newton round refines on a chart re-centered at the curve
+            # and re-centers at the result, so the next record tells
+            # whether the curve is critical at a fresh chart's origin
+            if not did_recenter:
                 c, u = recenter(c, u)
-                prev_u = prev_g = None
-                try:
-                    u = newton_refine(F, c, u, opts)
-                except OutsideDomainError:
-                    # quadratic model not trusted yet; resume descent
-                    # and retry Newton once the gradient is 10x smaller
-                    newton_gate = gn / 10.0
-                    did_recenter = True
-                    failed = True
-                    break
-                g = _filtered_gradient(F, c, u)
-                gn = grad_norm(c, g)
-                f = evaluate(F, chart_apply(c, u))
-                trace.records.append(TraceRecord(it + 1 + round_, f, gn, 0.0, True))
-                if gn <= opts.grad_tol:
-                    break
-            if failed:
-                continue
-            trace.converged = gn <= opts.grad_tol
-            return c, u, trace
+            try:
+                u = newton_refine(F, c, u, opts)
+            except OutsideDomainError:
+                # quadratic model not trusted yet; descend on and retry
+                # Newton once the mean-free gradient is 10x smaller
+                newton_gate = free / 10.0
+            else:
+                c, u = recenter(c, u)
+                rounds += 1
+            f, g = _value_and_filtered_gradient(F, c, u)
+            prev_u = prev_g = None
+            last_step, did_recenter = 0.0, True
+            continue
 
         # Armijo backtracking along d = K_s g, the gradient in the H^s
-        # metric of the center's arclength (L the center's length); the
-        # predicted decrease is <g, d>_w.  The trial step is the
-        # Barzilai-Borwein secant estimate in the same metric,
-        # <du, dg>_w / <dg, K_s dg>_w, which copes with the k^2 stiffness
-        # of length-type Hessians that s = 0 leaves in place
-        L = float(np.sum(c.weights))
-        d = fourier.sobolev_inverse(g.coeff, L, s)
+        # metric of the center's arclength; the predicted decrease is
+        # <g, d>_w.  The trial step is the Barzilai-Borwein secant
+        # estimate in the same metric, <du, dg>_w / <dg, K_s dg>_w, which
+        # copes with the k^2 stiffness of length-type Hessians that s = 0
+        # leaves in place
+        d = metric(c, g.coeff)
         slope = _inner(c, g.coeff, d)
         step = STEP0
         if prev_u is not None:
             du = u.coeff - prev_u
             dg = g.coeff - prev_g
-            denom = _inner(c, dg, fourier.sobolev_inverse(dg, L, s))
+            denom = _inner(c, dg, metric(c, dg))
             if denom > 0.0:
                 step = float(np.clip(abs(_inner(c, du, dg)) / denom, 1e-8, 10.0))
         accepted = None
@@ -306,7 +322,7 @@ def _descend(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions,
         while step >= 1e-12:
             cand = NormalSection(u.coeff - step * d)
             if cand.sup_norm < c.rho:
-                f_cand = evaluate(F, chart_apply(c, cand))
+                f_cand, g_cand = _value_and_filtered_gradient(F, c, cand)
                 if f_cand <= f - ARMIJO_C * step * slope + slack:
                     accepted = cand
                     break
@@ -314,12 +330,13 @@ def _descend(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions,
         if accepted is None:
             raise LineSearchFailedError("no Armijo step above the minimum step length")
         prev_u, prev_g = u.coeff, g.coeff
-        u, f = accepted, f_cand
-        last_step = step
-        if u.sup_norm > RECENTER_FRACTION * c.rho:
+        u, f, g = accepted, f_cand, g_cand
+        last_step, rounds = step, 0
+        did_recenter = u.sup_norm > RECENTER_FRACTION * c.rho
+        if did_recenter:
             c, u = recenter(c, u)
             prev_u = prev_g = None
-            did_recenter = True
+            f, g = _value_and_filtered_gradient(F, c, u)
 
     return c, u, trace
 

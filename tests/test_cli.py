@@ -151,6 +151,19 @@ def test_minimize_circle_newton(tmp_path):
     assert np.max(np.abs(cc.curvature(y) - 1.0)) <= 1e-6
 
 
+def test_minimize_circle_newton_default_threshold():
+    # the mean-free H^1 descent reaches the default Newton gate; plain
+    # L2(ds) descent broke the chart on the way (exit 1)
+    r = run_cli("minimize", "--make", "perturbed-circle:amplitude=0.1,seed=6",
+                "--grid", "128", "--functional", "length-1.0*area", "--newton",
+                "--tol", "1e-10", "--max-iter", "3000")
+    assert r.returncode == 0
+    rep = json.loads(r.stdout)
+    assert rep["converged"] is True and rep["grad_norm"] <= 1e-10
+    y = cc.files.curve_from_dict(rep["curve"])
+    assert np.max(np.abs(cc.curvature(y) - 1.0)) <= 1e-6
+
+
 def test_minimize_budget_exhausted_exit_5():
     r = run_cli("minimize", "--make", "torus-geodesic:wx=1,wy=0,wiggle=0.08,seed=2",
                 "--grid", "64", "--functional", "length", "--max-iter", "1")
@@ -190,7 +203,8 @@ def test_minimize_chart_breakdown_exit_1_keeps_trace(tmp_path):
 def test_minimize_line_search_failure_exit_5_keeps_trace(tmp_path, monkeypatch):
     # an f that grows with every evaluation admits no Armijo step
     counter = itertools.count()
-    monkeypatch.setattr(solver, "evaluate", lambda F, x: float(next(counter)))
+    monkeypatch.setattr(solver, "value_and_gradient", lambda F, c, coeff: (
+        float(next(counter)), cc.value_and_gradient(F, c, coeff)[1]))
     out = tmp_path / "stuck.json"
     r = run_cli("minimize", "--make", "perturbed-circle:amplitude=0.1,seed=0",
                 "--grid", "64", "--output", str(out))

@@ -331,6 +331,45 @@ def test_batched_gradient_equals_loop(backend, rng):
             _pullback_gradient(F, c, stack, basis)
 
 
+def _space_curve(P):
+    th = fourier.nodes(P)
+    return cc.Embedding(cc.Euclidean(3), np.stack(
+        [2.0 * np.cos(th), np.sin(th), 0.3 * np.sin(3 * th)], axis=1))
+
+
+# backend -> chart center
+FUSED_CENTERS = {
+    "plane": lambda: shapes.perturbed_circle(64, amplitude=0.06, seed=0),
+    "euclidean3": lambda: _space_curve(64),
+    "torus": lambda: shapes.torus_geodesic(64, (1, 1), wiggle=0.05, seed=1),
+    "sphere": lambda: tilted_great_circle(64),
+}
+
+
+# length - area only in the plane, the one backend with a signed area
+@pytest.mark.parametrize("backend, functional", [
+    (backend, functional) for backend in FUSED_CENTERS
+    for functional in ("length", "length-1.0*area", "length+0.5*bend")
+    if backend == "plane" or "area" not in functional])
+def test_value_and_gradient_equals_the_separate_calls(backend, functional, rng):
+    # one exponential and one transform give evaluate and gradient_in_chart
+    # bit for bit, at the zero section and at a nonzero one
+    F, c = cc.parse_functional(functional), cc.make_chart(FUSED_CENTERS[backend]())
+    coeff = 0.2 * c.rho / np.sqrt(c.rank) * fourier.truncate(
+        rng.uniform(-1.0, 1.0, (c.P, c.rank)), 4)
+    assert np.max(np.abs(coeff)) > 0.0
+    for u in (cc.NormalSection.zero(c.P, c.rank), cc.NormalSection(coeff)):
+        f, g = cc.value_and_gradient(F, c, u.coeff)
+        assert type(f) is float and f == cc.evaluate(F, cc.chart_apply(c, u))
+        assert np.array_equal(g.coeff, cc.gradient_in_chart(F, c, u).coeff)
+
+
+def test_value_and_gradient_rejects_sections_past_the_chart_radius(circle64):
+    c = cc.make_chart(circle64)
+    with pytest.raises(OutsideDomainError):
+        cc.value_and_gradient(cc.parse_functional("length"), c, np.full((64, 1), 1.01 * c.rho))
+
+
 @pytest.mark.parametrize("order", [1, 2, (1, 2)], ids=["first", "second", "both"])
 @pytest.mark.parametrize("shape", [(32, 2), (32, 5, 3)], ids=["curve", "batched"])
 def test_complex_diff_is_real_and_imaginary_parts(order, shape, rng):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import curvecharts as cc
-from curvecharts import fourier, shapes, solver
+from curvecharts import fourier, functionals, shapes, solver
 from curvecharts.errors import (
     ChartBreakdownError,
     LineSearchFailedError,
@@ -95,6 +95,80 @@ def test_minimize_circle_saddle_constant_curvature():
     assert np.max(np.abs(kappa - 1.0)) <= 1e-6
 
 
+NEWTON_CIRCLE = cc.SolveOptions(max_iter=3000, grad_tol=1e-10, newton=True,
+                                newton_threshold=0.05)
+
+
+def _newton_circle(x):
+    # the critical circle of length - area, within test_06's curvature bound
+    c, u, trace = cc.minimize(cc.parse_functional("length-1.0*area"), x, NEWTON_CIRCLE)
+    assert trace.converged
+    assert np.max(np.abs(cc.curvature(cc.chart_apply(c, u)) - 1.0)) <= 1e-6
+    return trace
+
+
+@pytest.mark.parametrize("P", [64, 128, 256])
+def test_newton_circle_iterations_independent_of_P(P):
+    # the mean-free H^1 descent reaches the Newton gate in a few steps at
+    # every P; plain L2(ds) descent took 29/76/146 iterations here
+    trace = _newton_circle(shapes.perturbed_circle(P, 0.1, seed=6))
+    assert len(trace.records) - 1 <= 10
+
+
+@pytest.mark.parametrize("P", [64, 128, 256])
+def test_newton_great_circle_iterations_independent_of_P(P):
+    # the weighted mean of the normal coefficient is the latitude shift,
+    # the unstable mode of a great circle under length
+    c, u, trace = cc.minimize(cc.parse_functional("length"), _tilted_circle(P, 0.05),
+                              cc.SolveOptions(max_iter=2000, newton=True))
+    assert trace.converged and len(trace.records) - 1 <= 10
+    assert abs(cc.length(cc.chart_apply(c, u)) - 2.0 * np.pi) <= 1e-5
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.floats(0.05, 0.3), st.integers(0, 2**32 - 1))
+def test_newton_circle_property(amplitude, seed):
+    trace = _newton_circle(shapes.perturbed_circle(64, amplitude, seed=seed))
+    assert len(trace.records) - 1 <= 10
+
+
+@pytest.mark.parametrize("radius", [0.8, 1.3, 2.0])
+def test_newton_circle_from_a_scaled_start(radius):
+    # Newton takes the dilation the mean-free descent leaves alone; plain
+    # L2(ds) descent broke the chart from each of these starts
+    trace = _newton_circle(shapes.perturbed_circle(64, 0.05, seed=1, radius=radius))
+    assert len(trace.records) - 1 <= 10
+
+
+def test_failed_newton_round_descends_before_the_next(monkeypatch):
+    # from radius 0.5 the critical circle lies outside every chart the
+    # descent reaches, so Newton leaves the domain; the gate then waits for
+    # a 10x smaller mean-free gradient, where it retried at once and spent
+    # one Hessian per iteration (28 in 30)
+    calls = []
+    refine = solver.newton_refine
+    monkeypatch.setattr(solver, "newton_refine", lambda *a: calls.append(1) or refine(*a))
+    x = shapes.perturbed_circle(64, 0.05, seed=1, radius=0.5)
+    _, _, trace = cc.minimize(cc.parse_functional("length-1.0*area"), x,
+                              cc.SolveOptions(max_iter=30, grad_tol=1e-10, newton=True,
+                                              newton_threshold=0.05))
+    assert not trace.converged and len(trace.records) == 31
+    assert 1 <= len(calls) <= 6
+
+
+@pytest.mark.parametrize("P, seed", [(64, 6), (64, 7), (128, 7), (256, 7)])
+def test_newton_rounds_end_on_a_recentered_critical_chart(P, seed):
+    # the rounds stop at a chart re-centered at an already-critical curve,
+    # so one more re-centering finds the result critical too; a result
+    # critical only in the chart of its last Newton step read gradients of
+    # 1e-10 to 1.4e-8 here
+    F = cc.parse_functional("length-1.0*area")
+    c, u, trace = cc.minimize(F, shapes.perturbed_circle(P, 0.1, seed=seed), NEWTON_CIRCLE)
+    assert trace.converged and trace.records[-1].recenter
+    c2, u2 = cc.recenter(c, u)
+    assert cc.grad_norm(c2, cc.gradient_in_chart(F, c2, u2)) <= NEWTON_CIRCLE.grad_tol
+
+
 def test_minimize_chart_independent(rng):
     # same geometric problem started from two reparameterizations of one curve
     F = cc.parse_functional("length")
@@ -154,7 +228,8 @@ def test_minimize_recenter_failure_is_chart_breakdown():
 def test_minimize_line_search_failure_carries_trace(monkeypatch):
     # an f that grows with every evaluation admits no Armijo step
     counter = itertools.count()
-    monkeypatch.setattr(solver, "evaluate", lambda F, x: float(next(counter)))
+    monkeypatch.setattr(solver, "value_and_gradient", lambda F, c, coeff: (
+        float(next(counter)), cc.value_and_gradient(F, c, coeff)[1]))
     with pytest.raises(LineSearchFailedError) as info:
         cc.minimize(cc.parse_functional("length"), shapes.perturbed_circle(64, 0.1, seed=0))
     trace = info.value.trace
@@ -177,6 +252,19 @@ def test_newton_refine_fixed_point_at_critical(torus_geo64):
     c = cc.make_chart(torus_geo64)
     u = cc.newton_refine(F, c, cc.NormalSection.zero(64, 1))
     assert np.max(np.abs(u.coeff)) <= 1e-10
+
+
+def test_newton_refine_builds_no_hessian_at_a_critical_section(torus_geo64, monkeypatch):
+    calls = []
+    hessian = solver.hessian_in_chart
+    monkeypatch.setattr(solver, "hessian_in_chart", lambda F, c: calls.append(1) or hessian(F, c))
+    F, c = cc.parse_functional("length"), cc.make_chart(torus_geo64)
+    u = cc.NormalSection.zero(64, 1)
+    assert cc.newton_refine(F, c, u) is u
+    assert calls == []
+    th = fourier.nodes(64)
+    cc.newton_refine(F, c, cc.NormalSection((1e-3 * np.cos(2 * th))[:, None]))
+    assert calls == [1]
 
 
 def test_newton_refine_contracts_gradient():
@@ -236,9 +324,9 @@ def _nyquist_modes(P, rank):
     return alt
 
 
-def _tilted_circle(P):
+def _tilted_circle(P, eps=0.3):
     th = fourier.nodes(P)
-    pts = np.stack([np.cos(th), np.sin(th), 0.3 * np.sin(3 * th)], axis=1)
+    pts = np.stack([np.cos(th), np.sin(th), eps * np.sin(3 * th)], axis=1)
     return cc.Embedding(cc.Sphere2(), pts / np.linalg.norm(pts, axis=1, keepdims=True))
 
 
@@ -355,17 +443,30 @@ def test_trace_csv_shape():
 
 
 def test_descent_evaluates_f_once_per_iterate(monkeypatch):
-    # an accepted Armijo step carries its trial value forward, so the
-    # descent spends one evaluation per iterate, not two
-    calls = []
+    # each Armijo trial is one fused value and gradient, and an accepted
+    # trial carries both forward: no section is evaluated twice, and the
+    # loop makes no separate evaluate or gradient_in_chart call
+    calls, separate = [], []
 
-    def counted(F, y):
-        calls.append(y)
-        return cc.evaluate(F, y)
+    def counted(F, c, coeff):
+        out = cc.value_and_gradient(F, c, coeff)
+        calls.append((coeff.copy(), out[0]))
+        return out
 
-    monkeypatch.setattr(solver, "evaluate", counted)
+    monkeypatch.setattr(solver, "value_and_gradient", counted)
+    for module in (solver, functionals):
+        for name in ("evaluate", "gradient_in_chart"):
+            monkeypatch.setattr(module, name, lambda *a, name=name: separate.append(name),
+                                raising=False)
     x = shapes.torus_geodesic(64, (1, 0), wiggle=0.05, seed=1)
-    _, _, trace = cc.minimize(cc.parse_functional("length"), x, cc.SolveOptions(max_iter=2000))
+    _, u, trace = cc.minimize(cc.parse_functional("length"), x, cc.SolveOptions(max_iter=2000))
     assert trace.converged
     assert not any(r.recenter for r in trace.records)
-    assert len(calls) < 2 * (len(trace.records) - 1)
+    assert separate == []
+    # the first call is at the start, every later one is a trial of some
+    # iterate's line search, and the last trial is the result
+    coeffs = [a for a, _ in calls]
+    assert len(calls) >= len(trace.records)
+    assert not any(np.array_equal(a, b) for i, a in enumerate(coeffs) for b in coeffs[:i])
+    assert calls[0][1] == trace.records[0].f and calls[-1][1] == trace.records[-1].f
+    assert np.array_equal(coeffs[-1], u.coeff)

@@ -1,6 +1,8 @@
 """Time library layers across grid sizes on the plane, the flat torus and S^2.
 
-    python tools/bench_layers.py OUT.json
+    python tools/bench_layers.py OUT.json [SECTION ...]
+
+Runs the named sections (the keys of SECTIONS), or all of them.
 
 Imports `src/curvecharts` of the checkout that holds this script, and
 the analytic spectra of `perfbench/workloads.py` and the speed probe of
@@ -37,6 +39,28 @@ length) and records the times of `hessian_in_chart` and of
   `hessian_in_chart` makes;
 - `eig_error`: the largest distance of the computed eigenvalues from
   the analytic ones.
+
+`reduction_and_eigh`: for the same critical curves and grids, the time
+of the reduction E^T Q E and its `eigh` on one fixed Hessian Q, timed on
+their own (`n` is the reduced size).
+
+`descent`: `minimize` on the two Newton-mode problems of the `descent`
+workload (`circle-newton`: `perturbed_circle(P, 0.1, seed=6)` under
+length - area; `sphere-length-newton`: the tilted great circle under
+length) for P in {64, 128, 256, 512}, and on `bend-length-budget` at
+P=64, unmoved.  Each row holds the iterations, re-centerings, status
+and oracle error, the time, and from one further, counted run the calls
+the solver makes to `evaluate`, `gradient_in_chart`,
+`value_and_gradient` (null where the checkout has no such function) and
+`hessian_in_chart`, and `ffts`, the forward and inverse real FFTs of the
+whole run.
+
+`iterate_cost`: the per-iterate cost of the descent's function calls at
+a seeded section of sup norm 0.2 rho, on each backend's curve of
+`image_distance` and P in {64, 128, 256, 512}: `separate_s`, the time of
+`evaluate(F, chart_apply(c, u))` plus `gradient_in_chart(F, c, u)`, and
+`fused_s`, that of `value_and_gradient(F, c, u.coeff)`, each the mean of
+a block of INNER calls, with the FFTs of one call of each.
 
 `chart_setup`: for P in {64, 128, 256, 512, 1024} it records the times
 of `separation` and `make_chart` on a perturbed circle, the (1, 1) and
@@ -91,7 +115,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench"),
 import curvecharts as cc  # noqa: E402
 import speed  # noqa: E402
 import workloads  # noqa: E402
-from curvecharts import curve, functionals, shapes  # noqa: E402
+from curvecharts import curve, functionals, shapes, solver  # noqa: E402
 from curvecharts import charts  # noqa: E402
 from test_charts import dense_fiber_scan, random_section  # noqa: E402
 from test_curve import count_distances, dense_separation  # noqa: E402
@@ -99,6 +123,8 @@ from test_curve import count_distances, dense_separation  # noqa: E402
 GRIDS = (64, 128, 256, 512, 1024)
 HESSIAN_GRIDS = (64, 128, 256, 512)
 REPEATS = 3
+# calls per timed block of `iterate_cost`
+INNER = 20
 # nodes per block of the dense reference fiber scan at 4P samples
 DENSE_BLOCK = 64
 
@@ -255,6 +281,116 @@ def _gradient_calls(F: cc.Functional, c: cc.Chart) -> int:
     return count[0]
 
 
+def _reduction_rows() -> list[dict]:
+    rows = []
+    for name, (make, F, _) in CRITICAL.items():
+        for P in HESSIAN_GRIDS:
+            c = cc.make_chart(make(P))
+            Q = cc.hessian_in_chart(F, c).Q
+            E = solver._nyquist_complement(c.weights, c.rank)
+            row = {"backend": name, "P": P, "n": E.shape[1],
+                   "time_s": _min_time(lambda: scipy.linalg.eigh(E.T @ Q @ E))}
+            rows.append(row)
+            print(f"reduction and eigh {name:6s} P={P:4d} {row['time_s']:.4f} s", file=sys.stderr)
+    return rows
+
+
+# solver-module functions whose calls `descent` counts, where they exist
+SOLVER_CALLS = ("evaluate", "gradient_in_chart", "value_and_gradient", "hessian_in_chart")
+
+
+def _counted_call(fn, fn_names=SOLVER_CALLS):
+    """fn() once, counting the calls to the named solver functions and numpy's real FFTs.
+
+    Returns (result, counts); a name the solver module lacks counts None.
+    """
+    counts = {name: 0 if hasattr(solver, name) else None for name in fn_names}
+    counts["ffts"] = 0
+    sites = [(solver, name, name) for name in fn_names if hasattr(solver, name)]
+    sites += [(np.fft, "rfft", "ffts"), (np.fft, "irfft", "ffts")]
+    undo = []
+    try:
+        for owner, attr, key in sites:
+            orig = getattr(owner, attr)
+
+            def counted(*args, _fn=orig, _key=key, **kw):
+                counts[_key] += 1
+                return _fn(*args, **kw)
+
+            undo.append((owner, attr, orig))
+            setattr(owner, attr, counted)
+        return fn(), counts
+    finally:
+        for owner, attr, orig in undo:
+            setattr(owner, attr, orig)
+
+
+# descent problem -> (grids, functional, start at P, options, oracle error of the result)
+DESCENT = {
+    "circle-newton": (
+        HESSIAN_GRIDS, workloads.CIRCLE, lambda P: shapes.perturbed_circle(P, 0.1, seed=6),
+        cc.SolveOptions(max_iter=3000, grad_tol=1e-10, newton=True, newton_threshold=0.05),
+        lambda y: float(np.max(np.abs(cc.curvature(y) - 1.0)))),
+    "sphere-length-newton": (
+        HESSIAN_GRIDS, workloads.LENGTH, lambda P: workloads._tilted_great_circle(P, 0.05),
+        cc.SolveOptions(max_iter=2000, newton=True),
+        lambda y: abs(cc.length(y) - 2.0 * np.pi)),
+    "bend-length-budget": (
+        (64,), workloads.BEND_LENGTH, lambda P: shapes.perturbed_circle(P, 0.1, seed=3),
+        cc.SolveOptions(max_iter=workloads.BEND_LENGTH_BUDGET),
+        lambda y: cc.evaluate(workloads.BEND_LENGTH, y) - 4.0 * np.pi),
+}
+
+
+def _descent_rows() -> list[dict]:
+    rows = []
+    for name, (grids, F, make, opts, error) in DESCENT.items():
+        for P in grids:
+            x0 = make(P)
+            (c, u, trace), counts = _counted_call(lambda: cc.minimize(F, x0, opts))
+            iters = len(trace.records) - 1
+            rows.append({"problem": name, "P": P,
+                         "status": "converged" if trace.converged else "unconverged",
+                         "iterations": iters, "recenters": sum(r.recenter for r in trace.records),
+                         "error": error(cc.chart_apply(c, u)),
+                         "time_s": _min_time(lambda: cc.minimize(F, x0, opts)), **counts,
+                         "ffts_per_iter": counts["ffts"] / iters})
+            print(f"descent {name:20s} P={P:4d} {iters:4d} iterations {rows[-1]['time_s']:.4f} s",
+                  file=sys.stderr)
+    return rows
+
+
+def _iterate_cost_rows() -> list[dict]:
+    rows = []
+    fused = getattr(functionals, "value_and_gradient", None)
+    for name, make in BACKENDS.items():
+        for functional in ("length", "length-1.0*area", "length+0.5*bend"):
+            F = cc.parse_functional(functional)
+            if F.coefficient("area") != 0.0 and name != "plane":
+                continue
+            for P in HESSIAN_GRIDS:
+                c = cc.make_chart(make(P))
+                u = random_section(c, np.random.default_rng(P), 0.2 * c.rho)
+
+                def separate():
+                    return cc.evaluate(F, cc.chart_apply(c, u)), cc.gradient_in_chart(F, c, u)
+
+                row = {"backend": name, "functional": functional, "P": P,
+                       "separate_s": _min_time(lambda: [separate() for _ in range(INNER)]) / INNER,
+                       "separate_ffts": _counted_call(separate, ())[1]["ffts"],
+                       "fused_s": None, "fused_ffts": None}
+                if fused is not None:
+                    row["fused_s"] = _min_time(
+                        lambda: [fused(F, c, u.coeff) for _ in range(INNER)]) / INNER
+                    row["fused_ffts"] = _counted_call(lambda: fused(F, c, u.coeff), ())[1]["ffts"]
+                rows.append(row)
+                print(f"iterate cost {name:6s} {functional:16s} P={P:4d}"
+                      f" separate {row['separate_s'] * 1e3:.3f} ms fused "
+                      f"{'-' if row['fused_s'] is None else format(row['fused_s'] * 1e3, '.3f')} ms",
+                      file=sys.stderr)
+    return rows
+
+
 def _image_distance_rows() -> list[dict]:
     rows = []
     for name, make in BACKENDS.items():
@@ -349,19 +485,32 @@ def _second_variation_rows() -> list[dict]:
     return rows
 
 
+SECTIONS = {
+    "image_distance": _image_distance_rows,
+    "image_distance_distinct": _distinct_rows,
+    "second_variation": _second_variation_rows,
+    "reduction_and_eigh": _reduction_rows,
+    "chart_setup": _chart_setup_rows,
+    "chart_invert": _chart_invert_rows,
+    "descent": _descent_rows,
+    "iterate_cost": _iterate_cost_rows,
+}
+
+# ratio -> (section, timed field, backends, larger P, smaller P)
+RATIOS = {
+    "ratio_P1024_over_P256": ("image_distance", "time_s", BACKENDS, 1024, 256),
+    "spectrum_ratio_P512_over_P128": ("second_variation", "spectrum_s", CRITICAL, 512, 128),
+    "separation_ratio_P1024_over_P256": ("chart_setup", "separation_s", SETUP, 1024, 256),
+    "chart_invert_ratio_P1024_over_P256": ("chart_invert", "time_s", BACKENDS, 1024, 256),
+}
+
+
 def main() -> int:
-    if len(sys.argv) != 2:
-        print("usage: python tools/bench_layers.py OUT.json", file=sys.stderr)
+    names = sys.argv[2:] or list(SECTIONS)
+    if len(sys.argv) < 2 or not set(names) <= set(SECTIONS):
+        print("usage: python tools/bench_layers.py OUT.json [SECTION ...], sections "
+              + ", ".join(SECTIONS), file=sys.stderr)
         return 2
-    rows = _image_distance_rows()
-    distinct = _distinct_rows()
-    hess = _second_variation_rows()
-    setup = _chart_setup_rows()
-    invert = _chart_invert_rows()
-    sep_at = {(r["backend"], r["P"]): r["separation_s"] for r in setup}
-    time_at = {(r["backend"], r["P"]): r["time_s"] for r in rows}
-    spec_at = {(r["backend"], r["P"]): r["spectrum_s"] for r in hess}
-    inv_at = {(r["backend"], r["P"]): r["time_s"] for r in invert}
     record = {
         "machine": {"platform": platform.platform(), "processor": platform.processor(),
                     "cpus": os.cpu_count(),
@@ -373,20 +522,13 @@ def main() -> int:
         "timing": ("minimum over the repeats of wall time divided by perfbench speed.factor"
                    " of the probes before and after the call (seconds at the reference speed)"),
         "ref_probe_s": speed.REF_PROBE_S,
-        "image_distance": rows,
-        "ratio_P1024_over_P256": {name: time_at[name, 1024] / time_at[name, 256]
-                                  for name in BACKENDS},
-        "image_distance_distinct": distinct,
-        "second_variation": hess,
-        "spectrum_ratio_P512_over_P128": {name: spec_at[name, 512] / spec_at[name, 128]
-                                          for name in CRITICAL},
-        "chart_setup": setup,
-        "separation_ratio_P1024_over_P256": {name: sep_at[name, 1024] / sep_at[name, 256]
-                                             for name in SETUP},
-        "chart_invert": invert,
-        "chart_invert_ratio_P1024_over_P256": {name: inv_at[name, 1024] / inv_at[name, 256]
-                                               for name in BACKENDS},
     }
+    for name in names:
+        record[name] = SECTIONS[name]()
+    for ratio, (section, field, backends, big, small) in RATIOS.items():
+        if section in record:
+            at = {(r["backend"], r["P"]): r[field] for r in record[section]}
+            record[ratio] = {b: at[b, big] / at[b, small] for b in backends}
     with open(sys.argv[1], "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
