@@ -9,7 +9,7 @@ Everything the other layers need to know about the ambient lives here.
 The base class holds the flat behaviour (affine exp, coordinate axes as
 tangent basis, intrinsic coordinates); a backend overrides only what
 differs.  The gradient-path methods (`exp`, `dexp`, `project_tangent`,
-`curvature`, `length_gradient`, `bending_gradient`) take complex arrays
+`length_gradient`, `bending_energy`, `bending_gradient`) take complex arrays
 for complex-step derivatives, so they are complex-analytic: no
 `np.linalg.norm` (norms are sqrt(v.v)), no `abs`, no float casts and no
 ordered comparisons on values.
@@ -44,6 +44,11 @@ def _arc(ds: np.ndarray, L: float) -> np.ndarray:
     """Along-curve distance of nodes whose arclengths differ by ds on a loop of length L."""
     arc = np.abs(ds)
     return np.minimum(arc, L - arc)
+
+
+def _distinct_strands(chord: np.ndarray, arc: np.ndarray) -> np.ndarray:
+    """Pairs on distinct strands: chord below the round-arc bound (2/pi) * arc; inf across strands."""
+    return chord < (2.0 / np.pi) * arc
 
 
 def _transport(t_prev: np.ndarray, t_cur: np.ndarray, nu_prev: np.ndarray) -> np.ndarray:
@@ -100,6 +105,11 @@ class AmbientSpace:
 
     def dist(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         return self.norm(p, self.log(p, q))
+
+    def dist_and_log(self, p: np.ndarray, q: np.ndarray):
+        """dist(p, q) and log_p q; where `log` would raise CutLocusError, a zero log on that row."""
+        v = self.log(p, q)
+        return self.norm(p, v), v
 
     def fiber_may_cross(self, p: np.ndarray, T: np.ndarray, m: np.ndarray, r) -> np.ndarray:
         """Whether a point within r of m may lie on the fiber g = 0 of node p, unit tangent T.
@@ -181,6 +191,11 @@ class AmbientSpace:
         w = np.cross(a, b)
         return np.sqrt(np.sum(w * w, axis=-1)) / v**3
 
+    def bending_energy(self, pts: np.ndarray, a: np.ndarray, b: np.ndarray):
+        """Discrete bending energy (2 pi/P) sum k^2 |x'|, k the plane or space-curve curvature."""
+        w = np.sqrt(np.sum(a * a, axis=-1)) * (2.0 * np.pi / pts.shape[0])
+        return np.sum(AmbientSpace.curvature(self, pts, a, b) ** 2 * w)
+
     def length_gradient(self, pts: np.ndarray, a: np.ndarray) -> np.ndarray:
         """Gradient of the discrete length with respect to the sample points."""
         T = a / np.sqrt(np.sum(a * a, axis=-1, keepdims=True))
@@ -203,16 +218,14 @@ class AmbientSpace:
         return -fourier.diff(dEda, 1) + fourier.diff(dEdb, 2)
 
     def strand_chords(self, pts: np.ndarray, winding, s: np.ndarray, L: float,
-                      i: np.ndarray, j: np.ndarray, admissible) -> float:
-        """Smallest chord between nodes i and j of a closed curve that `admissible` accepts.
+                      i: np.ndarray, j: np.ndarray) -> float:
+        """Smallest chord between nodes i and j of a closed curve on distinct strands.
 
-        s is the cumulative arclength at the nodes and L the length.
-        admissible(chord, arc) masks the chords to count, given the
-        along-curve distance arc of each pair (infinite for pairs on
-        different strands).  Returns inf when it accepts none.
+        s is the cumulative arclength at the nodes and L the length; the
+        pairs are those `_distinct_strands` accepts.  Returns inf if none.
         """
         chord = self.dist(np.take(pts, i, axis=0), np.take(pts, j, axis=0))
-        ok = admissible(chord, _arc(np.take(s, i) - np.take(s, j), L))
+        ok = _distinct_strands(chord, _arc(np.take(s, i) - np.take(s, j), L))
         return float(np.min(chord, initial=np.inf, where=ok))
 
     def to_spec(self) -> dict:
@@ -302,13 +315,13 @@ class FlatTorus(AmbientSpace):
         v = self.log(p, m)
         return (np.abs(self.inner(p, v, T)) <= r) | (self.norm(p, v) + r >= 0.5)
 
-    def strand_chords(self, pts, winding, s, L, i, j, admissible):
-        """Smallest admissible chord from node i to a nearby lattice translate of node j.
+    def strand_chords(self, pts, winding, s, L, i, j):
+        """Smallest distinct-strand chord from node i to a nearby lattice translate of node j.
 
         The translates are k + sh, where k = rint(d) is the nearest one to
         the difference d of the pair and sh runs over {-1, 0, 1}^n, nearest
         first.  A shift is evaluated only on pairs whose lower bound
-        max_c |(d - k - sh)_c| lies below the smallest admissible chord
+        max_c |(d - k - sh)_c| lies below the smallest distinct-strand chord
         found so far; every skipped chord is at least that large, so the
         minimum is that of all 3^n translates.  (d - k is exact, so the
         bound is formed from the same rounded components as the chord,
@@ -339,7 +352,7 @@ class FlatTorus(AmbientSpace):
             same = (rem == 0) & np.all(ki == m * winding[:, None], axis=0)
             dr = np.take(ds, rows)
             arc = np.where(m == 0, _arc(dr, L), np.abs(dr - m * L))
-            ok = admissible(chord, np.where(same, arc, np.inf))
+            ok = _distinct_strands(chord, np.where(same, arc, np.inf))
             best = min(best, float(np.min(chord, initial=np.inf, where=ok)))
         return best
 
@@ -402,11 +415,17 @@ class Sphere2(AmbientSpace):
         return np.arctan2(nw, cosang), w, nw
 
     def log(self, p, q):
-        ang, w, nw = self._polar(p, q)
+        ang, v = self.dist_and_log(p, q)
         if np.any(ang > np.pi - self._antipodal_tol):
             raise CutLocusError("log undefined near antipodal points on sphere2")
-        scale = np.where(nw > 0.0, ang / np.where(nw == 0.0, 1.0, nw), 0.0)
-        return scale[..., None] * w
+        return v
+
+    def dist_and_log(self, p, q):
+        """The angle, and log_p q: zero within _antipodal_tol of antipodal."""
+        ang, w, nw = self._polar(p, q)
+        ok = (nw > 0.0) & (ang <= np.pi - self._antipodal_tol)
+        scale = np.where(ok, ang / np.where(nw == 0.0, 1.0, nw), 0.0)
+        return ang, scale[..., None] * w
 
     def dist(self, p, q):
         return self._polar(p, q)[0]
@@ -428,7 +447,7 @@ class Sphere2(AmbientSpace):
         return np.arctan2(1.0, kmax)
 
     def curvature(self, pts, a, b):
-        """Signed geodesic curvature with respect to the normal p x T."""
+        """Signed geodesic curvature with respect to the normal p x T; for reporting only."""
         d = self.project_tangent(pts, a)
         sp = np.sqrt(np.sum(d * d, axis=-1))
         T = d / sp[..., None]
@@ -444,25 +463,11 @@ class Sphere2(AmbientSpace):
         T = T / np.sqrt(np.sum(T * T, axis=-1, keepdims=True))
         return (2.0 * np.pi / pts.shape[0]) * (-fourier.diff(T, 1) - ya * T)
 
-    def bending_gradient(self, pts, a, b):
-        """Ambient R^3 gradient of the discrete bending energy; meaningful against tangent vectors.
+    def bending_energy(self, pts, a, b):
+        """(2 pi/P) sum (k^2 - 1) |x'|, k the space-curve curvature: on S^2, k^2 = k_g^2 + 1."""
+        return super().bending_energy(pts, a, b) - np.sum(
+            np.sqrt(np.sum(a * a, axis=-1)) * (2.0 * np.pi / pts.shape[0]))
 
-        With d = a - (p.a) p, T = d/|d|, nu = p x T and geodesic curvature
-        k = (D T).nu / |d|, the energy is (2 pi/P) sum k^2 |d|.  The adjoint
-        runs back through the spectral derivative D, which is antisymmetric
-        under the plain sum inner product, and through the projection.
-        """
-        s = 2.0 * np.pi / pts.shape[0]
-        ya = np.sum(pts * a, axis=-1, keepdims=True)
-        d = a - ya * pts
-        n = np.sqrt(np.sum(d * d, axis=-1, keepdims=True))
-        T = d / n
-        U = fourier.diff(T)
-        nu = np.cross(pts, T)
-        k = np.sum(U * nu, axis=-1, keepdims=True) / n
-        # adjoints, back from k through (U, nu), T and d to (a, p)
-        cb = 2.0 * s * k
-        Tb = np.cross(cb * U, pts) - fourier.diff(cb * nu)
-        db = (Tb - np.sum(Tb * T, axis=-1, keepdims=True) * T) / n - s * k**2 * T
-        pd = np.sum(db * pts, axis=-1, keepdims=True)
-        return cb * np.cross(T, U) - pd * a - ya * db - fourier.diff(db - pd * pts)
+    def bending_gradient(self, pts, a, b):
+        """Ambient R^3 gradient of `bending_energy`: the space curve's less its length's."""
+        return super().bending_gradient(pts, a, b) - super().length_gradient(pts, a)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fourier
 from .ambient import AmbientSpace
-from .errors import CutLocusError, NonMonotoneError
+from .errors import NonMonotoneError
 
 MIN_SPEED = 1e-8
 MIN_SEPARATION = 1e-8
@@ -199,23 +199,19 @@ def curvature(x: Embedding) -> np.ndarray:
     return x.space.curvature(x.pts, d1 + x.drift, d2)
 
 
-def _distinct_strands(chord: np.ndarray, arc: np.ndarray) -> np.ndarray:
-    """Pairs on distinct strands: chord below the round-arc bound (2/pi) * arc."""
-    return chord < (2.0 / np.pi) * arc
-
-
 def separation(x: Embedding) -> float:
     """Smallest distance between genuinely distinct strands of the curve.
 
     Each node pair i < j more than MIN_GAP indices apart both ways round
     is searched once: the chord and the test are symmetric in the pair.
     Pairs whose chord is comparable to their along-curve arclength
-    (chord >= (2/pi) * arc, the round-arc bound) are treated as
-    same-strand and excluded.  Torus curves also compare against lattice
-    translates, where offsets off the winding line are always admissible;
-    `AmbientSpace.strand_chords` skips every (pair, translate) whose
-    coordinate-wise lower bound already reaches the smallest admissible
-    chord found, so the result equals that of all 3^n nearby translates.
+    (chord >= (2/pi) * arc, the round-arc bound of
+    `ambient._distinct_strands`) are treated as same-strand and excluded.
+    Torus curves also compare against lattice translates, where offsets
+    off the winding line are always admissible; `AmbientSpace.strand_chords`
+    skips every (pair, translate) whose coordinate-wise lower bound already
+    reaches the smallest admissible chord found, so the result equals that
+    of all 3^n nearby translates.
     Returns +inf when no admissible pair exists; near zero for
     self-intersecting curves.
     """
@@ -224,8 +220,7 @@ def separation(x: Embedding) -> float:
     s = np.concatenate(([0.0], np.cumsum(w)))[:-1]
     i, j = np.triu_indices(P, MIN_GAP + 1)
     keep = j - i < P - MIN_GAP
-    return x.space.strand_chords(x.pts, x.winding, s, float(np.sum(w)), i[keep], j[keep],
-                                 _distinct_strands)
+    return x.space.strand_chords(x.pts, x.winding, s, float(np.sum(w)), i[keep], j[keep])
 
 
 def is_immersion(x: Embedding) -> bool:
@@ -316,21 +311,6 @@ def _invert_monotone(slope: float, c: np.ndarray, targets: np.ndarray) -> np.nda
 
     flo, fhi = fun(slice(None), lo), fun(slice(None), hi)
     return _illinois(fun, lo, hi, flo, fhi, np.where(np.abs(flo) < np.abs(fhi), lo, hi))
-
-
-def _dist_and_log(space: AmbientSpace, p: np.ndarray, q: np.ndarray):
-    """dist(p, q) and log_p q; the log is zero on rows where q is in the cut locus of p."""
-    try:
-        v = space.log(p, q)
-    except CutLocusError:
-        v = np.zeros_like(q)
-        for i in range(len(p)):
-            try:
-                v[i] = space.log(p[i], q[i])
-            except CutLocusError:
-                pass
-        return space.dist(p, q), v
-    return space.norm(p, v), v
 
 
 def _derivative_grids(x: Embedding, M: int) -> np.ndarray:
@@ -446,7 +426,7 @@ def _directed_hausdorff(space: AmbientSpace, probes: np.ndarray, grids: np.ndarr
     def dist_and_slope(p, y, dy):
         # the unretracted derivative serves: log_y p is tangent at y, and on
         # S^2 it differs from Y' by a positive factor only
-        dist, v = _dist_and_log(space, y, p)
+        dist, v = space.dist_and_log(y, p)
         return dist, np.sum(v * dy, axis=1)
 
     ends = np.concatenate([(near - 1) % M, near, (near + 1) % M])

@@ -1,10 +1,13 @@
 """Parameterization-invariant functionals and their variations in charts.
 
 Supported terms: curve length, signed enclosed area (planar only), and
-bending energy (integral of squared curvature).  Gradients are exact
-derivatives of the discrete functionals: the ambient space supplies the
-sample-point gradient of each term in closed form on every backend,
-which is pulled back through the differential of its exponential map.
+bending energy (integral of squared curvature; on S^2 of the geodesic
+curvature).  The ambient space supplies the bending energy's value
+(`AmbientSpace.bending_energy`) and the sample-point gradient of each
+term, in closed form on every backend; on S^2 both are the space
+curve's less its length's, as k^2 = k_g^2 + 1 on the unit sphere.
+Gradients are exact derivatives of the discrete functionals, pulled
+back through the differential of the exponential map.
 Both variations are complex steps, df[e] = Im f(x + i h e) / h (Squire &
 Trapp, SIAM Rev. 1998), exact to roundoff for any tiny h as nothing is
 subtracted: the first variation steps the value, independently of the
@@ -117,7 +120,7 @@ def _value(F: Functional, space: AmbientSpace, pts: np.ndarray, a: np.ndarray, b
             total = total + coef * 0.5 * (2.0 * np.pi / pts.shape[0]) * np.sum(
                 pts[:, 0] * d[:, 1] - pts[:, 1] * d[:, 0])
         else:
-            total = total + coef * np.sum(space.curvature(pts, a, b) ** 2 * w)
+            total = total + coef * space.bending_energy(pts, a, b)
     return total
 
 

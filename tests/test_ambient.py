@@ -74,6 +74,33 @@ def test_log_sphere_antipodal_cut_locus():
         Sphere2().log(np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("space", [Euclidean(2), Euclidean(3), FlatTorus(2), FlatTorus(3),
+                                   Sphere2()], ids=repr)
+def test_dist_and_log_rows_equal_row_by_row_calls(space, rng):
+    # every row is computed alone: an antipodal row elsewhere in the batch
+    # changes neither the distance formula nor the log of the others
+    p = rng.standard_normal((12, space.coord_dim))
+    q = rng.standard_normal((12, space.coord_dim))
+    if space.kind == "sphere2":
+        p /= np.linalg.norm(p, axis=1, keepdims=True)
+        v = space.project_tangent(p, rng.standard_normal((12, 3)))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        # antipodal, within and just beyond _antipodal_tol of it, then generic
+        r = np.concatenate([[np.pi, np.pi - 1e-10, np.pi - 1e-6], rng.uniform(0.0, 3.0, 9)])
+        q = space.exp(p, r[:, None] * v)
+    dist, log = space.dist_and_log(p, q)
+    for i in range(len(p)):
+        d_i, log_i = space.dist_and_log(p[i], q[i])
+        assert d_i == dist[i] and np.array_equal(log_i, log[i])
+    np.testing.assert_array_equal(dist, space.dist(p, q))
+    ok = slice(2, None) if space.kind == "sphere2" else slice(None)
+    np.testing.assert_array_equal(log[ok], space.log(p[ok], q[ok]))
+    if space.kind == "sphere2":
+        assert not np.any(log[:2]) and np.any(log[2])
+        with pytest.raises(CutLocusError):
+            space.log(p, q)
+
+
 def test_injectivity_radii():
     assert Euclidean(3).injectivity_radius == np.inf
     assert FlatTorus(2).injectivity_radius == 0.5

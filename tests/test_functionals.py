@@ -50,6 +50,17 @@ def test_bending_energy_circles():
         assert val == pytest.approx(quad, abs=1e-8)
 
 
+@pytest.mark.parametrize("polar", [0.3, 0.8, 1.2, 1.5])
+def test_bending_energy_sphere_latitudes(polar):
+    # oracle: a circle of latitude at polar angle t0 has geodesic curvature
+    # cos t0 / sin t0 and length 2 pi sin t0, so bend = 2 pi cos^2 t0 / sin t0
+    th = cc.fourier.nodes(32)
+    pts = np.stack([np.sin(polar) * np.cos(th), np.sin(polar) * np.sin(th),
+                    np.full(32, np.cos(polar))], axis=1)
+    val = cc.evaluate(cc.parse_functional("bend"), cc.Embedding(Sphere2(), pts))
+    assert val == pytest.approx(2 * np.pi * np.cos(polar) ** 2 / np.sin(polar), rel=0, abs=1e-12)
+
+
 def test_area_unsupported_off_plane(great_circle96):
     with pytest.raises(UnsupportedAmbientError):
         cc.evaluate(cc.parse_functional("area"), great_circle96)
@@ -231,7 +242,7 @@ def test_full_gradient_sphere_bend_matches_central_differences(rng):
         np.testing.assert_allclose(g, fd, rtol=0, atol=1e-7 * np.max(np.abs(fd)))
 
 
-@pytest.mark.parametrize("P", [16, 24, 64])
+@pytest.mark.parametrize("P", [16, 24, 64, 128, 256])
 def test_bend_spectrum_great_circle(P):
     # oracle: the second variation of the elastic energy at a great circle
     # has eigenvalues 2 (k^2 - 1)^2 on the Fourier modes k of the normal section

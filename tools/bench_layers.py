@@ -30,8 +30,8 @@ by (0.1, 0), and a great circle against its rotation by 0.1 rad.
 
 `second_variation`: for P in {64, 128, 256, 512} it builds a critical
 curve with a known Jacobi spectrum (the unit circle under
-length - area, a (1, 0) torus geodesic and a great circle under
-length) and records the times of `hessian_in_chart` and of
+length - area, a (1, 0) torus geodesic, and a great circle under
+length and under bend) and records the times of `hessian_in_chart` and of
 `spectrum` (the Hessian, its reduction and eigh), with
 
 - `columns`: the Hessian's columns, P times the frame rank;
@@ -68,7 +68,7 @@ of `separation` and `make_chart` on a perturbed circle, the (1, 1) and
 0.1, where 0.45 times it binds the chart radius), with
 
 - `chords`: the (pair, translate) chords `separation` evaluates, as
-  counted by its admissibility test;
+  counted by its distinct-strand test (`ambient._distinct_strands`);
 - `dense_s`, `dense_chords`, `dense_separation`: the time, chord count
   and result of the dense reference scan of `tests/test_curve.py`, every
   ordered node pair against all 3^n nearby lattice translates on the
@@ -116,7 +116,7 @@ import curvecharts as cc  # noqa: E402
 import speed  # noqa: E402
 import workloads  # noqa: E402
 from curvecharts import curve, functionals, shapes, solver  # noqa: E402
-from curvecharts import charts  # noqa: E402
+from curvecharts import ambient, charts  # noqa: E402
 from test_charts import dense_fiber_scan, random_section  # noqa: E402
 from test_curve import count_distances, dense_separation  # noqa: E402
 
@@ -161,6 +161,7 @@ CRITICAL = {
     "plane": (shapes.circle, workloads.CIRCLE, workloads.SPEC_CIRCLE),
     "torus": (lambda P: shapes.torus_geodesic(P, (1, 0)), workloads.LENGTH, workloads.SPEC_TORUS),
     "sphere": (shapes.great_circle, workloads.LENGTH, workloads.SPEC_LENGTH_GREAT_CIRCLE),
+    "sphere-bend": (shapes.great_circle, workloads.BEND, workloads.SPEC_BEND_GREAT_CIRCLE),
 }
 
 
@@ -210,19 +211,19 @@ def _counted(x: cc.Embedding, y: cc.Embedding) -> dict:
 
 
 def _chords(x: cc.Embedding) -> int:
-    """(pair, translate) chords one separation call passes to its admissibility test."""
+    """(pair, translate) chords one separation call passes to its distinct-strand test."""
     count = [0]
-    admissible = curve._distinct_strands
+    distinct = ambient._distinct_strands
 
     def counted(chord, arc):
         count[0] += chord.size
-        return admissible(chord, arc)
+        return distinct(chord, arc)
 
-    curve._distinct_strands = counted
+    ambient._distinct_strands = counted
     try:
         cc.separation(x)
     finally:
-        curve._distinct_strands = admissible
+        ambient._distinct_strands = distinct
     return count[0]
 
 
