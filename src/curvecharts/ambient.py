@@ -40,17 +40,6 @@ def _rotate_about(v: np.ndarray, axis: np.ndarray, angle: np.ndarray) -> np.ndar
     return v * c + np.cross(axis, v) * s + axis * np.sum(axis * v, axis=-1, keepdims=True) * (1.0 - c)
 
 
-def _arc(ds: np.ndarray, L: float) -> np.ndarray:
-    """Along-curve distance of nodes whose arclengths differ by ds on a loop of length L."""
-    arc = np.abs(ds)
-    return np.minimum(arc, L - arc)
-
-
-def _distinct_strands(chord: np.ndarray, arc: np.ndarray) -> np.ndarray:
-    """Pairs on distinct strands: chord below the round-arc bound (2/pi) * arc; inf across strands."""
-    return chord < (2.0 / np.pi) * arc
-
-
 def _transport(t_prev: np.ndarray, t_cur: np.ndarray, nu_prev: np.ndarray) -> np.ndarray:
     axis = np.cross(t_prev, t_cur)
     na = np.linalg.norm(axis)
@@ -217,16 +206,16 @@ class AmbientSpace:
             dEdb = scale * 2.0 * np.cross(wv, a) / v**5
         return -fourier.diff(dEda, 1) + fourier.diff(dEdb, 2)
 
-    def strand_chords(self, pts: np.ndarray, winding, s: np.ndarray, L: float,
-                      i: np.ndarray, j: np.ndarray) -> float:
-        """Smallest chord between nodes i and j of a closed curve on distinct strands.
+    def strand_images(self, pts: np.ndarray, winding):
+        """Translates k that `separation` pairs strands across, and m with k = m * winding (NaN if none).
 
-        s is the cumulative arclength at the nodes and L the length; the
-        pairs are those `_distinct_strands` accepts.  Returns inf if none.
+        m * winding joins a strand to itself m turns on, any other k distinct ones; only k = 0 here.
         """
-        chord = self.dist(np.take(pts, i, axis=0), np.take(pts, j, axis=0))
-        ok = _distinct_strands(chord, _arc(np.take(s, i) - np.take(s, j), L))
-        return float(np.min(chord, initial=np.inf, where=ok))
+        return np.zeros((1, self.coord_dim)), np.zeros(1)
+
+    def image_chord(self, p: np.ndarray, q: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Distance from p to q moved by the translate k of `strand_images`: `dist` here."""
+        return self.dist(p, q)
 
     def to_spec(self) -> dict:
         return {"kind": self.kind, "dim": self.dim}
@@ -278,6 +267,7 @@ class FlatTorus(AmbientSpace):
     half-lattice ties resolve deterministically to the positive
     representative.  Curves carry a winding vector and store a continuous
     coordinate lift, which `exp` keeps: it returns p + v unreduced.
+    Strands pair across lattice translates of the lift (`strand_images`).
     """
 
     kind = "flat_torus"
@@ -315,46 +305,22 @@ class FlatTorus(AmbientSpace):
         v = self.log(p, m)
         return (np.abs(self.inner(p, v, T)) <= r) | (self.norm(p, v) + r >= 0.5)
 
-    def strand_chords(self, pts, winding, s, L, i, j):
-        """Smallest distinct-strand chord from node i to a nearby lattice translate of node j.
+    def strand_images(self, pts, winding):
+        """Every lattice vector k within the lift's extent + 3/2 in each coordinate.
 
-        The translates are k + sh, where k = rint(d) is the nearest one to
-        the difference d of the pair and sh runs over {-1, 0, 1}^n, nearest
-        first.  A shift is evaluated only on pairs whose lower bound
-        max_c |(d - k - sh)_c| lies below the smallest distinct-strand chord
-        found so far; every skipped chord is at least that large, so the
-        minimum is that of all 3^n translates.  (d - k is exact, so the
-        bound is formed from the same rounded components as the chord,
-        and a rounded Euclidean norm is never below the largest of them.)
-        An offset that is an integer multiple m of the winding vector
-        joins a strand to itself, m turns further along the curve; every
-        other offset joins different strands.
+        They hold rint(d) + {-1, 0, 1}^n for every pair difference d.  Any
+        other translate lies 3/2 or farther away, while of rint(d) and
+        rint(d) +- e_c (c = 1, 2, signed as (d - rint(d))_c) one is off the
+        winding line and within sqrt(1 + (n - 1) / 4) < 3/2.
         """
-        q = np.ascontiguousarray(pts.T)  # one row per coordinate
-        d = np.take(q, i, axis=1) - np.take(q, j, axis=1)
-        k0 = np.rint(d)
-        # |(d - k0)_c - sh_c| for sh_c = -1, 0, 1; d - k0 is exact, as rint(d)
-        # is 0 or within a factor 2 of d
-        bound = np.abs((d - k0)[None] - np.array([-1.0, 0.0, 1.0])[:, None, None])
-        n = d.shape[0]
-        shifts = np.stack(np.meshgrid(*[[-1, 0, 1]] * n, indexing="ij"), axis=-1).reshape(-1, n)
-        shifts = shifts[np.argsort(np.sum(shifts**2, axis=1), kind="stable")]
-        ax = int(np.argmax(np.abs(winding)))
-        step = winding[ax] or 1  # without a winding, only k = 0 joins a strand to itself
-        ds = np.take(s, i) - np.take(s, j)
-        best = np.inf
-        for sh in shifts:
-            rows = np.flatnonzero(np.logical_and.reduce([bound[sh[c] + 1, c] < best for c in range(n)]))
-            k = np.take(k0, rows, axis=1) + sh[:, None]
-            chord = np.linalg.norm(np.take(d, rows, axis=1) - k, axis=0)
-            ki = k.astype(np.int64)
-            m, rem = np.divmod(ki[ax], step)
-            same = (rem == 0) & np.all(ki == m * winding[:, None], axis=0)
-            dr = np.take(ds, rows)
-            arc = np.where(m == 0, _arc(dr, L), np.abs(dr - m * L))
-            ok = _distinct_strands(chord, np.where(same, arc, np.inf))
-            best = min(best, float(np.min(chord, initial=np.inf, where=ok)))
-        return best
+        r = np.floor(np.ptp(pts, axis=0) + 1.5).astype(int)
+        k = np.indices(2 * r + 1).reshape(self.dim, -1).T - r
+        m, rem = np.divmod(k @ winding, winding @ winding or 1)  # without a winding, only k = 0 has one
+        same = (rem == 0) & np.all(k == m[:, None] * winding, axis=1)
+        return k.astype(float), np.where(same, m, np.nan)
+
+    def image_chord(self, p, q, k):
+        return np.linalg.norm((p - q) - k, axis=-1)
 
 
 class Sphere2(AmbientSpace):

@@ -273,11 +273,13 @@ def dense_separation(x):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.sampled_from([2, 3]), st.lists(st.integers(-2, 2), min_size=3, max_size=3),
-       st.sampled_from([16, 32, 48]), st.integers(0, 2**32 - 1), st.floats(0.0, 0.6),
+       st.sampled_from([16, 32, 48, 128, 256]), st.integers(0, 2**32 - 1), st.floats(0.0, 0.6),
        st.booleans())
 def test_separation_equals_dense_scan_on_tori(n, winding, P, seed, amplitude, snap):
     # windings include zero, large amplitudes make non-embedded curves, and
-    # quarter-lattice coordinates put rint on its ties
+    # quarter-lattice coordinates put rint on its ties; at P = 128 and 256
+    # the root arcs of `separation`'s tree hold 16 and 32 samples, and at
+    # 256 the tree splits twice
     rng = np.random.default_rng(seed)
     th = fourier.nodes(P)
     w = np.array(winding[:n])
@@ -302,6 +304,14 @@ def pinched_sphere_loop(delta):
     return cc.Embedding(cc.Sphere2(), pts)
 
 
+def wiggly_torus3(P):
+    """A (1, 2, 0) closed curve on FlatTorus(3), wiggled across all three coordinates."""
+    th = fourier.nodes(P)
+    w = np.array([1, 2, 0])
+    wiggle = np.stack([0.1 * np.sin(3 * th), 0.15 * np.cos(2 * th + 1.0), 0.3 * np.sin(th)], axis=1)
+    return cc.Embedding(cc.FlatTorus(3), 0.2 + th[:, None] / (2 * np.pi) * w + wiggle, w)
+
+
 @pytest.mark.parametrize("make", [
     lambda: shapes.circle(64),
     lambda: shapes.lemniscate(128),
@@ -312,6 +322,9 @@ def pinched_sphere_loop(delta):
     lambda: shapes.torus_geodesic(256, (1, 1), offset=(0.3, 0.7), wiggle=0.05, seed=1),
     lambda: pinched_sphere_loop(1e-7),
     lambda: pinched_sphere_loop(3e-8),
+    lambda: shapes.random_band_limited(512, seed=3, amplitude=0.5),
+    lambda: wiggly_torus3(128),
+    lambda: shapes.torus_geodesic(256, (2, 1), wiggle=0.05, seed=2),
 ])
 def test_separation_equals_dense_scan(make):
     x = make()
@@ -659,6 +672,18 @@ def count_distances(monkeypatch, space):
 
     monkeypatch.setattr(space, "dist", counted, raising=False)
     return count
+
+
+def test_nearest_samples_near_antipodal_tiny_circles(monkeypatch):
+    # latitude circles 1e-9 rad from either pole, their samples 1.5e-12
+    # apart on the 8P grid at P = 512: the margin of the arc radii is a
+    # rounding bound (`curve._tree_margin`) far below that spacing, so
+    # their arcs still prune, with a few hundred distances per probe
+    x, y = latitude_circle(512, 1e-9), latitude_circle(512, np.pi - 1e-9)
+    count = count_distances(monkeypatch, x.space)
+    d = cc.image_distance(x, y)
+    assert count[0] < 1000 * 2 * curve.PROBES_PER_NODE * 512
+    assert abs(d - (np.pi - 2e-9)) <= 1e-12
 
 
 @pytest.mark.parametrize("P", [128, 1024])

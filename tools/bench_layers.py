@@ -28,6 +28,12 @@ on pairs of distinct images: a circle against its 1.05 scaling and
 against its translate by (10, 10), two (1, 1) torus geodesics shifted
 by (0.1, 0), and a great circle against its rotation by 0.1 rad.
 
+`tiny_latitudes`: the same records at P=512 for latitude circles on S^2
+at polar angles 1e-9 against pi - 1e-9 and 1e-4 against pi - 1e-4 (tiny
+circles about antipodal poles), and 1e-7 against 0.5, where every probe
+of the tiny circle sits at the centre of the other one and all its
+samples tie to within 1e-7.
+
 `second_variation`: for P in {64, 128, 256, 512} it builds a critical
 curve with a known Jacobi spectrum (the unit circle under
 length - area, a (1, 0) torus geodesic, and a great circle under
@@ -47,8 +53,9 @@ their own (`n` is the reduced size).
 `descent`: `minimize` on the two Newton-mode problems of the `descent`
 workload (`circle-newton`: `perturbed_circle(P, 0.1, seed=6)` under
 length - area; `sphere-length-newton`: the tilted great circle under
-length) for P in {64, 128, 256, 512}, and on `bend-length-budget` at
-P=64, unmoved.  Each row holds the iterations, re-centerings, status
+length) for P in {64, 128, 256, 512}, on `bend-length-budget` at P=64,
+unmoved, and on the workload's wiggly (1, 1) torus geodesic under
+length (`torus-length`) for P in {512, 1024, 2048}.  Each row holds the iterations, re-centerings, status
 and oracle error, the time, and from one further, counted run the calls
 the solver makes to `evaluate`, `gradient_in_chart`,
 `value_and_gradient` (null where the checkout has no such function) and
@@ -62,18 +69,21 @@ a seeded section of sup norm 0.2 rho, on each backend's curve of
 `fused_s`, that of `value_and_gradient(F, c, u.coeff)`, each the mean of
 a block of INNER calls, with the FFTs of one call of each.
 
-`chart_setup`: for P in {64, 128, 256, 512, 1024} it records the times
-of `separation` and `make_chart` on a perturbed circle, the (1, 1) and
-(1, 0) wiggly torus geodesics and a pinched loop on S^2 (separation
+`chart_setup`: for P in {64, 128, 256, 512, 1024, 2048} it records the
+times of `separation` and `make_chart` on a perturbed circle, the (1, 1)
+and (1, 0) wiggly torus geodesics and a pinched loop on S^2 (separation
 0.1, where 0.45 times it binds the chart radius), with
 
 - `chords`: the (pair, translate) chords `separation` evaluates, as
-  counted by its distinct-strand test (`ambient._distinct_strands`);
+  counted by its distinct-strand test (`curve._distinct_strands`, or
+  `ambient._distinct_strands` where the checkout has it there);
 - `dense_s`, `dense_chords`, `dense_separation`: the time, chord count
   and result of the dense reference scan of `tests/test_curve.py`, every
   ordered node pair against all 3^n nearby lattice translates on the
-  torus;
-- `same_value`: whether both return the same float.
+  torus; null above P = 1024, where its P x P x 3^n temporaries take
+  hundreds of MB;
+- `same_value`: whether both return the same float (null where the
+  dense scan is not run).
 
 `chart_invert`: for P in {64, 128, 256, 512, 1024} it builds the chart
 at each `image_distance` curve x, applies a seeded section of sup norm
@@ -121,6 +131,9 @@ from test_charts import dense_fiber_scan, random_section  # noqa: E402
 from test_curve import count_distances, dense_separation  # noqa: E402
 
 GRIDS = (64, 128, 256, 512, 1024)
+SETUP_GRIDS = GRIDS + (2048,)
+# the largest P of the dense reference separation scan
+DENSE_MAX_P = 1024
 HESSIAN_GRIDS = (64, 128, 256, 512)
 REPEATS = 3
 # calls per timed block of `iterate_cost`
@@ -213,17 +226,18 @@ def _counted(x: cc.Embedding, y: cc.Embedding) -> dict:
 def _chords(x: cc.Embedding) -> int:
     """(pair, translate) chords one separation call passes to its distinct-strand test."""
     count = [0]
-    distinct = ambient._distinct_strands
+    owner = curve if hasattr(curve, "_distinct_strands") else ambient
+    distinct = owner._distinct_strands
 
     def counted(chord, arc):
         count[0] += chord.size
         return distinct(chord, arc)
 
-    ambient._distinct_strands = counted
+    owner._distinct_strands = counted
     try:
         cc.separation(x)
     finally:
-        ambient._distinct_strands = distinct
+        owner._distinct_strands = distinct
     return count[0]
 
 
@@ -340,6 +354,9 @@ DESCENT = {
         (64,), workloads.BEND_LENGTH, lambda P: shapes.perturbed_circle(P, 0.1, seed=3),
         cc.SolveOptions(max_iter=workloads.BEND_LENGTH_BUDGET),
         lambda y: cc.evaluate(workloads.BEND_LENGTH, y) - 4.0 * np.pi),
+    "torus-length": (
+        (512, 1024, 2048), workloads.LENGTH, lambda P: workloads._torus(P, (1, 1)),
+        workloads.TORUS_OPTS, lambda y: abs(cc.length(y) - np.sqrt(2.0))),
 }
 
 
@@ -434,22 +451,46 @@ def _distinct_rows() -> list[dict]:
     return rows
 
 
+def _latitude_circle(P: int, polar: float) -> cc.Embedding:
+    th = cc.fourier.nodes(P)
+    return cc.Embedding(cc.Sphere2(), np.stack(
+        [np.sin(polar) * np.cos(th), np.sin(polar) * np.sin(th), np.full(P, np.cos(polar))], axis=1))
+
+
+# polar angles of the latitude circles of `tiny_latitudes`
+TINY_LATITUDES = ((1e-9, np.pi - 1e-9), (1e-4, np.pi - 1e-4), (1e-7, 0.5))
+
+
+def _tiny_latitude_rows() -> list[dict]:
+    rows = []
+    for a, b in TINY_LATITUDES:
+        x, y = _latitude_circle(512, a), _latitude_circle(512, b)
+        t = _min_time(lambda: cc.image_distance(x, y))
+        rows.append({"polar": [a, b], "P": 512, "probes": 2 * curve.PROBES_PER_NODE * 512,
+                     "time_s": t, **_counted(x, y)})
+        print(f"image_distance latitudes {a:.3g} {b:.3g} P=512 {t:.4f} s", file=sys.stderr)
+    return rows
+
+
 def _chart_setup_rows() -> list[dict]:
     rows = []
     for name, make in SETUP.items():
-        for P in GRIDS:
+        for P in SETUP_GRIDS:
             x = make(P)
-            sep, dense = cc.separation(x), dense_separation(x)
-            row = {"backend": name, "P": P, "separation": sep, "dense_separation": dense,
+            sep = cc.separation(x)
+            row = {"backend": name, "P": P, "separation": sep,
                    "separation_s": _min_time(lambda: cc.separation(x)), "chords": _chords(x),
                    "make_chart_s": _min_time(lambda: cc.make_chart(x)),
-                   "dense_s": _min_time(lambda: dense_separation(x)),
-                   "dense_chords": P * P * (3 ** x.pts.shape[1] if x.winding is not None else 1),
-                   "same_value": sep == dense}
+                   "dense_separation": None, "dense_s": None, "dense_chords": None,
+                   "same_value": None}
+            if P <= DENSE_MAX_P:
+                dense = dense_separation(x)
+                row.update(dense_separation=dense, dense_s=_min_time(lambda: dense_separation(x)),
+                           dense_chords=P * P * (3 ** x.pts.shape[1] if x.winding is not None else 1),
+                           same_value=sep == dense)
             rows.append(row)
             print(f"chart setup {name:9s} P={P:5d} separation {row['separation_s']:.4f} s"
-                  f" (dense {row['dense_s']:.4f} s) make_chart {row['make_chart_s']:.4f} s",
-                  file=sys.stderr)
+                  f" make_chart {row['make_chart_s']:.4f} s", file=sys.stderr)
     return rows
 
 
@@ -489,6 +530,7 @@ def _second_variation_rows() -> list[dict]:
 SECTIONS = {
     "image_distance": _image_distance_rows,
     "image_distance_distinct": _distinct_rows,
+    "tiny_latitudes": _tiny_latitude_rows,
     "second_variation": _second_variation_rows,
     "reduction_and_eigh": _reduction_rows,
     "chart_setup": _chart_setup_rows,
