@@ -8,11 +8,10 @@ the coordinate dimension last.
 Everything the other layers need to know about the ambient lives here.
 The base class holds the flat behaviour (affine exp, coordinate axes as
 tangent basis, intrinsic coordinates); a backend overrides only what
-differs.  The gradient-path methods (`exp`, `dexp`, `project_tangent`,
-`length_gradient`, `bending_energy`, `bending_gradient`) take complex arrays
-for complex-step derivatives, so they are complex-analytic: no
-`np.linalg.norm` (norms are sqrt(v.v)), no `abs`, no float casts and no
-ordered comparisons on values.
+differs.  The gradient-path methods (`exp`, `dexp`, `length_term`,
+`bending_term`) take complex arrays for complex-step derivatives, so they
+are complex-analytic: no `np.linalg.norm` (norms are sqrt(v.v)), no `abs`,
+no float casts and no ordered comparisons on values.
 """
 
 from __future__ import annotations
@@ -180,31 +179,30 @@ class AmbientSpace:
         w = np.cross(a, b)
         return np.sqrt(np.sum(w * w, axis=-1)) / v**3
 
-    def bending_energy(self, pts: np.ndarray, a: np.ndarray, b: np.ndarray):
-        """Discrete bending energy (2 pi/P) sum k^2 |x'|, k the plane or space-curve curvature."""
-        w = np.sqrt(np.sum(a * a, axis=-1)) * (2.0 * np.pi / pts.shape[0])
-        return np.sum(AmbientSpace.curvature(self, pts, a, b) ** 2 * w)
+    # functional terms: the density at the nodes and its partials gx, ga, gb in x, x', x'' (or None)
 
-    def length_gradient(self, pts: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """Gradient of the discrete length with respect to the sample points."""
-        T = a / np.sqrt(np.sum(a * a, axis=-1, keepdims=True))
-        return -(2.0 * np.pi / pts.shape[0]) * fourier.diff(T)
+    def length_term(self, pts: np.ndarray, a: np.ndarray):
+        """(2 pi/P) |x'| and its partials."""
+        v = np.sqrt(np.sum(a * a, axis=-1, keepdims=True))
+        scale = 2.0 * np.pi / pts.shape[0]
+        return scale * v[..., 0], None, scale * (a / v), None
 
-    def bending_gradient(self, pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Gradient of the discrete bending energy with respect to the sample points."""
+    def bending_term(self, pts: np.ndarray, a: np.ndarray, b: np.ndarray):
+        """(2 pi/P) k^2 |x'| = (2 pi/P) |w|^2 / |x'|^5 and its partials, w = x' ^ x''.
+
+        k is the plane or space-curve curvature; in the plane w is the scalar cross product.
+        """
         v = np.sqrt(np.sum(a * a, axis=-1, keepdims=True))
         scale = 2.0 * np.pi / pts.shape[0]
         if a.shape[-1] == 2:
-            c = (a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])[..., None]
-            dEda = scale * (2.0 * c / v**5 * np.stack([b[..., 1], -b[..., 0]], axis=-1)
-                            - 5.0 * c**2 / v**7 * a)
-            dEdb = scale * 2.0 * c / v**5 * np.stack([-a[..., 1], a[..., 0]], axis=-1)
+            w = (a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])[..., None]
+            ga = 2.0 * w / v**5 * np.stack([b[..., 1], -b[..., 0]], axis=-1)
+            gb = scale * 2.0 * w / v**5 * np.stack([-a[..., 1], a[..., 0]], axis=-1)
         else:
-            wv = np.cross(a, b)
-            w2 = np.sum(wv * wv, axis=-1, keepdims=True)
-            dEda = scale * (2.0 * np.cross(b, wv) / v**5 - 5.0 * w2 / v**7 * a)
-            dEdb = scale * 2.0 * np.cross(wv, a) / v**5
-        return -fourier.diff(dEda, 1) + fourier.diff(dEdb, 2)
+            w = np.cross(a, b)
+            ga, gb = 2.0 * np.cross(b, w) / v**5, scale * 2.0 * np.cross(w, a) / v**5
+        w2 = np.sum(w * w, axis=-1, keepdims=True)
+        return scale * (w2 / v**5)[..., 0], None, scale * (ga - 5.0 * w2 / v**7 * a), gb
 
     def strand_images(self, pts: np.ndarray, winding):
         """Translates k that `separation` pairs strands across, and m with k = m * winding (NaN if none).
@@ -422,18 +420,14 @@ class Sphere2(AmbientSpace):
         nu = np.cross(pts, T)
         return np.sum(dT * nu, axis=-1)
 
-    def length_gradient(self, pts, a):
-        """Ambient R^3 gradient of the discrete length; meaningful against tangent vectors."""
+    def length_term(self, pts, a):
+        """The flat term of d = x' - (x.x') x, the tangential part; gx holds for tangent variations."""
         ya = np.sum(pts * a, axis=-1, keepdims=True)
-        T = a - ya * pts
-        T = T / np.sqrt(np.sum(T * T, axis=-1, keepdims=True))
-        return (2.0 * np.pi / pts.shape[0]) * (-fourier.diff(T, 1) - ya * T)
+        f, _, ga, _ = super().length_term(pts, a - ya * pts)
+        return f, -ya * ga, ga, None
 
-    def bending_energy(self, pts, a, b):
-        """(2 pi/P) sum (k^2 - 1) |x'|, k the space-curve curvature: on S^2, k^2 = k_g^2 + 1."""
-        return super().bending_energy(pts, a, b) - np.sum(
-            np.sqrt(np.sum(a * a, axis=-1)) * (2.0 * np.pi / pts.shape[0]))
-
-    def bending_gradient(self, pts, a, b):
-        """Ambient R^3 gradient of `bending_energy`: the space curve's less its length's."""
-        return super().bending_gradient(pts, a, b) - super().length_gradient(pts, a)
+    def bending_term(self, pts, a, b):
+        """(2 pi/P) (k^2 - 1) |x'|, k^2 = k_g^2 + 1: the space curve's term less the flat length term."""
+        f, _, ga, gb = super().bending_term(pts, a, b)
+        fl, _, gla, _ = super().length_term(pts, a)
+        return f - fl, None, ga - gla, gb

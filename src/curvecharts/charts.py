@@ -251,7 +251,9 @@ def _fiber_brackets(space, p: np.ndarray, T: np.ndarray, q: np.ndarray, rho: flo
 
     def keep(i, m, d, R):
         ok = d - R < rho
-        ok[ok] = space.fiber_may_cross(p[i[ok]], T[i[ok]], q[m[ok]], R[ok])
+        i, m = i[ok], m[ok]
+        ok[ok] = space.fiber_may_cross(np.take(p, i, axis=0), np.take(T, i, axis=0),
+                                       np.take(q, m, axis=0), R[ok])
         return ok
 
     node, start, size = _arc_tree(space, p, q, keep)
@@ -260,10 +262,11 @@ def _fiber_brackets(space, p: np.ndarray, T: np.ndarray, q: np.ndarray, rho: flo
     j = (start[:, None] + np.arange(cols)) % n
     r, s = np.nonzero(np.arange(cols) <= size[:, None])
     dists, gvals = np.full((node.size, cols), np.inf), np.full((node.size, cols), np.nan)
-    dists[r, s] = space.dist(p[node[r]], q[j[r, s]])
+    pr, qr = np.take(p, node[r], axis=0), np.take(q, j[r, s], axis=0)
+    dists[r, s] = space.dist(pr, qr)
     near = dists[r, s] < rho
-    r, s = r[near], s[near]
-    gvals[r, s] = space.inner(p[node[r]], space.log(p[node[r]], q[j[r, s]]), T[node[r]])
+    r, s, pr, qr = r[near], s[near], pr[near], qr[near]
+    gvals[r, s] = space.inner(pr, space.log(pr, qr), np.take(T, node[r], axis=0))
     kl = _nearest_crossing(gvals, dists)
     row = np.flatnonzero(kl >= 0)
     kl, owner = kl[row], node[row]

@@ -82,6 +82,7 @@ class Embedding:
             raise ValueError("pts must have shape (P, coord_dim)")
         if not np.all(np.isfinite(pts)):
             raise ValueError("curve samples must be finite")
+        self.space.check_point(pts)  # validation only: on the torus it would reduce the lift
         _check_grid(pts.shape[0])
         object.__setattr__(self, "pts", pts)
         object.__setattr__(self, "winding", self.space.check_winding(self.winding))
@@ -413,7 +414,7 @@ def _arc_tree(space: AmbientSpace, p: np.ndarray, q: np.ndarray, keep):
         node, arc = np.repeat(node, fan), (fan * arc[:, None] + np.arange(fan)).ravel()
         R = np.maximum(chain[mid] - chain[start], chain[end] - chain[mid]) + margin
         m = mid[arc]
-        ok = keep(node, m, space.dist(p[node], q[m]), R[arc])
+        ok = keep(node, m, space.dist(np.take(p, node, axis=0), np.take(q, m, axis=0)), R[arc])
         node, arc = node[ok], arc[ok]
     return node, start[arc], (end - start)[arc]
 
@@ -437,7 +438,7 @@ def _nearest_samples(space: AmbientSpace, probes: np.ndarray, samples: np.ndarra
     # every sample of every surviving leaf, probe by probe
     owner = np.repeat(node, size)
     cand = np.arange(owner.size) + np.repeat(start - (np.cumsum(size) - size), size)
-    dist = space.dist(probes[owner], samples[cand])
+    dist = space.dist(np.take(probes, owner, axis=0), np.take(samples, cand, axis=0))
     seg = np.flatnonzero(np.diff(owner, prepend=-1))
     count = np.diff(seg, append=owner.size)
     at_best = dist == np.repeat(np.minimum.reduceat(dist, seg), count)

@@ -2,12 +2,14 @@
 
 Supported terms: curve length, signed enclosed area (planar only), and
 bending energy (integral of squared curvature; on S^2 of the geodesic
-curvature).  The ambient space supplies the bending energy's value
-(`AmbientSpace.bending_energy`) and the sample-point gradient of each
-term, in closed form on every backend; on S^2 both are the space
-curve's less its length's, as k^2 = k_g^2 + 1 on the unit sphere.
-Gradients are exact derivatives of the discrete functionals, pulled
-back through the differential of the exponential map.
+curvature).  The ambient space supplies each term's density at the nodes
+and its partials in x, x' and x'' (`AmbientSpace.length_term`,
+`bending_term`), in closed form on every backend; on S^2 bending is the
+space curve's term less its length's, as k^2 = k_g^2 + 1 on the unit
+sphere.  One loop over the terms (`_terms`) gives the value and the
+partials, and the chain rule through the spectral derivatives runs once
+(`_grad_pts`).  Gradients are exact derivatives of the discrete
+functionals, pulled back through the differential of the exponential map.
 Both variations are complex steps, df[e] = Im f(x + i h e) / h (Squire &
 Trapp, SIAM Rev. 1998), exact to roundoff for any tiny h as nothing is
 subtracted: the first variation steps the value, independently of the
@@ -89,7 +91,7 @@ def _check_area_support(F: Functional, space: AmbientSpace):
 
 def evaluate(F: Functional, x: Embedding) -> float:
     """Value of the functional on a discrete curve (spectral quadrature)."""
-    return float(_value(F, x.space, x.pts, *_derivatives(F, x.space, x.pts, x.drift)))
+    return float(_terms(F, x.space, x.pts, *_derivatives(F, x.space, x.pts, x.drift))[0])
 
 
 def _derivatives(F: Functional, space: AmbientSpace, pts: np.ndarray, drift: np.ndarray):
@@ -106,76 +108,69 @@ def _derivatives(F: Functional, space: AmbientSpace, pts: np.ndarray, drift: np.
     return a + drift, b
 
 
-def _value(F: Functional, space: AmbientSpace, pts: np.ndarray, a: np.ndarray, b):
-    """`evaluate` on one (P, coord_dim) curve, real or complex, given `_derivatives` a, b."""
-    d = space.project_tangent(pts, a)
-    w = np.sqrt(np.sum(d * d, axis=-1)) * (2.0 * np.pi / pts.shape[0])
-    total = 0.0
+def _terms(F: Functional, space: AmbientSpace, pts: np.ndarray, a: np.ndarray, b):
+    """F's value and its partials gx, ga, gb in x, x', x'' at the nodes, given `_derivatives` a, b.
+
+    pts may be real or complex, shapes as `_derivatives`; the value sums
+    the densities over the nodes, so it has the batch shape.  A partial
+    that no term has is None.
+    """
+    f, partials = 0.0, (None, None, None)
     for kind, coef in F.terms:
         if coef == 0.0:
             continue
         if kind == "length":
-            total = total + coef * np.sum(w)
+            term = space.length_term(pts, a)
         elif kind == "area":
-            total = total + coef * 0.5 * (2.0 * np.pi / pts.shape[0]) * np.sum(
-                pts[:, 0] * d[:, 1] - pts[:, 1] * d[:, 0])
+            # the partial in x', (-x1, x0) / 2, moves onto x by parts, as D is antisymmetric
+            scale = 2.0 * np.pi / pts.shape[0]
+            term = (0.5 * scale * (pts[..., 0] * a[..., 1] - pts[..., 1] * a[..., 0]),
+                    scale * np.stack([a[..., 1], -a[..., 0]], axis=-1), None, None)
         else:
-            total = total + coef * space.bending_energy(pts, a, b)
-    return total
+            term = space.bending_term(pts, a, b)
+        f = f + coef * np.sum(term[0], axis=0)
+        partials = tuple(g if t is None else coef * t if g is None else g + coef * t
+                         for g, t in zip(partials, term[1:]))
+    return (f,) + partials
 
 
-# ---------------------------------------------------------------------------
-# analytic gradients with respect to the sample points
+def _grad_pts(F: Functional, space: AmbientSpace, pts: np.ndarray, drift: np.ndarray):
+    """F's value and its sample-point gradient, shapes as `_terms`.
 
-
-def _grad_pts(F: Functional, space: AmbientSpace, pts: np.ndarray,
-              drift: np.ndarray, value: bool = False):
-    """Sum of the analytic sample-point gradients of the terms, shapes as `_derivatives`.
-
-    With value, pts is one (P, coord_dim) curve and the pair (f,
-    gradient) is returned, f its value from the same derivatives.
+    With D the spectral derivative `fourier.diff`, x' = D x + drift and
+    x'' = D^2 x, so the gradient is gx - D ga + D^2 gb: under the plain
+    sum over the nodes D is antisymmetric (its Nyquist mode is zero) and
+    D^2 symmetric.
     """
     a, b = _derivatives(F, space, pts, drift)
-    out = np.zeros_like(pts)
-    for kind, coef in F.terms:
-        if coef == 0.0:
-            continue
-        if kind == "length":
-            g = space.length_gradient(pts, a)
-        elif kind == "area":
-            g = (2.0 * np.pi / pts.shape[0]) * np.stack([a[..., 1], -a[..., 0]], axis=-1)
-        else:
-            g = space.bending_gradient(pts, a, b)
-        out = out + coef * g
-    return (_value(F, space, pts, a, b), out) if value else out
+    f, gx, ga, gb = _terms(F, space, pts, a, b)
+    g = np.zeros_like(pts) if gx is None else gx
+    g = g if ga is None else g - fourier.diff(ga)
+    return f, g if gb is None else g + fourier.diff(gb, 2)
 
 
 # ---------------------------------------------------------------------------
 # chart derivatives
 
 
-def _pullback_gradient(F: Functional, c: Chart, coeff: np.ndarray,
-                       basis: np.ndarray, value: bool = False):
-    """L2(ds) gradient of coeff -> evaluate(F, exp_x(sum_a coeff^a basis^a)).
+def _pullback_gradient(F: Functional, c: Chart, coeff: np.ndarray, basis: np.ndarray):
+    """Value and L2(ds) gradient of coeff -> evaluate(F, exp_x(sum_a coeff^a basis^a)).
 
     coeff has shape (P, ..., dim) for a basis of shape (dim, P,
-    coord_dim): batch axes between nodes and directions give one gradient
-    per index, of coeff's shape.  The closed-form sample-point gradient
-    of each image curve is pulled back through d exp at each node.  With
-    value, coeff has shape (P, dim) and the pair (f, gradient) is
-    returned, f the value on the image curve.
+    coord_dim): batch axes between nodes and directions give one value
+    and one gradient per index, the gradients of coeff's shape.  The
+    sample-point gradient of each image curve is pulled back through
+    d exp at each node.
     """
     x = c.center
     batch = (1,) * (coeff.ndim - 2)
     W = np.einsum("i...a,aid->i...d", coeff, basis)
     _check_radius(c, W)
     p = x.pts.reshape((c.P,) + batch + (-1,))
-    out = _grad_pts(F, x.space, x.space.exp(p, W), x.drift, value)
-    f, gp = out if value else (None, out)
+    f, gp = _grad_pts(F, x.space, x.space.exp(p, W), x.drift)
     D = x.space.dexp(p, W, basis.reshape(basis.shape[:2] + batch + basis.shape[2:]))
     G = np.einsum("ai...d,i...d->i...a", D, gp)
-    G = G / c.weights.reshape((c.P,) + batch + (1,))
-    return (f, G) if value else G
+    return f, G / c.weights.reshape((c.P,) + batch + (1,))
 
 
 def gradient_in_chart(F: Functional, c: Chart, u: NormalSection) -> NormalSection:
@@ -185,7 +180,7 @@ def gradient_in_chart(F: Functional, c: Chart, u: NormalSection) -> NormalSectio
     d f(u)[delta] = sum_i <g_i, delta_i> w_i with w the chart-center
     arclength weights.
     """
-    return NormalSection(_pullback_gradient(F, c, u.coeff, c.frame))
+    return NormalSection(_pullback_gradient(F, c, u.coeff, c.frame)[1])
 
 
 def value_and_gradient(F: Functional, c: Chart, coeff: np.ndarray) -> tuple[float, NormalSection]:
@@ -194,7 +189,7 @@ def value_and_gradient(F: Functional, c: Chart, coeff: np.ndarray) -> tuple[floa
     One exponential map and one spectral differentiation of the image
     curve serve both; each result equals its separate call bit for bit.
     """
-    f, G = _pullback_gradient(F, c, np.asarray(coeff, dtype=float), c.frame, value=True)
+    f, G = _pullback_gradient(F, c, np.asarray(coeff, dtype=float), c.frame)
     return float(f), NormalSection(G)
 
 
@@ -202,7 +197,7 @@ def first_variation(F: Functional, x: Embedding, V) -> float:
     """dF_x[V] = Im F(exp_x(i h V)) / h for a full section V of x^*(TN), shape (P, coord_dim)."""
     V = _full_section(make_chart(x), V)
     y = x.space.exp(x.pts, 1j * _STEP * V)
-    return float(_value(F, x.space, y, *_derivatives(F, x.space, y, x.drift)).imag / _STEP)
+    return float(_terms(F, x.space, y, *_derivatives(F, x.space, y, x.drift))[0].imag / _STEP)
 
 
 def grad_norm(c: Chart, g: NormalSection) -> float:
@@ -241,7 +236,7 @@ def _hessian(F: Functional, c: Chart, basis: np.ndarray) -> HessianPair:
         E = np.zeros((P, j.size, dim))
         E[j // dim, np.arange(j.size), j % dim] = 1.0
         # rows of a block are (node, direction) flattened row-major, as the columns
-        G = _pullback_gradient(F, c, 1j * _STEP * E, basis).imag * (w / _STEP)
+        G = _pullback_gradient(F, c, 1j * _STEP * E, basis)[1].imag * (w / _STEP)
         cols[:, j] = G.transpose(0, 2, 1).reshape(n, -1)
     asym = float(np.max(np.abs(cols - cols.T)))
     return HessianPair(0.5 * (cols + cols.T), asym)

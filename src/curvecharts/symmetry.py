@@ -74,7 +74,8 @@ def apply_isometry(psi: Isometry, x: Embedding) -> Embedding:
     """Pointwise left composition psi∘x; preserves torus winding and lifts."""
     if psi.space != x.space:
         raise ValueError("isometry and curve live in different ambient spaces")
-    return Embedding(x.space, psi.apply_points(x.pts), x.winding)
+    # retracted onto N, as a rotation is orthogonal only to within _ORTHO_TOL
+    return Embedding(x.space, x.space.retract(psi.apply_points(x.pts)), x.winding)
 
 
 def _skew_basis(d: int) -> list[np.ndarray]:

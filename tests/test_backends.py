@@ -89,16 +89,30 @@ def test_flat_spaces_need_dim_2_or_3(cls, dim):
         cc.AmbientSpace.from_spec({"kind": cls.kind, "dim": dim})
 
 
+@pytest.mark.parametrize("term", ["length", "bend"])
 @pytest.mark.parametrize(
     "space", [Euclidean(2), Euclidean(3), FlatTorus(2), FlatTorus(3), Sphere2()], ids=repr)
-def test_bending_gradient_is_closed_form(space):
-    # every backend supplies an array; there is no finite-difference fallback
+def test_term_partials_match_complex_step(space, term):
+    # oracle: Im of the summed density at (x, x', x'') + i h (dx, D dx, D^2 dx),
+    # over h, exact to roundoff (the bound is about 450 eps of the summed
+    # magnitudes of the partials' products); on S^2 along a tangent dx
     th = fourier.nodes(32)
     pts = np.stack([np.cos(th), np.sin(th), 0.2 * np.sin(2 * th)], axis=1)[:, :space.coord_dim]
     pts = space.retract(0.3 * pts + 0.5)
-    g = space.bending_gradient(pts, fourier.diff(pts), fourier.diff(pts, 2))
-    assert isinstance(g, np.ndarray) and g.shape == pts.shape
-    assert np.all(np.isfinite(g)) and np.max(np.abs(g)) > 0.0
+    rng = np.random.default_rng(5)
+    dx = space.project_tangent(pts, rng.standard_normal(pts.shape))
+    x, dxs = (pts, fourier.diff(pts, 1), fourier.diff(pts, 2)), (dx, *fourier.diff(dx, (1, 2)))
+
+    def call(p, a, b):
+        return space.length_term(p, a) if term == "length" else space.bending_term(p, a, b)
+
+    density, *partials = call(*x)
+    assert density.shape == (32,) and np.all(np.isfinite(density))
+    h = 1e-30
+    stepped = np.sum(call(*(v + 1j * h * d for v, d in zip(x, dxs)))[0]).imag / h
+    terms = [np.sum(g * d) for g, d in zip(partials, dxs) if g is not None]
+    assert abs(stepped - sum(terms)) <= 1e-13 * np.sum(np.abs(terms))
+    # closed form on every backend; there is no finite-difference fallback
     assert not hasattr(cc.functionals, "_fd_gradient_coeff")
 
 

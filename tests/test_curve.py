@@ -312,6 +312,20 @@ def wiggly_torus3(P):
     return cc.Embedding(cc.FlatTorus(3), 0.2 + th[:, None] / (2 * np.pi) * w + wiggle, w)
 
 
+def nyquist_wiggled(P, k, amplitude, seed):
+    """A random planar curve plus a circular wiggle of mode k near P/2.
+
+    The wiggle is barely resolved: node to node, the quadrature weight
+    and the chord to the next sample differ by factors up to 3.5, so the
+    arc half-widths of `separation`'s tree, not its chain radii, bound
+    the arcs in its same-strand drop.
+    """
+    th = fourier.nodes(P)
+    wiggle = amplitude * np.stack([np.sin(k * th), np.cos(k * th)], axis=1)
+    return cc.Embedding(cc.Euclidean(2), shapes.random_band_limited(P, seed=seed, amplitude=0.3).pts
+                        + wiggle)
+
+
 @pytest.mark.parametrize("make", [
     lambda: shapes.circle(64),
     lambda: shapes.lemniscate(128),
@@ -325,6 +339,8 @@ def wiggly_torus3(P):
     lambda: shapes.random_band_limited(512, seed=3, amplitude=0.5),
     lambda: wiggly_torus3(128),
     lambda: shapes.torus_geodesic(256, (2, 1), wiggle=0.05, seed=2),
+    # its minimum admissible chord is 0.98 times (2/pi) times its arc
+    lambda: nyquist_wiggled(48, 20, 0.03, seed=1),
 ])
 def test_separation_equals_dense_scan(make):
     x = make()
@@ -455,6 +471,20 @@ def test_embedding_rejects_non_finite_samples(make, bad):
     pts[5, 0] = bad
     with pytest.raises(ValueError, match="finite"):
         cc.Embedding(x.space, pts, x.winding)
+
+
+def test_embedding_checks_points_against_the_space():
+    # samples off S^2 by 1e-6 are not on the sphere; 1e-13 is rounding, within its tolerance
+    x = shapes.great_circle(64)
+    with pytest.raises(ValueError, match="unit"):
+        cc.Embedding(x.space, (1.0 + 1e-6) * x.pts)
+    with pytest.raises(ValueError, match="unit"):
+        cc.Embedding(x.space, 2.0 * x.pts)
+    assert cc.Embedding(x.space, (1.0 + 1e-13) * x.pts).P == 64
+    # the check does not replace the samples: a torus lift outside [0, 1)^n stays as given
+    t = shapes.torus_geodesic(64, (1, 1))
+    lift = t.pts + np.array([3.0, -2.0])
+    np.testing.assert_array_equal(cc.Embedding(t.space, lift, t.winding).pts, lift)
 
 
 @pytest.mark.parametrize("winding", [(1.5, 0), (1.0, 0.4), (np.nan, 0), (np.inf, 0), (1e20, 0)])

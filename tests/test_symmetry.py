@@ -36,6 +36,18 @@ def test_apply_isometry_torus_translation(torus_geo64):
     assert cc.length(y) == pytest.approx(cc.length(torus_geo64), abs=1e-12)
 
 
+def test_apply_isometry_retracts_a_nearly_orthogonal_rotation(great_circle96):
+    # Isometry accepts a rotation orthogonal to within 1e-10, which moves unit
+    # vectors about 3e-11 off S^2, beyond its 1e-12 point check; the image is retracted
+    R = (1.0 + 3e-11) * np.array([[np.cos(0.4), 0.0, -np.sin(0.4)], [0.0, 1.0, 0.0],
+                                  [np.sin(0.4), 0.0, np.cos(0.4)]])
+    psi = Isometry(great_circle96.space, rotation=R)
+    assert np.max(np.abs(np.linalg.norm(psi.apply_points(great_circle96.pts), axis=1) - 1.0)) > 1e-11
+    y = cc.apply_isometry(psi, great_circle96)
+    assert np.max(np.abs(np.linalg.norm(y.pts, axis=1) - 1.0)) <= 1e-15
+    np.testing.assert_allclose(y.pts, great_circle96.pts @ R.T, rtol=0, atol=1e-10)
+
+
 def test_isometry_validation():
     e2 = cc.Euclidean(2)
     with pytest.raises(ValueError):
