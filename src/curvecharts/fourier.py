@@ -28,10 +28,11 @@ def diff(values: np.ndarray, order: int | tuple[int, ...] = 1):
 
     A tuple of orders returns the tuple of those derivatives, all taken
     from one forward FFT.  Complex samples differentiate their real and
-    imaginary parts, stacked on a last axis, in one batched transform.
+    imaginary parts, viewed as interleaved floats, in one batched transform.
     """
     cplx = np.iscomplexobj(values)
-    v = np.stack([values.real, values.imag], axis=-1) if cplx else np.asarray(values, dtype=float)
+    v = (np.ascontiguousarray(values).view(float).reshape(values.shape + (2,)) if cplx
+         else np.asarray(values, dtype=float))
     P = v.shape[0]
     c = np.fft.rfft(v, axis=0)
     k = np.arange(P // 2 + 1, dtype=float)
@@ -42,7 +43,7 @@ def diff(values: np.ndarray, order: int | tuple[int, ...] = 1):
         if n % 2 == 1:
             mult[-1] = 0.0  # cosine convention: odd derivatives of the Nyquist mode vanish at nodes
         d = np.fft.irfft(c * mult.reshape(shape), n=P, axis=0)
-        out.append(d[..., 0] + 1j * d[..., 1] if cplx else d)
+        out.append(d.view(complex)[..., 0] if cplx else d)
     return tuple(out) if isinstance(order, tuple) else out[0]
 
 

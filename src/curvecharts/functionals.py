@@ -8,17 +8,17 @@ and its partials in x, x' and x'' (`AmbientSpace.length_term`,
 space curve's term less its length's, as k^2 = k_g^2 + 1 on the unit
 sphere.  One loop over the terms (`_terms`) gives the value and the
 partials, and the chain rule through the spectral derivatives runs once
-(`_grad_pts`).  Gradients are exact derivatives of the discrete
+(`_by_parts`).  Gradients are exact derivatives of the discrete
 functionals, pulled back through the differential of the exponential map.
-Both variations are complex steps, df[e] = Im f(x + i h e) / h (Squire &
+Both variations use complex steps, df[e] = Im f(x + i h e) / h (Squire &
 Trapp, SIAM Rev. 1998), exact to roundoff for any tiny h as nothing is
 subtracted: the first variation steps the value, independently of the
-closed-form gradient, and the Hessian steps the gradient.
+closed-form gradient; the Hessian, the gradient's tangent-linear model,
+steps the pointwise partials of the densities.
 
 The gradient code takes stacks of sections: arrays put the nodes first
 and the coordinates (or basis directions) last, with any batch axes
-between, shape (P, ..., d).  A Hessian fills a block of its columns per
-gradient call.
+between, shape (P, ..., d).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ TERM_KINDS = ("length", "area", "bend")
 
 # the imaginary step of both variations
 _STEP = 1e-30
-# Hessian columns per batched complex gradient of `_hessian`
+# Hessian columns per real block of `_hessian`'s tangent-linear step
 _BLOCK_COLUMNS = 32
 
 
@@ -134,19 +134,22 @@ def _terms(F: Functional, space: AmbientSpace, pts: np.ndarray, a: np.ndarray, b
     return (f,) + partials
 
 
-def _grad_pts(F: Functional, space: AmbientSpace, pts: np.ndarray, drift: np.ndarray):
-    """F's value and its sample-point gradient, shapes as `_terms`.
+def _by_parts(like: np.ndarray, gx, ga, gb) -> np.ndarray:
+    """gx - D ga + D^2 gb, the sample-point gradient of partials in x, x', x''; None reads as zero.
 
-    With D the spectral derivative `fourier.diff`, x' = D x + drift and
-    x'' = D^2 x, so the gradient is gx - D ga + D^2 gb: under the plain
-    sum over the nodes D is antisymmetric (its Nyquist mode is zero) and
-    D^2 symmetric.
+    x' = D x + drift and x'' = D^2 x, D = `fourier.diff`: under the plain sum over the nodes D is
+    antisymmetric (its Nyquist mode is zero) and D^2 symmetric.  A zero is shaped like `like`.
     """
+    g = np.zeros_like(like) if gx is None else gx
+    g = g if ga is None else g - fourier.diff(ga)
+    return g if gb is None else g + fourier.diff(gb, 2)
+
+
+def _grad_pts(F: Functional, space: AmbientSpace, pts: np.ndarray, drift: np.ndarray):
+    """F's value and its sample-point gradient, shapes as `_terms`."""
     a, b = _derivatives(F, space, pts, drift)
     f, gx, ga, gb = _terms(F, space, pts, a, b)
-    g = np.zeros_like(pts) if gx is None else gx
-    g = g if ga is None else g - fourier.diff(ga)
-    return f, g if gb is None else g + fourier.diff(gb, 2)
+    return f, _by_parts(pts, gx, ga, gb)
 
 
 # ---------------------------------------------------------------------------
@@ -219,27 +222,42 @@ class HessianPair:
 
 
 def _hessian(F: Functional, c: Chart, basis: np.ndarray) -> HessianPair:
-    """Symmetrized Jacobian of the gradient over basis, at coeff = 0, by complex step.
+    """Symmetrized Jacobian of the gradient over basis J, shape (dim, P, coord_dim), at coeff = 0.
 
-    basis has shape (dim, P, coord_dim); the pair is taken against the
-    mass matrix of the chart weights.  Column j, the derivative along the
-    coefficient of direction j % dim at node j // dim, is Im G(i h e_j) / h
-    for G the gradient.  A block of _BLOCK_COLUMNS columns is one batched
-    complex `_pullback_gradient` of a (P, B, dim) stack of steps.
+    The pair is taken against the mass matrix of the chart weights.  At coeff = 0 exp acts node by
+    node with derivative J, so column j, along direction a = j % dim at node i = j // dim, is the
+    tangent-linear step of `_grad_pts`: the step dy = J[a, i] at node i and its D dy, D^2 dy go
+    through the densities' second partials R to steps of gx, ga, gb, which `_by_parts` joins and
+    J^T contracts; node i adds C, the second derivative of exp along J[a], J[b] against the
+    gradient.  R and C are complex steps at every node at once, as the densities are pointwise.
     """
-    P, dim = c.P, basis.shape[0]
+    x, space = c.center, c.center.space
+    p, P, dim, d = x.pts, c.P, basis.shape[0], x.pts.shape[1]
+    J = basis.transpose(1, 0, 2)
+    a, b = _derivatives(F, space, p, x.drift)
+    gp = _by_parts(p, *_terms(F, space, p, a, b)[1:])
+    # one step per input: x along J (tangent, for `Sphere2.length_term`'s gx), x' and x'' along axes
+    orders = (1,) if b is None else (1, 2)
+    S = 1j * _STEP * np.eye(dim + d * len(orders))
+    R = [r if r is None else r.imag / _STEP for r in _terms(
+        F, space, space.exp(p[:, None], S[:, :dim] @ J), a[:, None] + S[:, dim:dim + d],
+        b if b is None else b[:, None] + S[:, dim + d:])[1:]]
+    C = np.broadcast_to(np.einsum("iabd,id->iab", space.dexp(
+        p[:, None, None], 1j * _STEP * J[:, :, None], J[:, None]).imag, gp) / _STEP, (P, dim, dim))
     n = P * dim
-    w = c.weights[:, None, None]
-    cols = np.empty((n, n))
+    Q = np.empty((n, n))
     for j0 in range(0, n, _BLOCK_COLUMNS):
         j = np.arange(j0, min(j0 + _BLOCK_COLUMNS, n))
-        E = np.zeros((P, j.size, dim))
-        E[j // dim, np.arange(j.size), j % dim] = 1.0
-        # rows of a block are (node, direction) flattened row-major, as the columns
-        G = _pullback_gradient(F, c, 1j * _STEP * E, basis)[1].imag * (w / _STEP)
-        cols[:, j] = G.transpose(0, 2, 1).reshape(n, -1)
-    asym = float(np.max(np.abs(cols - cols.T)))
-    return HessianPair(0.5 * (cols + cols.T), asym)
+        node, col, alpha = j // dim, np.arange(j.size), j % dim
+        E, dy = np.zeros((P, j.size, dim)), np.zeros((P, j.size, d))
+        E[node, col, alpha], dy[node, col] = 1.0, J[node, alpha]
+        inputs = np.concatenate((E,) + fourier.diff(dy, orders), axis=-1)
+        dgp = _by_parts(dy, *(r if r is None else inputs @ r for r in R))
+        # rows are (node, direction) flattened row-major, as the columns
+        Q[:, j] = (J @ dgp.transpose(0, 2, 1)).reshape(n, -1)
+        Q[node[:, None] * dim + np.arange(dim), j[:, None]] += C[node, alpha]
+    asym = float(np.max(np.abs(Q - Q.T)))
+    return HessianPair(0.5 * (Q + Q.T), asym)
 
 
 def hessian_in_chart(F: Functional, c: Chart) -> HessianPair:

@@ -323,6 +323,49 @@ def test_hessian_matches_directional_derivative_of_gradient(backend, full, rng):
     assert np.max(np.abs(pair.Q @ v.ravel() - directional)) <= tol
 
 
+def _torus3_curve(P):
+    th = fourier.nodes(P)
+    w = np.array([1, 1, 0])
+    wiggle = 0.05 * np.stack([np.sin(2 * th), np.cos(3 * th), np.sin(th + 1.0)], axis=1)
+    return cc.Embedding(cc.FlatTorus(3), th[:, None] / (2 * np.pi) * w + wiggle + 0.3, w)
+
+
+# case -> (chart center at P, functional) for the column-by-column oracle
+COLUMNWISE_CASES = {
+    "plane-bend-length-area": (lambda P: shapes.perturbed_circle(P, amplitude=0.06, seed=0),
+                               "bend+length-0.5*area"),
+    "euclidean3": (lambda P: _space_curve(P), "length+0.5*bend"),
+    "torus3": (_torus3_curve, "length+0.5*bend"),
+    "torus-geodesic": (lambda P: shapes.torus_geodesic(P, (1, 1)), "length"),
+    "sphere-bend-length": (tilted_great_circle, "bend+2*length"),
+    "plane-area": (lambda P: shapes.perturbed_circle(P, amplitude=0.06, seed=0), "area"),
+    "zero": (lambda P: shapes.perturbed_circle(P, amplitude=0.06, seed=0), "0*length"),
+}
+
+
+@pytest.mark.parametrize("case", COLUMNWISE_CASES)
+@pytest.mark.parametrize("full", [False, True], ids=["chart", "full"])
+@pytest.mark.parametrize("P", [16, 32])
+def test_hessian_equals_columnwise_complex_step(case, full, P):
+    # oracle: column j is the complex step of the weighted gradient along the
+    # coefficient of direction j % dim at node j // dim, one gradient call per
+    # column, then symmetrized; both sides are exact to roundoff
+    make, functional = COLUMNWISE_CASES[case]
+    F, c = cc.parse_functional(functional), cc.make_chart(make(P))
+    basis = c.center.space.section_basis(c.tangent, c.frame) if full else c.frame
+    dim, h = basis.shape[0], 1e-30
+    cols = np.empty((P * dim, P * dim))
+    for j in range(P * dim):
+        E = np.zeros((P, dim), dtype=complex)
+        E[j // dim, j % dim] = 1j * h
+        cols[:, j] = (_pullback_gradient(F, c, E, basis)[1].imag / h * c.weights[:, None]).ravel()
+    want = 0.5 * (cols + cols.T)
+    Q = (cc.hessian_full if full else cc.hessian_in_chart)(F, c).Q
+    if case == "zero":
+        assert np.max(np.abs(want)) == 0.0 and np.max(np.abs(Q)) == 0.0
+    assert np.max(np.abs(Q - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("backend", SECOND_VARIATION_CASES)
 def test_batched_gradient_equals_loop(backend, rng):
     # a (P, B, dim) stack gives, column by column, the (P, dim) gradients
@@ -391,6 +434,17 @@ def test_complex_diff_is_real_and_imaginary_parts(order, shape, rng):
         got, re, im = (got,), (re,), (im,)
     for g, r, i in zip(got, re, im):
         assert g.dtype == complex and np.array_equal(g, r + 1j * i)
+
+
+@pytest.mark.parametrize("P", [128, 256, 512])
+def test_complex_diff_of_a_column_block_equals_the_stacked_parts(P, rng):
+    # the interleaved view of a (P, 32, 2) block, contiguous or strided,
+    # gives the transform of its parts stacked on a last axis bit for bit
+    wide = rng.standard_normal((P, 64, 2)) + 1j * rng.standard_normal((P, 64, 2))
+    for z in (np.ascontiguousarray(wide[:, :32]), wide[:, ::2]):
+        stacked = fourier.diff(np.stack([z.real, z.imag], axis=-1), (1, 2))
+        for got, d in zip(fourier.diff(z, (1, 2)), stacked):
+            assert np.array_equal(got, d[..., 0] + 1j * d[..., 1])
 
 
 def test_one_forward_fft_for_both_derivatives(monkeypatch):

@@ -41,8 +41,8 @@ length and under bend) and records the times of `hessian_in_chart` and of
 `spectrum` (the Hessian, its reduction and eigh), with
 
 - `columns`: the Hessian's columns, P times the frame rank;
-- `gradient_calls`: the batched `_pullback_gradient` calls one
-  `hessian_in_chart` makes;
+- `ffts`: the forward and inverse real FFTs one `hessian_in_chart`
+  makes;
 - `eig_error`: the largest distance of the computed eigenvalues from
   the analytic ones.
 
@@ -279,23 +279,6 @@ def _counted_invert(c: cc.Chart, y: cc.Embedding) -> dict:
             "same_brackets": bool(np.array_equal(dense(), k))}
 
 
-def _gradient_calls(F: cc.Functional, c: cc.Chart) -> int:
-    """Batched gradients one hessian_in_chart makes."""
-    count = [0]
-    pullback = functionals._pullback_gradient
-
-    def counted(*args):
-        count[0] += 1
-        return pullback(*args)
-
-    functionals._pullback_gradient = counted
-    try:
-        cc.hessian_in_chart(F, c)
-    finally:
-        functionals._pullback_gradient = pullback
-    return count[0]
-
-
 def _reduction_rows() -> list[dict]:
     rows = []
     for name, (make, F, _) in CRITICAL.items():
@@ -517,7 +500,7 @@ def _second_variation_rows() -> list[dict]:
             c = cc.make_chart(make(P))
             vals = cc.spectrum(F, c, len(expected))
             row = {"backend": name, "P": P, "columns": P * c.rank,
-                   "gradient_calls": _gradient_calls(F, c),
+                   "ffts": _counted_call(lambda: cc.hessian_in_chart(F, c), ())[1]["ffts"],
                    "hessian_in_chart_s": _min_time(lambda: cc.hessian_in_chart(F, c)),
                    "spectrum_s": _min_time(lambda: cc.spectrum(F, c, len(expected))),
                    "eig_error": float(np.max(np.abs(vals - np.asarray(expected))))}
