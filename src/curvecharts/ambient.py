@@ -8,18 +8,21 @@ the coordinate dimension last.
 Everything the other layers need to know about the ambient lives here.
 The base class holds the flat behaviour (affine exp, coordinate axes as
 tangent basis, intrinsic coordinates); a backend overrides only what
-differs.  The gradient-path methods (`exp`, `dexp`, `length_term`,
-`bending_term`) take complex arrays for complex-step derivatives, so they
-are complex-analytic: no `np.linalg.norm` (norms are sqrt(v.v)), no `abs`,
-no float casts and no ordered comparisons on values.
+differs.  Every functional term (`length_term`, `area_term`,
+`bending_term`) and every curve quantity (`curvature`, `normal_frame`) is
+a backend method, pointwise in x, x', x'' at the nodes: no method here
+differentiates spectrally, the callers pass the derivatives.  The
+gradient-path methods (`exp`, `dexp` and the terms) take complex arrays
+for complex-step derivatives, so they are complex-analytic: no
+`np.linalg.norm` (norms are sqrt(v.v)), no `abs`, no float casts and no
+ordered comparisons on values.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import fourier
-from .errors import CutLocusError
+from .errors import CutLocusError, UnsupportedAmbientError
 
 _SPHERE_NORM_TOL = 1e-12
 
@@ -39,15 +42,6 @@ def _rotate_about(v: np.ndarray, axis: np.ndarray, angle: np.ndarray) -> np.ndar
     return v * c + np.cross(axis, v) * s + axis * np.sum(axis * v, axis=-1, keepdims=True) * (1.0 - c)
 
 
-def _transport(t_prev: np.ndarray, t_cur: np.ndarray, nu_prev: np.ndarray) -> np.ndarray:
-    axis = np.cross(t_prev, t_cur)
-    na = np.linalg.norm(axis)
-    if na < 1e-14:
-        return nu_prev
-    angle = np.arctan2(na, np.dot(t_prev, t_cur))
-    return _rotate_about(nu_prev, axis / na, np.array(angle))
-
-
 class AmbientSpace:
     """Base class for the ambient manifold (N, g).
 
@@ -63,8 +57,6 @@ class AmbientSpace:
     rotations = True
     # the same at every point of each backend
     injectivity_radius = np.inf
-    # whether the functional term `area` (the signed enclosed area) is defined
-    has_signed_area = False
 
     def __init__(self, dim: int):
         # frames, curvature and Killing fields exist for dimensions 2 and 3
@@ -134,29 +126,26 @@ class AmbientSpace:
         """Orthonormal normal frame (rank, n, coord_dim) of a closed curve at p with unit tangents T.
 
         In the plane the rotated tangent; in three dimensions a
-        rotation-minimizing frame transported around the loop, its
-        holonomy distributed evenly over the nodes.
+        rotation-minimizing frame, its holonomy spread evenly over the
+        nodes.  Node i's normal is n_i, from the axis least aligned with
+        T_i, turned by the sum of the turns d_j, j < i, of each n_j carried
+        to node j + 1 against n_j+1 (Bishop 1975); all d_j sum to the holonomy.
         """
         if self.coord_dim == 2:
             # outward for counterclockwise curves
             return np.stack([T[:, 1], -T[:, 0]], axis=1)[None, :, :]
-        P = T.shape[0]
-        seed = np.eye(3)[np.argmin(np.abs(T[0]))]
-        nu0 = seed - np.dot(seed, T[0]) * T[0]
-        nu0 = nu0 / np.linalg.norm(nu0)
-        nus = np.empty((P, 3))
-        nus[0] = nu0
-        for i in range(P - 1):
-            nus[i + 1] = _transport(T[i], T[i + 1], nus[i])
-        closing = _transport(T[-1], T[0], nus[-1])
-        b0 = np.cross(T[0], nu0)
-        hol = np.arctan2(np.dot(closing, b0), np.dot(closing, nu0))
-        angles = -hol * np.arange(P) / P
-        nus = _rotate_about(nus, T, angles)
-        nus = nus - np.sum(nus * T, axis=1, keepdims=True) * T
-        nus = nus / np.linalg.norm(nus, axis=1, keepdims=True)
-        second = np.cross(T, nus)
-        return np.stack([nus, second], axis=0)
+        seed = np.eye(3)[np.argmin(np.abs(T), axis=1)]
+        n = seed - np.sum(seed * T, axis=1, keepdims=True) * T
+        n = n / np.linalg.norm(n, axis=1, keepdims=True)
+        T1, n1 = np.roll(T, -1, axis=0), np.roll(n, -1, axis=0)
+        # n_i carried by the rotation about T_i ^ T_i+1 taking T_i to T_i+1 (closed form on T_i's normals)
+        c = 1.0 + np.sum(T * T1, axis=1, keepdims=True)
+        m = n - np.sum(n * T1, axis=1, keepdims=True) / c * (T + T1)
+        d = np.arctan2(np.sum(m * np.cross(T1, n1), axis=1), np.sum(m * n1, axis=1))
+        phi = np.cumsum(d)
+        hol = np.arctan2(np.sin(phi[-1]), np.cos(phi[-1]))
+        nus = _rotate_about(n, T, phi - d - hol * np.arange(len(T)) / len(T))
+        return np.stack([nus, np.cross(T, nus)], axis=0)
 
     def section_basis(self, T: np.ndarray, frame: np.ndarray) -> np.ndarray:
         """Per-node basis (dim, n, coord_dim) of T_x N along a curve: the coordinate axes."""
@@ -181,7 +170,7 @@ class AmbientSpace:
 
     # functional terms: the density at the nodes and its partials gx, ga, gb in x, x', x'' (or None)
 
-    def length_term(self, pts: np.ndarray, a: np.ndarray):
+    def length_term(self, pts: np.ndarray, a: np.ndarray, b=None):
         """(2 pi/P) |x'| and its partials."""
         v = np.sqrt(np.sum(a * a, axis=-1, keepdims=True))
         scale = 2.0 * np.pi / pts.shape[0]
@@ -203,6 +192,10 @@ class AmbientSpace:
             ga, gb = 2.0 * np.cross(b, w) / v**5, scale * 2.0 * np.cross(w, a) / v**5
         w2 = np.sum(w * w, axis=-1, keepdims=True)
         return scale * (w2 / v**5)[..., 0], None, scale * (ga - 5.0 * w2 / v**7 * a), gb
+
+    def area_term(self, pts: np.ndarray, a: np.ndarray, b=None):
+        """The signed enclosed area's term, (pi/P) x ^ x', and its partials: defined in the plane only."""
+        raise UnsupportedAmbientError("signed area is defined only in the euclidean plane")
 
     def strand_images(self, pts: np.ndarray, winding):
         """Translates k that `separation` pairs strands across, and m with k = m * winding (NaN if none).
@@ -248,13 +241,17 @@ class AmbientSpace:
 
 
 class Euclidean(AmbientSpace):
-    """Euclidean space R^n: the base-class behaviour."""
+    """Euclidean space R^n: the base-class behaviour, and the signed area in the plane."""
 
     kind = "euclidean"
 
-    @property
-    def has_signed_area(self) -> bool:
-        return self.dim == 2
+    def area_term(self, pts, a, b=None):
+        if self.dim != 2:
+            return super().area_term(pts, a, b)
+        # the partial in x', (-x1, x0) / 2, moves onto x by parts, as D is antisymmetric
+        scale = 2.0 * np.pi / pts.shape[0]
+        return (0.5 * scale * (pts[..., 0] * a[..., 1] - pts[..., 1] * a[..., 0]),
+                scale * np.stack([a[..., 1], -a[..., 0]], axis=-1), None, None)
 
 
 class FlatTorus(AmbientSpace):
@@ -411,16 +408,15 @@ class Sphere2(AmbientSpace):
         return np.arctan2(1.0, kmax)
 
     def curvature(self, pts, a, b):
-        """Signed geodesic curvature with respect to the normal p x T; for reporting only."""
-        d = self.project_tangent(pts, a)
-        sp = np.sqrt(np.sum(d * d, axis=-1))
-        T = d / sp[..., None]
-        # dT/ds projected off both the sphere normal and the tangent
-        dT = fourier.diff(T) / sp[..., None]
-        nu = np.cross(pts, T)
-        return np.sum(dT * nu, axis=-1)
+        """Signed geodesic curvature det(x, x', x'') / |d|^3 with respect to the normal x ^ T.
 
-    def length_term(self, pts, a):
+        d is the tangential part of x' (do Carmo 1976, 3-2).  It sets the
+        focal distance, so the radius of every chart on S^2.
+        """
+        d = self.project_tangent(pts, a)
+        return np.sum(pts * np.cross(a, b), axis=-1) / np.sqrt(np.sum(d * d, axis=-1)) ** 3
+
+    def length_term(self, pts, a, b=None):
         """The flat term of d = x' - (x.x') x, the tangential part; gx holds for tangent variations."""
         ya = np.sum(pts * a, axis=-1, keepdims=True)
         f, _, ga, _ = super().length_term(pts, a - ya * pts)

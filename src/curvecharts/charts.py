@@ -119,21 +119,20 @@ def make_chart(x: Embedding) -> Chart:
     speed = np.linalg.norm(d, axis=1)
     T = d / speed[:, None]
     vectors = x.space.normal_frame(x.pts, T)
-    for a in range(vectors.shape[0]):
-        if np.max(np.abs(np.linalg.norm(vectors[a], axis=1) - 1.0)) > _FRAME_TOL:
-            raise DegenerateFrameError("frame vectors not unit length")
-        if np.max(np.abs(np.sum(vectors[a] * T, axis=1))) > _FRAME_TOL:
-            raise DegenerateFrameError("frame vectors not normal to the curve")
-        for b in range(a + 1, vectors.shape[0]):
-            if np.max(np.abs(np.sum(vectors[a] * vectors[b], axis=1))) > _FRAME_TOL:
-                raise DegenerateFrameError("frame vectors not orthogonal")
+    # a NaN fails every test
+    bad = ~(np.abs(np.einsum("aid,bid->iab", vectors, vectors) - np.eye(len(vectors))) <= _FRAME_TOL)
+    if np.any(bad):
+        raise DegenerateFrameError("frame vectors not unit length" if np.any(np.diagonal(bad, 0, 1, 2))
+                                   else "frame vectors not orthogonal")
+    if not np.all(np.abs(np.einsum("aid,id->ai", vectors, T)) <= _FRAME_TOL):
+        raise DegenerateFrameError("frame vectors not normal to the curve")
     return Chart(x, vectors, rho, T, speed * (2.0 * np.pi / x.P))
 
 
-def _full_section(c: Chart, V) -> np.ndarray:
-    """V as a float array of one ambient vector per center node, shape (P, coord_dim)."""
+def _full_section(x: Embedding, V) -> np.ndarray:
+    """V as a float array of one ambient vector per node of x, shape (P, coord_dim)."""
     V = np.asarray(V, dtype=float)
-    if V.shape != c.center.pts.shape:
+    if V.shape != x.pts.shape:
         raise ValueError("a full section needs one ambient vector per chart-center node")
     return V
 
@@ -146,7 +145,7 @@ def _check_radius(c: Chart, W: np.ndarray):
 
 def full_chart_apply(c: Chart, W) -> Embedding:
     """Pointwise exponential of a full section W of x^*(TN), shape (P, coord_dim)."""
-    W = _full_section(c, W)
+    W = _full_section(c.center, W)
     _check_radius(c, W)
     x = c.center
     return Embedding(x.space, x.space.exp(x.pts, W), x.winding)
@@ -162,7 +161,7 @@ def chart_apply(c: Chart, u: NormalSection) -> Embedding:
 
 def project_normal(c: Chart, V) -> NormalSection:
     """Orthogonal projection of a full section V, shape (P, coord_dim), onto the normal bundle."""
-    return NormalSection(np.einsum("aid,id->ia", c.frame, _full_section(c, V)))
+    return NormalSection(np.einsum("aid,id->ia", c.frame, _full_section(c.center, V)))
 
 
 def chart_invert(c: Chart, y: Embedding) -> tuple[NormalSection, Reparam]:

@@ -118,6 +118,8 @@ class Reparam:
 
     def __post_init__(self):
         lift = np.asarray(self.lift, dtype=float)
+        if lift.ndim != 1:
+            raise ValueError("reparameterization lift must be a 1-d array")
         _check_grid(lift.shape[0])
         steps = np.diff(lift, append=lift[0] + 2.0 * np.pi)
         if not np.all(steps > 0.0):

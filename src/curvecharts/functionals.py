@@ -2,15 +2,15 @@
 
 Supported terms: curve length, signed enclosed area (planar only), and
 bending energy (integral of squared curvature; on S^2 of the geodesic
-curvature).  The ambient space supplies each term's density at the nodes
-and its partials in x, x' and x'' (`AmbientSpace.length_term`,
-`bending_term`), in closed form on every backend; on S^2 bending is the
-space curve's term less its length's, as k^2 = k_g^2 + 1 on the unit
-sphere.  One loop over the terms (`_terms`) gives the value and the
-partials, and the chain rule through the spectral derivatives runs once
-(`_by_parts`).  Gradients are exact derivatives of the discrete
-functionals, pulled back through the differential of the exponential map.
-Both variations use complex steps, df[e] = Im f(x + i h e) / h (Squire &
+curvature).  Each term kind is an AmbientSpace method (`TERM_KINDS`)
+that gives its density at the nodes and its partials in x, x' and x'',
+in closed form; a backend without the term raises UnsupportedAmbientError
+(`area_term` off the plane).  One loop over the terms (`_terms`) gives
+the value and the partials, and the chain rule through the spectral
+derivatives runs once (`_by_parts`).  Gradients are exact derivatives of
+the discrete functionals, pulled back through the differential of the
+exponential map.  The first variation needs no chart: any section of
+x^*(TN) will do, on any curve.  Both variations use complex steps, df[e] = Im f(x + i h e) / h (Squire &
 Trapp, SIAM Rev. 1998), exact to roundoff for any tiny h as nothing is
 subtracted: the first variation steps the value, independently of the
 closed-form gradient; the Hessian, the gradient's tangent-linear model,
@@ -30,11 +30,11 @@ import numpy as np
 
 from . import fourier
 from .ambient import AmbientSpace
-from .charts import Chart, NormalSection, _check_radius, _full_section, make_chart
+from .charts import Chart, NormalSection, _check_radius, _full_section
 from .curve import Embedding
-from .errors import UnsupportedAmbientError
 
-TERM_KINDS = ("length", "area", "bend")
+# each term kind and the AmbientSpace method of its density and partials
+TERM_KINDS = {"length": "length_term", "area": "area_term", "bend": "bending_term"}
 
 # the imaginary step of both variations
 _STEP = 1e-30
@@ -84,11 +84,6 @@ def parse_functional(text: str) -> Functional:
     return Functional(tuple(terms))
 
 
-def _check_area_support(F: Functional, space: AmbientSpace):
-    if F.coefficient("area") != 0.0 and not space.has_signed_area:
-        raise UnsupportedAmbientError("signed area is defined only in the euclidean plane")
-
-
 def evaluate(F: Functional, x: Embedding) -> float:
     """Value of the functional on a discrete curve (spectral quadrature)."""
     return float(_terms(F, x.space, x.pts, *_derivatives(F, x.space, x.pts, x.drift))[0])
@@ -100,7 +95,6 @@ def _derivatives(F: Functional, space: AmbientSpace, pts: np.ndarray, drift: np.
     pts has shape (P, ..., coord_dim), any batch axes between; drift is
     the winding drift, as `Embedding.drift`.
     """
-    _check_area_support(F, space)
     theta = fourier.nodes(pts.shape[0]).reshape((-1,) + (1,) * (pts.ndim - 1))
     per = pts - theta * drift
     bends = any(kind == "bend" and coef != 0.0 for kind, coef in F.terms)
@@ -119,15 +113,7 @@ def _terms(F: Functional, space: AmbientSpace, pts: np.ndarray, a: np.ndarray, b
     for kind, coef in F.terms:
         if coef == 0.0:
             continue
-        if kind == "length":
-            term = space.length_term(pts, a)
-        elif kind == "area":
-            # the partial in x', (-x1, x0) / 2, moves onto x by parts, as D is antisymmetric
-            scale = 2.0 * np.pi / pts.shape[0]
-            term = (0.5 * scale * (pts[..., 0] * a[..., 1] - pts[..., 1] * a[..., 0]),
-                    scale * np.stack([a[..., 1], -a[..., 0]], axis=-1), None, None)
-        else:
-            term = space.bending_term(pts, a, b)
+        term = getattr(space, TERM_KINDS[kind])(pts, a, b)
         f = f + coef * np.sum(term[0], axis=0)
         partials = tuple(g if t is None else coef * t if g is None else g + coef * t
                          for g, t in zip(partials, term[1:]))
@@ -198,7 +184,7 @@ def value_and_gradient(F: Functional, c: Chart, coeff: np.ndarray) -> tuple[floa
 
 def first_variation(F: Functional, x: Embedding, V) -> float:
     """dF_x[V] = Im F(exp_x(i h V)) / h for a full section V of x^*(TN), shape (P, coord_dim)."""
-    V = _full_section(make_chart(x), V)
+    V = _full_section(x, V)
     y = x.space.exp(x.pts, 1j * _STEP * V)
     return float(_terms(F, x.space, y, *_derivatives(F, x.space, y, x.drift))[0].imag / _STEP)
 

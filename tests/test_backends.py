@@ -62,8 +62,30 @@ def test_killing_basis_dimensions():
 
 
 def test_signed_area_only_in_the_plane():
-    spaces = [Euclidean(2), Euclidean(3), FlatTorus(2), FlatTorus(3), Sphere2()]
-    assert [s.has_signed_area for s in spaces] == [True, False, False, False, False]
+    th = fourier.nodes(16)
+    circle = np.stack([np.cos(th), np.sin(th), np.zeros(16)], axis=1)
+    for space in (Euclidean(3), FlatTorus(2), FlatTorus(3), Sphere2()):
+        pts = circle[:, :space.coord_dim]
+        with pytest.raises(cc.UnsupportedAmbientError, match="euclidean plane"):
+            space.area_term(pts, fourier.diff(pts), None)
+    # the unit circle: x ^ x' = 1, so the density (pi/P) x ^ x' is pi/16 at every node
+    pts = circle[:, :2]
+    a = fourier.diff(pts)
+    f, gx, ga, gb = Euclidean(2).area_term(pts, a, None)
+    np.testing.assert_allclose(f, np.pi / 16, rtol=1e-14)
+    np.testing.assert_array_equal(gx, 2 * np.pi / 16 * np.stack([a[:, 1], -a[:, 0]], axis=1))
+    assert ga is None and gb is None
+
+
+@pytest.mark.parametrize("polar", [0.3, 0.8, 1.2, 1.5, 2.0, 2.9])
+def test_sphere_latitude_curvature_is_cot(polar):
+    # oracle: a circle of latitude at polar angle t0, counterclockwise about
+    # the north pole, has geodesic curvature cot t0 about the normal x ^ T
+    th = fourier.nodes(64)
+    pts = np.stack([np.sin(polar) * np.cos(th), np.sin(polar) * np.sin(th),
+                    np.full(64, np.cos(polar))], axis=1)
+    np.testing.assert_allclose(cc.curvature(cc.Embedding(Sphere2(), pts)), 1 / np.tan(polar),
+                               rtol=0, atol=1e-12)
 
 
 def test_sphere_point_check():

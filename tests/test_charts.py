@@ -585,6 +585,57 @@ def test_chart_carries_center_tangent_and_weights(make):
     assert np.max(np.abs(c.tangent * speed[:, None] - d)) <= 1e-14 * np.max(speed)
 
 
+def _sequential_frame(T):
+    """Reference 3-d frame: the rotation-minimizing normal transported node by node."""
+    def transport(t0, t1, nu):
+        axis = np.cross(t0, t1)
+        na = np.linalg.norm(axis)
+        if na < 1e-14:
+            return nu
+        return cc.ambient._rotate_about(nu, axis / na, np.array(np.arctan2(na, t0 @ t1)))
+
+    P = len(T)
+    seed = np.eye(3)[np.argmin(np.abs(T[0]))]
+    nus = np.empty((P, 3))
+    nus[0] = (seed - (seed @ T[0]) * T[0]) / np.linalg.norm(seed - (seed @ T[0]) * T[0])
+    for i in range(P - 1):
+        nus[i + 1] = transport(T[i], T[i + 1], nus[i])
+    closing = transport(T[-1], T[0], nus[-1])
+    hol = np.arctan2(closing @ np.cross(T[0], nus[0]), closing @ nus[0])
+    nus = cc.ambient._rotate_about(nus, T, -hol * np.arange(P) / P)
+    nus = nus - np.sum(nus * T, axis=1, keepdims=True) * T
+    nus = nus / np.linalg.norm(nus, axis=1, keepdims=True)
+    return np.stack([nus, np.cross(T, nus)])
+
+
+@pytest.mark.parametrize("P", [64, 128, 256, 512, 1024])
+@pytest.mark.parametrize("make", [_trefoil, _torus3,
+                                  lambda P: shapes.torus_geodesic(P, (1, 0, 1), (0.1, 0.2, 0.3))],
+                         ids=["euclidean3", "torus3", "torus3-straight"])
+def test_normal_frame_matches_sequential_transport(make, P):
+    # the frame from the summed turns is the one transported node by node
+    x = make(P)
+    d = cc.derivative(x)
+    T = d / np.linalg.norm(d, axis=1, keepdims=True)
+    frame = x.space.normal_frame(x.pts, T)
+    assert np.max(np.abs(frame - _sequential_frame(T))) <= 1e-13
+
+
+@pytest.mark.parametrize("bad, message", [
+    (lambda f: 1.01 * f[:2], "not unit length"),
+    (lambda f: np.stack([(f[0] + 0.1 * f[2]) / np.sqrt(1.01), f[1]]), "not normal to the curve"),
+    (lambda f: np.stack([f[0], (f[1] + 0.1 * f[0]) / np.sqrt(1.01)]), "not orthogonal"),
+], ids=["non-unit", "non-normal", "non-orthogonal"])
+def test_make_chart_rejects_a_degenerate_frame(monkeypatch, bad, message):
+    # f[2] is the unit tangent: each bad frame fails exactly one of the three tests
+    x = _trefoil(64)
+    frame = type(x.space).normal_frame
+    monkeypatch.setattr(type(x.space), "normal_frame",
+                        lambda self, p, T: bad(np.concatenate([frame(self, p, T), T[None]])))
+    with pytest.raises(cc.DegenerateFrameError, match=message):
+        cc.make_chart(x)
+
+
 def test_chart_consumers_read_center_geometry_from_chart(monkeypatch, rng):
     # outside make_chart, nothing recomputes a chart center's derivative
     # or arclength weights: they are read from the chart

@@ -466,8 +466,10 @@ def test_non_finite_curve_file_points_exit_2(tmp_path, command, make, bad):
     (("roundtrip", "--center", "{dir}/lemniscate.json", "--curve", "{dir}/target.json"), 3),
     (("spectrum", "--make", "lemniscate"), 3),
     (("orbit", "--make", "lemniscate"), 3),
+    (("minimize", "--make", "lemniscate"), 3),
 ], ids=["validate", "roundtrip", "spectrum", "orbit", "validate-lemniscate",
-        "roundtrip-lemniscate", "spectrum-lemniscate", "orbit-lemniscate"])
+        "roundtrip-lemniscate", "spectrum-lemniscate", "orbit-lemniscate",
+        "minimize-lemniscate"])
 def test_each_command_computes_separation_once(monkeypatch, tmp_path, argv, code):
     from curvecharts import charts, curve
     cc.save_curve(shapes.circle(64), str(tmp_path / "center.json"))

@@ -128,6 +128,13 @@ def test_reparam_rejects_non_monotone():
         cc.Reparam(th + 0.2 * np.sin(8 * th))
 
 
+@pytest.mark.parametrize("lift", [5.0, np.zeros((16, 2)), np.zeros((2, 16))],
+                         ids=["scalar", "16-by-2", "2-by-16"])
+def test_reparam_lift_must_be_one_dimensional(lift):
+    with pytest.raises(ValueError, match="reparameterization lift must be a 1-d array"):
+        cc.Reparam(lift)
+
+
 def test_reparam_and_make_diffeo_reject_nan():
     with pytest.raises(NonMonotoneError):
         cc.Reparam(np.full(16, np.nan))

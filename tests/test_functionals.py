@@ -89,6 +89,22 @@ def test_first_variation_tangential_vanishes(circle64):
         assert abs(fv) <= 1e-6
 
 
+def test_first_variation_needs_no_embedding():
+    # no chart is built: the figure eight is no embedding, and its first variation is
+    # still the derivative of evaluate.  Oracle: central differences of evaluate (an
+    # Embedding holds real points), whose truncation error h^2/6 times the third
+    # derivative is about 1e-9
+    x = shapes.lemniscate(128)
+    th = cc.fourier.nodes(x.P)
+    V = np.stack([np.cos(2 * th), 0.5 * np.sin(3 * th) + 0.2], axis=1)
+    h = 1e-4
+    for name in ("length", "bend", "length-0.5*area"):
+        F = cc.parse_functional(name)
+        fd = (cc.evaluate(F, cc.Embedding(x.space, x.pts + h * V))
+              - cc.evaluate(F, cc.Embedding(x.space, x.pts - h * V))) / (2 * h)
+        assert cc.first_variation(F, x, V) == pytest.approx(fd, rel=1e-7, abs=1e-8)
+
+
 def test_gradient_critical_circle(circle128):
     c = cc.make_chart(circle128)
     g = cc.gradient_in_chart(cc.parse_functional("length-1.0*area"), c,

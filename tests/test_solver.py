@@ -56,6 +56,11 @@ def test_recenter_section_has_no_nyquist_component(make):
     assert np.max(np.abs(alt @ u2.coeff)) / x.P <= 1e-14
 
 
+def test_minimize_rejects_a_non_embedding_start():
+    with pytest.raises(cc.NotEmbeddingError, match="^starting curve is not an embedding$"):
+        cc.minimize(cc.parse_functional("length"), shapes.lemniscate(128))
+
+
 def test_minimize_critical_start_returns_immediately(circle64):
     F = cc.parse_functional("length-1.0*area")
     c, u, trace = cc.minimize(F, circle64)

@@ -71,8 +71,9 @@ a block of INNER calls, with the FFTs of one call of each.
 
 `chart_setup`: for P in {64, 128, 256, 512, 1024, 2048} it records the
 times of `separation` and `make_chart` on a perturbed circle, the (1, 1)
-and (1, 0) wiggly torus geodesics and a pinched loop on S^2 (separation
-0.1, where 0.45 times it binds the chart radius), with
+and (1, 0) wiggly torus geodesics, a pinched loop on S^2 (separation
+0.1, where 0.45 times it binds the chart radius) and a trefoil knot in
+R^3 (`euclidean3`, whose chart builds the 3-d normal frame), with
 
 - `chords`: the (pair, translate) chords `separation` evaluates, as
   counted by its distinct-strand test (`curve._distinct_strands`, or
@@ -127,7 +128,7 @@ import speed  # noqa: E402
 import workloads  # noqa: E402
 from curvecharts import curve, functionals, shapes, solver  # noqa: E402
 from curvecharts import ambient, charts  # noqa: E402
-from test_charts import dense_fiber_scan, random_section  # noqa: E402
+from test_charts import _trefoil, dense_fiber_scan, random_section  # noqa: E402
 from test_curve import count_distances, dense_separation  # noqa: E402
 
 GRIDS = (64, 128, 256, 512, 1024)
@@ -167,6 +168,7 @@ SETUP = {
     "torus": BACKENDS["torus"],
     "torus-w10": lambda P: shapes.torus_geodesic(P, (1, 0), offset=(0.3, 0.7), wiggle=0.05, seed=1),
     "sphere": _sphere_dumbbell,
+    "euclidean3": _trefoil,
 }
 
 # backend -> (critical curve, functional, its smallest eigenvalues)
