@@ -129,11 +129,14 @@ def make_chart(x: Embedding) -> Chart:
     return Chart(x, vectors, rho, T, speed * (2.0 * np.pi / x.P))
 
 
-def _full_section(x: Embedding, V) -> np.ndarray:
-    """V as a float array of one ambient vector per node of x, shape (P, coord_dim)."""
+def _full_section(x: Embedding, V, nodes: str = "chart-center node") -> np.ndarray:
+    """V as a float array of one ambient vector per node of x, shape (P, coord_dim).
+
+    nodes names those nodes in the error that a misshapen V raises.
+    """
     V = np.asarray(V, dtype=float)
     if V.shape != x.pts.shape:
-        raise ValueError("a full section needs one ambient vector per chart-center node")
+        raise ValueError(f"a full section needs one ambient vector per {nodes}")
     return V
 
 
@@ -191,11 +194,12 @@ def chart_invert(c: Chart, y: Embedding) -> tuple[NormalSection, Reparam]:
     P = x.P
 
     def fiber(i: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        p = np.take(x.pts, i, axis=0)
         try:
-            l = space.log(x.pts[i], pts)
+            l = space.log(p, pts)
         except CutLocusError as exc:
             raise ProjectionFailedError("fiber search strayed past the cut locus") from exc
-        return space.inner(x.pts[i], l, c.tangent[i])
+        return space.inner(p, l, np.take(c.tangent, i, axis=0))
 
     # n = 4P, 8P, ... samples of Y: every step-th node of a grid of at least PROBES_PER_NODE * y.P
     step, n, gap = PROBES_PER_NODE * -(-y.P // P) // 4, 2 * P, np.inf

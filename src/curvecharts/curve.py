@@ -482,7 +482,8 @@ def _directed_hausdorff(space: AmbientSpace, probes: np.ndarray, grids: np.ndarr
         return dist, np.sum(v * dy, axis=1)
 
     ends = np.concatenate([(near - 1) % M, near, (near + 1) % M])
-    f, g = dist_and_slope(np.tile(probes, (3, 1)), samples[ends], grids[1, ends])
+    f, g = dist_and_slope(np.tile(probes, (3, 1)), np.take(samples, ends, axis=0),
+                          np.take(grids[1], ends, axis=0))
     best = np.min(f.reshape(3, n), axis=0)
     ga, gm, gb = g.reshape(3, n)
     left = (gm < 0.0) & (ga > 0.0)
@@ -494,7 +495,8 @@ def _directed_hausdorff(space: AmbientSpace, probes: np.ndarray, grids: np.ndarr
     def slope(idx, s):
         i = crossing[idx]
         vals = fourier.taylor(series, j[idx], s - t[idx])
-        fs, gs = dist_and_slope(probes[i], space.retract(vals[:, :d]), vals[:, d:])
+        fs, gs = dist_and_slope(np.take(probes, i, axis=0), space.retract(vals[:, :d]),
+                                vals[:, d:])
         best[i] = np.minimum(best[i], fs)
         return gs
 

@@ -11,11 +11,22 @@ exponentials.  Off the grid it is evaluated in two steps (Boyd,
 zero-padded inverse FFT puts it and its derivatives on a finer grid
 (`upsample`), and a Taylor sum about a node of that grid (`taylor`,
 `taylor_nearest`) gives each value between nodes.
+
+The multipliers of `diff` and the per-order table of `upsample` depend
+on the grid size and the order only; each is built once per key, kept
+in a bounded cache and returned read-only, so no call can change what a
+later one reads.  `taylor` gathers all orders of each point's rows in
+one `np.take`.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+
+# distinct (grid size, order) keys each table cache keeps
+_TABLES = 64
 
 
 def nodes(P: int) -> np.ndarray:
@@ -35,16 +46,22 @@ def diff(values: np.ndarray, order: int | tuple[int, ...] = 1):
          else np.asarray(values, dtype=float))
     P = v.shape[0]
     c = np.fft.rfft(v, axis=0)
-    k = np.arange(P // 2 + 1, dtype=float)
     shape = (-1,) + (1,) * (v.ndim - 1)
     out = []
     for n in order if isinstance(order, tuple) else (order,):
-        mult = (1j * k) ** n
-        if n % 2 == 1:
-            mult[-1] = 0.0  # cosine convention: odd derivatives of the Nyquist mode vanish at nodes
-        d = np.fft.irfft(c * mult.reshape(shape), n=P, axis=0)
+        d = np.fft.irfft(c * _diff_multiplier(P, n).reshape(shape), n=P, axis=0)
         out.append(d.view(complex)[..., 0] if cplx else d)
     return tuple(out) if isinstance(order, tuple) else out[0]
+
+
+@lru_cache(maxsize=_TABLES)
+def _diff_multiplier(P: int, n: int) -> np.ndarray:
+    """(ik)^n over the rfft modes k of P samples, read-only."""
+    mult = (1j * np.arange(P // 2 + 1, dtype=float)) ** n
+    if n % 2 == 1 and P % 2 == 0:
+        mult[-1] = 0.0  # cosine convention: odd derivatives of the Nyquist mode vanish at nodes
+    mult.flags.writeable = False
+    return mult
 
 
 def truncate(values: np.ndarray, kmax: int) -> np.ndarray:
@@ -85,20 +102,30 @@ def upsample(c: np.ndarray, P: int, M: int, orders: int) -> np.ndarray:
     orders 0 .. orders-1 at the M > P nodes `nodes(M)`, shape
     (orders, M) + c.shape[1:], from one zero-padded inverse FFT.  The
     Nyquist mode keeps half the weight of the others (the cosine
-    convention).
+    convention).  The padded spectrum is c times the cached table of
+    `_upsample_table`, one broadcast multiply for all orders.
     """
     if M <= P:
         raise ValueError("upsample needs a finer grid")
+    table = _upsample_table(P, orders)
+    X = np.zeros((orders, M // 2 + 1) + c.shape[1:], dtype=complex)
+    X[:, :table.shape[1]] = table.reshape(table.shape + (1,) * (c.ndim - 1)) * c
+    return np.fft.irfft(X, n=M, axis=1, norm="forward")
+
+
+@lru_cache(maxsize=_TABLES)
+def _upsample_table(P: int, orders: int) -> np.ndarray:
+    """Row n = i^n k^n w / P over the rfft modes k of P samples, n < orders, read-only."""
     K = P // 2 + 1
     k = np.arange(K, dtype=float)
     w = np.ones(K)
     if P % 2 == 0:
         w[-1] = 0.5  # irfft doubles every mode below M/2, the Nyquist mode of P included
-    shape = (-1,) + (1,) * (c.ndim - 1)
-    X = np.zeros((orders, M // 2 + 1) + c.shape[1:], dtype=complex)
+    table = np.empty((orders, K), dtype=complex)
     for n in range(orders):
-        X[n, :K] = ((1j ** n) * k**n * w / P).reshape(shape) * c
-    return np.fft.irfft(X, n=M, axis=1, norm="forward")
+        table[n] = (1j ** n) * k**n * w / P
+    table.flags.writeable = False
+    return table
 
 
 def taylor(grids: np.ndarray, j: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -106,12 +133,14 @@ def taylor(grids: np.ndarray, j: np.ndarray, delta: np.ndarray) -> np.ndarray:
 
     grids holds derivatives of orders 0 .. N at grid nodes (as from
     `upsample`); j and delta hold each point's node index and its offset
-    from that node.
+    from that node.  One `np.take` gathers every order of each point's
+    rows before the sum.
     """
     scale = np.asarray(delta, dtype=float).reshape((-1,) + (1,) * (grids.ndim - 2))
-    acc = grids[-1, j]
+    rows = np.take(grids, j, axis=1)
+    acc = rows[-1]
     for n in range(grids.shape[0] - 1, 0, -1):
-        acc = grids[n - 1, j] + acc * (scale / n)
+        acc = rows[n - 1] + acc * (scale / n)
     return acc
 
 

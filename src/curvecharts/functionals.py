@@ -184,7 +184,8 @@ def value_and_gradient(F: Functional, c: Chart, coeff: np.ndarray) -> tuple[floa
 
 def first_variation(F: Functional, x: Embedding, V) -> float:
     """dF_x[V] = Im F(exp_x(i h V)) / h for a full section V of x^*(TN), shape (P, coord_dim)."""
-    V = _full_section(x, V)
+    V = _full_section(x, V, nodes=f"chart-center node of a chart at x, that is per node of the "
+                                  f"curve x: shape {x.pts.shape}, got {np.shape(V)}")
     y = x.space.exp(x.pts, 1j * _STEP * V)
     return float(_terms(F, x.space, y, *_derivatives(F, x.space, y, x.drift))[0].imag / _STEP)
 

@@ -342,9 +342,14 @@ def _descend(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions,
 
 
 def spectrum(F: Functional, c: Chart, k: int) -> np.ndarray:
-    """k smallest eigenvalues of the chart second variation, the symmetric E^T Q E."""
+    """k smallest eigenvalues of the chart second variation, the symmetric E^T Q E.
+
+    k = 0 gives an empty array; a negative k raises ValueError.
+    """
     k = _integer(k, "k")
-    if k <= 0:
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
+    if k == 0:
         return np.empty(0)
     _, Qr = _reduced_hessian(F, c)
     k = min(k, Qr.shape[0])

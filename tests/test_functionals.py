@@ -570,3 +570,9 @@ def test_chart_weights_set_the_l2_metric():
     basis = cc.standard_killing_basis(x.space)
     np.testing.assert_allclose(cc.orbit_differential(c2, basis),
                                np.sqrt(2.0) * cc.orbit_differential(c, basis), rtol=1e-15, atol=0)
+
+
+def test_first_variation_shape_error_names_the_curve_nodes(circle64):
+    want = r"per node of the curve x: shape \(64, 2\), got \(64, 1\)"
+    with pytest.raises(ValueError, match=want):
+        cc.first_variation(cc.parse_functional("length"), circle64, np.zeros((64, 1)))

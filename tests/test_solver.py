@@ -475,3 +475,10 @@ def test_descent_evaluates_f_once_per_iterate(monkeypatch):
     assert not any(np.array_equal(a, b) for i, a in enumerate(coeffs) for b in coeffs[:i])
     assert calls[0][1] == trace.records[0].f and calls[-1][1] == trace.records[-1].f
     assert np.array_equal(coeffs[-1], u.coeff)
+
+
+def test_spectrum_rejects_a_negative_count(circle64):
+    F, c = cc.parse_functional("length"), cc.make_chart(circle64)
+    with pytest.raises(ValueError, match="k must be non-negative, got -1"):
+        cc.spectrum(F, c, -1)
+    assert cc.spectrum(F, c, 0).shape == (0,)

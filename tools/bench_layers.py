@@ -103,6 +103,14 @@ at each `image_distance` curve x, applies a seeded section of sup norm
 - `same_brackets`: whether both scans pick the same bracket at every
   node.
 
+`spectral_kernels`: for P in {64, 128, 256, 512, 1024} and d in {2, 3}
+it times, on seeded samples of shape (P, d), the kernels of
+`curvecharts.fourier`: `diff` of order 1 (`diff1_s`) and of order 2
+(`diff2_s`), `upsample` of the interpolant and its derivatives of
+orders 0 .. `curve._TAYLOR_ORDER` onto the M = 8P nodes of the probe
+grid (`upsample_s`), and `taylor_nearest` at M seeded points on those
+grids (`taylor_s`).  Each is the mean of a block of KERNEL_INNER calls.
+
 The JSON also holds the machine, Python, numpy and scipy versions, and
 each backend's time ratio between the largest grid and a quarter of it.
 """
@@ -141,6 +149,8 @@ REPEATS = 3
 INNER = 20
 # nodes per block of the dense reference fiber scan at 4P samples
 DENSE_BLOCK = 64
+# calls per timed block of `spectral_kernels`
+KERNEL_INNER = 200
 
 
 def _tilted_circle(P: int) -> cc.Embedding:
@@ -394,6 +404,35 @@ def _iterate_cost_rows() -> list[dict]:
     return rows
 
 
+def _block_time(fn) -> float:
+    """Mean time of one fn() over a timed block of KERNEL_INNER calls."""
+    return _min_time(lambda: [fn() for _ in range(KERNEL_INNER)]) / KERNEL_INNER
+
+
+def _spectral_kernel_rows() -> list[dict]:
+    fourier = cc.fourier
+    rows = []
+    for d in (2, 3):
+        for P in GRIDS:
+            rng = np.random.default_rng(P + d)
+            v = rng.standard_normal((P, d))
+            c = fourier.coeffs(v)
+            M = curve.PROBES_PER_NODE * P
+            orders = curve._TAYLOR_ORDER + 1
+            grids = fourier.upsample(c, P, M, orders)
+            t = rng.uniform(0.0, 2.0 * np.pi, M)
+            row = {"d": d, "P": P, "M": M, "orders": orders,
+                   "diff1_s": _block_time(lambda: fourier.diff(v, 1)),
+                   "diff2_s": _block_time(lambda: fourier.diff(v, 2)),
+                   "upsample_s": _block_time(lambda: fourier.upsample(c, P, M, orders)),
+                   "taylor_s": _block_time(lambda: fourier.taylor_nearest(grids, t))}
+            rows.append(row)
+            print(f"spectral kernels d={d} P={P:5d} diff {row['diff1_s'] * 1e6:.1f}"
+                  f"/{row['diff2_s'] * 1e6:.1f} us upsample {row['upsample_s'] * 1e6:.1f} us"
+                  f" taylor {row['taylor_s'] * 1e6:.1f} us", file=sys.stderr)
+    return rows
+
+
 def _image_distance_rows() -> list[dict]:
     rows = []
     for name, make in BACKENDS.items():
@@ -522,6 +561,7 @@ SECTIONS = {
     "chart_invert": _chart_invert_rows,
     "descent": _descent_rows,
     "iterate_cost": _iterate_cost_rows,
+    "spectral_kernels": _spectral_kernel_rows,
 }
 
 # ratio -> (section, timed field, backends, larger P, smaller P)
