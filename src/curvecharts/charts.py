@@ -21,7 +21,6 @@ from . import fourier
 from .curve import (
     MIN_SEPARATION,
     PROBES_PER_NODE,
-    _LEAF_SAMPLES,
     Embedding,
     Reparam,
     _arc_tree,
@@ -154,10 +153,15 @@ def full_chart_apply(c: Chart, W) -> Embedding:
     return Embedding(x.space, x.space.exp(x.pts, W), x.winding)
 
 
+def _check_section(c: Chart, coeff: np.ndarray):
+    """ValueError unless coeff has one frame coefficient per node and normal direction, (P, rank)."""
+    if np.shape(coeff) != (c.P, c.rank):
+        raise ValueError("section shape does not match the chart")
+
+
 def chart_apply(c: Chart, u: NormalSection) -> Embedding:
     """Curve represented by the normal section u in this chart."""
-    if u.coeff.shape != (c.P, c.rank):
-        raise ValueError("section shape does not match the chart")
+    _check_section(c, u.coeff)
     # W = sum_a u^a nu^a has the pointwise norm of u: the frame is orthonormal
     return full_chart_apply(c, np.einsum("ia,aid->id", u.coeff, c.frame))
 
@@ -239,18 +243,18 @@ def chart_invert(c: Chart, y: Embedding) -> tuple[NormalSection, Reparam]:
 def _fiber_brackets(space, p: np.ndarray, T: np.ndarray, q: np.ndarray, rho: float):
     """Bracket of each node's fiber crossing among the cyclic samples q: (k, g_k, g_k+1).
 
-    The same bracket as `_nearest_crossing` over the table of every
-    (node, sample) pair, with g = <log_p q, T> and NaN where
-    dist(p, q) >= rho; k = -1 where it has none.  The descent of the tree
-    of sample arcs (`curve._arc_tree`) keeps a (node, arc) pair only if
-    the arc's ball reaches inside the tube, dist(p, m) - R < rho, and may
-    meet the node's fiber (`AmbientSpace.fiber_may_cross`); every pair it
-    drops holds no sign change of g.  A surviving leaf takes `dist` of its
-    samples and of the one past its end, and `log` only of those within
-    rho, and its rows reduce by `_nearest_crossing`; the rows of each
-    node then reduce by (score, k), which is the dense rule's order.
+    With g = <log_p q, T> within rho of the node p, the bracket is the
+    interval [k, k + 1] across which g changes sign nearest p, by
+    min(dist(p, q_k), dist(p, q_k+1)) and then the lowest k, as a dense
+    scan of every (node, sample) pair picks it; k = -1 where none.  The
+    descent of `curve._arc_tree` keeps a (node, arc) pair only if the arc's
+    ball reaches inside the tube, dist(p, m) - R < rho, and may meet the
+    node's fiber (`AmbientSpace.fiber_may_cross`): a dropped pair holds no
+    sign change of g, nor does an interval from a leaf's past sample to a
+    later leaf.  The pairs it hands back, each leaf's samples and the one
+    past its end (sample n is sample 0), take `dist`, and `log` only within
+    rho; one sort by (node, score, k) picks each node's bracket.
     """
-    n, P = len(q), len(p)
 
     def keep(i, m, d, R):
         ok = d - R < rho
@@ -259,40 +263,19 @@ def _fiber_brackets(space, p: np.ndarray, T: np.ndarray, q: np.ndarray, rho: flo
                                        np.take(q, m, axis=0), R[ok])
         return ok
 
-    node, start, size = _arc_tree(space, p, q, keep)
-    # one row per leaf pair: its samples, the one past its end, then a NaN that ends the cycle
-    cols = _LEAF_SAMPLES + 2
-    j = (start[:, None] + np.arange(cols)) % n
-    r, s = np.nonzero(np.arange(cols) <= size[:, None])
-    dists, gvals = np.full((node.size, cols), np.inf), np.full((node.size, cols), np.nan)
-    pr, qr = np.take(p, node[r], axis=0), np.take(q, j[r, s], axis=0)
-    dists[r, s] = space.dist(pr, qr)
-    near = dists[r, s] < rho
-    r, s, pr, qr = r[near], s[near], pr[near], qr[near]
-    gvals[r, s] = space.inner(pr, space.log(pr, qr), np.take(T, node[r], axis=0))
-    kl = _nearest_crossing(gvals, dists)
-    row = np.flatnonzero(kl >= 0)
-    kl, owner = kl[row], node[row]
-    k, score = j[row, kl], np.minimum(dists[row, kl], dists[row, kl + 1])
-    # per node, the lowest score and the lowest k among equal scores
-    order = np.lexsort((k, score, owner))
-    best = order[np.flatnonzero(np.diff(owner[order], prepend=-1))]
-    out, glo, ghi = np.full(P, -1), np.full(P, np.nan), np.full(P, np.nan)
-    i, row, kl = owner[best], row[best], kl[best]
-    out[i], glo[i], ghi[i] = k[best], gvals[row, kl], gvals[row, kl + 1]
-    return out, glo, ghi
-
-
-def _nearest_crossing(gvals: np.ndarray, dists: np.ndarray) -> np.ndarray:
-    """Per row (last axis), start k of the cyclic sample interval [k, k+1]
-    nearest the center on which gvals changes sign; NaN marks samples outside the tube.
-
-    Nearest means the smallest min(dists[k], dists[k+1]), the first k on
-    ties; -1 where no interval has a sign change.
-    """
-    crossing = gvals * np.roll(gvals, -1, axis=-1) <= 0.0  # False next to a NaN
-    score = np.where(crossing, np.minimum(dists, np.roll(dists, -1, axis=-1)), np.inf)
-    return np.where(np.any(crossing, axis=-1), np.argmin(score, axis=-1), -1)
+    owner, j = _arc_tree(space, p, q, keep, past=1)
+    pr, qr = np.take(p, owner, axis=0), np.take(q, j, axis=0, mode="wrap")
+    dist, g = space.dist(pr, qr), np.full(owner.size, np.nan)
+    near = dist < rho
+    g[near] = space.inner(pr[near], space.log(pr[near], qr[near]), np.take(T, owner[near], axis=0))
+    # intervals [j_e, j_e+1] of one node across which g changes sign (False next to a NaN)
+    e = np.flatnonzero((owner[1:] == owner[:-1]) & (j[1:] == j[:-1] + 1) & (g[:-1] * g[1:] <= 0.0))
+    # per node, the lowest score and the lowest k among equal scores, first in the sort
+    e = e[np.lexsort((j[e], np.minimum(dist[e], dist[e + 1]), owner[e]))]
+    e = e[np.diff(owner[e], prepend=-1) != 0]
+    k, glo, ghi = np.full(len(p), -1), np.full(len(p), np.nan), np.full(len(p), np.nan)
+    k[owner[e]], glo[owner[e]], ghi[owner[e]] = j[e], g[e], g[e + 1]
+    return k, glo, ghi
 
 
 def transition(c1: Chart, c2: Chart, u: NormalSection) -> tuple[NormalSection, Reparam]:

@@ -168,7 +168,7 @@ def interp_curve(x: Embedding, t) -> np.ndarray:
 
 def _curve_at(x: Embedding, grids: np.ndarray, t: np.ndarray) -> np.ndarray:
     """interp_curve(x, t), given the `_grids` of x's periodic part."""
-    return x.space.retract(fourier.taylor_nearest(grids, t) + t[:, None] * x.drift)
+    return x.space.retract(fourier.taylor_nearest(grids, t) + t[..., None] * x.drift)
 
 
 def derivative(x: Embedding) -> np.ndarray:
@@ -304,35 +304,37 @@ def _illinois(fun, lo, hi, glo, ghi, start) -> np.ndarray:
     fallback; the others keep their start.  A root stops when its bracket is
     narrower than _BRACKET_TOL, its next step would be shorter than
     _STEP_TOL, or its value vanishes.  Returns the secant point at which
-    each root stopped, else its last iterate.
+    each root stopped, else its last iterate.  The live roots' state is
+    kept compacted, numbered idx, and gathered again only when some stop.
     """
     sign = np.sign(glo)  # orient every bracket so that the value falls from + to -
     glo, ghi = sign * glo, sign * ghi
-    lo, hi, last = lo.copy(), hi.copy(), start.copy()
-    side = np.zeros(lo.size)
-    active = np.flatnonzero((glo > 0.0) & (ghi < 0.0))
+    idx = np.flatnonzero((glo > 0.0) & (ghi < 0.0))
+    out = start.copy()
+    lo, hi, glo, ghi, sign, last = (v[idx] for v in (lo, hi, glo, ghi, sign, start))
+    side = np.zeros(idx.size)
     for _ in range(_MAX_STEPS):
-        a, b = lo[active], hi[active]
-        s = b - ghi[active] * (b - a) / (ghi[active] - glo[active])
-        going = (b - a >= _BRACKET_TOL) & (np.abs(s - last[active]) >= _STEP_TOL)
-        # a root that stops returns its final secant point, inside its bracket
-        last[active[~going]] = np.clip(s[~going], a[~going], b[~going])
-        active, a, b, s = active[going], a[going], b[going], s[going]
-        if active.size == 0:
-            break
-        s = np.where((s > a) & (s < b), s, 0.5 * (a + b))
-        gs = sign[active] * fun(active, s)
-        up = gs > 0.0    # the root lies above s: s becomes the lower end
-        down = gs < 0.0
+        s = hi - ghi * (hi - lo) / (ghi - glo)
+        going = (hi - lo >= _BRACKET_TOL) & (np.abs(s - last) >= _STEP_TOL)
+        if not np.all(going):
+            # a root that stops returns its final secant point, inside its bracket
+            out[idx[~going]] = np.clip(s[~going], lo[~going], hi[~going])
+            live = (idx, lo, hi, glo, ghi, sign, side, s)
+            idx, lo, hi, glo, ghi, sign, side, s = (v[going] for v in live)
+        if idx.size == 0:
+            return out
+        s = np.where((s > lo) & (s < hi), s, 0.5 * (lo + hi))
+        gs = sign * fun(idx, s)
+        up, down = gs > 0.0, gs < 0.0  # up: the root lies above s, which becomes the lower end
         # Illinois: halve the value kept at an end that survives twice running
-        glo[active] = np.where(up, gs, np.where(down & (side[active] < 0.0), 0.5, 1.0) * glo[active])
-        ghi[active] = np.where(down, gs, np.where(up & (side[active] > 0.0), 0.5, 1.0) * ghi[active])
-        lo[active] = np.where(up, s, a)
-        hi[active] = np.where(down, s, b)
-        side[active] = np.where(up, 1.0, -1.0)
-        last[active] = s
-        active = active[gs != 0.0]
-    return last
+        glo = np.where(up, gs, np.where(down & (side < 0.0), 0.5, 1.0) * glo)
+        ghi = np.where(down, gs, np.where(up & (side > 0.0), 0.5, 1.0) * ghi)
+        # a vanishing value closes the bracket at s, so the root stops there next step
+        lo, hi = np.where(gs >= 0.0, s, lo), np.where(gs <= 0.0, s, hi)
+        side = np.where(up, 1.0, -1.0)
+        last = s
+    out[idx] = last
+    return out
 
 
 def _invert_monotone(slope: float, c: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -397,8 +399,8 @@ def _tree_margin(p: np.ndarray, q: np.ndarray, chain: float) -> float:
     return 4.0 * eps * (1.0 + np.max(np.abs(p)) + np.max(np.abs(q))) + 2.0 * eps * len(q) * chain
 
 
-def _arc_tree(space: AmbientSpace, p: np.ndarray, q: np.ndarray, keep):
-    """The (point, leaf arc) pairs left by a descent of the tree of arcs of the cyclic samples q.
+def _arc_tree(space: AmbientSpace, p: np.ndarray, q: np.ndarray, keep, past: int = 0):
+    """The (point, sample) pairs left by a descent of the tree of arcs of the cyclic samples q.
 
     Each arc of `_arc_levels` is the ball about its middle sample m of
     radius R, the chain of samples from m to either end and to the sample
@@ -406,8 +408,10 @@ def _arc_tree(space: AmbientSpace, p: np.ndarray, q: np.ndarray, keep):
     that starts in the arc.  The descent goes breadth-first for all points
     at once: keep(i, m, d, R) gets the surviving pairs of a level as the
     point indices i, middle samples m, d = dist(p[i], q[m]) and radii R,
-    and returns the mask of pairs whose children to visit.  Returns the
-    point index, start and size of every surviving leaf pair, by point.
+    and returns the mask of pairs whose children to visit.  Returns flat
+    (owner, sample) pairs sorted by owner: every sample of each surviving
+    leaf in order, then the past samples just after it, numbered past n - 1
+    on the last leaf (take them mod n, as `np.take(..., mode="wrap")` does).
     """
     chain = np.concatenate(([0.0], np.cumsum(space.dist(q, np.roll(q, -1, axis=0)))))
     margin = _tree_margin(p, q, chain[-1])
@@ -418,7 +422,9 @@ def _arc_tree(space: AmbientSpace, p: np.ndarray, q: np.ndarray, keep):
         m = mid[arc]
         ok = keep(node, m, space.dist(np.take(p, node, axis=0), np.take(q, m, axis=0)), R[arc])
         node, arc = node[ok], arc[ok]
-    return node, start[arc], (end - start)[arc]
+    size = (end - start)[arc] + past
+    owner = np.repeat(node, size)
+    return owner, np.arange(owner.size) + np.repeat(start[arc] - np.cumsum(size) + size, size)
 
 
 def _nearest_samples(space: AmbientSpace, probes: np.ndarray, samples: np.ndarray) -> np.ndarray:
@@ -428,7 +434,7 @@ def _nearest_samples(space: AmbientSpace, probes: np.ndarray, samples: np.ndarra
     `_arc_tree` keeps a (probe, arc) pair while dist(p, m) - R is at most
     the distance of the nearest arc middle to p found so far: every sample
     of a dropped arc lies farther than a sample already seen.  The
-    samples of the surviving leaves then reduce per probe.
+    (probe, sample) pairs it hands back then reduce per probe.
     """
     best = np.full(len(probes), np.inf)
 
@@ -436,10 +442,7 @@ def _nearest_samples(space: AmbientSpace, probes: np.ndarray, samples: np.ndarra
         np.minimum.at(best, i, d)
         return d - R <= best[i]
 
-    node, start, size = _arc_tree(space, probes, samples, keep)
-    # every sample of every surviving leaf, probe by probe
-    owner = np.repeat(node, size)
-    cand = np.arange(owner.size) + np.repeat(start - (np.cumsum(size) - size), size)
+    owner, cand = _arc_tree(space, probes, samples, keep)
     dist = space.dist(np.take(probes, owner, axis=0), np.take(samples, cand, axis=0))
     seg = np.flatnonzero(np.diff(owner, prepend=-1))
     count = np.diff(seg, append=owner.size)
@@ -486,8 +489,7 @@ def _directed_hausdorff(space: AmbientSpace, probes: np.ndarray, grids: np.ndarr
                           np.take(grids[1], ends, axis=0))
     best = np.min(f.reshape(3, n), axis=0)
     ga, gm, gb = g.reshape(3, n)
-    left = (gm < 0.0) & (ga > 0.0)
-    right = (gm > 0.0) & (gb < 0.0)
+    left, right = (gm < 0.0) & (ga > 0.0), (gm > 0.0) & (gb < 0.0)  # the crossing below or above t_j
     crossing = np.flatnonzero(left | right)
     j = near[crossing]
     t = fourier.nodes(M)[j]

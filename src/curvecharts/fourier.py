@@ -132,11 +132,12 @@ def taylor(grids: np.ndarray, j: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """Taylor sum over n of grids[n, j] * delta**n / n!, by Horner's rule.
 
     grids holds derivatives of orders 0 .. N at grid nodes (as from
-    `upsample`); j and delta hold each point's node index and its offset
-    from that node.  One `np.take` gathers every order of each point's
-    rows before the sum.
+    `upsample`); j and delta, of one shape that leads the result's, hold
+    each point's node index and its offset from that node.  One `np.take`
+    gathers every order of each point's rows before the sum.
     """
-    scale = np.asarray(delta, dtype=float).reshape((-1,) + (1,) * (grids.ndim - 2))
+    delta = np.asarray(delta, dtype=float)
+    scale = delta.reshape(delta.shape + (1,) * (grids.ndim - 2))
     rows = np.take(grids, j, axis=1)
     acc = rows[-1]
     for n in range(grids.shape[0] - 1, 0, -1):

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import fourier
 from .ambient import AmbientSpace
-from .charts import Chart, NormalSection, _check_radius, _full_section
+from .charts import Chart, NormalSection, _check_radius, _check_section, _full_section
 from .curve import Embedding
 
 # each term kind and the AmbientSpace method of its density and partials
@@ -169,6 +169,7 @@ def gradient_in_chart(F: Functional, c: Chart, u: NormalSection) -> NormalSectio
     d f(u)[delta] = sum_i <g_i, delta_i> w_i with w the chart-center
     arclength weights.
     """
+    _check_section(c, u.coeff)
     return NormalSection(_pullback_gradient(F, c, u.coeff, c.frame)[1])
 
 
@@ -178,6 +179,7 @@ def value_and_gradient(F: Functional, c: Chart, coeff: np.ndarray) -> tuple[floa
     One exponential map and one spectral differentiation of the image
     curve serve both; each result equals its separate call bit for bit.
     """
+    _check_section(c, coeff)
     f, G = _pullback_gradient(F, c, np.asarray(coeff, dtype=float), c.frame)
     return float(f), NormalSection(G)
 

@@ -30,12 +30,13 @@ def lemniscate(P: int = 128) -> Embedding:
     return Embedding(Euclidean(2), pts)
 
 
-def torus_geodesic(P: int = 64, winding=(1, 0), offset=(0.0, 0.0),
+def torus_geodesic(P: int = 64, winding=(1, 0), offset=0.0,
                    wiggle: float = 0.0, seed: int = 0) -> Embedding:
-    """Straight closed geodesic on the unit flat torus, optionally perturbed.
+    """Straight closed geodesic on the unit flat torus of the winding's dimension, optionally perturbed.
 
-    A nonzero wiggle adds a deterministic band-limited transverse
-    displacement of that amplitude.
+    offset, a scalar or one value per coordinate, shifts the lift.  A
+    nonzero wiggle (2-d windings only) adds a deterministic band-limited
+    transverse displacement of that amplitude.
     """
     w = np.asarray(winding, dtype=int)
     if not np.any(w):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 import curvecharts as cc
 from curvecharts import charts, curve, shapes, solver
-from curvecharts.charts import _nearest_crossing
 from curvecharts.curve import interp_curve
 from curvecharts.errors import (
     ChartBreakdownError,
@@ -317,6 +316,18 @@ def test_chart_invert_rotated_tilted_great_circle():
     c = cc.make_chart(smooth_center(x0, 24))
     u, _ = cc.chart_invert(c, x0)
     assert cc.image_distance(cc.chart_apply(c, u), x0) <= 1e-10
+
+
+def _nearest_crossing(gvals: np.ndarray, dists: np.ndarray) -> np.ndarray:
+    """Per row (last axis), start k of the cyclic sample interval [k, k+1]
+    nearest the center on which gvals changes sign; NaN marks samples outside the tube.
+
+    Nearest means the smallest min(dists[k], dists[k+1]), the first k on
+    ties; -1 where no interval has a sign change.
+    """
+    crossing = gvals * np.roll(gvals, -1, axis=-1) <= 0.0  # False next to a NaN
+    score = np.where(crossing, np.minimum(dists, np.roll(dists, -1, axis=-1)), np.inf)
+    return np.where(np.any(crossing, axis=-1), np.argmin(score, axis=-1), -1)
 
 
 def _nearest_crossing_scan(gvals, dists):
@@ -682,3 +693,33 @@ def test_chart_consumers_read_center_geometry_from_chart(monkeypatch, rng):
                 cc.SolveOptions(newton=True, max_iter=50))
     assert len(centers) > 3
     assert misses == []
+
+
+def test_fiber_bracket_on_the_wrap_interval():
+    # a circle of radius 1.05 turned ahead by 0.3 sample spacings: node 0's
+    # fiber crosses it between the last sample and sample 0, the interval
+    # [n - 1, 0] that joins the last leaf's past sample to the first leaf
+    P = 64
+    x = shapes.circle(P)
+    c = cc.make_chart(x)
+    delta = 0.3 * 2.0 * np.pi / (4 * P)
+    th = fourier.nodes(P)
+    y = cc.Embedding(x.space, 1.05 * np.stack([np.cos(th + delta), np.sin(th + delta)], axis=1))
+    searches, search = [], charts._fiber_brackets
+
+    def recorded_search(space, p, T, q, rho):
+        out = search(space, p, T, q, rho)
+        searches.append((q, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(charts, "_fiber_brackets", recorded_search)
+        u, sigma = cc.chart_invert(c, y)
+    [(q, (k, glo, ghi))] = searches
+    n = len(q)
+    assert n == 4 * P and k[0] == n - 1
+    dists, gvals, want = dense_fiber_scan(x.space, x.pts, c.tangent, q, c.rho)
+    np.testing.assert_array_equal(k, want)
+    assert glo[0] == gvals[0, n - 1] and ghi[0] == gvals[0, 0]
+    assert abs(sigma.lift[0] + delta) <= 1e-12
+    np.testing.assert_allclose(u.coeff, 0.05, rtol=0, atol=1e-12)

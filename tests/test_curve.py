@@ -744,3 +744,160 @@ def test_nearest_samples_are_output_sensitive(monkeypatch, P):
         assert count[0] < 256 * len(probes)
         if P == 128:
             np.testing.assert_array_equal(near, _brute_nearest(space, probes, samples))
+
+
+def _illinois_gather_scatter(fun, lo, hi, glo, ghi, start):
+    # reference: the solver with its state at full size, gathered and scattered
+    # through the live indices every step
+    sign = np.sign(glo)
+    glo, ghi = sign * glo, sign * ghi
+    lo, hi, last = lo.copy(), hi.copy(), start.copy()
+    side = np.zeros(lo.size)
+    active = np.flatnonzero((glo > 0.0) & (ghi < 0.0))
+    for _ in range(curve._MAX_STEPS):
+        a, b = lo[active], hi[active]
+        s = b - ghi[active] * (b - a) / (ghi[active] - glo[active])
+        going = (b - a >= curve._BRACKET_TOL) & (np.abs(s - last[active]) >= curve._STEP_TOL)
+        last[active[~going]] = np.clip(s[~going], a[~going], b[~going])
+        active, a, b, s = active[going], a[going], b[going], s[going]
+        if active.size == 0:
+            break
+        s = np.where((s > a) & (s < b), s, 0.5 * (a + b))
+        gs = sign[active] * fun(active, s)
+        up = gs > 0.0
+        down = gs < 0.0
+        glo[active] = np.where(up, gs, np.where(down & (side[active] < 0.0), 0.5, 1.0) * glo[active])
+        ghi[active] = np.where(down, gs, np.where(up & (side[active] > 0.0), 0.5, 1.0) * ghi[active])
+        lo[active] = np.where(up, s, a)
+        hi[active] = np.where(down, s, b)
+        side[active] = np.where(up, 1.0, -1.0)
+        last[active] = s
+        active = active[gs != 0.0]
+    return last
+
+
+def _illinois_cases(rng, n=400):
+    """Brackets of n cubics of either orientation, with the special cases of `_illinois`.
+
+    Roots r in [0, 1] and brackets [r - a, r + b]; some brackets hold no
+    sign change, some end exactly on a zero, some are narrower than the
+    bracket tolerance, and some functions vanish on a plateau about their
+    root, so values reach 0 mid-run.  Steps, falling by 1e-20 past a
+    dyadic root, make the secant round to an end, so the bisection
+    fallback lands on the root.  Returns (fun, lo, hi, glo, ghi, start).
+    """
+    kind = rng.integers(0, 7, n)
+    r = rng.uniform(0.0, 1.0, n)
+    r = np.where(kind == 6, np.round(1024.0 * r) / 1024.0, r)
+    a, b = rng.uniform(0.01, 0.5, n), rng.uniform(0.01, 0.5, n)
+    cubic = rng.uniform(0.0, 5.0, n)
+    orient = rng.choice([-1.0, 1.0], n)
+    plateau = np.where(rng.uniform(size=n) < 0.2, 1e-3, 0.0)
+    lo, hi = r - a, r + b
+    lo = np.where(kind == 1, r + 0.1, lo)        # 1: no sign change, the bracket misses the root
+    hi = np.where(kind == 2, r, hi)              # 2: an exact zero at an end
+    half = np.select([kind == 3, (kind == 4) | (kind == 6)], [1e-13, 0.25], np.nan)
+    lo, hi = np.where(np.isnan(half), lo, r - half), np.where(np.isnan(half), hi, r + half)
+
+    def fun(idx, t):
+        d = t - r[idx]
+        g = d * (1.0 + cubic[idx] * d * d)
+        g = np.where(kind[idx] == 4, d, g)      # 4: linear, its first secant lands on r
+        g = np.where(kind[idx] == 6, np.where(d < 0.0, 1.0, np.where(d > 0.0, -1e-20, 0.0)), g)
+        return orient[idx] * np.where(np.abs(d) < plateau[idx], 0.0, g)
+
+    every = np.arange(n)
+    glo, ghi = fun(every, lo), fun(every, hi)
+    start = np.where(kind == 5, hi, lo)           # 3 stops at step 0; 5 starts at the upper end
+    return fun, lo, hi, glo, ghi, start
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_illinois_equals_the_gather_scatter_loop(seed):
+    # compacted live state gives the full-size loop's roots and evaluations bit for bit
+    fun, lo, hi, glo, ghi, start = _illinois_cases(np.random.default_rng(seed))
+    calls = {"compact": [], "full": []}
+
+    def recorded(key):
+        def f(idx, t):
+            calls[key].append((idx.copy(), t.copy()))
+            return fun(idx, t)
+        return f
+
+    got = curve._illinois(recorded("compact"), lo, hi, glo, ghi, start)
+    want = _illinois_gather_scatter(recorded("full"), lo, hi, glo, ghi, start)
+    np.testing.assert_array_equal(got, want)
+    assert len(calls["compact"]) == len(calls["full"]) > 5
+    for (i1, t1), (i2, t2) in zip(calls["compact"], calls["full"]):
+        np.testing.assert_array_equal(i1, i2)
+        np.testing.assert_array_equal(t1, t2)
+    # the cases arise: brackets without a sign change keep their start, and
+    # some roots stop on an exact zero of their function
+    changes = np.sign(glo) * np.sign(ghi) < 0.0
+    np.testing.assert_array_equal(got[~changes], start[~changes])
+    assert np.any(~changes) and np.any(fun(np.arange(lo.size), got)[changes] == 0.0)
+
+
+def test_illinois_without_a_sign_change_evaluates_nothing():
+    # no live root: every start comes back, and fun is never called
+    def fun(idx, t):
+        raise AssertionError("no root to refine")
+
+    lo, hi = np.array([0.0, 1.0, 2.0]), np.array([0.5, 1.5, 2.5])
+    glo, ghi = np.array([1.0, 0.0, -1.0]), np.array([2.0, -1.0, 0.0])
+    np.testing.assert_array_equal(curve._illinois(fun, lo, hi, glo, ghi, hi), hi)
+    empty = np.zeros(0)
+    assert curve._illinois(fun, empty, empty, empty, empty, empty).size == 0
+
+
+def test_illinois_inputs_are_left_unchanged():
+    fun, *args = _illinois_cases(np.random.default_rng(3), 50)
+    copies = [a.copy() for a in args]
+    curve._illinois(fun, *args)
+    for a, b in zip(args, copies):
+        np.testing.assert_array_equal(a, b)
+
+
+def _leaf_expansion(n, points, keep, past):
+    # reference: each point's own descent of the arc tree, arc by arc, then
+    # the samples of its surviving leaves and the past samples after each
+    levels = list(curve._arc_levels(n))
+    pairs = []
+    for i in range(points):
+        arcs = [0]
+        for fan, start, end, mid in levels:
+            arcs = [fan * a + c for a in arcs for c in range(fan) if keep(i, mid[fan * a + c])]
+        pairs += [(i, j) for a in arcs for j in range(start[a], end[a] + past)]
+    return pairs
+
+
+@pytest.mark.parametrize("n", [64, 100, 256])
+@pytest.mark.parametrize("past", [0, 1])
+def test_arc_tree_pairs_equal_the_leaf_expansion(n, past):
+    # flat (owner, sample) pairs, by owner, with every leaf's past samples
+    rng = np.random.default_rng(n)
+    space, points = cc.Euclidean(2), 7
+    p, q = rng.standard_normal((points, 2)), rng.standard_normal((n, 2))
+    for rule in (lambda i, m: np.ones(np.shape(i), bool), lambda i, m: (3 * i + m) % 5 != 0):
+        owner, sample = curve._arc_tree(space, p, q, lambda i, m, d, R: rule(i, m), past)
+        assert list(zip(owner.tolist(), sample.tolist())) == _leaf_expansion(n, points, rule, past)
+    # keeping every arc, each point gets every sample; the last leaf's past
+    # sample is numbered n, and taken mod n it is sample 0
+    owner, sample = curve._arc_tree(space, p, q, lambda i, m, d, R: np.ones(i.size, bool), past)
+    last = np.flatnonzero(np.diff(owner, append=points))
+    np.testing.assert_array_equal(sample[last], np.full(points, n - 1 + past))
+    assert np.all(np.take(q, sample[last], axis=0, mode="wrap") == (q[0] if past else q[n - 1]))
+    leaves = len(list(curve._arc_levels(n))[-1][1])
+    np.testing.assert_array_equal(np.bincount(owner), np.full(points, n + past * leaves))
+
+
+def test_off_grid_evaluation_takes_any_shape_of_t():
+    # a (2, 3) t gives the raveled call's values, reshaped, bit for bit
+    t = np.random.default_rng(4).uniform(-1.0, 7.0, (2, 3))
+    phi = cc.make_diffeo(1, 0.2, 64)
+    for f in (phi, phi.slope):
+        np.testing.assert_array_equal(f(t), f(t.ravel()).reshape(2, 3))
+    for x in (shapes.random_band_limited(64, seed=1), shapes.torus_geodesic(64, (1, 2), wiggle=0.05),
+              shapes.great_circle(64)):
+        d = x.space.coord_dim
+        np.testing.assert_array_equal(interp_curve(x, t), interp_curve(x, t.ravel()).reshape(2, 3, d))

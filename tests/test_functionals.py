@@ -576,3 +576,40 @@ def test_first_variation_shape_error_names_the_curve_nodes(circle64):
     want = r"per node of the curve x: shape \(64, 2\), got \(64, 1\)"
     with pytest.raises(ValueError, match=want):
         cc.first_variation(cc.parse_functional("length"), circle64, np.zeros((64, 1)))
+
+
+@pytest.mark.parametrize("make, shape", [
+    (lambda: shapes.circle(64), (64, 2)),                        # rank 1, two directions given
+    (lambda: shapes.circle(64), (64,)),
+    (lambda: shapes.circle(64), (32, 1)),
+    (lambda: shapes.torus_geodesic(64, (1, 1, 0)), (64, 1)),     # rank 2, one direction given
+    (lambda: shapes.torus_geodesic(64, (1, 1, 0)), (64, 2, 1)),
+], ids=["circle-P2", "circle-P", "circle-half", "torus3-P1", "torus3-batched"])
+def test_gradient_entry_points_reject_a_section_of_the_wrong_shape(make, shape):
+    # none of them broadcasts a size-1 axis: chart_apply's error for any shape but (P, rank)
+    c, F = cc.make_chart(make()), cc.parse_functional("length")
+    coeff = np.zeros(shape)
+    with pytest.raises(ValueError, match="section shape does not match the chart"):
+        cc.value_and_gradient(F, c, coeff)
+    if coeff.ndim == 2:
+        u = cc.NormalSection(coeff)
+        for call in (lambda: cc.gradient_in_chart(F, c, u), lambda: cc.is_critical(F, c, u, 1e3),
+                     lambda: cc.chart_apply(c, u)):
+            with pytest.raises(ValueError, match="section shape does not match the chart"):
+                call()
+
+
+@pytest.mark.parametrize("winding", [(1, 0, 0), (1, 1, 0), (1, 2, 3)])
+def test_torus_geodesic_in_three_dimensions(winding):
+    # a straight closed geodesic of FlatTorus(3): length |w|, an orbit of
+    # rank 2 with a 1-d stabilizer (translation along itself), and the
+    # length spectrum 0, 0 (its translates), then (2 pi / |w|)^2 on the
+    # modes k = 1 of both normal directions
+    x = shapes.torus_geodesic(64, winding)
+    norm = np.linalg.norm(winding)
+    assert abs(cc.length(x) - norm) <= 1e-14 * norm
+    c = cc.make_chart(x)
+    assert cc.orbit_rank(c, cc.standard_killing_basis(x.space)) == (2, 1)
+    vals = cc.spectrum(cc.parse_functional("length"), c, 6)
+    assert np.max(np.abs(vals[:2])) <= 5e-12
+    np.testing.assert_allclose(vals[2:], (2.0 * np.pi / norm) ** 2, rtol=1e-11, atol=0)
