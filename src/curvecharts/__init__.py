@@ -58,7 +58,6 @@ from .errors import (
 from .files import curve_from_dict, curve_to_dict, load_curve, save_curve
 from .functionals import (
     Functional,
-    HessianPair,
     evaluate,
     first_variation,
     grad_norm,

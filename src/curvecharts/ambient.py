@@ -60,6 +60,7 @@ class AmbientSpace:
 
     def __init__(self, dim: int):
         # frames, curvature and Killing fields exist for dimensions 2 and 3
+        dim = _integer(dim, "dim")
         if dim not in (2, 3):
             raise ValueError(f"{self.kind} ambient needs dim 2 or 3")
         self.dim = dim
@@ -275,6 +276,8 @@ class FlatTorus(AmbientSpace):
     def check_winding(self, winding):
         if winding is None:
             raise ValueError("flat-torus curves need a winding vector")
+        if any(isinstance(w, (bool, np.bool_)) for w in np.ravel(np.asarray(winding, dtype=object))):
+            raise ValueError("flat-torus winding entries must be integers, not booleans")
         winding = np.asarray(winding, dtype=float)
         if winding.shape != (self.dim,):
             raise ValueError("flat-torus winding vectors need one entry per dimension")

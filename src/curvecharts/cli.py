@@ -55,6 +55,9 @@ _GENERATORS = {
     "perturbed-circle": shapes.perturbed_circle,
 }
 
+# --make keys of the winding entries, in coordinate order
+_WINDING_KEYS = ("wx", "wy", "wz")
+
 
 class _InputError(Exception):
     """Bad user input; maps to exit code 2."""
@@ -65,7 +68,7 @@ def _parse_make(text: str, grid: int | None) -> Embedding:
     if name not in _GENERATORS:
         raise _InputError(f"unknown generator {name!r}; choose from {sorted(_GENERATORS)}")
     kwargs: dict = {}
-    winding: list[int] = []
+    winding: dict[str, int] = {}
     if rest:
         for item in rest.split(","):
             key, eq, val = item.partition("=")
@@ -75,19 +78,20 @@ def _parse_make(text: str, grid: int | None) -> Embedding:
                 num = float(val)
             except ValueError as exc:
                 raise _InputError(f"generator parameter {item!r} is not numeric") from exc
-            if key in ("p", "seed", "kmax", "wx", "wy"):
+            if key in ("p", "seed", "kmax") + _WINDING_KEYS:
                 if not num.is_integer():  # False for NaN and inf too
                     raise _InputError(f"generator parameter {item!r} is not an integer")
                 num = int(num)
             elif not np.isfinite(num):
                 raise _InputError(f"generator parameter {item!r} is not finite")
-            if key in ("wx", "wy"):
-                winding = winding or [0, 0]
-                winding[0 if key == "wx" else 1] = num
+            if key in _WINDING_KEYS:
+                winding[key] = num
             else:
                 kwargs["P" if key == "p" else key] = num
     if winding:
-        kwargs["winding"] = tuple(winding)
+        # wz makes a 3-d winding, whatever else is given
+        keys = _WINDING_KEYS if "wz" in winding else _WINDING_KEYS[:2]
+        kwargs["winding"] = tuple(winding.get(k, 0) for k in keys)
     if grid is not None:
         if "P" in kwargs:
             raise _InputError("grid size given twice: pass p= in --make or --grid, not both")

@@ -121,6 +121,8 @@ class Reparam:
         if lift.ndim != 1:
             raise ValueError("reparameterization lift must be a 1-d array")
         _check_grid(lift.shape[0])
+        if not np.all(np.isfinite(lift)):
+            raise ValueError("reparameterization lift must be finite")
         steps = np.diff(lift, append=lift[0] + 2.0 * np.pi)
         if not np.all(steps > 0.0):
             raise NonMonotoneError("reparameterization lift must be strictly increasing")

@@ -16,9 +16,10 @@ subtracted: the first variation steps the value, independently of the
 closed-form gradient; the Hessian, the gradient's tangent-linear model,
 steps the pointwise partials of the densities.
 
-The gradient code takes stacks of sections: arrays put the nodes first
-and the coordinates (or basis directions) last, with any batch axes
-between, shape (P, ..., d).
+Arrays put the nodes first and the coordinates (or basis directions)
+last: a section is (P, dim) in coefficients, (P, coord_dim) in the
+ambient.  The densities also take batch axes between, (P, ..., d), so
+the Hessian steps every input at once.
 """
 
 from __future__ import annotations
@@ -145,21 +146,16 @@ def _grad_pts(F: Functional, space: AmbientSpace, pts: np.ndarray, drift: np.nda
 def _pullback_gradient(F: Functional, c: Chart, coeff: np.ndarray, basis: np.ndarray):
     """Value and L2(ds) gradient of coeff -> evaluate(F, exp_x(sum_a coeff^a basis^a)).
 
-    coeff has shape (P, ..., dim) for a basis of shape (dim, P,
-    coord_dim): batch axes between nodes and directions give one value
-    and one gradient per index, the gradients of coeff's shape.  The
-    sample-point gradient of each image curve is pulled back through
-    d exp at each node.
+    coeff has shape (P, dim) for a basis of shape (dim, P, coord_dim), and
+    so has the gradient: the sample-point gradient of the image curve
+    pulled back through d exp at each node.
     """
     x = c.center
-    batch = (1,) * (coeff.ndim - 2)
-    W = np.einsum("i...a,aid->i...d", coeff, basis)
+    W = np.einsum("ia,aid->id", coeff, basis)
     _check_radius(c, W)
-    p = x.pts.reshape((c.P,) + batch + (-1,))
-    f, gp = _grad_pts(F, x.space, x.space.exp(p, W), x.drift)
-    D = x.space.dexp(p, W, basis.reshape(basis.shape[:2] + batch + basis.shape[2:]))
-    G = np.einsum("ai...d,i...d->i...a", D, gp)
-    return f, G / c.weights.reshape((c.P,) + batch + (1,))
+    f, gp = _grad_pts(F, x.space, x.space.exp(x.pts, W), x.drift)
+    G = np.einsum("aid,id->ia", x.space.dexp(x.pts, W, basis), gp)
+    return f, G / c.weights[:, None]
 
 
 def gradient_in_chart(F: Functional, c: Chart, u: NormalSection) -> NormalSection:
@@ -202,23 +198,16 @@ def is_critical(F: Functional, c: Chart, u: NormalSection, tol: float) -> bool:
     return grad_norm(c, gradient_in_chart(F, c, u)) <= tol
 
 
-@dataclass(frozen=True)
-class HessianPair:
-    """Coefficient Hessian Q and the largest asymmetry of the Jacobian it symmetrizes."""
+def _hessian(F: Functional, c: Chart, basis: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Jacobian of the gradient over basis J, shape (dim, P, coord_dim), at coeff = 0, times V.
 
-    Q: np.ndarray
-    asymmetry: float
-
-
-def _hessian(F: Functional, c: Chart, basis: np.ndarray) -> HessianPair:
-    """Symmetrized Jacobian of the gradient over basis J, shape (dim, P, coord_dim), at coeff = 0.
-
-    The pair is taken against the mass matrix of the chart weights.  At coeff = 0 exp acts node by
-    node with derivative J, so column j, along direction a = j % dim at node i = j // dim, is the
-    tangent-linear step of `_grad_pts`: the step dy = J[a, i] at node i and its D dy, D^2 dy go
-    through the densities' second partials R to steps of gx, ga, gb, which `_by_parts` joins and
-    J^T contracts; node i adds C, the second derivative of exp along J[a], J[b] against the
-    gradient.  R and C are complex steps at every node at once, as the densities are pointwise.
+    The Jacobian is taken against the mass matrix of the chart weights; V is (P * dim, k), rows
+    (node, direction) flattened row-major, as the product's.  At coeff = 0 exp acts node by node
+    with derivative J, so a column v of V is the tangent-linear step of `_grad_pts`: the step
+    dy = v.J at each node and its D dy, D^2 dy go through the densities' second partials R to
+    steps of gx, ga, gb, which `_by_parts` joins and J^T contracts; C, the second derivative of
+    exp along J[a], J[b] against the gradient, adds C v node by node.  R and C are complex steps
+    at every node at once, as the densities are pointwise.
     """
     x, space = c.center, c.center.space
     p, P, dim, d = x.pts, c.P, basis.shape[0], x.pts.shape[1]
@@ -231,37 +220,35 @@ def _hessian(F: Functional, c: Chart, basis: np.ndarray) -> HessianPair:
     R = [r if r is None else r.imag / _STEP for r in _terms(
         F, space, space.exp(p[:, None], S[:, :dim] @ J), a[:, None] + S[:, dim:dim + d],
         b if b is None else b[:, None] + S[:, dim + d:])[1:]]
-    C = np.broadcast_to(np.einsum("iabd,id->iab", space.dexp(
+    C = np.broadcast_to(np.einsum("iabd,id->iba", space.dexp(
         p[:, None, None], 1j * _STEP * J[:, :, None], J[:, None]).imag, gp) / _STEP, (P, dim, dim))
-    n = P * dim
-    Q = np.empty((n, n))
-    for j0 in range(0, n, _BLOCK_COLUMNS):
-        j = np.arange(j0, min(j0 + _BLOCK_COLUMNS, n))
-        node, col, alpha = j // dim, np.arange(j.size), j % dim
-        E, dy = np.zeros((P, j.size, dim)), np.zeros((P, j.size, d))
-        E[node, col, alpha], dy[node, col] = 1.0, J[node, alpha]
-        inputs = np.concatenate((E,) + fourier.diff(dy, orders), axis=-1)
+    blocks = []
+    for j0 in range(0, V.shape[1], _BLOCK_COLUMNS):
+        v = V[:, j0:j0 + _BLOCK_COLUMNS].reshape(P, dim, -1)
+        dy = v.transpose(0, 2, 1) @ J
+        inputs = np.concatenate((v.transpose(0, 2, 1),) + fourier.diff(dy, orders), axis=-1)
         dgp = _by_parts(dy, *(r if r is None else inputs @ r for r in R))
-        # rows are (node, direction) flattened row-major, as the columns
-        Q[:, j] = (J @ dgp.transpose(0, 2, 1)).reshape(n, -1)
-        Q[node[:, None] * dim + np.arange(dim), j[:, None]] += C[node, alpha]
-    asym = float(np.max(np.abs(Q - Q.T)))
-    return HessianPair(0.5 * (Q + Q.T), asym)
+        blocks.append((J @ dgp.transpose(0, 2, 1) + C @ v).reshape(P * dim, -1))
+    return np.concatenate(blocks, axis=1)
 
 
-def hessian_in_chart(F: Functional, c: Chart) -> HessianPair:
+def hessian_in_chart(F: Functional, c: Chart) -> np.ndarray:
     """Second variation of the chart representative at u = 0.
 
-    Q is the Hessian in frame coefficients (flattened row-major over
-    (node, frame index)); with M the chart weights repeated rank times,
-    the pair (Q, diag(M)) defines the L2(ds) second-variation operator.
+    Q is the symmetrized Hessian in frame coefficients (flattened row-major
+    over (node, frame index)); with M the chart weights repeated rank
+    times, the pair (Q, diag(M)) defines the L2(ds) second-variation
+    operator.
     """
-    return _hessian(F, c, c.frame)
+    Q = _hessian(F, c, c.frame, np.eye(c.P * c.rank))
+    return 0.5 * (Q + Q.T)
 
 
-def hessian_full(F: Functional, c: Chart) -> HessianPair:
-    """Second variation over all sections of x^*(TN), at the zero section."""
-    return _hessian(F, c, c.center.space.section_basis(c.tangent, c.frame))
+def hessian_full(F: Functional, c: Chart) -> np.ndarray:
+    """Second variation over all sections of x^*(TN), at the zero section, symmetrized."""
+    basis = c.center.space.section_basis(c.tangent, c.frame)
+    Q = _hessian(F, c, basis, np.eye(c.P * basis.shape[0]))
+    return 0.5 * (Q + Q.T)
 
 
 def restriction_matrix(c: Chart) -> np.ndarray:

@@ -36,9 +36,11 @@ def torus_geodesic(P: int = 64, winding=(1, 0), offset=0.0,
 
     offset, a scalar or one value per coordinate, shifts the lift.  A
     nonzero wiggle (2-d windings only) adds a deterministic band-limited
-    transverse displacement of that amplitude.
+    transverse displacement of that amplitude.  A winding entry that is not
+    an integer raises ValueError, as in `FlatTorus.check_winding`.
     """
-    w = np.asarray(winding, dtype=int)
+    space = FlatTorus(np.size(winding))
+    w = space.check_winding(winding)
     if not np.any(w):
         raise ValueError("winding must be nonzero for a closed geodesic")
     theta = fourier.nodes(P)
@@ -57,7 +59,7 @@ def torus_geodesic(P: int = 64, winding=(1, 0), offset=0.0,
             bump += amp * np.sin(k * theta + ph)
         bump *= wiggle / np.max(np.abs(bump))
         lift = lift + bump[:, None] * normal
-    return Embedding(FlatTorus(w.size), lift, w)
+    return Embedding(space, lift, w)
 
 
 def great_circle(P: int = 128) -> Embedding:

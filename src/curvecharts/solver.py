@@ -48,7 +48,7 @@ from .errors import (
     ProjectionFailedError,
     SingularSystemError,
 )
-from .functionals import Functional, grad_norm, hessian_in_chart, value_and_gradient
+from .functionals import Functional, _hessian, grad_norm, value_and_gradient
 
 # slack for the monotone-trace invariant: re-centering re-represents the
 # curve with a truncated center, which may move f by roundoff
@@ -76,8 +76,8 @@ def _nyquist_complement(weights: np.ndarray, rank: int) -> np.ndarray:
     alt = (-1.0) ** np.arange(len(weights)) / np.sqrt(weights)
     v = np.kron(alt[:, None], np.eye(rank))
     v[:rank] += np.linalg.norm(alt) * np.eye(rank)
-    H = np.eye(v.shape[0]) - v @ (2.0 * v.T / np.sum(v * v, axis=0)[:, None])
-    return H[:, rank:] / np.sqrt(np.repeat(weights, rank))[:, None]
+    H = np.eye(len(v), len(v) - rank, -rank) - v @ (2.0 * v[rank:].T / np.sum(v * v, axis=0)[:, None])
+    return H / np.sqrt(np.repeat(weights, rank))[:, None]
 
 
 def _drop_nyquist(coeff: np.ndarray) -> np.ndarray:
@@ -178,9 +178,10 @@ def recenter(c: Chart, u: NormalSection) -> tuple[Chart, NormalSection]:
 
 
 def _reduced_hessian(F: Functional, c: Chart):
-    """L2(ds)-orthonormal Nyquist complement E and the origin's Hessian E^T Q E on it."""
+    """L2(ds)-orthonormal Nyquist complement E and the origin's symmetrized Hessian E^T (H E) on it."""
     E = _nyquist_complement(c.weights, c.rank)
-    return E, E.T @ hessian_in_chart(F, c).Q @ E
+    Qr = E.T @ _hessian(F, c, c.frame, E)
+    return E, 0.5 * (Qr + Qr.T)
 
 
 def newton_refine(F: Functional, c: Chart, u: NormalSection,
@@ -188,12 +189,12 @@ def newton_refine(F: Functional, c: Chart, u: NormalSection,
     """Newton polish of a near-critical section.
 
     Solves the Newton system with the Hessian taken at the chart origin,
-    through the symmetric eigendecomposition of E^T Q E: components on the
-    isometry-orbit kernel (relative magnitude below 1e-8) are dropped,
-    all others inverted exactly.  Indefinite Hessians are handled, so
-    saddle critical points can be refined as well as minima.  A section
-    that already meets the tolerance is returned as it is, without a
-    Hessian.
+    through the eigendecomposition of `_reduced_hessian`, the Hessian on
+    the Nyquist complement: components on the isometry-orbit kernel
+    (relative magnitude below 1e-8) are dropped, all others inverted
+    exactly.  Indefinite Hessians are handled, so saddle critical points
+    can be refined as well as minima.  A section that already meets the
+    tolerance is returned as it is, without a Hessian.
     """
     opts = opts or SolveOptions()
     P, rank = c.P, c.rank
@@ -342,7 +343,7 @@ def _descend(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions,
 
 
 def spectrum(F: Functional, c: Chart, k: int) -> np.ndarray:
-    """k smallest eigenvalues of the chart second variation, the symmetric E^T Q E.
+    """k smallest eigenvalues of the chart second variation on the Nyquist complement E.
 
     k = 0 gives an empty array; a negative k raises ValueError.
     """

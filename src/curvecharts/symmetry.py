@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import AmbientSpace
+from .ambient import AmbientSpace, _integer
 from .charts import Chart, chart_invert, project_normal
 from .curve import Embedding
 
@@ -86,21 +86,16 @@ def _skew_basis(d: int) -> list[np.ndarray]:
     return [np.cross(e, eye).T for e in eye]
 
 
-def standard_killing_basis(space: AmbientSpace, rotation_center=None
-                           ) -> list[tuple[np.ndarray, np.ndarray]]:
+def standard_killing_basis(space: AmbientSpace) -> list[tuple[np.ndarray, np.ndarray]]:
     """Basis of the Killing fields of space as (A, b) pairs, p -> A p + b.
 
-    Translations along the axes, then rotations about rotation_center
-    (default: the origin), as far as the space's `translations` and
-    `rotations` flags admit them.  Without translations, rotations are
-    about the origin.
+    Translations along the axes, then rotations about the origin, as far
+    as the space's `translations` and `rotations` flags admit them.
     """
     d = space.coord_dim
-    c = (np.zeros(d) if rotation_center is None or not space.translations
-         else np.asarray(rotation_center, float))
     fields = [(np.zeros((d, d)), e) for e in np.eye(d)] if space.translations else []
     if space.rotations:
-        fields += [(A, -A @ c) for A in _skew_basis(d)]
+        fields += [(A, np.zeros(d)) for A in _skew_basis(d)]
     return fields
 
 
@@ -138,8 +133,12 @@ def action_continuity_probe(c: Chart, family, t_max: float, steps: int) -> np.nd
 
     family maps t to an Isometry; the probe returns
     ||chart_invert(c, psi_t ∘ center).u||_inf on a uniform grid of
-    [0, t_max] with `steps` intervals.  Continuity evidence only.
+    [0, t_max] with `steps` intervals, an integer >= 1.  Continuity
+    evidence only.
     """
+    steps = _integer(steps, "steps")
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
     ts = np.linspace(0.0, t_max, steps + 1)
     out = np.empty(ts.size)
     for j, t in enumerate(ts):

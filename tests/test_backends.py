@@ -43,7 +43,7 @@ def test_dexp_matches_central_difference(space):
 def test_killing_fields_are_skew_and_tangent(space):
     rng = np.random.default_rng(3)
     p = random_points(space, rng, 11)
-    for A, b in cc.standard_killing_basis(space, rotation_center=np.full(space.coord_dim, 0.2)):
+    for A, b in cc.standard_killing_basis(space):
         assert np.max(np.abs(A + A.T)) == 0.0
         vals = p @ A.T + b
         np.testing.assert_allclose(space.project_tangent(p, vals), vals, atol=1e-14)
@@ -109,6 +109,17 @@ def test_flat_spaces_need_dim_2_or_3(cls, dim):
         cls(dim)
     with pytest.raises(ValueError):
         cc.AmbientSpace.from_spec({"kind": cls.kind, "dim": dim})
+
+
+@pytest.mark.parametrize("cls", [Euclidean, FlatTorus])
+def test_flat_spaces_store_an_integer_dim(cls):
+    # an integral float is read as its integer, as every other integer input
+    space = cls(2.0)
+    assert type(space.dim) is int and type(space.to_spec()["dim"]) is int
+    assert repr(space) == f"{cls.__name__}(dim=2)"
+    for dim in (2.5, True):
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            cls(dim)
 
 
 @pytest.mark.parametrize("term", ["length", "bend"])

@@ -72,6 +72,16 @@ def test_validate_torus_geodesic_separation():
     assert rep["separation"] == pytest.approx(1 / np.sqrt(5), rel=1e-2)
 
 
+def test_validate_3d_torus_geodesic():
+    # wz makes a 3-entry winding: a straight line on the unit 3-torus
+    r = run_cli("validate", "--make", "torus-geodesic:wx=1,wy=1,wz=1")
+    assert r.returncode == 0
+    rep = json.loads(r.stdout)
+    assert rep["embedding"] is True
+    assert rep["min_speed"] == pytest.approx(np.sqrt(3) / (2 * np.pi), rel=1e-12)
+    assert np.isfinite(rep["reach"]) and rep["reach"] > 0
+
+
 def test_validate_non_embedding_exit_3():
     r = run_cli("validate", "--make", "lemniscate", "--grid", "128")
     assert r.returncode == 3
@@ -335,7 +345,7 @@ def test_bad_flag_values_exit_2_with_one_line(tmp_path, argv):
 
 @pytest.mark.parametrize("make", [
     "circle:p=nan", "circle:p=inf", "torus-geodesic:wx=inf", "torus-geodesic:wx=1.7",
-    "torus-geodesic:wx=1e20",
+    "torus-geodesic:wx=1e20", "torus-geodesic:wz=1.5",
     "perturbed-circle:seed=0.5", "circle:radius=inf", "perturbed-circle:amplitude=nan",
 ])
 def test_bad_generator_parameters_exit_2_with_one_line(make):

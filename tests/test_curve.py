@@ -136,10 +136,20 @@ def test_reparam_lift_must_be_one_dimensional(lift):
 
 
 def test_reparam_and_make_diffeo_reject_nan():
-    with pytest.raises(NonMonotoneError):
+    with pytest.raises(ValueError, match="reparameterization lift must be finite"):
         cc.Reparam(np.full(16, np.nan))
     with pytest.raises(ValueError):
         cc.make_diffeo(0, np.nan)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_reparam_rejects_a_non_finite_lift_as_bad_input(bad):
+    # a ValueError as for non-finite curve samples, not a NonMonotoneError
+    lift = cc.fourier.nodes(16)
+    lift[5] = bad
+    with pytest.raises(ValueError, match="finite") as info:
+        cc.Reparam(lift)
+    assert not isinstance(info.value, NonMonotoneError)
 
 
 def test_reparam_inverse_round_trip():
@@ -499,6 +509,13 @@ def test_torus_winding_must_be_integral(winding):
     pts = shapes.torus_geodesic(64, (1, 0)).pts
     with pytest.raises(ValueError, match="integers"):
         cc.Embedding(cc.FlatTorus(2), pts, winding)
+
+
+@pytest.mark.parametrize("winding", [(1.5, 0), (True, 0), (1, np.False_, 0)])
+def test_torus_geodesic_rejects_a_non_integral_winding(winding):
+    # checked as an Embedding's winding is, not truncated to (1, 0)
+    with pytest.raises(ValueError, match="integers"):
+        shapes.torus_geodesic(32, winding)
 
 
 # the upsampled Taylor evaluation and the arc-tree nearest-sample search of image_distance

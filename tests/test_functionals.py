@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import curvecharts as cc
 from curvecharts import Sphere2, fourier, shapes
 from curvecharts.errors import OutsideDomainError, UnsupportedAmbientError
-from curvecharts.functionals import _grad_pts, _pullback_gradient
+from curvecharts.functionals import _grad_pts, _hessian, _pullback_gradient
 
 
 def test_parse_functional_grammar():
@@ -159,21 +159,26 @@ def test_is_critical_two_charts(circle128):
 
 
 def test_hessian_symmetry(circle64):
-    hp = cc.hessian_in_chart(cc.parse_functional("length-1.0*area"), cc.make_chart(circle64))
-    assert hp.asymmetry <= 1e-6
-    assert np.max(np.abs(hp.Q - hp.Q.T)) == 0.0
+    F, c = cc.parse_functional("length-1.0*area"), cc.make_chart(circle64)
+    raw = _hessian(F, c, c.frame, np.eye(c.P * c.rank))
+    assert np.max(np.abs(raw - raw.T)) <= 1e-6
+    Q = cc.hessian_in_chart(F, c)
+    assert isinstance(Q, np.ndarray) and np.max(np.abs(Q - Q.T)) == 0.0
 
 
 def test_hessian_full_symmetry(circle64):
-    hp = cc.hessian_full(cc.parse_functional("length-1.0*area"), cc.make_chart(circle64))
-    assert hp.asymmetry <= 1e-6
+    F, c = cc.parse_functional("length-1.0*area"), cc.make_chart(circle64)
+    basis = c.center.space.section_basis(c.tangent, c.frame)
+    raw = _hessian(F, c, basis, np.eye(c.P * basis.shape[0]))
+    assert np.max(np.abs(raw - raw.T)) <= 1e-6
+    assert isinstance(cc.hessian_full(F, c), np.ndarray)
 
 
 def test_restriction_identity_critical_circle(circle64):
     F = cc.parse_functional("length-1.0*area")
     c = cc.make_chart(circle64)
-    Q = cc.hessian_in_chart(F, c).Q
-    Qf = cc.hessian_full(F, c).Q
+    Q = cc.hessian_in_chart(F, c)
+    Qf = cc.hessian_full(F, c)
     R = cc.restriction_matrix(c)
     assert np.max(np.abs(R.T @ Qf @ R - Q)) <= 1e-6 * np.max(np.abs(Q))
 
@@ -191,7 +196,7 @@ def test_invariance_under_resampling():
 def test_orbit_columns_in_hessian_kernel(circle64):
     F = cc.parse_functional("length-1.0*area")
     c = cc.make_chart(circle64)
-    Q = cc.hessian_in_chart(F, c).Q
+    Q = cc.hessian_in_chart(F, c)
     basis = cc.standard_killing_basis(circle64.space)
     qnorm = np.linalg.norm(Q, 2)
     for A, b in basis:
@@ -291,8 +296,8 @@ def test_spectrum_at_the_roundoff_floor(case, P):
 def test_restriction_identity_bend_great_circle():
     F = cc.parse_functional("bend")
     c = cc.make_chart(shapes.great_circle(24))
-    Q = cc.hessian_in_chart(F, c).Q
-    Qf = cc.hessian_full(F, c).Q
+    Q = cc.hessian_in_chart(F, c)
+    Qf = cc.hessian_full(F, c)
     R = cc.restriction_matrix(c)
     assert np.max(np.abs(R.T @ Qf @ R - Q)) <= 1e-6 * np.max(np.abs(Q))
 
@@ -323,7 +328,7 @@ def test_hessian_matches_directional_derivative_of_gradient(backend, full, rng):
     # symmetrizing averages two entries of that bound.
     c, F = _second_variation_case(backend)
     basis = c.center.space.section_basis(c.tangent, c.frame) if full else c.frame
-    pair = (cc.hessian_full if full else cc.hessian_in_chart)(F, c)
+    Q = (cc.hessian_full if full else cc.hessian_in_chart)(F, c)
     v = rng.uniform(-1.0, 1.0, (c.P, basis.shape[0]))
     h = 1e-4
 
@@ -334,9 +339,9 @@ def test_hessian_matches_directional_derivative_of_gradient(backend, full, rng):
     d2 = (phi(0.5 * h) - phi(-0.5 * h)) / h
     directional = (4.0 * d2 - d1) / 3.0
     delta = np.finfo(float).eps * np.max(np.abs(c.center.pts)) * np.max(
-        np.sum(np.abs(pair.Q), axis=1))
+        np.sum(np.abs(Q), axis=1))
     tol = 3.0 * delta / h * (np.sum(np.abs(v)) + 1.0)
-    assert np.max(np.abs(pair.Q @ v.ravel() - directional)) <= tol
+    assert np.max(np.abs(Q @ v.ravel() - directional)) <= tol
 
 
 def _torus3_curve(P):
@@ -376,29 +381,26 @@ def test_hessian_equals_columnwise_complex_step(case, full, P):
         E[j // dim, j % dim] = 1j * h
         cols[:, j] = (_pullback_gradient(F, c, E, basis)[1].imag / h * c.weights[:, None]).ravel()
     want = 0.5 * (cols + cols.T)
-    Q = (cc.hessian_full if full else cc.hessian_in_chart)(F, c).Q
+    Q = (cc.hessian_full if full else cc.hessian_in_chart)(F, c)
     if case == "zero":
         assert np.max(np.abs(want)) == 0.0 and np.max(np.abs(Q)) == 0.0
     assert np.max(np.abs(Q - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("backend", SECOND_VARIATION_CASES)
-def test_batched_gradient_equals_loop(backend, rng):
-    # a (P, B, dim) stack gives, column by column, the (P, dim) gradients
+@pytest.mark.parametrize("full", [False, True], ids=["chart", "full"])
+def test_hessian_product_equals_the_matrix_times_the_block(backend, full, rng):
+    # 45 columns: one full block of `_hessian`'s columns and one partial
     c, F = _second_variation_case(backend)
-    for basis in (c.frame, c.center.space.section_basis(c.tangent, c.frame)):
-        dim = basis.shape[0]
-        stack = np.stack([0.2 * c.rho / np.sqrt(dim) * fourier.truncate(
-            rng.uniform(-1.0, 1.0, (c.P, dim)), 4) for _ in range(5)], axis=1)
-        batched = _pullback_gradient(F, c, stack, basis)[1]
-        assert batched.shape == stack.shape
-        for b in range(stack.shape[1]):
-            single = _pullback_gradient(F, c, stack[:, b], basis)[1]
-            assert np.max(np.abs(batched[:, b] - single)) <= 1e-14 * np.max(np.abs(single))
-        # one column past the chart radius fails the whole stack
-        stack[3, 2, 0] = 1.01 * c.rho
-        with pytest.raises(OutsideDomainError):
-            _pullback_gradient(F, c, stack, basis)
+    basis = c.center.space.section_basis(c.tangent, c.frame) if full else c.frame
+    n = c.P * basis.shape[0]
+    H = _hessian(F, c, basis, np.eye(n))
+    V = rng.standard_normal((n, 45))
+    want = H @ V
+    got = _hessian(F, c, basis, V)
+    assert got.shape == want.shape
+    tol = 8 * np.finfo(float).eps * np.max(np.abs(H).sum(axis=1)) * np.max(np.abs(V))
+    assert np.max(np.abs(got - want)) <= tol
 
 
 def _space_curve(P):

@@ -261,8 +261,8 @@ def test_newton_refine_fixed_point_at_critical(torus_geo64):
 
 def test_newton_refine_builds_no_hessian_at_a_critical_section(torus_geo64, monkeypatch):
     calls = []
-    hessian = solver.hessian_in_chart
-    monkeypatch.setattr(solver, "hessian_in_chart", lambda F, c: calls.append(1) or hessian(F, c))
+    reduced = solver._reduced_hessian
+    monkeypatch.setattr(solver, "_reduced_hessian", lambda F, c: calls.append(1) or reduced(F, c))
     F, c = cc.parse_functional("length"), cc.make_chart(torus_geo64)
     u = cc.NormalSection.zero(64, 1)
     assert cc.newton_refine(F, c, u) is u
@@ -368,7 +368,7 @@ def generalized_reduction(monkeypatch):
     def reduced(F, c):
         E = scipy.linalg.null_space(_nyquist_modes(c.P, c.rank))
         mass.append(E.T @ (np.repeat(c.weights, c.rank)[:, None] * E))
-        return E, E.T @ cc.hessian_in_chart(F, c).Q @ E
+        return E, E.T @ cc.hessian_in_chart(F, c) @ E
 
     def eigh(Qr, **kw):
         return scipy.linalg.eigh(Qr, mass[-1], **kw)
@@ -378,7 +378,7 @@ def generalized_reduction(monkeypatch):
         eigh=eigh, LinAlgError=scipy.linalg.LinAlgError)))
 
 
-@pytest.mark.parametrize("make, functional, k, s", [
+REDUCTION_CASES = pytest.mark.parametrize("make, functional, k, s", [
     (lambda: shapes.circle(128), "length-1.0*area", 6, 1),
     (lambda: shapes.great_circle(96), "length", 5, 1),
     (lambda: shapes.torus_geodesic(64, (1, 0)), "length", 3, 1),
@@ -387,6 +387,9 @@ def generalized_reduction(monkeypatch):
     (lambda: shapes.great_circle(24), "bend", 5, 2),
 ], ids=["circle-length-area", "great-circle-length", "torus-length", "circle-bend",
         "great-circle16-bend", "great-circle24-bend"])
+
+
+@REDUCTION_CASES
 def test_spectrum_matches_the_generalized_reduction(request, make, functional, k, s):
     # the standard problem on the weight-orthonormal basis has the
     # eigenvalues of the generalized one, within the dense path's
@@ -399,6 +402,19 @@ def test_spectrum_matches_the_generalized_reduction(request, make, functional, k
     want = cc.spectrum(F, c, k)
     floor = 8.0 * np.finfo(float).eps * (x.P / 2) ** (2 * s) * np.max(np.abs(want))
     assert np.max(np.abs(vals - want)) <= floor
+
+
+@REDUCTION_CASES
+def test_reduced_hessian_equals_the_reduced_coefficient_hessian(make, functional, k, s):
+    # E^T (H E), H applied to E's columns, against E^T Q E from the dense
+    # coefficient Hessian Q, within the same roundoff floor
+    x = make()
+    F, c = cc.parse_functional(functional), cc.make_chart(x)
+    E, Qr = solver._reduced_hessian(F, c)
+    assert np.max(np.abs(Qr - Qr.T)) == 0.0
+    want = E.T @ cc.hessian_in_chart(F, c) @ E
+    floor = 8.0 * np.finfo(float).eps * (x.P / 2) ** (2 * s) * np.max(np.abs(cc.spectrum(F, c, k)))
+    assert np.max(np.abs(Qr - want)) <= floor
 
 
 def test_newton_refine_matches_the_generalized_reduction(request):

@@ -191,7 +191,7 @@ def test_orbit_columns_span_hessian_kernel(circle128):
     # second variation
     F = cc.parse_functional("length-1.0*area")
     c = cc.make_chart(circle128)
-    Q = cc.hessian_in_chart(F, c).Q
+    Q = cc.hessian_in_chart(F, c)
     D = cc.orbit_differential(c, cc.standard_killing_basis(circle128.space))
     sqw = np.sqrt(cc.quadrature_weights(circle128))
     qn = np.linalg.norm(Q, 2)
@@ -222,6 +222,14 @@ def test_action_continuity_probe_translation_grows(circle64):
     np.testing.assert_allclose(probe, ts, atol=1e-6)
     steps = np.abs(np.diff(probe))
     assert np.max(steps) <= 2 * (0.3 / 12)
+
+
+@pytest.mark.parametrize("steps", [-1, 0, 2.5, True])
+def test_action_continuity_probe_needs_a_positive_integer_step_count(circle64, steps):
+    c = cc.make_chart(circle64)
+    fam = lambda t: Isometry(circle64.space, translation=np.array([t, 0.0]))
+    with pytest.raises(ValueError, match="steps"):
+        cc.action_continuity_probe(c, fam, 0.3, steps)
 
 
 def test_great_circle_polar_rotation_is_stabilizer(great_circle96):

@@ -47,8 +47,10 @@ length and under bend) and records the times of `hessian_in_chart` and of
   the analytic ones.
 
 `reduction_and_eigh`: for the same critical curves and grids, the time
-of the reduction E^T Q E and its `eigh` on one fixed Hessian Q, timed on
-their own (`n` is the reduced size).
+of `solver._reduced_hessian` (`reduced_hessian_s`: the Hessian on the
+Nyquist complement E, symmetrized; a checkout that forms the coefficient
+Hessian Q spends it on Q and E^T Q E) and of it followed by the full
+`eigh` the Newton step takes (`time_s`); `n` is the reduced size.
 
 `descent`: `minimize` on the two Newton-mode problems of the `descent`
 workload (`circle-newton`: `perturbed_circle(P, 0.1, seed=6)` under
@@ -58,8 +60,8 @@ unmoved, and on the workload's wiggly (1, 1) torus geodesic under
 length (`torus-length`) for P in {512, 1024, 2048}.  Each row holds the iterations, re-centerings, status
 and oracle error, the time, and from one further, counted run the calls
 the solver makes to `evaluate`, `gradient_in_chart`,
-`value_and_gradient` (null where the checkout has no such function) and
-`hessian_in_chart`, and `ffts`, the forward and inverse real FFTs of the
+`value_and_gradient`, `hessian_in_chart` and `_reduced_hessian` (null
+where the solver module has no such name), and `ffts`, the forward and inverse real FFTs of the
 whole run.
 
 `iterate_cost`: the per-iterate cost of the descent's function calls at
@@ -296,17 +298,18 @@ def _reduction_rows() -> list[dict]:
     for name, (make, F, _) in CRITICAL.items():
         for P in HESSIAN_GRIDS:
             c = cc.make_chart(make(P))
-            Q = cc.hessian_in_chart(F, c).Q
-            E = solver._nyquist_complement(c.weights, c.rank)
-            row = {"backend": name, "P": P, "n": E.shape[1],
-                   "time_s": _min_time(lambda: scipy.linalg.eigh(E.T @ Q @ E))}
+            row = {"backend": name, "P": P, "n": P * c.rank - c.rank,
+                   "reduced_hessian_s": _min_time(lambda: solver._reduced_hessian(F, c)),
+                   "time_s": _min_time(lambda: scipy.linalg.eigh(solver._reduced_hessian(F, c)[1]))}
             rows.append(row)
-            print(f"reduction and eigh {name:6s} P={P:4d} {row['time_s']:.4f} s", file=sys.stderr)
+            print(f"reduction and eigh {name:6s} P={P:4d} reduction {row['reduced_hessian_s']:.4f} s"
+                  f" with eigh {row['time_s']:.4f} s", file=sys.stderr)
     return rows
 
 
 # solver-module functions whose calls `descent` counts, where they exist
-SOLVER_CALLS = ("evaluate", "gradient_in_chart", "value_and_gradient", "hessian_in_chart")
+SOLVER_CALLS = ("evaluate", "gradient_in_chart", "value_and_gradient", "hessian_in_chart",
+                "_reduced_hessian")
 
 
 def _counted_call(fn, fn_names=SOLVER_CALLS):
