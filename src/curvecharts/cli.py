@@ -242,7 +242,7 @@ def cmd_spectrum(args) -> int:
         raise _InputError("--count must be non-negative")
     c = _chart(_get_curve(args), "curve")
     F = _parsed(parse_functional, args.functional)
-    vals = spectrum(F, c, args.count)
+    vals = _parsed(spectrum, F, c, args.count)
     lines = ["index,eigenvalue"]
     lines += [f"{i},{float(v)!r}" for i, v in enumerate(vals)]
     _emit("\n".join(lines) + "\n", args.output)

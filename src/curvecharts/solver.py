@@ -62,6 +62,8 @@ ARMIJO_C = 1e-4
 STEP0 = 1.0
 # Newton rounds in a row after which the solver stops short of the tolerance
 NEWTON_ROUNDS = 5
+# chord steps one `newton_refine` call takes at most
+NEWTON_STEPS = 30
 
 
 def _nyquist_complement(weights: np.ndarray, rank: int) -> np.ndarray:
@@ -195,18 +197,30 @@ def newton_refine(F: Functional, c: Chart, u: NormalSection,
     exactly.  Indefinite Hessians are handled, so saddle critical points
     can be refined as well as minima.  A section that already meets the
     tolerance is returned as it is, without a Hessian.
+
+    The step needs every eigenvector, so the decomposition is LAPACK's
+    divide and conquer (`driver="evd"`, Gu & Eisenstat 1995): it is
+    several times faster than scipy's default MRRR for all eigenvectors,
+    and at least as accurate (Demmel, Marques, Parlett & Vomel 2008).  The step V diag(1/lambda) V^T does not
+    depend on the basis chosen inside a repeated eigenspace, so the
+    driver moves the result by roundoff only.  One decomposition serves
+    all chord steps.
+
+    After NEWTON_STEPS chord steps the current section is returned
+    whether or not it meets the tolerance; callers check the gradient
+    (`minimize` does, through its next trace record).
     """
     opts = opts or SolveOptions()
     P, rank = c.P, c.rank
     current, lam = u, None
-    for _ in range(30):
+    for _ in range(NEWTON_STEPS):
         _, g = _value_and_filtered_gradient(F, c, current)
         if grad_norm(c, g) <= opts.grad_tol:
             return current
         if lam is None:
             E, Qr = _reduced_hessian(F, c)
             try:
-                lam, V = scipy.linalg.eigh(Qr)
+                lam, V = scipy.linalg.eigh(Qr, driver="evd")
             except scipy.linalg.LinAlgError as exc:
                 raise SingularSystemError("Hessian eigendecomposition failed") from exc
             scale = float(np.max(np.abs(lam)))
@@ -345,14 +359,17 @@ def _descend(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions,
 def spectrum(F: Functional, c: Chart, k: int) -> np.ndarray:
     """k smallest eigenvalues of the chart second variation on the Nyquist complement E.
 
-    k = 0 gives an empty array; a negative k raises ValueError.
+    k = 0 gives an empty array.  A negative k, or one above the P * rank - rank
+    dimensions of E, raises ValueError.
     """
     k = _integer(k, "k")
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
+    available = c.P * c.rank - c.rank
+    if k > available:
+        raise ValueError(f"k must be at most {available} (P * rank - rank for this chart), got {k}")
     if k == 0:
         return np.empty(0)
     _, Qr = _reduced_hessian(F, c)
-    k = min(k, Qr.shape[0])
     vals = scipy.linalg.eigh(Qr, subset_by_index=[0, k - 1], eigvals_only=True)
     return np.asarray(vals)

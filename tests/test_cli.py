@@ -343,6 +343,18 @@ def test_bad_flag_values_exit_2_with_one_line(tmp_path, argv):
     assert len(r.stderr.splitlines()) == 1
 
 
+def test_spectrum_count_above_the_chart_exit_2_with_one_line():
+    # circle(16) has 15 eigenvalues off the Nyquist mode; up to 15 print
+    r = run_cli("spectrum", "--make", "circle", "--grid", "16", "--count", "40")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1
+    assert "at most 15" in r.stderr
+    r = run_cli("spectrum", "--make", "circle", "--grid", "16", "--count", "15")
+    assert r.returncode == 0
+    assert len(r.stdout.splitlines()) == 16
+
+
 @pytest.mark.parametrize("make", [
     "circle:p=nan", "circle:p=inf", "torus-geodesic:wx=inf", "torus-geodesic:wx=1.7",
     "torus-geodesic:wx=1e20", "torus-geodesic:wz=1.5",

@@ -370,8 +370,10 @@ def generalized_reduction(monkeypatch):
         mass.append(E.T @ (np.repeat(c.weights, c.rank)[:, None] * E))
         return E, E.T @ cc.hessian_in_chart(F, c) @ E
 
-    def eigh(Qr, **kw):
-        return scipy.linalg.eigh(Qr, mass[-1], **kw)
+    def eigh(Qr, driver=None, **kw):
+        # "gvd" is the generalized problem's divide and conquer
+        driver = {"evd": "gvd"}.get(driver, driver)
+        return scipy.linalg.eigh(Qr, mass[-1], driver=driver, **kw)
 
     monkeypatch.setattr(solver, "_reduced_hessian", reduced)
     monkeypatch.setattr(solver, "scipy", types.SimpleNamespace(linalg=types.SimpleNamespace(
@@ -431,6 +433,77 @@ def test_newton_refine_matches_the_generalized_reduction(request):
     assert np.max(np.abs(u.coeff - want.coeff)) <= 1e-10 * np.max(np.abs(want.coeff))
     for v in (u, want):
         assert cc.grad_norm(c, cc.gradient_in_chart(F, c, v)) <= cc.SolveOptions().grad_tol
+
+
+def _mrrr_newton(F, c, u):
+    """`newton_refine`'s chord steps on scipy's default eigenvectors for all of Qr, MRRR ("evr")."""
+    E, Qr = solver._reduced_hessian(F, c)
+    lam, V = scipy.linalg.eigh(Qr, driver="evr")
+    live = np.abs(lam) > 1e-8 * np.max(np.abs(lam))
+    for _ in range(solver.NEWTON_STEPS):
+        g = solver._value_and_filtered_gradient(F, c, u)[1]
+        if cc.grad_norm(c, g) <= cc.SolveOptions().grad_tol:
+            break
+        comp = V.T @ (E.T @ (g.coeff * c.weights[:, None]).ravel())
+        delta = E @ (V[:, live] @ (-comp[live] / lam[live]))
+        # the solver's trust cap must not bind, or the steps differ
+        assert np.max(np.abs(delta)) <= 0.25 * c.rho
+        u = cc.NormalSection(u.coeff + delta.reshape(u.coeff.shape))
+    return u
+
+
+@pytest.mark.parametrize("make, functional, amplitude", [
+    (lambda: shapes.perturbed_circle(64, amplitude=0.03, seed=3), "length-1.0*area", 0.0),
+    (lambda: shapes.perturbed_circle(128, amplitude=0.03, seed=3), "length-1.0*area", 0.0),
+    (lambda: shapes.great_circle(96), "length", 0.01),
+    (lambda: shapes.torus_geodesic(64, (1, 0)), "length", 0.01),
+], ids=["circle64-length-area", "circle128-length-area", "great-circle96-length", "torus-length"])
+def test_newton_refine_matches_the_mrrr_step(make, functional, amplitude):
+    # the step V diag(1/lambda) V^T does not depend on the eigenvector
+    # basis, so the divide-and-conquer decomposition lands where MRRR
+    # does; on the critical curves the section's mean and first mode
+    # keep a kernel component, so neither result is the origin
+    x = make()
+    F, c = cc.parse_functional(functional), cc.make_chart(x)
+    th = fourier.nodes(x.P)
+    u0 = cc.NormalSection((amplitude * (1.0 + np.cos(th) + np.cos(2 * th)))[:, None])
+    u = cc.newton_refine(F, c, u0)
+    want = _mrrr_newton(F, c, u0)
+    assert np.max(np.abs(want.coeff)) > 0.005
+    assert np.max(np.abs(u.coeff - want.coeff)) <= 1e-10 * np.max(np.abs(want.coeff))
+    for v in (u, want):
+        assert cc.grad_norm(c, cc.gradient_in_chart(F, c, v)) <= cc.SolveOptions().grad_tol
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_newton_refine_returns_after_its_step_budget(monkeypatch, seed):
+    # the chord steps end after NEWTON_STEPS whether or not they met the
+    # tolerance, without an error; the caller reads the gradient
+    calls = []
+    filtered = solver._value_and_filtered_gradient
+    monkeypatch.setattr(solver, "_value_and_filtered_gradient",
+                        lambda *a: calls.append(1) or filtered(*a))
+    F = cc.parse_functional("length-1.0*area")
+    c = cc.make_chart(shapes.perturbed_circle(64, amplitude=0.1, seed=seed))
+    u = cc.newton_refine(F, c, cc.NormalSection.zero(64, 1))
+    assert len(calls) == solver.NEWTON_STEPS
+    assert cc.grad_norm(c, cc.gradient_in_chart(F, c, u)) > cc.SolveOptions().grad_tol
+
+
+@pytest.mark.parametrize("make", [shapes.circle, _space_curve], ids=["circle", "space-curve"])
+def test_spectrum_rejects_more_eigenvalues_than_the_chart_has(monkeypatch, make):
+    # the Nyquist complement has P * rank - rank dimensions; asking for
+    # more raises before any Hessian is built
+    F, c = cc.parse_functional("length"), cc.make_chart(make(16))
+    available = 16 * c.rank - c.rank
+    assert cc.spectrum(F, c, available).shape == (available,)
+    calls = []
+    reduced = solver._reduced_hessian
+    monkeypatch.setattr(solver, "_reduced_hessian", lambda F, c: calls.append(1) or reduced(F, c))
+    for k in (available + 1, 40):
+        with pytest.raises(ValueError, match=f"k must be at most {available} .*got {k}"):
+            cc.spectrum(F, c, k)
+    assert calls == []
 
 
 @pytest.mark.parametrize("k", [2.5, True, np.nan])

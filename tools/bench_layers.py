@@ -50,12 +50,17 @@ length and under bend) and records the times of `hessian_in_chart` and of
 of `solver._reduced_hessian` (`reduced_hessian_s`: the Hessian on the
 Nyquist complement E, symmetrized; a checkout that forms the coefficient
 Hessian Q spends it on Q and E^T Q E) and of it followed by the full
-`eigh` the Newton step takes (`time_s`); `n` is the reduced size.
+`eigh` the Newton step takes (`time_s`); `n` is the reduced size.  The
+keyword arguments of that `eigh` (`newton_eigh`) are read off one
+`newton_refine` call from a non-critical section, so each checkout is
+timed on its own solver's decomposition.  On one fixed reduced Hessian,
+`eigh_s` times that decomposition alone and `evr_s` scipy's MRRR driver
+for all eigenvectors (`driver="evr"`, the default).
 
 `descent`: `minimize` on the two Newton-mode problems of the `descent`
 workload (`circle-newton`: `perturbed_circle(P, 0.1, seed=6)` under
 length - area; `sphere-length-newton`: the tilted great circle under
-length) for P in {64, 128, 256, 512}, on `bend-length-budget` at P=64,
+length) for P in {64, 128, 256, 512, 1024}, on `bend-length-budget` at P=64,
 unmoved, and on the workload's wiggly (1, 1) torus geodesic under
 length (`torus-length`) for P in {512, 1024, 2048}.  Each row holds the iterations, re-centerings, status
 and oracle error, the time, and from one further, counted run the calls
@@ -146,6 +151,7 @@ SETUP_GRIDS = GRIDS + (2048,)
 # the largest P of the dense reference separation scan
 DENSE_MAX_P = 1024
 HESSIAN_GRIDS = (64, 128, 256, 512)
+NEWTON_GRIDS = HESSIAN_GRIDS + (1024,)
 REPEATS = 3
 # calls per timed block of `iterate_cost`
 INNER = 20
@@ -293,17 +299,43 @@ def _counted_invert(c: cc.Chart, y: cc.Embedding) -> dict:
             "same_brackets": bool(np.array_equal(dense(), k))}
 
 
+def _newton_eigh(F, c: cc.Chart) -> dict:
+    """Keyword arguments of the `eigh` that `newton_refine` calls in chart c at a non-critical section."""
+    seen = []
+    eigh = scipy.linalg.eigh
+
+    def recorded(a, **kw):
+        seen.append(kw)
+        return eigh(a, **kw)
+
+    th = cc.fourier.nodes(c.P)
+    u = cc.NormalSection(np.outer(1e-3 * np.cos(2 * th), np.ones(c.rank)))
+    scipy.linalg.eigh = recorded
+    try:
+        cc.newton_refine(F, c, u)
+    except cc.CurveChartsError:
+        pass  # the decomposition comes first; a failed step after it does not matter here
+    finally:
+        scipy.linalg.eigh = eigh
+    return seen[0]
+
+
 def _reduction_rows() -> list[dict]:
     rows = []
     for name, (make, F, _) in CRITICAL.items():
         for P in HESSIAN_GRIDS:
             c = cc.make_chart(make(P))
-            row = {"backend": name, "P": P, "n": P * c.rank - c.rank,
+            kw = _newton_eigh(F, c)
+            Qr = solver._reduced_hessian(F, c)[1]
+            row = {"backend": name, "P": P, "n": P * c.rank - c.rank, "newton_eigh": kw,
                    "reduced_hessian_s": _min_time(lambda: solver._reduced_hessian(F, c)),
-                   "time_s": _min_time(lambda: scipy.linalg.eigh(solver._reduced_hessian(F, c)[1]))}
+                   "time_s": _min_time(lambda: scipy.linalg.eigh(solver._reduced_hessian(F, c)[1], **kw)),
+                   "eigh_s": _min_time(lambda: scipy.linalg.eigh(Qr, **kw)),
+                   "evr_s": _min_time(lambda: scipy.linalg.eigh(Qr, driver="evr"))}
             rows.append(row)
             print(f"reduction and eigh {name:6s} P={P:4d} reduction {row['reduced_hessian_s']:.4f} s"
-                  f" with eigh {row['time_s']:.4f} s", file=sys.stderr)
+                  f" with eigh {row['time_s']:.4f} s, eigh {kw} {row['eigh_s']:.4f} s"
+                  f" evr {row['evr_s']:.4f} s", file=sys.stderr)
     return rows
 
 
@@ -341,11 +373,11 @@ def _counted_call(fn, fn_names=SOLVER_CALLS):
 # descent problem -> (grids, functional, start at P, options, oracle error of the result)
 DESCENT = {
     "circle-newton": (
-        HESSIAN_GRIDS, workloads.CIRCLE, lambda P: shapes.perturbed_circle(P, 0.1, seed=6),
+        NEWTON_GRIDS, workloads.CIRCLE, lambda P: shapes.perturbed_circle(P, 0.1, seed=6),
         cc.SolveOptions(max_iter=3000, grad_tol=1e-10, newton=True, newton_threshold=0.05),
         lambda y: float(np.max(np.abs(cc.curvature(y) - 1.0)))),
     "sphere-length-newton": (
-        HESSIAN_GRIDS, workloads.LENGTH, lambda P: workloads._tilted_great_circle(P, 0.05),
+        NEWTON_GRIDS, workloads.LENGTH, lambda P: workloads._tilted_great_circle(P, 0.05),
         cc.SolveOptions(max_iter=2000, newton=True),
         lambda y: abs(cc.length(y) - 2.0 * np.pi)),
     "bend-length-budget": (
