@@ -25,6 +25,7 @@ import numpy as np
 from .errors import CutLocusError, UnsupportedAmbientError
 
 _SPHERE_NORM_TOL = 1e-12
+_QUARTER_TURN = np.array([1.0, -1.0])  # (z0, z1) -> (z1, -z0) is z[..., ::-1] times these signs
 
 
 def _integer(value, what: str) -> int:
@@ -182,17 +183,17 @@ class AmbientSpace:
 
         k is the plane or space-curve curvature; in the plane w is the scalar cross product.
         """
-        v = np.sqrt(np.sum(a * a, axis=-1, keepdims=True))
+        v2 = np.sum(a * a, axis=-1, keepdims=True)
         scale = 2.0 * np.pi / pts.shape[0]
+        r5 = scale * v2 ** -2.5  # the scale over |x'|^5
         if a.shape[-1] == 2:
             w = (a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])[..., None]
-            ga = 2.0 * w / v**5 * np.stack([b[..., 1], -b[..., 0]], axis=-1)
-            gb = scale * 2.0 * w / v**5 * np.stack([-a[..., 1], a[..., 0]], axis=-1)
+            ga, gb = w * (b[..., ::-1] * _QUARTER_TURN), -w * (a[..., ::-1] * _QUARTER_TURN)
         else:
             w = np.cross(a, b)
-            ga, gb = 2.0 * np.cross(b, w) / v**5, scale * 2.0 * np.cross(w, a) / v**5
-        w2 = np.sum(w * w, axis=-1, keepdims=True)
-        return scale * (w2 / v**5)[..., 0], None, scale * (ga - 5.0 * w2 / v**7 * a), gb
+            ga, gb = np.cross(b, w), np.cross(w, a)
+        density = np.sum(w * w, axis=-1, keepdims=True) * r5
+        return density[..., 0], None, 2.0 * r5 * ga - 5.0 * density / v2 * a, 2.0 * r5 * gb
 
     def area_term(self, pts: np.ndarray, a: np.ndarray, b=None):
         """The signed enclosed area's term, (pi/P) x ^ x', and its partials: defined in the plane only."""

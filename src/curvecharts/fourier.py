@@ -37,29 +37,39 @@ def nodes(P: int) -> np.ndarray:
 def diff(values: np.ndarray, order: int | tuple[int, ...] = 1):
     """Spectral derivative of periodic samples (d/dtheta)^order.
 
-    A tuple of orders returns the tuple of those derivatives, all taken
-    from one forward FFT.  Complex samples differentiate their real and
-    imaginary parts, viewed as interleaved floats, in one batched transform.
+    A tuple of orders returns the tuple of those derivatives, from one
+    forward and one inverse FFT.  Complex samples differentiate their real
+    and imaginary parts, viewed as interleaved floats, in the same transforms.
     """
+    orders = order if isinstance(order, tuple) else (order,)
     cplx = np.iscomplexobj(values)
     v = (np.ascontiguousarray(values).view(float).reshape(values.shape + (2,)) if cplx
          else np.asarray(values, dtype=float))
-    P = v.shape[0]
-    c = np.fft.rfft(v, axis=0)
-    shape = (-1,) + (1,) * (v.ndim - 1)
-    out = []
-    for n in order if isinstance(order, tuple) else (order,):
-        d = np.fft.irfft(c * _diff_multiplier(P, n).reshape(shape), n=P, axis=0)
-        out.append(d.view(complex)[..., 0] if cplx else d)
+    mult = _diff_multiplier(v.shape[0], orders).reshape((len(orders), -1) + (1,) * (v.ndim - 1))
+    d = np.fft.irfft(mult * np.fft.rfft(v, axis=0), n=v.shape[0], axis=1)
+    out = [x.view(complex)[..., 0] for x in d] if cplx else d
     return tuple(out) if isinstance(order, tuple) else out[0]
 
 
+def adjoint_diff(ga: np.ndarray, gb: np.ndarray) -> np.ndarray:
+    """-D ga + D^2 gb for D = `diff` and ga, gb of one shape: the adjoint of x -> (D x, D^2 x)
+    under the plain sum over the nodes, from one forward and one inverse FFT of real samples."""
+    if np.iscomplexobj(ga) or np.iscomplexobj(gb):
+        return adjoint_diff(ga.real, gb.real) + 1j * adjoint_diff(ga.imag, gb.imag)
+    mult = _diff_multiplier(len(ga), (1, 2)).reshape((2, -1) + (1,) * (ga.ndim - 1))
+    c = mult * np.fft.rfft(np.stack((ga, gb)), axis=1)
+    return np.fft.irfft(c[1] - c[0], n=len(ga), axis=0)
+
+
 @lru_cache(maxsize=_TABLES)
-def _diff_multiplier(P: int, n: int) -> np.ndarray:
-    """(ik)^n over the rfft modes k of P samples, read-only."""
-    mult = (1j * np.arange(P // 2 + 1, dtype=float)) ** n
-    if n % 2 == 1 and P % 2 == 0:
-        mult[-1] = 0.0  # cosine convention: odd derivatives of the Nyquist mode vanish at nodes
+def _diff_multiplier(P: int, n: int | tuple[int, ...]) -> np.ndarray:
+    """(ik)^n over the rfft modes k of P samples, read-only; a tuple of orders stacks one row each."""
+    if isinstance(n, tuple):
+        mult = np.stack([_diff_multiplier(P, m) for m in n])
+    else:
+        mult = (1j * np.arange(P // 2 + 1, dtype=float)) ** n
+        if n % 2 == 1 and P % 2 == 0:
+            mult[-1] = 0.0  # cosine convention: odd derivatives of the Nyquist mode vanish at nodes
     mult.flags.writeable = False
     return mult
 

@@ -7,7 +7,8 @@ that gives its density at the nodes and its partials in x, x' and x'',
 in closed form; a backend without the term raises UnsupportedAmbientError
 (`area_term` off the plane).  One loop over the terms (`_terms`) gives
 the value and the partials, and the chain rule through the spectral
-derivatives runs once (`_by_parts`).  Gradients are exact derivatives of
+derivatives runs once (`_by_parts`): two forward and two inverse real
+FFTs per gradient and per Hessian column block.  Gradients are exact derivatives of
 the discrete functionals, pulled back through the differential of the
 exponential map.  The first variation needs no chart: any section of
 x^*(TN) will do, on any curve.  Both variations use complex steps, df[e] = Im f(x + i h e) / h (Squire &
@@ -91,16 +92,16 @@ def evaluate(F: Functional, x: Embedding) -> float:
 
 
 def _derivatives(F: Functional, space: AmbientSpace, pts: np.ndarray, drift: np.ndarray):
-    """x' and, where F bends, x'' at the nodes, from one forward FFT.
+    """x' and, where F bends, x'' at the nodes, from one forward and one inverse FFT.
 
     pts has shape (P, ..., coord_dim), any batch axes between; drift is
-    the winding drift, as `Embedding.drift`.
+    the winding drift, as `Embedding.drift`, zero without a winding.
     """
-    theta = fourier.nodes(pts.shape[0]).reshape((-1,) + (1,) * (pts.ndim - 1))
-    per = pts - theta * drift
+    wound = np.any(drift)
+    per = pts - fourier.nodes(len(pts)).reshape((-1,) + (1,) * (pts.ndim - 1)) * drift if wound else pts
     bends = any(kind == "bend" and coef != 0.0 for kind, coef in F.terms)
     a, b = fourier.diff(per, (1, 2)) if bends else (fourier.diff(per), None)
-    return a + drift, b
+    return a + drift if wound else a, b
 
 
 def _terms(F: Functional, space: AmbientSpace, pts: np.ndarray, a: np.ndarray, b):
@@ -114,22 +115,26 @@ def _terms(F: Functional, space: AmbientSpace, pts: np.ndarray, a: np.ndarray, b
     for kind, coef in F.terms:
         if coef == 0.0:
             continue
-        term = getattr(space, TERM_KINDS[kind])(pts, a, b)
-        f = f + coef * np.sum(term[0], axis=0)
-        partials = tuple(g if t is None else coef * t if g is None else g + coef * t
-                         for g, t in zip(partials, term[1:]))
+        value, *parts = getattr(space, TERM_KINDS[kind])(pts, a, b)
+        value = value.sum(axis=0)
+        if coef != 1.0:
+            value, parts = coef * value, [t if t is None else coef * t for t in parts]
+        f = f + value
+        partials = tuple(t if g is None else g if t is None else g + t for g, t in zip(partials, parts))
     return (f,) + partials
 
 
 def _by_parts(like: np.ndarray, gx, ga, gb) -> np.ndarray:
     """gx - D ga + D^2 gb, the sample-point gradient of partials in x, x', x''; None reads as zero.
 
-    x' = D x + drift and x'' = D^2 x, D = `fourier.diff`: under the plain sum over the nodes D is
-    antisymmetric (its Nyquist mode is zero) and D^2 symmetric.  A zero is shaped like `like`.
+    x' = D x + drift and x'' = D^2 x, D = `fourier.diff`; with gb (and so ga, as bending has both)
+    one `fourier.adjoint_diff` gives -D ga + D^2 gb.  A zero is shaped like `like`.
     """
+    if gb is not None:
+        d = fourier.adjoint_diff(ga, gb)
+        return d if gx is None else gx + d
     g = np.zeros_like(like) if gx is None else gx
-    g = g if ga is None else g - fourier.diff(ga)
-    return g if gb is None else g + fourier.diff(gb, 2)
+    return g if ga is None else g - fourier.diff(ga)
 
 
 def _grad_pts(F: Functional, space: AmbientSpace, pts: np.ndarray, drift: np.ndarray):

@@ -6,8 +6,12 @@ K_s = (1 - d^2/ds^2)^(-s) is diagonal in the center's arclength Fourier
 modes.  s = 1 for length/area functionals, which removes the k^2
 stiffness of their Hessians, so the iteration count does not grow with
 the grid size P.  s = 0 (plain L2(ds) descent) when the functional has
-a bending term, where H^1 is slower than L2(ds) and H^2 ends below the
-energy's continuous lower bound.  Steps come from Armijo backtracking
+a bending term, where H^2 ends below the energy's continuous lower
+bound.  H^1 would do better: from `perturbed_circle(P, 0.1, seed=3)`,
+500 iterations of bend + length end at f - 4 pi = 0.05-0.09 (P = 64)
+and 0.4-0.6 (P = 128) under L2(ds), moved by roundoff, and at 2.4e-9
+and 1e-6 under H^1, which meets grad_tol 1e-8 at P = 128 after about
+3000 iterations.  Steps come from Armijo backtracking
 with Barzilai-Borwein trial lengths; each trial costs one fused value
 and gradient, and the accepted trial's gradient serves the next
 iterate.  The chart is re-centered once the section grows past a
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -90,14 +95,22 @@ def _drop_nyquist(coeff: np.ndarray) -> np.ndarray:
     direction along it; the solver works on its complement.
     """
     P = coeff.shape[0]
-    alt = (-1.0) ** np.arange(P)
-    comp = (coeff * alt[:, None]).sum(axis=0) / P
-    return coeff - alt[:, None] * comp
+    alt = _alternating(P)
+    comp = (coeff * alt).sum(axis=0) / P
+    return coeff - alt * comp
 
 
-def _value_and_filtered_gradient(F: Functional, c: Chart,
-                                 u: NormalSection) -> tuple[float, NormalSection]:
-    """F's value at u and its chart gradient without the alternating Nyquist mode."""
+@lru_cache(maxsize=fourier._TABLES)
+def _alternating(P: int) -> np.ndarray:
+    """The alternating grid mode (-1)^i as a (P, 1) column, read-only as a broadcast view."""
+    return np.broadcast_to(((-1.0) ** np.arange(P))[:, None], (P, 1))
+
+
+def _value_and_filtered_gradient(F: Functional, c: Chart, u: NormalSection,
+                                 trace: SolveTrace | None = None) -> tuple[float, NormalSection]:
+    """F's value at u and its chart gradient without the alternating Nyquist mode, counted in trace."""
+    if trace is not None:
+        trace.evaluations += 1
     f, g = value_and_gradient(F, c, u.coeff)
     return f, NormalSection(_drop_nyquist(g.coeff))
 
@@ -138,6 +151,8 @@ class TraceRecord:
 class SolveTrace:
     records: list[TraceRecord] = field(default_factory=list)
     converged: bool = False
+    evaluations: int = 0  # value_and_gradient calls, Newton's included
+    backtracks: int = 0  # evaluated Armijo trials rejected and halved
 
     @property
     def f_values(self) -> np.ndarray:
@@ -186,8 +201,8 @@ def _reduced_hessian(F: Functional, c: Chart):
     return E, 0.5 * (Qr + Qr.T)
 
 
-def newton_refine(F: Functional, c: Chart, u: NormalSection,
-                  opts: SolveOptions | None = None) -> NormalSection:
+def newton_refine(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions | None = None,
+                  trace: SolveTrace | None = None) -> NormalSection:
     """Newton polish of a near-critical section.
 
     Solves the Newton system with the Hessian taken at the chart origin,
@@ -208,13 +223,14 @@ def newton_refine(F: Functional, c: Chart, u: NormalSection,
 
     After NEWTON_STEPS chord steps the current section is returned
     whether or not it meets the tolerance; callers check the gradient
-    (`minimize` does, through its next trace record).
+    (`minimize` does, through its next trace record).  A given trace
+    counts the evaluations.
     """
     opts = opts or SolveOptions()
     P, rank = c.P, c.rank
     current, lam = u, None
     for _ in range(NEWTON_STEPS):
-        _, g = _value_and_filtered_gradient(F, c, current)
+        _, g = _value_and_filtered_gradient(F, c, current, trace)
         if grad_norm(c, g) <= opts.grad_tol:
             return current
         if lam is None:
@@ -276,7 +292,7 @@ def _descend(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions,
 
     def metric(c: Chart, v: np.ndarray) -> np.ndarray:
         # K_s v in the arclength of c's center; mean-free in Newton mode
-        d = fourier.sobolev_inverse(v, float(np.sum(c.weights)), s)
+        d = fourier.sobolev_inverse(v, float(np.sum(c.weights)), s) if s else v
         return _mean_free(c, d) if opts.newton else d
 
     last_step = 0.0
@@ -284,7 +300,7 @@ def _descend(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions,
     prev_u = prev_g = None
     newton_gate = max(opts.newton_threshold, 10.0 * opts.grad_tol)
     rounds = 0
-    f, g = _value_and_filtered_gradient(F, c, u)
+    f, g = _value_and_filtered_gradient(F, c, u, trace)
 
     for it in range(opts.max_iter + 1):
         gn = grad_norm(c, g)
@@ -302,7 +318,7 @@ def _descend(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions,
             if not did_recenter:
                 c, u = recenter(c, u)
             try:
-                u = newton_refine(F, c, u, opts)
+                u = newton_refine(F, c, u, opts, trace)
             except OutsideDomainError:
                 # quadratic model not trusted yet; descend on and retry
                 # Newton once the mean-free gradient is 10x smaller
@@ -310,7 +326,7 @@ def _descend(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions,
             else:
                 c, u = recenter(c, u)
                 rounds += 1
-            f, g = _value_and_filtered_gradient(F, c, u)
+            f, g = _value_and_filtered_gradient(F, c, u, trace)
             prev_u = prev_g = None
             last_step, did_recenter = 0.0, True
             continue
@@ -336,22 +352,23 @@ def _descend(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions,
         slack = 1e-14 * max(1.0, abs(f))
         while step >= 1e-12:
             cand = NormalSection(u.coeff - step * d)
-            if cand.sup_norm < c.rho:
-                f_cand, g_cand = _value_and_filtered_gradient(F, c, cand)
+            if (sup := cand.sup_norm) < c.rho:
+                f_cand, g_cand = _value_and_filtered_gradient(F, c, cand, trace)
                 if f_cand <= f - ARMIJO_C * step * slope + slack:
                     accepted = cand
                     break
+                trace.backtracks += 1
             step *= 0.5
         if accepted is None:
             raise LineSearchFailedError("no Armijo step above the minimum step length")
         prev_u, prev_g = u.coeff, g.coeff
         u, f, g = accepted, f_cand, g_cand
         last_step, rounds = step, 0
-        did_recenter = u.sup_norm > RECENTER_FRACTION * c.rho
+        did_recenter = sup > RECENTER_FRACTION * c.rho
         if did_recenter:
             c, u = recenter(c, u)
             prev_u = prev_g = None
-            f, g = _value_and_filtered_gradient(F, c, u)
+            f, g = _value_and_filtered_gradient(F, c, u, trace)
 
     return c, u, trace
 

@@ -1,5 +1,9 @@
 """The spectral kernels against the plain expressions they replace, bit for bit.
 
+The fused transforms (several orders of `diff` from one inverse FFT, the
+adjoint `adjoint_diff` from one forward and one inverse FFT) are checked
+as properties over grids, batch shapes and real or complex samples.
+
 `diff` and `upsample` read cached read-only multiplier tables and `taylor`
 gathers each point's rows once; the references below build the
 multipliers inline on every call and gather one order at a time.
@@ -7,6 +11,8 @@ multipliers inline on every call and gather one order at a time.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvecharts import curve, fourier
 
@@ -130,3 +136,56 @@ def test_changing_a_result_changes_no_later_one():
     assert np.array_equal(fourier.upsample(c, 64, 512, 16), want)
     assert np.array_equal(fourier.taylor(want, np.arange(512), np.full(512, 1e-3)),
                           _taylor_ref(want, np.arange(512), np.full(512, 1e-3)))
+
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def batched_samples(draw, count):
+    """count sample arrays of one shape (P, *batch), with the alternating mode in;
+    real, complex, or complex with a complex-step imaginary part."""
+    P = draw(st.sampled_from((16, 24, 64, 128, 256)))
+    batch = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    imag = draw(st.sampled_from((0.0, 1.0, 1e-30)))
+    alt = ((-1.0) ** np.arange(P)).reshape((P,) + (1,) * len(batch))
+    out = []
+    for _ in range(count):
+        v = 10.0 ** rng.uniform(-3, 3) * (rng.standard_normal((P,) + batch) + alt)
+        out.append(v + 1j * imag * rng.standard_normal(v.shape) if imag else v)
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(batched_samples(1), st.lists(st.integers(0, 4), min_size=1, max_size=4))
+def test_fused_orders_equal_the_per_order_transforms(samples, orders):
+    [v] = samples
+    got = fourier.diff(v, tuple(orders))
+    for n, d in zip(orders, got):
+        want = _diff_ref(v, n)
+        assert d.dtype == want.dtype and np.array_equal(d, want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(batched_samples(2))
+def test_fused_adjoint_equals_the_two_derivatives(samples):
+    ga, gb = samples
+    P = ga.shape[0]
+    got = fourier.adjoint_diff(ga, gb)
+    want = -fourier.diff(ga) + fourier.diff(gb, 2)
+    ghat = max(np.max(np.abs(np.fft.fft(g, axis=0))) for g in (ga, gb))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 8 * EPS * (P / 2) ** 2 * ghat
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(batched_samples(2))
+def test_derivatives_are_skew_and_symmetric_under_the_node_sum(samples):
+    # sum <D a, y> = -sum <a, D y> and sum <D^2 a, y> = sum <a, D^2 y>, the
+    # alternating mode included: D's odd Nyquist multiplier is zero
+    a, y = samples
+    P = a.shape[0]
+    for n, sign in ((1, -1.0), (2, 1.0)):
+        gap = np.sum(fourier.diff(a, n) * y) - sign * np.sum(a * fourier.diff(y, n))
+        assert abs(gap) <= 8 * EPS * (P / 2) ** n * a.size * np.max(np.abs(a)) * np.max(np.abs(y))

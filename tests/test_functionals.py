@@ -466,20 +466,30 @@ def test_complex_diff_of_a_column_block_equals_the_stacked_parts(P, rng):
 
 
 def test_one_forward_fft_for_both_derivatives(monkeypatch):
-    # the first and second derivatives of the samples share one rfft, and the
-    # gradient takes one more per partial it differentiates: D ga, and D^2 gb
+    # the first and second derivatives of the samples share one rfft and one
+    # irfft, and the gradient's -D ga + D^2 gb takes one more of each, with or
+    # without a bend term; so does each column block of the Hessian
     x = shapes.perturbed_circle(32, amplitude=0.06, seed=0)
     d1, d2 = fourier.diff(x.pts, (1, 2))
     assert np.array_equal(d1, fourier.diff(x.pts)) and np.array_equal(d2, fourier.diff(x.pts, 2))
-    calls = []
-    rfft = np.fft.rfft
-    monkeypatch.setattr(np.fft, "rfft", lambda *args, **kw: calls.append(1) or rfft(*args, **kw))
-    cc.curvature(x)
-    assert len(calls) == 1
-    for functional, ffts in (("length", 2), ("length-1.0*area", 2), ("length+0.5*bend", 3)):
-        calls.clear()
-        _grad_pts(cc.parse_functional(functional), x.space, x.pts, x.drift)
-        assert len(calls) == ffts
+    calls = {"rfft": 0, "irfft": 0}
+    for name in calls:
+        monkeypatch.setattr(np.fft, name, lambda *args, _fn=getattr(np.fft, name), _name=name, **kw:
+                            calls.__setitem__(_name, calls[_name] + 1) or _fn(*args, **kw))
+
+    def counted(fn):
+        calls.update(rfft=0, irfft=0)
+        fn()
+        return dict(calls)
+
+    assert counted(lambda: cc.curvature(x)) == {"rfft": 1, "irfft": 1}
+    c = cc.make_chart(x)
+    for functional in ("length", "length-1.0*area", "length+0.5*bend"):
+        F = cc.parse_functional(functional)
+        assert counted(lambda: _grad_pts(F, x.space, x.pts, x.drift)) == {"rfft": 2, "irfft": 2}
+        # the base gradient at the center, then one block of 32 columns
+        assert counted(lambda: _hessian(F, c, c.frame, np.eye(32 * c.rank)[:, :32])) == {
+            "rfft": 4, "irfft": 4}
 
 
 def random_sphere_curve(P, seed, amplitude=0.15, kmax=4):

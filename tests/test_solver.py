@@ -88,6 +88,36 @@ def test_minimize_trace_monotone():
     assert np.all(f[1:] <= f[:-1] + slack)
 
 
+def _counted_value_and_gradient(monkeypatch):
+    calls = []
+    fused = solver.value_and_gradient
+    monkeypatch.setattr(solver, "value_and_gradient", lambda *a: calls.append(1) or fused(*a))
+    return calls
+
+
+@pytest.mark.parametrize("functional, make", [
+    ("bend+length", lambda: shapes.perturbed_circle(64, 0.1, seed=3)),
+    ("bend+length", lambda: shapes.perturbed_circle(64, 0.1, seed=1)),
+    ("length", lambda: shapes.torus_geodesic(64, (1, 1), wiggle=0.05, seed=1)),
+], ids=["bend-length-3", "bend-length-1", "torus-length"])
+def test_plain_descent_counts_one_evaluation_per_trial(monkeypatch, functional, make):
+    # without re-centering, each iteration evaluates its accepted trial and
+    # the trials it rejects, and the start takes one evaluation more
+    calls = _counted_value_and_gradient(monkeypatch)
+    _, _, trace = cc.minimize(cc.parse_functional(functional), make(), cc.SolveOptions(max_iter=60))
+    assert not any(r.recenter for r in trace.records)
+    assert trace.evaluations == len(calls) == len(trace.records) - 1 + trace.backtracks + 1
+    assert (trace.backtracks > 0) == functional.startswith("bend")
+
+
+def test_newton_descent_counts_newton_evaluations(monkeypatch):
+    calls = _counted_value_and_gradient(monkeypatch)
+    _, _, trace = cc.minimize(cc.parse_functional("length-1.0*area"),
+                              shapes.perturbed_circle(64, 0.1, seed=6), NEWTON_CIRCLE)
+    assert trace.converged and trace.evaluations == len(calls)
+    assert trace.evaluations > len(trace.records) + trace.backtracks
+
+
 def test_minimize_circle_saddle_constant_curvature():
     x = shapes.perturbed_circle(128, amplitude=0.05, seed=7)
     F = cc.parse_functional("length-1.0*area")

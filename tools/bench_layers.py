@@ -41,8 +41,8 @@ length and under bend) and records the times of `hessian_in_chart` and of
 `spectrum` (the Hessian, its reduction and eigh), with
 
 - `columns`: the Hessian's columns, P times the frame rank;
-- `ffts`: the forward and inverse real FFTs one `hessian_in_chart`
-  makes;
+- `ffts`: the forward (rfft) and inverse (irfft) real FFTs one
+  `hessian_in_chart` makes, counted apart;
 - `eig_error`: the largest distance of the computed eigenvalues from
   the analytic ones.
 
@@ -62,19 +62,25 @@ workload (`circle-newton`: `perturbed_circle(P, 0.1, seed=6)` under
 length - area; `sphere-length-newton`: the tilted great circle under
 length) for P in {64, 128, 256, 512, 1024}, on `bend-length-budget` at P=64,
 unmoved, and on the workload's wiggly (1, 1) torus geodesic under
-length (`torus-length`) for P in {512, 1024, 2048}.  Each row holds the iterations, re-centerings, status
-and oracle error, the time, and from one further, counted run the calls
-the solver makes to `evaluate`, `gradient_in_chart`,
-`value_and_gradient`, `hessian_in_chart` and `_reduced_hessian` (null
-where the solver module has no such name), and `ffts`, the forward and inverse real FFTs of the
-whole run.
+length (`torus-length`) for P in {512, 1024, 2048}.  Each row holds the
+iterations, re-centerings, Armijo backtracks (null where the trace does
+not count them), status and oracle error, the time, and from one
+further, counted run the calls the solver makes to `evaluate`,
+`gradient_in_chart`, `value_and_gradient`, `hessian_in_chart` and
+`_reduced_hessian` (null where the solver module has no such name), and
+`forward_ffts` and `inverse_ffts`, the rfft and irfft calls of the whole
+run.  Per iteration it gives the evaluations (`value_and_gradient`
+calls) and both FFT counts, and `time_per_evaluation_s` divides the
+time by the evaluations.
 
 `iterate_cost`: the per-iterate cost of the descent's function calls at
 a seeded section of sup norm 0.2 rho, on each backend's curve of
-`image_distance` and P in {64, 128, 256, 512}: `separate_s`, the time of
+`image_distance`, for the functionals of ITERATE_COST at P in {64, 128,
+256, 512}, and up to 1024 for `bend+length`: `separate_s`, the time of
 `evaluate(F, chart_apply(c, u))` plus `gradient_in_chart(F, c, u)`, and
 `fused_s`, that of `value_and_gradient(F, c, u.coeff)`, each the mean of
-a block of INNER calls, with the FFTs of one call of each.
+a block of INNER calls, with the forward and inverse FFTs of one call of
+each.
 
 `chart_setup`: for P in {64, 128, 256, 512, 1024, 2048} it records the
 times of `separation` and `make_chart` on a perturbed circle, the (1, 1)
@@ -345,14 +351,15 @@ SOLVER_CALLS = ("evaluate", "gradient_in_chart", "value_and_gradient", "hessian_
 
 
 def _counted_call(fn, fn_names=SOLVER_CALLS):
-    """fn() once, counting the calls to the named solver functions and numpy's real FFTs.
+    """fn() once, counting the calls to the named solver functions and numpy's forward
+    (`forward_ffts`, rfft) and inverse (`inverse_ffts`, irfft) real FFTs.
 
     Returns (result, counts); a name the solver module lacks counts None.
     """
     counts = {name: 0 if hasattr(solver, name) else None for name in fn_names}
-    counts["ffts"] = 0
+    counts.update(forward_ffts=0, inverse_ffts=0)
     sites = [(solver, name, name) for name in fn_names if hasattr(solver, name)]
-    sites += [(np.fft, "rfft", "ffts"), (np.fft, "irfft", "ffts")]
+    sites += [(np.fft, "rfft", "forward_ffts"), (np.fft, "irfft", "inverse_ffts")]
     undo = []
     try:
         for owner, attr, key in sites:
@@ -397,26 +404,43 @@ def _descent_rows() -> list[dict]:
             x0 = make(P)
             (c, u, trace), counts = _counted_call(lambda: cc.minimize(F, x0, opts))
             iters = len(trace.records) - 1
-            rows.append({"problem": name, "P": P,
-                         "status": "converged" if trace.converged else "unconverged",
-                         "iterations": iters, "recenters": sum(r.recenter for r in trace.records),
-                         "error": error(cc.chart_apply(c, u)),
-                         "time_s": _min_time(lambda: cc.minimize(F, x0, opts)), **counts,
-                         "ffts_per_iter": counts["ffts"] / iters})
-            print(f"descent {name:20s} P={P:4d} {iters:4d} iterations {rows[-1]['time_s']:.4f} s",
-                  file=sys.stderr)
+            evals = counts["value_and_gradient"]
+            row = {"problem": name, "P": P,
+                   "status": "converged" if trace.converged else "unconverged",
+                   "iterations": iters, "recenters": sum(r.recenter for r in trace.records),
+                   "backtracks": getattr(trace, "backtracks", None),
+                   "error": error(cc.chart_apply(c, u)),
+                   "time_s": _min_time(lambda: cc.minimize(F, x0, opts)), **counts,
+                   "evaluations_per_iter": evals / iters,
+                   "forward_ffts_per_iter": counts["forward_ffts"] / iters,
+                   "inverse_ffts_per_iter": counts["inverse_ffts"] / iters}
+            row["time_per_evaluation_s"] = row["time_s"] / evals
+            rows.append(row)
+            print(f"descent {name:20s} P={P:4d} {iters:4d} iterations {evals:4d} evaluations"
+                  f" {row['time_s']:.4f} s", file=sys.stderr)
     return rows
+
+
+def _fft_counts(fn) -> dict:
+    """The forward and inverse real FFTs of one fn() call."""
+    counts = _counted_call(fn, ())[1]
+    return {"forward": counts["forward_ffts"], "inverse": counts["inverse_ffts"]}
+
+
+# functionals of `iterate_cost` and their grids
+ITERATE_COST = {"length": HESSIAN_GRIDS, "length-1.0*area": HESSIAN_GRIDS,
+                "length+0.5*bend": HESSIAN_GRIDS, "bend+length": GRIDS}
 
 
 def _iterate_cost_rows() -> list[dict]:
     rows = []
     fused = getattr(functionals, "value_and_gradient", None)
     for name, make in BACKENDS.items():
-        for functional in ("length", "length-1.0*area", "length+0.5*bend"):
+        for functional, grids in ITERATE_COST.items():
             F = cc.parse_functional(functional)
             if F.coefficient("area") != 0.0 and name != "plane":
                 continue
-            for P in HESSIAN_GRIDS:
+            for P in grids:
                 c = cc.make_chart(make(P))
                 u = random_section(c, np.random.default_rng(P), 0.2 * c.rho)
 
@@ -425,12 +449,12 @@ def _iterate_cost_rows() -> list[dict]:
 
                 row = {"backend": name, "functional": functional, "P": P,
                        "separate_s": _min_time(lambda: [separate() for _ in range(INNER)]) / INNER,
-                       "separate_ffts": _counted_call(separate, ())[1]["ffts"],
+                       "separate_ffts": _fft_counts(separate),
                        "fused_s": None, "fused_ffts": None}
                 if fused is not None:
                     row["fused_s"] = _min_time(
                         lambda: [fused(F, c, u.coeff) for _ in range(INNER)]) / INNER
-                    row["fused_ffts"] = _counted_call(lambda: fused(F, c, u.coeff), ())[1]["ffts"]
+                    row["fused_ffts"] = _fft_counts(lambda: fused(F, c, u.coeff))
                 rows.append(row)
                 print(f"iterate cost {name:6s} {functional:16s} P={P:4d}"
                       f" separate {row['separate_s'] * 1e3:.3f} ms fused "
@@ -576,7 +600,7 @@ def _second_variation_rows() -> list[dict]:
             c = cc.make_chart(make(P))
             vals = cc.spectrum(F, c, len(expected))
             row = {"backend": name, "P": P, "columns": P * c.rank,
-                   "ffts": _counted_call(lambda: cc.hessian_in_chart(F, c), ())[1]["ffts"],
+                   "ffts": _fft_counts(lambda: cc.hessian_in_chart(F, c)),
                    "hessian_in_chart_s": _min_time(lambda: cc.hessian_in_chart(F, c)),
                    "spectrum_s": _min_time(lambda: cc.spectrum(F, c, len(expected))),
                    "eig_error": float(np.max(np.abs(vals - np.asarray(expected))))}

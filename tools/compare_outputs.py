@@ -31,6 +31,11 @@ records it also prints the largest absolute difference between numeric
 leaves at the same place in both records; a text leaf, such as a trace
 CSV, a spectrum's stdout or a JSON report written as text, counts with
 the numbers inside it when both texts agree apart from those numbers.
+For each unequal `minimize` record it prints the difference in
+iterations and in the final f, and the largest distance between the
+final curves' nodes before and after the backend's best rigid motion
+(Kabsch on the plane, in R^3 and on S^2, a translation on the torus),
+which tells a drift along the isometry orbit from a change of shape.
 Use it to check that a
 refactoring leaves outputs unchanged: dump the parent commit's checkout
 and the changed one, then compare.
@@ -121,7 +126,8 @@ RESULTS = {
     "spectrum": lambda r: {"values": r},
     "orbit_rank": lambda r: {"rank": r},
     "minimize": lambda r: {"trace": r[2].to_csv(), "converged": r[2].converged,
-                           "section": r[1].coeff, **_chart(r[0])},
+                           "section": r[1].coeff, "space": r[0].center.space.to_spec(),
+                           **_chart(r[0])},
 }
 
 
@@ -290,6 +296,42 @@ def _max_diff(a, b) -> float:
     return 0.0
 
 
+def _final_curve(rec: dict):
+    """The space and the nodes of a `minimize` record's final curve, exp of its section."""
+    space = cc.AmbientSpace.from_spec(rec["space"])
+    center, frame = np.array(rec["center"]), np.array(rec["frame"])
+    return space, space.exp(center, np.einsum("ia,aid->id", np.array(rec["section"]), frame))
+
+
+def _rigid_gap(space, p: np.ndarray, q: np.ndarray) -> float:
+    """Largest |R p_i + t - q_i| over the nodes for the rigid motion of the backend that best
+    maps p to q in least squares: a translation on the torus, else a rotation (Kabsch) with a
+    translation where the backend has them."""
+    if not space.rotations:
+        d = space.log(p, q)
+        return float(np.max(np.linalg.norm(d - d.mean(axis=0), axis=1)))
+    mp, mq = (p.mean(axis=0), q.mean(axis=0)) if space.translations else (0.0, 0.0)
+    U, _, Vt = np.linalg.svd((p - mp).T @ (q - mq))
+    U[:, -1] *= np.sign(np.linalg.det(U @ Vt))
+    return float(np.max(np.linalg.norm((p - mp) @ (U @ Vt) - (q - mq), axis=1)))
+
+
+def _minimize_drift(a: dict, b: dict) -> str:
+    """Iteration and final-f differences of two `minimize` records, and their final curves'
+    largest node distance as given and modulo the backend's rigid motions."""
+    out = []
+    rows = [[line.split(",") for line in (r.get("trace") or "").splitlines()[1:]] for r in (a, b)]
+    if all(rows):
+        out.append(f"iterations {len(rows[1]) - len(rows[0]):+d}, "
+                   f"final f {float(rows[1][-1][1]) - float(rows[0][-1][1]):+.3g}")
+    if all("section" in r and "space" in r for r in (a, b)):
+        (space, p), (_, q) = _final_curve(a), _final_curve(b)
+        if p.shape == q.shape:
+            out.append(f"curves {np.max(space.dist(p, q)):.3g} apart, "
+                       f"{_rigid_gap(space, p, q):.3g} after the best rigid motion")
+    return "; ".join(out) or "no trace or final curve in both"
+
+
 def compare(a: str, b: str) -> int:
     with open(a) as fh:
         ra = json.load(fh)
@@ -305,6 +347,8 @@ def compare(a: str, b: str) -> int:
             print(f"differs: {key}" + ("" if key in ra and key in rb else " (in one file only)"))
             if key in ra and key in rb:
                 diff[kind] = max(diff.get(kind, 0.0), _max_diff(ra[key], rb[key]))
+                if kind == "minimize":
+                    print(f"  {_minimize_drift(ra[key]['value'], rb[key]['value'])}")
     for kind in sorted(total):
         print(f"{kind}: {equal[kind]}/{total[kind]} equal"
               + (f", largest numeric difference {diff[kind]:.3g}" if kind in diff else ""))
