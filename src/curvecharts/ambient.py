@@ -218,15 +218,9 @@ class AmbientSpace:
         if not isinstance(spec, dict):
             raise ValueError(f"ambient spec must be an object, got {spec!r}")
         kind, dim = spec["kind"], _integer(spec["dim"], "ambient dim")
-        if kind == "euclidean":
-            return Euclidean(dim)
-        if kind == "flat_torus":
-            return FlatTorus(dim)
-        if kind == "sphere2":
-            if dim != 2:
-                raise ValueError(f"sphere2 ambient has dim 2, got {dim}")
-            return Sphere2()
-        raise ValueError(f"unknown ambient kind {kind!r}")
+        if not isinstance(kind, str) or kind not in _BACKENDS:
+            raise ValueError(f"unknown ambient kind {kind!r}")
+        return _BACKENDS[kind](dim)
 
     def __eq__(self, other):
         return (
@@ -331,7 +325,9 @@ class Sphere2(AmbientSpace):
 
     _antipodal_tol = 1e-8
 
-    def __init__(self):
+    def __init__(self, dim: int = 2):
+        if dim != 2:
+            raise ValueError(f"sphere2 ambient has dim 2, got {dim}")
         self.dim = 2
         self.coord_dim = 3
 
@@ -431,3 +427,7 @@ class Sphere2(AmbientSpace):
         f, _, ga, gb = super().bending_term(pts, a, b)
         fl, _, gla, _ = super().length_term(pts, a)
         return f - fl, None, ga - gla, gb
+
+
+# kind -> backend class, for `AmbientSpace.from_spec`
+_BACKENDS = {cls.kind: cls for cls in (Euclidean, FlatTorus, Sphere2)}

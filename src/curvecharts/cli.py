@@ -8,11 +8,11 @@ Exit codes (`_EXIT_CODES`): 0 success, 1 generic failure, 2 bad input
 (curve, flag value, functional string, a functional term the curve's ambient
 does not define, or an --output that cannot be written), 3 non-embedding
 input, 4 curve outside the chart tube, 5 gradient tolerance not reached
-(the iteration budget ran out, the Newton rounds ended above it, or the
-line search failed).  A minimize run that fails while iterating (a chart
-re-centering breakdown exits 1, a failed line search 5) still writes,
-given --output, the trace up to the failure.  --grid sizes --make
-generators only; given without --make it is bad input.
+(the iteration budget ran out, the Newton rounds ended above it, the
+line search failed, or a Newton step left its chart).  A minimize run
+that fails while iterating (a chart re-centering breakdown exits 1, the
+last two 5) still writes, given --output, the trace up to the failure.
+--grid sizes --make generators only; given without --make it is bad input.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .errors import (
     CurveChartsError,
     LineSearchFailedError,
     NotEmbeddingError,
+    OutsideDomainError,
     OutsideTubeError,
     UnsupportedAmbientError,
 )
@@ -222,6 +223,8 @@ def cmd_minimize(args) -> int:
         "iterations": last.iter,
         "f": last.f,
         "grad_norm": last.grad_norm,
+        "evaluations": trace.evaluations,
+        "backtracks": trace.backtracks,
     }
     if args.output is None:
         report["curve"] = curve_to_dict(final)
@@ -316,6 +319,7 @@ _EXIT_CODES = (
     (NotEmbeddingError, EXIT_NOT_EMBEDDING),
     (OutsideTubeError, EXIT_OUTSIDE_TUBE),
     (LineSearchFailedError, EXIT_MAX_ITER),
+    (OutsideDomainError, EXIT_MAX_ITER),
     (CurveChartsError, EXIT_FAIL),
 )
 

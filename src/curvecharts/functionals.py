@@ -61,7 +61,7 @@ class Functional:
         return sum(c for k, c in self.terms if k == kind)
 
 
-_TERM_RE = re.compile(r"([+-]?)(?:(\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)\*)?(length|area|bend)")
+_TERM_RE = re.compile(r"([+-]?)(?:(\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)\*)?(" + "|".join(TERM_KINDS) + ")")
 
 
 def parse_functional(text: str) -> Functional:

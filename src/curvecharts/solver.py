@@ -25,7 +25,9 @@ critical circle and the latitude shift of a great circle, along which
 plain H^1 descent leaves the saddle.  Once the mean-free gradient is
 small, Newton rounds alternate `newton_refine`, which drops the
 components on the isometry-orbit kernel, with re-centering, until a
-round begins on a chart re-centered at an already-critical curve.  The
+round begins on a chart re-centered at an already-critical curve.  A
+Newton step that leaves its chart ends the run: the chart exists only
+inside its radius rho, so `minimize` raises the OutsideDomainError.  The
 spectrum of the second variation is reported separately.
 """
 
@@ -269,8 +271,8 @@ def minimize(F: Functional, x0: Embedding, opts: SolveOptions | None = None
     trace.converged reports whether the tolerance was met within
     max_iter.  The tolerance applies to the L2(ds) gradient norm whatever
     the descent metric.  A library error raised while iterating (a failed
-    re-centering raises ChartBreakdownError) carries the trace so far as
-    its `trace`.
+    re-centering raises ChartBreakdownError, a Newton step that leaves
+    its chart OutsideDomainError) carries the trace so far as its `trace`.
     """
     opts = opts or SolveOptions()
     if not is_embedding(x0):
@@ -310,22 +312,14 @@ def _descend(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions,
             return c, u, trace
         if it == opts.max_iter or rounds == NEWTON_ROUNDS:
             break
-        free = grad_norm(c, NormalSection(_mean_free(c, g.coeff))) if opts.newton else np.inf
-        if free <= newton_gate:
+        if opts.newton and grad_norm(c, NormalSection(_mean_free(c, g.coeff))) <= newton_gate:
             # a Newton round refines on a chart re-centered at the curve
             # and re-centers at the result, so the next record tells
             # whether the curve is critical at a fresh chart's origin
             if not did_recenter:
                 c, u = recenter(c, u)
-            try:
-                u = newton_refine(F, c, u, opts, trace)
-            except OutsideDomainError:
-                # quadratic model not trusted yet; descend on and retry
-                # Newton once the mean-free gradient is 10x smaller
-                newton_gate = free / 10.0
-            else:
-                c, u = recenter(c, u)
-                rounds += 1
+            c, u = recenter(c, newton_refine(F, c, u, opts, trace))
+            rounds += 1
             f, g = _value_and_filtered_gradient(F, c, u, trace)
             prev_u = prev_g = None
             last_step, did_recenter = 0.0, True

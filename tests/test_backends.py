@@ -111,6 +111,22 @@ def test_flat_spaces_need_dim_2_or_3(cls, dim):
         cc.AmbientSpace.from_spec({"kind": cls.kind, "dim": dim})
 
 
+@pytest.mark.parametrize(
+    "space", [Euclidean(2), Euclidean(3), FlatTorus(2), FlatTorus(3), Sphere2()], ids=repr)
+def test_from_spec_inverts_to_spec(space):
+    assert cc.AmbientSpace.from_spec(space.to_spec()) == space
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "sphere2", "dim": 3}, "^sphere2 ambient has dim 2, got 3$"),
+    ({"kind": "hyperbolic", "dim": 2}, "^unknown ambient kind 'hyperbolic'$"),
+    ({"kind": ["euclidean"], "dim": 2}, r"^unknown ambient kind \['euclidean'\]$"),
+])
+def test_from_spec_rejects_a_spec_no_backend_takes(spec, message):
+    with pytest.raises(ValueError, match=message):
+        cc.AmbientSpace.from_spec(spec)
+
+
 @pytest.mark.parametrize("cls", [Euclidean, FlatTorus])
 def test_flat_spaces_store_an_integer_dim(cls):
     # an integral float is read as its integer, as every other integer input

@@ -195,6 +195,30 @@ def test_minimize_newton_rounds_unconverged_exit_5():
     assert r.stderr == f"gradient tolerance not reached at iteration {rep['iterations']}\n"
 
 
+def test_minimize_report_counts_evaluations_and_backtracks():
+    # bend + length backtracks; the report carries the library trace's counters
+    r = run_cli("minimize", "--make", "perturbed-circle:amplitude=0.1,seed=3", "--grid", "64",
+                "--functional", "bend+length", "--max-iter", "40")
+    rep = json.loads(r.stdout)
+    _, _, trace = cc.minimize(cc.parse_functional("bend+length"),
+                              shapes.perturbed_circle(64, 0.1, seed=3), cc.SolveOptions(max_iter=40))
+    assert (rep["evaluations"], rep["backtracks"]) == (trace.evaluations, trace.backtracks)
+    assert trace.backtracks > 0
+
+
+def test_minimize_newton_step_leaving_the_chart_exit_5_keeps_trace(tmp_path):
+    # at the exact radius-0.5 circle the first Newton round leaves its chart
+    out = tmp_path / "saddle.json"
+    r = run_cli("minimize", "--make", "circle:radius=0.5", "--functional", "length-1.0*area",
+                "--newton", "--output", str(out))
+    assert r.returncode == 5
+    assert r.stderr == "Newton step left the chart domain\n"
+    trace = (tmp_path / "saddle.json.trace.csv").read_text().strip().split("\n")
+    assert trace[0] == "iter,f,grad_norm,step,recenter"
+    assert len(trace) == 2 and trace[1].startswith("0,")
+    assert not out.exists()
+
+
 def test_minimize_chart_breakdown_exit_1_keeps_trace(tmp_path):
     # length - area is unbounded below; the failed re-centering is a chart
     # breakdown (exit 1), not a target outside the tube (exit 4)

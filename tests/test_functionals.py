@@ -29,6 +29,12 @@ def test_parse_functional_grammar():
         cc.parse_functional("length2*area")
 
 
+@pytest.mark.parametrize("kind", sorted(cc.functionals.TERM_KINDS))
+def test_parse_functional_reads_every_term_kind(kind):
+    assert cc.parse_functional(kind).terms == ((kind, 1.0),)
+    assert cc.parse_functional(f"length-2.5*{kind}").terms == (("length", 1.0), (kind, -2.5))
+
+
 def test_length_circle(circle64):
     assert cc.evaluate(cc.parse_functional("length"), circle64) == pytest.approx(
         2 * np.pi, abs=1e-10)

@@ -13,6 +13,7 @@ from curvecharts.errors import (
     ChartBreakdownError,
     LineSearchFailedError,
     NonMonotoneError,
+    OutsideDomainError,
     OutsideTubeError,
     ProjectionFailedError,
 )
@@ -175,20 +176,75 @@ def test_newton_circle_from_a_scaled_start(radius):
     assert len(trace.records) - 1 <= 10
 
 
-def test_failed_newton_round_descends_before_the_next(monkeypatch):
+def test_newton_step_leaving_the_chart_ends_the_run(monkeypatch):
     # from radius 0.5 the critical circle lies outside every chart the
-    # descent reaches, so Newton leaves the domain; the gate then waits for
-    # a 10x smaller mean-free gradient, where it retried at once and spent
-    # one Hessian per iteration (28 in 30)
+    # descent reaches, so the first Newton round leaves the domain and
+    # the run ends there, its trace attached
     calls = []
     refine = solver.newton_refine
     monkeypatch.setattr(solver, "newton_refine", lambda *a: calls.append(1) or refine(*a))
     x = shapes.perturbed_circle(64, 0.05, seed=1, radius=0.5)
-    _, _, trace = cc.minimize(cc.parse_functional("length-1.0*area"), x,
-                              cc.SolveOptions(max_iter=30, grad_tol=1e-10, newton=True,
-                                              newton_threshold=0.05))
-    assert not trace.converged and len(trace.records) == 31
-    assert 1 <= len(calls) <= 6
+    with pytest.raises(OutsideDomainError, match="^Newton step left the chart domain$") as info:
+        cc.minimize(cc.parse_functional("length-1.0*area"), x,
+                    cc.SolveOptions(max_iter=30, grad_tol=1e-10, newton=True,
+                                    newton_threshold=0.05))
+    trace = info.value.trace
+    assert not trace.converged and len(trace.records) == 3
+    assert len(calls) == 1
+
+
+def _latitude(P, polar, wave=0.0):
+    """The S^2 curve at polar angle polar + wave sin(3 theta) over longitude theta."""
+    th = fourier.nodes(P)
+    phi = polar + wave * np.sin(3 * th)
+    return cc.Embedding(cc.Sphere2(), np.stack(
+        [np.sin(phi) * np.cos(th), np.sin(phi) * np.sin(th), np.cos(phi)], axis=1))
+
+
+LENGTH_MINUS_AREA = cc.parse_functional("length-1.0*area")
+
+
+def _stalled_starts():
+    # saddle starts whose first Newton round leaves its chart: the gradient
+    # is (nearly) the unstable mode the mean-free descent leaves alone
+    length = cc.parse_functional("length")
+    for P in (64, 256):
+        for r in (0.3, 0.5):
+            yield pytest.param(LENGTH_MINUS_AREA, shapes.circle(P, radius=r), id=f"circle-{r}-P{P}")
+            yield pytest.param(LENGTH_MINUS_AREA, shapes.perturbed_circle(P, 0.1, seed=3, radius=r),
+                               id=f"perturbed-circle-{r}-P{P}")
+        for a in (0.3, np.pi / 4, 2.5):
+            yield pytest.param(length, _latitude(P, a), id=f"latitude-{a:.3g}-P{P}")
+            yield pytest.param(length, _latitude(P, a, 0.05), id=f"wavy-latitude-{a:.3g}-P{P}")
+
+
+@pytest.mark.parametrize("F, x", _stalled_starts())
+def test_newton_mode_ends_a_stalled_saddle_start(F, x):
+    # the first Newton round leaves its chart and ends the run, before the
+    # mean-free descent can accept zero steps through the Armijo slack
+    with pytest.raises(OutsideDomainError) as info:
+        cc.minimize(F, x, cc.SolveOptions(newton=True))
+    trace = info.value.trace
+    assert not trace.converged and len(trace.records) - 1 <= 10
+    f = trace.f_values
+    assert np.all(f[1:] <= f[:-1] + TRACE_SLACK * np.maximum(1.0, np.abs(f[:-1])))
+
+
+@pytest.mark.parametrize("F, make, converged, iterations", [
+    (LENGTH_MINUS_AREA, lambda: shapes.circle(64, radius=0.8), True, 1),
+    (LENGTH_MINUS_AREA, lambda: shapes.circle(64, radius=2.0), True, 1),
+    (LENGTH_MINUS_AREA, lambda: shapes.circle(64, radius=4.0), True, 1),
+    (LENGTH_MINUS_AREA, lambda: shapes.perturbed_circle(64, 0.1, seed=3, radius=0.8), True, 6),
+    (LENGTH_MINUS_AREA, lambda: shapes.perturbed_circle(64, 0.1, seed=3, radius=2.0), True, 69),
+    (LENGTH_MINUS_AREA, lambda: shapes.perturbed_circle(64, 0.1, seed=3, radius=4.0), False, 500),
+    (cc.parse_functional("length"), lambda: _latitude(64, 1.2), True, 1),
+    (cc.parse_functional("length"), lambda: _latitude(64, 1.2, 0.05), True, 5),
+], ids=["circle-0.8", "circle-2", "circle-4", "perturbed-circle-0.8", "perturbed-circle-2",
+        "perturbed-circle-4", "latitude-1.2", "wavy-latitude-1.2"])
+def test_newton_mode_keeps_its_outcome_from_farther_starts(F, make, converged, iterations):
+    # no Newton step leaves its chart from these starts
+    _, _, trace = cc.minimize(F, make(), cc.SolveOptions(newton=True))
+    assert trace.converged == converged and len(trace.records) - 1 == iterations
 
 
 @pytest.mark.parametrize("P, seed", [(64, 6), (64, 7), (128, 7), (256, 7)])

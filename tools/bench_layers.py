@@ -63,15 +63,13 @@ length - area; `sphere-length-newton`: the tilted great circle under
 length) for P in {64, 128, 256, 512, 1024}, on `bend-length-budget` at P=64,
 unmoved, and on the workload's wiggly (1, 1) torus geodesic under
 length (`torus-length`) for P in {512, 1024, 2048}.  Each row holds the
-iterations, re-centerings, Armijo backtracks (null where the trace does
-not count them), status and oracle error, the time, and from one
-further, counted run the calls the solver makes to `evaluate`,
-`gradient_in_chart`, `value_and_gradient`, `hessian_in_chart` and
-`_reduced_hessian` (null where the solver module has no such name), and
-`forward_ffts` and `inverse_ffts`, the rfft and irfft calls of the whole
-run.  Per iteration it gives the evaluations (`value_and_gradient`
-calls) and both FFT counts, and `time_per_evaluation_s` divides the
-time by the evaluations.
+iterations, re-centerings, status and oracle error, the time, and from
+one further, counted run the trace's `evaluations` (`value_and_gradient`
+calls, Newton's included) and `backtracks` (rejected Armijo trials), the
+calls the solver makes to `_reduced_hessian`, and `forward_ffts` and
+`inverse_ffts`, the rfft and irfft calls of the whole run.  Per
+iteration it gives the evaluations and both FFT counts, and
+`time_per_evaluation_s` divides the time by the evaluations.
 
 `iterate_cost`: the per-iterate cost of the descent's function calls at
 a seeded section of sup norm 0.2 rho, on each backend's curve of
@@ -346,8 +344,7 @@ def _reduction_rows() -> list[dict]:
 
 
 # solver-module functions whose calls `descent` counts, where they exist
-SOLVER_CALLS = ("evaluate", "gradient_in_chart", "value_and_gradient", "hessian_in_chart",
-                "_reduced_hessian")
+SOLVER_CALLS = ("_reduced_hessian",)
 
 
 def _counted_call(fn, fn_names=SOLVER_CALLS):
@@ -404,11 +401,11 @@ def _descent_rows() -> list[dict]:
             x0 = make(P)
             (c, u, trace), counts = _counted_call(lambda: cc.minimize(F, x0, opts))
             iters = len(trace.records) - 1
-            evals = counts["value_and_gradient"]
+            evals = trace.evaluations
             row = {"problem": name, "P": P,
                    "status": "converged" if trace.converged else "unconverged",
                    "iterations": iters, "recenters": sum(r.recenter for r in trace.records),
-                   "backtracks": getattr(trace, "backtracks", None),
+                   "evaluations": evals, "backtracks": trace.backtracks,
                    "error": error(cc.chart_apply(c, u)),
                    "time_s": _min_time(lambda: cc.minimize(F, x0, opts)), **counts,
                    "evaluations_per_iter": evals / iters,
