@@ -7,11 +7,12 @@ stdout carries data only when no --output path is given.
 Exit codes (`_EXIT_CODES`): 0 success, 1 generic failure, 2 bad input
 (curve, flag value, functional string, a functional term the curve's ambient
 does not define, or an --output that cannot be written), 3 non-embedding
-input, 4 curve outside the chart tube, 5 gradient tolerance not reached
-(the iteration budget ran out, the Newton rounds ended above it, the
-line search failed, or a Newton step left its chart).  A minimize run
-that fails while iterating (a chart re-centering breakdown exits 1, the
-last two 5) still writes, given --output, the trace up to the failure.
+input, 4 roundtrip target outside the chart tube, 5 gradient tolerance
+not reached (the iteration budget ran out, the Newton rounds ended above
+it, the line search failed, or a Newton step left its chart).  A minimize
+whose first chart or a later re-centering cannot be built exits 1.  A
+minimize run that fails while iterating still writes, given --output, the
+trace up to the failure.
 --grid sizes --make generators only; given without --make it is bad input.
 """
 

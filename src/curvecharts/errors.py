@@ -48,8 +48,9 @@ class LineSearchFailedError(CurveChartsError):
 
 
 class ChartBreakdownError(CurveChartsError):
-    """Re-centering failed: the new center is not an embedding, or the
-    current curve cannot be inverted in the new chart."""
+    """A solver chart could not be built, at the start of `minimize` or at
+    a re-centering: the smoothed center is not an embedding, or the curve
+    cannot be inverted in the chart at it."""
 
 
 class SingularSystemError(CurveChartsError):

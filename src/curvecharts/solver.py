@@ -177,23 +177,19 @@ def smooth_center(x: Embedding, trunc_freq: int) -> Embedding:
 
 
 def _chart_at(y: Embedding) -> tuple[Chart, NormalSection]:
-    """Chart at the smoothed copy of y, and y's section there minus its Nyquist mode."""
-    c = make_chart(smooth_center(y, y.P // CENTER_BAND_DIVISOR))
-    u, _ = chart_invert(c, y)
+    """Chart at the smoothed copy of y and y's Nyquist-free section there, or ChartBreakdownError."""
+    try:
+        c = make_chart(smooth_center(y, y.P // CENTER_BAND_DIVISOR))
+        u, _ = chart_invert(c, y)
+    except (NotEmbeddingError, OutsideTubeError, ProjectionFailedError,
+            NonMonotoneError) as exc:
+        raise ChartBreakdownError(f"re-centering failed: {exc}") from exc
     return c, NormalSection(_drop_nyquist(u.coeff))
 
 
 def recenter(c: Chart, u: NormalSection) -> tuple[Chart, NormalSection]:
-    """Chart at the smoothed curve u represents, and that curve's Nyquist-free section there.
-
-    A failure raises ChartBreakdownError.
-    """
-    y = chart_apply(c, u)
-    try:
-        return _chart_at(y)
-    except (NotEmbeddingError, OutsideTubeError, ProjectionFailedError,
-            NonMonotoneError) as exc:
-        raise ChartBreakdownError(f"re-centering failed: {exc}") from exc
+    """`_chart_at` the curve u represents: its smoothed copy's chart and its section there."""
+    return _chart_at(chart_apply(c, u))
 
 
 def _reduced_hessian(F: Functional, c: Chart):
@@ -270,9 +266,10 @@ def minimize(F: Functional, x0: Embedding, opts: SolveOptions | None = None
     Returns the final chart, the final section, and the iteration trace;
     trace.converged reports whether the tolerance was met within
     max_iter.  The tolerance applies to the L2(ds) gradient norm whatever
-    the descent metric.  A library error raised while iterating (a failed
-    re-centering raises ChartBreakdownError, a Newton step that leaves
-    its chart OutsideDomainError) carries the trace so far as its `trace`.
+    the descent metric.  A chart that cannot be built, the first one or a
+    re-centering, raises ChartBreakdownError; a Newton step that leaves its
+    chart, OutsideDomainError.  Raised while iterating, either carries the
+    trace so far as its `trace`.
     """
     opts = opts or SolveOptions()
     if not is_embedding(x0):
@@ -298,7 +295,7 @@ def _descend(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions,
         return _mean_free(c, d) if opts.newton else d
 
     last_step = 0.0
-    did_recenter = False
+    moved = False  # the last iteration ended on a fresh chart
     prev_u = prev_g = None
     newton_gate = max(opts.newton_threshold, 10.0 * opts.grad_tol)
     rounds = 0
@@ -306,7 +303,7 @@ def _descend(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions,
 
     for it in range(opts.max_iter + 1):
         gn = grad_norm(c, g)
-        trace.records.append(TraceRecord(it, f, gn, last_step, did_recenter))
+        trace.records.append(TraceRecord(it, f, gn, last_step, moved))
         if gn <= opts.grad_tol:
             trace.converged = True
             return c, u, trace
@@ -316,50 +313,48 @@ def _descend(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions,
             # a Newton round refines on a chart re-centered at the curve
             # and re-centers at the result, so the next record tells
             # whether the curve is critical at a fresh chart's origin
-            if not did_recenter:
+            if not moved:
                 c, u = recenter(c, u)
-            c, u = recenter(c, newton_refine(F, c, u, opts, trace))
+            u = newton_refine(F, c, u, opts, trace)
+            last_step, moved = 0.0, True
             rounds += 1
-            f, g = _value_and_filtered_gradient(F, c, u, trace)
-            prev_u = prev_g = None
-            last_step, did_recenter = 0.0, True
-            continue
-
-        # Armijo backtracking along d = K_s g, the gradient in the H^s
-        # metric of the center's arclength; the predicted decrease is
-        # <g, d>_w.  The trial step is the Barzilai-Borwein secant
-        # estimate in the same metric, <du, dg>_w / <dg, K_s dg>_w, which
-        # copes with the k^2 stiffness of length-type Hessians that s = 0
-        # leaves in place
-        d = metric(c, g.coeff)
-        slope = _inner(c, g.coeff, d)
-        step = STEP0
-        if prev_u is not None:
-            du = u.coeff - prev_u
-            dg = g.coeff - prev_g
-            denom = _inner(c, dg, metric(c, dg))
-            if denom > 0.0:
-                step = float(np.clip(abs(_inner(c, du, dg)) / denom, 1e-8, 10.0))
-        accepted = None
-        # roundoff allowance: near the minimum the predicted decrease
-        # drops below the precision of f itself
-        slack = 1e-14 * max(1.0, abs(f))
-        while step >= 1e-12:
-            cand = NormalSection(u.coeff - step * d)
-            if (sup := cand.sup_norm) < c.rho:
-                f_cand, g_cand = _value_and_filtered_gradient(F, c, cand, trace)
-                if f_cand <= f - ARMIJO_C * step * slope + slack:
-                    accepted = cand
-                    break
-                trace.backtracks += 1
-            step *= 0.5
-        if accepted is None:
-            raise LineSearchFailedError("no Armijo step above the minimum step length")
-        prev_u, prev_g = u.coeff, g.coeff
-        u, f, g = accepted, f_cand, g_cand
-        last_step, rounds = step, 0
-        did_recenter = sup > RECENTER_FRACTION * c.rho
-        if did_recenter:
+        else:
+            # Armijo backtracking along d = K_s g, the gradient in the H^s
+            # metric of the center's arclength; the predicted decrease is
+            # <g, d>_w.  The trial step is the Barzilai-Borwein secant
+            # estimate in the same metric, <du, dg>_w / <dg, K_s dg>_w, which
+            # copes with the k^2 stiffness of length-type Hessians that s = 0
+            # leaves in place
+            d = metric(c, g.coeff)
+            slope = _inner(c, g.coeff, d)
+            step = STEP0
+            if prev_u is not None:
+                du = u.coeff - prev_u
+                dg = g.coeff - prev_g
+                denom = _inner(c, dg, metric(c, dg))
+                if denom > 0.0:
+                    step = float(np.clip(abs(_inner(c, du, dg)) / denom, 1e-8, 10.0))
+            accepted = None
+            # roundoff allowance: near the minimum the predicted decrease
+            # drops below the precision of f itself
+            slack = 1e-14 * max(1.0, abs(f))
+            while step >= 1e-12:
+                cand = NormalSection(u.coeff - step * d)
+                if (sup := cand.sup_norm) < c.rho:
+                    f_cand, g_cand = _value_and_filtered_gradient(F, c, cand, trace)
+                    if f_cand <= f - ARMIJO_C * step * slope + slack:
+                        accepted = cand
+                        break
+                    trace.backtracks += 1
+                step *= 0.5
+            if accepted is None:
+                raise LineSearchFailedError("no Armijo step above the minimum step length")
+            prev_u, prev_g = u.coeff, g.coeff
+            u, f, g = accepted, f_cand, g_cand
+            last_step, rounds = step, 0
+            moved = sup > RECENTER_FRACTION * c.rho
+        # a moved curve gets a fresh chart, which restarts the secant history
+        if moved:
             c, u = recenter(c, u)
             prev_u = prev_g = None
             f, g = _value_and_filtered_gradient(F, c, u, trace)

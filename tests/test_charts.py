@@ -723,3 +723,13 @@ def test_fiber_bracket_on_the_wrap_interval():
     assert glo[0] == gvals[0, n - 1] and ghi[0] == gvals[0, 0]
     assert abs(sigma.lift[0] + delta) <= 1e-12
     np.testing.assert_allclose(u.coeff, 0.05, rtol=0, atol=1e-12)
+
+
+def test_normal_section_needs_a_2d_array():
+    with pytest.raises(ValueError, match=r"^coeff must have shape \(P, rank\)$"):
+        cc.NormalSection(np.zeros(5))
+
+
+def test_chart_invert_rejects_a_curve_in_another_space(circle64):
+    with pytest.raises(ValueError, match="different ambient spaces"):
+        cc.chart_invert(cc.make_chart(circle64), shapes.great_circle(64))

@@ -234,6 +234,18 @@ def test_minimize_chart_breakdown_exit_1_keeps_trace(tmp_path):
     assert not out.exists()
 
 
+def test_minimize_first_chart_breakdown_exit_1_without_trace(tmp_path):
+    # validate accepts the curve, but it leaves the tube of the chart at its
+    # smoothed copy, so minimize fails before its first iteration
+    make = ["--make", "perturbed-circle:amplitude=0.2,seed=1,kmax=30", "--grid", "64"]
+    assert run_cli("validate", *make).returncode == 0
+    out = tmp_path / "rough.json"
+    r = run_cli("minimize", *make, "--max-iter", "5", "--output", str(out))
+    assert r.returncode == 1
+    assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("re-centering failed:")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_minimize_line_search_failure_exit_5_keeps_trace(tmp_path, monkeypatch):
     # an f that grows with every evaluation admits no Armijo step
     counter = itertools.count()
@@ -383,9 +395,11 @@ def test_spectrum_count_above_the_chart_exit_2_with_one_line():
     "circle:p=nan", "circle:p=inf", "torus-geodesic:wx=inf", "torus-geodesic:wx=1.7",
     "torus-geodesic:wx=1e20", "torus-geodesic:wz=1.5",
     "perturbed-circle:seed=0.5", "circle:radius=inf", "perturbed-circle:amplitude=nan",
+    "circle:radius", "circle:radius=abc",
 ])
 def test_bad_generator_parameters_exit_2_with_one_line(make):
-    # integer parameters are checked, not truncated; the others must be finite
+    # integer parameters are checked, not truncated; the others must be
+    # finite; every parameter is key=value with a numeric value
     r = run_cli("validate", "--make", make)
     assert r.returncode == 2
     assert r.stdout == ""
@@ -443,7 +457,9 @@ def _ambient(spec):
     (shapes.circle, _ambient({"kind": "euclidean", "dim": "2"})),
     (shapes.circle, _ambient({"kind": "euclidean", "dim": True})),
     (shapes.great_circle, _ambient({"kind": "sphere2", "dim": 7})),
-], ids=["list", "ambient-string", "dim-null", "dim-2.5", "dim-string", "dim-bool", "sphere2-dim-7"])
+    (shapes.torus_geodesic, lambda d: {**d, "winding": [0, 1]}),
+], ids=["list", "ambient-string", "dim-null", "dim-2.5", "dim-string", "dim-bool", "sphere2-dim-7",
+        "winding-not-the-samples"])
 def test_malformed_curve_file_exit_2(tmp_path, make, edit):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(edit(cc.files.curve_to_dict(make(32)))))

@@ -918,3 +918,52 @@ def test_off_grid_evaluation_takes_any_shape_of_t():
               shapes.great_circle(64)):
         d = x.space.coord_dim
         np.testing.assert_array_equal(interp_curve(x, t), interp_curve(x, t.ravel()).reshape(2, 3, d))
+
+
+def test_embedding_rejects_points_of_the_wrong_width():
+    with pytest.raises(ValueError, match=r"^pts must have shape \(P, coord_dim\)$"):
+        cc.Embedding(cc.Euclidean(2), np.zeros((64, 3)))
+
+
+def test_embedding_rejects_a_winding_of_the_wrong_length():
+    x = shapes.torus_geodesic(64, (1, 0))
+    with pytest.raises(ValueError, match="one entry per dimension"):
+        cc.Embedding(cc.FlatTorus(2), x.pts, (1, 0, 0))
+
+
+def test_resample_rejects_a_reparam_on_another_grid(circle64):
+    with pytest.raises(ValueError, match="grid must match"):
+        cc.resample(circle64, cc.Reparam.identity(128))
+
+
+def test_image_distance_rejects_curves_in_different_spaces(circle64):
+    with pytest.raises(ValueError, match="common ambient space"):
+        cc.image_distance(circle64, shapes.great_circle(64))
+
+
+def test_torus_geodesic_rejects_a_zero_winding():
+    with pytest.raises(ValueError, match="winding must be nonzero"):
+        shapes.torus_geodesic(64, (0, 0))
+
+
+def test_torus_geodesic_wiggles_2d_windings_only():
+    with pytest.raises(ValueError, match="2-d windings only"):
+        shapes.torus_geodesic(64, (1, 0, 0), wiggle=0.05)
+
+
+def test_make_diffeo_rescales_a_slope_that_dips_below_the_floor():
+    # at seed 0 and amplitude 0.49 the drawn harmonics dip to slope 0.192,
+    # so the coefficients are scaled back to meet the floor
+    phi = cc.make_diffeo(0, 0.49)
+    assert np.min(phi.slope(cc.fourier.nodes(256))) >= 0.2
+
+
+def test_illinois_out_of_steps_returns_the_last_iterate(monkeypatch):
+    # t^3 - r on [0, 1]: one regula falsi step from the ends lands at r, well
+    # short of the root r^(1/3); the root without a sign change keeps its start
+    r = np.array([0.25, 0.5, 2.0])
+    lo, hi = np.zeros(3), np.ones(3)
+    start = np.full(3, 0.75)
+    monkeypatch.setattr(curve, "_MAX_STEPS", 1)
+    out = curve._illinois(lambda idx, t: t ** 3 - r[idx], lo, hi, -r, 1.0 - r, start)
+    np.testing.assert_allclose(out, [0.25, 0.5, 0.75], rtol=0, atol=1e-15)

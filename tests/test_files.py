@@ -76,3 +76,10 @@ def test_save_is_deterministic(tmp_path, circle64):
     cc.save_curve(circle64, str(a))
     cc.save_curve(circle64, str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_dict_rejects_a_winding_the_samples_do_not_have():
+    d = curve_to_dict(shapes.torus_geodesic(64, (1, 0)))
+    d["winding"] = [0, 1]
+    with pytest.raises(ValueError, match="inconsistent with unwrapped samples"):
+        curve_from_dict(d)

@@ -189,3 +189,9 @@ def test_derivatives_are_skew_and_symmetric_under_the_node_sum(samples):
     for n, sign in ((1, -1.0), (2, 1.0)):
         gap = np.sum(fourier.diff(a, n) * y) - sign * np.sum(a * fourier.diff(y, n))
         assert abs(gap) <= 8 * EPS * (P / 2) ** n * a.size * np.max(np.abs(a)) * np.max(np.abs(y))
+
+
+@pytest.mark.parametrize("M", [16, 8])
+def test_upsample_needs_a_finer_grid(M):
+    with pytest.raises(ValueError, match="finer grid"):
+        fourier.upsample(fourier.coeffs(np.ones(16)), 16, M, 1)

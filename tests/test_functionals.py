@@ -631,3 +631,12 @@ def test_torus_geodesic_in_three_dimensions(winding):
     vals = cc.spectrum(cc.parse_functional("length"), c, 6)
     assert np.max(np.abs(vals[:2])) <= 5e-12
     np.testing.assert_allclose(vals[2:], (2.0 * np.pi / norm) ** 2, rtol=1e-11, atol=0)
+
+
+@pytest.mark.parametrize("terms, message", [
+    ((("twist", 1.0),), "unknown functional term 'twist'"),
+    ((("length", float("nan")),), "coefficients must be finite"),
+], ids=["unknown-kind", "nan-coefficient"])
+def test_functional_rejects_bad_terms(terms, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cc.Functional(terms)

@@ -111,6 +111,18 @@ def test_plain_descent_counts_one_evaluation_per_trial(monkeypatch, functional, 
     assert (trace.backtracks > 0) == functional.startswith("bend")
 
 
+def test_plain_descent_counts_one_evaluation_per_recentering(monkeypatch):
+    # a step that grows the section past RECENTER_FRACTION * rho ends on a
+    # fresh chart, whose gradient takes one evaluation more
+    calls = _counted_value_and_gradient(monkeypatch)
+    x = shapes.torus_geodesic(64, (1, 0), wiggle=0.15, seed=1)
+    _, _, trace = cc.minimize(cc.parse_functional("length"), x)
+    recenters = sum(r.recenter for r in trace.records)
+    assert trace.converged and recenters > 0
+    iterations = len(trace.records) - 1
+    assert trace.evaluations == len(calls) == iterations + trace.backtracks + 1 + recenters
+
+
 def test_newton_descent_counts_newton_evaluations(monkeypatch):
     calls = _counted_value_and_gradient(monkeypatch)
     _, _, trace = cc.minimize(cc.parse_functional("length-1.0*area"),
@@ -314,6 +326,17 @@ def test_minimize_recenter_failure_is_chart_breakdown():
     assert not trace.converged
     assert len(trace.records) > 1
     assert trace.records[-1].f < trace.records[0].f
+
+
+def test_minimize_first_chart_failure_is_chart_breakdown():
+    # an embedding too rough for the chart at its smoothed copy fails as a
+    # re-centering does, before any iteration
+    x = shapes.perturbed_circle(64, 0.2, seed=1, kmax=30)
+    assert cc.is_embedding(x)
+    with pytest.raises(ChartBreakdownError, match="^re-centering failed: ") as info:
+        cc.minimize(cc.parse_functional("length"), x)
+    assert isinstance(info.value.__cause__, OutsideTubeError)
+    assert info.value.trace is None
 
 
 def test_minimize_line_search_failure_carries_trace(monkeypatch):

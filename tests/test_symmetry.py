@@ -3,7 +3,7 @@ import pytest
 
 import curvecharts as cc
 from curvecharts import shapes
-from curvecharts.symmetry import Isometry
+from curvecharts.symmetry import Isometry, singular_value_rank
 
 
 def rot2(a):
@@ -237,3 +237,24 @@ def test_great_circle_polar_rotation_is_stabilizer(great_circle96):
     fam = lambda t: Isometry(great_circle96.space, rotation=rotz(t))
     probe = cc.action_continuity_probe(c, fam, np.pi / 2, 8)
     assert np.max(probe) <= 1e-10
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"rotation": np.eye(3)}, "rotation matrix has the wrong shape"),
+    ({"translation": np.zeros(3)}, "translation vector has the wrong shape"),
+], ids=["rotation", "translation"])
+def test_isometry_rejects_parts_of_the_wrong_shape(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Isometry(cc.Euclidean(2), **kwargs)
+
+
+def test_isometries_and_curves_of_different_spaces_do_not_mix(circle64):
+    plane, sphere = Isometry(cc.Euclidean(2)), Isometry(cc.Sphere2())
+    with pytest.raises(ValueError, match="different ambient spaces"):
+        plane.compose(sphere)
+    with pytest.raises(ValueError, match="different ambient spaces"):
+        cc.apply_isometry(sphere, circle64)
+
+
+def test_singular_value_rank_of_a_vanishing_differential():
+    assert singular_value_rank(np.zeros(3), 3) == (0, 3)

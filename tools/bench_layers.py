@@ -21,7 +21,7 @@ and the resampling y = x∘phi of x by a seeded diffeomorphism, the pair a
   `illinois_points`, the roots they evaluate summed over those steps;
 - `dists_per_probe`: the distances the nearest-sample search
   (`curve._nearest_samples`) evaluates per probe, the chain of the arc
-  radii included; null where the checkout has no such function.
+  radii included.
 
 `image_distance_distinct`: the same records for P in {64, ..., 1024}
 on pairs of distinct images: a circle against its 1.05 scaling and
@@ -87,8 +87,7 @@ and (1, 0) wiggly torus geodesics, a pinched loop on S^2 (separation
 R^3 (`euclidean3`, whose chart builds the 3-d normal frame), with
 
 - `chords`: the (pair, translate) chords `separation` evaluates, as
-  counted by its distinct-strand test (`curve._distinct_strands`, or
-  `ambient._distinct_strands` where the checkout has it there);
+  counted by its distinct-strand test (`curve._distinct_strands`);
 - `dense_s`, `dense_chords`, `dense_separation`: the time, chord count
   and result of the dense reference scan of `tests/test_curve.py`, every
   ordered node pair against all 3^n nearby lattice translates on the
@@ -146,7 +145,7 @@ import curvecharts as cc  # noqa: E402
 import speed  # noqa: E402
 import workloads  # noqa: E402
 from curvecharts import curve, functionals, shapes, solver  # noqa: E402
-from curvecharts import ambient, charts  # noqa: E402
+from curvecharts import charts  # noqa: E402
 from test_charts import _trefoil, dense_fiber_scan, random_section  # noqa: E402
 from test_curve import count_distances, dense_separation  # noqa: E402
 
@@ -219,7 +218,7 @@ def _min_time(fn) -> float:
 def _counted(x: cc.Embedding, y: cc.Embedding) -> dict:
     """Run image_distance once with its root steps and nearest-sample distances counted."""
     counts = {"illinois_steps": 0, "illinois_points": 0, "pairs": 0, "probes": 0}
-    illinois, nearest = curve._illinois, getattr(curve, "_nearest_samples", None)
+    illinois, nearest = curve._illinois, curve._nearest_samples
 
     def counted_illinois(fun, *args):
         def step(idx, t):
@@ -238,30 +237,26 @@ def _counted(x: cc.Embedding, y: cc.Embedding) -> dict:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(curve, "_illinois", counted_illinois)
-        if nearest is not None:
-            mp.setattr(curve, "_nearest_samples", counted_nearest)
+        mp.setattr(curve, "_nearest_samples", counted_nearest)
         value = cc.image_distance(x, y)
     return {"illinois_steps": counts["illinois_steps"],
             "illinois_points": counts["illinois_points"],
-            "dists_per_probe": counts["pairs"] / counts["probes"] if nearest else None,
+            "dists_per_probe": counts["pairs"] / counts["probes"],
             "image_distance": value}
 
 
 def _chords(x: cc.Embedding) -> int:
     """(pair, translate) chords one separation call passes to its distinct-strand test."""
     count = [0]
-    owner = curve if hasattr(curve, "_distinct_strands") else ambient
-    distinct = owner._distinct_strands
+    distinct = curve._distinct_strands
 
     def counted(chord, arc):
         count[0] += chord.size
         return distinct(chord, arc)
 
-    owner._distinct_strands = counted
-    try:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curve, "_distinct_strands", counted)
         cc.separation(x)
-    finally:
-        owner._distinct_strands = distinct
     return count[0]
 
 
@@ -343,7 +338,7 @@ def _reduction_rows() -> list[dict]:
     return rows
 
 
-# solver-module functions whose calls `descent` counts, where they exist
+# solver-module functions whose calls `descent` counts
 SOLVER_CALLS = ("_reduced_hessian",)
 
 
@@ -351,11 +346,11 @@ def _counted_call(fn, fn_names=SOLVER_CALLS):
     """fn() once, counting the calls to the named solver functions and numpy's forward
     (`forward_ffts`, rfft) and inverse (`inverse_ffts`, irfft) real FFTs.
 
-    Returns (result, counts); a name the solver module lacks counts None.
+    Returns (result, counts).
     """
-    counts = {name: 0 if hasattr(solver, name) else None for name in fn_names}
+    counts = dict.fromkeys(fn_names, 0)
     counts.update(forward_ffts=0, inverse_ffts=0)
-    sites = [(solver, name, name) for name in fn_names if hasattr(solver, name)]
+    sites = [(solver, name, name) for name in fn_names]
     sites += [(np.fft, "rfft", "forward_ffts"), (np.fft, "irfft", "inverse_ffts")]
     undo = []
     try:
@@ -431,7 +426,6 @@ ITERATE_COST = {"length": HESSIAN_GRIDS, "length-1.0*area": HESSIAN_GRIDS,
 
 def _iterate_cost_rows() -> list[dict]:
     rows = []
-    fused = getattr(functionals, "value_and_gradient", None)
     for name, make in BACKENDS.items():
         for functional, grids in ITERATE_COST.items():
             F = cc.parse_functional(functional)
@@ -444,19 +438,18 @@ def _iterate_cost_rows() -> list[dict]:
                 def separate():
                     return cc.evaluate(F, cc.chart_apply(c, u)), cc.gradient_in_chart(F, c, u)
 
+                def fused():
+                    return functionals.value_and_gradient(F, c, u.coeff)
+
                 row = {"backend": name, "functional": functional, "P": P,
                        "separate_s": _min_time(lambda: [separate() for _ in range(INNER)]) / INNER,
                        "separate_ffts": _fft_counts(separate),
-                       "fused_s": None, "fused_ffts": None}
-                if fused is not None:
-                    row["fused_s"] = _min_time(
-                        lambda: [fused(F, c, u.coeff) for _ in range(INNER)]) / INNER
-                    row["fused_ffts"] = _fft_counts(lambda: fused(F, c, u.coeff))
+                       "fused_s": _min_time(lambda: [fused() for _ in range(INNER)]) / INNER,
+                       "fused_ffts": _fft_counts(fused)}
                 rows.append(row)
                 print(f"iterate cost {name:6s} {functional:16s} P={P:4d}"
-                      f" separate {row['separate_s'] * 1e3:.3f} ms fused "
-                      f"{'-' if row['fused_s'] is None else format(row['fused_s'] * 1e3, '.3f')} ms",
-                      file=sys.stderr)
+                      f" separate {row['separate_s'] * 1e3:.3f} ms"
+                      f" fused {row['fused_s'] * 1e3:.3f} ms", file=sys.stderr)
     return rows
 
 
