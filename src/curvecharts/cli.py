@@ -9,10 +9,9 @@ Exit codes (`_EXIT_CODES`): 0 success, 1 generic failure, 2 bad input
 does not define, or an --output that cannot be written), 3 non-embedding
 input, 4 roundtrip target outside the chart tube, 5 gradient tolerance
 not reached (the iteration budget ran out, the Newton rounds ended above
-it, the line search failed, or a Newton step left its chart).  A minimize
-whose first chart or a later re-centering cannot be built exits 1.  A
-minimize run that fails while iterating still writes, given --output, the
-trace up to the failure.
+it, or the line search failed).  A minimize whose first chart or a later
+re-centering cannot be built exits 1.  A minimize run that fails while
+iterating still writes, given --output, the trace up to the failure.
 --grid sizes --make generators only; given without --make it is bad input.
 """
 

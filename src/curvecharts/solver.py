@@ -26,8 +26,8 @@ plain H^1 descent leaves the saddle.  Once the mean-free gradient is
 small, Newton rounds alternate `newton_refine`, which drops the
 components on the isometry-orbit kernel, with re-centering, until a
 round begins on a chart re-centered at an already-critical curve.  A
-Newton step that leaves its chart ends the run: the chart exists only
-inside its radius rho, so `minimize` raises the OutsideDomainError.  The
+round ends past the same fraction of rho as an Armijo step, so
+re-centering carries the rounds across charts to a distant saddle.  The
 spectrum of the second variation is reported separately.
 """
 
@@ -50,7 +50,6 @@ from .errors import (
     LineSearchFailedError,
     NonMonotoneError,
     NotEmbeddingError,
-    OutsideDomainError,
     OutsideTubeError,
     ProjectionFailedError,
     SingularSystemError,
@@ -183,7 +182,7 @@ def _chart_at(y: Embedding) -> tuple[Chart, NormalSection]:
         u, _ = chart_invert(c, y)
     except (NotEmbeddingError, OutsideTubeError, ProjectionFailedError,
             NonMonotoneError) as exc:
-        raise ChartBreakdownError(f"re-centering failed: {exc}") from exc
+        raise ChartBreakdownError(f"cannot build a chart at the curve: {exc}") from exc
     return c, NormalSection(_drop_nyquist(u.coeff))
 
 
@@ -219,10 +218,11 @@ def newton_refine(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions 
     driver moves the result by roundoff only.  One decomposition serves
     all chord steps.
 
-    After NEWTON_STEPS chord steps the current section is returned
-    whether or not it meets the tolerance; callers check the gradient
-    (`minimize` does, through its next trace record).  A given trace
-    counts the evaluations.
+    It returns at a section that meets the tolerance, at the first chord
+    step past RECENTER_FRACTION * rho, where `minimize` re-centers, or
+    after NEWTON_STEPS chord steps; callers check the gradient (`minimize`
+    does, through its next trace record).  A given trace counts the
+    evaluations.
     """
     opts = opts or SolveOptions()
     P, rank = c.P, c.rank
@@ -254,8 +254,8 @@ def newton_refine(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions 
         if dsup > cap:
             delta = delta * (cap / dsup)
         current = NormalSection(current.coeff + delta.reshape(P, rank))
-        if current.sup_norm >= c.rho:
-            raise OutsideDomainError("Newton step left the chart domain")
+        if current.sup_norm > RECENTER_FRACTION * c.rho:
+            return current
     return current
 
 
@@ -266,10 +266,10 @@ def minimize(F: Functional, x0: Embedding, opts: SolveOptions | None = None
     Returns the final chart, the final section, and the iteration trace;
     trace.converged reports whether the tolerance was met within
     max_iter.  The tolerance applies to the L2(ds) gradient norm whatever
-    the descent metric.  A chart that cannot be built, the first one or a
-    re-centering, raises ChartBreakdownError; a Newton step that leaves its
-    chart, OutsideDomainError.  Raised while iterating, either carries the
-    trace so far as its `trace`.
+    the descent metric.  A Newton round that ends past the re-centering
+    band moves the curve, as an accepted Armijo step does.  A chart that
+    cannot be built, the first one or a re-centering, raises
+    ChartBreakdownError; raised while iterating, it carries the trace so far.
     """
     opts = opts or SolveOptions()
     if not is_embedding(x0):
@@ -317,7 +317,8 @@ def _descend(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions,
                 c, u = recenter(c, u)
             u = newton_refine(F, c, u, opts, trace)
             last_step, moved = 0.0, True
-            rounds += 1
+            # only the rounds that stop short of the band count toward NEWTON_ROUNDS
+            rounds = 0 if u.sup_norm > RECENTER_FRACTION * c.rho else rounds + 1
         else:
             # Armijo backtracking along d = K_s g, the gradient in the H^s
             # metric of the center's arclength; the predicted decrease is

@@ -206,17 +206,20 @@ def test_minimize_report_counts_evaluations_and_backtracks():
     assert trace.backtracks > 0
 
 
-def test_minimize_newton_step_leaving_the_chart_exit_5_keeps_trace(tmp_path):
-    # at the exact radius-0.5 circle the first Newton round leaves its chart
+def test_minimize_newton_from_a_small_circle_reaches_the_saddle(tmp_path):
+    # from the exact radius-0.5 circle the Newton rounds re-center at the
+    # band and climb to the critical circle, where f = 2 pi - pi
     out = tmp_path / "saddle.json"
     r = run_cli("minimize", "--make", "circle:radius=0.5", "--functional", "length-1.0*area",
                 "--newton", "--output", str(out))
-    assert r.returncode == 5
-    assert r.stderr == "Newton step left the chart domain\n"
+    # given --output, the report goes to stderr
+    assert r.returncode == 0 and r.stdout == ""
+    rep = json.loads(r.stderr)
+    assert rep["converged"] is True and abs(rep["f"] - np.pi) <= 1e-12
+    assert np.max(np.abs(cc.curvature(cc.load_curve(str(out))) - 1.0)) <= 1e-6
     trace = (tmp_path / "saddle.json.trace.csv").read_text().strip().split("\n")
     assert trace[0] == "iter,f,grad_norm,step,recenter"
-    assert len(trace) == 2 and trace[1].startswith("0,")
-    assert not out.exists()
+    assert len(trace) == rep["iterations"] + 2
 
 
 def test_minimize_chart_breakdown_exit_1_keeps_trace(tmp_path):
@@ -227,7 +230,7 @@ def test_minimize_chart_breakdown_exit_1_keeps_trace(tmp_path):
                 "--grid", "64", "--functional", "length-1.0*area", "--max-iter", "3000",
                 "--output", str(out))
     assert r.returncode == 1
-    assert "re-centering failed" in r.stderr
+    assert "cannot build a chart at the curve" in r.stderr
     trace = (tmp_path / "grow.json.trace.csv").read_text().strip().split("\n")
     assert trace[0] == "iter,f,grad_norm,step,recenter"
     assert len(trace) > 2
@@ -242,7 +245,7 @@ def test_minimize_first_chart_breakdown_exit_1_without_trace(tmp_path):
     out = tmp_path / "rough.json"
     r = run_cli("minimize", *make, "--max-iter", "5", "--output", str(out))
     assert r.returncode == 1
-    assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("re-centering failed:")
+    assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("cannot build a chart at the curve:")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -612,7 +615,8 @@ def test_subcommand_flags_and_defaults(command, flags):
 
 @pytest.mark.parametrize("error, code", [
     (cli._InputError, 2), (OSError, 2), (cc.NotEmbeddingError, 3), (cc.OutsideTubeError, 4),
-    (cc.LineSearchFailedError, 5), (cc.ChartBreakdownError, 1), (cc.DegenerateFrameError, 1),
+    (cc.LineSearchFailedError, 5), (cc.OutsideDomainError, 5), (cc.ChartBreakdownError, 1),
+    (cc.DegenerateFrameError, 1),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_exit_code_table(monkeypatch, error, code):
     def raising(args):

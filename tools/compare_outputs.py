@@ -23,7 +23,8 @@ seed.  It records, as JSON in OUT:
 - the exit code, stdout, stderr and written files of each `cli`
   operation, plus a few `validate` runs on non-embeddings and on curves
   whose separation is finite on each backend, two of them at P = 1024,
-  and a `minimize` whose first chart cannot be built.
+  a `minimize` whose first chart cannot be built, and a Newton
+  `minimize` from the radius-0.5 circle to the saddle of length - area.
 
 `compare` prints equal/total per record kind and exits 1 if any record
 differs or exists in one file only.  Records are compared as JSON text,
@@ -66,9 +67,10 @@ import workloads  # noqa: E402
 # extra cli runs: validate reports of non-embeddings, and separations on
 # every backend: (1, 1) and (1, 2) torus geodesics, a curve on FlatTorus(3)
 # and a pinched curve on S^2 (the files of EXTRA_CURVES), at P = 1024,
-# where the tree of `separation` is four levels deep, and a minimize whose
+# where the tree of `separation` is four levels deep, a minimize whose
 # first chart cannot be built: the rough embedding leaves the tube of the
-# chart at its smoothed copy
+# chart at its smoothed copy, and a Newton minimize from the radius-0.5
+# circle, whose rounds re-center at the band on the way to the saddle
 EXTRA_CLI = [["validate", "--make", "lemniscate"],
              ["validate", "--make", "lemniscate", "--grid", "64"],
              ["validate", "--make", "torus-geodesic:wx=1,wy=1"],
@@ -79,7 +81,9 @@ EXTRA_CLI = [["validate", "--make", "lemniscate"],
              ["validate", "--make", "torus-geodesic:wx=1,wy=1", "--grid", "1024"],
              ["validate", "--make", "lemniscate", "--grid", "1024"],
              ["minimize", "--make", "perturbed-circle:amplitude=0.2,seed=1,kmax=30", "--grid", "64",
-              "--max-iter", "5"]]
+              "--max-iter", "5"],
+             ["minimize", "--make", "circle:radius=0.5", "--functional", "length-1.0*area",
+              "--newton"]]
 
 
 def _torus3(P: int = 96) -> cc.Embedding:
