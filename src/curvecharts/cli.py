@@ -79,7 +79,7 @@ def _parse_make(text: str, grid: int | None) -> Embedding:
                 num = float(val)
             except ValueError as exc:
                 raise _InputError(f"generator parameter {item!r} is not numeric") from exc
-            if key in ("p", "seed", "kmax") + _WINDING_KEYS:
+            if key in ("seed", "kmax") + _WINDING_KEYS:
                 if not num.is_integer():  # False for NaN and inf too
                     raise _InputError(f"generator parameter {item!r} is not an integer")
                 num = int(num)
@@ -88,14 +88,12 @@ def _parse_make(text: str, grid: int | None) -> Embedding:
             if key in _WINDING_KEYS:
                 winding[key] = num
             else:
-                kwargs["P" if key == "p" else key] = num
+                kwargs[key] = num
     if winding:
         # wz makes a 3-d winding, whatever else is given
         keys = _WINDING_KEYS if "wz" in winding else _WINDING_KEYS[:2]
         kwargs["winding"] = tuple(winding.get(k, 0) for k in keys)
     if grid is not None:
-        if "P" in kwargs:
-            raise _InputError("grid size given twice: pass p= in --make or --grid, not both")
         kwargs["P"] = grid
     try:
         return _GENERATORS[name](**kwargs)

@@ -5,7 +5,8 @@ winding vector (on the flat torus) stores a continuous coordinate lift:
 a periodic part plus the drift theta * winding / (2 pi), so spectral
 differentiation and interpolation act on periodic data.  Interpolated
 values are mapped onto N by the space's `retract`; everything else that
-depends on the ambient is a method of the space.
+depends on the ambient is a method of the space.  Every search over a
+curve's samples lives here, `charts.chart_invert`'s fiber crossings too.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import fourier
 from .ambient import AmbientSpace
-from .errors import NonMonotoneError
+from .errors import CutLocusError, NonMonotoneError, OutsideTubeError, ProjectionFailedError
 
 MIN_SPEED = 1e-8
 MIN_SEPARATION = 1e-8
@@ -535,6 +536,102 @@ def image_distance(x: Embedding, y: Embedding) -> float:
     d_xy = _directed_hausdorff(space, space.reduce(xs), gy, ys)
     d_yx = _directed_hausdorff(space, space.reduce(ys), gx, xs)
     return max(d_xy, d_yx)
+
+
+# `_fiber_crossings` samples a curve at 4 to this many points per center node
+_MAX_SAMPLES_PER_NODE = 64
+
+
+def _fiber_crossings(y: Embedding, x: Embedding, T: np.ndarray, rho: float):
+    """Where the interpolated curve Y of y crosses the normal fibers of x: (s, Y(s)).
+
+    x centers a tube of radius rho, with unit tangents T at its nodes; s_i
+    solves g_i(s) = <log(x(theta_i), Y(s)), T_i> = 0.  Y comes onto one
+    fine grid by a zero-padded FFT.  Every 2m-th node of it (m = ceil(y.P / P))
+    is one of n samples of Y: n = 4P, doubled with the grid until
+    consecutive samples lie closer than rho / 2.  Each root is bracketed by
+    the sign change of g_i on those samples that lies nearest x(theta_i)
+    within the tube, which a descent of the tree of sample arcs finds from
+    a few dozen samples per node (`_fiber_brackets`).  `_illinois` refines
+    all roots together on Taylor sums about the grid, and s is unwrapped
+    onto the branch near node 0.  A node without a bracket raises
+    OutsideTubeError if some sample lies rho or farther from the
+    continuous center, and ProjectionFailedError otherwise.
+    """
+    space = x.space
+    P = x.P
+
+    def fiber(i: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        p = np.take(x.pts, i, axis=0)
+        try:
+            l = space.log(p, pts)
+        except CutLocusError as exc:
+            raise ProjectionFailedError("fiber search strayed past the cut locus") from exc
+        return space.inner(p, l, np.take(T, i, axis=0))
+
+    # n = 4P, 8P, ... samples of Y: every step-th node of a grid of at least PROBES_PER_NODE * y.P
+    step, n, gap = PROBES_PER_NODE * -(-y.P // P) // 4, 2 * P, np.inf
+    cy = fourier.coeffs(y.periodic_part())
+    while gap >= 0.5 * rho and n < _MAX_SAMPLES_PER_NODE * P:
+        n *= 2
+        grids = _grids(cy, y.P, M=step * n)
+        dense = np.linspace(0.0, 2.0 * np.pi, n + 1)
+        ypts = space.retract(grids[0, ::step] + dense[:-1, None] * y.drift)
+        gap = np.max(space.dist(ypts, np.roll(ypts, -1, axis=0)))
+    k, glo, ghi = _fiber_brackets(space, x.pts, T, ypts, rho)
+    if np.any(k < 0):
+        # a tube violation where some sample lies rho or farther from the continuous center
+        gx = _derivative_grids(x, PROBES_PER_NODE * P)
+        if _directed_hausdorff(space, space.reduce(ypts), gx, space.retract(gx[0])) >= rho:
+            raise OutsideTubeError("curve leaves the tube of radius rho around the chart center")
+        raise ProjectionFailedError("fiber projection found no nearby crossing")
+
+    lo, hi = dense[k], dense[k + 1]
+    # a bracket end with g = 0 is the root itself, and _illinois keeps it
+    s = _illinois(lambda i, t: fiber(i, _curve_at(y, grids, t)), lo, hi, glo, ghi,
+                  np.where(np.abs(glo) < np.abs(ghi), lo, hi))
+    # a lift is defined modulo 2 pi: unwrap it from node 0, then pin the branch near node 0
+    s = np.unwrap(s)
+    s -= 2.0 * np.pi * np.round(s[0] / (2.0 * np.pi))
+    return s, _curve_at(y, grids, s)
+
+
+def _fiber_brackets(space, p: np.ndarray, T: np.ndarray, q: np.ndarray, rho: float):
+    """Bracket of each node's fiber crossing among the cyclic samples q: (k, g_k, g_k+1).
+
+    With g = <log_p q, T> within rho of the node p, the bracket is the
+    interval [k, k + 1] across which g changes sign nearest p, by
+    min(dist(p, q_k), dist(p, q_k+1)) and then the lowest k, as a dense
+    scan of every (node, sample) pair picks it; k = -1 where none.  The
+    descent of `_arc_tree` keeps a (node, arc) pair only if the arc's
+    ball reaches inside the tube, dist(p, m) - R < rho, and may meet the
+    node's fiber (`AmbientSpace.fiber_may_cross`): a dropped pair holds no
+    sign change of g, nor does an interval from a leaf's past sample to a
+    later leaf.  The pairs it hands back, each leaf's samples and the one
+    past its end (sample n is sample 0), take `dist`, and `log` only within
+    rho; one sort by (node, score, k) picks each node's bracket.
+    """
+
+    def keep(i, m, d, R):
+        ok = d - R < rho
+        i, m = i[ok], m[ok]
+        ok[ok] = space.fiber_may_cross(np.take(p, i, axis=0), np.take(T, i, axis=0),
+                                       np.take(q, m, axis=0), R[ok])
+        return ok
+
+    owner, j = _arc_tree(space, p, q, keep, past=1)
+    pr, qr = np.take(p, owner, axis=0), np.take(q, j, axis=0, mode="wrap")
+    dist, g = space.dist(pr, qr), np.full(owner.size, np.nan)
+    near = dist < rho
+    g[near] = space.inner(pr[near], space.log(pr[near], qr[near]), np.take(T, owner[near], axis=0))
+    # intervals [j_e, j_e+1] of one node across which g changes sign (False next to a NaN)
+    e = np.flatnonzero((owner[1:] == owner[:-1]) & (j[1:] == j[:-1] + 1) & (g[:-1] * g[1:] <= 0.0))
+    # per node, the lowest score and the lowest k among equal scores, first in the sort
+    e = e[np.lexsort((j[e], np.minimum(dist[e], dist[e + 1]), owner[e]))]
+    e = e[np.diff(owner[e], prepend=-1) != 0]
+    k, glo, ghi = np.full(len(p), -1), np.full(len(p), np.nan), np.full(len(p), np.nan)
+    k[owner[e]], glo[owner[e]], ghi[owner[e]] = j[e], g[e], g[e + 1]
+    return k, glo, ghi
 
 
 def make_diffeo(seed: int, amplitude: float, P: int = 256) -> Reparam:

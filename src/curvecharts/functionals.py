@@ -88,10 +88,10 @@ def parse_functional(text: str) -> Functional:
 
 def evaluate(F: Functional, x: Embedding) -> float:
     """Value of the functional on a discrete curve (spectral quadrature)."""
-    return float(_terms(F, x.space, x.pts, *_derivatives(F, x.space, x.pts, x.drift))[0])
+    return float(_terms(F, x.space, x.pts, *_derivatives(F, x.pts, x.drift))[0])
 
 
-def _derivatives(F: Functional, space: AmbientSpace, pts: np.ndarray, drift: np.ndarray):
+def _derivatives(F: Functional, pts: np.ndarray, drift: np.ndarray):
     """x' and, where F bends, x'' at the nodes, from one forward and one inverse FFT.
 
     pts has shape (P, ..., coord_dim), any batch axes between; drift is
@@ -139,7 +139,7 @@ def _by_parts(like: np.ndarray, gx, ga, gb) -> np.ndarray:
 
 def _grad_pts(F: Functional, space: AmbientSpace, pts: np.ndarray, drift: np.ndarray):
     """F's value and its sample-point gradient, shapes as `_terms`."""
-    a, b = _derivatives(F, space, pts, drift)
+    a, b = _derivatives(F, pts, drift)
     f, gx, ga, gb = _terms(F, space, pts, a, b)
     return f, _by_parts(pts, gx, ga, gb)
 
@@ -190,7 +190,7 @@ def first_variation(F: Functional, x: Embedding, V) -> float:
     V = _full_section(x, V, nodes=f"chart-center node of a chart at x, that is per node of the "
                                   f"curve x: shape {x.pts.shape}, got {np.shape(V)}")
     y = x.space.exp(x.pts, 1j * _STEP * V)
-    return float(_terms(F, x.space, y, *_derivatives(F, x.space, y, x.drift))[0].imag / _STEP)
+    return float(_terms(F, x.space, y, *_derivatives(F, y, x.drift))[0].imag / _STEP)
 
 
 def grad_norm(c: Chart, g: NormalSection) -> float:
@@ -217,7 +217,7 @@ def _hessian(F: Functional, c: Chart, basis: np.ndarray, V: np.ndarray) -> np.nd
     x, space = c.center, c.center.space
     p, P, dim, d = x.pts, c.P, basis.shape[0], x.pts.shape[1]
     J = basis.transpose(1, 0, 2)
-    a, b = _derivatives(F, space, p, x.drift)
+    a, b = _derivatives(F, p, x.drift)
     gp = _by_parts(p, *_terms(F, space, p, a, b)[1:])
     # one step per input: x along J (tangent, for `Sphere2.length_term`'s gx), x' and x'' along axes
     orders = (1,) if b is None else (1, 2)

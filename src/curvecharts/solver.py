@@ -175,8 +175,8 @@ def smooth_center(x: Embedding, trunc_freq: int) -> Embedding:
     return Embedding(z.space, pts, z.winding)
 
 
-def _chart_at(y: Embedding) -> tuple[Chart, NormalSection]:
-    """Chart at the smoothed copy of y and y's Nyquist-free section there, or ChartBreakdownError."""
+def recenter(y: Embedding) -> tuple[Chart, NormalSection]:
+    """Chart at the `smooth_center` of y and y's Nyquist-free section there, or ChartBreakdownError."""
     try:
         c = make_chart(smooth_center(y, y.P // CENTER_BAND_DIVISOR))
         u, _ = chart_invert(c, y)
@@ -184,11 +184,6 @@ def _chart_at(y: Embedding) -> tuple[Chart, NormalSection]:
             NonMonotoneError) as exc:
         raise ChartBreakdownError(f"cannot build a chart at the curve: {exc}") from exc
     return c, NormalSection(_drop_nyquist(u.coeff))
-
-
-def recenter(c: Chart, u: NormalSection) -> tuple[Chart, NormalSection]:
-    """`_chart_at` the curve u represents: its smoothed copy's chart and its section there."""
-    return _chart_at(chart_apply(c, u))
 
 
 def _reduced_hessian(F: Functional, c: Chart):
@@ -274,7 +269,7 @@ def minimize(F: Functional, x0: Embedding, opts: SolveOptions | None = None
     opts = opts or SolveOptions()
     if not is_embedding(x0):
         raise NotEmbeddingError("starting curve is not an embedding")
-    c, u = _chart_at(x0)
+    c, u = recenter(x0)
     trace = SolveTrace()
     try:
         return _descend(F, c, u, opts, trace)
@@ -314,7 +309,7 @@ def _descend(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions,
             # and re-centers at the result, so the next record tells
             # whether the curve is critical at a fresh chart's origin
             if not moved:
-                c, u = recenter(c, u)
+                c, u = recenter(chart_apply(c, u))
             u = newton_refine(F, c, u, opts, trace)
             last_step, moved = 0.0, True
             # only the rounds that stop short of the band count toward NEWTON_ROUNDS
@@ -356,7 +351,7 @@ def _descend(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions,
             moved = sup > RECENTER_FRACTION * c.rho
         # a moved curve gets a fresh chart, which restarts the secant history
         if moved:
-            c, u = recenter(c, u)
+            c, u = recenter(chart_apply(c, u))
             prev_u = prev_g = None
             f, g = _value_and_filtered_gradient(F, c, u, trace)
 

@@ -8,6 +8,8 @@ from curvecharts import charts, curve, shapes, solver
 from curvecharts.curve import interp_curve
 from curvecharts.errors import (
     ChartBreakdownError,
+    CutLocusError,
+    NonMonotoneError,
     NotEmbeddingError,
     OutsideDomainError,
     OutsideTubeError,
@@ -180,16 +182,16 @@ def test_chart_invert_caps_the_sample_count(monkeypatch, circle64):
     # far outside the tube
     c = cc.make_chart(circle64)
     y = cc.Embedding(circle64.space, 1000.0 * circle64.pts)
-    counts, search = [], charts._fiber_brackets
+    counts, search = [], curve._fiber_brackets
 
     def recorded_search(space, p, T, q, rho):
         counts.append(len(q))
         return search(space, p, T, q, rho)
 
-    monkeypatch.setattr(charts, "_fiber_brackets", recorded_search)
+    monkeypatch.setattr(curve, "_fiber_brackets", recorded_search)
     with pytest.raises(OutsideTubeError):
         cc.chart_invert(c, y)
-    assert set(counts) == {charts._MAX_SAMPLES_PER_NODE * c.P}
+    assert set(counts) == {curve._MAX_SAMPLES_PER_NODE * c.P}
 
 
 def test_chart_invert_without_a_bracket_inside_the_tube_is_a_projection_failure(monkeypatch):
@@ -197,16 +199,61 @@ def test_chart_invert_without_a_bracket_inside_the_tube_is_a_projection_failure(
     # without a bracket is a failed projection and not a tube violation
     c = cc.make_chart(shapes.random_band_limited(64, seed=40866))
     y = cc.chart_apply(c, random_section(c, np.random.default_rng(1), 0.25 * c.rho))
-    search = charts._fiber_brackets
+    search = curve._fiber_brackets
 
     def no_bracket_at_node_0(space, p, T, q, rho):
         k, glo, ghi = search(space, p, T, q, rho)
         k[0] = -1
         return k, glo, ghi
 
-    monkeypatch.setattr(charts, "_fiber_brackets", no_bracket_at_node_0)
+    monkeypatch.setattr(curve, "_fiber_brackets", no_bracket_at_node_0)
     with pytest.raises(ProjectionFailedError):
         cc.chart_invert(c, y)
+
+
+def test_chart_invert_crossings_past_the_radius_between_samples_are_outside_tube():
+    # y's 4P samples lie 0.65 from the unit circle, inside its tube of
+    # radius 0.9, and every fiber crosses y midway between two of them,
+    # where a radial wave of mode 4P puts y 0.95 from the circle
+    P = 64
+    c = cc.make_chart(shapes.circle(P))
+    t = fourier.nodes(16 * P)
+    shift = np.pi / (4 * P)  # half a sample spacing
+    r = 1.8 - 0.15 * np.cos(4 * P * t)
+    y = cc.Embedding(cc.Euclidean(2), r[:, None] * np.stack([np.cos(t + shift), np.sin(t + shift)],
+                                                           axis=1))
+    with pytest.raises(OutsideTubeError, match="^projected section exceeds the chart radius$"):
+        cc.chart_invert(c, y)
+
+
+def test_chart_invert_of_a_reversed_curve_is_not_monotone(circle64):
+    # a clockwise concentric circle crosses every fiber inside the tube, in
+    # the reverse order of the nodes
+    c = cc.make_chart(circle64)
+    y = cc.Embedding(circle64.space, 1.1 * circle64.pts[::-1])
+    with pytest.raises(NonMonotoneError,
+                       match="^fiber assignment is not an orientation-preserving diffeomorphism$"):
+        cc.chart_invert(c, y)
+
+
+def test_fiber_search_past_the_cut_locus_is_a_projection_failure(monkeypatch):
+    # inside a chart's tube the refined points stay far from the cut locus,
+    # so no curve reaches it: once the brackets are found, an antipodal
+    # tolerance of pi makes every later log raise CutLocusError
+    c = cc.make_chart(shapes.great_circle(96))
+    y = cc.resample(cc.chart_apply(c, cc.NormalSection(np.full((96, 1), 0.2))),
+                    cc.make_diffeo(1, 0.25, 96))
+    search = curve._fiber_brackets
+
+    def brackets_then_cut_locus(space, p, T, q, rho):
+        out = search(space, p, T, q, rho)
+        monkeypatch.setattr(space, "_antipodal_tol", np.pi)
+        return out
+
+    monkeypatch.setattr(curve, "_fiber_brackets", brackets_then_cut_locus)
+    with pytest.raises(ProjectionFailedError, match="^fiber search strayed past the cut locus$") as info:
+        cc.chart_invert(c, y)
+    assert isinstance(info.value.__cause__, CutLocusError)
 
 
 def test_chart_invert_image_reconstruction(rng):
@@ -430,7 +477,7 @@ def test_fiber_scan_brackets_match_the_dense_scan(backend, P, seed, frac, amplit
     y = cc.resample(cc.chart_apply(c, random_section(c, rng, frac * c.rho)),
                     cc.make_diffeo(seed, amplitude, P))
     searches = []
-    search = charts._fiber_brackets
+    search = curve._fiber_brackets
 
     def recorded_search(space, p, T, q, rho):
         out = search(space, p, T, q, rho)
@@ -438,7 +485,7 @@ def test_fiber_scan_brackets_match_the_dense_scan(backend, P, seed, frac, amplit
         return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(charts, "_fiber_brackets", recorded_search)
+        mp.setattr(curve, "_fiber_brackets", recorded_search)
         cc.chart_invert(c, y)
     [(ypts, (got, glo, ghi))] = searches
     n = len(ypts)  # 4P, doubled until consecutive samples lie closer than rho / 2
@@ -459,9 +506,9 @@ def test_fiber_brackets_are_output_sensitive(P):
     # the dense scan takes n = 4P
     c = cc.make_chart(shapes.circle(P))
     y = cc.chart_apply(c, random_section(c, np.random.default_rng(P), 0.49 * c.rho))
-    args, search = [], charts._fiber_brackets
+    args, search = [], curve._fiber_brackets
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(charts, "_fiber_brackets", lambda *a: args.append(a) or search(*a))
+        mp.setattr(curve, "_fiber_brackets", lambda *a: args.append(a) or search(*a))
         cc.chart_invert(c, y)
     [(space, p, T, q, rho)] = args
     assert len(q) == 4 * P
@@ -509,7 +556,7 @@ def test_chart_and_recentering_compute_separation_once(monkeypatch, circle64):
     monkeypatch.setattr(charts, "separation", counted)
     c = cc.make_chart(circle64)
     assert len(calls) == 1
-    solver.recenter(c, cc.NormalSection(np.full((64, 1), 0.1)))
+    solver.recenter(cc.chart_apply(c, cc.NormalSection(np.full((64, 1), 0.1))))
     assert len(calls) == 2
 
 
@@ -517,7 +564,7 @@ def test_recentering_onto_non_embedding_is_chart_breakdown(monkeypatch, circle64
     monkeypatch.setattr(solver, "smooth_center", lambda y, k: shapes.lemniscate(128))
     c = cc.make_chart(circle64)
     with pytest.raises(ChartBreakdownError) as info:
-        solver.recenter(c, cc.NormalSection.zero(64, 1))
+        solver.recenter(cc.chart_apply(c, cc.NormalSection.zero(64, 1)))
     assert isinstance(info.value.__cause__, NotEmbeddingError)
 
 
@@ -705,7 +752,7 @@ def test_fiber_bracket_on_the_wrap_interval():
     delta = 0.3 * 2.0 * np.pi / (4 * P)
     th = fourier.nodes(P)
     y = cc.Embedding(x.space, 1.05 * np.stack([np.cos(th + delta), np.sin(th + delta)], axis=1))
-    searches, search = [], charts._fiber_brackets
+    searches, search = [], curve._fiber_brackets
 
     def recorded_search(space, p, T, q, rho):
         out = search(space, p, T, q, rho)
@@ -713,7 +760,7 @@ def test_fiber_bracket_on_the_wrap_interval():
         return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(charts, "_fiber_brackets", recorded_search)
+        mp.setattr(curve, "_fiber_brackets", recorded_search)
         u, sigma = cc.chart_invert(c, y)
     [(q, (k, glo, ghi))] = searches
     n = len(q)

@@ -14,6 +14,7 @@ import curvecharts as cc
 from curvecharts import shapes, solver
 from curvecharts import cli
 from curvecharts.cli import main as cli_main
+from test_solver import BROKEN_EIGH, patch_eigh
 
 
 def run_cli(*argv):
@@ -186,7 +187,7 @@ def test_minimize_budget_exhausted_exit_5():
 def test_minimize_newton_rounds_unconverged_exit_5():
     # five Newton rounds end above a tolerance at roundoff, long before the
     # budget; the message names where the run stopped, not a spent budget
-    r = run_cli("minimize", "--make", "perturbed-circle:p=64,seed=6",
+    r = run_cli("minimize", "--make", "perturbed-circle:seed=6", "--grid", "64",
                 "--functional", "length-1.0*area", "--newton", "--newton-threshold", "0.05",
                 "--tol", "1e-15", "--max-iter", "3000")
     assert r.returncode == 5
@@ -247,6 +248,22 @@ def test_minimize_first_chart_breakdown_exit_1_without_trace(tmp_path):
     assert r.returncode == 1
     assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("cannot build a chart at the curve:")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("message, eigh", BROKEN_EIGH.items(), ids=["failed", "zero", "not-finite"])
+def test_minimize_singular_newton_system_exit_1_keeps_trace(tmp_path, monkeypatch, message, eigh):
+    # the exact radius-0.5 circle starts Newton rounds at once; a Newton
+    # system that cannot be solved is a generic failure
+    patch_eigh(monkeypatch, eigh)
+    out = tmp_path / "singular.json"
+    r = run_cli("minimize", "--make", "circle:radius=0.5", "--functional", "length-1.0*area",
+                "--newton", "--output", str(out))
+    assert r.returncode == 1
+    assert r.stdout == "" and r.stderr == message + "\n"
+    trace = (tmp_path / "singular.json.trace.csv").read_text().strip().split("\n")
+    assert trace[0] == "iter,f,grad_norm,step,recenter"
+    assert len(trace) == 2
+    assert not out.exists()
 
 
 def test_minimize_line_search_failure_exit_5_keeps_trace(tmp_path, monkeypatch):
@@ -552,12 +569,13 @@ def test_each_command_computes_separation_once(monkeypatch, tmp_path, argv, code
     assert len(calls) == 1
 
 
-def test_grid_given_twice_exit_2_with_one_line():
-    # p= in --make and --grid both set the grid size; neither silently wins
-    r = run_cli("validate", "--make", "circle:p=32", "--grid", "64")
+@pytest.mark.parametrize("grid", [[], ["--grid", "64"]], ids=["alone", "with-grid"])
+def test_make_p_is_an_unknown_parameter_exit_2_with_one_line(grid):
+    # --grid is the one knob for a generated curve's grid size
+    r = run_cli("validate", "--make", "circle:p=32", *grid)
     assert r.returncode == 2
     assert r.stdout == ""
-    assert len(r.stderr.splitlines()) == 1
+    assert r.stderr == "generator 'circle': circle() got an unexpected keyword argument 'p'\n"
 
 
 @pytest.mark.parametrize("argv", [

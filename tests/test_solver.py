@@ -15,19 +15,20 @@ from curvecharts.errors import (
     NonMonotoneError,
     OutsideTubeError,
     ProjectionFailedError,
+    SingularSystemError,
 )
 from curvecharts.solver import TRACE_SLACK, smooth_center
 
 
 def test_recenter_zero_section_keeps_center(circle64):
     c = cc.make_chart(circle64)
-    c2, _ = cc.recenter(c, cc.NormalSection.zero(64, 1))
+    c2, _ = cc.recenter(cc.chart_apply(c, cc.NormalSection.zero(64, 1)))
     assert np.max(np.abs(c2.center.pts - circle64.pts)) <= 1e-10
 
 
 def test_recenter_concentric_moves_center(circle64):
     c = cc.make_chart(circle64)
-    c2, _ = cc.recenter(c, cc.NormalSection(np.full((64, 1), 0.3)))
+    c2, _ = cc.recenter(cc.chart_apply(c, cc.NormalSection(np.full((64, 1), 0.3))))
     assert cc.image_distance(c2.center, shapes.circle(64, radius=1.3)) <= 1e-8
 
 
@@ -36,7 +37,7 @@ def test_recenter_contracts_section(rng):
     c = cc.make_chart(x)
     th = cc.fourier.nodes(x.P)
     u = cc.NormalSection((0.05 * np.cos(2 * th) + 0.03 * np.sin(3 * th))[:, None])
-    c2, _ = cc.recenter(c, u)
+    c2, _ = cc.recenter(cc.chart_apply(c, u))
     y = cc.chart_apply(c, u)
     u2, _ = cc.chart_invert(c2, y)
     assert np.max(np.abs(u2.coeff)) <= 1e-6 * max(1.0, np.max(np.abs(u.coeff)))
@@ -51,7 +52,7 @@ def test_recenter_section_has_no_nyquist_component(make):
     alt = (-1.0) ** np.arange(x.P)
     # the input section carries an alternating component on purpose
     coeff = 0.02 * np.cos(2 * th)[:, None] + 1e-3 * alt[:, None] + np.zeros((x.P, c.rank))
-    c2, u2 = cc.recenter(c, cc.NormalSection(coeff))
+    c2, u2 = cc.recenter(cc.chart_apply(c, cc.NormalSection(coeff)))
     assert u2.coeff.shape == (x.P, c2.rank)
     assert np.max(np.abs(alt @ u2.coeff)) / x.P <= 1e-14
 
@@ -308,7 +309,7 @@ def test_newton_rounds_end_on_a_recentered_critical_chart(P, seed):
     F = cc.parse_functional("length-1.0*area")
     c, u, trace = cc.minimize(F, shapes.perturbed_circle(P, 0.1, seed=seed), NEWTON_CIRCLE)
     assert trace.converged and trace.records[-1].recenter
-    c2, u2 = cc.recenter(c, u)
+    c2, u2 = cc.recenter(cc.chart_apply(c, u))
     assert cc.grad_norm(c2, cc.gradient_in_chart(F, c2, u2)) <= NEWTON_CIRCLE.grad_tol
 
 
@@ -654,6 +655,38 @@ def test_newton_refine_returns_at_the_band(monkeypatch):
     u = cc.newton_refine(F, c, cc.NormalSection.zero(64, 1))
     assert len(calls) == 4
     assert solver.RECENTER_FRACTION * c.rho < u.sup_norm < c.rho
+
+
+def _eigh_fails(Qr, **kw):
+    raise scipy.linalg.LinAlgError("the algorithm failed to converge")
+
+
+# stand-ins for `solver.scipy.linalg.eigh` and the SingularSystemError each one
+# makes `newton_refine` raise: a failed decomposition, a Hessian that is zero
+# on the whole Nyquist complement, and eigenvectors that are not finite
+BROKEN_EIGH = {
+    "Hessian eigendecomposition failed": _eigh_fails,
+    "Hessian vanishes beyond the kernel tolerance": lambda Qr, **kw: (np.zeros(len(Qr)),
+                                                                      np.eye(len(Qr))),
+    "Newton step is not finite": lambda Qr, **kw: (np.ones(len(Qr)), np.full(Qr.shape, np.nan)),
+}
+
+
+def patch_eigh(monkeypatch, eigh):
+    """Make `newton_refine` decompose its reduced Hessian with eigh."""
+    monkeypatch.setattr(solver, "scipy", types.SimpleNamespace(linalg=types.SimpleNamespace(
+        eigh=eigh, LinAlgError=scipy.linalg.LinAlgError)))
+
+
+@pytest.mark.parametrize("message, eigh", BROKEN_EIGH.items(), ids=["failed", "zero", "not-finite"])
+def test_newton_refine_singular_system(monkeypatch, message, eigh):
+    F = cc.parse_functional("length-1.0*area")
+    c = cc.make_chart(shapes.perturbed_circle(64, amplitude=0.03, seed=3))
+    patch_eigh(monkeypatch, eigh)
+    with pytest.raises(SingularSystemError, match=f"^{message}$") as info:
+        cc.newton_refine(F, c, cc.NormalSection.zero(64, 1))
+    if eigh is _eigh_fails:
+        assert isinstance(info.value.__cause__, scipy.linalg.LinAlgError)
 
 
 @pytest.mark.parametrize("make", [shapes.circle, _space_curve], ids=["circle", "space-curve"])

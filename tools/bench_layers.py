@@ -103,7 +103,7 @@ at each `image_distance` curve x, applies a seeded section of sup norm
 
 - `illinois_steps`: the fiber refinement's `_illinois` steps;
 - `pairs_per_node`: the distances the bracket search
-  (`charts._fiber_brackets`) evaluates per node, the arc radii, its
+  (`curve._fiber_brackets`) evaluates per node, the arc radii, its
   (node, arc) tests and leaf samples together;
 - `search_s`: the time of the bracket search alone;
 - `dense_s`: the time of the reference scan of `tests/test_charts.py`
@@ -145,7 +145,6 @@ import curvecharts as cc  # noqa: E402
 import speed  # noqa: E402
 import workloads  # noqa: E402
 from curvecharts import curve, functionals, shapes, solver  # noqa: E402
-from curvecharts import charts  # noqa: E402
 from test_charts import _trefoil, dense_fiber_scan, random_section  # noqa: E402
 from test_curve import count_distances, dense_separation  # noqa: E402
 
@@ -264,7 +263,7 @@ def _counted_invert(c: cc.Chart, y: cc.Embedding) -> dict:
     """Run chart_invert once counting root steps, then count and check its bracket search."""
     counts = {"illinois_steps": 0}
     args = []
-    illinois, search = charts._illinois, charts._fiber_brackets
+    illinois, search = curve._illinois, curve._fiber_brackets
 
     def counted_illinois(fun, *rest):
         def step(idx, t):
@@ -276,11 +275,10 @@ def _counted_invert(c: cc.Chart, y: cc.Embedding) -> dict:
         args.append(a)
         return search(*a)
 
-    charts._illinois, charts._fiber_brackets = counted_illinois, recorded_search
-    try:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curve, "_illinois", counted_illinois)
+        mp.setattr(curve, "_fiber_brackets", recorded_search)
         cc.chart_invert(c, y)
-    finally:
-        charts._illinois, charts._fiber_brackets = illinois, search
     [(space, p, T, q, rho)] = args
     with pytest.MonkeyPatch.context() as mp:
         pairs = count_distances(mp, space)

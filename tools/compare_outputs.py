@@ -2,6 +2,7 @@
 
     python tools/compare_outputs.py dump OUT [--seeds 1 2]
     python tools/compare_outputs.py compare A B
+    python tools/compare_outputs.py against REV [--seeds 1 2]
 
 `dump` runs in the checkout given by the working directory: it imports
 that checkout's `src/curvecharts` and `perfbench/workloads.py` (read
@@ -41,6 +42,12 @@ which tells a drift along the isometry orbit from a change of shape.
 Use it to check that a
 refactoring leaves outputs unchanged: dump the parent commit's checkout
 and the changed one, then compare.
+
+`against` does all three from the root of a git checkout: it dumps the
+revision REV (a commit, a branch or a tag) in a temporary `git worktree`
+with this copy of the tool, so both sides record the same things, then
+dumps the working tree, removes the worktree and compares the two
+records, with the exit code of `compare`.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ import contextlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -365,6 +373,23 @@ def compare(a: str, b: str) -> int:
     return 0 if equal == total else 1
 
 
+def against(rev: str, seeds: list[int]) -> int:
+    """Dump rev in a temporary git worktree and the working tree in this process, then compare."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree, old, new = (os.path.join(tmp, name) for name in ("tree", "old.json", "new.json"))
+        subprocess.run(["git", "worktree", "add", "--quiet", "--detach", tree, rev], cwd=ROOT,
+                       check=True)
+        try:
+            tool = os.path.join(tree, "tools", os.path.basename(__file__))
+            shutil.copyfile(os.path.abspath(__file__), tool)
+            subprocess.run([sys.executable, tool, "dump", old, "--seeds", *map(str, seeds)],
+                           cwd=tree, check=True)
+        finally:
+            subprocess.run(["git", "worktree", "remove", "--force", tree], cwd=ROOT, check=True)
+        dump(new, seeds)
+        return compare(old, new)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -374,10 +399,15 @@ def main(argv=None) -> int:
     p = sub.add_parser("compare", help="compare two records; exit 1 on any difference")
     p.add_argument("a")
     p.add_argument("b")
+    p = sub.add_parser("against", help="dump a git revision and the working tree, then compare")
+    p.add_argument("rev")
+    p.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
     args = parser.parse_args(argv)
     if args.command == "dump":
         dump(args.out, args.seeds)
         return 0
+    if args.command == "against":
+        return against(args.rev, args.seeds)
     return compare(args.a, args.b)
 
 
