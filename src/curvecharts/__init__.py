@@ -75,7 +75,6 @@ from .solver import (
     minimize,
     newton_refine,
     recenter,
-    smooth_center,
     spectrum,
 )
 from .symmetry import (

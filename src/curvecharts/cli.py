@@ -18,6 +18,7 @@ iterating still writes, given --output, the trace up to the failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -68,6 +69,10 @@ def _parse_make(text: str, grid: int | None) -> Embedding:
     name, _, rest = text.partition(":")
     if name not in _GENERATORS:
         raise _InputError(f"unknown generator {name!r}; choose from {sorted(_GENERATORS)}")
+    sig = inspect.signature(_GENERATORS[name]).parameters
+    # the numeric parameters but P, which --grid sets; integer where the default is
+    kinds = {k: type(p.default) for k, p in sig.items() if k != "P" and type(p.default) in (int, float)}
+    kinds.update(dict.fromkeys(_WINDING_KEYS if "winding" in sig else (), int))
     kwargs: dict = {}
     winding: dict[str, int] = {}
     if rest:
@@ -75,11 +80,14 @@ def _parse_make(text: str, grid: int | None) -> Embedding:
             key, eq, val = item.partition("=")
             if not eq:
                 raise _InputError(f"generator parameter {item!r} is not key=value")
+            if key not in kinds:
+                raise _InputError(f"generator {name!r} has no parameter {key!r} (parameters: "
+                                  f"{', '.join(kinds) or 'none'}; --grid sets P)")
             try:
                 num = float(val)
             except ValueError as exc:
                 raise _InputError(f"generator parameter {item!r} is not numeric") from exc
-            if key in ("seed", "kmax") + _WINDING_KEYS:
+            if kinds[key] is int:
                 if not num.is_integer():  # False for NaN and inf too
                     raise _InputError(f"generator parameter {item!r} is not an integer")
                 num = int(num)
@@ -97,7 +105,7 @@ def _parse_make(text: str, grid: int | None) -> Embedding:
         kwargs["P"] = grid
     try:
         return _GENERATORS[name](**kwargs)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise _InputError(f"generator {name!r}: {exc}") from exc
 
 

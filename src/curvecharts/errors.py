@@ -49,8 +49,8 @@ class LineSearchFailedError(CurveChartsError):
 
 class ChartBreakdownError(CurveChartsError):
     """A solver chart could not be built, at the start of `minimize` or at
-    a re-centering: the smoothed center is not an embedding, or the curve
-    cannot be inverted in the chart at it."""
+    a re-centering; `__cause__` is the error of the step that failed, such
+    as a smoothed center that is not an embedding or a failed inversion."""
 
 
 class SingularSystemError(CurveChartsError):

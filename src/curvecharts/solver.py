@@ -48,10 +48,7 @@ from .errors import (
     ChartBreakdownError,
     CurveChartsError,
     LineSearchFailedError,
-    NonMonotoneError,
     NotEmbeddingError,
-    OutsideTubeError,
-    ProjectionFailedError,
     SingularSystemError,
 )
 from .functionals import Functional, _hessian, grad_norm, value_and_gradient
@@ -167,21 +164,16 @@ class SolveTrace:
         return buf.getvalue()
 
 
-def smooth_center(x: Embedding, trunc_freq: int) -> Embedding:
-    """Near-arclength, Fourier-truncated copy of x, suitable as a chart center."""
-    z = resample(x, arclength_lift(x))
-    per = fourier.truncate(z.periodic_part(), trunc_freq)
-    pts = z.space.retract(per + fourier.nodes(z.P)[:, None] * z.drift)
-    return Embedding(z.space, pts, z.winding)
-
-
 def recenter(y: Embedding) -> tuple[Chart, NormalSection]:
-    """Chart at the `smooth_center` of y and y's Nyquist-free section there, or ChartBreakdownError."""
+    """Chart at y's near-arclength copy with modes |k| <= P // CENTER_BAND_DIVISOR, and y's
+    Nyquist-free section there; any CurveChartsError on the way is a ChartBreakdownError."""
     try:
-        c = make_chart(smooth_center(y, y.P // CENTER_BAND_DIVISOR))
+        z = resample(y, arclength_lift(y))
+        per = fourier.truncate(z.periodic_part(), y.P // CENTER_BAND_DIVISOR)
+        pts = z.space.retract(per + fourier.nodes(z.P)[:, None] * z.drift)
+        c = make_chart(Embedding(z.space, pts, z.winding))
         u, _ = chart_invert(c, y)
-    except (NotEmbeddingError, OutsideTubeError, ProjectionFailedError,
-            NonMonotoneError) as exc:
+    except CurveChartsError as exc:
         raise ChartBreakdownError(f"cannot build a chart at the curve: {exc}") from exc
     return c, NormalSection(_drop_nyquist(u.coeff))
 

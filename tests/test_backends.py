@@ -10,9 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import curvecharts as cc
-from curvecharts import Euclidean, FlatTorus, Sphere2, fourier
+from curvecharts import Euclidean, FlatTorus, Sphere2, fourier, shapes
+from curvecharts.functionals import value_and_gradient
+from test_charts import random_section
 
 SPACES = [Euclidean(2), Euclidean(3), FlatTorus(2), Sphere2()]
 
@@ -201,3 +205,29 @@ def test_normal_frame_is_orthonormal_and_normal(space):
     np.testing.assert_allclose(gram, np.broadcast_to(np.eye(rank), gram.shape), atol=1e-12)
     for name in ("_build_frame", "_transport", "_rotate_about"):
         assert not hasattr(cc.charts, name)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from([32, 64, 128]), st.floats(0.05, 0.2), st.floats(0.01, 0.2),
+       st.floats(0.3, 0.7), st.floats(0.3, 0.7), st.integers(0, 2**32 - 1))
+def test_small_contractible_curves_agree_across_flat_backends_property(P, radius, amplitude, cx, cy, seed):
+    # a contractible torus curve this small meets no lattice translate, so
+    # FlatTorus(2) answers as Euclidean(2) to the last bit, and the plane
+    # lifted into R^3 at z = 0 keeps its length and bend.  The perturbation
+    # is kept off 0: an exact circle has no chord below the round-arc bound,
+    # so its plane separation is +inf and a lattice translate sets the torus's
+    pts = shapes.perturbed_circle(P, amplitude, seed=seed, radius=radius).pts + (cx, cy)
+    results = []
+    for x in (cc.Embedding(Euclidean(2), pts), cc.Embedding(FlatTorus(2), pts, (0, 0))):
+        c = cc.make_chart(x)
+        u = random_section(c, np.random.default_rng(seed), 0.3 * c.rho)
+        out = [cc.separation(x), c.rho, c.frame]
+        for F in map(cc.parse_functional, ("length", "bend+length")):
+            f, g = value_and_gradient(F, c, u.coeff)
+            out += [cc.evaluate(F, x), f, g.coeff, cc.spectrum(F, c, 6)]
+        results.append(out)
+    for plane, torus in zip(*results):
+        np.testing.assert_array_equal(torus, plane)
+    x3 = cc.Embedding(Euclidean(3), np.column_stack([pts, np.zeros(P)]))
+    for F in map(cc.parse_functional, ("length", "bend")):
+        assert cc.evaluate(F, x3) == cc.evaluate(F, cc.Embedding(Euclidean(2), pts))

@@ -15,7 +15,6 @@ from curvecharts.errors import (
     OutsideTubeError,
     ProjectionFailedError,
 )
-from curvecharts.solver import smooth_center
 import curvecharts.fourier as fourier
 from test_curve import count_distances
 from test_functionals import random_sphere_curve
@@ -360,7 +359,7 @@ def test_chart_invert_rotated_tilted_great_circle():
     th = fourier.nodes(96)
     pts = np.stack([np.cos(th), np.sin(th), 0.05 * np.sin(3 * th)], axis=1)
     x0 = cc.Embedding(cc.Sphere2(), (pts / np.linalg.norm(pts, axis=1, keepdims=True)) @ R.T)
-    c = cc.make_chart(smooth_center(x0, 24))
+    c = solver.recenter(x0)[0]
     u, _ = cc.chart_invert(c, x0)
     assert cc.image_distance(cc.chart_apply(c, u), x0) <= 1e-10
 
@@ -561,7 +560,7 @@ def test_chart_and_recentering_compute_separation_once(monkeypatch, circle64):
 
 
 def test_recentering_onto_non_embedding_is_chart_breakdown(monkeypatch, circle64):
-    monkeypatch.setattr(solver, "smooth_center", lambda y, k: shapes.lemniscate(128))
+    monkeypatch.setattr(solver, "resample", lambda y, phi: shapes.lemniscate(128))
     c = cc.make_chart(circle64)
     with pytest.raises(ChartBreakdownError) as info:
         solver.recenter(cc.chart_apply(c, cc.NormalSection.zero(64, 1)))
@@ -586,7 +585,7 @@ def test_no_library_path_reaches_brentq(monkeypatch, rng, circle64, great_circle
     u = random_section(c1, rng, 0.05)
     u3, _ = cc.transition(c2, c1, cc.transition(c1, c2, u)[0])
     assert np.max(np.abs(u3.coeff - u.coeff)) <= 1e-6
-    center = smooth_center(shapes.perturbed_circle(64, 0.1, seed=1), 16)
+    center = solver.recenter(shapes.perturbed_circle(64, 0.1, seed=1))[0].center
     assert cc.is_embedding(center)
     phi = cc.make_diffeo(1, 0.3, 64)
     comp = cc.reparam_compose(phi, cc.reparam_inverse(phi))

@@ -416,10 +416,12 @@ def test_spectrum_count_above_the_chart_exit_2_with_one_line():
     "torus-geodesic:wx=1e20", "torus-geodesic:wz=1.5",
     "perturbed-circle:seed=0.5", "circle:radius=inf", "perturbed-circle:amplitude=nan",
     "circle:radius", "circle:radius=abc",
+    "circle:P=47.5", "circle:P=64", "circle:wx=1", "circle:center=1", "great-circle:radius=2",
 ])
 def test_bad_generator_parameters_exit_2_with_one_line(make):
     # integer parameters are checked, not truncated; the others must be
-    # finite; every parameter is key=value with a numeric value
+    # finite; every parameter is key=value with a numeric value, and names a
+    # parameter of the generator other than P, which --grid sets
     r = run_cli("validate", "--make", make)
     assert r.returncode == 2
     assert r.stdout == ""
@@ -575,7 +577,7 @@ def test_make_p_is_an_unknown_parameter_exit_2_with_one_line(grid):
     r = run_cli("validate", "--make", "circle:p=32", *grid)
     assert r.returncode == 2
     assert r.stdout == ""
-    assert r.stderr == "generator 'circle': circle() got an unexpected keyword argument 'p'\n"
+    assert r.stderr == "generator 'circle' has no parameter 'p' (parameters: radius; --grid sets P)\n"
 
 
 @pytest.mark.parametrize("argv", [

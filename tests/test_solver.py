@@ -11,13 +11,14 @@ import curvecharts as cc
 from curvecharts import fourier, functionals, shapes, solver
 from curvecharts.errors import (
     ChartBreakdownError,
+    DegenerateFrameError,
     LineSearchFailedError,
     NonMonotoneError,
     OutsideTubeError,
     ProjectionFailedError,
     SingularSystemError,
 )
-from curvecharts.solver import TRACE_SLACK, smooth_center
+from curvecharts.solver import TRACE_SLACK
 
 
 def test_recenter_zero_section_keeps_center(circle64):
@@ -55,6 +56,20 @@ def test_recenter_section_has_no_nyquist_component(make):
     c2, u2 = cc.recenter(cc.chart_apply(c, cc.NormalSection(coeff)))
     assert u2.coeff.shape == (x.P, c2.rank)
     assert np.max(np.abs(alt @ u2.coeff)) / x.P <= 1e-14
+
+
+def test_recenter_types_every_chart_building_failure(monkeypatch, circle64):
+    # a frame failure, like every CurveChartsError while the chart is built, is a chart breakdown
+    err = DegenerateFrameError("no normal frame")
+
+    def degenerate(x):
+        raise err
+
+    monkeypatch.setattr(solver, "make_chart", degenerate)
+    with pytest.raises(ChartBreakdownError) as info:
+        cc.recenter(circle64)
+    assert str(info.value) == "cannot build a chart at the curve: no normal frame"
+    assert info.value.__cause__ is err
 
 
 def test_minimize_rejects_a_non_embedding_start():
@@ -345,7 +360,7 @@ def test_minimize_length_iterations_independent_of_P(winding, P):
 def test_h1_direction_is_descent_property(P, seed, kmax):
     # 0 < <g, K_1 g>_w <= <g, g>_w on an arclength-resampled center, so
     # d = K_1 g is a descent direction no longer than g
-    center = smooth_center(shapes.random_band_limited(P, seed=seed), P // 4)
+    center = solver.recenter(shapes.random_band_limited(P, seed=seed))[0].center
     w = cc.quadrature_weights(center)
     rng = np.random.default_rng(seed)
     th = fourier.nodes(P)

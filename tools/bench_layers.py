@@ -113,6 +113,13 @@ at each `image_distance` curve x, applies a seeded section of sup norm
 - `same_brackets`: whether both scans pick the same bracket at every
   node.
 
+`recenter`: on the curve y of each `chart_invert` row it records the
+times of `solver.recenter(y)` (`recenter_s`) and of its parts: the
+arclength resampling `resample(y, arclength_lift(y))`
+(`arclength_resample_s`), `make_chart` at the center `recenter` builds
+(`make_chart_s`) and `chart_invert` of y into that chart
+(`chart_invert_s`).
+
 `spectral_kernels`: for P in {64, 128, 256, 512, 1024} and d in {2, 3}
 it times, on seeded samples of shape (P, d), the kernels of
 `curvecharts.fourier`: `diff` of order 1 (`diff1_s`) and of order 2
@@ -565,19 +572,41 @@ def _chart_setup_rows() -> list[dict]:
     return rows
 
 
+def _inverted_curve(make, P: int) -> tuple[cc.Chart, cc.Embedding]:
+    """The chart at make(P) and a seeded section of sup 0.49 rho applied in it, resampled."""
+    c = cc.make_chart(make(P))
+    u = random_section(c, np.random.default_rng(P), 0.49 * c.rho)
+    return c, cc.resample(cc.chart_apply(c, u), cc.make_diffeo(3, 0.25, P))
+
+
 def _chart_invert_rows() -> list[dict]:
     rows = []
     for name, make in BACKENDS.items():
         for P in GRIDS:
-            c = cc.make_chart(make(P))
-            u = random_section(c, np.random.default_rng(P), 0.49 * c.rho)
-            y = cc.resample(cc.chart_apply(c, u), cc.make_diffeo(3, 0.25, P))
+            c, y = _inverted_curve(make, P)
             row = {"backend": name, "P": P, "time_s": _min_time(lambda: cc.chart_invert(c, y)),
                    **_counted_invert(c, y)}
             rows.append(row)
             print(f"chart_invert {name:6s} P={P:5d} {row['time_s']:.4f} s"
                   f" (search {row['search_s']:.4f} s, dense scan {row['dense_s']:.4f} s)",
                   file=sys.stderr)
+    return rows
+
+
+def _recenter_rows() -> list[dict]:
+    rows = []
+    for name, make in BACKENDS.items():
+        for P in GRIDS:
+            y = _inverted_curve(make, P)[1]
+            c = solver.recenter(y)[0]
+            row = {"backend": name, "P": P, "recenter_s": _min_time(lambda: solver.recenter(y)),
+                   "arclength_resample_s": _min_time(lambda: cc.resample(y, cc.arclength_lift(y))),
+                   "make_chart_s": _min_time(lambda: cc.make_chart(c.center)),
+                   "chart_invert_s": _min_time(lambda: cc.chart_invert(c, y))}
+            rows.append(row)
+            print(f"recenter {name:6s} P={P:5d} {row['recenter_s']:.4f} s (resample"
+                  f" {row['arclength_resample_s']:.4f} s, make_chart {row['make_chart_s']:.4f} s,"
+                  f" chart_invert {row['chart_invert_s']:.4f} s)", file=sys.stderr)
     return rows
 
 
@@ -606,6 +635,7 @@ SECTIONS = {
     "reduction_and_eigh": _reduction_rows,
     "chart_setup": _chart_setup_rows,
     "chart_invert": _chart_invert_rows,
+    "recenter": _recenter_rows,
     "descent": _descent_rows,
     "iterate_cost": _iterate_cost_rows,
     "spectral_kernels": _spectral_kernel_rows,
@@ -617,6 +647,7 @@ RATIOS = {
     "spectrum_ratio_P512_over_P128": ("second_variation", "spectrum_s", CRITICAL, 512, 128),
     "separation_ratio_P1024_over_P256": ("chart_setup", "separation_s", SETUP, 1024, 256),
     "chart_invert_ratio_P1024_over_P256": ("chart_invert", "time_s", BACKENDS, 1024, 256),
+    "recenter_ratio_P1024_over_P256": ("recenter", "recenter_s", BACKENDS, 1024, 256),
 }
 
 
