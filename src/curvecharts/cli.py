@@ -38,7 +38,6 @@ from .errors import (
 )
 from .files import curve_to_dict, load_curve, save_curve
 from .functionals import parse_functional
-from .solver import SolveOptions, minimize, spectrum
 from .symmetry import orbit_singular_values, singular_value_rank, standard_killing_basis
 
 EXIT_OK = 0
@@ -212,6 +211,7 @@ def _write_trace(output: str, trace):
 
 
 def cmd_minimize(args) -> int:
+    from .solver import SolveOptions, minimize  # only solving subcommands load scipy.linalg
     x0 = _get_curve(args)
     F = _parsed(parse_functional, args.functional)
     opts = _parsed(SolveOptions, max_iter=args.max_iter, grad_tol=args.tol,
@@ -247,6 +247,7 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from .solver import spectrum
     if args.count < 0:
         raise _InputError("--count must be non-negative")
     c = _chart(_get_curve(args), "curve")

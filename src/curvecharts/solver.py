@@ -49,6 +49,7 @@ from .errors import (
     CurveChartsError,
     LineSearchFailedError,
     NotEmbeddingError,
+    OutsideTubeError,
     SingularSystemError,
 )
 from .functionals import Functional, _hessian, grad_norm, value_and_gradient
@@ -166,16 +167,18 @@ class SolveTrace:
 
 def recenter(y: Embedding) -> tuple[Chart, NormalSection]:
     """Chart at y's near-arclength copy with modes |k| <= P // CENTER_BAND_DIVISOR, and y's
-    Nyquist-free section there; any CurveChartsError on the way is a ChartBreakdownError."""
+    Nyquist-free section there, shorter than rho; any CurveChartsError on the way is a ChartBreakdownError."""
     try:
         z = resample(y, arclength_lift(y))
         per = fourier.truncate(z.periodic_part(), y.P // CENTER_BAND_DIVISOR)
         pts = z.space.retract(per + fourier.nodes(z.P)[:, None] * z.drift)
         c = make_chart(Embedding(z.space, pts, z.winding))
-        u, _ = chart_invert(c, y)
+        u = NormalSection(_drop_nyquist(chart_invert(c, y)[0].coeff))
+        if u.sup_norm >= c.rho:  # dropping the alternating mode can lift it past rho
+            raise OutsideTubeError("Nyquist-free section exceeds the chart radius")
     except CurveChartsError as exc:
         raise ChartBreakdownError(f"cannot build a chart at the curve: {exc}") from exc
-    return c, NormalSection(_drop_nyquist(u.coeff))
+    return c, u
 
 
 def _reduced_hessian(F: Functional, c: Chart):
@@ -186,7 +189,7 @@ def _reduced_hessian(F: Functional, c: Chart):
 
 
 def newton_refine(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions | None = None,
-                  trace: SolveTrace | None = None) -> NormalSection:
+                  trace: SolveTrace | None = None, g: NormalSection | None = None) -> NormalSection:
     """Newton polish of a near-critical section.
 
     Solves the Newton system with the Hessian taken at the chart origin,
@@ -209,13 +212,15 @@ def newton_refine(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions 
     step past RECENTER_FRACTION * rho, where `minimize` re-centers, or
     after NEWTON_STEPS chord steps; callers check the gradient (`minimize`
     does, through its next trace record).  A given trace counts the
-    evaluations.
+    evaluations.  A caller that holds u's filtered gradient passes it as
+    g, which saves the first evaluation.
     """
     opts = opts or SolveOptions()
     P, rank = c.P, c.rank
     current, lam = u, None
-    for _ in range(NEWTON_STEPS):
-        _, g = _value_and_filtered_gradient(F, c, current, trace)
+    for step in range(NEWTON_STEPS):
+        if step or g is None:
+            _, g = _value_and_filtered_gradient(F, c, current, trace)
         if grad_norm(c, g) <= opts.grad_tol:
             return current
         if lam is None:
@@ -302,7 +307,8 @@ def _descend(F: Functional, c: Chart, u: NormalSection, opts: SolveOptions,
             # whether the curve is critical at a fresh chart's origin
             if not moved:
                 c, u = recenter(chart_apply(c, u))
-            u = newton_refine(F, c, u, opts, trace)
+            # a fresh tail chart's gradient is the one the tail computed
+            u = newton_refine(F, c, u, opts, trace, g if moved else None)
             last_step, moved = 0.0, True
             # only the rounds that stop short of the band count toward NEWTON_ROUNDS
             rounds = 0 if u.sup_norm > RECENTER_FRACTION * c.rho else rounds + 1

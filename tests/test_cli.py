@@ -56,6 +56,44 @@ def test_import_skips_scipy_optimize():
     assert r.returncode == 0, r.stderr
 
 
+def test_only_solving_subcommands_load_scipy_linalg(tmp_path):
+    # validate, roundtrip and orbit never load the solver; spectrum does
+    code = (
+        "import contextlib, io, sys\n"
+        "import curvecharts, curvecharts.cli\n"
+        "from curvecharts import shapes\n"
+        "linalg = lambda: [m for m in sys.modules if m.startswith('scipy.linalg')]\n"
+        "assert not linalg()\n"
+        "center = sys.argv[1]\n"
+        "curvecharts.save_curve(shapes.circle(32), center)\n"
+        "for argv in (['validate', '--make', 'circle', '--grid', '32'],\n"
+        "             ['roundtrip', '--make', 'circle:radius=1.1', '--grid', '32', '--center', center],\n"
+        "             ['orbit', '--make', 'great-circle', '--grid', '32'],\n"
+        "             ['spectrum', '--make', 'circle', '--grid', '32']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert curvecharts.cli.main(argv) == 0, argv\n"
+        "    assert bool(linalg()) == (argv[0] == 'spectrum'), argv\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code, str(tmp_path / "center.json")],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+
+
+def test_package_resolves_the_solver_names_from_solver(monkeypatch):
+    names = ("SolveOptions", "SolveTrace", "minimize", "newton_refine", "recenter", "spectrum")
+    for name in names:
+        assert getattr(cc, name) is getattr(solver, name)
+    assert set(names) <= set(dir(cc))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cc.no_such_name
+    # looked up on every access: a name replaced on solver, and restored, is seen at once
+    original = cc.spectrum
+    monkeypatch.setattr(solver, "spectrum", len)
+    assert cc.spectrum is len
+    monkeypatch.undo()
+    assert cc.spectrum is original
+
+
 def test_validate_circle_report():
     r = run_cli("validate", "--make", "circle", "--grid", "64")
     assert r.returncode == 0

@@ -72,6 +72,22 @@ def test_recenter_types_every_chart_building_failure(monkeypatch, circle64):
     assert info.value.__cause__ is err
 
 
+def test_recenter_checks_its_nyquist_free_section_against_rho(monkeypatch, circle64):
+    # 1.04 rho at node 0 less 0.06 rho of alternating mode: inside rho as inverted,
+    # 1.04 rho (1 - 1/P) past it once the alternating mode is dropped
+    alt = (-1.0) ** np.arange(64)
+
+    def invert(c, y):
+        coeff = c.rho * (1.04 * (np.arange(64) == 0) - 0.06 * alt)[:, None]
+        assert np.max(np.abs(coeff)) < c.rho
+        return cc.NormalSection(coeff), None
+
+    monkeypatch.setattr(solver, "chart_invert", invert)
+    with pytest.raises(ChartBreakdownError, match="^cannot build a chart at the curve: ") as info:
+        cc.recenter(circle64)
+    assert isinstance(info.value.__cause__, OutsideTubeError)
+
+
 def test_minimize_rejects_a_non_embedding_start():
     with pytest.raises(cc.NotEmbeddingError, match="^starting curve is not an embedding$"):
         cc.minimize(cc.parse_functional("length"), shapes.lemniscate(128))
@@ -139,11 +155,31 @@ def test_plain_descent_counts_one_evaluation_per_recentering(monkeypatch):
 
 
 def test_newton_descent_counts_newton_evaluations(monkeypatch):
-    calls = _counted_value_and_gradient(monkeypatch)
-    _, _, trace = cc.minimize(cc.parse_functional("length-1.0*area"),
-                              shapes.perturbed_circle(64, 0.1, seed=6), NEWTON_CIRCLE)
-    assert trace.converged and trace.evaluations == len(calls)
-    assert trace.evaluations > len(trace.records) + trace.backtracks
+    # a Newton round on the chart the re-centering tail just built takes the
+    # tail's gradient, so no call repeats the chart and section of the one before
+    calls = []
+    fused = solver.value_and_gradient
+    monkeypatch.setattr(solver, "value_and_gradient",
+                        lambda F, c, a: calls.append((c, a.copy())) or fused(F, c, a))
+    for P in (64, 128):
+        calls.clear()
+        _, _, trace = cc.minimize(cc.parse_functional("length-1.0*area"),
+                                  shapes.perturbed_circle(P, 0.1, seed=6), NEWTON_CIRCLE)
+        assert trace.converged and trace.evaluations == len(calls) == 11
+        assert trace.evaluations > len(trace.records) + trace.backtracks
+        assert not any(c0 is c1 and np.array_equal(a0, a1)
+                       for (c0, a0), (c1, a1) in zip(calls, calls[1:]))
+
+
+def test_newton_refine_given_the_gradient_skips_its_first_evaluation():
+    F = cc.parse_functional("length-1.0*area")
+    c, u = cc.recenter(shapes.perturbed_circle(64, 0.02, seed=6))
+    t0, t1 = cc.SolveTrace(), cc.SolveTrace()
+    _, g = solver._value_and_filtered_gradient(F, c, u)
+    v0 = cc.newton_refine(F, c, u, NEWTON_CIRCLE, t0)
+    v1 = cc.newton_refine(F, c, u, NEWTON_CIRCLE, t1, g)
+    assert np.array_equal(v0.coeff, v1.coeff)
+    assert t1.evaluations == t0.evaluations - 1 > 0
 
 
 def test_minimize_circle_saddle_constant_curvature():
