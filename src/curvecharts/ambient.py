@@ -1,7 +1,7 @@
 """Riemannian target manifolds (N, g) with closed-form exp/log.
 
 Three backends: Euclidean R^n, the flat torus R^n/Z^n with the unit
-lattice (n in {2, 3}), and the unit round sphere S^2 embedded in R^3.
+lattice (n >= 2), and the unit round sphere S^2 embedded in R^3.
 All core operations are vectorized over arrays of points/vectors with
 the coordinate dimension last.
 
@@ -25,7 +25,6 @@ import numpy as np
 from .errors import CutLocusError, UnsupportedAmbientError
 
 _SPHERE_NORM_TOL = 1e-12
-_QUARTER_TURN = np.array([1.0, -1.0])  # (z0, z1) -> (z1, -z0) is z[..., ::-1] times these signs
 
 
 def _integer(value, what: str) -> int:
@@ -36,11 +35,35 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
-def _rotate_about(v: np.ndarray, axis: np.ndarray, angle: np.ndarray) -> np.ndarray:
-    """Rodrigues rotation of v about unit axis by angle (vectorized)."""
-    c = np.cos(angle)[..., None]
-    s = np.sin(angle)[..., None]
-    return v * c + np.cross(axis, v) * s + axis * np.sum(axis * v, axis=-1, keepdims=True) * (1.0 - c)
+def _rejection(a: np.ndarray, b: np.ndarray):
+    """|a|^2, a.b and b - (a.b)/|a|^2 a, the part of b normal to a; the last axis kept."""
+    v2 = np.sum(a * a, axis=-1, keepdims=True)
+    ab = np.sum(a * b, axis=-1, keepdims=True)
+    return v2, ab, b - ab / v2 * a
+
+
+def _spread(H: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """exp(-t_k log H) for each t_k, shape (len(t), m, m), log H the principal logarithm of H in SO(m).
+
+    On an eigenvector of H for exp(i a), (H + H^T)/2 = S acts as cos a and
+    (H - H^T)/2 = K as i sin a.  So eigh of S (eigenvalues within 1e-7 share
+    an angle: closer angles, from R^5 on, lose up to that) splits H into
+    blocks; eigh of iK, each block shifted by 3 times its index, gives H's
+    eigenvectors W, and a is the arctan2 of their Rayleigh quotients, exact
+    at 0 and pi (Higham 2008, ch. 11).  At an exact half turn K is 0 and
+    1e-200 J pairs eigh's adjacent eigenvectors.  The result is W diag(exp(-i t a)) W^H.
+    """
+    c, V = np.linalg.eigh(0.5 * (H + H.T))
+    block = np.concatenate(([0], np.cumsum(np.diff(c) > 1e-7)))
+    K = V.T @ (H - H.T) @ V
+    K = 0.25 * (K - K.T) * (block[:, None] == block)
+    half = np.flatnonzero(~K.any(axis=1) & (c < 0.0))
+    K[half[1::2], half[:-1:2]], K[half[:-1:2], half[1::2]] = 1e-200, -1e-200
+    _, W = np.linalg.eigh(1j * K + np.diag(3.0 * block))
+    a = t[:, None] * np.arctan2(np.einsum("jk,jl,lk->k", W.conj(), K, W).imag, c @ np.abs(W) ** 2)
+    W = V @ W
+    Z = (W[:, None] * W.conj()).reshape(-1, len(c))  # W_pk conj(W_qk)
+    return (np.cos(a) @ Z.real.T + np.sin(a) @ Z.imag.T).reshape(len(t), len(c), -1)
 
 
 class AmbientSpace:
@@ -60,10 +83,9 @@ class AmbientSpace:
     injectivity_radius = np.inf
 
     def __init__(self, dim: int):
-        # frames, curvature and Killing fields exist for dimensions 2 and 3
         dim = _integer(dim, "dim")
-        if dim not in (2, 3):
-            raise ValueError(f"{self.kind} ambient needs dim 2 or 3")
+        if dim < 2:
+            raise ValueError(f"{self.kind} ambient needs dim 2 or more, got {dim}")
         self.dim = dim
         self.coord_dim = dim
 
@@ -125,29 +147,34 @@ class AmbientSpace:
         return None
 
     def normal_frame(self, p: np.ndarray, T: np.ndarray) -> np.ndarray:
-        """Orthonormal normal frame (rank, n, coord_dim) of a closed curve at p with unit tangents T.
+        """Orthonormal normal frame (rank, P, coord_dim) of a closed curve at p with unit tangents T.
 
-        In the plane the rotated tangent; in three dimensions a
-        rotation-minimizing frame, its holonomy spread evenly over the
-        nodes.  Node i's normal is n_i, from the axis least aligned with
-        T_i, turned by the sum of the turns d_j, j < i, of each n_j carried
-        to node j + 1 against n_j+1 (Bishop 1975); all d_j sum to the holonomy.
+        The rotation-minimizing frame (Bishop 1975), its holonomy spread
+        evenly over the nodes, with no loop over the nodes.  Node i's seed
+        normals N_i are the rank axes least aligned with T_i, Gram-Schmidt'ed
+        against T_i.  The double reflection (Wang et al. 2008) taking T_i to
+        T_i+1 carries N_i to G_i N_i+1; the prefix products G_0 ... G_i-1 (a
+        Hillis-Steele scan) carry N_0 to node i, and all of them, the
+        holonomy H, is spread as exp(-(i/P) log H).  So only N_0's
+        orientation shows: det[N_0, T_0] = +1, which is (T_y, -T_x) in the
+        plane.
         """
-        if self.coord_dim == 2:
-            # outward for counterclockwise curves
-            return np.stack([T[:, 1], -T[:, 0]], axis=1)[None, :, :]
-        seed = np.eye(3)[np.argmin(np.abs(T), axis=1)]
-        n = seed - np.sum(seed * T, axis=1, keepdims=True) * T
-        n = n / np.linalg.norm(n, axis=1, keepdims=True)
-        T1, n1 = np.roll(T, -1, axis=0), np.roll(n, -1, axis=0)
-        # n_i carried by the rotation about T_i ^ T_i+1 taking T_i to T_i+1 (closed form on T_i's normals)
-        c = 1.0 + np.sum(T * T1, axis=1, keepdims=True)
-        m = n - np.sum(n * T1, axis=1, keepdims=True) / c * (T + T1)
-        d = np.arctan2(np.sum(m * np.cross(T1, n1), axis=1), np.sum(m * n1, axis=1))
-        phi = np.cumsum(d)
-        hol = np.arctan2(np.sin(phi[-1]), np.cos(phi[-1]))
-        nus = _rotate_about(n, T, phi - d - hol * np.arange(len(T)) / len(T))
-        return np.stack([nus, np.cross(T, nus)], axis=0)
+        P, n = T.shape
+        axes = np.eye(n)[np.argsort(np.abs(T), axis=1, kind="stable")[:, :-1]]
+        N = axes - (axes @ T[:, :, None]) * T[:, None]  # (P, rank, n)
+        for j in range(n - 1):
+            N[:, j] /= np.linalg.norm(N[:, j], axis=1, keepdims=True)
+            N[:, j + 1:] -= (N[:, j + 1:] @ N[:, j, :, None]) * N[:, j, None]
+        N[0, -1] *= np.sign(np.linalg.det(np.vstack([N[0], T[0]])))
+        nxt = np.arange(1, P + 1) % P
+        T1, N1 = T[nxt], N[nxt]
+        M = N - (N @ T1[:, :, None]) / (1.0 + np.sum(T * T1, axis=1))[:, None, None] * (T + T1)[:, None]
+        G = M @ N1.swapaxes(1, 2)
+        for k in 2 ** np.arange((P - 1).bit_length()):  # G[i] becomes G_0 ... G_i
+            G[k:] = G[:-k] @ G[k:]
+        F = _spread(G[-1], np.arange(P) / P) @ np.concatenate([np.eye(n - 1)[None], G[:-1]]) @ N
+        # the scan's roundoff leaves F orthonormal to O(P eps); a Newton-Schulz step makes it O(eps)
+        return (1.5 * F - 0.5 * (F @ F.swapaxes(1, 2) @ F)).swapaxes(0, 1)
 
     def section_basis(self, T: np.ndarray, frame: np.ndarray) -> np.ndarray:
         """Per-node basis (dim, n, coord_dim) of T_x N along a curve: the coordinate axes."""
@@ -162,13 +189,12 @@ class AmbientSpace:
     # nodes, arrays (P, ..., coord_dim) with any batch axes between
 
     def curvature(self, pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Curvature at the nodes: signed in the plane (positive counterclockwise), magnitude in 3-d."""
-        v = np.sqrt(np.sum(a * a, axis=-1))
+        """Curvature |b_perp| / |x'|^2, b_perp the part of x'' normal to x'; signed in the plane (+ ccw)."""
+        v2, _, bp = _rejection(a, b)
+        k = np.sqrt(np.sum(bp * bp, axis=-1)) / v2[..., 0]
         if a.shape[-1] == 2:
-            cross = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-            return cross / v**3
-        w = np.cross(a, b)
-        return np.sqrt(np.sum(w * w, axis=-1)) / v**3
+            k = np.copysign(k, a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])
+        return k
 
     # functional terms: the density at the nodes and its partials gx, ga, gb in x, x', x'' (or None)
 
@@ -179,21 +205,16 @@ class AmbientSpace:
         return scale * v[..., 0], None, scale * (a / v), None
 
     def bending_term(self, pts: np.ndarray, a: np.ndarray, b: np.ndarray):
-        """(2 pi/P) k^2 |x'| = (2 pi/P) |w|^2 / |x'|^5 and its partials, w = x' ^ x''.
+        """(2 pi/P) k^2 |x'| = (2 pi/P) |b_perp|^2 / |x'|^3 and its partials, b_perp as in `curvature`.
 
-        k is the plane or space-curve curvature; in the plane w is the scalar cross product.
+        |x' ^ x''|^2 = |x'|^2 |b_perp|^2 in any dimension, with no cancellation.
         """
-        v2 = np.sum(a * a, axis=-1, keepdims=True)
-        scale = 2.0 * np.pi / pts.shape[0]
-        r5 = scale * v2 ** -2.5  # the scale over |x'|^5
-        if a.shape[-1] == 2:
-            w = (a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])[..., None]
-            ga, gb = w * (b[..., ::-1] * _QUARTER_TURN), -w * (a[..., ::-1] * _QUARTER_TURN)
-        else:
-            w = np.cross(a, b)
-            ga, gb = np.cross(b, w), np.cross(w, a)
-        density = np.sum(w * w, axis=-1, keepdims=True) * r5
-        return density[..., 0], None, 2.0 * r5 * ga - 5.0 * density / v2 * a, 2.0 * r5 * gb
+        v2, ab, bp = _rejection(a, b)
+        bp2 = np.sum(bp * bp, axis=-1, keepdims=True)
+        r5 = 2.0 * np.pi / pts.shape[0] * v2 ** -2.5  # the scale over |x'|^5
+        density = v2 * bp2 * r5
+        ga = 2.0 * r5 * (bp2 * a - ab * bp) - 5.0 * density / v2 * a
+        return density[..., 0], None, ga, 2.0 * r5 * v2 * bp
 
     def area_term(self, pts: np.ndarray, a: np.ndarray, b=None):
         """The signed enclosed area's term, (pi/P) x ^ x', and its partials: defined in the plane only."""
@@ -299,14 +320,16 @@ class FlatTorus(AmbientSpace):
         return (np.abs(self.inner(p, v, T)) <= r) | (self.norm(p, v) + r >= 0.5)
 
     def strand_images(self, pts, winding):
-        """Every lattice vector k within the lift's extent + 3/2 in each coordinate.
+        """Every lattice vector k within the lift's extent + h + 1/2 in each coordinate.
 
-        They hold rint(d) + {-1, 0, 1}^n for every pair difference d.  Any
-        other translate lies 3/2 or farther away, while of rint(d) and
-        rint(d) +- e_c (c = 1, 2, signed as (d - rint(d))_c) one is off the
-        winding line and within sqrt(1 + (n - 1) / 4) < 3/2.
+        They hold rint(d) + {-h, ..., h}^n for every pair difference d.  Of
+        rint(d) and rint(d) +- e_c (c = 1, 2, signed as (d - rint(d))_c) one
+        is off the winding line and within D = sqrt(1 + (n - 1) / 4) of d,
+        and a translate closer than D differs from rint(d) by less than
+        D + 1/2 in each coordinate: h = ceil(D - 1/2), which is 1 for n <= 6.
         """
-        r = np.floor(np.ptp(pts, axis=0) + 1.5).astype(int)
+        h = np.ceil(np.sqrt(1.0 + (self.dim - 1) / 4.0) - 0.5)
+        r = np.floor(np.ptp(pts, axis=0) + (0.5 + h)).astype(int)
         k = np.indices(2 * r + 1).reshape(self.dim, -1).T - r
         m, rem = np.divmod(k @ winding, winding @ winding or 1)  # without a winding, only k = 0 has one
         same = (rem == 0) & np.all(k == m[:, None] * winding, axis=1)

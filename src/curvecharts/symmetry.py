@@ -79,11 +79,9 @@ def apply_isometry(psi: Isometry, x: Embedding) -> Embedding:
 
 
 def _skew_basis(d: int) -> list[np.ndarray]:
-    """Basis of so(d), d in {2, 3}: the planar quarter turn, or v -> e_i x v."""
-    if d == 2:
-        return [np.array([[0.0, -1.0], [1.0, 0.0]])]
-    eye = np.eye(3)
-    return [np.cross(e, eye).T for e in eye]
+    """Basis of so(d), d >= 2: E_ji - E_ij for i < j, the quarter turn taking e_i to e_j."""
+    eye = np.eye(d)
+    return [np.outer(eye[j], eye[i]) - np.outer(eye[i], eye[j]) for i, j in zip(*np.triu_indices(d, 1))]
 
 
 def standard_killing_basis(space: AmbientSpace) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -108,11 +108,30 @@ def test_torus_point_check_reduces():
 
 @pytest.mark.parametrize("cls", [Euclidean, FlatTorus])
 @pytest.mark.parametrize("dim", [1, 4])
-def test_flat_spaces_need_dim_2_or_3(cls, dim):
-    with pytest.raises(ValueError):
-        cls(dim)
-    with pytest.raises(ValueError):
-        cc.AmbientSpace.from_spec({"kind": cls.kind, "dim": dim})
+def test_flat_spaces_take_dim_2_or_more(cls, dim):
+    # a curve in a line has no normal bundle; from 2 on every dim is taken
+    spec = {"kind": cls.kind, "dim": dim}
+    if dim < 2:
+        with pytest.raises(ValueError, match=f"^{cls.kind} ambient needs dim 2 or more, got 1$"):
+            cls(dim)
+        with pytest.raises(ValueError):
+            cc.AmbientSpace.from_spec(spec)
+    else:
+        assert cls(dim).dim == cls(dim).coord_dim == dim
+        assert cc.AmbientSpace.from_spec(spec) == cls(dim)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_skew_basis_is_a_basis_of_so_d(d):
+    basis = cc.symmetry._skew_basis(d)
+    assert len(basis) == d * (d - 1) // 2
+    for A in basis:
+        assert np.array_equal(A, -A.T)
+    assert np.linalg.matrix_rank(np.stack([A.ravel() for A in basis])) == len(basis)
+    if d == 3:
+        # the same span as the generators v -> e_i x v
+        cross = np.stack([np.cross(e, np.eye(3)).T.ravel() for e in np.eye(3)])
+        assert np.linalg.matrix_rank(np.vstack([cross, [A.ravel() for A in basis]])) == 3
 
 
 @pytest.mark.parametrize(
@@ -187,11 +206,13 @@ def test_no_backend_branches_outside_ambient():
 
 
 @pytest.mark.parametrize(
-    "space", [Euclidean(2), Euclidean(3), FlatTorus(2), FlatTorus(3), Sphere2()], ids=repr)
+    "space", [Euclidean(2), Euclidean(3), FlatTorus(2), FlatTorus(3), Sphere2(), Euclidean(4),
+              Euclidean(5), FlatTorus(5)], ids=repr)
 def test_normal_frame_is_orthonormal_and_normal(space):
-    # every backend returns the frame itself; in 3-d it is transported along the loop
+    # every backend returns the frame itself; a flat one transports it along the loop
     th = fourier.nodes(48)
-    pts = np.stack([np.cos(th), np.sin(th), 0.3 * np.sin(2 * th)], axis=1)[:, :space.coord_dim]
+    pts = np.stack([np.cos(th), np.sin(th), 0.3 * np.sin(2 * th), 0.2 * np.cos(3 * th),
+                    0.1 * np.sin(th + 1.0)], axis=1)[:, :space.coord_dim]
     pts = space.retract(0.3 * pts + 0.5)
     d = space.project_tangent(pts, fourier.diff(pts))
     T = d / np.linalg.norm(d, axis=1, keepdims=True)
@@ -228,6 +249,34 @@ def test_small_contractible_curves_agree_across_flat_backends_property(P, radius
         results.append(out)
     for plane, torus in zip(*results):
         np.testing.assert_array_equal(torus, plane)
-    x3 = cc.Embedding(Euclidean(3), np.column_stack([pts, np.zeros(P)]))
-    for F in map(cc.parse_functional, ("length", "bend")):
-        assert cc.evaluate(F, x3) == cc.evaluate(F, cc.Embedding(Euclidean(2), pts))
+    for n in (3, 4):
+        lifted = cc.Embedding(Euclidean(n), np.column_stack([pts, np.zeros((P, n - 2))]))
+        for F in map(cc.parse_functional, ("length", "bend")):
+            assert cc.evaluate(F, lifted) == cc.evaluate(F, cc.Embedding(Euclidean(2), pts))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.floats(1e-3, 1e3), st.floats(1e-8, 1.0))
+def test_bending_partials_equal_the_cross_product_forms_in_r3_property(seed, scale, tilt):
+    # reference: with w = x' x x'' and r5 = (2 pi/P) / |x'|^5, the density
+    # r5 |w|^2 has the partials 2 r5 (x'' x w) - 5 density / |x'|^2 x' and
+    # 2 r5 (w x x').  Both forms round products of |x'| and |x''|, so they
+    # agree to a few ulps of the sum of their parts' bounds: r5 |x'|^2 |x''|^2
+    # for the density, (2 + 2 + 5) r5 |x'| |x''|^2 and 2 r5 |x'|^2 |x''| for
+    # the partials, also where a small tilt leaves x'' nearly parallel to x'
+    # and the parts cancel
+    rng = np.random.default_rng(seed)
+    P = 32
+    a = scale * rng.standard_normal((P, 3))
+    b = rng.uniform(-2.0, 2.0, (P, 1)) * a + tilt * scale * rng.standard_normal((P, 3))
+    f, gx, ga, gb = Euclidean(3).bending_term(np.zeros((P, 3)), a, b)
+    A, B = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
+    r5 = 2.0 * np.pi / P / A**5
+    w = np.cross(a, b)
+    density = r5 * np.sum(w * w, axis=1)
+    ulps = 8 * np.finfo(float).eps * r5 * A * B
+    assert gx is None
+    assert np.all(np.abs(f - density) <= ulps * A * B)
+    ga_ref = 2.0 * r5[:, None] * np.cross(b, w) - 5.0 * (density / A**2)[:, None] * a
+    assert np.all(np.max(np.abs(ga - ga_ref), axis=1) <= 9.0 * ulps * B)
+    assert np.all(np.max(np.abs(gb - 2.0 * r5[:, None] * np.cross(w, a)), axis=1) <= 2.0 * ulps * A)

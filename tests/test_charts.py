@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -642,40 +643,105 @@ def test_chart_carries_center_tangent_and_weights(make):
     assert np.max(np.abs(c.tangent * speed[:, None] - d)) <= 1e-14 * np.max(speed)
 
 
-def _sequential_frame(T):
-    """Reference 3-d frame: the rotation-minimizing normal transported node by node."""
-    def transport(t0, t1, nu):
-        axis = np.cross(t0, t1)
-        na = np.linalg.norm(axis)
-        if na < 1e-14:
-            return nu
-        return cc.ambient._rotate_about(nu, axis / na, np.array(np.arctan2(na, t0 @ t1)))
+def _curve4(P):
+    th = fourier.nodes(P)
+    return cc.Embedding(cc.Euclidean(4), np.stack(
+        [np.cos(th), np.sin(th), 0.6 * np.cos(2 * th + 0.3), 0.5 * np.sin(3 * th) + 0.2 * np.cos(th)],
+        axis=1))
 
-    P = len(T)
-    seed = np.eye(3)[np.argmin(np.abs(T[0]))]
-    nus = np.empty((P, 3))
-    nus[0] = (seed - (seed @ T[0]) * T[0]) / np.linalg.norm(seed - (seed @ T[0]) * T[0])
-    for i in range(P - 1):
-        nus[i + 1] = transport(T[i], T[i + 1], nus[i])
-    closing = transport(T[-1], T[0], nus[-1])
-    hol = np.arctan2(closing @ np.cross(T[0], nus[0]), closing @ nus[0])
-    nus = cc.ambient._rotate_about(nus, T, -hol * np.arange(P) / P)
-    nus = nus - np.sum(nus * T, axis=1, keepdims=True) * T
-    nus = nus / np.linalg.norm(nus, axis=1, keepdims=True)
-    return np.stack([nus, np.cross(T, nus)])
+
+def _torus4(P):
+    th = fourier.nodes(P)
+    w = np.array([1, 1, 0, 1])
+    wiggle = 0.05 * np.stack([np.sin(2 * th), np.cos(3 * th), np.sin(th + 1.0), np.cos(2 * th - 0.5)],
+                             axis=1)
+    return cc.Embedding(cc.FlatTorus(4), th[:, None] / (2 * np.pi) * w + wiggle + 0.3, w)
+
+
+def _reflect(v, u):
+    """v reflected in the hyperplane normal to u."""
+    return v - 2.0 * (v @ u)[..., None] / (u @ u) * u
+
+
+def _sequential_frame(T):
+    """Reference frame in any dimension: node 0's seed normals transported node by node.
+
+    Each step is a double reflection (Wang, Jüttler, Zheng & Liu 2008): in
+    the hyperplane normal to T_i, then in the one normal to T_i + T_i+1,
+    which takes T_i to T_i+1 and fixes what is normal to both.  The
+    holonomy H, the frame carried round the loop in node 0's frame, is
+    spread as expm(-(i/P) logm H).
+    """
+    P, n = T.shape
+    axes = np.eye(n)[np.argsort(np.abs(T[0]), kind="stable")[:-1]]
+    nus = np.empty((P, n - 1, n))
+    for a, e in enumerate(axes):  # Gram-Schmidt against T_0 and the normals before
+        v = e - (e @ T[0]) * T[0] - (nus[0, :a] @ e) @ nus[0, :a]
+        nus[0, a] = v / np.linalg.norm(v)
+    nus[0, -1] *= np.sign(np.linalg.det(np.vstack([nus[0], T[0]])))
+    for i in range(P):
+        carried = _reflect(_reflect(nus[i], T[i]), T[i] + T[(i + 1) % P])
+        if i + 1 < P:
+            nus[i + 1] = carried
+    logH = scipy.linalg.logm(carried @ nus[0].T).real
+    spread = scipy.linalg.expm(-np.arange(P)[:, None, None] / P * logH)
+    return np.einsum("iab,ibd->aid", spread, nus)
 
 
 @pytest.mark.parametrize("P", [64, 128, 256, 512, 1024])
 @pytest.mark.parametrize("make", [_trefoil, _torus3,
-                                  lambda P: shapes.torus_geodesic(P, (1, 0, 1), (0.1, 0.2, 0.3))],
-                         ids=["euclidean3", "torus3", "torus3-straight"])
+                                  lambda P: shapes.torus_geodesic(P, (1, 0, 1), (0.1, 0.2, 0.3)),
+                                  _curve4, _torus4],
+                         ids=["euclidean3", "torus3", "torus3-straight", "euclidean4", "torus4"])
 def test_normal_frame_matches_sequential_transport(make, P):
-    # the frame from the summed turns is the one transported node by node
+    # the frame from the prefix products of the transports is the one carried node by node
     x = make(P)
     d = cc.derivative(x)
     T = d / np.linalg.norm(d, axis=1, keepdims=True)
     frame = x.space.normal_frame(x.pts, T)
     assert np.max(np.abs(frame - _sequential_frame(T))) <= 1e-13
+
+
+@pytest.mark.parametrize("P", [32, 128, 1024])
+@pytest.mark.parametrize("make", [shapes.ellipse,
+                                  lambda P: shapes.torus_geodesic(P, (1, 1), wiggle=0.05, seed=3)],
+                         ids=["plane", "torus2"])
+def test_plane_frame_is_the_quarter_turned_tangent(make, P):
+    x = make(P)
+    d = cc.derivative(x)
+    T = d / np.linalg.norm(d, axis=1, keepdims=True)
+    frame = x.space.normal_frame(x.pts, T)
+    assert np.max(np.abs(frame - np.stack([T[:, 1], -T[:, 0]], axis=1))) <= 1e-14
+
+
+def _turn(m, angles, rng):
+    """A rotation of R^m in random orthogonal planes by the given angles (each plane 2-d)."""
+    Q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    B = np.eye(m)
+    for j, t in enumerate(angles):
+        B[2 * j:2 * j + 2, 2 * j:2 * j + 2] = [[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]
+    return Q @ B @ Q.T
+
+
+@pytest.mark.parametrize("H", [
+    -np.eye(2), np.array([[np.cos(np.pi), -np.sin(np.pi)], [np.sin(np.pi), np.cos(np.pi)]]),
+    np.diag([-1.0, -1.0, 1.0]), _turn(3, [np.pi], np.random.default_rng(1)),
+    _turn(3, [np.pi - 1e-9], np.random.default_rng(2)), _turn(4, [np.pi, 0.4], np.random.default_rng(3)),
+    -np.eye(4), _turn(4, [0.3, 2.9], np.random.default_rng(4)), np.eye(3),
+], ids=["minus-I2", "pi-by-trig", "half-turn-3", "half-turn-3-rotated", "near-half-turn-3",
+        "half-turn-4", "minus-I4", "two-angles-4", "identity-3"])
+def test_holonomy_spread_closes_the_frame(H):
+    # exp(-t log H) stays finite at a rotation by exactly pi, and the spread
+    # frame closes: exp(-log H) H is the identity
+    spread = cc.ambient._spread(H, np.array([0.0, 0.5, 1.0]))
+    assert np.all(np.isfinite(spread))
+    np.testing.assert_allclose(spread[0], np.eye(len(H)), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(spread[2] @ H, np.eye(len(H)), rtol=0, atol=1e-14)
+    # half of it twice is all of it, and each is a rotation
+    np.testing.assert_allclose(spread[1] @ spread[1], spread[2], rtol=0, atol=1e-14)
+    for E in spread:
+        np.testing.assert_allclose(E @ E.T, np.eye(len(H)), rtol=0, atol=1e-14)
+        assert np.linalg.det(E) > 0.0
 
 
 @pytest.mark.parametrize("bad, message", [

@@ -402,16 +402,38 @@ def test_non_unit_sphere_points_exit_2(tmp_path):
     assert r.returncode == 2
 
 
-@pytest.mark.parametrize("command", ["validate", "orbit"])
-def test_four_dimensional_ambient_exit_2(tmp_path, command):
+def _r4_circle_file(tmp_path, ambient):
     th = cc.fourier.nodes(32)
     pts = np.stack([np.cos(th), np.sin(th), 0 * th, 0 * th], axis=1)
-    data = {"version": 1, "ambient": {"kind": "euclidean", "dim": 4}, "grid": 32,
-            "points": pts.tolist()}
+    data = {"version": 1, "ambient": ambient, "grid": 32, "points": (0.3 * pts + 0.5).tolist()}
     p = tmp_path / "r4.json"
     p.write_text(json.dumps(data))
+    return p
+
+
+@pytest.mark.parametrize("command", ["validate", "orbit"])
+def test_four_dimensional_ambient_exit_2(tmp_path, command):
+    # four dimensions are taken, and a four-dimensional file is still
+    # checked: a torus curve without a winding vector is bad input
+    p = _r4_circle_file(tmp_path, {"kind": "flat_torus", "dim": 4})
     r = run_cli(command, "--curve", str(p))
     assert r.returncode == 2
+    assert "flat-torus curves need a winding vector" in r.stderr
+
+
+@pytest.mark.parametrize("command", ["validate", "orbit"])
+def test_four_dimensional_circle_exit_0(tmp_path, command):
+    # the circle of radius 0.3 in R^4: an embedding with reach 0.9 r; Iso has
+    # dimension 4 + 6, and the orbit map loses the turn of the circle's own
+    # plane (a reparameterization) and the turn of the plane normal to it
+    p = _r4_circle_file(tmp_path, {"kind": "euclidean", "dim": 4})
+    r = run_cli(command, "--curve", str(p))
+    assert r.returncode == 0
+    rep = json.loads(r.stdout)
+    if command == "validate":
+        assert rep["embedding"] and abs(rep["reach"] - 0.27) <= 1e-12
+    else:
+        assert (rep["dim_G"], rep["rank"], rep["stabilizer_dim"]) == (10, 8, 2)
 
 
 @pytest.mark.parametrize("argv", [

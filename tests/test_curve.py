@@ -310,6 +310,37 @@ def test_separation_equals_dense_scan_on_tori(n, winding, P, seed, amplitude, sn
     assert cc.separation(x) == dense_separation(x)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-1, 1), min_size=4, max_size=4), st.sampled_from([16, 32, 48, 128]),
+       st.integers(0, 2**32 - 1), st.floats(0.0, 0.4), st.booleans())
+def test_separation_equals_dense_scan_on_four_dimensional_tori(winding, P, seed, amplitude, snap):
+    # the window rint(d) + {-1, 0, 1}^4 that `strand_images` covers holds
+    # every translate that can set the separation in four dimensions
+    rng = np.random.default_rng(seed)
+    th = fourier.nodes(P)
+    w = np.array(winding)
+    pts = rng.uniform(0.0, 1.0, 4) + th[:, None] * w / (2.0 * np.pi)
+    for k in range(1, 4):
+        a, b = rng.uniform(-1.0, 1.0, (2, 4))
+        pts += amplitude * (a * np.cos(k * th)[:, None] + b * np.sin(k * th)[:, None]) / k
+    if snap:
+        pts = np.round(4.0 * pts) / 4.0
+    x = cc.Embedding(cc.FlatTorus(4), pts, w)
+    assert cc.separation(x) == dense_separation(x)
+
+
+@pytest.mark.parametrize("n, h", [(2, 1), (3, 1), (5, 1), (6, 1), (7, 2)])
+def test_torus_translate_window_grows_with_the_dimension(n, h):
+    # a translate closer than sqrt(1 + (n - 1)/4), within which some translate
+    # joins distinct strands, differs from rint(d) by at most h in each
+    # coordinate: 1 up to n = 6 (sqrt(9/4) = 3/2), 2 from n = 7 on
+    pts = np.full((4, n), 0.5)
+    pts[:, 0] += np.array([0.0, 0.1, 0.2, 0.1])
+    images, _ = cc.FlatTorus(n).strand_images(pts, np.zeros(n, int))
+    assert np.array_equal(np.max(images, axis=0), np.full(n, h))
+    assert len(images) == (2 * h + 1) ** n
+
+
 def pinched_sphere_loop(delta):
     """A dumbbell in longitude/latitude coordinates (lon, lat), pinched to
     lat = +-delta/2 at nodes P/4 and 3P/4; latitude is 1-Lipschitz on S^2,

@@ -299,6 +299,35 @@ def test_spectrum_at_the_roundoff_floor(case, P):
     assert np.max(np.abs(vals - np.array(want))) <= 8.0 * eps * floor
 
 
+def _circle_in(n, P, r):
+    """The circle of radius r in the (e_0, e_1) plane of R^n."""
+    th = fourier.nodes(P)
+    pts = np.zeros((P, n))
+    pts[:, 0], pts[:, 1] = r * np.cos(th), r * np.sin(th)
+    return cc.Embedding(cc.Euclidean(n), pts)
+
+
+@pytest.mark.parametrize("P", [32, 64, 128])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_elastic_circle_spectrum_and_nullity_in_rn(n, P):
+    # oracle: the circle of radius r is critical for bend + r^-2 length
+    # (Langer & Singer 1984).  Its second variation times r^4 has the
+    # eigenvalues 2 (k^2 - 1)^2 on the Fourier modes k of the normal in its
+    # plane, and 2 k^2 (k^2 - 1) on those of each of the n - 2 others: the
+    # lowest are 3n - 4 zeros, then 2, 18, 18.  The error floor is that of
+    # test_spectrum_at_the_roundoff_floor, times the largest eigenvalue.  The
+    # kernel is the orbit of Iso(R^n): at a relative cut of 1e-6 the nullity
+    # is the orbit rank, 3n - 4, and the orbit is nondegenerate
+    r = 0.5
+    c = cc.make_chart(_circle_in(n, P, r))
+    want = np.array([0.0] * (3 * n - 4) + [2.0, 18.0, 18.0])
+    vals = r**4 * cc.spectrum(cc.parse_functional("bend+4*length"), c, len(want))
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(vals - want)) <= 8.0 * eps * (P / 2) ** 4 * np.max(np.abs(vals))
+    nullity = int(np.sum(np.abs(vals) <= 1e-6 * np.max(np.abs(vals))))
+    assert nullity == cc.orbit_rank(c, cc.standard_killing_basis(c.center.space))[0] == 3 * n - 4
+
+
 def test_restriction_identity_bend_great_circle():
     F = cc.parse_functional("bend")
     c = cc.make_chart(shapes.great_circle(24))

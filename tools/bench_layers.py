@@ -83,8 +83,9 @@ each.
 `chart_setup`: for P in {64, 128, 256, 512, 1024, 2048} it records the
 times of `separation` and `make_chart` on a perturbed circle, the (1, 1)
 and (1, 0) wiggly torus geodesics, a pinched loop on S^2 (separation
-0.1, where 0.45 times it binds the chart radius) and a trefoil knot in
-R^3 (`euclidean3`, whose chart builds the 3-d normal frame), with
+0.1, where 0.45 times it binds the chart radius), a trefoil knot in R^3
+(`euclidean3`) and a closed curve in R^4 (`euclidean4`), whose charts
+build the transported normal frame of rank 2 and 3, with
 
 - `chords`: the (pair, translate) chords `separation` evaluates, as
   counted by its distinct-strand test (`curve._distinct_strands`);
@@ -152,7 +153,7 @@ import curvecharts as cc  # noqa: E402
 import speed  # noqa: E402
 import workloads  # noqa: E402
 from curvecharts import curve, functionals, shapes, solver  # noqa: E402
-from test_charts import _trefoil, dense_fiber_scan, random_section  # noqa: E402
+from test_charts import _curve4, _trefoil, dense_fiber_scan, random_section  # noqa: E402
 from test_curve import count_distances, dense_separation  # noqa: E402
 
 GRIDS = (64, 128, 256, 512, 1024)
@@ -196,6 +197,7 @@ SETUP = {
     "torus-w10": lambda P: shapes.torus_geodesic(P, (1, 0), offset=(0.3, 0.7), wiggle=0.05, seed=1),
     "sphere": _sphere_dumbbell,
     "euclidean3": _trefoil,
+    "euclidean4": _curve4,
 }
 
 # backend -> (critical curve, functional, its smallest eigenvalues)
